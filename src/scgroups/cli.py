@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import globalinv, orbitcomplex, tree, verify, witt
 from .linalg import FpAb
-from .rings import parse_ring
+from .rings import is_prime
 from .scissors import context
 from .valuation import (
     QONE,
@@ -65,18 +65,14 @@ def _group_report(which: str, ring_label: str) -> dict:
     return rep
 
 
-def _emit(report, fmt: str):
+def _emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, default=str))
     else:
-        if isinstance(report, dict):
-            keys = sorted(report)
-            print("| " + " | ".join(keys) + " |")
-            print("|" + "---|" * len(keys))
-            print("| " + " | ".join(str(report[k]) for k in keys) + " |")
-        else:
-            for row in report:
-                print(row)
+        keys = sorted(report)
+        print("| " + " | ".join(keys) + " |")
+        print("|" + "---|" * len(keys))
+        print("| " + " | ".join(str(report[k]) for k in keys) + " |")
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +338,9 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    # canonical_vertex runs in hot loops and leaves p unchecked
+    if not is_prime(args.p):
+        raise ValueError(f"--p {args.p} is not prime")
     if args.sub == "ball":
         if args.dot:
             sys.stdout.write(tree.dot_output(args.p, args.radius))
@@ -470,8 +469,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.format == "csv" and args.command != "pbar-table":
+            raise ValueError("--format csv is only supported by pbar-table")
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,6 +76,11 @@ class VertexKey:
     def matrix(self, p: int) -> Mat2:
         return ((Fraction(p) ** self.a, self.c), (Fraction(0), Fraction(1)))
 
+    def __hash__(self):
+        # Fraction.__hash__ computes a modular inverse; the reduced
+        # numerator and denominator determine c just as well
+        return hash((self.a, self.c.numerator, self.c.denominator))
+
     def __str__(self):
         return f"({self.a},{self.c})"
 
@@ -158,12 +163,17 @@ def distance(v1: VertexKey, v2: VertexKey, p: int) -> int:
 
 def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
     """The p + 1 classes at distance 1 (index-p sublattices in the basis
-    of the key)."""
-    m = v.matrix(p)
-    out = []
-    for c in range(p):
-        out.append(canonical_vertex(mat_mul(m, mat2(p, c, 0, 1)), p))
-    out.append(canonical_vertex(mat_mul(m, mat2(1, 0, 0, p)), p))
+    of the key), in closed form for a canonical key (a, c): the basis
+    (p^a, 0), (c, 1) times [[p, j], [0, 1]] gives (a + 1, c + j p^a), which
+    is already canonical, and times [[1, 0], [0, p]] gives (a - 1, c mod
+    p^(a-1))."""
+    a, c = v.a, v.c
+    # c + j p^a over one common denominator, with p^a = sn / sd
+    sn, sd = (p**a, 1) if a >= 0 else (1, p**-a)
+    num, den = c.numerator * sd, c.denominator * sd
+    inc = sn * c.denominator
+    out = [VertexKey(a + 1, Fraction(num + j * inc, den)) for j in range(p)]
+    out.append(VertexKey(a - 1, _reduce_mod_power(c, a - 1, p)))
     if len(set(out)) != p + 1:
         raise AssertionError("neighbor keys must be distinct")
     return out
@@ -307,6 +317,8 @@ def _q_candidates(p: int) -> dict[VertexKey, Mat2]:
 def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     """Greedy geodesic descent: peel a (G0, G1) factor pair per two steps
     of the geodesic from the base vertex to g * base."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     g = tuple((Fraction(x), Fraction(y)) for x, y in g)
     if mat_det(g) != 1:
         raise ValueError("determinant must be 1")
@@ -417,27 +429,45 @@ def gamma_membership(g: Mat2, level: int, p: int) -> bool:
 # balls and DOT output
 
 
-def ball(p: int, radius: int) -> tuple[dict, list]:
-    """BFS ball around the base vertex: returns ({key: depth}, edges)."""
+def _check_ball_args(p: int, radius: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
+def _bfs(p: int, radius: int) -> tuple[dict, list, dict]:
+    """BFS ball around the base vertex: ({key: depth}, edges, {key:
+    neighbor list}) with a list for every vertex of depth < radius.  Each
+    vertex is expanded once, so an edge to an already expanded vertex was
+    recorded from that side and is skipped."""
+    _check_ball_args(p, radius)
     depth = {LAMBDA0: 0}
     frontier = [LAMBDA0]
     edges = []
+    nbrs = {}
     for r in range(radius):
         nxt = []
         for v in frontier:
-            for u in neighbors(v, p):
+            vn = nbrs[v] = neighbors(v, p)
+            for u in vn:
                 if u not in depth:
                     depth[u] = r + 1
                     nxt.append(u)
-                if (u, v) not in edges and (v, u) not in edges:
+                if u not in nbrs:
                     edges.append((v, u))
         frontier = nxt
+    return depth, edges, nbrs
+
+
+def ball(p: int, radius: int) -> tuple[dict, list]:
+    """BFS ball around the base vertex: returns ({key: depth}, edges)."""
+    depth, edges, _ = _bfs(p, radius)
     return depth, edges
 
 
 def ball_size_formula(p: int, radius: int) -> int:
+    _check_ball_args(p, radius)
     if radius == 0:
         return 1
     return 1 + (p + 1) * (p**radius - 1) // (p - 1)
@@ -445,17 +475,17 @@ def ball_size_formula(p: int, radius: int) -> int:
 
 def ball_is_tree(p: int, radius: int) -> bool:
     """Counts match the closed formula and every non-root vertex has a
-    unique parent (plus bipartite depths, so no odd cycles)."""
-    depth, edges = ball(p, radius)
+    unique parent (plus bipartite depths, so no odd cycles).  Reuses the
+    BFS neighbor lists; only the leaves at depth radius get new ones."""
+    depth, _, nbrs = _bfs(p, radius)
     if len(depth) != ball_size_formula(p, radius):
         return False
     for v, d in depth.items():
         if d == 0:
             continue
-        nbrs = neighbors(v, p)
-        parents = [u for u in nbrs if depth.get(u) == d - 1]
-        sameline = [u for u in nbrs if depth.get(u) == d]
-        if len(parents) != 1 or sameline:
+        vn = nbrs[v] if d < radius else neighbors(v, p)
+        ds = [depth.get(u) for u in vn]
+        if ds.count(d - 1) != 1 or d in ds:
             return False
     return True
 

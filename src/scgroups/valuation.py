@@ -82,6 +82,8 @@ def qclass(a) -> QSqClass:
 
 def vp(a, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     a = Fraction(a)
     if a == 0:
         raise ValueError("0 has no valuation")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import scgroups
+from scgroups import cli
 from scgroups.cli import main, parse_expression, parse_matrix_arg
 
 
@@ -117,6 +118,34 @@ def test_tree_vertex(capsys):
     assert rep["a"] == 1 and rep["c"] == "0"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tree", "vertex", "--p", "6", "--matrix", "6,0;0,1"],
+        ["tree", "ball", "--p", "6"],
+        ["amalgam", "--p", "6", "--matrix", "1,0;0,1"],
+        ["tree", "ball", "--p", "7", "--radius", "-1"],
+        ["group", "P", "--ring", "gf(11)", "--format", "csv"],
+        ["--format", "csv", "tree", "ball", "--p", "5"],
+        ["amalgam", "--p", "7", "--matrix", "1,1/7;0,1", "--format", "csv"],
+    ],
+)
+def test_rejected_inputs_exit_2(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(m, p):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.tree, "canonical_vertex", broken)
+    with pytest.raises(KeyError):
+        main(["tree", "vertex", "--p", "7", "--matrix", "7,0;0,1"])
+
+
 def test_pbar_table_formats(capsys):
     code, out, _ = run_cli(["pbar-table", "--p-min", "11", "--p-max", "17", "--format", "json"], capsys)
     assert code == 0
@@ -130,7 +159,7 @@ def test_pbar_table_formats(capsys):
     assert out.startswith("| p |")
 
 
-def run_cli_subprocess(args, cwd):
+def run_cli_subprocess(args, cwd, timeout=None):
     """Run ``python -m scgroups.cli`` in a child process started in ``cwd``.
 
     The child imports the same ``scgroups`` as this test session: the
@@ -148,6 +177,7 @@ def run_cli_subprocess(args, cwd):
         capture_output=True,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -162,3 +192,11 @@ def test_argparse_usage_exit_code(tmp_path):
     proc = run_cli_subprocess(["group"], tmp_path)
     assert proc.returncode == 2
     assert b"usage:" in proc.stderr
+
+
+def test_p_one_exits_instead_of_hanging(tmp_path):
+    proc = run_cli_subprocess(
+        ["tree", "vertex", "--p", "1", "--matrix", "1,0;0,1"], tmp_path, timeout=60
+    )
+    assert proc.returncode == 2
+    assert b"error:" in proc.stderr

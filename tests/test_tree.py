@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scgroups import tree
 from scgroups.tree import (
     G0_SIDE,
     G1_SIDE,
@@ -31,6 +34,7 @@ from scgroups.tree import (
     neighbors,
     standard_decomposition,
 )
+from scgroups.valuation import vp
 
 
 def test_canonical_vertex_examples():
@@ -95,6 +99,73 @@ def test_neighbor_symmetry():
             assert v in neighbors(u, p)
 
 
+def _neighbors_by_matrix(v, p):
+    """Oracle for the closed form: canonical keys of the index-p
+    sublattices, found by multiplying out the basis matrices."""
+    m = v.matrix(p)
+    out = [canonical_vertex(mat_mul(m, mat2(p, j, 0, 1)), p) for j in range(p)]
+    out.append(canonical_vertex(mat_mul(m, mat2(1, 0, 0, p)), p))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_neighbors_closed_form_on_ball(p):
+    for v in ball(p, 3)[0]:
+        assert neighbors(v, p) == _neighbors_by_matrix(v, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    a=st.integers(-6, 6),
+    k=st.integers(0, 6),
+    n=st.integers(-(10**6), 10**6),
+)
+def test_neighbors_closed_form_on_drawn_keys(p, a, k, n):
+    # the class of (p^a, 0), (n / p^k, 1): a may be negative and c fractional
+    v = canonical_vertex(mat2(Fraction(p) ** a, Fraction(n, p**k), 0, 1), p)
+    assert v.a == a
+    assert neighbors(v, p) == _neighbors_by_matrix(v, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ball_edges_form_a_spanning_tree(p):
+    depth, edges = ball(p, 3)
+    assert len({frozenset(e) for e in edges}) == len(edges) == len(depth) - 1
+    assert all(depth[u] == depth[v] + 1 for v, u in edges)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_ball_is_tree_rejects_a_same_depth_neighbor(monkeypatch, radius):
+    # lambda1 and (-1, 0) both sit at depth 1; radius 1 checks lambda1 as a
+    # leaf, radius 2 through the BFS neighbor lists
+    p = 3
+    assert ball_is_tree(p, radius)
+    orig = tree.neighbors
+
+    def with_extra_edge(v, p):
+        out = orig(v, p)
+        return out + [VertexKey(-1, Fraction(0))] if v == lambda1() else out
+
+    monkeypatch.setattr(tree, "neighbors", with_extra_edge)
+    assert not ball_is_tree(p, radius)
+
+
+@pytest.mark.parametrize("fn", [ball, ball_is_tree, ball_size_formula])
+def test_negative_radius_rejected(fn):
+    with pytest.raises(ValueError, match="radius"):
+        fn(7, -1)
+
+
+def test_bad_p_rejected():
+    with pytest.raises(ValueError):
+        vp(Fraction(3), 1)
+    with pytest.raises(ValueError, match="prime"):
+        ball(6, 2)
+    with pytest.raises(ValueError, match="prime"):
+        amalgam_decompose(mat2(1, 0, 0, 1), 1)
+
+
 def test_act_and_epsilon():
     p = 7
     gp = g_pi(p)
@@ -141,8 +212,6 @@ def test_standard_decomposition_random():
             continue
         s, r, u, eps = standard_decomposition(m, p)
         assert mat_det(r) == 1
-        from scgroups.valuation import vp
-
         assert vp(u, p) == 0
         assert eps in (0, 1)
 
@@ -162,8 +231,6 @@ def test_parity_law():
             continue
         v = rng.choice(verts)
         d = distance(v, act(m, v, p), p)
-        from scgroups.valuation import vp
-
         assert d % 2 == vp(mat_det(m), p) % 2
 
 
