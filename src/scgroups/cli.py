@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -56,6 +57,10 @@ GROUP_BUILDERS = {
     "E3": lambda ctx: orbitcomplex.build_row_complex(ctx.ring).homology_at(3),
 }
 
+# largest ball `tree ball` builds; ball(11, 4), the largest one the
+# acceptance criteria check, has 17 569 vertices
+MAX_BALL_VERTICES = 10**6
+
 
 def _group_report(which: str, ring_label: str) -> dict:
     ctx = context(ring_label)
@@ -81,6 +86,14 @@ def _emit(report: dict, fmt: str):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>psi1|g|C)|(?P<op><<|>>|[-+*/()\[\]<>]))"
 )
+
+
+def _fraction(*args) -> Fraction:
+    """Fraction(*args), with a zero denominator as a usage error."""
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def _tokenize(text: str):
@@ -148,7 +161,7 @@ class _ExprParser:
         if self.peek() == ("op", "/"):
             self.eat("op", "/")
             den = self.eat("num")
-            return Fraction(sign * num, den)
+            return _fraction(sign * num, den)
         return Fraction(sign * num)
 
     def factor(self):
@@ -281,7 +294,7 @@ def parse_matrix_arg(text: str):
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError("each row needs two ','-separated entries")
-        vals.extend(Fraction(p.strip()) for p in parts)
+        vals.extend(_fraction(p.strip()) for p in parts)
     return tree.mat2(*vals)
 
 
@@ -308,13 +321,21 @@ def cmd_verify(args) -> int:
     return 0 if all(c.ok for c in checks) else 1
 
 
+def worker_count(jobs: int, njobs: int) -> int:
+    """Processes for verify-all: --jobs, but no more than the CPUs or the jobs."""
+    if jobs < 1:
+        raise ValueError(f"--jobs {jobs} must be at least 1")
+    return min(jobs, os.cpu_count() or 1, njobs)
+
+
 def cmd_verify_all(args) -> int:
     jobs = verify.verify_all_jobs(max_q=args.max_q)
+    workers = worker_count(args.jobs, len(jobs))
     results = []
-    if args.jobs > 1:
+    if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with cf.ProcessPoolExecutor(max_workers=workers) as ex:
             futs = {ex.submit(verify.run_job, job, args.seed): job for job in jobs}
             for fut in cf.as_completed(futs):
                 results.append(fut.result())
@@ -342,6 +363,12 @@ def cmd_tree(args) -> int:
     if not is_prime(args.p):
         raise ValueError(f"--p {args.p} is not prime")
     if args.sub == "ball":
+        size = tree.ball_size_formula(args.p, args.radius)
+        if size > MAX_BALL_VERTICES:
+            raise ValueError(
+                f"ball of radius {args.radius} at p = {args.p} has {size} vertices, "
+                f"more than {MAX_BALL_VERTICES}"
+            )
         if args.dot:
             sys.stdout.write(tree.dot_output(args.p, args.radius))
             return 0

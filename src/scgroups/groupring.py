@@ -149,6 +149,7 @@ class RModPres:
             if len(r) != ngens:
                 raise ValueError("relation width does not match generator count")
         self._flat: Optional[FpAb] = None
+        self._perms: dict[int, np.ndarray] = {}
 
     @property
     def flat_ngens(self) -> int:
@@ -187,6 +188,17 @@ class RModPres:
             for j in range(self.ngens):
                 m[self.flat_index(h, j), self.flat_index(h ^ g, j)] = 1
         return m
+
+    def act_permutation(self, g: int) -> np.ndarray:
+        """Cached index array idx with vec[idx] == vec @ act_matrix(g)."""
+        idx = self._perms.get(g)
+        if idx is None:
+            idx = np.array(
+                [self.flat_index(h ^ g, j) for h in range(self.G.order) for j in range(self.ngens)],
+                dtype=np.intp,
+            )
+            self._perms[g] = idx
+        return idx
 
     def chi_localize(self, chi: Character) -> FpAb:
         """M_chi = M / R^chi M, presented directly on the module generators

@@ -555,6 +555,79 @@ def parse_matrix(text: str) -> np.ndarray:
     return out
 
 
+# (moduli, images) of a quotient map; see _projection_table
+_Projection = tuple[list[int], list[list[tuple[int, int]]]]
+
+
+def _projection_table(basis: np.ndarray, pivots: list[int]) -> _Projection:
+    """Quotient map of Z^n onto Z^n / (row lattice of ``basis``), a
+    canonical HNF whose row i has its pivot in column pivots[i].
+
+    Returns (moduli, images): coordinate k of the target is Z/moduli[k]
+    for a modulus > 1 and Z for a modulus 0, and images[j] lists the
+    nonzero (k, value) of generator j.  A row with pivot 1 rewrites its
+    generator through the later columns, and the canonical HNF clears the
+    entries above a unit pivot, so the rows with a larger pivot live on
+    the remaining (residual) columns: only that block goes through snf.
+    The image of a residual column is its row of the Smith transform V,
+    reduced mod d_k (Cohen, A Course in Computational Algebraic Number
+    Theory, §2.4).
+    """
+    n = basis.shape[1]
+    unit = {i: j for i, j in enumerate(pivots) if basis[i, j] == 1}
+    residual = [i for i in range(len(pivots)) if i not in unit]
+    cols = sorted({int(c) for i in residual for c in np.flatnonzero(basis[i])})
+    free = sorted(set(range(n)) - set(unit.values()) - set(cols))
+    if residual:
+        sd = snf(intmat([[basis[i, c] for c in cols] for i in residual]))
+        diag = sd.diagonal()
+    else:
+        sd, diag = None, []
+    # SNF coordinates with d_k = 1 are zero in the group and are dropped
+    d_all = [diag[k] if k < len(diag) else 0 for k in range(len(cols))]
+    keep = [k for k, d in enumerate(d_all) if d != 1]
+    moduli = [d_all[k] for k in keep] + [0] * len(free)
+    images: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for pos, c in enumerate(cols):
+        for out, k in enumerate(keep):
+            x = int(sd.v[pos, k])
+            if d_all[k]:
+                x %= d_all[k]
+            if x:
+                images[c].append((out, x))
+    for out, c in enumerate(free, start=len(keep)):
+        images[c].append((out, 1))
+    # unit rows bottom-up: a generator is rewritten through later columns only
+    for i in sorted(unit, reverse=True):
+        j = unit[i]
+        acc = [0] * len(moduli)
+        for c in np.flatnonzero(basis[i]).tolist():
+            if c != j:
+                a = int(basis[i, c])
+                for k, x in images[c]:
+                    acc[k] -= a * x
+        acc = [x % d if d else x for x, d in zip(acc, moduli)]
+        images[j] = [(k, x) for k, x in enumerate(acc) if x]
+    return moduli, images
+
+
+def _project(proj: _Projection, v) -> list[int]:
+    """Image of v under a projection table, each torsion coordinate
+    reduced into [0, d); reads only the nonzero entries of v."""
+    moduli, images = proj
+    if isinstance(v, np.ndarray):
+        nz = np.flatnonzero(v)
+        entries = zip(nz.tolist(), v[nz].tolist())
+    else:
+        entries = ((i, x) for i, x in enumerate(v) if x)
+    w = [0] * len(moduli)
+    for i, x in entries:
+        x = int(x)
+        for k, a in images[i]:
+            w[k] += x * a
+    return [x % d if d else x for x, d in zip(w, moduli)]
+
+
 def odd_part(n: int) -> int:
     """n with every factor of 2 removed (n >= 1)."""
     if n < 1:
@@ -565,7 +638,10 @@ def odd_part(n: int) -> int:
 
 
 class FpAb:
-    """Finitely presented abelian group Z^ngens / (row lattice of rels)."""
+    """Finitely presented abelian group Z^ngens / (row lattice of rels).
+
+    Element questions (contains, element_order) and the invariant factors
+    go through one cached quotient map onto Z^f + sum Z/d_k."""
 
     def __init__(self, ngens: int, rels=None):
         self.ngens = int(ngens)
@@ -579,8 +655,8 @@ class FpAb:
             rels = zeros(0, self.ngens)
         self.rels = rels
         self._hnf: Optional[np.ndarray] = None
-        self._snf: Optional[SmithData] = None
         self._pivots: Optional[list[int]] = None
+        self._proj: Optional[_Projection] = None
 
     @classmethod
     def from_rows(cls, ngens: int, rows) -> "FpAb":
@@ -596,11 +672,6 @@ class FpAb:
             self._hnf = hnf_rows(self.rels, self.ngens)
         return self._hnf
 
-    def _basis_snf(self) -> SmithData:
-        if self._snf is None:
-            self._snf = snf(self.rel_basis)
-        return self._snf
-
     @property
     def rank_of_relations(self) -> int:
         return self.rel_basis.shape[0]
@@ -611,11 +682,8 @@ class FpAb:
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Torsion coefficients > 1, in divisibility order."""
-        d = self._basis_snf().diagonal()
-        return tuple(x for x in d if x > 1)
-
-    def all_diagonal(self) -> tuple[int, ...]:
-        return tuple(self._basis_snf().diagonal())
+        moduli, _ = self._projection()
+        return tuple(d for d in moduli if d > 1)
 
     def odd_invariants(self) -> tuple[int, ...]:
         out = [odd_part(x) for x in self.invariant_factors()]
@@ -633,23 +701,32 @@ class FpAb:
     def odd_order_trivial(self) -> bool:
         return self.free_rank == 0 and not self.odd_invariants()
 
-    def element_order(self, v) -> Optional[int]:
-        """Least n >= 1 with n*v in the relation lattice, or None."""
-        v = _obj_row(v)
+    def _projection(self) -> _Projection:
+        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, certified on
+        the relation basis when it is built."""
+        if self._proj is None:
+            proj = _projection_table(self.rel_basis, self._pivot_columns())
+            for i in range(self.rel_basis.shape[0]):
+                if any(_project(proj, self.rel_basis[i])):
+                    raise AssertionError(f"quotient map does not kill relation {i}")
+            self._proj = proj
+        return self._proj
+
+    def _image(self, v) -> list[int]:
         if len(v) != self.ngens:
             raise ValueError("vector length does not match generator count")
-        sd = self._basis_snf()
-        w = v @ sd.v
-        d = sd.diagonal()
+        return _project(self._projection(), v)
+
+    def element_order(self, v) -> Optional[int]:
+        """Least n >= 1 with n*v in the relation lattice, or None."""
+        moduli, _ = self._projection()
         n = 1
-        for i in range(self.ngens):
-            wi = int(w[i])
-            di = d[i] if i < len(d) else 0
-            if di == 0:
-                if wi != 0:
+        for x, d in zip(self._image(v), moduli):
+            if not d:
+                if x:
                     return None
-            else:
-                n = math.lcm(n, di // math.gcd(di, wi))
+            elif x:
+                n = math.lcm(n, d // math.gcd(d, x))
         return n
 
     def _pivot_columns(self) -> list[int]:
@@ -666,15 +743,7 @@ class FpAb:
 
     def contains(self, v) -> bool:
         """Whether v lies in the relation lattice (i.e. is 0 in the group)."""
-        basis = self.rel_basis
-        r = _obj_row(v)
-        for i, j in enumerate(self._pivot_columns()):
-            q, rem = divmod(int(r[j]), int(basis[i, j]))
-            if rem:
-                return False
-            if q:
-                r = r - q * basis[i]
-        return not any(int(x) for x in r)
+        return not any(self._image(v))
 
     def reduce(self, v) -> np.ndarray:
         """Canonical representative of v modulo the relation lattice."""
@@ -762,10 +831,8 @@ class AbMap:
             raise ValueError("map matrix has wrong shape")
         if check:
             basis = source.rel_basis
-            tb = target.rel_basis
             for i in range(basis.shape[0]):
-                img = basis[i] @ self.matrix
-                if not row_lattice_contains(tb, img):
+                if not target.contains(basis[i] @ self.matrix):
                     raise ValueError(
                         f"map does not respect relations (reduced relation {i})"
                     )

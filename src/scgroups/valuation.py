@@ -349,8 +349,7 @@ class SpecializationContext:
     def _act_vec(self, g: int, vec: np.ndarray) -> np.ndarray:
         if g == 0:
             return vec
-        perm = self.sc.refined().act_matrix(g)
-        return vec @ perm
+        return vec[self.sc.refined().act_permutation(g)]
 
     def delta_pi(self, x: SymRP) -> RPtElem:
         return self.s_v(x).comp_pi

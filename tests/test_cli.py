@@ -159,6 +159,39 @@ def test_pbar_table_formats(capsys):
     assert out.startswith("| p |")
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    code, _, err = run_cli(["amalgam", "--p", "7", "--matrix", "1/0,0;0,1"], capsys)
+    assert code == 2 and "error:" in err
+    code, _, err = run_cli(["specialize", "--p", "7", "--expr", "[1/0]"], capsys)
+    assert code == 2 and "error:" in err
+
+
+def test_oversized_ball_rejected_before_bfs(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the ball must not be built")
+
+    monkeypatch.setattr(cli.tree, "_bfs", refuse)
+    for extra in ([], ["--dot"]):
+        code, _, err = run_cli(["tree", "ball", "--p", "2", "--radius", "30", *extra], capsys)
+        assert code == 2 and "error:" in err
+
+
+def test_jobs_zero_is_usage_error(capsys):
+    code, _, err = run_cli(["verify-all", "--jobs", "0"], capsys)
+    assert code == 2 and "error:" in err
+
+
+def test_worker_count_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert cli.worker_count(1, 40) == 1
+    assert cli.worker_count(10**6, 40) == min(cpus, 40)
+    assert cli.worker_count(10**6, 1) == 1
+    assert cli.worker_count(3, 0) == 0
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            cli.worker_count(bad, 40)
+
+
 def run_cli_subprocess(args, cwd, timeout=None):
     """Run ``python -m scgroups.cli`` in a child process started in ``cwd``.
 

@@ -3,7 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
+from scgroups import linalg
 from scgroups.linalg import (
     AbMap,
     FpAb,
@@ -315,3 +320,112 @@ def test_reduce_is_canonical():
     assert list(r) == [1, 3]
     assert g.contains([3, 0])
     assert not g.contains([1, 0])
+
+
+# -- the quotient map behind contains / element_order / invariant_factors ---
+
+
+@st.composite
+def presentations(draw):
+    """(ngens, relation rows): up to 5 generators and 5 relations with
+    negative entries; a common scale makes non-unit pivots frequent."""
+    n = draw(st.integers(0, 5))
+    nrels = draw(st.integers(0, 5)) if n else 0
+    scale = draw(st.integers(1, 4))
+    rows = [
+        [scale * draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(nrels)
+    ]
+    return n, rows
+
+
+def vectors(n):
+    return st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+
+
+def _in_lattice(g, v):
+    return solve_in_rows(g.rel_basis, v) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_contains_matches_solve_in_rows(pres, data):
+    n, rows = pres
+    g = FpAb(n, rows if rows else None)
+    for _ in range(4):
+        v = data.draw(vectors(n))
+        want = _in_lattice(g, v)
+        assert g.contains(v) == want
+        assert g.contains(np.array(v, dtype=object)) == want
+        assert g.contains(np.array(v, dtype=np.int64)) == want
+    for i in range(g.rel_basis.shape[0]):
+        assert g.contains(g.rel_basis[i])
+        assert g.contains(-3 * g.rel_basis[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_element_order_is_least_killing_multiple(pres, data):
+    n, rows = pres
+    g = FpAb(n, rows if rows else None)
+    exponent = max(g.invariant_factors(), default=1)
+    for _ in range(3):
+        v = data.draw(vectors(n))
+        got = g.element_order(v)
+        if got is None:
+            # not torsion: the exponent of the torsion part does not kill it
+            assert g.free_rank > 0
+            assert not _in_lattice(g, [exponent * x for x in v])
+            continue
+        assert 1 <= got <= exponent
+        assert _in_lattice(g, [got * x for x in v])
+        assert not any(_in_lattice(g, [m * x for x in v]) for m in range(1, got))
+        assert g.element_odd_trivial(v) == (odd_part(got) == 1)
+        if g.order() is not None:
+            assert g.order() % got == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_invariant_factors_match_sympy(pres):
+    n, rows = pres
+    g = FpAb(n, rows if rows else None)
+    if rows:
+        diag = [abs(int(d)) for d in sympy_invariant_factors(Matrix(rows), domain=ZZ)]
+    else:
+        diag = []
+    nonzero = sorted(d for d in diag if d)
+    assert g.invariant_factors() == tuple(d for d in nonzero if d > 1)
+    assert g.free_rank == n - len(nonzero)
+    assert g.order() == (None if g.free_rank else int(np.prod(nonzero, dtype=object)))
+
+
+def test_projection_edge_cases():
+    empty = FpAb(0)
+    assert empty.describe() == "0" and empty.contains([]) and empty.element_order([]) == 1
+    free = FpAb(3)
+    assert free.describe() == "Z^3"
+    assert free.contains([0, 0, 0]) and not free.contains([0, -1, 0])
+    assert free.element_order([0, 0, 2]) is None
+    mixed = FpAb(3, [[2, 0, 0], [0, 1, 1]])
+    assert mixed.describe() == "Z + Z/2"
+    assert mixed.contains([2, 1, 1]) and not mixed.contains([0, 1, 0])
+    assert mixed.element_order([1, 1, 1]) == 2
+    assert mixed.element_order([0, 1, 0]) is None
+    with pytest.raises(ValueError):
+        mixed.contains([1, 0])
+
+
+def test_corrupted_projection_trips_certificate(monkeypatch):
+    build = linalg._projection_table
+
+    def corrupted(basis, pivots):
+        moduli, images = build(basis, pivots)
+        images[0] = []  # generator 0 = -generator 1 in Z/3; drop its image
+        return moduli, images
+
+    monkeypatch.setattr(linalg, "_projection_table", corrupted)
+    g = FpAb(2, [[1, 1], [0, 3]])
+    with pytest.raises(AssertionError):
+        g.invariant_factors()
+    monkeypatch.setattr(linalg, "_projection_table", build)
+    assert FpAb(2, [[1, 1], [0, 3]]).invariant_factors() == (3,)

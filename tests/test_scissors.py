@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scgroups.groupring import dbl_bracket, p_plus, r_mul, r_neg
-from scgroups.linalg import FpAb, intmat, iso_odd, odd_part
+from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
 from scgroups.scissors import (
     ScissorsContext,
     context,
@@ -93,6 +93,18 @@ def test_rp1_coinvariants_match_p(label):
     rows = [sub.group.rel_basis] + ([intmat(extra)] if extra else [])
     coin = FpAb(sub.group.ngens, np.vstack(rows))
     assert iso_odd(coin, ctx.pre_bloch())
+
+
+@pytest.mark.parametrize("label", ["gf(11)", "z/11^2"])
+def test_act_permutation_matches_act_matrix(label):
+    m = context(label).refined()
+    n = m.flat_ngens
+    for g in range(m.G.order):
+        idx = m.act_permutation(g)
+        perm = zeros(n, n)
+        perm[idx, np.arange(n)] = 1
+        assert np.array_equal(perm, m.act_matrix(g))
+        assert m.act_permutation(g) is idx
 
 
 @pytest.mark.parametrize("label", SMALL)
