@@ -16,24 +16,21 @@ import sys
 from fractions import Fraction
 
 from . import globalinv, orbitcomplex, tree, verify, witt
+from .groupring import add, scale
 from .linalg import FpAb
-from .rings import is_prime
+from .rings import Ring, is_prime, parse_ring
 from .scissors import context
 from .valuation import (
     QONE,
     qclass,
     specialization,
     sym_act,
-    sym_add,
     sym_big_c,
     sym_dbl_bracket,
     sym_g,
     sym_gen,
     sym_psi1,
-    sym_scale,
-    ring_add,
     ring_mul,
-    ring_scale,
 )
 
 GROUP_BUILDERS = {
@@ -61,9 +58,23 @@ GROUP_BUILDERS = {
 # acceptance criteria check, has 17 569 vertices
 MAX_BALL_VERTICES = 10**6
 
+# largest ring, in elements, that `group` and the ring suites of `verify`
+# accept: the five-term relations number about |W|^2, and `group RP1` on
+# GF(121), the largest ring the tests and the benchmark build, already
+# peaks near 300 MB
+MAX_RING_SIZE = 128
+
+
+def _ring_of(label: str) -> Ring:
+    """The ring a descriptor names, refused above MAX_RING_SIZE elements."""
+    ring = parse_ring(label)
+    if ring.size() > MAX_RING_SIZE:
+        raise ValueError(f"{ring.label} has {ring.size()} elements, more than {MAX_RING_SIZE}")
+    return ring
+
 
 def _group_report(which: str, ring_label: str) -> dict:
-    ctx = context(ring_label)
+    ctx = context(_ring_of(ring_label))
     grp: FpAb = GROUP_BUILDERS[which](ctx)
     rep = grp.report()
     rep.update({"ring": ctx.ring.label, "group": which, "describe": grp.describe()})
@@ -212,17 +223,15 @@ def _val_neg(v):
     kind, x = v
     if kind == "num":
         return ("num", -x)
-    if kind == "ring":
-        return ("ring", ring_scale(-1, x))
-    return ("mod", sym_scale(-1, x))
+    return (kind, scale(-1, x))
 
 
 def _val_add(v, w):
     if v[0] == "num" and w[0] == "num":
         return ("num", v[1] + w[1])
     if "mod" in (v[0], w[0]):
-        return ("mod", sym_add(_to_mod(v), _to_mod(w)))
-    return ("ring", ring_add(_to_ring(v), _to_ring(w)))
+        return ("mod", add(_to_mod(v), _to_mod(w)))
+    return ("ring", add(_to_ring(v), _to_ring(w)))
 
 
 def _to_ring(v):
@@ -243,10 +252,7 @@ def _val_mul(v, w):
     if v[0] == "num" and w[0] == "num":
         return ("num", v[1] * w[1])
     if v[0] == "num":
-        n = _as_int(v[1])
-        if w[0] == "ring":
-            return ("ring", ring_scale(n, w[1]))
-        return ("mod", sym_scale(n, w[1]))
+        return (w[0], scale(_as_int(v[1]), w[1]))
     if w[0] == "num":
         return _val_mul(w, v)
     if v[0] == "ring" and w[0] == "ring":
@@ -313,9 +319,10 @@ def cmd_group(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify.run_suite(
-        args.suite, ring=args.ring, p=args.p, q=args.q, seed=args.seed
-    )
+    ring = args.ring
+    if args.suite in verify.RING_SUITES and ring is not None:
+        ring = _ring_of(ring)
+    checks = verify.run_suite(args.suite, ring=ring, p=args.p, q=args.q, seed=args.seed)
     for c in checks:
         print(c.line())
     return 0 if all(c.ok for c in checks) else 1

@@ -16,44 +16,27 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import AbMap, FpAb, ab_image, intmat, zeros
+from .linalg import AbMap, FpAb, intmat, zeros
 from .rings import SqClassGroup
 
 RElem = dict  # bitmask -> integer coefficient
 
 
-def r_elem(items=()) -> RElem:
-    out: RElem = {}
-    for g, c in dict(items).items():
-        if c:
-            out[g] = out.get(g, 0) + c
-    return {g: c for g, c in out.items() if c}
-
-
-def r_one() -> RElem:
-    return {0: 1}
-
-
-def r_add(x: RElem, y: RElem) -> RElem:
+def add(x: dict, y: dict) -> dict:
+    """Sum of two finite formal combinations {key: int}, zero terms dropped.
+    Elements of Z[G], of P and RP, and the symbolic elements over Q are all
+    such combinations, so this is the one addition they share."""
     out = dict(x)
-    for g, c in y.items():
-        out[g] = out.get(g, 0) + c
-        if not out[g]:
-            del out[g]
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + c
+        if not out[k]:
+            del out[k]
     return out
 
 
-def r_neg(x: RElem) -> RElem:
-    return {g: -c for g, c in x.items()}
-
-def r_sub(x: RElem, y: RElem) -> RElem:
-    return r_add(x, r_neg(y))
-
-
-def r_scale(n: int, x: RElem) -> RElem:
-    if not n:
-        return {}
-    return {g: n * c for g, c in x.items()}
+def scale(n: int, x: dict) -> dict:
+    """n times a finite formal combination."""
+    return {k: n * c for k, c in x.items()} if n else {}
 
 
 def r_mul(x: RElem, y: RElem) -> RElem:
@@ -219,7 +202,7 @@ class RModPres:
         for i in range(self.flat_ngens):
             mult[i, i] += sign
         f = AbMap(flat, flat, mult, check=False)
-        return ab_image(f)
+        return f.image()
 
     def plus_part(self, g: int) -> FpAb:
         """Image of multiplication by (g + 1); its odd part is e_+^g M."""
@@ -235,22 +218,3 @@ class RModPres:
         for rel in self.relations:
             new_rels.append([{g: chi(g) * c for g, c in x.items()} for x in rel])
         return RModPres(self.G, self.ngens, new_rels)
-
-def free_module(G: SqClassGroup, ngens: int) -> RModPres:
-    return RModPres(G, ngens, [])
-
-
-def chi_localize(m: RModPres, chi: Character) -> FpAb:
-    return m.chi_localize(chi)
-
-
-def plus_part(m: RModPres, g: int) -> FpAb:
-    return m.plus_part(g)
-
-
-def minus_part(m: RModPres, g: int) -> FpAb:
-    return m.minus_part(g)
-
-
-def twist(m: RModPres, chi: Character) -> RModPres:
-    return m.twist(chi)

@@ -533,28 +533,6 @@ def snf(mat) -> SmithData:
     return SmithData(s=a, u=u, v=v, rank=rank)
 
 
-def dump_matrix(mat: np.ndarray) -> str:
-    """Plain-text row-major dump: 'rows cols' header, then entries."""
-    rows, cols = mat.shape
-    lines = [f"{rows} {cols}"]
-    for i in range(rows):
-        lines.append(" ".join(str(int(x)) for x in mat[i]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    tokens = text.split()
-    rows, cols = int(tokens[0]), int(tokens[1])
-    vals = tokens[2:]
-    if len(vals) != rows * cols:
-        raise ValueError("matrix dump has wrong entry count")
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = int(vals[i * cols + j])
-    return out
-
-
 # (moduli, images) of a quotient map; see _projection_table
 _Projection = tuple[list[int], list[list[tuple[int, int]]]]
 
@@ -868,14 +846,6 @@ class AbMap:
 
     def apply(self, v) -> np.ndarray:
         return _obj_row(v) @ self.matrix
-
-
-def ab_kernel(f: AbMap) -> FpAb:
-    return f.kernel()
-
-
-def ab_image(f: AbMap) -> FpAb:
-    return f.image()
 
 
 def ab_quotient(g: FpAb, sub) -> FpAb:

@@ -78,7 +78,8 @@ class Ring:
         self._inv = {u: self._inverse(u) for u in self.units}
         self._unit_set = set(self.units)
         self.w_set = [a for a in self.units if self.sub(self.one, a) in self._unit_set]
-        self.u1 = [a for a in self.units if a not in set(self.w_set)]
+        w = set(self.w_set)
+        self.u1 = [a for a in self.units if a not in w]
 
     # arithmetic to be provided by subclasses
     def add(self, a, b):
@@ -131,14 +132,6 @@ class Ring:
                 out = self.mul(out, base)
             base = self.mul(base, base)
             n >>= 1
-        return out
-
-    def from_int(self, n: int):
-        """Image of the integer n under Z -> ring."""
-        out = self.zero
-        step = self.one if n >= 0 else self.neg(self.one)
-        for _ in range(abs(n)):
-            out = self.add(out, step)
         return out
 
     def size(self) -> int:
@@ -533,28 +526,6 @@ def square_classes(ring: Ring) -> SqClassGroup:
     return SqClassGroup(
         ring=ring, rank=rank, basis=basis, class_table=class_table, reps=reps
     )
-
-
-def class_of(ring: Ring, x) -> int:
-    return square_classes(ring).class_of(x)
-
-
-def units(ring: Ring) -> list:
-    return list(ring.units)
-
-
-def w_elements(ring: Ring) -> list:
-    """W = {a : a and 1 - a are both units}."""
-    return list(ring.w_set)
-
-
-def u1_elements(ring: Ring) -> list:
-    """U_1 = 1 + maximal ideal."""
-    return list(ring.u1)
-
-
-def residue(ring: Ring, x):
-    return ring.residue(x)
 
 
 def element_orders(ring: Ring) -> dict:

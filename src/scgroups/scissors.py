@@ -12,35 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .groupring import (
-    RElem,
-    RModPres,
-    augment,
-    dbl_bracket,
-    p_plus,
-    r_add,
-    r_mul,
-    r_neg,
-    r_scale,
-    r_sub,
-    r_vector,
-)
-from .linalg import (
-    AbMap,
-    FpAb,
-    SubgroupPres,
-    hnf_rows,
-    intmat,
-    iso_odd,
-    solve_in_rows,
-    subquotient,
-    zeros,
-)
-from .rings import Ring, SqClassGroup, square_classes, unit_group_basis
+from .groupring import RElem, RModPres, add, dbl_bracket, p_plus, r_mul, r_vector, scale
+from .linalg import AbMap, FpAb, SubgroupPres, intmat, iso_odd, zeros
+
+# unused here: bench/test_checks.py checks that the benchmark's tracer
+# rebinds this alias of linalg.hnf_rows
+from .linalg import hnf_rows  # noqa: F401
+from .rings import Ring, square_classes, unit_group_basis
 
 # ---------------------------------------------------------------------------
 # symbolic elements
@@ -49,30 +30,9 @@ PBElem = dict  # ring element a in W -> integer coefficient
 RPElem = dict  # (class bitmask, ring element a in W) -> integer coefficient
 
 
-def pb_add(x: PBElem, y: PBElem) -> PBElem:
-    out = dict(x)
-    for k, c in y.items():
-        out[k] = out.get(k, 0) + c
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def pb_scale(n: int, x: PBElem) -> PBElem:
-    return {k: n * c for k, c in x.items()} if n else {}
-
-
-def rp_add(x: RPElem, y: RPElem) -> RPElem:
-    out = dict(x)
-    for k, c in y.items():
-        out[k] = out.get(k, 0) + c
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def rp_scale(n: int, x: RPElem) -> RPElem:
-    return {k: n * c for k, c in x.items()} if n else {}
+# bench/workloads.py calls the P and RP sums by these names
+pb_add = rp_add = add
+pb_scale = rp_scale = scale
 
 
 def rp_act(r: RElem, x: RPElem) -> RPElem:
@@ -82,24 +42,6 @@ def rp_act(r: RElem, x: RPElem) -> RPElem:
             k = (g ^ h, a)
             out[k] = out.get(k, 0) + c * d
     return {k: c for k, c in out.items() if c}
-
-
-def rp_gen(G: SqClassGroup, a, coeff: int = 1) -> RPElem:
-    return {(0, a): coeff}
-
-
-def rp_of_pb(x: PBElem) -> RPElem:
-    return {(0, a): c for a, c in x.items()}
-
-
-def pb_of_rp(x: RPElem) -> PBElem:
-    """Push an RP element down to P by forgetting the square classes."""
-    out: PBElem = {}
-    for (_, a), c in x.items():
-        out[a] = out.get(a, 0) + c
-        if not out[a]:
-            del out[a]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +201,18 @@ class ScissorsContext:
             out[key] = out.get(key, 0) + c
         return {k: c for k, c in out.items() if c}
 
+    def _relation(self, x: RPElem) -> list[RElem]:
+        """An RP element as an R_A-module relation: its Z[G] coefficient on
+        each W generator."""
+        rel = [dict() for _ in self.W]
+        for (g, a), c in x.items():
+            rel[self.windex[a]][g] = c
+        return rel
+
     def refined(self) -> RModPres:
         """RP(A) as an R_A-module presentation on the W generators."""
         if "RP" not in self._cache:
-            rels = []
-            for a, b in self.five_term_pairs():
-                rel = [dict() for _ in self.W]
-                for (g, x), c in self.y_relation(a, b).items():
-                    rel[self.windex[x]][g] = rel[self.windex[x]].get(g, 0) + c
-                rels.append(rel)
+            rels = [self._relation(self.y_relation(a, b)) for a, b in self.five_term_pairs()]
             self._cache["RP"] = RModPres(self.G, len(self.W), rels)
         return self._cache["RP"]
 
@@ -320,7 +265,7 @@ class ScissorsContext:
                     dbl_bracket(self.G, self.ring.sub(self.ring.one, a)),
                 ),
             )
-            out = r_add(out, val)
+            out = add(out, val)
         return out
 
     def lambda2_matrix(self) -> np.ndarray:
@@ -333,13 +278,6 @@ class ScissorsContext:
             for g in range(self.G.order):
                 mat[m.flat_index(g, i)] = v
         return mat
-
-    def lambda2_map(self) -> AbMap:
-        if "lam2map" not in self._cache:
-            self._cache["lam2map"] = AbMap(
-                self.rp_flat(), self.s2_of_units(), self.lambda2_matrix(), check=True
-            )
-        return self._cache["lam2map"]
 
     def rp1_subgroup(self) -> SubgroupPres:
         if "RP1" not in self._cache:
@@ -389,7 +327,7 @@ class ScissorsContext:
             out[inv] = out.get(inv, 0) + 1
             return {k: c for k, c in out.items() if c}
         a0 = self.base_point
-        return pb_add(self.brace(ring.mul(a, a0)), pb_scale(-1, self.brace(a0)))
+        return add(self.brace(ring.mul(a, a0)), scale(-1, self.brace(a0)))
 
     def psi(self, i: int, a) -> RPElem:
         """psi_1(a) = [a] + <-1>[1/a]; psi_2(a) = <1-a>(<a>[a] + [1/a]);
@@ -401,15 +339,15 @@ class ScissorsContext:
             inv = ring.inv(a)
             neg1 = G.neg_one()
             if i == 1:
-                return rp_add({(0, a): 1}, {(neg1, inv): 1})
+                return add({(0, a): 1}, {(neg1, inv): 1})
             one_minus = ring.sub(ring.one, a)
             cls = G.class_of(one_minus)
             ca = G.class_of(a)
-            return rp_add({(cls ^ ca, a): 1}, {(cls, inv): 1})
+            return add({(cls ^ ca, a): 1}, {(cls, inv): 1})
         a0 = self.base_point
         ua = ring.mul(a, a0)
-        return rp_add(
-            self.psi(i, ua), rp_scale(-1, rp_act({G.class_of(a): 1}, self.psi(i, a0)))
+        return add(
+            self.psi(i, ua), scale(-1, rp_act({G.class_of(a): 1}, self.psi(i, a0)))
         )
 
     def psi1(self, a) -> RPElem:
@@ -424,8 +362,8 @@ class ScissorsContext:
         ring, G = self.ring, self.G
         a = self.base_point if base is None else base
         one_minus = ring.sub(ring.one, a)
-        out = rp_add({(0, a): 1}, {(G.neg_one(), one_minus): 1})
-        return rp_add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
+        out = add({(0, a): 1}, {(G.neg_one(), one_minus): 1})
+        return add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
 
     def c_const(self, base=None) -> PBElem:
         """c = [a] + [1-a] from the canonical base point."""
@@ -442,7 +380,7 @@ class ScissorsContext:
         ring, G = self.ring, self.G
         one_minus = ring.sub(ring.one, a)
         out = rp_act(p_plus(G), {(0, a): 1})
-        return rp_add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
+        return add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
 
     # -- submodules and tilde quotients ------------------------------------------
     def k_rows(self) -> list[np.ndarray]:
@@ -512,13 +450,7 @@ class ScissorsContext:
         """RP~(A) = RP(A)/K^(1) as an R-module presentation (five-term
         relations plus the psi_1 family)."""
         if "RPt_mod" not in self._cache:
-            base = self.refined()
-            rels = [list(r) for r in base.relations]
-            for a in self.ring.units:
-                rel = [dict() for _ in self.W]
-                for (g, x), c in self.psi1(a).items():
-                    rel[self.windex[x]][g] = rel[self.windex[x]].get(g, 0) + c
-                rels.append(rel)
+            rels = self.refined().relations + [self._relation(self.psi1(a)) for a in self.ring.units]
             self._cache["RPt_mod"] = RModPres(self.G, len(self.W), rels)
         return self._cache["RPt_mod"]
 
@@ -531,29 +463,16 @@ class ScissorsContext:
     def rp_tilde_is_zero(self, x: RPElem) -> bool:
         return self.tilde().rp_tilde.contains(self.rp_vector(x))
 
-    def p_tilde_is_zero(self, x: PBElem) -> bool:
-        return self.tilde().p_tilde.contains(self.pb_vector(x))
-
     # -- RP' ---------------------------------------------------------------------
     def rp_prime(self) -> RModPres:
         """RP'(A): the three relation families on primed generators."""
         if "RPprime" not in self._cache:
-            rels = []
-            for a, b in self.five_term_pairs():
-                rel = [dict() for _ in self.W]
-                for (g, x), c in self.y_relation(a, b).items():
-                    rel[self.windex[x]][g] = rel[self.windex[x]].get(g, 0) + c
-                rels.append(rel)
+            rels = list(self.refined().relations)
             neg1 = self.G.neg_one()
             for a in self.W:
-                rel = [dict() for _ in self.W]
-                rel[self.windex[a]] = r_sub({neg1: 1}, {0: 1})
-                rels.append(rel)
-                rel2 = [dict() for _ in self.W]
-                i, j = self.windex[a], self.windex[self.ring.inv(a)]
-                rel2[i] = r_add(rel2[i], {0: 1})
-                rel2[j] = r_add(rel2[j], {0: 1})
-                rels.append(rel2)
+                # (<-1> - 1)[a]' and [a]' + [1/a]'
+                rels.append(self._relation(add({(neg1, a): 1}, {(0, a): -1})))
+                rels.append(self._relation(add({(0, a): 1}, {(0, self.ring.inv(a)): 1})))
             self._cache["RPprime"] = RModPres(self.G, len(self.W), rels)
         return self._cache["RPprime"]
 
@@ -605,7 +524,7 @@ class ScissorsContext:
                 continue
             for a in self.W:
                 au = ring.mul(a, u)
-                x = rp_add({(0, au): 1}, {(0, a): -1})
+                x = add({(0, au): 1}, {(0, a): -1})
                 for g in range(self.G.order):
                     rows.append(self.rp_vector(rp_act({g: 1}, x)))
             x = rp_act(dbl_bracket(self.G, u), big_c)
@@ -664,79 +583,3 @@ def context(ring_or_label) -> ScissorsContext:
     if isinstance(ring_or_label, str):
         return _context_by_label(ring_or_label)
     return _context_by_label(ring_or_label.label)
-
-
-# -- spec-level convenience wrappers ------------------------------------------
-
-
-def pre_bloch(ring) -> FpAb:
-    return context(ring).pre_bloch()
-
-
-def bloch(ring) -> FpAb:
-    return context(ring).bloch()
-
-
-def s2_of_units(ring) -> FpAb:
-    return context(ring).s2_of_units()
-
-
-def lambda_map(ring) -> AbMap:
-    return context(ring).lambda_map()
-
-
-def refined(ring) -> RModPres:
-    return context(ring).refined()
-
-
-def rp1(ring) -> FpAb:
-    return context(ring).rp1()
-
-
-def rb(ring) -> FpAb:
-    return context(ring).rb()
-
-
-def psi1(ring, a) -> RPElem:
-    return context(ring).psi1(a)
-
-
-def psi2(ring, a) -> RPElem:
-    return context(ring).psi2(a)
-
-
-def big_c(ring) -> RPElem:
-    return context(ring).big_c()
-
-
-def c_const(ring) -> PBElem:
-    return context(ring).c_const()
-
-
-def g_gen(ring, a) -> RPElem:
-    return context(ring).g_gen(a)
-
-
-def brace(ring, a) -> PBElem:
-    return context(ring).brace(a)
-
-
-def lambda1(ring) -> AbMap:
-    return context(ring).lambda1_map()
-
-
-def lambda2(ring) -> AbMap:
-    return context(ring).lambda2_map()
-
-
-def tilde_quotients(ring) -> "ScissorsContext.TildeBundle":
-    return context(ring).tilde()
-
-
-def rp_prime(ring) -> tuple[RModPres, dict]:
-    ctx = context(ring)
-    return ctx.rp_prime(), ctx.rp_prime_witness()
-
-
-def l_submodule(ring) -> dict:
-    return context(ring).l_submodule()

@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .groupring import p_plus
+from .groupring import add, scale
 from .linalg import FpAb, zeros
 from .rings import GF, is_prime
-from .scissors import ScissorsContext, context as scissors_context, rp_act
+from .scissors import ScissorsContext, context as scissors_context
 
 
 def _squarefree_decompose(n: int) -> int:
@@ -117,19 +117,6 @@ def sym_gen(a, cls: QSqClass = QONE, coeff: int = 1) -> SymRP:
     return {(cls, a): coeff}
 
 
-def sym_add(x: SymRP, y: SymRP) -> SymRP:
-    out = dict(x)
-    for k, c in y.items():
-        out[k] = out.get(k, 0) + c
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def sym_scale(n: int, x: SymRP) -> SymRP:
-    return {k: n * c for k, c in x.items()} if n else {}
-
-
 def sym_act(r: RingVal, x: SymRP) -> SymRP:
     out: SymRP = {}
     for g, c in r.items():
@@ -152,19 +139,6 @@ def ring_mul(x: RingVal, y: RingVal) -> RingVal:
     return {k: c for k, c in out.items() if c}
 
 
-def ring_add(x: RingVal, y: RingVal) -> RingVal:
-    out = dict(x)
-    for g, c in y.items():
-        out[g] = out.get(g, 0) + c
-        if not out[g]:
-            del out[g]
-    return out
-
-
-def ring_scale(n: int, x: RingVal) -> RingVal:
-    return {g: n * c for g, c in x.items()} if n else {}
-
-
 def sym_bracket(a) -> RingVal:
     return {qclass(a): 1}
 
@@ -184,19 +158,7 @@ def sym_psi1(a) -> SymRP:
         raise ValueError("psi_1 needs a nonzero argument")
     if a == 1:
         return {}
-    return sym_add(sym_gen(a), sym_gen(1 / a, qclass(-1)))
-
-
-def sym_psi2(a) -> SymRP:
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("psi_2 needs a nonzero argument")
-    if a == 1:
-        return {}
-    cls1 = qclass(1 - a)
-    return sym_add(
-        sym_gen(a, cls1.mul(qclass(a))), sym_gen(1 / a, cls1)
-    )
+    return add(sym_gen(a), sym_gen(1 / a, qclass(-1)))
 
 
 BASE_POINT = Fraction(2)
@@ -205,8 +167,8 @@ BASE_POINT = Fraction(2)
 def sym_big_c() -> SymRP:
     """C over Q from the canonical base point 2: [2] + <-1>[-1] + <<-1>>psi_1(2)."""
     a = BASE_POINT
-    out = sym_add(sym_gen(a), sym_gen(1 - a, qclass(-1)))
-    return sym_add(out, sym_act(sym_dbl_bracket(1 - a), sym_psi1(a)))
+    out = add(sym_gen(a), sym_gen(1 - a, qclass(-1)))
+    return add(out, sym_act(sym_dbl_bracket(1 - a), sym_psi1(a)))
 
 
 def sym_g(a) -> SymRP:
@@ -214,9 +176,9 @@ def sym_g(a) -> SymRP:
     a = Fraction(a)
     if a in (0, 1):
         raise ValueError("g(a) needs a not in {0, 1}")
-    pp = ring_add(sym_bracket(-1), ring_one())
+    pp = add(sym_bracket(-1), ring_one())
     out = sym_act(pp, sym_gen(a))
-    return sym_add(out, sym_act(sym_dbl_bracket(1 - a), sym_psi1(a)))
+    return add(out, sym_act(sym_dbl_bracket(1 - a), sym_psi1(a)))
 
 
 def sym_y_relation(a, b) -> SymRP:
@@ -230,10 +192,10 @@ def sym_y_relation(a, b) -> SymRP:
     t4 = (1 - 1 / a) / (1 - 1 / b)
     t5 = (1 - a) / (1 - b)
     out = sym_gen(a)
-    out = sym_add(out, sym_scale(-1, sym_gen(b)))
-    out = sym_add(out, sym_gen(t3, qclass(a)))
-    out = sym_add(out, sym_scale(-1, sym_gen(t4, qclass(1 / a - 1))))
-    out = sym_add(out, sym_gen(t5, qclass(1 - a)))
+    out = add(out, scale(-1, sym_gen(b)))
+    out = add(out, sym_gen(t3, qclass(a)))
+    out = add(out, scale(-1, sym_gen(t4, qclass(1 / a - 1))))
+    out = add(out, sym_gen(t5, qclass(1 - a)))
     return out
 
 

@@ -14,20 +14,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scgroups import globalinv, orbitcomplex, tree, witt
-from scgroups.groupring import dbl_bracket, r_mul
+from scgroups import globalinv, tree, verify
+from scgroups.groupring import add, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part
-from scgroups.rings import GF, parse_ring
-from scgroups.scissors import context, pb_add, pb_scale, rp_act, rp_add, rp_scale
+from scgroups.rings import parse_ring
+from scgroups.scissors import context
 from scgroups.valuation import (
     qclass,
     specialization,
     sym_act,
-    sym_add,
     sym_dbl_bracket,
     sym_g,
     sym_gen,
-    sym_scale,
     sym_y_relation,
 )
 
@@ -90,71 +88,20 @@ def test_criterion_03_idempotent_theorem():
     report(3, ok, "e+RP~ iso_odd rp1 on the field list (e+RP too when <-1> != 1)")
 
 
+def report_suite(n: int, suite, labels, text: str):
+    """Report criterion n from a verify suite run on each ring, with the
+    lines of any failing checks."""
+    failed = [c.line() for label in labels for c in suite(parse_ring(label)) if not c.ok]
+    report(n, not failed, "; ".join([text] + failed))
+
+
 def test_criterion_04_special_element_identities():
-    ok = True
-    detail = []
-    for label in SPECIAL_RINGS:
-        ctx = context(label)
-        ring, G = ctx.ring, ctx.G
-        C = ctx.big_c()
-        # key identity and Cor 1.8, exhaustively
-        for a in ring.units:
-            val = rp_add(
-                rp_scale(2, rp_act(dbl_bracket(G, a), C)),
-                rp_add(rp_scale(-1, ctx.psi1(a)), ctx.psi2(a)),
-            )
-            if not ctx.rp_is_zero(val):
-                ok = False
-                detail.append(f"key identity fails at {label}")
-                break
-        for a in ctx.W:
-            coeff = r_mul(
-                {G.class_of(ring.sub(a, ring.one)): 1}, dbl_bracket(G, ring.neg(a))
-            )
-            cor = rp_add(
-                rp_act(dbl_bracket(G, a), C), rp_scale(-1, rp_act(coeff, {(0, a): 1}))
-            )
-            if not ctx.rp_tilde_is_zero(cor):
-                ok = False
-                detail.append(f"Cor 1.8 fails at {label}")
-                break
-        if not ctx.rp_is_zero(
-            rp_add(rp_scale(3, C), rp_scale(-1, ctx.psi1(ring.neg_one())))
-        ):
-            ok = False
-        if not ctx.rp_is_zero(rp_scale(6, C)):
-            ok = False
-        for i in (1, 2):
-            for a in ring.units:
-                for b in ring.units:
-                    lhs = ctx.psi(i, ring.mul(a, b))
-                    rhs = rp_add(
-                        rp_act({G.class_of(a): 1}, ctx.psi(i, b)), ctx.psi(i, a)
-                    )
-                    if not ctx.rp_is_zero(rp_add(lhs, rp_scale(-1, rhs))):
-                        ok = False
-                        detail.append(f"cocycle fails at {label}")
-                        break
-        P = ctx.pre_bloch()
-        for a in ctx.W:
-            if not P.contains(
-                ctx.pb_vector(pb_add(ctx.c_const(a), pb_scale(-1, ctx.c_const())))
-            ):
-                ok = False
-            if not ctx.rp_is_zero(rp_add(ctx.big_c(a), rp_scale(-1, C))):
-                ok = False
-        for a in ring.units:
-            expect = r_mul(dbl_bracket(G, ring.neg(a)), dbl_bracket(G, a))
-            if ctx.lambda1_of(ctx.psi1(a)) != expect:
-                ok = False
-            if ctx.lambda1_of(ctx.psi2(a)) != expect:
-                ok = False
-    report(
+    report_suite(
         4,
-        ok,
+        verify.suite_special_elements,
+        SPECIAL_RINGS,
         "key identity, Cor 1.8, 3C/6C, cocycles, base points, lambda_1(psi) "
-        "exhaustive over GF(7), GF(11), GF(13), Z/49, Z/121, GF(5)[t]/t^2"
-        + ("; " + "; ".join(detail) if detail else ""),
+        "exhaustive over GF(7), GF(11), GF(13), Z/49, Z/121, GF(5)[t]/t^2",
     )
 
 
@@ -169,40 +116,20 @@ def test_criterion_05_c_order():
 
 
 def test_criterion_06_slr_exact():
-    ok = True
-    for label in ["z/7^2", "z/11^2", "gf(5)[t]/t^2", "gf(7)[t]/t^2"]:
-        res = context(label).l_submodule()
-        if not (res["kernel_ok"] and res["match"]):
-            ok = False
-    report(
+    report_suite(
         6,
-        ok,
+        verify.suite_slr,
+        ["z/7^2", "z/11^2", "gf(5)[t]/t^2", "gf(7)[t]/t^2"],
         "RP~(B)/L_B = RP~(k) with equal integral invariant factors for "
         "B in {Z/49, Z/121, GF(5)[t]/t^2, GF(7)[t]/t^2}",
     )
 
 
 def test_criterion_07_orbit_complex_identifications():
-    ok = True
-    for q in (7, 11, 13, 25):
-        ring = parse_ring(f"gf({q})")
-        c = orbitcomplex.build_row_complex(ring)
-        if not c.homology_at(1).is_trivial():
-            ok = False
-        h2 = c.homology_at(2)
-        i1 = witt.fundamental_ideal(ring)
-        if (
-            h2.invariant_factors() != i1.invariant_factors()
-            or h2.free_rank != i1.free_rank
-        ):
-            ok = False
-        if not iso_odd(c.homology_at(3), context(ring).rp1()):
-            ok = False
-        if not witt.i_squared(ring).is_trivial():
-            ok = False
-    report(
+    report_suite(
         7,
-        ok,
+        verify.suite_witt,
+        [f"gf({q})" for q in (7, 11, 13, 25)],
         "E2 page: position 1 = 0, position 2 = I(k), position 3 = rp1 odd, "
         "and I^2 = 0 for q in {7, 11, 13, 25}",
     )
@@ -242,9 +169,9 @@ def test_criterion_08_specialization_suite():
                 t = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
                 if t in (0, 1):
                     continue
-                x = sym_add(
+                x = add(
                     x,
-                    sym_scale(
+                    scale(
                         rng.choice([-2, -1, 1, 2]),
                         sym_act(sym_dbl_bracket(u), sym_gen(t)),
                     ),

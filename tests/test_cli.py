@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import scgroups
-from scgroups import cli
+from scgroups import cli, verify
 from scgroups.cli import main, parse_expression, parse_matrix_arg
 
 
@@ -174,6 +174,36 @@ def test_oversized_ball_rejected_before_bfs(capsys, monkeypatch):
     for extra in ([], ["--dot"]):
         code, _, err = run_cli(["tree", "ball", "--p", "2", "--radius", "30", *extra], capsys)
         assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["group", "P", "--ring", "gf(10007)"],
+        ["group", "RP1", "--ring", "z/13^2"],
+        ["verify", "five-term", "--ring", "gf(131)"],
+        ["verify", "local-ring", "--ring", "gf(5)[t]/t^4"],
+    ],
+)
+def test_oversized_ring_rejected_before_building(capsys, monkeypatch, args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing may be built for this ring")
+
+    for which in cli.GROUP_BUILDERS:
+        monkeypatch.setitem(cli.GROUP_BUILDERS, which, refuse)
+    for name in verify.RING_SUITES:
+        monkeypatch.setitem(verify.RING_SUITES, name, refuse)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cli.MAX_RING_SIZE}" in err
+
+
+def test_ring_size_limit_admits_every_ring_in_use():
+    jobs = verify.verify_all_jobs(max_q=10**6)
+    labels = {param for name, param in jobs if name in verify.RING_SUITES}
+    labels |= {"gf(121)", "gf(11^2)", "z/11^2", "gf(49)", "gf(97)", "gf(7)[t]/t^2"}
+    for label in labels:
+        assert cli._ring_of(label).size() <= cli.MAX_RING_SIZE
 
 
 def test_jobs_zero_is_usage_error(capsys):

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from scgroups.groupring import dbl_bracket, p_plus, r_mul, r_neg
+from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
-from scgroups.scissors import (
-    ScissorsContext,
-    context,
-    pb_add,
-    pb_scale,
-    rp_act,
-    rp_add,
-    rp_scale,
-)
+from scgroups.scissors import ScissorsContext, context, rp_act
 
 SMALL = ["gf(7)", "gf(11)", "gf(13)", "z/7^2", "gf(5)[t]/t^2"]
 
@@ -112,9 +104,9 @@ def test_key_identity_exhaustive(label):
     ctx = context(label)
     C = ctx.big_c()
     for a in ctx.ring.units:
-        val = rp_add(
-            rp_scale(2, rp_act(dbl_bracket(ctx.G, a), C)),
-            rp_add(rp_scale(-1, ctx.psi1(a)), ctx.psi2(a)),
+        val = add(
+            scale(2, rp_act(dbl_bracket(ctx.G, a), C)),
+            add(scale(-1, ctx.psi1(a)), ctx.psi2(a)),
         )
         assert ctx.rp_is_zero(val)
 
@@ -123,8 +115,8 @@ def test_key_identity_exhaustive(label):
 def test_c_relations(label):
     ctx = context(label)
     C = ctx.big_c()
-    assert ctx.rp_is_zero(rp_add(rp_scale(3, C), rp_scale(-1, ctx.psi1(ctx.ring.neg_one()))))
-    assert ctx.rp_is_zero(rp_scale(6, C))
+    assert ctx.rp_is_zero(add(scale(3, C), scale(-1, ctx.psi1(ctx.ring.neg_one()))))
+    assert ctx.rp_is_zero(scale(6, C))
 
 
 def test_c_const_orders():
@@ -141,8 +133,8 @@ def test_base_point_independence(label):
     C0 = ctx.big_c()
     P = ctx.pre_bloch()
     for a in ctx.W:
-        assert P.contains(ctx.pb_vector(pb_add(ctx.c_const(a), pb_scale(-1, c0))))
-        assert ctx.rp_is_zero(rp_add(ctx.big_c(a), rp_scale(-1, C0)))
+        assert P.contains(ctx.pb_vector(add(ctx.c_const(a), scale(-1, c0))))
+        assert ctx.rp_is_zero(add(ctx.big_c(a), scale(-1, C0)))
 
 
 @pytest.mark.parametrize("label", SMALL)
@@ -154,8 +146,8 @@ def test_psi_cocycle_law(label):
         for a in ring.units:
             for b in ring.units:
                 lhs = ctx.psi(i, ring.mul(a, b))
-                rhs = rp_add(rp_act({ctx.G.class_of(a): 1}, ctx.psi(i, b)), ctx.psi(i, a))
-                assert ctx.rp_is_zero(rp_add(lhs, rp_scale(-1, rhs)))
+                rhs = add(rp_act({ctx.G.class_of(a): 1}, ctx.psi(i, b)), ctx.psi(i, a))
+                assert ctx.rp_is_zero(add(lhs, scale(-1, rhs)))
 
 
 @pytest.mark.parametrize("label", SMALL)
@@ -177,9 +169,9 @@ def test_brace_homomorphism():
     ring = ctx.ring
     for a in ring.units:
         for b in ring.units:
-            diff = pb_add(
+            diff = add(
                 ctx.brace(ring.mul(a, b)),
-                pb_scale(-1, pb_add(ctx.brace(a), ctx.brace(b))),
+                scale(-1, add(ctx.brace(a), ctx.brace(b))),
             )
             assert P.contains(ctx.pb_vector(diff))
         assert P.contains(ctx.pb_vector(ctx.brace(ring.mul(a, a))))
@@ -295,4 +287,4 @@ def test_corollary_key_in_tilde():
         lhs = rp_act(dbl_bracket(G, a), C)
         coeff = r_mul({G.class_of(ring.sub(a, ring.one)): 1}, dbl_bracket(G, ring.neg(a)))
         rhs = rp_act(coeff, {(0, a): 1})
-        assert ctx.rp_tilde_is_zero(rp_add(lhs, rp_scale(-1, rhs)))
+        assert ctx.rp_tilde_is_zero(add(lhs, scale(-1, rhs)))
