@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import globalinv, orbitcomplex, tree, verify, witt
 from .groupring import add, scale
 from .linalg import FpAb
-from .rings import Ring, is_prime, parse_ring
+from .rings import Ring, descriptor_size, is_prime, parse_ring
 from .scissors import context
 from .valuation import (
     QONE,
@@ -66,11 +66,14 @@ MAX_RING_SIZE = 128
 
 
 def _ring_of(label: str) -> Ring:
-    """The ring a descriptor names, refused above MAX_RING_SIZE elements."""
-    ring = parse_ring(label)
-    if ring.size() > MAX_RING_SIZE:
-        raise ValueError(f"{ring.label} has {ring.size()} elements, more than {MAX_RING_SIZE}")
-    return ring
+    """The ring a descriptor names, refused above MAX_RING_SIZE elements
+    before any element is built."""
+    base, exp = descriptor_size(label)
+    # base >= 2 and exp >= bit_length give base^exp > MAX_RING_SIZE
+    if base > 1 and (exp >= MAX_RING_SIZE.bit_length() or base**exp > MAX_RING_SIZE):
+        size = base if exp == 1 else f"{base}^{exp}"
+        raise ValueError(f"{label} has {size} elements, more than {MAX_RING_SIZE}")
+    return parse_ring(label)
 
 
 def _group_report(which: str, ring_label: str) -> dict:

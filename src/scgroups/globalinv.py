@@ -140,7 +140,14 @@ def pbar_cross_check(p: int, desc: GlobalFieldDesc = RATIONALS) -> bool:
     return True
 
 
+# largest p_max pbar_table accepts: it tests every integer up to p_max by
+# trial division, about 6 s for p_max = 10^6
+PBAR_TABLE_MAX_P = 10**6
+
+
 def pbar_table(p_min: int, p_max: int, desc: GlobalFieldDesc = RATIONALS):
+    if p_max > PBAR_TABLE_MAX_P:
+        raise ValueError(f"p_max = {p_max} is above the limit {PBAR_TABLE_MAX_P}")
     out = []
     p = max(p_min, 2)
     while p <= p_max:

@@ -12,7 +12,7 @@ are absorbed by odd-part comparisons downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -122,17 +122,27 @@ def chi_ideal_rows(G: SqClassGroup, chi: Character) -> np.ndarray:
 
 class RModPres:
     """Finitely presented Z[G]-module, flattened over the Z-basis
-    (group element, generator): index = g * ngens + j."""
+    (group element, generator): index = g * ngens + j.
 
-    def __init__(self, G: SqClassGroup, ngens: int, relations: Sequence[Sequence[RElem]] = ()):
+    A relation is stored sparse, as {generator: nonzero RElem}; it may be
+    given so, or as a sequence of one RElem per generator."""
+
+    def __init__(self, G: SqClassGroup, ngens: int, relations: Iterable = ()):
         self.G = G
         self.ngens = ngens
-        self.relations = [list(r) for r in relations]
-        for r in self.relations:
-            if len(r) != ngens:
-                raise ValueError("relation width does not match generator count")
+        self.relations = [self._sparse_relation(r) for r in relations]
         self._flat: Optional[FpAb] = None
         self._perms: dict[int, np.ndarray] = {}
+
+    def _sparse_relation(self, rel) -> dict:
+        if isinstance(rel, dict):
+            if any(not 0 <= j < self.ngens for j in rel):
+                raise ValueError("relation names a generator out of range")
+            return {j: x for j, x in rel.items() if x}
+        rel = list(rel)
+        if len(rel) != self.ngens:
+            raise ValueError("relation width does not match generator count")
+        return {j: x for j, x in enumerate(rel) if x}
 
     @property
     def flat_ngens(self) -> int:
@@ -141,26 +151,23 @@ class RModPres:
     def flat_index(self, g: int, j: int) -> int:
         return g * self.ngens + j
 
-    def flat_row(self, rel: Sequence[RElem], translate: int = 0) -> np.ndarray:
-        row = zeros(1, self.flat_ngens)[0]
-        for j, x in enumerate(rel):
-            for g, c in x.items():
-                row[self.flat_index(g ^ translate, j)] += c
-        return row
+    def flat_row(self, rel: dict, translate: int = 0) -> dict:
+        """The translate of a (sparse) relation by a group element, as a
+        sparse row {flat index: coefficient}."""
+        return {
+            self.flat_index(g ^ translate, j): c
+            for j, x in rel.items()
+            for g, c in x.items()
+            if c
+        }
 
-    def flat_rows(self) -> list[np.ndarray]:
+    def flat_rows(self) -> list[dict]:
         """All G-translates of the defining relations (duplicates kept)."""
-        rows = []
-        for rel in self.relations:
-            for t in range(self.G.order):
-                rows.append(self.flat_row(rel, t))
-        return rows
+        return [self.flat_row(rel, t) for rel in self.relations for t in range(self.G.order)]
 
     def flatten(self) -> FpAb:
         if self._flat is None:
-            rows = self.flat_rows()
-            rels = np.vstack(rows) if rows else zeros(0, self.flat_ngens)
-            self._flat = FpAb(self.flat_ngens, rels)
+            self._flat = FpAb(self.flat_ngens, self.flat_rows())
         return self._flat
 
     def act_matrix(self, g: int) -> np.ndarray:
@@ -189,7 +196,7 @@ class RModPres:
         rows = []
         for rel in self.relations:
             row = [0] * self.ngens
-            for j, x in enumerate(rel):
+            for j, x in rel.items():
                 for g, c in x.items():
                     row[j] += chi(g) * c
             rows.append(row)
@@ -216,5 +223,5 @@ class RModPres:
         """The chi-twisted module: <a> acts as chi(a)<a>."""
         new_rels = []
         for rel in self.relations:
-            new_rels.append([{g: chi(g) * c for g, c in x.items()} for x in rel])
+            new_rels.append({j: {g: chi(g) * c for g, c in x.items()} for j, x in rel.items()})
         return RModPres(self.G, self.ngens, new_rels)

@@ -1,17 +1,20 @@
 """Exact integer linear algebra: Hermite/Smith normal forms and a calculus
 of finitely presented abelian groups.
 
-Matrices are numpy 2-D arrays.  Public constructors produce ``dtype=object``
-arrays holding Python ints, so every computation is exact.  The Hermite
-reduction used for large relation matrices runs on an ``int64`` fast path
-and promotes a row to ``object`` before any operation that could overflow.
+Relation rows travel as sparse {column: value} dicts from the builders to
+``hnf_rows``; canonical bases come back as numpy 2-D arrays with
+``dtype=object`` holding Python ints, so every computation is exact, and
+are solved against through their cached sparse echelon form.  The
+canonical echelon pass of the Hermite reduction runs on an ``int64`` fast
+path and promotes a row to ``object`` before any operation that could
+overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -156,13 +159,32 @@ class _Echelon:
         return rows
 
 
-def _to_sparse_rows(mat, ncols: int) -> list[dict]:
+def _entries(v) -> Iterator[tuple[int, int]]:
+    """The nonzero (index, value) pairs of a row given as a {col: value}
+    dict, a numpy row or a plain sequence, values as Python ints."""
+    if isinstance(v, dict):
+        return ((int(j), int(x)) for j, x in v.items() if x)
+    if isinstance(v, np.ndarray):
+        flat = v.reshape(-1)
+        nz = flat.nonzero()[0]
+        return zip(nz.tolist(), map(int, flat[nz].tolist()))
+    return ((i, int(x)) for i, x in enumerate(v) if x)
+
+
+def _to_sparse_rows(mat) -> list[dict]:
+    return [dict(_entries(row)) for row in mat]
+
+
+def _distinct(rows: list[dict]) -> list[dict]:
+    """The rows with exact repeats dropped, first occurrences in order.
+    The row lattice, and so its canonical HNF, is unchanged."""
+    seen = set()
     out = []
-    for row in mat:
-        if isinstance(row, dict):
-            out.append({int(j): int(v) for j, v in row.items() if v})
-        else:
-            out.append({j: int(v) for j, v in enumerate(row) if v})
+    for r in rows:
+        key = frozenset(r.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
     return out
 
 
@@ -171,7 +193,8 @@ def _sparse_reduce(rows: list[dict], main: int) -> tuple[list[dict], list[dict]]
     [0, main) with a Markowitz-style pivot rule (fewest entries in the
     column, then smallest absolute pivot value, then sparsest row).
 
-    Columns >= main are carried along untouched (augmentation).  Returns
+    Columns >= main are carried along untouched (augmentation).  The rows
+    must hold no zero values; they are modified in place.  Returns
     (retired, zeroed): ``retired`` pairs each surviving row with its
     retirement column and forms a triangular generating set of the
     lattice; ``zeroed`` are rows whose main part vanished.  This staged
@@ -183,7 +206,6 @@ def _sparse_reduce(rows: list[dict], main: int) -> tuple[list[dict], list[dict]]
     col_rows: dict[int, set] = {}
     zeroed: list[dict] = []
     for rid, r in enumerate(rows):
-        r = {j: v for j, v in r.items() if v}
         mains = [j for j in r if j < main]
         if not mains:
             if r:
@@ -291,8 +313,7 @@ def sparse_rank_and_pivots(rows, ncols: int) -> tuple[int, list[int]]:
     a unimodular maximal minor, i.e. the lattice is a direct summand,
     without computing a canonical form.
     """
-    sparse = _to_sparse_rows(rows, ncols)
-    retired, _ = _sparse_reduce(sparse, ncols)
+    retired, _ = _sparse_reduce(_to_sparse_rows(rows), ncols)
     pivots = [abs(int(r[c])) for c, r in retired]
     return len(retired), pivots
 
@@ -303,20 +324,20 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     ``mat`` may be a 2-D array or an iterable of rows (dense rows or sparse
     {col: value} dicts).  The result is an r x ncols object matrix in
     echelon form with positive pivots and the entries above each pivot
-    reduced into [0, pivot).
+    reduced into [0, pivot).  Exactly repeated rows are dropped before the
+    reduction; relation generators repeat a lot (P(GF(121)) has 7080
+    distinct rows among 14042).
     """
     if isinstance(mat, np.ndarray):
         if ncols is None:
             ncols = mat.shape[1]
-        rows = _to_sparse_rows(mat, ncols)
     else:
-        rows = list(mat)
+        mat = list(mat)
         if ncols is None:
-            if not rows or isinstance(rows[0], dict):
+            if not mat or isinstance(mat[0], dict):
                 raise ValueError("ncols is required for sparse or empty input")
-            ncols = len(rows[0])
-        rows = _to_sparse_rows(rows, ncols)
-    retired, _ = _sparse_reduce(rows, ncols)
+            ncols = len(mat[0])
+    retired, _ = _sparse_reduce(_distinct(_to_sparse_rows(mat)), ncols)
     basis, _ = _echelonize([r for _, r in retired], ncols, ncols)
     out = zeros(len(basis), ncols)
     for i, r in enumerate(basis):
@@ -337,7 +358,7 @@ def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T @ mat giving the basis rows, and K a basis of the left kernel."""
     m = mat if isinstance(mat, np.ndarray) else intmat(mat)
     nrows, ncols = m.shape
-    rows = _to_sparse_rows(m, ncols)
+    rows = _to_sparse_rows(m)
     for i, r in enumerate(rows):
         r[ncols + i] = 1
     width = ncols + nrows
@@ -367,30 +388,83 @@ def left_kernel(mat) -> np.ndarray:
     return k
 
 
-def solve_in_rows(basis: np.ndarray, v) -> Optional[np.ndarray]:
-    """Coordinates of v in terms of the echelon basis rows, or None if v
-    is not in the row lattice."""
-    n = basis.shape[1]
-    r = _obj_row(v)
-    if len(r) != n:
-        raise ValueError("dimension mismatch")
-    coeffs = [0] * basis.shape[0]
-    piv = []
-    for i in range(basis.shape[0]):
-        for j in range(n):
-            if basis[i, j]:
-                piv.append(j)
-                break
-    for i, j in enumerate(piv):
-        q, rem = divmod(int(r[j]), int(basis[i, j]))
-        if rem:
-            return None
-        if q:
-            r = r - q * basis[i]
-        coeffs[i] = q
-    if any(int(x) for x in r):
-        return None
-    return _obj_row(coeffs)
+class SparseEchelon:
+    """Sparse form of a canonical row HNF: for each row, in order, its pivot
+    column, its pivot and the nonzero (column, value) entries right of the
+    pivot.  Coordinates, membership and canonical representatives are
+    back-substitutions on it that touch only nonzero entries."""
+
+    def __init__(self, basis: np.ndarray):
+        self.ncols = basis.shape[1]
+        self.rows: list[tuple[int, int, list[tuple[int, int]]]] = []
+        for r in basis:
+            entries = list(_entries(r))
+            if not entries:
+                raise ValueError("an echelon basis has no zero rows")
+            (j, p), rest = entries[0], entries[1:]
+            self.rows.append((j, p, rest))
+
+    def row(self, i: int) -> dict:
+        """Basis row i as a sparse {column: value} dict."""
+        j, p, rest = self.rows[i]
+        out = dict(rest)
+        out[j] = p
+        return out
+
+    def _start(self, v) -> dict:
+        if not isinstance(v, dict) and len(v) != self.ncols:
+            raise ValueError("dimension mismatch")
+        return dict(_entries(v))
+
+    def solve(self, v) -> Optional[list[int]]:
+        """Coefficients c with c @ basis == v, or None if v is not in the
+        row lattice."""
+        r = self._start(v)
+        coeffs = [0] * len(self.rows)
+        for i, (j, p, rest) in enumerate(self.rows):
+            x = r.pop(j, 0)
+            if not x:
+                continue
+            q, rem = divmod(x, p)
+            if rem:
+                return None
+            coeffs[i] = q
+            _sub_entries(r, q, rest)
+        return None if r else coeffs
+
+    def reduce(self, v) -> dict:
+        """Canonical representative of v modulo the row lattice: each pivot
+        coordinate reduced into [0, pivot)."""
+        r = self._start(v)
+        for j, p, rest in self.rows:
+            q = r.get(j, 0) // p
+            if q:
+                x = r[j] - q * p
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+                _sub_entries(r, q, rest)
+        return r
+
+
+def _sub_entries(r: dict, q: int, entries) -> None:
+    """r -= q * (sparse row given by its (column, value) entries), in place."""
+    for c, a in entries:
+        x = r.get(c, 0) - q * a
+        if x:
+            r[c] = x
+        else:
+            r.pop(c, None)
+
+
+def solve_in_rows(basis, v) -> Optional[np.ndarray]:
+    """Coordinates of v in terms of the rows of a canonical HNF, or None if
+    v is not in the row lattice.  ``basis`` is the HNF or its SparseEchelon;
+    callers that solve many vectors against one basis pass the latter."""
+    ech = basis if isinstance(basis, SparseEchelon) else SparseEchelon(basis)
+    coeffs = ech.solve(v)
+    return None if coeffs is None else _obj_row(coeffs)
 
 
 def row_lattice_contains(basis: np.ndarray, v) -> bool:
@@ -537,9 +611,9 @@ def snf(mat) -> SmithData:
 _Projection = tuple[list[int], list[list[tuple[int, int]]]]
 
 
-def _projection_table(basis: np.ndarray, pivots: list[int]) -> _Projection:
-    """Quotient map of Z^n onto Z^n / (row lattice of ``basis``), a
-    canonical HNF whose row i has its pivot in column pivots[i].
+def _projection_table(ech: SparseEchelon) -> _Projection:
+    """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF),
+    read from its sparse echelon form.
 
     Returns (moduli, images): coordinate k of the target is Z/moduli[k]
     for a modulus > 1 and Z for a modulus 0, and images[j] lists the
@@ -551,13 +625,13 @@ def _projection_table(basis: np.ndarray, pivots: list[int]) -> _Projection:
     reduced mod d_k (Cohen, A Course in Computational Algebraic Number
     Theory, §2.4).
     """
-    n = basis.shape[1]
-    unit = {i: j for i, j in enumerate(pivots) if basis[i, j] == 1}
-    residual = [i for i in range(len(pivots)) if i not in unit]
-    cols = sorted({int(c) for i in residual for c in np.flatnonzero(basis[i])})
+    n = ech.ncols
+    unit = {i: j for i, (j, p, _) in enumerate(ech.rows) if p == 1}
+    residual = [ech.row(i) for i in range(len(ech.rows)) if i not in unit]
+    cols = sorted({c for r in residual for c in r})
     free = sorted(set(range(n)) - set(unit.values()) - set(cols))
     if residual:
-        sd = snf(intmat([[basis[i, c] for c in cols] for i in residual]))
+        sd = snf(intmat([[r.get(c, 0) for c in cols] for r in residual]))
         diag = sd.diagonal()
     else:
         sd, diag = None, []
@@ -577,30 +651,21 @@ def _projection_table(basis: np.ndarray, pivots: list[int]) -> _Projection:
         images[c].append((out, 1))
     # unit rows bottom-up: a generator is rewritten through later columns only
     for i in sorted(unit, reverse=True):
-        j = unit[i]
         acc = [0] * len(moduli)
-        for c in np.flatnonzero(basis[i]).tolist():
-            if c != j:
-                a = int(basis[i, c])
-                for k, x in images[c]:
-                    acc[k] -= a * x
+        for c, a in ech.rows[i][2]:
+            for k, x in images[c]:
+                acc[k] -= a * x
         acc = [x % d if d else x for x, d in zip(acc, moduli)]
-        images[j] = [(k, x) for k, x in enumerate(acc) if x]
+        images[unit[i]] = [(k, x) for k, x in enumerate(acc) if x]
     return moduli, images
 
 
-def _project(proj: _Projection, v) -> list[int]:
-    """Image of v under a projection table, each torsion coordinate
-    reduced into [0, d); reads only the nonzero entries of v."""
+def _project(proj: _Projection, entries) -> list[int]:
+    """Image under a projection table of the vector with the given nonzero
+    (index, value) entries, each torsion coordinate reduced into [0, d)."""
     moduli, images = proj
-    if isinstance(v, np.ndarray):
-        nz = np.flatnonzero(v)
-        entries = zip(nz.tolist(), v[nz].tolist())
-    else:
-        entries = ((i, x) for i, x in enumerate(v) if x)
     w = [0] * len(moduli)
     for i, x in entries:
-        x = int(x)
         for k, a in images[i]:
             w[k] += x * a
     return [x % d if d else x for x, d in zip(w, moduli)]
@@ -618,37 +683,57 @@ def odd_part(n: int) -> int:
 class FpAb:
     """Finitely presented abelian group Z^ngens / (row lattice of rels).
 
-    Element questions (contains, element_order) and the invariant factors
-    go through one cached quotient map onto Z^f + sum Z/d_k."""
+    The relations are a 2-D array, or rows each given as a dense sequence
+    or a sparse {generator: coefficient} dict.  Element questions
+    (contains, element_order) and the invariant factors go through one
+    cached quotient map onto Z^f + sum Z/d_k; reduce goes through the
+    cached sparse echelon form of the relation basis."""
 
     def __init__(self, ngens: int, rels=None):
         self.ngens = int(ngens)
         if rels is None:
             rels = zeros(0, self.ngens)
-        if not isinstance(rels, np.ndarray):
-            rels = intmat(rels)
-        if rels.shape[1] != self.ngens and rels.shape[0] > 0:
-            raise ValueError("relation width does not match generator count")
-        if rels.shape[0] == 0:
-            rels = zeros(0, self.ngens)
-        self.rels = rels
+        elif not isinstance(rels, np.ndarray):
+            rows = list(rels)
+            if any(isinstance(r, dict) for r in rows):
+                rels = [r if isinstance(r, dict) else dict(_entries(r)) for r in rows]
+                if any(not 0 <= j < self.ngens for r in rels for j in r):
+                    raise ValueError("relation entry outside the generators")
+            else:
+                rels = intmat(rows)
+        if isinstance(rels, np.ndarray):
+            if rels.shape[1] != self.ngens and rels.shape[0] > 0:
+                raise ValueError("relation width does not match generator count")
+            if rels.shape[0] == 0:
+                rels = zeros(0, self.ngens)
+        self._rels = rels
         self._hnf: Optional[np.ndarray] = None
-        self._pivots: Optional[list[int]] = None
+        self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
 
-    @classmethod
-    def from_rows(cls, ngens: int, rows) -> "FpAb":
-        """Build from an iterable of (possibly sparse) relation rows."""
-        basis = hnf_rows(rows, ngens)
-        g = cls(ngens, basis)
-        g._hnf = basis
-        return g
+    @property
+    def rels(self) -> np.ndarray:
+        """The relation rows as given, as a dense matrix; sparse rows are
+        expanded on each read."""
+        if isinstance(self._rels, np.ndarray):
+            return self._rels
+        out = zeros(len(self._rels), self.ngens)
+        for i, r in enumerate(self._rels):
+            for j, v in r.items():
+                out[i, j] = v
+        return out
 
     @property
     def rel_basis(self) -> np.ndarray:
         if self._hnf is None:
-            self._hnf = hnf_rows(self.rels, self.ngens)
+            self._hnf = hnf_rows(self._rels, self.ngens)
         return self._hnf
+
+    def echelon(self) -> SparseEchelon:
+        """The cached sparse echelon form of the relation basis."""
+        if self._ech is None:
+            self._ech = SparseEchelon(self.rel_basis)
+        return self._ech
 
     @property
     def rank_of_relations(self) -> int:
@@ -683,9 +768,10 @@ class FpAb:
         """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, certified on
         the relation basis when it is built."""
         if self._proj is None:
-            proj = _projection_table(self.rel_basis, self._pivot_columns())
-            for i in range(self.rel_basis.shape[0]):
-                if any(_project(proj, self.rel_basis[i])):
+            ech = self.echelon()
+            proj = _projection_table(ech)
+            for i, (j, p, rest) in enumerate(ech.rows):
+                if any(_project(proj, [(j, p)] + rest)):
                     raise AssertionError(f"quotient map does not kill relation {i}")
             self._proj = proj
         return self._proj
@@ -693,7 +779,7 @@ class FpAb:
     def _image(self, v) -> list[int]:
         if len(v) != self.ngens:
             raise ValueError("vector length does not match generator count")
-        return _project(self._projection(), v)
+        return _project(self._projection(), _entries(v))
 
     def element_order(self, v) -> Optional[int]:
         """Least n >= 1 with n*v in the relation lattice, or None."""
@@ -707,31 +793,16 @@ class FpAb:
                 n = math.lcm(n, d // math.gcd(d, x))
         return n
 
-    def _pivot_columns(self) -> list[int]:
-        if self._pivots is None:
-            basis = self.rel_basis
-            piv = []
-            for i in range(basis.shape[0]):
-                for j in range(self.ngens):
-                    if basis[i, j]:
-                        piv.append(j)
-                        break
-            self._pivots = piv
-        return self._pivots
-
     def contains(self, v) -> bool:
         """Whether v lies in the relation lattice (i.e. is 0 in the group)."""
         return not any(self._image(v))
 
     def reduce(self, v) -> np.ndarray:
         """Canonical representative of v modulo the relation lattice."""
-        r = _obj_row(v)
-        basis = self.rel_basis
-        for i, j in enumerate(self._pivot_columns()):
-            q = int(r[j]) // int(basis[i, j])
-            if q:
-                r = r - q * basis[i]
-        return r
+        out = zeros(1, self.ngens)[0]
+        for j, x in self.echelon().reduce(v).items():
+            out[j] = x
+        return out
 
     def element_odd_trivial(self, v) -> bool:
         """True iff v dies in the group after inverting 2."""
@@ -788,9 +859,12 @@ class SubgroupPres:
     group: FpAb
     lift: np.ndarray
     ambient: FpAb
+    _echelon: Optional[SparseEchelon] = field(default=None, repr=False, compare=False)
 
     def solve(self, v) -> Optional[np.ndarray]:
-        return solve_in_rows(self.lift, v)
+        if self._echelon is None:
+            self._echelon = SparseEchelon(self.lift)
+        return solve_in_rows(self._echelon, v)
 
 
 class AbMap:
@@ -827,16 +901,17 @@ class AbMap:
         return hnf_rows(rows, self.source.ngens)
 
     def kernel_subgroup(self) -> SubgroupPres:
-        p = self.preimage_lattice()
+        lift = self.preimage_lattice()
+        ech = SparseEchelon(lift)
+        source = self.source.echelon()
         rels = []
-        sb = self.source.rel_basis
-        for i in range(sb.shape[0]):
-            c = solve_in_rows(p, sb[i])
+        for i in range(len(source.rows)):
+            c = solve_in_rows(ech, source.row(i))
             if c is None:
                 raise AssertionError("source relations must lie in the preimage")
             rels.append(c)
-        grp = FpAb(p.shape[0], intmat(rels) if rels else zeros(0, p.shape[0]))
-        return SubgroupPres(group=grp, lift=p, ambient=self.source)
+        grp = FpAb(lift.shape[0], np.vstack(rels) if rels else None)
+        return SubgroupPres(group=grp, lift=lift, ambient=self.source, _echelon=ech)
 
     def kernel(self) -> FpAb:
         return self.kernel_subgroup().group
@@ -851,7 +926,7 @@ class AbMap:
 def ab_quotient(g: FpAb, sub) -> FpAb:
     sub = sub if isinstance(sub, np.ndarray) else intmat(sub)
     if sub.shape[0] == 0:
-        return FpAb(g.ngens, g.rels)
+        return FpAb(g.ngens, g._rels)
     if sub.shape[1] != g.ngens:
         raise ValueError("subgroup rows have wrong width")
     return FpAb(g.ngens, np.vstack([g.rel_basis, sub]))
@@ -860,11 +935,12 @@ def ab_quotient(g: FpAb, sub) -> FpAb:
 def subquotient(ker_basis: np.ndarray, num_rows: Iterable) -> FpAb:
     """Present (lattice spanned by ker_basis) / (lattice of num_rows),
     assuming the numerator lies inside the kernel lattice."""
+    ech = SparseEchelon(ker_basis)
+    reduced = SparseEchelon(hnf_rows(list(num_rows), ech.ncols))
     rels = []
-    reduced = hnf_rows(list(num_rows), ker_basis.shape[1])
-    for i in range(reduced.shape[0]):
-        c = solve_in_rows(ker_basis, reduced[i])
+    for i in range(len(reduced.rows)):
+        c = solve_in_rows(ech, reduced.row(i))
         if c is None:
             raise AssertionError("numerator must lie in the denominator lattice")
         rels.append(c)
-    return FpAb(ker_basis.shape[0], intmat(rels) if rels else None)
+    return FpAb(len(ech.rows), np.vstack(rels) if rels else None)

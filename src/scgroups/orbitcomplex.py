@@ -34,7 +34,7 @@ class RowComplex:
 
     ctx: ScissorsContext
     z2_pairs: list
-    d4: np.ndarray
+    d4: list  # sparse rows {flat index: coefficient}, row g * len(z2_pairs) + k
     d3: np.ndarray
     d2: np.ndarray
 
@@ -52,7 +52,7 @@ class RowComplex:
             return subquotient(kerb, [im[i] for i in range(im.shape[0])])
         if position == 3:
             kerb = left_kernel(self.d3)
-            im = hnf_rows(self.d4, self.d4.shape[1])
+            im = hnf_rows(self.d4, self.d3.shape[0])
             return subquotient(kerb, [im[i] for i in range(im.shape[0])])
         raise ValueError("position must be 1, 2 or 3")
 
@@ -65,17 +65,12 @@ def build_row_complex(ring: Ring) -> RowComplex:
     ng = G.order
 
     pairs = [(x, y) for x, y in ctx.five_term_pairs()]
-    pidx = {p: i for i, p in enumerate(pairs)}
-    n2 = ng * len(pairs)
-
-    d4 = zeros(n2, n1)
-    for k, (x, y) in enumerate(pairs):
-        rel = ctx.y_relation(x, y)
-        for g in range(ng):
-            row = zeros(1, n1)[0]
-            for (h, a), c in rel.items():
-                row[m.flat_index(h ^ g, ctx.windex[a])] += c
-            d4[g * len(pairs) + k] = row
+    rels = [ctx.y_relation(x, y) for x, y in pairs]
+    d4 = [
+        {m.flat_index(h ^ g, ctx.windex[a]): c for (h, a), c in rel.items()}
+        for g in range(ng)
+        for rel in rels
+    ]
 
     d3 = zeros(n1, ng)
     for i, x in enumerate(W):
@@ -93,11 +88,16 @@ def build_row_complex(ring: Ring) -> RowComplex:
 
 
 def chain_identities_hold(c: RowComplex) -> bool:
-    z34 = c.d4 @ c.d3
-    z23 = c.d3 @ c.d2
-    return all(int(x) == 0 for x in z34.ravel()) and all(
-        int(x) == 0 for x in z23.ravel()
-    )
+    """d4 . d3 = 0, row by row over the sparse rows of d4, and d3 . d2 = 0."""
+    d3 = c.d3.tolist()
+    for row in c.d4:
+        acc = [0] * c.d3.shape[1]
+        for j, v in row.items():
+            for k, x in enumerate(d3[j]):
+                acc[k] += v * x
+        if any(acc):
+            return False
+    return all(int(x) == 0 for x in (c.d3 @ c.d2).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,21 @@ _RING_RE = re.compile(
 )
 
 
+def descriptor_size(desc: str) -> tuple[int, int]:
+    """(b, e) such that the ring a descriptor names has b^e elements: p^d
+    for gf(p^d), p^n for z/p^n and p^(d*m) for gf(p^d)[t]/t^m.  Read from
+    the text alone, so nothing is built, no primality is tested and a
+    huge exponent is never expanded."""
+    m = _RING_RE.match(desc)
+    if not m:
+        raise ValueError(f"bad ring descriptor {desc!r}: unrecognized grammar")
+    if m.group("p1"):
+        return int(m.group("p1")), int(m.group("d1") or 1) * int(m.group("m"))
+    if m.group("p2"):
+        return int(m.group("p2")), int(m.group("d2") or 1)
+    return int(m.group("p3")), int(m.group("n3") or 1)
+
+
 def parse_ring(desc: str) -> Ring:
     """Parse ring descriptors: gf(7), gf(3^2), z/7^2, gf(5)[t]/t^2."""
     try:

@@ -106,9 +106,11 @@ class ScissorsContext:
         """P(A): one generator per element of W, one relation per admissible
         ordered pair."""
         if "P" not in self._cache:
-            rows = [self.pb_vector(self.x_relation(a, b)) for a, b in self.five_term_pairs()]
-            rels = np.vstack(rows) if rows else zeros(0, len(self.W))
-            self._cache["P"] = FpAb(len(self.W), rels)
+            rows = [
+                {self.windex[a]: c for a, c in self.x_relation(a, b).items()}
+                for a, b in self.five_term_pairs()
+            ]
+            self._cache["P"] = FpAb(len(self.W), rows)
         return self._cache["P"]
 
     # -- symmetric square of the units ----------------------------------------
@@ -201,12 +203,12 @@ class ScissorsContext:
             out[key] = out.get(key, 0) + c
         return {k: c for k, c in out.items() if c}
 
-    def _relation(self, x: RPElem) -> list[RElem]:
-        """An RP element as an R_A-module relation: its Z[G] coefficient on
-        each W generator."""
-        rel = [dict() for _ in self.W]
+    def _relation(self, x: RPElem) -> dict:
+        """An RP element as a sparse R_A-module relation: its nonzero Z[G]
+        coefficients, by W generator."""
+        rel: dict = {}
         for (g, a), c in x.items():
-            rel[self.windex[a]][g] = c
+            rel.setdefault(self.windex[a], {})[g] = c
         return rel
 
     def refined(self) -> RModPres:
@@ -492,10 +494,9 @@ class ScissorsContext:
         rel_ok = True
         for rel in rpp.flat_rows():
             img = zeros(1, rp_flat.ngens)[0]
-            for idx, c in enumerate(rel):
-                if c:
-                    g, i = divmod(idx, rpp.ngens)
-                    img = img + int(c) * images[(g, i)]
+            for idx, c in rel.items():
+                g, i = divmod(idx, rpp.ngens)
+                img = img + c * images[(g, i)]
             if not rp_flat.element_odd_trivial(img):
                 rel_ok = False
                 break

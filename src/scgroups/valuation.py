@@ -263,7 +263,9 @@ class SpecializationContext:
         tb = self.sc.tilde()
         self.rp_tilde: FpAb = tb.rp_tilde
         self.p_tilde: FpAb = tb.p_tilde
-        self._ck_vec = self.sc.rp_vector(self.sc.big_c())
+        ck = self.sc.rp_vector(self.sc.big_c())
+        self._ck_entries = [(i, int(x)) for i, x in enumerate(ck) if x]
+        self._classes: dict[QSqClass, tuple[int, int]] = {}
 
     # residue of a p-adic unit rational, as an element of GF(p)
     def residue(self, a) -> int:
@@ -272,41 +274,60 @@ class SpecializationContext:
             raise ValueError(f"{a} is not a p-adic unit")
         return (a.numerator * pow(a.denominator, -1, self.p)) % self.p
 
-    def _case_vector(self, a: Fraction) -> np.ndarray:
-        """The RP~(k) coordinate of S_v on a single symbol [a]."""
+    def _case_entries(self, a: Fraction) -> list[tuple[int, int]]:
+        """The nonzero (index, value) entries of the RP~(k) coordinate of
+        S_v on a single symbol [a]."""
         v = vp(a, self.p)
         if v > 0:
-            return self._ck_vec
+            return self._ck_entries
         if v < 0:
-            return -self._ck_vec
+            return [(i, -x) for i, x in self._ck_entries]
         abar = self.residue(a)
         if abar == 1:
             # parameters reducing to 1 specialize to 0 (their classes
             # generate the kernel L_v of S_v)
-            return zeros(1, self.rp_tilde.ngens)[0]
-        return self.sc.rp_vector({(0, abar): 1})
+            return []
+        return [(self.sc.refined().flat_index(0, self.sc.windex[abar]), 1)]
 
     def _class_data(self, cls: QSqClass) -> tuple[int, int]:
-        """(valuation parity source r, residue class of the unit part)."""
-        q = cls.value()
-        r = vp(q, self.p)
-        u = unit_part(q, self.p)
-        ubar = self.residue(u)
-        return r, self.sc.G.class_of(ubar)
+        """(valuation parity source r, residue class of the unit part),
+        cached per class: symbols repeat few classes."""
+        out = self._classes.get(cls)
+        if out is None:
+            q = cls.value()
+            ubar = self.residue(unit_part(q, self.p))
+            out = self._classes[cls] = (vp(q, self.p), self.sc.G.class_of(ubar))
+        return out
+
+    def _terms(self, x: SymRP):
+        """For each symbol of x: its coefficient, the valuation of its
+        class, and the nonzero entries of its case vector moved by the
+        residue class of the unit part."""
+        for (cls, a), coeff in x.items():
+            entries = self._case_entries(Fraction(a))
+            r, gbar = self._class_data(cls)
+            if gbar:
+                # moved = base[perm], and perm is an involution (g * g = 1
+                # in G), so the entry of base at i lands at perm[i]
+                perm = self.sc.refined().act_permutation(gbar)
+                entries = [(int(perm[i]), v) for i, v in entries]
+            yield coeff, r, entries
+
+    def _vector(self, acc: dict) -> np.ndarray:
+        out = zeros(1, self.rp_tilde.ngens)[0]
+        for i, v in acc.items():
+            out[i] = v
+        return out
 
     def s_v(self, x: SymRP) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p))."""
-        n = self.rp_tilde.ngens
-        c0 = zeros(1, n)[0]
-        cpi = zeros(1, n)[0]
-        for (cls, a), coeff in x.items():
-            base = self._case_vector(Fraction(a))
-            r, gbar = self._class_data(cls)
-            moved = self._act_vec(gbar, base)
-            c0 = c0 + coeff * moved
-            if r % 2:
-                cpi = cpi + coeff * moved
-        return IndElem(RPtElem(self, c0), RPtElem(self, cpi))
+        c0: dict = {}
+        cpi: dict = {}
+        for coeff, r, entries in self._terms(x):
+            for acc in (c0, cpi) if r % 2 else (c0,):
+                for i, v in entries:
+                    acc[i] = acc.get(i, 0) + coeff * v
+        return IndElem(RPtElem(self, self._vector(c0)), RPtElem(self, self._vector(cpi)))
 
     def _act_vec(self, g: int, vec: np.ndarray) -> np.ndarray:
         if g == 0:
@@ -321,14 +342,12 @@ class SpecializationContext:
 
     def delta_pi_prime(self, x: SymRP) -> RPtElem:
         """rho'_pi composite: <a> (x) m -> (-1)^{v(a)} <u_a-bar> m."""
-        n = self.rp_tilde.ngens
-        out = zeros(1, n)[0]
-        for (cls, a), coeff in x.items():
-            base = self._case_vector(Fraction(a))
-            r, gbar = self._class_data(cls)
+        out: dict = {}
+        for coeff, r, entries in self._terms(x):
             sign = -1 if r % 2 else 1
-            out = out + coeff * sign * self._act_vec(gbar, base)
-        return RPtElem(self, out)
+            for i, v in entries:
+                out[i] = out.get(i, 0) + coeff * sign * v
+        return RPtElem(self, self._vector(out))
 
     def _to_p_tilde(self, x: RPtElem) -> PtElem:
         mat = self.sc.coinvariants_map()

@@ -166,7 +166,7 @@ def suite_group_ring(ring: Ring, seed: int = DEFAULT_SEED, **_) -> list[Check]:
             for h in range(n):
                 val = r_mul(add({g: 1}, {0: -chi(g)}), add({h: 1}, {0: -chi(h)}))
                 sq.append(r_vector(val, n))
-        if not iso_odd(FpAb(n, rows), FpAb.from_rows(n, [list(v) for v in sq])):
+        if not iso_odd(FpAb(n, rows), FpAb(n, sq)):
             ok_sq = False
     out.append(Check(f"{ring.label}: R^chi and (R^chi)^2 agree on odd parts", ok_sq))
 

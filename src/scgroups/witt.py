@@ -35,7 +35,7 @@ class WittContext:
 
     def gw(self) -> FpAb:
         if "gw" not in self._cache:
-            self._cache["gw"] = FpAb.from_rows(self.G.order, self.steinberg_rows())
+            self._cache["gw"] = FpAb(self.G.order, self.steinberg_rows())
         return self._cache["gw"]
 
     def multiplication_table(self) -> dict:

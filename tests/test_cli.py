@@ -9,6 +9,7 @@ import pytest
 import scgroups
 from scgroups import cli, verify
 from scgroups.cli import main, parse_expression, parse_matrix_arg
+from scgroups.rings import descriptor_size
 
 
 def run_cli(args, capsys):
@@ -203,7 +204,21 @@ def test_ring_size_limit_admits_every_ring_in_use():
     labels = {param for name, param in jobs if name in verify.RING_SUITES}
     labels |= {"gf(121)", "gf(11^2)", "z/11^2", "gf(49)", "gf(97)", "gf(7)[t]/t^2"}
     for label in labels:
-        assert cli._ring_of(label).size() <= cli.MAX_RING_SIZE
+        ring = cli._ring_of(label)
+        assert ring.size() <= cli.MAX_RING_SIZE
+        base, exp = descriptor_size(label)
+        assert base**exp == ring.size()
+
+
+@pytest.mark.parametrize("ring", ["gf(2^40)", "z/2^40", "gf(2^20)[t]/t^2", "gf(3)[t]/t^99999999999"])
+def test_huge_ring_descriptor_rejected_before_parsing(capsys, monkeypatch, ring):
+    def refuse(*args):
+        raise AssertionError("the ring must not be parsed")
+
+    monkeypatch.setattr(cli, "parse_ring", refuse)
+    code, out, err = run_cli(["group", "P", "--ring", ring], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cli.MAX_RING_SIZE}" in err
 
 
 def test_jobs_zero_is_usage_error(capsys):
@@ -263,3 +278,9 @@ def test_p_one_exits_instead_of_hanging(tmp_path):
     )
     assert proc.returncode == 2
     assert b"error:" in proc.stderr
+
+
+def test_pbar_table_range_limit_exits_instead_of_hanging(tmp_path):
+    proc = run_cli_subprocess(["pbar-table", "--p-max", str(10**9)], tmp_path, timeout=60)
+    assert proc.returncode == 2
+    assert b"error:" in proc.stderr and b"limit" in proc.stderr

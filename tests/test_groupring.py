@@ -192,10 +192,7 @@ def test_chi_localize_right_exact_euler():
         mflat, qflat = m.flatten(), q.flatten()
         # N = submodule generated by sub inside M
         subrows = RModPres(G7, ngens, sub).flat_rows()
-        nlift = []
-        for row in subrows:
-            nlift.append(row)
-        nrows = hnf_rows(np.vstack(nlift + [r for r in mflat.rel_basis]), m.flat_ngens)
+        nrows = hnf_rows(subrows + [r for r in mflat.rel_basis], m.flat_ngens)
         # Euler check per character: rank and odd torsion multiply up
         for chi in characters(G7):
             mloc = m.chi_localize(chi)

@@ -407,8 +407,8 @@ def test_projection_edge_cases():
 def test_corrupted_projection_trips_certificate(monkeypatch):
     build = linalg._projection_table
 
-    def corrupted(basis, pivots):
-        moduli, images = build(basis, pivots)
+    def corrupted(ech):
+        moduli, images = build(ech)
         images[0] = []  # generator 0 = -generator 1 in Z/3; drop its image
         return moduli, images
 
@@ -489,3 +489,101 @@ def test_hnf_rows_unchanged_by_unimodular_row_operations(mat, data):
             b[i] = b[i] + data.draw(st.integers(-5, 5)) * b[j]
     assert np.array_equal(hnf_rows(b, n), hnf_rows(a, n))
 
+
+
+# -- sparse back-substitution against the dense walk ----------------------------
+
+
+def dense_solve_in_rows(basis, v):
+    """The dense walk solve_in_rows used before the sparse echelon form:
+    scan each row for its pivot, then subtract whole object rows."""
+    n = basis.shape[1]
+    r = np.array([int(x) for x in v], dtype=object)
+    coeffs = [0] * basis.shape[0]
+    piv = []
+    for i in range(basis.shape[0]):
+        for j in range(n):
+            if basis[i, j]:
+                piv.append(j)
+                break
+    for i, j in enumerate(piv):
+        q, rem = divmod(int(r[j]), int(basis[i, j]))
+        if rem:
+            return None
+        if q:
+            r = r - q * basis[i]
+        coeffs[i] = q
+    if any(int(x) for x in r):
+        return None
+    return coeffs
+
+
+def dense_reduce(basis, v):
+    """The dense walk FpAb.reduce used before the sparse echelon form."""
+    r = np.array([int(x) for x in v], dtype=object)
+    for i in range(basis.shape[0]):
+        j = next(j for j in range(basis.shape[1]) if basis[i, j])
+        q = int(r[j]) // int(basis[i, j])
+        if q:
+            r = r - q * basis[i]
+    return [int(x) for x in r]
+
+
+@st.composite
+def echelon_bases(draw):
+    """An echelon basis: strictly increasing pivot columns, pivots 1..6
+    (non-unit ones frequent) and entries right of each pivot in -6..6."""
+    n = draw(st.integers(1, 6))
+    cols = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    basis = zeros(len(cols), n)
+    for i, j in enumerate(cols):
+        basis[i, j] = draw(st.integers(1, 6))
+        for c in range(j + 1, n):
+            basis[i, c] = draw(st.integers(-6, 6))
+    return basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_bases(), st.data())
+def test_sparse_solve_matches_dense_walk(basis, data):
+    n = basis.shape[1]
+    ech = linalg.SparseEchelon(basis)
+    for _ in range(4):
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=basis.shape[0], max_size=basis.shape[0]))
+        inside = [sum(c * int(basis[i, j]) for i, c in enumerate(coeffs)) for j in range(n)]
+        shift = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        for v in (inside, [x + y for x, y in zip(inside, shift)], data.draw(vectors(n))):
+            want = dense_solve_in_rows(basis, v)
+            got = solve_in_rows(basis, v)
+            assert (None if got is None else [int(x) for x in got]) == want
+            assert ech.solve({j: x for j, x in enumerate(v) if x}) == want
+            if v is inside:
+                assert want == coeffs
+            red = ech.reduce(v)
+            assert [red.get(j, 0) for j in range(n)] == dense_reduce(basis, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.data())
+def test_sparse_solve_matches_dense_walk_on_canonical_hnf(pres, data):
+    n, rows = pres
+    assume(rows)
+    basis = hnf_rows(intmat(rows))
+    g = FpAb(n, rows)
+    for _ in range(4):
+        v = data.draw(vectors(n))
+        got = solve_in_rows(basis, v)
+        assert (None if got is None else [int(x) for x in got]) == dense_solve_in_rows(basis, v)
+        assert [int(x) for x in g.reduce(v)] == dense_reduce(basis, v)
+
+
+def test_fpab_sparse_rows_and_repeats():
+    dense = [[2, 0, 4], [0, 3, 3], [2, 0, 4], [0, 0, 0], [0, 3, 3]]
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    a, b = FpAb(3, dense), FpAb(3, sparse)
+    assert np.array_equal(a.rels, b.rels) and np.array_equal(a.rels, intmat(dense))
+    assert np.array_equal(a.rel_basis, b.rel_basis)
+    assert np.array_equal(hnf_rows(sparse, 3), hnf_rows(intmat(dense[:2])))
+    assert b.invariant_factors() == (6,) and b.free_rank == 1
+    with pytest.raises(ValueError):
+        FpAb(3, [{3: 1}])

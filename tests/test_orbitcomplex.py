@@ -89,3 +89,25 @@ def test_simplicial_exactness_gf4():
     k = GF(2, 2)
     for degree in (1, 2, 3):
         assert simplicial_homology_vanishes(k, degree)
+
+
+@pytest.mark.parametrize("label", ["gf(7)", "gf(11)", "z/7^2"])
+def test_d4_rows_equal_the_dense_construction(label):
+    from scgroups.scissors import rp_act
+
+    c = build_row_complex(parse_ring(label))
+    ctx = c.ctx
+    ys = [ctx.y_relation(x, y) for x, y in c.z2_pairs]
+    want = [ctx.rp_vector(rp_act({g: 1}, y)) for g in range(ctx.G.order) for y in ys]
+    assert len(c.d4) == len(want)
+    for row, dense in zip(c.d4, want):
+        assert row == {j: int(v) for j, v in enumerate(dense) if v}
+
+
+@pytest.mark.parametrize("label", ["gf(7)", "gf(11)", "z/7^2"])
+def test_chain_identities_fail_on_a_perturbed_d4_entry(label):
+    c = build_row_complex(parse_ring(label))
+    # a column whose d3 row is nonzero, so the extra entry shows in d4 . d3
+    j = next(j for j in range(c.d3.shape[0]) if any(c.d3[j]))
+    c.d4[len(c.d4) // 2][j] = c.d4[len(c.d4) // 2].get(j, 0) + 1
+    assert not chain_identities_hold(c)

@@ -288,3 +288,27 @@ def test_corollary_key_in_tilde():
         coeff = r_mul({G.class_of(ring.sub(a, ring.one)): 1}, dbl_bracket(G, ring.neg(a)))
         rhs = rp_act(coeff, {(0, a): 1})
         assert ctx.rp_tilde_is_zero(add(lhs, scale(-1, rhs)))
+
+
+def _translates(ctx, elems):
+    """Dense flat rows of every G-translate of each RP element, relation
+    by relation: the row order of RModPres.flat_rows."""
+    return [ctx.rp_vector(rp_act({t: 1}, x)) for x in elems for t in range(ctx.G.order)]
+
+
+@pytest.mark.parametrize("label", SMALL + ["gf(9)"])
+def test_relation_rows_equal_the_dense_construction(label):
+    ctx = ScissorsContext(context(label).ring)
+    pairs = list(ctx.five_term_pairs())
+    want_p = np.vstack([ctx.pb_vector(ctx.x_relation(a, b)) for a, b in pairs])
+    assert np.array_equal(ctx.pre_bloch().rels, want_p)
+    ys = [ctx.y_relation(a, b) for a, b in pairs]
+    assert np.array_equal(ctx.rp_flat().rels, np.vstack(_translates(ctx, ys)))
+    psi = [ctx.psi1(a) for a in ctx.ring.units]
+    assert np.array_equal(ctx.refined_tilde().flatten().rels, np.vstack(_translates(ctx, ys + psi)))
+    neg1 = ctx.G.neg_one()
+    primed = []
+    for a in ctx.W:
+        primed.append(add({(neg1, a): 1}, {(0, a): -1}))
+        primed.append(add({(0, a): 1}, {(0, ctx.ring.inv(a)): 1}))
+    assert np.array_equal(ctx.rp_prime().flatten().rels, np.vstack(_translates(ctx, ys + primed)))

@@ -238,3 +238,50 @@ def test_specialize_suite_skips_non_unit_classes():
     checks = verify.suite_specialize(11, seed=0, samples=4, sweep_bound=2)
     assert len(checks) == 6 and all(c.ok for c in checks)
 
+
+
+def _dense_s_v(ctx, x):
+    """(delta_0, delta_pi, delta_pi') vectors built as before the sparse
+    accumulation: a dense case vector per symbol, moved by _act_vec."""
+    ck = ctx.sc.rp_vector(ctx.sc.big_c())
+    out = [0 * ck, 0 * ck, 0 * ck]
+    for (cls, a), coeff in x.items():
+        v = vp(a, ctx.p)
+        if v:
+            base = ck if v > 0 else -ck
+        elif ctx.residue(a) == 1:
+            base = 0 * ck
+        else:
+            base = ctx.sc.rp_vector({(0, ctx.residue(a)): 1})
+        r = vp(cls.value(), ctx.p)
+        gbar = ctx.sc.G.class_of(ctx.residue(unit_part(cls.value(), ctx.p)))
+        moved = coeff * ctx._act_vec(gbar, base)
+        out[0] = out[0] + moved
+        if r % 2:
+            out[1] = out[1] + moved
+            out[2] = out[2] - moved
+        else:
+            out[2] = out[2] + moved
+    return out
+
+
+@pytest.mark.parametrize("p", [11, 13, 23])
+def test_sparse_s_v_matches_dense_vectors(p):
+    ctx = specialization(p)
+    rng = random.Random(p)
+    for _ in range(150):
+        x = {}
+        for _ in range(rng.randint(1, 4)):
+            a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3 * p), rng.randint(1, 3 * p))
+            if a in (0, 1):
+                continue
+            cls = qclass(rng.choice([-1, 1]) * rng.randint(1, 4 * p))
+            x = add(x, {(cls, a): rng.choice((-2, -1, 1, 3))})
+        try:
+            want = _dense_s_v(ctx, x)
+        except ValueError:  # a residue of a non-unit
+            continue
+        out = ctx.s_v(x)
+        got = [out.comp0.vec, out.comp_pi.vec, ctx.delta_pi_prime(x).vec]
+        for g, w in zip(got, want):
+            assert [int(t) for t in g] == [int(t) for t in w]
