@@ -59,10 +59,11 @@ GROUP_BUILDERS = {
 MAX_BALL_VERTICES = 10**6
 
 # largest ring, in elements, that `group` and the ring suites of `verify`
-# accept: the five-term relations number about |W|^2, and `group RP1` on
-# GF(121), the largest ring the tests and the benchmark build, already
-# peaks near 300 MB
-MAX_RING_SIZE = 128
+# accept, and the largest p of `specialize` and the prime suites.  The
+# five-term relations number about |W|^2; measured one process each,
+# `group RP1` took 1.8 s and 92 MB peak RSS on GF(121), 8.5 s and 269 MB
+# on GF(233), the largest ring under 10 s, and 10.5 s on GF(239)
+MAX_RING_SIZE = 233
 
 
 def _ring_of(label: str) -> Ring:
@@ -74,6 +75,25 @@ def _ring_of(label: str) -> Ring:
         size = base if exp == 1 else f"{base}^{exp}"
         raise ValueError(f"{label} has {size} elements, more than {MAX_RING_SIZE}")
     return parse_ring(label)
+
+
+def _prime_of(p: int) -> int:
+    """The prime of `specialize` and the prime suites of `verify`, refused
+    above MAX_RING_SIZE before the trial division of is_prime runs (both
+    build GF(p) and its presentations)."""
+    if p > MAX_RING_SIZE:
+        raise ValueError(f"--p {p} is more than {MAX_RING_SIZE}")
+    return p
+
+
+def _check_ball(p: int, radius: int) -> None:
+    """Refuse a ball of more than MAX_BALL_VERTICES vertices before it is built."""
+    size = tree.ball_size_formula(p, radius)
+    if size > MAX_BALL_VERTICES:
+        raise ValueError(
+            f"ball of radius {radius} at p = {p} has {size} vertices, "
+            f"more than {MAX_BALL_VERTICES}"
+        )
 
 
 def _group_report(which: str, ring_label: str) -> dict:
@@ -322,10 +342,14 @@ def cmd_group(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ring = args.ring
+    ring, p = args.ring, args.p
     if args.suite in verify.RING_SUITES and ring is not None:
         ring = _ring_of(ring)
-    checks = verify.run_suite(args.suite, ring=ring, p=args.p, q=args.q, seed=args.seed)
+    if args.suite in verify.PRIME_SUITES and p is not None:
+        p = _prime_of(p)
+        if args.suite == "tree":
+            _check_ball(p, verify.TREE_SUITE_RADIUS)
+    checks = verify.run_suite(args.suite, ring=ring, p=p, q=args.q, seed=args.seed)
     for c in checks:
         print(c.line())
     return 0 if all(c.ok for c in checks) else 1
@@ -363,7 +387,7 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_specialize(args) -> int:
-    rep = _specialize_report(args.p, args.expr)
+    rep = _specialize_report(_prime_of(args.p), args.expr)
     _emit(rep, args.format)
     return 0
 
@@ -373,12 +397,7 @@ def cmd_tree(args) -> int:
     if not is_prime(args.p):
         raise ValueError(f"--p {args.p} is not prime")
     if args.sub == "ball":
-        size = tree.ball_size_formula(args.p, args.radius)
-        if size > MAX_BALL_VERTICES:
-            raise ValueError(
-                f"ball of radius {args.radius} at p = {args.p} has {size} vertices, "
-                f"more than {MAX_BALL_VERTICES}"
-            )
+        _check_ball(args.p, args.radius)
         if args.dot:
             sys.stdout.write(tree.dot_output(args.p, args.radius))
             return 0

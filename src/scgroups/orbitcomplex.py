@@ -51,8 +51,10 @@ class RowComplex:
             im = hnf_rows(self.d3, self.d3.shape[1])
             return subquotient(kerb, [im[i] for i in range(im.shape[0])])
         if position == 3:
+            # d4's rows are the G-translates of the RP relations, so their
+            # lattice is that of RP's cached relation basis
             kerb = left_kernel(self.d3)
-            im = hnf_rows(self.d4, self.d3.shape[0])
+            im = self.ctx.rp_flat().rel_basis
             return subquotient(kerb, [im[i] for i in range(im.shape[0])])
         raise ValueError("position must be 1, 2 or 3")
 

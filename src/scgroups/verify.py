@@ -514,13 +514,20 @@ def suite_specialize(
     return out
 
 
+# largest ball radius suite_tree builds
+TREE_SUITE_RADIUS = 4
+
+
 def suite_tree(p: int, seed: int = DEFAULT_SEED, samples: int = 500, **_) -> list[Check]:
     rng = random.Random(seed)
     out = []
     sizes_ok = all(
-        len(tree.ball(p, r)[0]) == tree.ball_size_formula(p, r) for r in range(5)
+        len(tree.ball(p, r)[0]) == tree.ball_size_formula(p, r)
+        for r in range(TREE_SUITE_RADIUS + 1)
     )
-    out.append(Check(f"p={p}: ball sizes match 1+(p+1)(p^r-1)/(p-1), r<=4", sizes_ok))
+    out.append(
+        Check(f"p={p}: ball sizes match 1+(p+1)(p^r-1)/(p-1), r<={TREE_SUITE_RADIUS}", sizes_ok)
+    )
     out.append(Check(f"p={p}: ball of radius 3 has no cycles", tree.ball_is_tree(p, 3)))
 
     from .valuation import vp

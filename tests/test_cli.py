@@ -175,14 +175,17 @@ def test_oversized_ball_rejected_before_bfs(capsys, monkeypatch):
     for extra in ([], ["--dot"]):
         code, _, err = run_cli(["tree", "ball", "--p", "2", "--radius", "30", *extra], capsys)
         assert code == 2 and "error:" in err
+    # the tree suite builds balls up to radius 4: 2.6 * 10^8 vertices at p = 127
+    code, _, err = run_cli(["verify", "tree", "--p", "127"], capsys)
+    assert code == 2 and "vertices, more than" in err
 
 
 @pytest.mark.parametrize(
     "args",
     [
         ["group", "P", "--ring", "gf(10007)"],
-        ["group", "RP1", "--ring", "z/13^2"],
-        ["verify", "five-term", "--ring", "gf(131)"],
+        ["group", "RP1", "--ring", "z/17^2"],
+        ["verify", "five-term", "--ring", "gf(239)"],
         ["verify", "local-ring", "--ring", "gf(5)[t]/t^4"],
     ],
 )
@@ -217,6 +220,31 @@ def test_huge_ring_descriptor_rejected_before_parsing(capsys, monkeypatch, ring)
 
     monkeypatch.setattr(cli, "parse_ring", refuse)
     code, out, err = run_cli(["group", "P", "--ring", ring], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cli.MAX_RING_SIZE}" in err
+
+
+HUGE_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["specialize", "--p", HUGE_PRIME, "--expr", "[2]"],
+        ["verify", "specialize", "--p", HUGE_PRIME],
+        ["verify", "tree", "--p", HUGE_PRIME],
+    ],
+)
+def test_oversized_prime_rejected_before_primality_test(capsys, monkeypatch, args):
+    import scgroups.rings
+    import scgroups.valuation
+
+    def refuse(*args):
+        raise AssertionError("p must be refused before the trial division")
+
+    for module in (cli, scgroups.rings, scgroups.valuation, cli.tree):
+        monkeypatch.setattr(module, "is_prime", refuse)
+    code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"more than {cli.MAX_RING_SIZE}" in err
 
@@ -284,3 +312,10 @@ def test_pbar_table_range_limit_exits_instead_of_hanging(tmp_path):
     proc = run_cli_subprocess(["pbar-table", "--p-max", str(10**9)], tmp_path, timeout=60)
     assert proc.returncode == 2
     assert b"error:" in proc.stderr and b"limit" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["specialize", "--expr", "[2]"], ["verify", "specialize"]])
+def test_oversized_prime_exits_instead_of_hanging(tmp_path, args):
+    proc = run_cli_subprocess([*args, "--p", HUGE_PRIME], tmp_path, timeout=60)
+    assert proc.returncode == 2
+    assert b"error:" in proc.stderr and b"more than" in proc.stderr

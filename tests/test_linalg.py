@@ -587,3 +587,161 @@ def test_fpab_sparse_rows_and_repeats():
     assert b.invariant_factors() == (6,) and b.free_rank == 1
     with pytest.raises(ValueError):
         FpAb(3, [{3: 1}])
+
+
+# -- the certified path of hnf_rows (inputs taller than the subset) --------------
+
+
+def echelon_oracle(rows, n):
+    """The uncertified path: sparse reduction and the canonical echelon pass
+    over every distinct nonzero row."""
+    sparse = [dict(r) for r in linalg._distinct(linalg._to_sparse_rows(rows)) if r]
+    retired, _ = linalg._sparse_reduce(sparse, n)
+    basis, _ = linalg._echelonize([r for _, r in retired], n, n)
+    return [[int(x) for x in r] for r in basis]
+
+
+def lattice_rows(rng, gens, count, coeff=2):
+    """``count`` random small integer combinations of the generator rows."""
+    n = len(gens[0])
+    out = []
+    for _ in range(count):
+        c = [rng.randint(-coeff, coeff) for _ in gens]
+        out.append([sum(a * g[j] for a, g in zip(c, gens)) for j in range(n)])
+    return out
+
+
+def tall(n):
+    return linalg.SUBSET_PER_COLUMN * n + 1
+
+
+def certified_case(kind):
+    """(rows, ncols) for one named shape, with more distinct nonzero rows
+    than the certified path's subset."""
+    rng = random.Random(kind)
+    if kind == "full-rank":
+        gens = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        return lattice_rows(rng, gens, 6 * 5), 5
+    if kind in ("deficiency-1", "deficiency-2"):
+        rank = 6 - int(kind[-1])
+        gens = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(rank)]
+        return lattice_rows(rng, gens, 6 * 6), 6
+    if kind == "zero-rows":
+        gens = [[2, 1, 0, 3], [0, 3, 1, 1], [1, 1, 1, 0], [0, 0, 4, 2]]
+        rows = lattice_rows(rng, gens, 30)
+        return rows + [[0] * 4] * 10, 4
+    if kind == "repeated-rows":
+        gens = [[1, 2, 0], [0, 3, 3], [0, 0, 5]]
+        rows = lattice_rows(rng, gens, 20)
+        return rows * 3, 3
+    if kind == "one-column":
+        return [[6 * rng.randint(1, 50) + 10 * rng.randint(0, 50)] for _ in range(20)], 1
+    if kind == "large-entries":
+        gens = [[rng.randint(-10**30, 10**30) for _ in range(4)] for _ in range(4)]
+        return lattice_rows(rng, gens, 25), 4
+    raise ValueError(kind)
+
+
+CERTIFIED_KINDS = [
+    "full-rank", "deficiency-1", "deficiency-2", "zero-rows",
+    "repeated-rows", "one-column", "large-entries",
+]
+
+
+def count_subset_rounds(monkeypatch):
+    rounds = []
+    step = linalg._subset_hnf
+
+    def counted(retired, n):
+        rounds.append(len(retired))
+        return step(retired, n)
+
+    monkeypatch.setattr(linalg, "_subset_hnf", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("kind", CERTIFIED_KINDS)
+def test_certified_hnf_matches_oracle_and_sympy(monkeypatch, kind):
+    rows, n = certified_case(kind)
+    distinct = {tuple(r) for r in rows if any(r)}
+    assert len(distinct) >= tall(n)
+    rounds = count_subset_rounds(monkeypatch)
+    got = [[int(x) for x in r] for r in hnf_rows(intmat(rows), n)]
+    assert rounds, "the certified path did not run"
+    assert got == echelon_oracle(rows, n)
+    assert got == sympy_row_hnf(rows)
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert [[int(x) for x in r] for r in hnf_rows(sparse, n)] == got
+
+
+@st.composite
+def tall_lattices(draw):
+    """(n, rows): combinations of up to n generators with up to 2 rows of
+    rank deficiency, more rows than the certified path's subset."""
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(max(1, n - 2), n))
+    bound = draw(st.sampled_from([3, 9, 10**12]))
+    gens = [[draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(rank)]
+    rng = draw(st.randoms(use_true_random=False))
+    return n, lattice_rows(rng, gens, tall(n) + draw(st.integers(0, 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_lattices())
+def test_certified_hnf_matches_oracle_on_random_tall_inputs(lat):
+    n, rows = lat
+    assume(len({tuple(r) for r in rows if any(r)}) >= tall(n))
+    got = [[int(x) for x in r] for r in hnf_rows(intmat(rows), n)]
+    assert got == echelon_oracle(rows, n)
+    assert got == sympy_row_hnf(rows)
+
+
+@pytest.mark.parametrize("rare", ["index", "rank"])
+def test_certified_hnf_grows_a_subset_that_misses_a_rare_generator(monkeypatch, rare):
+    # 300 rows of 2Z^3 (or of Z^2 x 0) and one row that only the full set has:
+    # e_0 halves the index, e_2 raises the rank
+    n, total = 3, 300
+    rng = random.Random(5)
+    if rare == "index":
+        gens, extra = [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [1, 0, 0]
+    else:
+        gens, extra = [[1, 1, 0], [0, 3, 0]], [0, 0, 1]
+    rows = [r for r in lattice_rows(rng, gens, 4 * total, coeff=9) if any(r)]
+    rows = list(dict.fromkeys(map(tuple, rows)))[:total]
+    assert len(rows) == total
+    # the subset hnf_rows samples, so that the rare row lies outside it
+    chosen = set(random.Random(linalg._SUBSET_SEED).sample(range(total + 1), tall(n) - 1))
+    at = min(set(range(total + 1)) - chosen)
+    rows.insert(at, tuple(extra))
+    rounds = count_subset_rounds(monkeypatch)
+    got = [[int(x) for x in r] for r in hnf_rows([list(r) for r in rows], n)]
+    assert len(rounds) >= 2
+    assert got == echelon_oracle([list(r) for r in rows], n)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("entry", "not in the subset lattice"), ("pivot", "misses a subset row")],
+    ids=["entry", "pivot"],
+)
+def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
+    # lattice with HNF [[1, 0, 1], [0, 1, 1], [0, 0, 3]]
+    rng = random.Random(3)
+    rows = lattice_rows(rng, [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
+    want = [[1, 0, 1], [0, 1, 1], [0, 0, 3]]
+    assert echelon_oracle(rows, 3) == want
+    step = linalg._hnf_mod_det
+
+    def corrupted(retired, n):
+        basis = step(retired, n)
+        if fault == "entry":
+            basis[0][2] = 2  # still reduced, no longer in the lattice
+        else:
+            basis[2][2] = 6  # a sublattice: the input rows escape it
+        return basis
+
+    monkeypatch.setattr(linalg, "_hnf_mod_det", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        hnf_rows(rows, 3)
+    monkeypatch.setattr(linalg, "_hnf_mod_det", step)
+    assert [[int(x) for x in r] for r in hnf_rows(rows, 3)] == want

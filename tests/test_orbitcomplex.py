@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from scgroups.linalg import iso_odd
+from scgroups.linalg import hnf_rows, iso_odd
 from scgroups.orbitcomplex import (
     build_row_complex,
     chain_identities_hold,
@@ -111,3 +112,11 @@ def test_chain_identities_fail_on_a_perturbed_d4_entry(label):
     j = next(j for j in range(c.d3.shape[0]) if any(c.d3[j]))
     c.d4[len(c.d4) // 2][j] = c.d4[len(c.d4) // 2].get(j, 0) + 1
     assert not chain_identities_hold(c)
+
+
+@pytest.mark.parametrize("label", ["gf(13)", "z/7^2"])
+def test_d4_lattice_is_the_rp_relation_lattice(label):
+    # homology_at(3) divides by RP's relation basis instead of reducing d4
+    c = build_row_complex(parse_ring(label))
+    basis = c.ctx.rp_flat().rel_basis
+    assert np.array_equal(hnf_rows(c.d4, c.d3.shape[0]), basis)
