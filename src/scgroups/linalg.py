@@ -6,18 +6,17 @@ Relation rows travel as sparse {column: value} dicts from the builders to
 ``dtype=object`` holding Python ints, so every computation is exact, and
 are solved against through their cached sparse echelon form.
 
-``hnf_rows`` has two paths.  Up to SUBSET_PER_COLUMN rows per column go
-through a sparse Markowitz reduction and the canonical echelon pass, which
-runs on an ``int64`` fast path and promotes a row to ``object`` before any
-operation that could overflow.  Taller inputs (the five-term relation
-matrices) reduce a seeded random subset of that size only, and compute its
-Hermite basis modulo the subset lattice's determinant D, where no entry
-exceeds D; a rank-deficient subset is first projected onto its pivot
-columns and lifted back through its rational kernel.  The basis is
-returned only under a certificate checked at run time: every basis row
-lies in the subset's lattice (back-substitution on the subset's triangular
-rows), and every input row maps to 0 under the basis's quotient map.  Rows
-that the map does not kill join the subset for another round.
+``hnf_rows`` has one exact path: a sparse Markowitz reduction to
+triangular rows, then the Hermite basis of their lattice modulo its
+determinant D, where no entry exceeds D; a rank-deficient lattice is first
+projected onto its pivot columns and lifted back through its rational
+kernel.  Inputs of more than SUBSET_PER_COLUMN rows per column (the
+five-term relation matrices) reduce a seeded random subset of that size
+only, and the basis is returned only under a certificate checked at run
+time: every basis row lies in the subset's lattice (back-substitution on
+the subset's triangular rows), and every input row maps to 0 under the
+basis's quotient map.  Rows that the map does not kill join the subset for
+another round.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
-
-_INT64_BOUND = 2**62
 
 
 def intmat(data) -> np.ndarray:
@@ -87,89 +84,6 @@ def _obj_row(r) -> np.ndarray:
     return out
 
 
-def _row_max(r: np.ndarray) -> int:
-    if r.size == 0:
-        return 0
-    return int(np.abs(r).max())
-
-
-class _Echelon:
-    """Incremental row-echelon basis over Z with exact arithmetic.
-
-    Rows are inserted one at a time; each basis row has its first nonzero
-    entry (the pivot) positive.  Rows that reduce to zero are reported via
-    the return value of :meth:`insert`, which carries the augmented part
-    when ``aug`` columns are attached (used for kernels and transforms).
-    """
-
-    def __init__(self, ncols: int, aug: int = 0):
-        self.n = ncols
-        self.aug = aug
-        self.pivots: dict[int, np.ndarray] = {}
-
-    def _first_nonzero(self, r: np.ndarray, start: int) -> Optional[int]:
-        nz = np.flatnonzero(r[start : self.n])
-        if nz.size == 0:
-            return None
-        return start + int(nz[0])
-
-    def insert(self, row: np.ndarray) -> Optional[np.ndarray]:
-        """Insert a row; return the reduced row if it vanished on the main
-        part (its augmented tail is then a kernel/transform witness)."""
-        r = row
-        start = 0
-        while True:
-            j = self._first_nonzero(r, start)
-            if j is None:
-                return r
-            b = self.pivots.get(j)
-            if b is None:
-                if r[j] < 0:
-                    r = -r
-                self.pivots[j] = r
-                return None
-            bj, rj = int(b[j]), int(r[j])
-            q, rem = divmod(rj, bj)
-            if rem == 0:
-                r = self._combine(r, -q, b)
-            else:
-                g, x, y = xgcd(bj, rj)
-                new_b = self._combine2(x, b, y, r)
-                r = self._combine2(-(rj // g), b, bj // g, r)
-                self.pivots[j] = new_b
-            start = j + 1
-
-    def _combine(self, r: np.ndarray, q: int, b: np.ndarray) -> np.ndarray:
-        # r + q*b, promoting away from int64 when the bound requires it
-        if r.dtype == np.int64 or b.dtype == np.int64:
-            bound = _row_max(r) + abs(q) * _row_max(b)
-            if bound >= _INT64_BOUND:
-                r = _obj_row(r)
-                b = _obj_row(b)
-        return r + q * b
-
-    def _combine2(self, x: int, a: np.ndarray, y: int, b: np.ndarray) -> np.ndarray:
-        if a.dtype == np.int64 or b.dtype == np.int64:
-            bound = abs(x) * _row_max(a) + abs(y) * _row_max(b)
-            if bound >= _INT64_BOUND:
-                a = _obj_row(a)
-                b = _obj_row(b)
-        return x * a + y * b
-
-    def basis(self) -> list[np.ndarray]:
-        """Canonical interreduced basis rows, pivots ascending, entries
-        above each pivot reduced into [0, pivot)."""
-        cols = sorted(self.pivots)
-        rows = [self.pivots[j] for j in cols]
-        for k, jk in enumerate(cols):
-            pk = int(rows[k][jk])
-            for i in range(k):
-                q = int(rows[i][jk]) // pk
-                if q:
-                    rows[i] = self._combine(rows[i], -q, rows[k])
-        return rows
-
-
 def _entries(v) -> Iterator[tuple[int, int]]:
     """The nonzero (index, value) pairs of a row given as a {col: value}
     dict, a numpy row or a plain sequence, values as Python ints."""
@@ -184,6 +98,15 @@ def _entries(v) -> Iterator[tuple[int, int]]:
 
 def _to_sparse_rows(mat) -> list[dict]:
     return [dict(_entries(row)) for row in mat]
+
+
+def _dense(rows: list[dict], ncols: int) -> np.ndarray:
+    """The sparse rows as an object matrix of width ncols."""
+    out = zeros(len(rows), ncols)
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            out[i, j] = v
+    return out
 
 
 def _distinct(rows: list[dict]) -> list[dict]:
@@ -286,37 +209,6 @@ def _sparse_reduce(rows: list[dict], main: int) -> tuple[list[dict], list[dict]]
     return retired, zeroed
 
 
-def _dense_work_row(r: dict, width: int) -> np.ndarray:
-    if all(abs(v) < _INT64_BOUND for v in r.values()):
-        out = np.zeros(width, dtype=np.int64)
-    else:
-        out = np.empty(width, dtype=object)
-        out[...] = 0
-    for j, v in r.items():
-        out[j] = v
-    return out
-
-
-def _echelonize(sparse_rows: list[dict], main: int, width: int) -> tuple[list, list]:
-    """Canonical echelon pass over pre-reduced rows.  Returns (basis rows,
-    rows that died on the main part)."""
-    ech = _Echelon(main)
-    dead = []
-    order = sorted(
-        range(len(sparse_rows)),
-        key=lambda i: (
-            min((j for j in sparse_rows[i] if j < main), default=main),
-            len(sparse_rows[i]),
-            i,
-        ),
-    )
-    for i in order:
-        d = ech.insert(_dense_work_row(sparse_rows[i], width))
-        if d is not None:
-            dead.append(d)
-    return ech.basis(), dead
-
-
 def sparse_rank_and_pivots(rows, ncols: int) -> tuple[int, list[int]]:
     """Exact rank of the row lattice plus the staircase pivot values of
     the reduction.  The retired rows are triangular on their retirement
@@ -339,10 +231,10 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     dropped before the reduction; relation generators repeat a lot
     (P(GF(121)) has 7080 distinct rows among 14042).
 
-    Up to SUBSET_PER_COLUMN * ncols distinct rows go through the sparse
-    reduction and the canonical echelon pass.  Taller inputs take the
-    certified path of ``_certified_hnf``: the basis of a seeded random
-    subset, computed modulo its determinant, is accepted only once every
+    Up to SUBSET_PER_COLUMN * ncols distinct rows are all reduced
+    (``_full_hnf``).  Taller inputs take the certified path of
+    ``_certified_hnf``: the basis of a seeded random subset, computed
+    modulo its determinant, is accepted only once every
     basis row lies in the subset's lattice and every input row lies in the
     basis's lattice.
     """
@@ -359,20 +251,14 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     if len(rows) > SUBSET_PER_COLUMN * ncols:
         basis = _certified_hnf(rows, ncols)
     else:
-        basis = _echelon_hnf(rows, ncols)
-    out = zeros(len(basis), ncols)
-    for i, r in enumerate(basis):
-        for j, v in r.items():
-            out[i, j] = v
-    return out
+        basis = _full_hnf(rows, ncols)
+    return _dense(basis, ncols)
 
 
-def _echelon_hnf(rows: list[dict], ncols: int) -> list[dict]:
-    """Canonical HNF rows by sparse reduction and the canonical echelon
-    pass; the rows are modified in place."""
-    retired, _ = _sparse_reduce(rows, ncols)
-    basis, _ = _echelonize([r for _, r in retired], ncols, ncols)
-    return [dict(_entries(r)) for r in basis]
+def _full_hnf(rows: list[dict], ncols: int) -> list[dict]:
+    """Canonical HNF rows of the lattice of every row, by sparse reduction
+    and the HNF of the triangular rows; the rows are modified in place."""
+    return _subset_hnf(_sparse_reduce(rows, ncols)[0], ncols)
 
 
 # the certified path of hnf_rows reduces a subset of this many rows per column
@@ -391,8 +277,9 @@ def _certified_hnf(rows: list[dict], n: int) -> list[dict]:
     basis's quotient map.  Together they give lattice(basis) = L_S =
     lattice(rows).  An input row that the map does not kill joins the
     subset for the next round; a subset row that it does not kill is a
-    fault.  A subset that would hold every row falls back to
-    ``_echelon_hnf``, so the worst case is the uncertified work.  A prefix
+    fault.  A subset that would hold every row falls back to reducing
+    every row (``_full_hnf``), which needs no certificate: its triangular
+    rows generate the input lattice.  A prefix
     is no subset: the first 476 rows of P(GF(121)) in pair order reach rank
     108 of 119.
     """
@@ -414,7 +301,7 @@ def _certified_hnf(rows: list[dict], n: int) -> list[dict]:
             raise AssertionError("certified HNF: the basis misses a subset row")
         chosen.update(missing)
         if len(chosen) == len(rows):
-            return _echelon_hnf([dict(r) for r in rows], n)
+            return _full_hnf([dict(r) for r in rows], n)
         work = [r for _, r in retired] + [dict(rows[i]) for i in missing]
 
 
@@ -471,6 +358,8 @@ def _subset_hnf(retired: list, n: int) -> list[dict]:
     lattice projects injectively onto the columns P, so its HNF there is the
     HNF mod the determinant of the re-reduced projected rows, and each row
     lifts back to Z^n through the kernel."""
+    if not retired:
+        return []
     if len(retired) == n:
         return _hnf_mod_det(retired, n)
     kernel = _rational_kernel(retired, n)
@@ -684,38 +573,33 @@ def hnf(mat) -> np.ndarray:
     return hnf_rows(m.T.copy()).T.copy()
 
 
-def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (H, T, K): H the canonical row-Hermite basis, T with
-    T @ mat giving the basis rows, and K a basis of the left kernel."""
+def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Return (H, K): H the canonical row-Hermite basis of ``mat`` and K
+    the canonical basis of its left kernel {x : x @ mat = 0}.
+
+    Each row carries its own unit vector as an augmentation while the sparse
+    reduction eliminates the main columns.  The rows retired there are
+    triangular on the main columns, so independent, and H is their HNF; the
+    rows whose main part vanished carry a basis of the left kernel in their
+    augmentation.  No transform T with T @ mat == H is returned: it is not
+    unique, and ``left_kernel`` needs only K.  The name stays because the
+    benchmark in ``bench/`` traces this function under it.
+    """
     m = mat if isinstance(mat, np.ndarray) else intmat(mat)
     nrows, ncols = m.shape
     rows = _to_sparse_rows(m)
     for i, r in enumerate(rows):
         r[ncols + i] = 1
-    width = ncols + nrows
     retired, zeroed = _sparse_reduce(rows, ncols)
-    basis, dead = _echelonize([r for _, r in retired], ncols, width)
+    main = [(c, {j: v for j, v in r.items() if j < ncols}) for c, r in retired]
+    h = _dense(_subset_hnf(main, ncols), ncols)
     kernel_rows = [{j - ncols: v for j, v in r.items()} for r in zeroed]
-    kernel_rows += [
-        {j: int(v) for j, v in enumerate(r[ncols:]) if v} for r in dead
-    ]
-    h = zeros(len(basis), ncols)
-    t = zeros(len(basis), nrows)
-    for i, r in enumerate(basis):
-        for j in range(ncols):
-            h[i, j] = int(r[j])
-        for j in range(nrows):
-            t[i, j] = int(r[ncols + j])
-    if kernel_rows:
-        k = hnf_rows(kernel_rows, nrows)
-    else:
-        k = zeros(0, nrows)
-    return h, t, k
+    return h, hnf_rows(kernel_rows, nrows)
 
 
 def left_kernel(mat) -> np.ndarray:
     """Basis (canonical HNF rows) of {x : x @ mat = 0}."""
-    _, _, k = hnf_with_transform(mat)
+    _, k = hnf_with_transform(mat)
     return k
 
 
@@ -1049,11 +933,7 @@ class FpAb:
         expanded on each read."""
         if isinstance(self._rels, np.ndarray):
             return self._rels
-        out = zeros(len(self._rels), self.ngens)
-        for i, r in enumerate(self._rels):
-            for j, v in r.items():
-                out[i, j] = v
-        return out
+        return _dense(self._rels, self.ngens)
 
     @property
     def rel_basis(self) -> np.ndarray:

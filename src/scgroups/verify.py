@@ -320,9 +320,9 @@ def suite_idempotent(ring: Ring, **_) -> list[Check]:
     flat = ctx.rp_flat()
     ok = True
     for g in range(1, ctx.G.order):
-        perm = ctx.refined().act_matrix(g)
+        idx = ctx.refined().act_permutation(g)
         for i in range(sub.lift.shape[0]):
-            if not flat.contains(sub.lift[i] @ perm - sub.lift[i]):
+            if not flat.contains(sub.lift[i][idx] - sub.lift[i]):
                 ok = False
     out.append(Check(f"{ring.label}: G acts trivially on RB", ok))
     return out

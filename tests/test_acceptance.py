@@ -71,28 +71,21 @@ def test_criterion_02_refined_classical_agreement():
     report(2, ok, "rp1, rb, bloch, pre_bloch pairwise iso_odd on the field list")
 
 
-def test_criterion_03_idempotent_theorem():
-    ok = True
-    for q in FIELD_LIST:
-        ctx = context(f"gf({q})")
-        r1 = ctx.rp1()
-        # the operative form of the theorem (through the tilde quotient,
-        # as the source uses it): holds at every q
-        if not iso_odd(ctx.e_plus_rp_tilde(), r1):
-            ok = False
-        # the literal plus-part of RP itself, exactly where <-1> is a
-        # nontrivial square class (see the decisions ledger)
-        if ctx.G.neg_one() != 0:
-            if not iso_odd(ctx.refined().plus_part(ctx.G.neg_one()), r1):
-                ok = False
-    report(3, ok, "e+RP~ iso_odd rp1 on the field list (e+RP too when <-1> != 1)")
-
-
 def report_suite(n: int, suite, labels, text: str):
     """Report criterion n from a verify suite run on each ring, with the
     lines of any failing checks."""
     failed = [c.line() for label in labels for c in suite(parse_ring(label)) if not c.ok]
     report(n, not failed, "; ".join([text] + failed))
+
+
+def test_criterion_03_idempotent_theorem():
+    report_suite(
+        3,
+        verify.suite_idempotent,
+        [f"gf({q})" for q in FIELD_LIST] + ["z/11^2"],
+        "e+RP~ iso_odd rp1 (e+RP too when <-1> != 1), RP_1 -> RP~_1 odd "
+        "iso, G trivial on RB on the field list and Z/121",
+    )
 
 
 def test_criterion_04_special_element_identities():

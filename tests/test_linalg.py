@@ -592,15 +592,6 @@ def test_fpab_sparse_rows_and_repeats():
 # -- the certified path of hnf_rows (inputs taller than the subset) --------------
 
 
-def echelon_oracle(rows, n):
-    """The uncertified path: sparse reduction and the canonical echelon pass
-    over every distinct nonzero row."""
-    sparse = [dict(r) for r in linalg._distinct(linalg._to_sparse_rows(rows)) if r]
-    retired, _ = linalg._sparse_reduce(sparse, n)
-    basis, _ = linalg._echelonize([r for _, r in retired], n, n)
-    return [[int(x) for x in r] for r in basis]
-
-
 def lattice_rows(rng, gens, count, coeff=2):
     """``count`` random small integer combinations of the generator rows."""
     n = len(gens[0])
@@ -668,7 +659,6 @@ def test_certified_hnf_matches_oracle_and_sympy(monkeypatch, kind):
     rounds = count_subset_rounds(monkeypatch)
     got = [[int(x) for x in r] for r in hnf_rows(intmat(rows), n)]
     assert rounds, "the certified path did not run"
-    assert got == echelon_oracle(rows, n)
     assert got == sympy_row_hnf(rows)
     sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
     assert [[int(x) for x in r] for r in hnf_rows(sparse, n)] == got
@@ -692,7 +682,6 @@ def test_certified_hnf_matches_oracle_on_random_tall_inputs(lat):
     n, rows = lat
     assume(len({tuple(r) for r in rows if any(r)}) >= tall(n))
     got = [[int(x) for x in r] for r in hnf_rows(intmat(rows), n)]
-    assert got == echelon_oracle(rows, n)
     assert got == sympy_row_hnf(rows)
 
 
@@ -716,7 +705,7 @@ def test_certified_hnf_grows_a_subset_that_misses_a_rare_generator(monkeypatch, 
     rounds = count_subset_rounds(monkeypatch)
     got = [[int(x) for x in r] for r in hnf_rows([list(r) for r in rows], n)]
     assert len(rounds) >= 2
-    assert got == echelon_oracle([list(r) for r in rows], n)
+    assert got == sympy_row_hnf([list(r) for r in rows])
 
 
 @pytest.mark.parametrize(
@@ -729,7 +718,7 @@ def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
     rng = random.Random(3)
     rows = lattice_rows(rng, [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
     want = [[1, 0, 1], [0, 1, 1], [0, 0, 3]]
-    assert echelon_oracle(rows, 3) == want
+    assert sympy_row_hnf(rows) == want
     step = linalg._hnf_mod_det
 
     def corrupted(retired, n):
@@ -745,3 +734,88 @@ def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
         hnf_rows(rows, 3)
     monkeypatch.setattr(linalg, "_hnf_mod_det", step)
     assert [[int(x) for x in r] for r in hnf_rows(rows, 3)] == want
+
+
+# -- kernels and images against sympy --------------------------------------------
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(m, n, rows) with up to 6 rows and 5 columns; zero entries are
+    frequent and rows often repeat an earlier row (or its negative), so
+    the left kernel is often nontrivial."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.integers(0, 2)) == 0:
+            sign = draw(st.sampled_from([1, -1]))
+            rows.append([sign * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    return m, n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+def test_left_kernel_matches_sympy(mat):
+    m, n, rows = mat
+    k = left_kernel(intmat(rows))
+    assert k.shape == (m - Matrix(rows).rank(), m)
+    assert not (k @ intmat(rows)).any()
+    if k.shape[0]:
+        got = [[int(x) for x in r] for r in k]
+        # canonical HNF, and saturated: a full-rank sublattice of the kernel
+        # with every invariant factor 1 is the whole kernel
+        assert got == sympy_row_hnf(got)
+        assert all(abs(int(d)) == 1 for d in sympy_invariant_factors(Matrix(got), domain=ZZ))
+
+
+def sympy_order(rows, n):
+    """Order of Z^n / (row lattice of rows) from sympy's invariant factors,
+    or None if it is infinite."""
+    if not n:
+        return 1
+    if not rows:
+        return None
+    factors = [abs(int(d)) for d in sympy_invariant_factors(Matrix(rows), domain=ZZ)]
+    nonzero = [d for d in factors if d]
+    return int(np.prod(nonzero, dtype=object)) if len(nonzero) == n else None
+
+
+@st.composite
+def finite_maps(draw):
+    """(source relations, s, target relations, t, matrix): finite groups on
+    up to 3 generators, and a map matrix; every source relation is a
+    multiple of the target's order, so the map respects relations."""
+    t = draw(st.integers(1, 3))
+    # upper triangular with a positive diagonal, then extra rows: finite
+    target = [
+        [0] * i + [draw(st.integers(1, 6))] + [draw(st.integers(-4, 4)) for _ in range(t - i - 1)]
+        for i in range(t)
+    ]
+    target += [[draw(st.integers(-6, 6)) for _ in range(t)] for _ in range(draw(st.integers(0, 2)))]
+    order = sympy_order(target, t)
+    s = draw(st.integers(1, 3))
+    source = [[0] * i + [order * draw(st.integers(1, 3))] + [0] * (s - i - 1) for i in range(s)]
+    source += [[order * draw(st.integers(-3, 3)) for _ in range(s)] for _ in range(draw(st.integers(0, 2)))]
+    matrix = [[draw(st.integers(-6, 6)) for _ in range(t)] for _ in range(s)]
+    return source, s, target, t, matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_maps())
+def test_kernel_and_image_orders_multiply_to_source_order(case):
+    source, s, target, t, matrix = case
+    f = AbMap(FpAb(s, source), FpAb(t, target), matrix)
+    src_order = sympy_order(source, s)
+    # the image is the subgroup of the target generated by the rows of the
+    # matrix: its order is |target| / |target / (rows of the matrix)|
+    im_order = sympy_order(target, t) // sympy_order(target + matrix, t)
+    assert f.source.order() == src_order
+    assert f.image().order() == im_order
+    ker = f.kernel_subgroup()
+    assert ker.group.order() * im_order == src_order
+    for i in range(ker.lift.shape[0]):
+        assert f.target.contains(ker.lift[i] @ f.matrix)
