@@ -153,13 +153,10 @@ class RModPres:
 
     def flat_row(self, rel: dict, translate: int = 0) -> dict:
         """The translate of a (sparse) relation by a group element, as a
-        sparse row {flat index: coefficient}."""
-        return {
-            self.flat_index(g ^ translate, j): c
-            for j, x in rel.items()
-            for g, c in x.items()
-            if c
-        }
+        sparse row {flat index: coefficient}.  Every relation row is built
+        here, so flat_index is inlined."""
+        n = self.ngens
+        return {(g ^ translate) * n + j: c for j, x in rel.items() for g, c in x.items() if c}
 
     def flat_rows(self) -> list[dict]:
         """All G-translates of the defining relations (duplicates kept)."""

@@ -66,13 +66,10 @@ def build_row_complex(ring: Ring) -> RowComplex:
     n1 = m.flat_ngens  # |G| * |W|
     ng = G.order
 
-    pairs = [(x, y) for x, y in ctx.five_term_pairs()]
-    rels = [ctx.y_relation(x, y) for x, y in pairs]
-    d4 = [
-        {m.flat_index(h ^ g, ctx.windex[a]): c for (h, a), c in rel.items()}
-        for g in range(ng)
-        for rel in rels
-    ]
+    pairs = list(ctx.five_term_pairs())
+    # refined() holds Y_{x,y} for these pairs first, in this order
+    rels = m.relations[: len(pairs)]
+    d4 = [m.flat_row(rel, g) for g in range(ng) for rel in rels]
 
     d3 = zeros(n1, ng)
     for i, x in enumerate(W):

@@ -3,13 +3,16 @@ truncated polynomial rings GF(q)[t]/(t^m)) with exact, fully enumerated
 arithmetic: units, the set W = {a : a and 1-a invertible}, the one-units
 U1 = 1 + m, square classes, and residue maps.
 
-All rings in scope are small (at most a few thousand elements), so every
-structure is tabulated once at construction and lookups are O(1).
+All rings in scope are small (at most a few hundred elements).  The
+element list, the inverses of the units, W and U1 are tabulated once at
+construction.  Arithmetic in GF(p^d), d > 1, is a lookup in O(q) Zech-
+logarithm tables; GF(p) and Z/p^n compute modulo an integer, and
+GF(q)[t]/(t^m) multiplies truncated polynomials over its base field.
+Square classes and the unit-group basis are built on request.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -214,7 +217,15 @@ def smallest_irreducible(p: int, d: int) -> tuple:
 
 class GF(Ring):
     """GF(p^d); elements are coefficient tuples over Z/p (degree-1 fields
-    use plain ints)."""
+    use plain ints).
+
+    For d > 1 arithmetic goes through Zech-logarithm tables built from the
+    first primitive element g in canonical order: ``_exp[n] = g^n`` (two
+    periods long, so sums of two logarithms need no reduction), ``_log``
+    its inverse with ``_log[0] = None``, and ``_zech[n] = log(1 + g^n)``
+    (None where 1 + g^n = 0, also two periods long, so that a difference
+    of logarithms indexes it directly, negative indices included).  Then
+    g^i * g^j = g^(i+j) and g^i + g^j = g^(i + Z[j-i])."""
 
     kind = "field"
 
@@ -228,7 +239,32 @@ class GF(Ring):
         self.q = p**d
         self.modulus = smallest_irreducible(p, d) if d > 1 else None
         self.label = f"gf({p})" if d == 1 else f"gf({p}^{d})"
+        if d > 1:
+            self._build_tables()
         super().__init__()
+
+    def _build_tables(self):
+        n = self.q - 1
+        one = self._one()
+        for e in range(1, self.q):
+            g = _decode_poly(e, self.p, self.d)
+            powers = [one]
+            x = g
+            while x != one:
+                powers.append(x)
+                x = _poly_mul_mod(x, g, self.modulus, self.p)
+            if len(powers) == n:
+                break
+        else:
+            raise AssertionError("a finite field has a primitive element")
+        zero = (0,) * self.d
+        self._exp = powers + powers
+        self._log = {x: i for i, x in enumerate(powers)}
+        self._log[zero] = None
+        zech = [self._log[((x[0] + 1) % self.p,) + x[1:]] for x in powers]
+        self._zech = zech + zech
+        # -1 = g^(n/2) in odd characteristic
+        self._half = n // 2 if self.p != 2 else 0
 
     def _enumerate(self):
         if self.d == 1:
@@ -243,35 +279,41 @@ class GF(Ring):
     def add(self, a, b):
         if self.d == 1:
             return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        log = self._log
+        la = log[a]
+        if la is None:
+            return b
+        lb = log[b]
+        if lb is None:
+            return a
+        z = self._zech[lb - la]
+        return self.zero if z is None else self._exp[la + z]
 
     def neg(self, a):
         if self.d == 1:
             return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        la = self._log[a]
+        if la is None or self.p == 2:
+            return a
+        return self._exp[la + self._half]
 
     def mul(self, a, b):
         if self.d == 1:
             return (a * b) % self.p
-        return _poly_mul_mod(a, b, self.modulus, self.p)
+        log = self._log
+        la = log[a]
+        lb = log[b]
+        if la is None or lb is None:
+            return self.zero
+        return self._exp[la + lb]
 
     def _inverse(self, a):
         if self.d == 1:
             return pow(a, -1, self.p) if a % self.p else None
-        if all(x == 0 for x in a):
+        la = self._log[a]
+        if la is None:
             return None
-        # a^(q-2) in the unit group
-        return self.power_nocheck(a, self.q - 2)
-
-    def power_nocheck(self, a, n):
-        out = self._one()
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return self._exp[self.q - 1 - la]
 
     def residue_field(self):
         return self

@@ -10,6 +10,7 @@ inverting 2 go through linalg.iso_odd.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,16 +84,42 @@ class ScissorsContext:
                     yield a, b
 
     # -- classical presentation ----------------------------------------------
+    def _pair_data(self, a):
+        """(a^{-1}, 1 - a, (1 - a)^{-1}, 1 - a^{-1}, (1 - a^{-1})^{-1}, <a>,
+        <a^{-1} - 1>, <1 - a>) for a in W, tabulated once per context."""
+        table = self._cache.get("pair_data")
+        if table is None:
+            ring, cls = self.ring, self.G.class_of
+            one, inv, sub = ring.one, ring.inv, ring.sub
+            table = {}
+            for x in self.W:
+                xi = inv(x)
+                om, omi = sub(one, x), sub(one, xi)
+                table[x] = (xi, om, inv(om), omi, inv(omi), cls(x), cls(sub(xi, one)), cls(om))
+            self._cache["pair_data"] = table
+        try:
+            return table[a]
+        except KeyError:
+            raise ValueError(f"{a!r} is not in W") from None
+
+    def _five_terms(self, a, b) -> tuple:
+        """The five (class, element, sign) terms of Y_{a,b}; X_{a,b} is the
+        same sum with the classes forgotten.  Three ring products."""
+        ai, oma, _, omai, _, ca, c4, c5 = self._pair_data(a)
+        db = self._pair_data(b)
+        mul = self.ring.mul
+        return (
+            (0, a, 1),
+            (0, b, -1),
+            (ca, mul(b, ai), 1),
+            (c4, mul(omai, db[4]), -1),
+            (c5, mul(oma, db[2]), 1),
+        )
+
     def x_relation(self, a, b) -> PBElem:
         """Five-term element X_{a,b} of the free group on W."""
-        ring = self.ring
-        inv = ring.inv
-        one = ring.one
-        t3 = ring.mul(b, inv(a))
-        t4 = ring.mul(ring.sub(one, inv(a)), inv(ring.sub(one, inv(b))))
-        t5 = ring.mul(ring.sub(one, a), inv(ring.sub(one, b)))
         out: PBElem = {}
-        for k, c in ((a, 1), (b, -1), (t3, 1), (t4, -1), (t5, 1)):
+        for _, k, c in self._five_terms(a, b):
             out[k] = out.get(k, 0) + c
         return {k: c for k, c in out.items() if c}
 
@@ -130,8 +157,6 @@ class ScissorsContext:
             for i in range(r):
                 for j in range(r):
                     row = [0] * n
-                    import math
-
                     row[i * r + j] = math.gcd(orders[i], orders[j])
                     rows.append(list(row))
                     row2 = [0] * n
@@ -183,24 +208,9 @@ class ScissorsContext:
                   + <1-a>[(1-a)/(1-b)].
         This is the unique sign choice under which lambda_1 kills every
         relation exactly and the projection to P(A) is defined."""
-        ring, G = self.ring, self.G
-        inv = ring.inv
-        one = ring.one
-        t3 = ring.mul(b, inv(a))
-        t4 = ring.mul(ring.sub(one, inv(a)), inv(ring.sub(one, inv(b))))
-        t5 = ring.mul(ring.sub(one, a), inv(ring.sub(one, b)))
-        c3 = G.class_of(a)
-        c4 = G.class_of(ring.sub(inv(a), one))
-        c5 = G.class_of(ring.sub(one, a))
         out: RPElem = {}
-        for key, c in (
-            ((0, a), 1),
-            ((0, b), -1),
-            ((c3, t3), 1),
-            ((c4, t4), -1),
-            ((c5, t5), 1),
-        ):
-            out[key] = out.get(key, 0) + c
+        for g, k, c in self._five_terms(a, b):
+            out[g, k] = out.get((g, k), 0) + c
         return {k: c for k, c in out.items() if c}
 
     def _relation(self, x: RPElem) -> dict:

@@ -819,3 +819,46 @@ def test_kernel_and_image_orders_multiply_to_source_order(case):
     assert ker.group.order() * im_order == src_order
     for i in range(ker.lift.shape[0]):
         assert f.target.contains(ker.lift[i] @ f.matrix)
+
+
+# -- subquotient against sympy ---------------------------------------------------
+
+
+@st.composite
+def lattice_pairs(draw):
+    """(n, L generators, B, C): a sublattice L of Z^n with basis B (r rows
+    of full rank), spanned by B and further integer combinations of its
+    rows, and a denominator N spanned by the rows of C.B, so N lies in L
+    and L/N = Z^r / (row lattice of C)."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, n))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    basis = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    assume(Matrix(basis).rank() == r)
+    coeff = st.integers(-3, 3)
+    extra = [[draw(coeff) for _ in range(r)] for _ in range(draw(st.integers(0, 2)))]
+    k = draw(st.integers(0, 4))
+    scale = draw(st.integers(1, 3))
+    c = [[scale * draw(coeff) for _ in range(r)] for _ in range(k)]
+
+    def combine(rows):
+        return [[sum(x * b[j] for x, b in zip(row, basis)) for j in range(n)] for row in rows]
+
+    return n, basis + combine(extra), r, c, combine(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pairs())
+def test_subquotient_matches_sympy(case):
+    n, gens, r, c, num = case
+    ker_basis = hnf_rows(gens, n)
+    assert ker_basis.shape == (r, n)
+    g = subquotient(ker_basis, num)
+    if c:
+        diag = [abs(int(d)) for d in sympy_invariant_factors(Matrix(c), domain=ZZ)]
+    else:
+        diag = []
+    nonzero = sorted(d for d in diag if d)
+    assert g.ngens == r
+    assert g.invariant_factors() == tuple(d for d in nonzero if d > 1)
+    assert g.free_rank == r - len(nonzero)

@@ -1,10 +1,13 @@
 import pytest
 
+from scgroups.cli import MAX_RING_SIZE
 from scgroups.rings import (
     GF,
     TruncPoly,
     ZMod,
+    _poly_mul_mod,
     element_orders,
+    is_prime,
     make_ring,
     parse_ring,
     prime_power_decompose,
@@ -80,6 +83,35 @@ def test_field_axioms_spotcheck(ring):
             assert ring.add(a, ring.neg(a)) == ring.zero
     for u in ring.units[:8]:
         assert ring.mul(u, ring.inv(u)) == ring.one
+
+
+EXTENSION_FIELDS = [
+    (p, d) for p in range(2, MAX_RING_SIZE + 1) if is_prime(p) for d in range(2, 8) if p**d <= MAX_RING_SIZE
+]
+
+
+def test_extension_fields_in_scope():
+    sizes = sorted(p**d for p, d in EXTENSION_FIELDS)
+    assert sizes == [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169]
+
+
+@pytest.mark.parametrize("p,d", EXTENSION_FIELDS, ids=lambda v: str(v))
+def test_extension_field_tables_match_polynomial_arithmetic(p, d):
+    """Every sum, negative, difference and product of GF(p^d), read from
+    the Zech-logarithm tables, equals coefficient-wise arithmetic and the
+    product reduced modulo the defining polynomial; inverses invert."""
+    f = GF(p, d)
+    elems = f.elements
+    assert len(elems) == p**d
+    for a in elems:
+        assert f.neg(a) == tuple(-x % p for x in a)
+        for b in elems:
+            assert f.mul(a, b) == _poly_mul_mod(a, b, f.modulus, p)
+            assert f.add(a, b) == tuple((x + y) % p for x, y in zip(a, b))
+            assert f.sub(a, b) == tuple((x - y) % p for x, y in zip(a, b))
+    assert f.units == elems[1:]
+    for u in f.units:
+        assert f.mul(f.inv(u), u) == f.one
 
 
 def test_square_classes_examples():
