@@ -77,12 +77,18 @@ def _ring_of(label: str) -> Ring:
     return parse_ring(label)
 
 
-def _prime_of(p: int) -> int:
-    """The prime of `specialize` and the prime suites of `verify`, refused
-    above MAX_RING_SIZE before the trial division of is_prime runs (both
-    build GF(p) and its presentations)."""
-    if p > MAX_RING_SIZE:
-        raise ValueError(f"--p {p} is more than {MAX_RING_SIZE}")
+# largest p of `tree` and `amalgam`: neither builds anything of size p,
+# but is_prime's trial division runs to sqrt(p): 0.13 s at 10^12, 0.8 s
+# at 10^14, and about 100 times that at 10^18
+MAX_TREE_PRIME = 10**12
+
+
+def _prime_of(p: int, cap: int = MAX_RING_SIZE) -> int:
+    """The prime of a command, refused above cap before the trial division
+    of is_prime runs.  The default cap is for `specialize` and the prime
+    suites of `verify`, which build GF(p) and its presentations."""
+    if p > cap:
+        raise ValueError(f"--p {p} is more than {cap}")
     return p
 
 
@@ -394,7 +400,7 @@ def cmd_specialize(args) -> int:
 
 def cmd_tree(args) -> int:
     # canonical_vertex runs in hot loops and leaves p unchecked
-    if not is_prime(args.p):
+    if not is_prime(_prime_of(args.p, MAX_TREE_PRIME)):
         raise ValueError(f"--p {args.p} is not prime")
     if args.sub == "ball":
         _check_ball(args.p, args.radius)
@@ -417,6 +423,8 @@ def cmd_tree(args) -> int:
         _emit(rep, args.format)
         return 0
     if args.sub == "vertex":
+        if args.matrix is None:
+            raise ValueError("tree vertex needs --matrix")
         m = parse_matrix_arg(args.matrix)
         key = tree.canonical_vertex(m, args.p)
         _emit({"p": args.p, "a": key.a, "c": str(key.c)}, args.format)
@@ -426,7 +434,7 @@ def cmd_tree(args) -> int:
 
 def cmd_amalgam(args) -> int:
     g = parse_matrix_arg(args.matrix)
-    word = tree.amalgam_decompose(g, args.p)
+    word = tree.amalgam_decompose(g, _prime_of(args.p, MAX_TREE_PRIME))
     rep = {
         "p": args.p,
         "matrix": _mat_str(g),

@@ -205,7 +205,7 @@ class RModPres:
         mult = self.act_matrix(g)
         for i in range(self.flat_ngens):
             mult[i, i] += sign
-        f = AbMap(flat, flat, mult, check=False)
+        f = AbMap(flat, flat, mult)
         return f.image()
 
     def plus_part(self, g: int) -> FpAb:

@@ -1070,7 +1070,6 @@ class SubgroupPres:
 
     group: FpAb
     lift: np.ndarray
-    ambient: FpAb
     _echelon: Optional[SparseEchelon] = field(default=None, repr=False, compare=False)
 
     def solve(self, v) -> Optional[np.ndarray]:
@@ -1087,19 +1086,19 @@ class AbMap:
     relations land in the target relation lattice.
     """
 
-    def __init__(self, source: FpAb, target: FpAb, matrix, check: bool = True):
+    def __init__(self, source: FpAb, target: FpAb, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix if isinstance(matrix, np.ndarray) else intmat(matrix)
         if self.matrix.shape != (source.ngens, target.ngens):
             raise ValueError("map matrix has wrong shape")
-        if check:
-            basis = source.rel_basis
-            for i in range(basis.shape[0]):
-                if not target.contains(basis[i] @ self.matrix):
-                    raise ValueError(
-                        f"map does not respect relations (reduced relation {i})"
-                    )
+        # the relations land in the target lattice iff the target's quotient
+        # map kills their images: compose that map with the matrix once
+        moduli, _ = target._projection()
+        images = [[(k, a) for k, a in enumerate(target._image(row)) if a] for row in self.matrix]
+        for i, rel in enumerate(source.rel_basis):
+            if any(_project((moduli, images), _entries(rel))):
+                raise ValueError(f"map does not respect relations (reduced relation {i})")
 
     def preimage_lattice(self) -> np.ndarray:
         """Basis of {x in Z^m : x @ matrix lies in the target lattice}."""
@@ -1123,16 +1122,13 @@ class AbMap:
                 raise AssertionError("source relations must lie in the preimage")
             rels.append(c)
         grp = FpAb(lift.shape[0], np.vstack(rels) if rels else None)
-        return SubgroupPres(group=grp, lift=lift, ambient=self.source, _echelon=ech)
+        return SubgroupPres(group=grp, lift=lift, _echelon=ech)
 
     def kernel(self) -> FpAb:
         return self.kernel_subgroup().group
 
     def image(self) -> FpAb:
         return FpAb(self.source.ngens, self.preimage_lattice())
-
-    def apply(self, v) -> np.ndarray:
-        return _obj_row(v) @ self.matrix
 
 
 def ab_quotient(g: FpAb, sub) -> FpAb:

@@ -261,9 +261,7 @@ class ScissorsContext:
     def lambda1_map(self) -> AbMap:
         if "lam1map" not in self._cache:
             target = FpAb(self.G.order)
-            self._cache["lam1map"] = AbMap(
-                self.rp_flat(), target, self.lambda1_matrix(), check=True
-            )
+            self._cache["lam1map"] = AbMap(self.rp_flat(), target, self.lambda1_matrix())
         return self._cache["lam1map"]
 
     def lambda1_of(self, x: RPElem) -> RElem:
@@ -311,7 +309,7 @@ class ScissorsContext:
                 else zeros(0, n1 + s2.ngens),
             )
             mat = np.hstack([self.lambda1_matrix(), self.lambda2_matrix()])
-            f = AbMap(self.rp_flat(), stacked_target, mat, check=False)
+            f = AbMap(self.rp_flat(), stacked_target, mat)
             self._cache["RB"] = f.kernel_subgroup()
         return self._cache["RB"]
 
@@ -433,7 +431,6 @@ class ScissorsContext:
         rp_tilde: FpAb
         rp1_tilde: SubgroupPres
         rb_tilde: SubgroupPres
-        lam1_target_rels: np.ndarray
 
     def tilde(self) -> "ScissorsContext.TildeBundle":
         if "tilde" not in self._cache:
@@ -442,19 +439,17 @@ class ScissorsContext:
             rp = self.rp_flat()
             k1 = self.k1_rows()
             rp_tilde = FpAb(rp.ngens, np.vstack([rp.rel_basis] + k1))
-            ppi = intmat(self.p_plus_ideal_rows())
-            lam1_target = FpAb(self.G.order, ppi)
-            f1 = AbMap(rp_tilde, lam1_target, self.lambda1_matrix(), check=False)
+            lam1_target = FpAb(self.G.order, intmat(self.p_plus_ideal_rows()))
+            f1 = AbMap(rp_tilde, lam1_target, self.lambda1_matrix())
             rp1_tilde = f1.kernel_subgroup()
             s2t = self.s2_tilde()
-            f2 = AbMap(rp_tilde, s2t, self.lambda2_matrix(), check=False)
+            f2 = AbMap(rp_tilde, s2t, self.lambda2_matrix())
             rb_tilde = f2.kernel_subgroup()
             self._cache["tilde"] = self.TildeBundle(
                 p_tilde=p_tilde,
                 rp_tilde=rp_tilde,
                 rp1_tilde=rp1_tilde,
                 rb_tilde=rb_tilde,
-                lam1_target_rels=ppi,
             )
         return self._cache["tilde"]
 

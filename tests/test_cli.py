@@ -249,6 +249,45 @@ def test_oversized_prime_rejected_before_primality_test(capsys, monkeypatch, arg
     assert err.startswith("error:") and f"more than {cli.MAX_RING_SIZE}" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tree", "vertex", "--p", HUGE_PRIME, "--matrix", "1,0;0,1"],
+        ["tree", "ball", "--p", HUGE_PRIME, "--radius", "0"],
+        ["amalgam", "--p", HUGE_PRIME, "--matrix", "1,0;0,1"],
+    ],
+)
+def test_oversized_tree_prime_rejected_before_primality_test(capsys, monkeypatch, args):
+    import scgroups.rings
+
+    def refuse(*args):
+        raise AssertionError("p must be refused before the trial division")
+
+    for module in (cli, scgroups.rings, cli.tree):
+        monkeypatch.setattr(module, "is_prime", refuse)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cli.MAX_TREE_PRIME}" in err
+
+
+def test_tree_vertex_without_matrix_is_usage_error(capsys):
+    code, out, err = run_cli(["tree", "vertex", "--p", "7"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--matrix" in err
+
+
+@pytest.mark.parametrize("q", [verify.MAX_EXACTNESS_Q + 2, 49, 10**18])
+def test_oversized_exactness_q_rejected_before_any_tuple(capsys, monkeypatch, q):
+    def refuse(*args):
+        raise AssertionError("no tuple may be built for this q")
+
+    monkeypatch.setattr(verify.orbitcomplex, "simplicial_homology_vanishes", refuse)
+    monkeypatch.setattr(verify, "prime_power_decompose", refuse)
+    code, out, err = run_cli(["verify", "exactness-sanity", "--q", str(q)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {verify.MAX_EXACTNESS_Q}" in err
+
+
 def test_jobs_zero_is_usage_error(capsys):
     code, _, err = run_cli(["verify-all", "--jobs", "0"], capsys)
     assert code == 2 and "error:" in err

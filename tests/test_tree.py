@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from scgroups.tree import (
     ball,
     ball_is_tree,
     ball_size_formula,
+    base_coset,
     canonical_vertex,
     distance,
     dot_output,
@@ -26,6 +28,7 @@ from scgroups.tree import (
     in_g1,
     lambda0,
     lambda1,
+    lambda1_coset,
     mat2,
     mat_det,
     mat_inv,
@@ -33,6 +36,7 @@ from scgroups.tree import (
     mat_scale,
     neighbors,
     standard_decomposition,
+    step_toward,
 )
 from scgroups.valuation import vp
 
@@ -67,6 +71,42 @@ def test_canonical_vertex_is_class_invariant():
         assert canonical_vertex(mat_scale(Fraction(3), m), p) == key
         # round trip through the key's own basis matrix
         assert canonical_vertex(key.matrix(p), p) == key
+
+
+def _distance_by_matrix(m1_inv, m2, p):
+    """Oracle for the closed form: |difference of the p-valuations of the
+    two invariant factors| of the change-of-basis matrix m1^-1 m2 between
+    the key bases."""
+    n = mat_mul(m1_inv, m2)
+    d1 = min(vp(x, p) for row in n for x in row if x != 0)
+    d2 = vp(mat_det(n), p) - d1
+    return abs(d2 - d1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_distance_and_step_on_ball_pairs(p):
+    verts = list(ball(p, 3)[0])
+    nbrs = {v: neighbors(v, p) for v in verts}
+    mats = {v: v.matrix(p) for v in verts}
+    for v in verts:
+        m_inv = mat_inv(mats[v])
+        for t in verts:
+            d = distance(v, t, p)
+            assert d == _distance_by_matrix(m_inv, mats[t], p)
+            if d:
+                u = step_toward(v, t, p)
+                assert u in nbrs[v]
+                assert distance(u, t, p) == d - 1
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 40) if all(p % i for i in range(2, p))])
+def test_cosets_carry_the_edge_onto_each_neighbor(p):
+    for v in neighbors(lambda0(), p):
+        h = base_coset(v)
+        assert in_g0(h, p) and act(h, lambda1(), p) == v
+    for v in neighbors(lambda1(), p):
+        q = lambda1_coset(v, p)
+        assert in_g1(q, p) and act(q, lambda0(), p) == v
 
 
 def test_distance_examples():
@@ -316,6 +356,32 @@ def _random_sl2_zp_inv(rng, p, max_den_pow=3):
             e = mat2(1, 0, x, 1)
         g = mat_mul(g, e)
     return g
+
+
+# sha256 of the factor lists below, taken from the decomposition that
+# scanned the neighbours with the matrix distance and read its cosets from
+# per-prime tables
+AMALGAM_GOLDEN = "d4785ff8628d70955471344cb7954b66b19e86fb9cf76647e717b5a1f205c248"
+
+
+def test_amalgam_words_match_golden_digest():
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 7, 11, 13):
+        rng = random.Random(p)
+        for _ in range(50):
+            g = _random_sl2_zp_inv(rng, p, max_den_pow=4)
+            for m, s in amalgam_decompose(g, p).factors:
+                digest.update(f"{s}:{m}|".encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == AMALGAM_GOLDEN
+
+
+def test_amalgam_at_a_large_prime():
+    # nothing of size p is built: the walk reads its cosets off the keys
+    p = 1000000007
+    g = mat2(1, Fraction(1, p), 0, 1)
+    w = amalgam_decompose(g, p)
+    assert w.validate(g) and len(w) == 3
 
 
 def test_amalgam_rejects_bad_input():
