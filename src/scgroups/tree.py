@@ -4,7 +4,6 @@ action with its edge-orientation sign, the standard factor decomposition,
 amalgam decomposition of SL2(Z[1/p]) matrices, and the congruence-subgroup
 membership tests.
 
-Matrices are 2x2 tuples of Fractions (columns are the lattice basis).
 Vertex keys are pairs (a, c) encoding the class of the lattice spanned by
 (p^a, 0) and (c, 1); a may be any integer and c is a rational in
 [0, p^a) whose denominator is a power of p, which is exactly what is
@@ -13,18 +12,35 @@ c + p^a Z_p of Q_p, and the tree is the tree of these balls under
 inclusion (Serre, *Trees*, 1980, Ch. II.1): the neighbours of a ball are
 its p children and its parent.  So distances, the step along a path and
 the amalgam walk's coset representatives are formulas in (a, c).
+
+The public functions take and return matrices as 2x2 tuples of Fractions
+(columns are the lattice basis), which covers all of GL2(Q), and keys as
+VertexKey(a, c) with c a Fraction.  Inside, everything is integers.  An
+element of M2(Z[1/p]) is a tuple (a, b, c, d, e) meaning
+[[a, b], [c, d]] / p^e, normalized so that e = 0 or p does not divide all
+four entries, so equal matrices have equal tuples; an SL2 element has
+ad - bc = p^(2e) and its inverse is the adjugate with the same e.  A key
+is (a, n, j) with c = n / p^j and p not dividing n when j > 0.  The
+amalgam walk, its word normalization and its validation run on these
+tuples.  Fraction converts only at the edge: `_mat_in` reads a matrix in
+(refusing entries outside Z[1/p]), `_cleared` clears every denominator of
+a rational matrix by a homothety for the key functions, and `_mat_out`
+and `_key_out` build the returned factors and keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .rings import is_prime
-from .valuation import vp
+from .valuation import vp, vp_int
 
 Mat2 = tuple  # ((a, b), (c, d)) rows of Fractions
+IMat = tuple  # (a, b, c, d, e): the integer matrix [[a, b], [c, d]] over p^e
+IKey = tuple  # (a, n, j): the key (a, n / p^j)
 
 
 def mat2(a, b, c, d) -> Mat2:
@@ -50,11 +66,6 @@ def mat_inv(x: Mat2) -> Mat2:
     return ((d / det, -b / det), (-c / det, a / det))
 
 
-def mat_neg(x: Mat2) -> Mat2:
-    (a, b), (c, d) = x
-    return ((-a, -b), (-c, -d))
-
-
 def mat_scale(s, x: Mat2) -> Mat2:
     s = Fraction(s)
     (a, b), (c, d) = x
@@ -68,7 +79,54 @@ def g_pi(p: int) -> Mat2:
     return mat2(0, -1, p, 0)
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# integer matrices over a power of p, and the conversions at the edge
+
+I_IDENT = (1, 0, 0, 1, 0)
+I_NEG = (-1, 0, 0, -1, 0)
+I_ROT = (0, -1, 1, 0, 0)
+
+
+def _cleared(m: Mat2) -> tuple[int, int, int, int, int]:
+    """(A, B, C, D, L) with m = [[A, B], [C, D]] / L and L the least common
+    denominator of the entries."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for row in m for x in row]
+    den = math.lcm(*(x.denominator for x in xs))
+    return (*(x.numerator * (den // x.denominator) for x in xs), den)
+
+
+# words share their repeated factors, the coset representatives, as
+# objects: fresh Fractions for every factor held 4 MB more over the 1200
+# words of the tree benchmark; 128 entries keep the cosets in use
+@lru_cache(maxsize=128)
+def _mat_out(m: IMat, p: int) -> Mat2:
+    a, b, c, d, e = m
+    pe = p**e
+    return ((Fraction(a, pe), Fraction(b, pe)), (Fraction(c, pe), Fraction(d, pe)))
+
+
+def _imul(x: IMat, y: IMat, p: int) -> IMat:
+    a, b, c, d, e = x
+    a2, b2, c2, d2, e2 = y
+    a, b, c, d = a * a2 + b * c2, a * b2 + b * d2, c * a2 + d * c2, c * b2 + d * d2
+    e += e2
+    while e and not (a % p or b % p or c % p or d % p):
+        a, b, c, d, e = a // p, b // p, c // p, d // p, e - 1
+    return (a, b, c, d, e)
+
+
+def _iinv(x: IMat) -> IMat:
+    """Inverse of an SL2 element: det = p^(2e), so the adjugate over p^e."""
+    a, b, c, d, e = x
+    return (d, -b, -c, a, e)
+
+
+def _ineg(x: IMat) -> IMat:
+    a, b, c, d, e = x
+    return (-a, -b, -c, -d, e)
+
+
+@dataclass(frozen=True, slots=True)
 class VertexKey:
     """Canonical key of a homothety class: lattice spanned by (p^a, 0)
     and (c, 1)."""
@@ -88,52 +146,74 @@ class VertexKey:
         return f"({self.a},{self.c})"
 
 
-def _reduce_mod_power(c: Fraction, a: int, p: int) -> Fraction:
-    """Canonical representative of c + p^a Z_(p) in [0, p^a) with a power
-    of p as denominator."""
-    if c == 0:
-        return Fraction(0)
-    v = vp(c, p)
-    if v >= a:
-        return Fraction(0)
-    j = max(0, -v)
-    # write c = t / (u p^j) with p not dividing u; invert u modulo p^(a+j)
-    num, den = c.numerator, c.denominator
-    pj = p**j
-    u = den // pj if den % pj == 0 else None
-    if u is None:
-        raise AssertionError("denominator bookkeeping is off")
+def _key_in(v: VertexKey, p: int) -> IKey:
+    den = v.c.denominator
+    j = vp_int(den, 1, p)
+    if den != p**j:
+        raise ValueError(f"key {v} has a denominator that is not a power of {p}")
+    return (v.a, v.c.numerator, j)
+
+
+def _key_out(k: IKey, p: int) -> VertexKey:
+    a, n, j = k
+    return VertexKey(a, Fraction(n, p**j))
+
+
+def _reduce_mod_power(n: int, j: int, a: int, p: int) -> tuple[int, int]:
+    """(s, i) with s / p^i the canonical representative of n / p^j +
+    p^a Z_p: in [0, p^a), and p not dividing s when i > 0."""
+    if a + j <= 0:
+        return (0, 0)
     mod = p ** (a + j)
-    s = (num * pow(u, -1, mod)) % mod
-    out = Fraction(s, pj)
-    return out
+    s = n % mod
+    while j and s % p == 0:
+        s //= p
+        j -= 1
+    return (s, j)
+
+
+def _ikey(m11: int, m12: int, m21: int, m22: int, vdet: int, p: int) -> IKey:
+    """Key of the class of the columns of an integer matrix whose
+    determinant has p-valuation vdet."""
+    # pivot on the bottom entry of least valuation, kept in column 2
+    if m22 == 0 or (m21 != 0 and vp_int(m21, 1, p) < vp_int(m22, 1, p)):
+        m11, m12, m21, m22 = m12, m11, m22, m21
+    # clearing m21 leaves column 1 as (det / m22, 0); dividing column 2 by
+    # the unit u = m22 / p^w and the lattice by p^w (homothety) gives the
+    # basis (det / (m22 p^w), 0), (m12 / m22, 1)
+    w = vp_int(m22, 1, p)
+    a = vdet - 2 * w
+    # c = m12 / (u p^w) mod p^a; a + w = vdet - w >= 0 for an integer matrix
+    u = m22 // p**w
+    return (a, *_reduce_mod_power(m12 * pow(u, -1, p ** (a + w)), w, a, p))
+
+
+def _ikey_of(m: IMat, p: int) -> IKey:
+    """Key of the class of the columns of an SL2 element: its integer
+    matrix has determinant p^(2e)."""
+    a, b, c, d, e = m
+    return _ikey(a, b, c, d, 2 * e, p)
+
+
+def _integral_basis(m: Mat2, p: int) -> tuple[int, int, int, int, int]:
+    """(m11, m12, m21, m22, v_p(det)) of m with its denominators cleared,
+    a homothety that keeps the class."""
+    m11, m12, m21, m22, _ = _cleared(m)
+    det = m11 * m22 - m12 * m21
+    if det == 0:
+        raise ValueError("singular matrix")
+    return m11, m12, m21, m22, vp_int(det, 1, p)
 
 
 def canonical_vertex(m: Mat2, p: int) -> VertexKey:
     """Canonical key of the class of the lattice with basis the columns
     of m (Hermite-style reduction over Z_(p) plus homothety scaling)."""
-    if mat_det(m) == 0:
-        raise ValueError("singular matrix")
-    (m11, m12), (m21, m22) = m
-    # pivot on the bottom entry of minimal valuation, kept in column 2
-    if m22 == 0 or (m21 != 0 and vp(m21, p) < vp(m22, p)):
-        m11, m12 = m12, m11
-        m21, m22 = m22, m21
-    # clear the bottom of column 1 (the quotient is a p-adic integer)
-    q = m21 / m22
-    m11 = m11 - q * m12
-    m21 = Fraction(0)
-    # unit-normalize column 2 to (m12 / m22, 1): divide it by the unit
-    # m22 / p^w and the lattice by p^w (homothety)
-    m11 = m11 / Fraction(p) ** vp(m22, p)
-    m12 = m12 / m22
-    # unit-normalize column 1 to a power of p
-    a = vp(m11, p)
-    c = _reduce_mod_power(m12, a, p)
-    return VertexKey(a=a, c=c)
+    return _key_out(_ikey(*_integral_basis(m, p), p), p)
 
 
 LAMBDA0 = VertexKey(0, Fraction(0))
+K0 = (0, 0, 0)
+K1 = (1, 0, 0)
 
 
 def lambda0() -> VertexKey:
@@ -144,19 +224,23 @@ def lambda1() -> VertexKey:
     return VertexKey(1, Fraction(0))
 
 
-def _parent(v: VertexKey, p: int) -> VertexKey:
+def _parent(k: IKey, p: int) -> IKey:
     """The ball of radius p^-(a-1) around the ball (a, c)."""
-    return VertexKey(v.a - 1, _reduce_mod_power(v.c, v.a - 1, p))
+    a, n, j = k
+    return (a - 1, *_reduce_mod_power(n, j, a - 1, p))
 
 
 def distance(v1: VertexKey, v2: VertexKey, p: int) -> int:
     """The path between the balls c1 + p^a1 Z_p and c2 + p^a2 Z_p climbs to
     the smallest ball holding both, of radius p^-m with m = min(a1, a2,
     v_p(c1 - c2)), so its length is a1 + a2 - 2m (Serre, *Trees*, II.1)."""
-    m = min(v1.a, v2.a)
-    if v1.c != v2.c:
-        m = min(m, vp(v1.c - v2.c, p))
-    return v1.a + v2.a - 2 * m
+    (a1, n1, j1), (a2, n2, j2) = _key_in(v1, p), _key_in(v2, p)
+    m = min(a1, a2)
+    if (n1, j1) != (n2, j2):
+        # c1 - c2 over the common denominator p^j
+        j = max(j1, j2)
+        m = min(m, vp_int(n1 * p ** (j - j1) - n2 * p ** (j - j2), 1, p) - j)
+    return a1 + a2 - 2 * m
 
 
 def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
@@ -171,24 +255,35 @@ def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
     num, den = c.numerator * sd, c.denominator * sd
     inc = sn * c.denominator
     out = [VertexKey(a + 1, Fraction(num + j * inc, den)) for j in range(p)]
-    out.append(_parent(v, p))
+    out.append(_key_out(_parent(_key_in(v, p), p), p))
     if len(set(out)) != p + 1:
         raise AssertionError("neighbor keys must be distinct")
     return out
 
 
-def step_toward(v: VertexKey, t: VertexKey, p: int) -> VertexKey:
-    """The neighbour of v on the path to t != v: the child ball of v that
-    holds t, or else v's parent."""
-    if t.a > v.a and (t.c == v.c or vp(t.c - v.c, p) >= v.a):
-        return VertexKey(v.a + 1, _reduce_mod_power(t.c, v.a + 1, p))
+def _step_toward(v: IKey, t: IKey, p: int) -> IKey:
+    """step_toward on integer keys."""
+    a, n, j = v
+    if t[0] > a and _reduce_mod_power(t[1], t[2], a, p) == (n, j):
+        return (a + 1, *_reduce_mod_power(t[1], t[2], a + 1, p))
     return _parent(v, p)
 
 
+def step_toward(v: VertexKey, t: VertexKey, p: int) -> VertexKey:
+    """The neighbour of v on the path to t != v: the child ball of v that
+    holds t, or else v's parent."""
+    return _key_out(_step_toward(_key_in(v, p), _key_in(t, p), p), p)
+
+
 def act(g: Mat2, v: VertexKey, p: int) -> VertexKey:
-    if mat_det(g) == 0:
-        raise ValueError("singular matrix")
-    return canonical_vertex(mat_mul(g, v.matrix(p)), p)
+    """The class of g applied to the key's basis (p^a, 0), (c, 1), scaled
+    by p^i to integers."""
+    m11, m12, m21, m22, vdet = _integral_basis(g, p)
+    a, n, j = _key_in(v, p)
+    i = max(j, -a)
+    x, y, z = p ** (a + i), n * p ** (i - j), p**i
+    vdet += a + 2 * i
+    return _key_out(_ikey(m11 * x, m11 * y + m12 * z, m21 * x, m21 * y + m22 * z, vdet, p), p)
 
 
 def epsilon(g: Mat2, p: int) -> int:
@@ -218,28 +313,76 @@ def standard_decomposition(g: Mat2, p: int) -> tuple[int, Mat2, Fraction, int]:
 # amalgam decomposition
 
 
+def _in_g0(m: IMat, den: int) -> bool:
+    """SL2(Z_(p)) membership of m = (a, b, c, d, e) over den, where p^e is
+    the p-part of den and some entry is prime to p when e > 0: the entries
+    are p-integral iff e = 0."""
+    a, b, c, d, e = m
+    return e == 0 and a * d - b * c == den * den
+
+
+def _in_g1(m: IMat, den: int, p: int) -> bool:
+    """in_g1 on the same form: v_p(a), v_p(d) >= e, v_p(b) >= e + 1 and
+    v_p(c) >= e - 1."""
+    a, b, c, d, e = m
+    pe = p**e
+    return (
+        a * d - b * c == den * den
+        and a % pe == 0
+        and d % pe == 0
+        and b % (pe * p) == 0
+        and (e == 0 or c % (pe // p) == 0)
+    )
+
+
+def _local_form(g: Mat2, p: int) -> tuple[IMat, int]:
+    """(a, b, c, d, v_p(den)) and den, for g = [[a, b], [c, d]] / den with
+    den the least common denominator."""
+    *entries, den = _cleared(g)
+    return (*entries, vp_int(den, 1, p)), den
+
+
+def _mat_in(g: Mat2, p: int) -> IMat:
+    """The integer form of a matrix with entries in Z[1/p]; the least
+    common denominator leaves some entry prime to p when e > 0, so the form
+    is normalized."""
+    m, den = _local_form(g, p)
+    if den != p ** m[4]:
+        raise ValueError("entries must lie in Z[1/p]")
+    return m
+
+
 def in_g0(g: Mat2, p: int) -> bool:
     """SL2(Z_(p)) membership."""
-    if mat_det(g) != 1:
-        return False
-    return all(x == 0 or vp(x, p) >= 0 for row in g for x in row)
+    return _in_g0(*_local_form(g, p))
 
 
 def in_g1(g: Mat2, p: int) -> bool:
     """Membership in {[[a, bp], [c/p, d]] : [[a,b],[c,d]] in SL2(Z_(p))},
     the stabilizer of the vertex (1, 0)."""
-    if mat_det(g) != 1:
-        return False
-    (a, b), (c, d) = g
-    ok_a = a == 0 or vp(a, p) >= 0
-    ok_d = d == 0 or vp(d, p) >= 0
-    ok_b = b == 0 or vp(b, p) >= 1
-    ok_c = c == 0 or vp(c, p) >= -1
-    return ok_a and ok_b and ok_c and ok_d
+    return _in_g1(*_local_form(g, p), p)
 
 
 G0_SIDE = 0
 G1_SIDE = 1
+
+
+def _product(factors: list, p: int) -> IMat:
+    out = I_IDENT
+    for m, _ in factors:
+        out = _imul(out, m, p)
+    return out
+
+
+def _word_ok(factors: list, g: IMat, p: int) -> bool:
+    """The integer factors multiply to g, alternate sides and each lies in
+    its side."""
+    if _product(factors, p) != g:
+        return False
+    sides = [s for _, s in factors]
+    if any(s1 == s2 for s1, s2 in zip(sides, sides[1:])):
+        return False
+    return all(_in_g0(m, 1) if s == G0_SIDE else _in_g1(m, p ** m[4], p) for m, s in factors)
 
 
 @dataclass
@@ -250,11 +393,11 @@ class AmalgamWord:
     factors: list  # (Mat2, side)
     p: int
 
+    def _int_factors(self) -> list:
+        return [(_mat_in(m, self.p), s) for m, s in self.factors]
+
     def product(self) -> Mat2:
-        out = IDENT
-        for m, _ in self.factors:
-            out = mat_mul(out, m)
-        return out
+        return _mat_out(_product(self._int_factors(), self.p), self.p)
 
     def sides(self) -> list[int]:
         return [s for _, s in self.factors]
@@ -263,54 +406,38 @@ class AmalgamWord:
         return len(self.factors)
 
     def validate(self, g: Mat2) -> bool:
-        if self.product() != g:
+        try:
+            return _word_ok(self._int_factors(), _mat_in(g, self.p), self.p)
+        except ValueError:
             return False
-        sides = self.sides()
-        if any(s1 == s2 for s1, s2 in zip(sides, sides[1:])):
-            return False
-        for m, s in self.factors:
-            if not (in_g0(m, self.p) if s == G0_SIDE else in_g1(m, self.p)):
-                return False
-        return True
 
 
-def _is_p_integral(g: Mat2, p: int) -> bool:
-    """Entries have no primes other than p in their denominators."""
-    for row in g:
-        for x in row:
-            den = Fraction(x).denominator
-            while den % p == 0:
-                den //= p
-            if den != 1:
-                return False
-    return True
+def _base_coset(a: int, n: int) -> IMat:
+    return I_ROT if a < 0 else (1, n, 0, 1, 0)
 
 
-# the coset caches are bounded, not tables of size p; they let the words
-# share their coset factors (fresh copies held 3.7 MB more over 1200
-# words at p = 5, 7 and 11)
-@lru_cache(maxsize=1024)
 def base_coset(v: VertexKey) -> Mat2:
     """The h in SL2(Z) with h (1, 0) = v, for a neighbour v of the base
     vertex: [[1, j], [0, 1]] for the child (1, j), the rotation for the
     parent (-1, 0)."""
-    if v.a < 0:
-        return mat2(0, -1, 1, 0)
-    return mat2(1, v.c, 0, 1)
+    return mat2(*_base_coset(v.a, v.c.numerator)[:4])
 
 
-@lru_cache(maxsize=1024)
+def _lambda1_coset(a: int, n: int, p: int) -> IMat:
+    if a == 0:
+        return I_IDENT
+    j = n // p
+    if j == 0:
+        return (0, -p * p, 1, 0, 1)
+    return (p, 0, pow(j, -1, p), p, 1)
+
+
 def lambda1_coset(v: VertexKey, p: int) -> Mat2:
     """The q in the stabilizer of (1, 0) with q (0, 0) = v, for a neighbour
     v of (1, 0): the identity for the parent (0, 0), and for the child
     (2, j p) the conjugate by diag(p, 1) of the rotation (j = 0) or of
     [[1, 0], [j^-1 mod p, 1]]."""
-    if v.a == 0:
-        return IDENT
-    j = int(v.c) // p
-    if j == 0:
-        return mat2(0, -p, Fraction(1, p), 0)
-    return mat2(1, 0, Fraction(pow(j, -1, p), p), 1)
+    return _mat_out(_lambda1_coset(v.a, v.c.numerator, p), p)
 
 
 def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
@@ -318,31 +445,28 @@ def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     of the geodesic from the base vertex to g * base, until g fixes it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    g = tuple((Fraction(x), Fraction(y)) for x, y in g)
-    if mat_det(g) != 1:
+    m11, m12, m21, m22, den = _cleared(g)
+    if m11 * m22 - m12 * m21 != den * den:
         raise ValueError("determinant must be 1")
-    if not _is_p_integral(g, p):
-        raise ValueError("entries must lie in Z[1/p]")
-    lam1 = lambda1()
+    g = _mat_in(g, p)
     factors = []
     w = g
     # w * base is the class of the columns of w, the base basis being I
-    while (target := canonical_vertex(w, p)) != LAMBDA0:
-        h = base_coset(step_toward(LAMBDA0, target, p))
-        w = mat_mul(mat_inv(h), w)
-        q = lambda1_coset(step_toward(lam1, canonical_vertex(w, p), p), p)
-        w = mat_mul(mat_inv(q), w)
+    while (target := _ikey_of(w, p)) != K0:
+        h = _base_coset(*_step_toward(K0, target, p)[:2])
+        w = _imul(_iinv(h), w, p)
+        q = _lambda1_coset(*_step_toward(K1, _ikey_of(w, p), p)[:2], p)
+        w = _imul(_iinv(q), w, p)
         factors += [(h, G0_SIDE), (q, G1_SIDE)]
     factors.append((w, G0_SIDE))
     factors = _normalize_word(factors, p)
-    word = AmalgamWord(factors=factors, p=p)
-    if not word.validate(g):
+    if not _word_ok(factors, g, p):
         raise AssertionError("amalgam decomposition failed to validate")
-    return word
+    return AmalgamWord(factors=[(_mat_out(m, p), s) for m, s in factors], p=p)
 
 
-def _in_edge_group(m: Mat2, p: int) -> bool:
-    return in_g0(m, p) and in_g1(m, p)
+def _in_edge_group(m: IMat, p: int) -> bool:
+    return _in_g0(m, 1) and _in_g1(m, 1, p)
 
 
 def _normalize_word(factors: list, p: int) -> list:
@@ -353,14 +477,14 @@ def _normalize_word(factors: list, p: int) -> list:
     pending_neg = False
     for m, s in factors:
         if pending_neg:
-            m = mat_neg(m)
+            m = _ineg(m)
             pending_neg = False
-        if m == IDENT:
+        if m == I_IDENT:
             continue
-        if m == mat_neg(IDENT):
+        if m == I_NEG:
             if work:
                 pm, ps = work[-1]
-                work[-1] = (mat_neg(pm), ps)
+                work[-1] = (_ineg(pm), ps)
             else:
                 pending_neg = True
             continue
@@ -368,27 +492,27 @@ def _normalize_word(factors: list, p: int) -> list:
     if pending_neg:
         if work:
             m, s = work[0]
-            work[0] = (mat_neg(m), s)
+            work[0] = (_ineg(m), s)
         else:
-            work = [(mat_neg(IDENT), G0_SIDE)]
+            work = [(I_NEG, G0_SIDE)]
     if not work:
-        return [(IDENT, G0_SIDE)]
+        return [(I_IDENT, G0_SIDE)]
     out = []
     for m, s in work:
         if out and _in_edge_group(m, p):
             pm, ps = out[-1]
-            out[-1] = (mat_mul(pm, m), ps)
+            out[-1] = (_imul(pm, m, p), ps)
         else:
             out.append((m, s))
     if len(out) > 1 and _in_edge_group(out[0][0], p):
         m0, _ = out.pop(0)
         m1, s1 = out[0]
-        out[0] = (mat_mul(m0, m1), s1)
+        out[0] = (_imul(m0, m1, p), s1)
     merged = [out[0]]
     for m, s in out[1:]:
         pm, ps = merged[-1]
         if ps == s:
-            merged[-1] = (mat_mul(pm, m), s)
+            merged[-1] = (_imul(pm, m, p), s)
         else:
             merged.append((m, s))
     return merged
@@ -402,6 +526,7 @@ def gamma_membership(g: Mat2, level: int, p: int) -> bool:
     if not in_g0(g, p):
         raise ValueError("argument must lie in SL2(Z_(p))")
     (a, b), (c, d) = g
+
     def in_m(x):
         return x == 0 or vp(x, p) >= 1
 

@@ -80,15 +80,13 @@ def qclass(a) -> QSqClass:
     return QSqClass(sign, _squarefree_decompose(n))
 
 
-def vp(a, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+def vp_int(num: int, den: int, p: int) -> int:
+    """p-adic valuation of num / den for integers num != 0 and den != 0."""
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
-    a = Fraction(a)
-    if a == 0:
+    if num == 0:
         raise ValueError("0 has no valuation")
     v = 0
-    num, den = abs(a.numerator), a.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -96,6 +94,17 @@ def vp(a, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def _rational(a):
+    """a itself if it is an int or a Fraction, else Fraction(a)."""
+    return a if isinstance(a, (int, Fraction)) else Fraction(a)
+
+
+def vp(a, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    a = _rational(a)
+    return vp_int(a.numerator, a.denominator, p)
 
 
 def unit_part(a, p: int) -> Fraction:
@@ -269,7 +278,7 @@ class SpecializationContext:
 
     # residue of a p-adic unit rational, as an element of GF(p)
     def residue(self, a) -> int:
-        a = Fraction(a)
+        a = _rational(a)
         if vp(a, self.p) != 0:
             raise ValueError(f"{a} is not a p-adic unit")
         return (a.numerator * pow(a.denominator, -1, self.p)) % self.p

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scgroups
 from scgroups import cli, verify
 from scgroups.cli import main, parse_expression, parse_matrix_arg
 from scgroups.rings import descriptor_size
+from scgroups.tree import mat2, mat_mul
 
 
 def run_cli(args, capsys):
@@ -145,6 +151,71 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli.tree, "canonical_vertex", broken)
     with pytest.raises(KeyError):
         main(["tree", "vertex", "--p", "7", "--matrix", "7,0;0,1"])
+
+
+def _main_in_process(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fraction_text(draw, p):
+    """An entry: an integer, or n/d with d a power of p, a number prime to
+    p, a mixture, or 0."""
+    n = draw(st.integers(-60, 60))
+    den = draw(st.sampled_from([1, p, p**3, 3, 10, 2 * p, 0]))
+    return str(n) if den == 1 and draw(st.booleans()) else f"{n}/{den}"
+
+
+@st.composite
+def matrix_texts(draw, p):
+    """Text for --matrix: elements of SL2(Z[1/p]) written out, arbitrary
+    entries (any determinant, singular, non-p denominators, 1/0), near
+    misses of the grammar, and short strings over its alphabet."""
+    kind = draw(st.sampled_from(["sl2", "sl2", "off-p", "entries", "near-miss", "noise"]))
+    if kind in ("sl2", "off-p") and p > 1:
+        g = mat2(1, 0, 0, 1)
+        # off-p: denominators prime to p, so determinant 1 but not in Z[1/p]
+        base = p if kind == "sl2" else 3 if p == 2 else 2
+        for _ in range(draw(st.integers(0, 5))):
+            x = Fraction(draw(st.integers(-9, 9)), base ** draw(st.integers(0, 3)))
+            g = mat_mul(g, mat2(1, x, 0, 1) if draw(st.booleans()) else mat2(1, 0, x, 1))
+        if draw(st.booleans()):
+            g = mat_mul(g, mat2(-1, 0, 0, -1))
+        return ";".join(",".join(str(x) for x in row) for row in g)
+    if kind in ("sl2", "off-p", "entries"):
+        a, b, c, d = (_fraction_text(draw, p) for _ in range(4))
+        return f"{a},{b};{c},{d}"
+    if kind == "near-miss":
+        parts = [_fraction_text(draw, p) for _ in range(draw(st.integers(0, 5)))]
+        seps = st.sampled_from([",", ";", " ", ",,", ";;"])
+        seps = draw(st.lists(seps, min_size=len(parts), max_size=len(parts)))
+        return "".join(x + s for x, s in zip(parts, seps))
+    return draw(st.text(alphabet="0123456789/,;- ", max_size=24))
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)
+@given(
+    data=st.data(),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13] * 3 + [1, 4, 6, 9, 12]),
+    command=st.sampled_from(["amalgam", "tree vertex"]),
+)
+def test_matrix_grammar_answers_or_exits_2(data, p, command):
+    text = data.draw(matrix_texts(p))
+    code, out, err = _main_in_process([*command.split(), "--p", str(p), f"--matrix={text}"])
+    if code == 2:
+        assert out == "" and err.startswith("error:") and len(err.strip()) > len("error:")
+        return
+    assert code == 0, (code, out, err)
+    rep = json.loads(out)
+    assert rep["p"] == p
+    if command == "amalgam":
+        assert rep["product_ok"] is True and rep["alternating"] is True
+        assert rep["length"] == len(rep["factors"]) == len(rep["sides"]) >= 1
+    else:
+        # the key's c lies in [0, p^a)
+        assert 0 <= Fraction(rep["c"]) < Fraction(p) ** rep["a"]
 
 
 def test_pbar_table_formats(capsys):

@@ -332,7 +332,9 @@ def vectors(n):
 
 
 def _in_lattice(g, v):
-    return solve_in_rows(g.rel_basis, v) is not None
+    """Back-substitution on the cached echelon form of the relation basis,
+    independent of the quotient map behind contains and element_order."""
+    return g.echelon().solve(v) is not None
 
 
 @settings(max_examples=200, deadline=None)

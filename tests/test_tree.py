@@ -419,3 +419,140 @@ def test_dot_output():
     text = dot_output(5, 1)
     assert text.startswith("graph tree {")
     assert text.count("--") == 6
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Fraction walk the integer form replaced, kept verbatim in
+# substance (keys as (a, c) pairs, its own valuation and membership tests)
+
+
+def _o_vp(x, p):
+    x = Fraction(x)
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _o_reduce(c, a, p):
+    if c == 0 or _o_vp(c, p) >= a:
+        return Fraction(0)
+    j = max(0, -_o_vp(c, p))
+    pj, mod = p**j, p ** (a + j)
+    return Fraction((c.numerator * pow(c.denominator // pj, -1, mod)) % mod, pj)
+
+
+def _o_key(m, p):
+    (m11, m12), (m21, m22) = m
+    if m22 == 0 or (m21 != 0 and _o_vp(m21, p) < _o_vp(m22, p)):
+        m11, m12, m21, m22 = m12, m11, m22, m21
+    m11 = (m11 - m21 / m22 * m12) / Fraction(p) ** _o_vp(m22, p)
+    a = _o_vp(m11, p)
+    return (a, _o_reduce(m12 / m22, a, p))
+
+
+def _o_step(v, t, p):
+    (a, c), (ta, tc) = v, t
+    if ta > a and (tc == c or _o_vp(tc - c, p) >= a):
+        return (a + 1, _o_reduce(tc, a + 1, p))
+    return (a - 1, _o_reduce(c, a - 1, p))
+
+
+def _o_in(m, p, lows):
+    entries = [x for row in m for x in row]
+    return mat_det(m) == 1 and all(x == 0 or _o_vp(x, p) >= k for x, k in zip(entries, lows))
+
+
+def _o_edge(m, p):
+    return _o_in(m, p, (0, 0, 0, 0)) and _o_in(m, p, (0, 1, -1, 0))
+
+
+def _o_amalgam(g, p):
+    factors, w = [], g
+    while (t := _o_key(w, p)) != (0, 0):
+        a, c = _o_step((0, Fraction(0)), t, p)
+        h = mat2(0, -1, 1, 0) if a < 0 else mat2(1, c, 0, 1)
+        w = mat_mul(mat_inv(h), w)
+        a, c = _o_step((1, Fraction(0)), _o_key(w, p), p)
+        j = int(c) // p
+        if a == 0:
+            q = IDENT
+        elif j == 0:
+            q = mat2(0, -p, Fraction(1, p), 0)
+        else:
+            q = mat2(1, 0, Fraction(pow(j, -1, p), p), 1)
+        w = mat_mul(mat_inv(q), w)
+        factors += [(h, G0_SIDE), (q, G1_SIDE)]
+    factors.append((w, G0_SIDE))
+    neg = mat_scale(-1, IDENT)
+    work, pending = [], False
+    for m, s in factors:
+        if pending:
+            m, pending = mat_scale(-1, m), False
+        if m == IDENT:
+            continue
+        if m == neg:
+            if work:
+                work[-1] = (mat_scale(-1, work[-1][0]), work[-1][1])
+            else:
+                pending = True
+            continue
+        work.append((m, s))
+    if pending:
+        work = [(mat_scale(-1, work[0][0]), work[0][1])] + work[1:] if work else [(neg, G0_SIDE)]
+    if not work:
+        return [(IDENT, G0_SIDE)]
+    out = []
+    for m, s in work:
+        if out and _o_edge(m, p):
+            out[-1] = (mat_mul(out[-1][0], m), out[-1][1])
+        else:
+            out.append((m, s))
+    if len(out) > 1 and _o_edge(out[0][0], p):
+        m0, _ = out.pop(0)
+        out[0] = (mat_mul(m0, out[0][0]), out[0][1])
+    merged = [out[0]]
+    for m, s in out[1:]:
+        if merged[-1][1] == s:
+            merged[-1] = (mat_mul(merged[-1][0], m), s)
+        else:
+            merged.append((m, s))
+    return merged
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_integer_keys_match_the_fraction_oracle(p):
+    # 400 matrices per prime: denominators prime to p as well as powers of
+    # p, any determinant
+    rng = random.Random(1000 + p)
+    verts = list(ball(p, 2)[0])
+    count = 0
+    while count < 400:
+        dens = (1, 1, 2, 3, 7, p, p * p, 3 * p**3)
+        m = mat2(*(Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(4)))
+        if mat_det(m) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                canonical_vertex(m, p)
+            continue
+        key = canonical_vertex(m, p)
+        assert (key.a, key.c) == _o_key(m, p)
+        # the integer key is canonical before it becomes a Fraction
+        m11, m12, m21, m22, _ = tree._cleared(m)
+        vdet = vp(m11 * m22 - m12 * m21, p)
+        assert tree._ikey(m11, m12, m21, m22, vdet, p) == tree._key_in(key, p)
+        v = rng.choice(verts)
+        img = act(m, v, p)
+        assert (img.a, img.c) == _o_key(mat_mul(m, v.matrix(p)), p)
+        count += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_integer_walk_matches_the_fraction_oracle(p):
+    rng = random.Random(2000 + p)
+    for _ in range(60):
+        g = _random_sl2_zp_inv(rng, p, max_den_pow=4)
+        if rng.random() < 0.25:
+            g = mat_scale(-1, g)
+        assert amalgam_decompose(g, p).factors == _o_amalgam(g, p)

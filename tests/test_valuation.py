@@ -19,6 +19,7 @@ from scgroups.valuation import (
     sym_y_relation,
     unit_part,
     vp,
+    vp_int,
 )
 
 
@@ -29,6 +30,17 @@ def test_vp_and_unit_part():
     assert unit_part(Fraction(3, 7), 7) == 3
     with pytest.raises(ValueError):
         vp(0, 7)
+
+
+def test_vp_int_reads_numerator_and_denominator():
+    assert vp_int(98, 3, 7) == 2
+    assert vp_int(-5, 49 * 3, 7) == -2
+    assert vp_int(-5, 49 * 3, 7) == vp(Fraction(-5, 147), 7)
+    assert vp(3.5, 7) == 1  # anything Fraction accepts
+    with pytest.raises(ValueError, match="0 has no valuation"):
+        vp_int(0, 5, 7)
+    with pytest.raises(ValueError, match="p >= 2"):
+        vp_int(3, 1, 1)
 
 
 def test_qclass():
