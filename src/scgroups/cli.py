@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 
 from . import globalinv, orbitcomplex, tree, verify, witt
@@ -368,7 +369,16 @@ def worker_count(jobs: int, njobs: int) -> int:
     return min(jobs, os.cpu_count() or 1, njobs)
 
 
+def _timed_job(job: tuple, seed: int) -> tuple[str, list, float]:
+    """verify.run_job with the wall seconds it took, measured where it ran."""
+    start = time.perf_counter()
+    key, checks = verify.run_job(job, seed)
+    return key, checks, time.perf_counter() - start
+
+
 def cmd_verify_all(args) -> int:
+    """Every suite's checks on stdout; each job's wall seconds and the three
+    slowest jobs on stderr, so that stdout depends only on the results."""
     jobs = verify.verify_all_jobs(max_q=args.max_q)
     workers = worker_count(args.jobs, len(jobs))
     results = []
@@ -376,19 +386,23 @@ def cmd_verify_all(args) -> int:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = {ex.submit(verify.run_job, job, args.seed): job for job in jobs}
+            futs = {ex.submit(_timed_job, job, args.seed): job for job in jobs}
             for fut in cf.as_completed(futs):
                 results.append(fut.result())
     else:
         for job in jobs:
-            results.append(verify.run_job(job, args.seed))
+            results.append(_timed_job(job, args.seed))
     results.sort(key=lambda kv: kv[0])
     ok = True
-    for key, checks in results:
+    for key, checks, _ in results:
         for c in checks:
             print(f"{key}: {c.line()}")
             ok = ok and c.ok
     print("verify-all:", "ok" if ok else "FAILED")
+    for key, _, secs in results:
+        print(f"time {key}: {secs:.2f} s", file=sys.stderr)
+    slowest = sorted(results, key=lambda r: -r[2])[:3]
+    print("slowest: " + ", ".join(f"{key} {secs:.2f} s" for key, _, secs in slowest), file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -989,12 +989,16 @@ class FpAb:
         return self._proj
 
     def _image(self, v) -> list[int]:
-        if len(v) != self.ngens:
+        if isinstance(v, dict):
+            if any(not 0 <= j < self.ngens for j in v):
+                raise ValueError("vector index outside the generators")
+        elif len(v) != self.ngens:
             raise ValueError("vector length does not match generator count")
         return _project(self._projection(), _entries(v))
 
     def element_order(self, v) -> Optional[int]:
-        """Least n >= 1 with n*v in the relation lattice, or None."""
+        """Least n >= 1 with n*v in the relation lattice, or None.  v is a
+        dense vector or a sparse {index: value} dict, as for contains."""
         moduli, _ = self._projection()
         n = 1
         for x, d in zip(self._image(v), moduli):
@@ -1006,7 +1010,9 @@ class FpAb:
         return n
 
     def contains(self, v) -> bool:
-        """Whether v lies in the relation lattice (i.e. is 0 in the group)."""
+        """Whether v lies in the relation lattice (i.e. is 0 in the group).
+        v is a dense vector of length ngens or a sparse {index: value} dict
+        with every index in range(ngens)."""
         return not any(self._image(v))
 
     def reduce(self, v) -> np.ndarray:

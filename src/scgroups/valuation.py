@@ -7,10 +7,22 @@ pre-Bloch group of the residue field.
 Square classes of Q are (sign, squarefree integer) pairs; module elements
 are finite integer combinations of (class, rational parameter) symbols.
 All reductions land in the exact presentations from the scissors module.
+
+S_v reads little from a symbol <c>[t]: the sign of v_p(t) and, when
+v_p(t) = 0, the residue of t; the parity of v_p(c) and the square class of
+the residue of c's unit part.  Each is one integer pass over the numerator
+and denominator (`padic_read`), with no Fraction arithmetic, and the images
+add into sparse {index: value} dicts, tested for zero through the cached
+quotient map of RP~(GF(p)).  For a five-term relation Y(a, b) that data
+follows by integer arithmetic from the *local types* of a and b,
+(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a)
+(`SpecializationContext.y_symbol_data`), so a sweep over many pairs needs
+S_v once per distinct datum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +51,14 @@ def _squarefree_decompose(n: int) -> int:
     return out * n
 
 
-@dataclass(frozen=True)
+# largest |numerator| or |denominator| of a rational whose square class is
+# formed, and largest representative of a directly built QSqClass: finding
+# a squarefree part trial-divides to the square root, 10^6 steps (about
+# 0.2 s) at this cap
+MAX_CLASS_ENTRY = 10**12
+
+
+@dataclass(frozen=True, slots=True)
 class QSqClass:
     """A square class of Q: sign and squarefree positive integer."""
 
@@ -49,14 +68,14 @@ class QSqClass:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +-1")
+        if self.n > MAX_CLASS_ENTRY:
+            raise ValueError(f"square class representative {self.n} is more than {MAX_CLASS_ENTRY}")
         if self.n < 1 or _squarefree_decompose(self.n) != self.n:
             raise ValueError("representative must be squarefree and positive")
 
     def mul(self, other: "QSqClass") -> "QSqClass":
-        import math
-
         g = math.gcd(self.n, other.n)
-        return QSqClass(self.sign * other.sign, (self.n // g) * (other.n // g))
+        return _sqclass(self.sign * other.sign, (self.n // g) * (other.n // g))
 
     def is_one(self) -> bool:
         return self.sign == 1 and self.n == 1
@@ -65,23 +84,57 @@ class QSqClass:
         return Fraction(self.sign * self.n)
 
 
+@lru_cache(maxsize=4096)
+def _sqclass(sign: int, n: int) -> QSqClass:
+    """A QSqClass whose n is squarefree by construction (a product of
+    coprime squarefree parts), built without the checks of __post_init__:
+    a product of classes may exceed what they can factor in time.  Shared
+    between calls, as symbols repeat few classes."""
+    out = object.__new__(QSqClass)
+    object.__setattr__(out, "sign", sign)
+    object.__setattr__(out, "n", n)
+    return out
+
+
 QONE = QSqClass(1, 1)
 
 
 def qclass(a) -> QSqClass:
-    """Square class of a nonzero rational."""
+    """Square class of a nonzero rational whose numerator and denominator
+    are at most MAX_CLASS_ENTRY in size (refused before any factoring)."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("0 has no square class")
-    sign = 1 if a > 0 else -1
-    n = _squarefree_decompose(abs(a.numerator)) * _squarefree_decompose(
-        abs(a.denominator)
-    )
-    return QSqClass(sign, _squarefree_decompose(n))
+    num, den = abs(a.numerator), a.denominator
+    if max(num, den) > MAX_CLASS_ENTRY:
+        raise ValueError(f"square class of {a}: an entry is more than {MAX_CLASS_ENTRY}")
+    # num and den are coprime, so the product of their squarefree parts is
+    # squarefree
+    return _sqclass(1 if a > 0 else -1, _squarefree_decompose(num) * _squarefree_decompose(den))
+
+
+def _strip(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(v, num', den') with num / den = p^v * num' / den' and p dividing
+    neither num' nor den', for integers num != 0 and den != 0."""
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
+    if num == 0:
+        raise ValueError("0 has no valuation")
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
 
 
 def vp_int(num: int, den: int, p: int) -> int:
-    """p-adic valuation of num / den for integers num != 0 and den != 0."""
+    """p-adic valuation of num / den for integers num != 0 and den != 0.
+    The loop of _strip, kept inline: the tree's keys call this in their
+    inner loops, where the extra call cost the `tree` benchmark about 2 %
+    of its items per second."""
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
     if num == 0:
@@ -94,6 +147,13 @@ def vp_int(num: int, den: int, p: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def padic_read(num: int, den: int, p: int) -> tuple[int, int]:
+    """(v_p(a), residue mod p of the unit part a / p^v_p(a)) of a = num / den,
+    for integers num != 0 and den != 0 and a prime p, in one integer pass."""
+    v, num, den = _strip(num, den, p)
+    return v, num * pow(den, -1, p) % p
 
 
 def _rational(a):
@@ -109,8 +169,9 @@ def vp(a, p: int) -> int:
 
 def unit_part(a, p: int) -> Fraction:
     """The p-adic unit u with a = u * p^v(a)."""
-    a = Fraction(a)
-    return a / Fraction(p) ** vp(a, p)
+    a = _rational(a)
+    _, num, den = _strip(a.numerator, a.denominator, p)
+    return Fraction(num, den)
 
 
 # SymRP: finite formal sum over (QSqClass, parameter) with parameter not 0, 1.
@@ -213,22 +274,36 @@ def sym_y_relation(a, b) -> SymRP:
 
 
 class RPtElem:
-    """An element of RP~(k), held as a flat coordinate vector."""
+    """An element of RP~(k), held as its {index: value} coordinates; the
+    flat coordinate vector is built on the first read of .vec."""
 
-    def __init__(self, ctx: "SpecializationContext", vec: np.ndarray):
+    def __init__(self, ctx: "SpecializationContext", coords):
         self.ctx = ctx
-        self.vec = vec
+        if isinstance(coords, dict):
+            self.entries, self._vec = coords, None
+        else:
+            self.entries = {i: int(x) for i, x in enumerate(coords) if x}
+            self._vec = coords
+
+    @property
+    def vec(self) -> np.ndarray:
+        if self._vec is None:
+            out = zeros(1, self.ctx.rp_tilde.ngens)[0]
+            for i, v in self.entries.items():
+                out[i] = v
+            self._vec = out
+        return self._vec
 
     def is_zero(self) -> bool:
-        return self.ctx.rp_tilde.contains(self.vec)
+        return self.ctx.rp_tilde.contains(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, RPtElem) or other.ctx is not self.ctx:
             return NotImplemented
-        return self.ctx.rp_tilde.contains(self.vec - other.vec)
+        return (self - other).is_zero()
 
     def __sub__(self, other: "RPtElem") -> "RPtElem":
-        return RPtElem(self.ctx, self.vec - other.vec)
+        return RPtElem(self.ctx, add(self.entries, scale(-1, other.entries)))
 
 
 class PtElem:
@@ -258,6 +333,23 @@ class IndElem:
         return self.comp0.is_zero() and self.comp_pi.is_zero()
 
 
+# What s_v reads from a symbol <c>[t]:
+#   parameter data (s, r): s the sign of v_p(t), r the residue of t when
+#     s = 0 and 0 otherwise;
+#   class data (e, g): e the parity of v_p(c), g the square class in GF(p)
+#     of the residue of c's unit part.
+ParamData = tuple[int, int]
+ClassData = tuple[int, int]
+# (v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a)
+LocalType = tuple[int, int, int, int]
+
+
+def _param_data(v: int, u: int) -> ParamData:
+    if v == 0:
+        return 0, u
+    return (1 if v > 0 else -1), 0
+
+
 class SpecializationContext:
     """Specialization of symbolic RP(Q) elements at the prime p."""
 
@@ -274,69 +366,99 @@ class SpecializationContext:
         self.p_tilde: FpAb = tb.p_tilde
         ck = self.sc.rp_vector(self.sc.big_c())
         self._ck_entries = [(i, int(x)) for i, x in enumerate(ck) if x]
-        self._classes: dict[QSqClass, tuple[int, int]] = {}
+        # square class in GF(p) of each nonzero residue
+        self._gclass = [0] + [self.sc.G.class_of(u) for u in range(1, p)]
+        self._classes: dict[tuple[int, int], ClassData] = {}
+        self._cases: dict[tuple[ParamData, int], list[tuple[int, int]]] = {}
 
     # residue of a p-adic unit rational, as an element of GF(p)
     def residue(self, a) -> int:
         a = _rational(a)
-        if vp(a, self.p) != 0:
+        v, u = padic_read(a.numerator, a.denominator, self.p)
+        if v != 0:
             raise ValueError(f"{a} is not a p-adic unit")
-        return (a.numerator * pow(a.denominator, -1, self.p)) % self.p
+        return u
 
-    def _case_entries(self, a: Fraction) -> list[tuple[int, int]]:
-        """The nonzero (index, value) entries of the RP~(k) coordinate of
-        S_v on a single symbol [a]."""
-        v = vp(a, self.p)
-        if v > 0:
-            return self._ck_entries
-        if v < 0:
-            return [(i, -x) for i, x in self._ck_entries]
-        abar = self.residue(a)
-        if abar == 1:
-            # parameters reducing to 1 specialize to 0 (their classes
-            # generate the kernel L_v of S_v)
-            return []
-        return [(self.sc.refined().flat_index(0, self.sc.windex[abar]), 1)]
-
-    def _class_data(self, cls: QSqClass) -> tuple[int, int]:
-        """(valuation parity source r, residue class of the unit part),
-        cached per class: symbols repeat few classes."""
-        out = self._classes.get(cls)
+    def _class_data(self, cls: QSqClass) -> ClassData:
+        """Class data, cached per (sign, n): symbols repeat few classes."""
+        key = (cls.sign, cls.n)
+        out = self._classes.get(key)
         if out is None:
-            q = cls.value()
-            ubar = self.residue(unit_part(q, self.p))
-            out = self._classes[cls] = (vp(q, self.p), self.sc.G.class_of(ubar))
+            v, u = padic_read(cls.sign * cls.n, 1, self.p)
+            out = self._classes[key] = (v & 1, self._gclass[u])
+        return out
+
+    def symbol_data(self, cls: QSqClass, a) -> tuple[ParamData, ClassData]:
+        """The data s_v reads from the symbol <cls>[a]."""
+        return _param_data(*padic_read(a.numerator, a.denominator, self.p)), self._class_data(cls)
+
+    def _case_entries(self, param: ParamData, g: int) -> list[tuple[int, int]]:
+        """The nonzero (index, value) entries of the RP~(k) coordinate of S_v
+        on a symbol with this parameter data, moved by the residue class g;
+        cached, as there are at most 2(p + 1) of them."""
+        out = self._cases.get((param, g))
+        if out is None:
+            s, u = param
+            if s:
+                out = [(i, s * x) for i, x in self._ck_entries]
+            elif u == 1:
+                # parameters reducing to 1 specialize to 0 (their classes
+                # generate the kernel L_v of S_v)
+                out = []
+            else:
+                out = [(self.sc.refined().flat_index(0, self.sc.windex[u]), 1)]
+            if g:
+                # moved = base[perm], and perm is an involution (g * g = 1
+                # in G), so the entry of base at i lands at perm[i]
+                perm = self.sc.refined().act_permutation(g)
+                out = [(int(perm[i]), x) for i, x in out]
+            self._cases[(param, g)] = out
         return out
 
     def _terms(self, x: SymRP):
-        """For each symbol of x: its coefficient, the valuation of its
-        class, and the nonzero entries of its case vector moved by the
-        residue class of the unit part."""
+        """For each symbol of x: its coefficient, the valuation parity of
+        its class, and the nonzero entries of its moved case vector."""
         for (cls, a), coeff in x.items():
-            entries = self._case_entries(Fraction(a))
-            r, gbar = self._class_data(cls)
-            if gbar:
-                # moved = base[perm], and perm is an involution (g * g = 1
-                # in G), so the entry of base at i lands at perm[i]
-                perm = self.sc.refined().act_permutation(gbar)
-                entries = [(int(perm[i]), v) for i, v in entries]
-            yield coeff, r, entries
-
-    def _vector(self, acc: dict) -> np.ndarray:
-        out = zeros(1, self.rp_tilde.ngens)[0]
-        for i, v in acc.items():
-            out[i] = v
-        return out
+            param, (e, g) = self.symbol_data(cls, a)
+            yield coeff, e, self._case_entries(param, g)
 
     def s_v(self, x: SymRP) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p))."""
         c0: dict = {}
         cpi: dict = {}
-        for coeff, r, entries in self._terms(x):
-            for acc in (c0, cpi) if r % 2 else (c0,):
+        for coeff, e, entries in self._terms(x):
+            for acc in (c0, cpi) if e else (c0,):
                 for i, v in entries:
                     acc[i] = acc.get(i, 0) + coeff * v
-        return IndElem(RPtElem(self, self._vector(c0)), RPtElem(self, self._vector(cpi)))
+        return IndElem(RPtElem(self, c0), RPtElem(self, cpi))
+
+    def local_type(self, a) -> LocalType:
+        """(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a) of
+        a rational a not in {0, 1}."""
+        num, den = a.numerator, a.denominator
+        return padic_read(num, den, self.p) + padic_read(den - num, den, self.p)
+
+    def y_symbol_data(self, ta: LocalType, tb: LocalType) -> tuple:
+        """(coefficient, parameter data, class data) of each symbol of
+        sym_y_relation(a, b), in its order, from the local types of a and b
+        alone: the parameters are a, b, b/a, (1 - a)b / (a(1 - b)) and
+        (1 - a)/(1 - b), with the classes 1, 1, <a>, <(1 - a)/a>, <1 - a>."""
+        p, gc = self.p, self._gclass
+        va, ua, wa, xa = ta
+        vb, ub, wb, xb = tb
+        ia, ixb = pow(ua, -1, p), pow(xb, -1, p)
+        one = (0, gc[1])
+        return (
+            (1, _param_data(va, ua), one),
+            (-1, _param_data(vb, ub), one),
+            (1, _param_data(vb - va, ub * ia % p), (va & 1, gc[ua])),
+            (
+                -1,
+                _param_data(wa + vb - va - wb, xa * ub * ia * ixb % p),
+                ((wa - va) & 1, gc[xa * ia % p]),
+            ),
+            (1, _param_data(wa - wb, xa * ixb % p), (wa & 1, gc[xa])),
+        )
 
     def _act_vec(self, g: int, vec: np.ndarray) -> np.ndarray:
         if g == 0:
@@ -352,11 +474,11 @@ class SpecializationContext:
     def delta_pi_prime(self, x: SymRP) -> RPtElem:
         """rho'_pi composite: <a> (x) m -> (-1)^{v(a)} <u_a-bar> m."""
         out: dict = {}
-        for coeff, r, entries in self._terms(x):
-            sign = -1 if r % 2 else 1
+        for coeff, e, entries in self._terms(x):
+            signed = -coeff if e else coeff
             for i, v in entries:
-                out[i] = out.get(i, 0) + coeff * sign * v
-        return RPtElem(self, self._vector(out))
+                out[i] = out.get(i, 0) + signed * v
+        return RPtElem(self, out)
 
     def _to_p_tilde(self, x: RPtElem) -> PtElem:
         mat = self.sc.coinvariants_map()

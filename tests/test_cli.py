@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -429,3 +430,44 @@ def test_oversized_prime_exits_instead_of_hanging(tmp_path, args):
     proc = run_cli_subprocess([*args, "--p", HUGE_PRIME], tmp_path, timeout=60)
     assert proc.returncode == 2
     assert b"error:" in proc.stderr and b"more than" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "<<1000000000000000003>>*[2]",
+        "<1/1000000000039>*[2]",
+        "g(-1000000000000)",  # 1 - a = 10^12 + 1
+    ],
+)
+def test_huge_square_class_exits_instead_of_hanging(tmp_path, expr):
+    proc = run_cli_subprocess(["specialize", "--p", "11", "--expr", expr], tmp_path, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"more than" in proc.stderr
+
+
+def test_product_of_large_square_classes_answers(capsys):
+    # each class is under the cap; their product is not factored again
+    expr = "<999999999989>*<999999999961>*[2]"
+    code, out, _ = run_cli(["specialize", "--p", "11", "--expr", expr], capsys)
+    assert code == 0 and json.loads(out)["expr"] == expr
+
+
+def test_verify_all_reports_job_times_on_stderr(capsys, monkeypatch):
+    # jobs that take known times, listed in neither key nor time order
+    delays = {"b": 0.0, "d": 0.12, "a": 0.04, "c": 0.08}
+
+    def run_job(job, seed):
+        time.sleep(delays[job[0]])
+        return job[0], [verify.Check(f"job {job[0]}", True)]
+
+    monkeypatch.setattr(verify, "verify_all_jobs", lambda max_q: [(k, None) for k in delays])
+    monkeypatch.setattr(verify, "run_job", run_job)
+    code, out, err = run_cli(["verify-all", "--jobs", "1"], capsys)
+    assert code == 0
+    assert out == "a: [ok] job a\nb: [ok] job b\nc: [ok] job c\nd: [ok] job d\nverify-all: ok\n"
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["time a", "time b", "time c", "time d"]
+    secs = {line[5]: float(line.split(": ")[1].removesuffix(" s")) for line in lines[:-1]}
+    assert all(secs[k] >= d for k, d in delays.items())
+    assert lines[-1] == "slowest: " + ", ".join(f"{k} {secs[k]:.2f} s" for k in "dca")

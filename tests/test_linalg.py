@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, primefactors
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
@@ -369,10 +369,36 @@ def test_element_order_is_least_killing_multiple(pres, data):
             continue
         assert 1 <= got <= exponent
         assert _in_lattice(g, [got * x for x in v])
-        assert not any(_in_lattice(g, [m * x for x in v]) for m in range(1, got))
+        # the order divides got, and a proper divisor of got divides some
+        # got / l for a prime l | got: so no got / l kills v iff got is least
+        assert not any(_in_lattice(g, [got // ell * x for x in v]) for ell in primefactors(got))
         assert g.element_odd_trivial(v) == (odd_part(got) == 1)
         if g.order() is not None:
             assert g.order() % got == 0
+
+
+def test_sparse_dict_vectors():
+    g = FpAb(3, [[2, 0, 0]])
+    assert g.contains({0: 2}) and g.contains({}) and g.contains({0: 4, 2: 0})
+    assert not g.contains({0: 2, 1: 0, 2: 1})
+    assert g.element_order({0: 1}) == 2 and g.element_order({}) == 1
+    assert g.element_order({0: 1, 2: 1}) is None
+    for bad in ({0: 2, 1: 0, 5: 1}, {-1: 1}, {3: 0}):
+        with pytest.raises(ValueError, match="outside the generators"):
+            g.contains(bad)
+        with pytest.raises(ValueError, match="outside the generators"):
+            g.element_order(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_dict_matches_dense(data):
+    n, rows = data.draw(presentations())
+    g = FpAb(n, rows if rows else None)
+    v = data.draw(vectors(n))
+    sparse = {i: x for i, x in enumerate(v) if data.draw(st.booleans()) or x}
+    assert g.contains(sparse) == g.contains(v)
+    assert g.element_order(sparse) == g.element_order(v)
 
 
 @settings(max_examples=200, deadline=None)

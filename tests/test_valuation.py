@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgroups import verify
 from scgroups.groupring import add, scale
 from scgroups.valuation import (
     QONE,
     QSqClass,
+    padic_read,
     qclass,
     specialization,
     sym_act,
@@ -252,24 +257,59 @@ def test_specialize_suite_skips_non_unit_classes():
 
 
 
-def _dense_s_v(ctx, x):
-    """(delta_0, delta_pi, delta_pi') vectors built as before the sparse
-    accumulation: a dense case vector per symbol, moved by _act_vec."""
+# -- the integer read against the Fraction formulas it replaced --------------
+
+
+def _ref_vp(a, p):
+    a, v = Fraction(a), 0
+    while a.numerator % p == 0:
+        a, v = a / p, v + 1
+    while a.denominator % p == 0:
+        a, v = a * p, v - 1
+    return v
+
+
+def _ref_unit_part(a, p):
+    a = Fraction(a)
+    return a / Fraction(p) ** _ref_vp(a, p)
+
+
+def _ref_residue(a, p):
+    a = Fraction(a)
+    assert _ref_vp(a, p) == 0
+    return a.numerator * pow(a.denominator, -1, p) % p
+
+
+def _ref_symbol_data(ctx, cls, a):
+    """What S_v reads from <cls>[a], by the Fraction formulas."""
+    p = ctx.p
+    v = _ref_vp(a, p)
+    param = (0, _ref_residue(a, p)) if v == 0 else ((1 if v > 0 else -1), 0)
+    q = cls.value()
+    gbar = ctx.sc.G.class_of(_ref_residue(_ref_unit_part(q, p), p))
+    return param, (_ref_vp(q, p) % 2, gbar)
+
+
+def _ref_s_v(ctx, x):
+    """(delta_0, delta_pi, delta_pi') as dense vectors, as the Fraction
+    formulas built them: a dense case vector per symbol, moved by _act_vec."""
+    p = ctx.p
     ck = ctx.sc.rp_vector(ctx.sc.big_c())
     out = [0 * ck, 0 * ck, 0 * ck]
     for (cls, a), coeff in x.items():
-        v = vp(a, ctx.p)
+        a = Fraction(a)
+        v = _ref_vp(a, p)
         if v:
             base = ck if v > 0 else -ck
-        elif ctx.residue(a) == 1:
+        elif _ref_residue(a, p) == 1:
             base = 0 * ck
         else:
-            base = ctx.sc.rp_vector({(0, ctx.residue(a)): 1})
-        r = vp(cls.value(), ctx.p)
-        gbar = ctx.sc.G.class_of(ctx.residue(unit_part(cls.value(), ctx.p)))
+            base = ctx.sc.rp_vector({(0, _ref_residue(a, p)): 1})
+        q = cls.value()
+        gbar = ctx.sc.G.class_of(_ref_residue(_ref_unit_part(q, p), p))
         moved = coeff * ctx._act_vec(gbar, base)
         out[0] = out[0] + moved
-        if r % 2:
+        if _ref_vp(q, p) % 2:
             out[1] = out[1] + moved
             out[2] = out[2] - moved
         else:
@@ -289,11 +329,162 @@ def test_sparse_s_v_matches_dense_vectors(p):
                 continue
             cls = qclass(rng.choice([-1, 1]) * rng.randint(1, 4 * p))
             x = add(x, {(cls, a): rng.choice((-2, -1, 1, 3))})
-        try:
-            want = _dense_s_v(ctx, x)
-        except ValueError:  # a residue of a non-unit
-            continue
+        want = _ref_s_v(ctx, x)
         out = ctx.s_v(x)
         got = [out.comp0.vec, out.comp_pi.vec, ctx.delta_pi_prime(x).vec]
         for g, w in zip(got, want):
             assert [int(t) for t in g] == [int(t) for t in w]
+
+
+def p_adic_rationals(p):
+    """Nonzero rationals with up to p^3 in the numerator or the denominator."""
+    return st.builds(
+        lambda s, n, e, d, f: Fraction(s * n * p**e, d * p**f),
+        st.sampled_from((-1, 1)),
+        st.integers(1, 3 * p),
+        st.integers(0, 3),
+        st.integers(1, 3 * p),
+        st.integers(0, 3),
+    )
+
+
+def symbols(p):
+    term = st.tuples(
+        p_adic_rationals(p).map(qclass),
+        p_adic_rationals(p).filter(lambda t: t != 1),
+        st.sampled_from((-2, -1, 1, 3)),
+    )
+    return st.lists(term, min_size=1, max_size=5).map(
+        lambda ts: reduce(add, ({(c, a): k} for c, a, k in ts), {})
+    )
+
+
+@pytest.mark.parametrize("p", [11, 13, 47])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_read_matches_fraction_formulas(p, data):
+    ctx = specialization(p)
+    a = data.draw(p_adic_rationals(p))
+    v, u = padic_read(a.numerator, a.denominator, p)
+    assert v == _ref_vp(a, p) == vp(a, p)
+    assert u == _ref_residue(_ref_unit_part(a, p), p)
+    assert unit_part(a, p) == _ref_unit_part(a, p)
+    if v == 0:
+        assert ctx.residue(a) == _ref_residue(a, p)
+    else:
+        with pytest.raises(ValueError, match="not a p-adic unit"):
+            ctx.residue(a)
+    x = data.draw(symbols(p))
+    out = ctx.s_v(x)
+    got = [out.comp0.vec, out.comp_pi.vec, ctx.delta_pi_prime(x).vec]
+    for g, w in zip(got, _ref_s_v(ctx, x)):
+        assert g.dtype == object and [int(t) for t in g] == [int(t) for t in w]
+    for (cls, t) in x:
+        assert ctx.symbol_data(cls, t) == _ref_symbol_data(ctx, cls, t)
+
+
+def _net(pairs):
+    """{datum: summed coefficient}, zero sums dropped."""
+    out = {}
+    for datum, coeff in pairs:
+        out[datum] = out.get(datum, 0) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def _y_data_agree(ctx, a, b):
+    read = _net(
+        (_ref_symbol_data(ctx, cls, t), coeff)
+        for (cls, t), coeff in sym_y_relation(a, b).items()
+    )
+    derived = _net(
+        ((param, cdata), coeff)
+        for coeff, param, cdata in ctx.y_symbol_data(ctx.local_type(a), ctx.local_type(b))
+    )
+    return read == derived
+
+
+@pytest.mark.parametrize("p", [11, 13, 47])
+def test_y_symbol_data_from_local_types_sweep_bound_3(p):
+    ctx = specialization(p)
+    vals = verify.sweep_values(3)
+    pairs = [(a, b) for a in vals for b in vals if a != b]
+    assert len(vals) == 13 and len(pairs) == 156
+    for a, b in pairs:
+        assert _y_data_agree(ctx, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p", [11, 13, 47])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_y_symbol_data_from_local_types_p_adic(p, data):
+    # the box at sweep_bound 3 holds only p-adic units; here a, b, 1 - a and
+    # 1 - b take every sign of valuation
+    ctx = specialization(p)
+    a = data.draw(p_adic_rationals(p).filter(lambda t: t != 1))
+    b = data.draw(p_adic_rationals(p).filter(lambda t: t not in (1, a)))
+    assert _y_data_agree(ctx, a, b)
+    assert ctx.s_v(sym_y_relation(a, b)).is_zero()
+
+
+class _FailOffUnits:
+    """A SpecializationContext whose S_v fails on any symbol with a
+    parameter of nonzero valuation, to check that y_sweep reports it."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def s_v(self, x):
+        self.calls += 1
+        ok = all(self.ctx.symbol_data(cls, a)[0][0] == 0 for cls, a in x)
+        return SimpleNamespace(is_zero=lambda: ok)
+
+
+def test_y_sweep_runs_s_v_once_per_datum_and_reports_failures():
+    ctx = specialization(11)
+    vals = verify.sweep_values(12)
+    assert verify.y_sweep(ctx, vals)
+    types = [ctx.local_type(a) for a in vals]
+    data = {
+        ctx.y_symbol_data(types[i], types[j])
+        for i in range(len(vals))
+        for j in range(len(vals))
+        if i != j
+    }
+    fake = _FailOffUnits(ctx)
+    assert verify.y_sweep(fake, verify.sweep_values(3))  # every value a unit
+    fake = _FailOffUnits(ctx)
+    assert not verify.y_sweep(fake, vals)  # 11 is in the box
+    assert fake.calls == len(data) < len(vals) ** 2 // 100
+
+
+def _no_factoring(n):
+    raise AssertionError("factored")
+
+
+def test_square_classes_refuse_large_entries_before_factoring(monkeypatch):
+    from scgroups import valuation
+
+    cap = valuation.MAX_CLASS_ENTRY
+    assert qclass(cap) == QONE and qclass(Fraction(-1, cap)) == qclass(-1)
+    monkeypatch.setattr(valuation, "_squarefree_decompose", _no_factoring)
+    for a in (cap + 1, -cap - 1, Fraction(1, cap + 1), Fraction(cap + 1, 7)):
+        with pytest.raises(ValueError, match="more than"):
+            qclass(a)
+    with pytest.raises(ValueError, match="more than"):
+        QSqClass(1, cap + 1)
+
+
+def test_products_of_classes_are_not_factored_again(monkeypatch):
+    from scgroups import valuation
+
+    p1, p2 = 999999999989, 999999999961  # primes below MAX_CLASS_ENTRY
+    c1, c2 = qclass(p1), qclass(-p2)
+    monkeypatch.setattr(valuation, "_squarefree_decompose", _no_factoring)
+    prod = c1.mul(c2)
+    assert (prod.sign, prod.n) == (-1, p1 * p2)
+    back = c1.mul(prod)
+    assert (back.sign, back.n) == (-1, p2) and back == c2
