@@ -71,6 +71,10 @@ def _ring_of(label: str) -> Ring:
     """The ring a descriptor names, refused above MAX_RING_SIZE elements
     before any element is built."""
     base, exp = descriptor_size(label)
+    if exp < 1:
+        # refused here: the parser tests a base of any size for primality,
+        # or enumerates GF(base), before it reads the exponent
+        raise ValueError(f"bad ring descriptor {label!r}: exponents must be >= 1")
     # base >= 2 and exp >= bit_length give base^exp > MAX_RING_SIZE
     if base > 1 and (exp >= MAX_RING_SIZE.bit_length() or base**exp > MAX_RING_SIZE):
         size = base if exp == 1 else f"{base}^{exp}"
@@ -155,6 +159,18 @@ def _tokenize(text: str):
     return out
 
 
+# deepest nesting of parentheses and unary minus that `specialize` parses;
+# each level costs the recursive descent up to three Python frames, so
+# this stays well inside the interpreter's recursion limit
+MAX_EXPR_DEPTH = 100
+
+# most terms a product in a `specialize` expression may expand to: each
+# factor (<a> + <b>) can double the terms, so a product of 24 of them,
+# about 300 characters, would build 2^24 symbols; 2^13 = 8192 terms take
+# about 0.2 s
+MAX_EXPR_TERMS = 10**4
+
+
 class _ExprParser:
     """Recursive-descent parser for the specialize grammar: integers,
     rationals, [a], <a>, <<a>>, g(a), psi1(a), C, +, -, *."""
@@ -162,6 +178,16 @@ class _ExprParser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """parse() one nesting level deeper, refused past MAX_EXPR_DEPTH."""
+        if self.depth == MAX_EXPR_DEPTH:
+            raise ValueError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        self.depth += 1
+        v = parse()
+        self.depth -= 1
+        return v
 
     def peek(self):
         return self.toks[self.i]
@@ -209,10 +235,10 @@ class _ExprParser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.eat("op", "-")
-            return _val_neg(self.factor())
+            return _val_neg(self.nested(self.factor))
         if kind == "op" and val == "(":
             self.eat("op", "(")
-            v = self.expr()
+            v = self.nested(self.expr)
             self.eat("op", ")")
             return v
         if kind == "op" and val == "[":
@@ -285,6 +311,11 @@ def _val_mul(v, w):
         return (w[0], scale(_as_int(v[1]), w[1]))
     if w[0] == "num":
         return _val_mul(w, v)
+    if v[0] == "ring" and len(v[1]) * len(w[1]) > MAX_EXPR_TERMS:
+        raise ValueError(
+            f"a product of {len(v[1])} and {len(w[1])} terms may have more than "
+            f"{MAX_EXPR_TERMS} terms"
+        )
     if v[0] == "ring" and w[0] == "ring":
         return ("ring", ring_mul(v[1], w[1]))
     if v[0] == "ring" and w[0] == "mod":
@@ -526,7 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tree", help="tree computations", parents=[common])
     t.add_argument("sub", choices=["ball", "vertex"])
     t.add_argument("--p", type=int, required=True)
-    t.add_argument("--radius", type=int, default=2)
+    t.add_argument(
+        "--radius",
+        type=int,
+        default=2,
+        help="radius of the ball; the is_tree field of the JSON report "
+        "certifies the ball of radius min(radius, 3)",
+    )
     t.add_argument("--dot", action="store_true")
     t.add_argument("--matrix")
     t.set_defaults(func=cmd_tree)

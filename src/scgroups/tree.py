@@ -15,17 +15,21 @@ the amalgam walk's coset representatives are formulas in (a, c).
 
 The public functions take and return matrices as 2x2 tuples of Fractions
 (columns are the lattice basis), which covers all of GL2(Q), and keys as
-VertexKey(a, c) with c a Fraction.  Inside, everything is integers.  An
-element of M2(Z[1/p]) is a tuple (a, b, c, d, e) meaning
+VertexKey(a, c).  A VertexKey holds the integers (a, numerator of c,
+denominator of c), so it hashes and compares as a plain tuple, and its
+`.c` builds the Fraction only when read.  Inside, everything is
+integers.  An element of M2(Z[1/p]) is a tuple (a, b, c, d, e) meaning
 [[a, b], [c, d]] / p^e, normalized so that e = 0 or p does not divide all
 four entries, so equal matrices have equal tuples; an SL2 element has
 ad - bc = p^(2e) and its inverse is the adjugate with the same e.  A key
-is (a, n, j) with c = n / p^j and p not dividing n when j > 0.  The
+is (a, n, j) with c = n / p^j and p not dividing n when j > 0;
+`_key_in` and `_key_out` convert between it and a VertexKey, and
+`neighbors` builds its child keys from the integers directly.  The
 amalgam walk, its word normalization and its validation run on these
 tuples.  Fraction converts only at the edge: `_mat_in` reads a matrix in
 (refusing entries outside Z[1/p]), `_cleared` clears every denominator of
 a rational matrix by a homothety for the key functions, and `_mat_out`
-and `_key_out` build the returned factors and keys.
+builds the returned factors.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .rings import is_prime
 from .valuation import vp, vp_int
@@ -126,37 +131,50 @@ def _ineg(x: IMat) -> IMat:
     return (-a, -b, -c, -d, e)
 
 
-@dataclass(frozen=True, slots=True)
-class VertexKey:
+class VertexKey(tuple):
     """Canonical key of a homothety class: lattice spanned by (p^a, 0)
-    and (c, 1)."""
+    and (c, 1).  Held as the integers (a, numerator of c, denominator of
+    c), so that hashing and equality are tuple operations; c is built
+    when read.  Inside the module, tuple.__new__(VertexKey, (a, n, d))
+    builds a key from n / d already in lowest terms, with no Fraction."""
 
-    a: int
-    c: Fraction
+    __slots__ = ()
+
+    def __new__(cls, a: int, c):
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        return tuple.__new__(cls, (a, c.numerator, c.denominator))
+
+    def __getnewargs__(self):
+        return (self[0], self.c)
+
+    a = property(itemgetter(0))
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     def matrix(self, p: int) -> Mat2:
         return ((Fraction(p) ** self.a, self.c), (Fraction(0), Fraction(1)))
 
-    def __hash__(self):
-        # Fraction.__hash__ computes a modular inverse; the reduced
-        # numerator and denominator determine c just as well
-        return hash((self.a, self.c.numerator, self.c.denominator))
-
     def __str__(self):
-        return f"({self.a},{self.c})"
+        a, n, d = self
+        return f"({a},{n})" if d == 1 else f"({a},{n}/{d})"
+
+    def __repr__(self):
+        return f"VertexKey(a={self[0]!r}, c={self.c!r})"
 
 
 def _key_in(v: VertexKey, p: int) -> IKey:
-    den = v.c.denominator
+    a, n, den = v
     j = vp_int(den, 1, p)
     if den != p**j:
         raise ValueError(f"key {v} has a denominator that is not a power of {p}")
-    return (v.a, v.c.numerator, j)
+    return (a, n, j)
 
 
 def _key_out(k: IKey, p: int) -> VertexKey:
     a, n, j = k
-    return VertexKey(a, Fraction(n, p**j))
+    return tuple.__new__(VertexKey, (a, n, p**j))
 
 
 def _reduce_mod_power(n: int, j: int, a: int, p: int) -> tuple[int, int]:
@@ -246,15 +264,31 @@ def distance(v1: VertexKey, v2: VertexKey, p: int) -> int:
 def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
     """The p + 1 classes at distance 1 (index-p sublattices in the basis
     of the key), in closed form for a canonical key (a, c): the basis
-    (p^a, 0), (c, 1) times [[p, j], [0, 1]] gives (a + 1, c + j p^a), which
-    is already canonical, and times [[1, 0], [0, p]] gives (a - 1, c mod
-    p^(a-1))."""
-    a, c = v.a, v.c
-    # c + j p^a over one common denominator, with p^a = sn / sd
-    sn, sd = (p**a, 1) if a >= 0 else (1, p**-a)
-    num, den = c.numerator * sd, c.denominator * sd
-    inc = sn * c.denominator
-    out = [VertexKey(a + 1, Fraction(num + j * inc, den)) for j in range(p)]
+    (p^a, 0), (c, 1) times [[p, i], [0, 1]] gives (a + 1, c + i p^a), and
+    times [[1, 0], [0, p]] gives (a - 1, c mod p^(a-1))."""
+    a, n, d = v
+    # with c = n / p^j and J = max(j, -a), child i is
+    # (a + 1, (n p^(J-j) + i p^(a+J)) / p^J); dd = p^J and step = p^(a+J)
+    if a >= 0:
+        dd, step = d, d * p**a
+    else:
+        q = p**-a
+        dd = max(d, q)
+        step = dd // q
+    base = n * (dd // d)
+    new, a1 = tuple.__new__, a + 1
+    if step == 1:
+        # a + J = 0: c + i p^a may share factors of p with p^J
+        out = []
+        for m in range(base, base + p):
+            den = dd
+            while den > 1 and m % p == 0:
+                m //= p
+                den //= p
+            out.append(new(VertexKey, (a1, m, den)))
+    else:
+        # p divides step, and n is prime to p when j > 0: already canonical
+        out = [new(VertexKey, (a1, m, dd)) for m in range(base, base + p * step, step)]
     out.append(_key_out(_parent(_key_in(v, p), p), p))
     if len(set(out)) != p + 1:
         raise AssertionError("neighbor keys must be distinct")
@@ -420,7 +454,7 @@ def base_coset(v: VertexKey) -> Mat2:
     """The h in SL2(Z) with h (1, 0) = v, for a neighbour v of the base
     vertex: [[1, j], [0, 1]] for the child (1, j), the rotation for the
     parent (-1, 0)."""
-    return mat2(*_base_coset(v.a, v.c.numerator)[:4])
+    return mat2(*_base_coset(*v[:2])[:4])
 
 
 def _lambda1_coset(a: int, n: int, p: int) -> IMat:
@@ -437,7 +471,7 @@ def lambda1_coset(v: VertexKey, p: int) -> Mat2:
     v of (1, 0): the identity for the parent (0, 0), and for the child
     (2, j p) the conjugate by diag(p, 1) of the rotation (j = 0) or of
     [[1, 0], [j^-1 mod p, 1]]."""
-    return _mat_out(_lambda1_coset(v.a, v.c.numerator, p), p)
+    return _mat_out(_lambda1_coset(*v[:2], p), p)
 
 
 def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
@@ -598,7 +632,7 @@ def ball_is_tree(p: int, radius: int) -> bool:
         if d == 0:
             continue
         vn = nbrs[v] if d < radius else neighbors(v, p)
-        ds = [depth.get(u) for u in vn]
+        ds = list(map(depth.get, vn))
         if ds.count(d - 1) != 1 or d in ds:
             return False
     return True

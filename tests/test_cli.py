@@ -446,6 +446,134 @@ def test_huge_square_class_exits_instead_of_hanging(tmp_path, expr):
     assert proc.stderr.startswith(b"error:") and b"more than" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 400 + "[2]" + ")" * 400, "-" * 1200 + "[2]"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deeply_nested_expression_exits_2(tmp_path, expr):
+    proc = run_cli_subprocess(["specialize", "--p", "11", f"--expr={expr}"], tmp_path, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"deeper than" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_nesting_up_to_the_depth_limit_answers(capsys):
+    depth, half = cli.MAX_EXPR_DEPTH, cli.MAX_EXPR_DEPTH // 2
+    for expr in ("(" * depth + "[2]" + ")" * depth, "-" * depth + "[2]", "-(" * half + "[2]" + ")" * half):
+        code, out, _ = run_cli(["specialize", "--p", "11", f"--expr={expr}"], capsys)
+        assert code == 0 and json.loads(out)["expr"] == expr
+    code, _, err = run_cli(["specialize", "--p", "11", "--expr=" + "-" * (depth + 1) + "[2]"], capsys)
+    assert code == 2 and "deeper than" in err
+
+
+def test_product_with_too_many_terms_exits_2(capsys):
+    # 14 factors of two classes each: 2^14 terms, refused before expanding
+    primes = [q for q in range(2, 110) if all(q % i for i in range(2, q))]
+    expr = "*".join(f"(<{primes[2 * i]}>+<{primes[2 * i + 1]}>)" for i in range(14)) + "*[2]"
+    code, out, err = run_cli(["specialize", "--p", "11", f"--expr={expr}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cli.MAX_EXPR_TERMS} terms" in err
+
+
+def _rational_text():
+    num = st.integers(-30, 30).map(str) | st.sampled_from(["0", "1", "11", "121", "9" * 40])
+    return st.one_of(num, st.tuples(num, st.sampled_from(["1", "0", "2", "11", "121", "3"])).map("/".join))
+
+
+def _atom_text():
+    r = _rational_text()
+    return st.one_of(
+        r,
+        r.map("[{}]".format),
+        r.map("<{}>".format),
+        r.map("<<{}>>".format),
+        r.map("g({})".format),
+        r.map("psi1({})".format),
+        st.just("C"),
+    )
+
+
+_EXPR_TEXT = st.recursive(
+    _atom_text(),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", "*-"]), inner).map("".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def specialize_texts(draw):
+    """Expressions of the specialize grammar, token soups, junk over its
+    alphabet, and nesting around the depth limit."""
+    kind = draw(st.sampled_from(["grammar", "grammar", "tokens", "junk", "deep"]))
+    if kind == "grammar":
+        return draw(_EXPR_TEXT)
+    if kind == "tokens":
+        toks = "[ ] < > << >> ( ) + - * / 2 0 1 11 g psi1 C".split() + [" "]
+        return "".join(draw(st.lists(st.sampled_from(toks), max_size=16)))
+    if kind == "junk":
+        return draw(st.text(alphabet="0123456789/[]<>()+-*gpsiC1 x.\t", max_size=24))
+    depth = draw(st.integers(cli.MAX_EXPR_DEPTH - 2, 3 * cli.MAX_EXPR_DEPTH))
+    opener = draw(st.sampled_from(["(", "-", "-(", "(-"]))
+    closer = ")" * opener.count("(")
+    return opener * depth + draw(_atom_text()) + closer * depth
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)
+@given(expr=specialize_texts())
+def test_specialize_grammar_answers_or_exits_2(expr):
+    code, out, err = _main_in_process(["specialize", "--p", "11", f"--expr={expr}"])
+    if code == 2:
+        assert out == "" and err.startswith("error:") and len(err.strip()) > len("error:")
+        return
+    assert code == 0, (code, out, err)
+    assert json.loads(out)["expr"] == expr
+
+
+@st.composite
+def ring_descriptors(draw):
+    """Descriptors of the ring grammar with small, zero, composite and huge
+    numbers, their near misses, and junk over the grammar's alphabet."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(alphabet="gfzt/()[]^0123456789 GFZ", max_size=20))
+    num = st.one_of(st.integers(0, 260), st.sampled_from([2**16, 10**12, 2**127 - 1])).map(str)
+    exp = st.one_of(st.integers(0, 9), st.sampled_from([40, 100000, 10**30])).map(str)
+    p, d, m = draw(num), draw(exp), draw(exp)
+    shapes = ["gf({p})", "gf({p}^{d})", "z/{p}", "z/{p}^{d}", "gf({p})[t]/t^{m}"]
+    shapes += ["gf({p}^{d})[t]/t^{m}", "GF({p}^{d})", " z/{p}^{d} ", "gf({p}^)", "z/^{d}"]
+    shape = draw(st.sampled_from(shapes))
+    return shape.format(p=p, d=d, m=m)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)
+@given(desc=ring_descriptors())
+def test_ring_descriptor_grammar_builds_or_refuses(desc):
+    try:
+        ring = cli._ring_of(desc)
+    except ValueError:
+        return
+    assert 2 <= ring.size() <= cli.MAX_RING_SIZE
+    base, exp = descriptor_size(desc)
+    assert base**exp == ring.size()
+
+
+@pytest.mark.parametrize("ring", [f"gf({2**127 - 1}^0)", "gf(1000000000039)[t]/t^0", "z/7^0"])
+def test_zero_exponent_rejected_before_parsing(capsys, monkeypatch, ring):
+    # the parser tests the base for primality, or enumerates GF(base),
+    # before it reads the exponent
+    def refuse(*args):
+        raise AssertionError("the ring must not be parsed")
+
+    monkeypatch.setattr(cli, "parse_ring", refuse)
+    code, out, err = run_cli(["group", "P", "--ring", ring], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exponents must be >= 1" in err
+
+
 def test_product_of_large_square_classes_answers(capsys):
     # each class is under the cap; their product is not factored again
     expr = "<999999999989>*<999999999961>*[2]"

@@ -1,12 +1,14 @@
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scgroups import tree
+from scgroups import cli, tree
 from scgroups.tree import (
     G0_SIDE,
     G1_SIDE,
@@ -166,6 +168,66 @@ def test_neighbors_closed_form_on_drawn_keys(p, a, k, n):
     v = canonical_vertex(mat2(Fraction(p) ** a, Fraction(n, p**k), 0, 1), p)
     assert v.a == a
     assert neighbors(v, p) == _neighbors_by_matrix(v, p)
+
+
+@pytest.mark.parametrize("p", [2, 7, 1000000007])
+def test_vertex_keys_are_values(p):
+    assert VertexKey(1, 0) == VertexKey(1, Fraction(0)) == lambda1()
+    assert hash(VertexKey(1, 0)) == hash(VertexKey(1, Fraction(0)))
+    assert VertexKey(-2, Fraction(6, 4)) == VertexKey(-2, Fraction(3, 2))
+    v = VertexKey(2, Fraction(3, p))
+    assert (v.a, v.c) == (2, Fraction(3, p))
+    assert str(v) == f"(2,3/{p})" and str(lambda1()) == "(1,0)"
+    assert repr(v) == f"VertexKey(a=2, c={Fraction(3, p)!r})"
+    assert v.matrix(p) == mat2(p**2, Fraction(3, p), 0, 1)
+    # one class reached four ways: canonical_vertex, act, step_toward and
+    # neighbors all give equal keys with equal hashes
+    m = mat2(p**2, Fraction(3, p), 0, 1)
+    u = act(m, lambda0(), p)
+    w = VertexKey(1, 0)
+    while w.a < 2:
+        w = step_toward(w, u, p)
+    keys = [canonical_vertex(m, p), u, w, v]
+    if p < 100:
+        parent = VertexKey(1, Fraction(3, p) % p)
+        keys += [k for k in neighbors(parent, p) if k.a == 2 and k.c == Fraction(3, p)]
+    assert len(keys) == 4 + (p < 100)
+    assert len(set(keys)) == 1 and len({hash(k) for k in keys}) == 1
+    for k in keys:
+        for other in (pickle.loads(pickle.dumps(k)), copy.copy(k), copy.deepcopy(k)):
+            assert type(other) is VertexKey and other == k and hash(other) == hash(k)
+            assert (other.a, other.c) == (k.a, k.c)
+
+
+# sha256 of the CLI's output, taken when neighbors built its keys from
+# Fractions
+CLI_GOLDEN = {
+    ("tree", "ball", "--p", "7", "--radius", "4", "--dot"):
+        "c8988d7611ac058e1823f6acdf0bf7f898f30a1d3975d8c982412b08aee7f676",
+    ("tree", "ball", "--p", "2", "--radius", "8", "--dot"):
+        "2839067434ee53adac4cbb66b5b21af4a9df53876ca141a6cf1a38ddcf06edf5",
+    ("tree", "ball", "--p", "7", "--radius", "4"):
+        "79675569b0f2464ea6b15ac22af0f3d675d62e05683d9fe771042f4df2f005a0",
+}
+VERTEX_MATRICES = [
+    "1,0;0,1", "7,0;0,1", "1,0;0,7", "49,3;0,1", "1/7,2/49;0,1", "3,5;7,11",
+    "0,1;1,0", "1/49,0;5,343", "2/3,1/7;5,-4/9", "-14,22/7;3/343,1", "343,-1;49,1/7",
+]
+VERTEX_GOLDEN = "7cab430b984c83c34aa346931b84a913c5a3d600504fc3fd1423c0df3d6534bb"
+
+
+@pytest.mark.parametrize("args", list(CLI_GOLDEN))
+def test_tree_ball_output_matches_golden_digest(capsys, args):
+    assert cli.main(list(args)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_GOLDEN[args]
+
+
+def test_tree_vertex_output_matches_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for m in VERTEX_MATRICES:
+        assert cli.main(["tree", "vertex", "--p", "7", f"--matrix={m}"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == VERTEX_GOLDEN
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -556,3 +618,42 @@ def test_integer_walk_matches_the_fraction_oracle(p):
         if rng.random() < 0.25:
             g = mat_scale(-1, g)
         assert amalgam_decompose(g, p).factors == _o_amalgam(g, p)
+
+
+def _ref_neighbors(v, p):
+    """The Fraction neighbours the integer form replaced: children
+    (a + 1, c + i p^a) over one common denominator, and the parent
+    (a - 1, c mod p^(a-1)) by the oracle's reduction."""
+    a, c = v.a, v.c
+    sn, sd = (p**a, 1) if a >= 0 else (1, p**-a)
+    num, den = c.numerator * sd, c.denominator * sd
+    inc = sn * c.denominator
+    out = [VertexKey(a + 1, Fraction(num + i * inc, den)) for i in range(p)]
+    out.append(VertexKey(a - 1, _o_reduce(c, a - 1, p)))
+    return out
+
+
+# p = 1 000 000 007 is left to test_vertex_keys_are_values: neighbors
+# returns p + 1 keys, too many to build there
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 7, 101]),
+    a=st.integers(-6, 6),
+    j=st.integers(0, 6),
+    n=st.integers(-(10**9), 10**9),
+)
+# a canonical c in [0, p^a) with a < 0 is 0 or has j > -a; with J =
+# max(j, -a), a + J = 0 holds exactly for c = 0 and a <= 0, where child 0
+# reduces to 0 / 1
+@example(p=7, a=-2, j=4, n=5)
+@example(p=3, a=-3, j=0, n=0)
+@example(p=2, a=0, j=0, n=0)
+@example(p=101, a=3, j=2, n=-17)
+def test_neighbors_match_the_fraction_reference(p, a, j, n):
+    v = VertexKey(a, _o_reduce(Fraction(n, p**j), a, p))
+    got = neighbors(v, p)
+    assert got == _ref_neighbors(v, p)
+    # each key holds c in lowest terms, as a Fraction-built key does
+    for u in got:
+        assert tuple(u) == (u.a, u.c.numerator, u.c.denominator)
+        assert hash(u) == hash(VertexKey(u.a, u.c))
