@@ -878,7 +878,9 @@ def _projection_table(ech: SparseEchelon) -> _Projection:
 
 def _project(proj: _Projection, entries) -> list[int]:
     """Image under a projection table of the vector with the given nonzero
-    (index, value) entries, each torsion coordinate reduced into [0, d)."""
+    (index, value) entries, each torsion coordinate reduced into [0, d).
+    The entries are trusted: in range, values Python ints (FpAb._image
+    checks a sparse vector from outside itself)."""
     moduli, images = proj
     w = [0] * len(moduli)
     for i, x in entries:
@@ -989,12 +991,24 @@ class FpAb:
         return self._proj
 
     def _image(self, v) -> list[int]:
-        if isinstance(v, dict):
-            if any(not 0 <= j < self.ngens for j in v):
-                raise ValueError("vector index outside the generators")
-        elif len(v) != self.ngens:
-            raise ValueError("vector length does not match generator count")
-        return _project(self._projection(), _entries(v))
+        """Image of v under the quotient map.  A dict is range-checked and
+        projected in one pass, its values taken as Python ints so that
+        numpy integers cannot overflow against large moduli."""
+        if not isinstance(v, dict):
+            if len(v) != self.ngens:
+                raise ValueError("vector length does not match generator count")
+            return _project(self._projection(), _entries(v))
+        moduli, images = self._projection()
+        n = self.ngens
+        w = [0] * len(moduli)
+        for j, x in v.items():
+            if not 0 <= j < n:
+                raise ValueError(f"vector index {j!r} outside the generators")
+            if x:
+                x = int(x)
+                for k, a in images[j]:
+                    w[k] += x * a
+        return [x % d if d else x for x, d in zip(w, moduli)]
 
     def element_order(self, v) -> Optional[int]:
         """Least n >= 1 with n*v in the relation lattice, or None.  v is a

@@ -66,6 +66,7 @@ class ScissorsContext:
         self.W = list(ring.w_set)
         self.windex = {a: i for i, a in enumerate(self.W)}
         self._cache: dict = {}
+        self._psi_table: dict = {}
 
     # -- canonical base point ------------------------------------------------
     @property
@@ -222,24 +223,54 @@ class ScissorsContext:
         return rel
 
     def refined(self) -> RModPres:
-        """RP(A) as an R_A-module presentation on the W generators."""
+        """RP(A) as an R_A-module presentation on the W generators: each
+        Y_{a,b} goes from its five terms to {W index: {class: c}} in one
+        pass (the relation y_relation returns, grouped by generator)."""
         if "RP" not in self._cache:
-            rels = [self._relation(self.y_relation(a, b)) for a, b in self.five_term_pairs()]
+            windex = self.windex
+            rels = []
+            for a, b in self.five_term_pairs():
+                rel: dict = {}
+                cancelled = False
+                for g, k, c in self._five_terms(a, b):
+                    x = rel.get(windex[k])
+                    if x is None:
+                        rel[windex[k]] = {g: c}
+                    else:
+                        x[g] = x.get(g, 0) + c
+                        cancelled = cancelled or not x[g]
+                if cancelled:
+                    rel = {j: {g: c for g, c in x.items() if c} for j, x in rel.items()}
+                rels.append(rel)
             self._cache["RP"] = RModPres(self.G, len(self.W), rels)
         return self._cache["RP"]
 
     def rp_flat(self) -> FpAb:
         return self.refined().flatten()
 
-    def rp_vector(self, x: RPElem) -> np.ndarray:
-        m = self.refined()
-        v = zeros(1, m.flat_ngens)[0]
+    def rp_row(self, x: RPElem) -> dict:
+        """An RP element as a sparse row {g * |W| + W index: coefficient}
+        over the flattened basis (RModPres.flat_index, inlined).  A key
+        whose class is outside G or whose element is outside W is a
+        ValueError."""
+        n, order, windex = len(self.W), self.G.order, self.windex
+        row = {}
         for (g, a), c in x.items():
-            v[m.flat_index(g, self.windex[a])] += c
+            j = windex.get(a)
+            if j is None or not 0 <= g < order:
+                raise ValueError(f"RP key {(g, a)!r} is not a (square class, element of W) pair")
+            row[g * n + j] = c
+        return row
+
+    def rp_vector(self, x: RPElem) -> np.ndarray:
+        """The dense form of rp_row, for callers that need an array."""
+        v = zeros(1, self.G.order * len(self.W))[0]
+        for j, c in self.rp_row(x).items():
+            v[j] = c
         return v
 
     def rp_is_zero(self, x: RPElem) -> bool:
-        return self.rp_flat().contains(self.rp_vector(x))
+        return self.rp_flat().contains(self.rp_row(x))
 
     def lambda1_matrix(self) -> np.ndarray:
         """Matrix of lambda_1 on the flattened RP basis into Z[G]."""
@@ -341,8 +372,17 @@ class ScissorsContext:
 
     def psi(self, i: int, a) -> RPElem:
         """psi_1(a) = [a] + <-1>[1/a]; psi_2(a) = <1-a>(<a>[a] + [1/a]);
-        on one-units psi_i(u) = psi_i(u a0) - <u> psi_i(a0)."""
+        on one-units psi_i(u) = psi_i(u a0) - <u> psi_i(a0).  Tabulated per
+        context on first use; each call returns a fresh dict."""
+        x = self._psi_table.get((i, a))
+        if x is None:
+            x = self._psi_table[i, a] = self._psi(i, a)
+        return dict(x)
+
+    def _psi(self, i: int, a) -> RPElem:
         ring, G = self.ring, self.G
+        if i not in (1, 2):
+            raise ValueError(f"psi_{i} is not defined: i must be 1 or 2")
         if not ring.is_unit(a):
             raise ValueError(f"{a!r} is not a unit")
         if a in self.windex:
@@ -468,7 +508,7 @@ class ScissorsContext:
         return self.refined_tilde().plus_part(self.G.neg_one())
 
     def rp_tilde_is_zero(self, x: RPElem) -> bool:
-        return self.tilde().rp_tilde.contains(self.rp_vector(x))
+        return self.tilde().rp_tilde.contains(self.rp_row(x))
 
     # -- RP' ---------------------------------------------------------------------
     def rp_prime(self) -> RModPres:

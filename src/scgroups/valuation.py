@@ -364,8 +364,8 @@ class SpecializationContext:
         tb = self.sc.tilde()
         self.rp_tilde: FpAb = tb.rp_tilde
         self.p_tilde: FpAb = tb.p_tilde
-        ck = self.sc.rp_vector(self.sc.big_c())
-        self._ck_entries = [(i, int(x)) for i, x in enumerate(ck) if x]
+        ck = self.sc.rp_row(self.sc.big_c())
+        self._ck_entries = sorted((i, int(x)) for i, x in ck.items() if x)
         # square class in GF(p) of each nonzero residue
         self._gclass = [0] + [self.sc.G.class_of(u) for u in range(1, p)]
         self._classes: dict[tuple[int, int], ClassData] = {}
@@ -495,7 +495,7 @@ class SpecializationContext:
 
     def reduce_rp_elem(self, x) -> RPtElem:
         """Reduce a finite-ring RPElem of GF(p) in RP~(GF(p))."""
-        return RPtElem(self, self.sc.rp_vector(x))
+        return RPtElem(self, self.sc.rp_row(x))
 
     def surjectivity_witness(self, abar: int) -> tuple[SymRP, bool]:
         """Preimage <<p>> g(a) of g(abar) under delta_pi, with the check

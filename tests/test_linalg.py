@@ -383,11 +383,29 @@ def test_sparse_dict_vectors():
     assert not g.contains({0: 2, 1: 0, 2: 1})
     assert g.element_order({0: 1}) == 2 and g.element_order({}) == 1
     assert g.element_order({0: 1, 2: 1}) is None
-    for bad in ({0: 2, 1: 0, 5: 1}, {-1: 1}, {3: 0}):
+    # a negative index would alias a generator from the end if not refused
+    for bad in ({0: 2, 1: 0, 5: 1}, {-1: 1}, {3: 0}, {np.int64(-3): 2}, {2**70: 1}):
         with pytest.raises(ValueError, match="outside the generators"):
             g.contains(bad)
         with pytest.raises(ValueError, match="outside the generators"):
             g.element_order(bad)
+
+
+def test_sparse_dict_numpy_values_stay_exact():
+    # Z^2 / <(M, 0), (5, 3)> is cyclic of order 3M > 2^63, and the image of
+    # generator 0 exceeds int64: numpy values must be taken as Python ints
+    big = 2**64 + 13
+    g = FpAb(2, [[big, 0], [5, 3]])
+    assert g.invariant_factors() == (3 * big,)
+    assert max(abs(a) for img in g._projection()[1] for _, a in img) > 2**63
+    rng = random.Random(11)
+    for _ in range(50):
+        k = rng.randint(-1000, 1000)
+        x, y = rng.choice((0, 0, 1, -2)), rng.choice((0, 0, 1, 7))
+        v = {0: 5 * k + x, 1: 3 * k + y}
+        w = {j: np.int64(c) for j, c in v.items()}
+        assert g.contains(w) == g.contains(v) == (x == y == 0)
+        assert g.element_order(w) == g.element_order(v)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
@@ -304,6 +308,8 @@ def test_relation_rows_equal_the_dense_construction(label):
     assert np.array_equal(ctx.pre_bloch().rels, want_p)
     ys = [ctx.y_relation(a, b) for a, b in pairs]
     assert np.array_equal(ctx.rp_flat().rels, np.vstack(_translates(ctx, ys)))
+    # cancelled five-term entries are dropped, not stored as zeros
+    assert all(c for rel in ctx.refined().relations for x in rel.values() for c in x.values())
     psi = [ctx.psi1(a) for a in ctx.ring.units]
     assert np.array_equal(ctx.refined_tilde().flatten().rels, np.vstack(_translates(ctx, ys + psi)))
     neg1 = ctx.G.neg_one()
@@ -312,3 +318,94 @@ def test_relation_rows_equal_the_dense_construction(label):
         primed.append(add({(neg1, a): 1}, {(0, a): -1}))
         primed.append(add({(0, a): 1}, {(0, ctx.ring.inv(a)): 1}))
     assert np.array_equal(ctx.rp_prime().flatten().rels, np.vstack(_translates(ctx, ys + primed)))
+
+
+# -- RP membership as one sparse pass ------------------------------------------
+
+
+def _psi_reference(ctx, i, a):
+    """psi_i(a) straight from the formula, one-units by recursion through
+    the base point, with no table."""
+    ring, G = ctx.ring, ctx.G
+    if a in ctx.windex:
+        inv = ring.inv(a)
+        if i == 1:
+            return add({(0, a): 1}, {(G.neg_one(), inv): 1})
+        cls = G.class_of(ring.sub(ring.one, a))
+        return add({(cls ^ G.class_of(a), a): 1}, {(cls, inv): 1})
+    a0 = ctx.base_point
+    own = _psi_reference(ctx, i, ring.mul(a, a0))
+    return add(own, scale(-1, rp_act({G.class_of(a): 1}, _psi_reference(ctx, i, a0))))
+
+
+@pytest.mark.parametrize("label", SMALL + ["z/11^2"])
+def test_psi_table_matches_formula(label):
+    ctx = ScissorsContext(context(label).ring)
+    one_units = [a for a in ctx.ring.units if a not in ctx.windex]
+    assert one_units or ctx.ring.kind == "field"
+    # one-units first, so their rows fill the table before the W entries
+    for a in one_units + list(ctx.ring.units):
+        for i in (1, 2):
+            assert ctx.psi(i, a) == _psi_reference(ctx, i, a)
+    with pytest.raises(ValueError, match="not a unit"):
+        ctx.psi(1, ctx.ring.zero)
+    with pytest.raises(ValueError, match="1 or 2"):
+        ctx.psi(3, ctx.base_point)
+
+
+def test_psi_returns_a_fresh_dict():
+    ctx = ScissorsContext(context("z/11^2").ring)
+    u = next(a for a in ctx.ring.units if a not in ctx.windex)
+    for i, a in ((1, ctx.base_point), (2, u)):
+        want = _psi_reference(ctx, i, a)
+        x = ctx.psi(i, a)
+        x[(0, a)] = x.get((0, a), 0) + 5
+        x.clear()
+        y = ctx.psi(i, a)
+        assert y == want and y is not x
+        y.update({(0, ctx.base_point): 7})
+        assert ctx.psi(i, a) == want
+
+
+def test_rp_keys_outside_g_times_w_are_refused():
+    # class -1 used to alias class |G| - 1 through numpy's negative index
+    ctx = context("gf(13)")
+    w0 = ctx.W[0]
+    outside_w = next(a for a in ctx.ring.elements if a not in ctx.windex)
+    for key in ((-1, w0), (ctx.G.order, w0), (0, outside_w)):
+        for ask in (ctx.rp_row, ctx.rp_vector, ctx.rp_is_zero, ctx.rp_tilde_is_zero):
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                ask({key: 1})
+
+
+@st.composite
+def rp_questions(draw):
+    """(label, x): an RP element made of G-translates of defining relations
+    (zero in RP) and, half of the time, a few free (class, W) terms."""
+    label = draw(st.sampled_from(["gf(13)", "gf(49)", "z/11^2"]))
+    ctx = context(label)
+    rels, order = ctx.refined().relations, ctx.G.order
+    x: dict = {}
+    for _ in range(draw(st.integers(0, 3))):
+        rel = rels[draw(st.integers(0, len(rels) - 1))]
+        t, c = draw(st.integers(0, order - 1)), draw(st.integers(-3, 3))
+        y = {(g ^ t, ctx.W[j]): c * d for j, coeffs in rel.items() for g, d in coeffs.items()}
+        x = add(x, y)
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            key = (draw(st.integers(0, order - 1)), draw(st.sampled_from(ctx.W)))
+            x = add(x, {key: draw(st.sampled_from((-2, -1, 1, 2)))})
+    return label, x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rp_questions())
+def test_rp_is_zero_matches_dense_contains(question):
+    label, x = question
+    ctx = context(label)
+    n = len(ctx.W)
+    v = np.zeros(ctx.G.order * n, dtype=object)
+    for (g, a), c in x.items():
+        v[g * n + ctx.W.index(a)] += c
+    assert ctx.rp_is_zero(x) == ctx.rp_flat().contains(v)
+    assert np.array_equal(ctx.rp_vector(x), v)
