@@ -23,13 +23,17 @@ integers.  An element of M2(Z[1/p]) is a tuple (a, b, c, d, e) meaning
 four entries, so equal matrices have equal tuples; an SL2 element has
 ad - bc = p^(2e) and its inverse is the adjugate with the same e.  A key
 is (a, n, j) with c = n / p^j and p not dividing n when j > 0;
-`_key_in` and `_key_out` convert between it and a VertexKey, and
-`neighbors` builds its child keys from the integers directly.  The
-amalgam walk, its word normalization and its validation run on these
-tuples.  Fraction converts only at the edge: `_mat_in` reads a matrix in
-(refusing entries outside Z[1/p]), `_cleared` clears every denominator of
-a rational matrix by a homothety for the key functions, and `_mat_out`
-builds the returned factors.
+`_key_in` converts a VertexKey to it, refusing a c outside [0, p^a), and
+`_key_out` converts back.  The amalgam walk, its word normalization and
+its validation run on these tuples.  Fraction converts only at the edge:
+`_mat_in` reads a matrix in (refusing entries outside Z[1/p]), `_cleared`
+clears every denominator of a rational matrix by a homothety for the key
+functions, and `_mat_out` builds the returned factors.
+
+`_tree_nbrs` gives the p children and the parent of a key in closed form
+on the plain tuple (a, n, p^j) that a VertexKey holds; `neighbors` wraps
+it, and `ball_is_tree` certifies the ball in one BFS over those tuples
+that checks each vertex's neighbours as it expands it.
 """
 
 from __future__ import annotations
@@ -165,10 +169,14 @@ class VertexKey(tuple):
 
 
 def _key_in(v: VertexKey, p: int) -> IKey:
+    """The integer key of a canonical VertexKey; a denominator that is not
+    a power of p, or a c outside [0, p^a), is refused."""
     a, n, den = v
     j = vp_int(den, 1, p)
     if den != p**j:
         raise ValueError(f"key {v} has a denominator that is not a power of {p}")
+    if _reduce_mod_power(n, j, a, p) != (n, j):
+        raise ValueError(f"key {v} is not canonical: c must lie in [0, {p}^{a})")
     return (a, n, j)
 
 
@@ -261,12 +269,11 @@ def distance(v1: VertexKey, v2: VertexKey, p: int) -> int:
     return a1 + a2 - 2 * m
 
 
-def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
-    """The p + 1 classes at distance 1 (index-p sublattices in the basis
-    of the key), in closed form for a canonical key (a, c): the basis
-    (p^a, 0), (c, 1) times [[p, i], [0, 1]] gives (a + 1, c + i p^a), and
-    times [[1, 0], [0, p]] gives (a - 1, c mod p^(a-1))."""
-    a, n, d = v
+def _tree_nbrs(a: int, n: int, d: int, p: int) -> list[tuple]:
+    """The neighbours of the canonical key (a, n / d) as plain (a, n, d)
+    tuples, the p children first and the parent last; it only builds
+    canonical keys, so the ball and its certificate run on it with no
+    check of their input."""
     # with c = n / p^j and J = max(j, -a), child i is
     # (a + 1, (n p^(J-j) + i p^(a+J)) / p^J); dd = p^J and step = p^(a+J)
     if a >= 0:
@@ -276,7 +283,7 @@ def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
         dd = max(d, q)
         step = dd // q
     base = n * (dd // d)
-    new, a1 = tuple.__new__, a + 1
+    a1 = a + 1
     if step == 1:
         # a + J = 0: c + i p^a may share factors of p with p^J
         out = []
@@ -285,18 +292,39 @@ def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
             while den > 1 and m % p == 0:
                 m //= p
                 den //= p
-            out.append(new(VertexKey, (a1, m, den)))
+            out.append((a1, m, den))
     else:
         # p divides step, and n is prime to p when j > 0: already canonical
-        out = [new(VertexKey, (a1, m, dd)) for m in range(base, base + p * step, step)]
-    out.append(_key_out(_parent(_key_in(v, p), p), p))
-    if len(set(out)) != p + 1:
-        raise AssertionError("neighbor keys must be distinct")
+        out = [(a1, m, dd) for m in range(base, base + p * step, step)]
+    # the parent c mod p^(a-1) is s / d with s = n mod d p^(a-1); for
+    # a >= 1 that modulus is step / p and s = n mod p when d > 1, so s / d
+    # is in lowest terms; for a <= 0 it is 0 unless p^(1-a) < d
+    if a >= 1:
+        out.append((a - 1, n % (step // p), d))
+    elif d <= p ** (1 - a):
+        out.append((a - 1, 0, 1))
+    else:
+        s = n % (d // p ** (1 - a))
+        while d > 1 and s % p == 0:
+            s //= p
+            d //= p
+        out.append((a - 1, s, d))
     return out
 
 
+def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
+    """The p + 1 classes at distance 1 (index-p sublattices in the basis
+    of the key), in closed form for a canonical key (a, c): the basis
+    (p^a, 0), (c, 1) times [[p, i], [0, 1]] gives (a + 1, c + i p^a), and
+    times [[1, 0], [0, p]] gives (a - 1, c mod p^(a-1))."""
+    _key_in(v, p)
+    new = tuple.__new__
+    return [new(VertexKey, k) for k in _tree_nbrs(*v, p)]
+
+
 def _step_toward(v: IKey, t: IKey, p: int) -> IKey:
-    """step_toward on integer keys."""
+    """step_toward on integer keys; for t = v it returns v's parent, which
+    the amalgam walk reads when w * base is (1, 0), one step from the base."""
     a, n, j = v
     if t[0] > a and _reduce_mod_power(t[1], t[2], a, p) == (n, j):
         return (a + 1, *_reduce_mod_power(t[1], t[2], a + 1, p))
@@ -306,7 +334,10 @@ def _step_toward(v: IKey, t: IKey, p: int) -> IKey:
 def step_toward(v: VertexKey, t: VertexKey, p: int) -> VertexKey:
     """The neighbour of v on the path to t != v: the child ball of v that
     holds t, or else v's parent."""
-    return _key_out(_step_toward(_key_in(v, p), _key_in(t, p), p), p)
+    v, t = _key_in(v, p), _key_in(t, p)
+    if v == t:
+        raise ValueError(f"no step from {_key_out(v, p)} toward itself")
+    return _key_out(_step_toward(v, t, p), p)
 
 
 def act(g: Mat2, v: VertexKey, p: int) -> VertexKey:
@@ -376,12 +407,15 @@ def _local_form(g: Mat2, p: int) -> tuple[IMat, int]:
     return (*entries, vp_int(den, 1, p)), den
 
 
-def _mat_in(g: Mat2, p: int) -> IMat:
+def _mat_in(g: Mat2, p: int, sl2: bool = False) -> IMat:
     """The integer form of a matrix with entries in Z[1/p]; the least
     common denominator leaves some entry prime to p when e > 0, so the form
-    is normalized."""
+    is normalized.  With sl2, a determinant other than 1 is refused too."""
     m, den = _local_form(g, p)
-    if den != p ** m[4]:
+    a, b, c, d, e = m
+    if sl2 and a * d - b * c != den * den:
+        raise ValueError("determinant must be 1")
+    if den != p**e:
         raise ValueError("entries must lie in Z[1/p]")
     return m
 
@@ -479,10 +513,7 @@ def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     of the geodesic from the base vertex to g * base, until g fixes it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    m11, m12, m21, m22, den = _cleared(g)
-    if m11 * m22 - m12 * m21 != den * den:
-        raise ValueError("determinant must be 1")
-    g = _mat_in(g, p)
+    g = _mat_in(g, p, sl2=True)
     factors = []
     w = g
     # w * base is the class of the columns of w, the base basis being I
@@ -584,33 +615,26 @@ def _check_ball_args(p: int, radius: int) -> None:
         raise ValueError(f"radius must be >= 0, got {radius}")
 
 
-def _bfs(p: int, radius: int) -> tuple[dict, list, dict]:
-    """BFS ball around the base vertex: ({key: depth}, edges, {key:
-    neighbor list}) with a list for every vertex of depth < radius.  Each
-    vertex is expanded once, so an edge to an already expanded vertex was
-    recorded from that side and is skipped."""
+def ball(p: int, radius: int) -> tuple[dict, list]:
+    """BFS ball around the base vertex: returns ({key: depth}, edges), the
+    edges from each vertex of depth < radius to its neighbours one level
+    deeper."""
     _check_ball_args(p, radius)
     depth = {LAMBDA0: 0}
     frontier = [LAMBDA0]
     edges = []
-    nbrs = {}
     for r in range(radius):
         nxt = []
         for v in frontier:
-            vn = nbrs[v] = neighbors(v, p)
-            for u in vn:
-                if u not in depth:
+            for u in neighbors(v, p):
+                du = depth.get(u)
+                if du is None:
                     depth[u] = r + 1
                     nxt.append(u)
-                if u not in nbrs:
+                    edges.append((v, u))
+                elif du > r:
                     edges.append((v, u))
         frontier = nxt
-    return depth, edges, nbrs
-
-
-def ball(p: int, radius: int) -> tuple[dict, list]:
-    """BFS ball around the base vertex: returns ({key: depth}, edges)."""
-    depth, edges, _ = _bfs(p, radius)
     return depth, edges
 
 
@@ -622,20 +646,39 @@ def ball_size_formula(p: int, radius: int) -> int:
 
 
 def ball_is_tree(p: int, radius: int) -> bool:
-    """Counts match the closed formula and every non-root vertex has a
-    unique parent (plus bipartite depths, so no odd cycles).  Reuses the
-    BFS neighbor lists; only the leaves at depth radius get new ones."""
-    depth, _, nbrs = _bfs(p, radius)
-    if len(depth) != ball_size_formula(p, radius):
-        return False
-    for v, d in depth.items():
-        if d == 0:
-            continue
-        vn = nbrs[v] if d < radius else neighbors(v, p)
-        ds = list(map(depth.get, vn))
-        if ds.count(d - 1) != 1 or d in ds:
-            return False
-    return True
+    """One BFS of the ball on integer keys that checks each vertex as it
+    is expanded, the leaves at depth radius included: its p + 1 neighbours
+    are distinct, exactly one lies at depth d - 1 (none for the root), and
+    every other one is new, or lies outside the ball when d = radius.  So
+    no vertex has a neighbour at its own depth or two neighbours one level
+    up (no cycles), and the vertex count is the closed formula."""
+    _check_ball_args(p, radius)
+    depth = {LAMBDA0: 0}
+    frontier = [LAMBDA0]
+    for r in range(radius + 1):
+        nxt = []
+        inner = r < radius
+        for v in frontier:
+            out = _tree_nbrs(*v, p)
+            if len(set(out)) != p + 1:
+                return False
+            parents = 0
+            for u in out:
+                du = depth.get(u)
+                if du is None:
+                    if inner:
+                        depth[u] = r + 1
+                        nxt.append(u)
+                elif du == r - 1:
+                    parents += 1
+                else:
+                    # a neighbour at depth r, or at r + 1 found from
+                    # another vertex (a second parent), or further up
+                    return False
+            if parents != (r > 0):
+                return False
+        frontier = nxt
+    return len(depth) == ball_size_formula(p, radius)
 
 
 def dot_output(p: int, radius: int) -> str:

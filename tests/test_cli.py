@@ -243,7 +243,8 @@ def test_oversized_ball_rejected_before_bfs(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the ball must not be built")
 
-    monkeypatch.setattr(cli.tree, "_bfs", refuse)
+    # ball and ball_is_tree both expand vertices through the kernel
+    monkeypatch.setattr(cli.tree, "_tree_nbrs", refuse)
     for extra in ([], ["--dot"]):
         code, _, err = run_cli(["tree", "ball", "--p", "2", "--radius", "30", *extra], capsys)
         assert code == 2 and "error:" in err

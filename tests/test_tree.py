@@ -111,6 +111,47 @@ def test_cosets_carry_the_edge_onto_each_neighbor(p):
         assert in_g1(q, p) and act(q, lambda0(), p) == v
 
 
+def test_step_toward_refuses_its_own_vertex():
+    v = VertexKey(2, 1)
+    assert step_toward(v, lambda0(), 3) == VertexKey(1, 1)
+    with pytest.raises(ValueError, match="toward itself"):
+        step_toward(v, v, 3)
+
+
+def test_non_canonical_key_refused():
+    # (1, 5) at p = 3 is the class (1, 2): its c lies outside [0, 3)
+    v = VertexKey(1, 5)
+    for call in (
+        lambda: neighbors(v, 3),
+        lambda: distance(v, lambda0(), 3),
+        lambda: step_toward(v, lambda0(), 3),
+        lambda: act(IDENT, v, 3),
+    ):
+        with pytest.raises(ValueError, match=r"key \(1,5\) is not canonical"):
+            call()
+    assert neighbors(VertexKey(1, 2), 3)[0] == VertexKey(2, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    a=st.integers(-6, 6),
+    k=st.integers(0, 6),
+    n=st.integers(-(10**6), 10**6),
+)
+def test_canonical_keys_accepted_and_shifted_ones_refused(p, a, k, n):
+    v = canonical_vertex(mat2(Fraction(p) ** a, Fraction(n, p**k), 0, 1), p)
+    assert tree._key_out(tree._key_in(v, p), p) == v
+    assert distance(v, v, p) == 0 and len(neighbors(v, p)) == p + 1
+    # c + p^a names the same class but lies outside [0, p^a)
+    shifted = VertexKey(v.a, v.c + Fraction(p) ** v.a)
+    assert canonical_vertex(shifted.matrix(p), p) == v
+    with pytest.raises(ValueError, match="not canonical"):
+        tree._key_in(shifted, p)
+    with pytest.raises(ValueError, match="not canonical"):
+        neighbors(shifted, p)
+
+
 def test_distance_examples():
     p = 7
     assert distance(lambda0(), lambda1(), p) == 1
@@ -237,20 +278,144 @@ def test_ball_edges_form_a_spanning_tree(p):
     assert all(depth[u] == depth[v] + 1 for v, u in edges)
 
 
+def _two_pass_ball_is_tree(p, radius):
+    """Reference for the certificate: the two-pass form it replaced.  A
+    BFS through the public neighbors keeps every neighbour list, then a
+    sweep reads the depths of each vertex's neighbours, a fresh list for a
+    leaf; neighbors used to assert that each list is distinct."""
+    depth, frontier, nbrs = {lambda0(): 0}, [lambda0()], {}
+    for r in range(radius):
+        nxt = []
+        for v in frontier:
+            for u in nbrs.setdefault(v, neighbors(v, p)):
+                if u not in depth:
+                    depth[u] = r + 1
+                    nxt.append(u)
+        frontier = nxt
+    if len(depth) != ball_size_formula(p, radius):
+        return False
+    for v, d in depth.items():
+        vn = nbrs[v] if d < radius else neighbors(v, p)
+        if len(set(vn)) != p + 1:
+            return False
+        ds = list(map(depth.get, vn))
+        if d and (ds.count(d - 1) != 1 or d in ds):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_ball_is_tree_agrees_with_the_two_pass_reference(p):
+    for radius in range(5):
+        assert ball_is_tree(p, radius) is _two_pass_ball_is_tree(p, radius) is True
+
+
+def _patch_kernel(monkeypatch, edit):
+    """Route the neighbour kernel, which neighbors, ball and ball_is_tree
+    all call, through edit(key, list) on plain (a, n, d) tuples."""
+    orig = tree._tree_nbrs
+
+    def patched(a, n, d, p):
+        return edit((a, n, d), orig(a, n, d, p))
+
+    monkeypatch.setattr(tree, "_tree_nbrs", patched)
+
+
+def _rejected(p, radius):
+    return not ball_is_tree(p, radius) and not _two_pass_ball_is_tree(p, radius)
+
+
 @pytest.mark.parametrize("radius", [1, 2])
 def test_ball_is_tree_rejects_a_same_depth_neighbor(monkeypatch, radius):
     # lambda1 and (-1, 0) both sit at depth 1; radius 1 checks lambda1 as a
-    # leaf, radius 2 through the BFS neighbor lists
+    # leaf, radius 2 as it is expanded
     p = 3
     assert ball_is_tree(p, radius)
-    orig = tree.neighbors
+    mirror = tuple(VertexKey(-1, 0))
+    _patch_kernel(monkeypatch, lambda v, out: out + [mirror] if v == lambda1() else out)
+    assert _rejected(p, radius)
 
-    def with_extra_edge(v, p):
-        out = orig(v, p)
-        return out + [VertexKey(-1, Fraction(0))] if v == lambda1() else out
 
-    monkeypatch.setattr(tree, "neighbors", with_extra_edge)
+def _two_branches(p, depth_x, depth_y):
+    """A vertex at depth_x and one at depth_y under different depth-1
+    vertices, as plain tuples."""
+    depth, edges = ball(p, max(depth_x, depth_y))
+    up = {u: v for v, u in edges}
+
+    def branch(v):
+        while depth[v] > 1:
+            v = up[v]
+        return v
+
+    x = next(v for v, d in depth.items() if d == depth_x)
+    y = next(v for v, d in depth.items() if d == depth_y and branch(v) != branch(x))
+    return tuple(x), tuple(y)
+
+
+def _join(x, y, replace):
+    """An extra edge x -- y in both lists: appended, or in place of the
+    first child so that every list keeps p + 1 entries."""
+
+    def edit(v, out):
+        for a, b in ((x, y), (y, x)):
+            if v == a:
+                return [b] + out[1:] if replace else out + [b]
+        return out
+
+    return edit
+
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_ball_is_tree_rejects_a_second_parent(monkeypatch, replace):
+    # a depth-1 vertex joined to a depth-2 vertex of another branch, which
+    # then has two neighbours one level up
+    p, radius = 3, 3
+    x, y = _two_branches(p, 1, 2)
+    _patch_kernel(monkeypatch, _join(x, y, replace))
+    assert _rejected(p, radius)
+
+
+def test_ball_is_tree_rejects_a_second_parent_at_once(monkeypatch):
+    # the certificate stops on the second depth-1 neighbour of the depth-2
+    # vertex, before it expands anything at depth 2
+    p, radius = 3, 3
+    x, y = _two_branches(p, 1, 2)
+    join = _join(x, y, replace=True)
+    expanded = []
+
+    def edit(v, out):
+        expanded.append(v)
+        return join(v, out)
+
+    _patch_kernel(monkeypatch, edit)
     assert not ball_is_tree(p, radius)
+    assert len(expanded) <= 1 + (p + 1)
+
+
+def test_ball_is_tree_rejects_a_repeated_neighbor_at_a_leaf(monkeypatch):
+    # a leaf's children lie outside the ball, so only the distinctness of
+    # its list catches a child named twice
+    p, radius = 3, 2
+    x, _ = _two_branches(p, radius, radius)
+    _patch_kernel(monkeypatch, lambda v, out: [out[1]] + out[1:] if v == x else out)
+    assert _rejected(p, radius)
+
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_ball_is_tree_rejects_an_edge_between_leaves(monkeypatch, replace):
+    p, radius = 3, 3
+    x, y = _two_branches(p, radius, radius)
+    _patch_kernel(monkeypatch, _join(x, y, replace))
+    assert _rejected(p, radius)
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_ball_is_tree_rejects_a_dropped_child(monkeypatch, radius):
+    p = 3
+    x = tuple(lambda1())
+    _patch_kernel(monkeypatch, lambda v, out: out[1:] if v == x else out)
+    assert len(ball(p, radius)[0]) < ball_size_formula(p, radius)
+    assert _rejected(p, radius)
 
 
 @pytest.mark.parametrize("fn", [ball, ball_is_tree, ball_size_formula])
