@@ -16,7 +16,10 @@ only, and the basis is returned only under a certificate checked at run
 time: every basis row lies in the subset's lattice (back-substitution on
 the subset's triangular rows), and every input row maps to 0 under the
 basis's quotient map.  Rows that the map does not kill join the subset for
-another round.
+another round.  This certified path reads the caller's sparse rows in
+place and copies only the subset; exact repeats are dropped only on the
+full path, which reduces copies of every row.  An FpAb keeps the quotient
+map the certificate built, so it is not built twice.
 """
 
 from __future__ import annotations
@@ -110,13 +113,13 @@ def _dense(rows: list[dict], ncols: int) -> np.ndarray:
 
 
 def _distinct(rows: list[dict]) -> list[dict]:
-    """The rows with exact repeats dropped, first occurrences in order.
-    The row lattice, and so its canonical HNF, is unchanged."""
+    """The nonzero rows with exact repeats dropped, first occurrences in
+    order.  The row lattice, and so its canonical HNF, is unchanged."""
     seen = set()
     out = []
     for r in rows:
         key = frozenset(r.items())
-        if key not in seen:
+        if r and key not in seen:
             seen.add(key)
             out.append(r)
     return out
@@ -221,22 +224,26 @@ def sparse_rank_and_pivots(rows, ncols: int) -> tuple[int, list[int]]:
     return len(retired), pivots
 
 
-def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
+def hnf_rows(mat, ncols: Optional[int] = None, *, quotient_map: Optional[list] = None) -> np.ndarray:
     """Canonical row-style Hermite basis of the row lattice of ``mat``.
 
     ``mat`` may be a 2-D array or an iterable of rows (dense rows or sparse
     {col: value} dicts).  The result is an r x ncols object matrix in
     echelon form with positive pivots and the entries above each pivot
-    reduced into [0, pivot).  Exactly repeated rows and zero rows are
-    dropped before the reduction; relation generators repeat a lot
-    (P(GF(121)) has 7080 distinct rows among 14042).
+    reduced into [0, pivot).  The caller's rows are never modified.
 
-    Up to SUBSET_PER_COLUMN * ncols distinct rows are all reduced
-    (``_full_hnf``).  Taller inputs take the certified path of
-    ``_certified_hnf``: the basis of a seeded random subset, computed
-    modulo its determinant, is accepted only once every
-    basis row lies in the subset's lattice and every input row lies in the
-    basis's lattice.
+    Up to SUBSET_PER_COLUMN * ncols rows are all reduced (``_full_hnf``),
+    on copies with exact repeats and zero rows dropped.  Taller inputs take
+    the certified path of ``_certified_hnf``, which reads the rows in
+    place and copies only the subset it reduces: the basis of a
+    seeded random subset, computed modulo its determinant, is accepted
+    only once every basis row lies in the subset's lattice and every input
+    row lies in the basis's lattice.  Repeats are not dropped there; a
+    repeated row costs one more projection in the certificate.
+
+    When the certified path runs and ``quotient_map`` is a list, the
+    quotient map its certificate built for the basis is appended to it, so
+    that an FpAb need not build the same map again.
     """
     if isinstance(mat, np.ndarray):
         if ncols is None:
@@ -247,18 +254,19 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
             if not mat or isinstance(mat[0], dict):
                 raise ValueError("ncols is required for sparse or empty input")
             ncols = len(mat[0])
-    rows = [r for r in _distinct(_to_sparse_rows(mat)) if r]
-    if len(rows) > SUBSET_PER_COLUMN * ncols:
-        basis = _certified_hnf(rows, ncols)
+    if len(mat) > SUBSET_PER_COLUMN * ncols:
+        basis, proj = _certified_hnf(mat, ncols)
+        if proj is not None and quotient_map is not None:
+            quotient_map.append(proj)
     else:
-        basis = _full_hnf(rows, ncols)
+        basis = _full_hnf(mat, ncols)
     return _dense(basis, ncols)
 
 
-def _full_hnf(rows: list[dict], ncols: int) -> list[dict]:
+def _full_hnf(rows, ncols: int) -> list[dict]:
     """Canonical HNF rows of the lattice of every row, by sparse reduction
-    and the HNF of the triangular rows; the rows are modified in place."""
-    return _subset_hnf(_sparse_reduce(rows, ncols)[0], ncols)
+    of their distinct nonzero copies and the HNF of the triangular rows."""
+    return _subset_hnf(_sparse_reduce(_distinct(_to_sparse_rows(rows)), ncols)[0], ncols)
 
 
 # the certified path of hnf_rows reduces a subset of this many rows per column
@@ -266,9 +274,15 @@ SUBSET_PER_COLUMN = 4
 _SUBSET_SEED = 7
 
 
-def _certified_hnf(rows: list[dict], n: int) -> list[dict]:
-    """Canonical HNF rows of the lattice of ``rows`` (distinct, nonzero),
-    from a seeded random subset grown until it is certified.
+def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
+    """Canonical HNF rows of the lattice of ``rows``, from a seeded random
+    subset grown until it is certified, with the quotient map of the
+    certificate (None after the fallback).
+
+    The rows (a 2-D array, or a list of rows in any form ``_entries``
+    reads) are read in place: they may hold zero values, repeats and numpy
+    integers.  The subset rows are copied without zeros and with
+    Python-int values before the reduction modifies them.
 
     Each round reduces the subset to triangular rows, computes the HNF of
     their lattice L_S modulo its determinant (``_subset_hnf``) and then
@@ -285,7 +299,7 @@ def _certified_hnf(rows: list[dict], n: int) -> list[dict]:
     """
     rng = random.Random(_SUBSET_SEED)
     chosen = set(rng.sample(range(len(rows)), SUBSET_PER_COLUMN * n))
-    work = [dict(rows[i]) for i in sorted(chosen)]
+    work = _to_sparse_rows(rows[i] for i in sorted(chosen))
     while True:
         retired, _ = _sparse_reduce(work, n)
         basis = _subset_hnf(retired, n)
@@ -294,15 +308,15 @@ def _certified_hnf(rows: list[dict], n: int) -> list[dict]:
         if not all(_in_triangular_lattice(r, retired, det) for r in basis):
             raise AssertionError("certified HNF: a basis row is not in the subset lattice")
         proj = _projection_table(SparseEchelon(basis, n))
-        missing = [i for i, r in enumerate(rows) if any(_project(proj, r.items()))]
+        missing = [i for i, r in enumerate(rows) if any(_project(proj, _entries(r)))]
         if not missing:
-            return basis
+            return basis, proj
         if chosen.intersection(missing):
             raise AssertionError("certified HNF: the basis misses a subset row")
         chosen.update(missing)
         if len(chosen) == len(rows):
-            return _full_hnf([dict(r) for r in rows], n)
-        work = [r for _, r in retired] + [dict(rows[i]) for i in missing]
+            return _full_hnf(rows, n), None
+        work = [r for _, r in retired] + _to_sparse_rows(rows[i] for i in missing)
 
 
 def _check_canonical(basis: list[dict], n: int) -> None:
@@ -928,6 +942,8 @@ class FpAb:
         self._hnf: Optional[np.ndarray] = None
         self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
+        # the quotient map a certified hnf_rows built, until _projection checks it
+        self._certified_proj: list = []
 
     @property
     def rels(self) -> np.ndarray:
@@ -940,7 +956,7 @@ class FpAb:
     @property
     def rel_basis(self) -> np.ndarray:
         if self._hnf is None:
-            self._hnf = hnf_rows(self._rels, self.ngens)
+            self._hnf = hnf_rows(self._rels, self.ngens, quotient_map=self._certified_proj)
         return self._hnf
 
     def echelon(self) -> SparseEchelon:
@@ -980,10 +996,12 @@ class FpAb:
 
     def _projection(self) -> _Projection:
         """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, certified on
-        the relation basis when it is built."""
+        the relation basis when it is built.  A certified relation basis
+        comes with the map its certificate built; it is checked the same
+        way."""
         if self._proj is None:
             ech = self.echelon()
-            proj = _projection_table(ech)
+            proj = self._certified_proj.pop() if self._certified_proj else _projection_table(ech)
             for i, (j, p, rest) in enumerate(ech.rows):
                 if any(_project(proj, [(j, p)] + rest)):
                     raise AssertionError(f"quotient map does not kill relation {i}")

@@ -71,6 +71,9 @@ class Ring:
 
     kind: str
     label: str
+    # the ScissorsContext that owns this ring object, held through a weak
+    # reference (scissors.context reads it); None until one is built
+    _scissors = None
 
     def __init__(self):
         self.elements = self._enumerate()
@@ -142,6 +145,12 @@ class Ring:
 
     def __repr__(self):
         return f"Ring({self.label})"
+
+    def __getstate__(self):
+        # a weak reference does not pickle; a copy owns no context
+        state = dict(self.__dict__)
+        state.pop("_scissors", None)
+        return state
 
 
 def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:

@@ -11,6 +11,7 @@ inverting 2 go through linalg.iso_odd.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from .linalg import AbMap, FpAb, SubgroupPres, intmat, iso_odd, zeros
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
 from .linalg import hnf_rows  # noqa: F401
-from .rings import Ring, square_classes, unit_group_basis
+from .rings import Ring, parse_ring, square_classes, unit_group_basis
 
 # ---------------------------------------------------------------------------
 # symbolic elements
@@ -54,6 +55,12 @@ class ScissorsContext:
 
     Generators of P are indexed by W in canonical element order; the
     refined module RP is flattened over (square class, W index).
+
+    A ring object owns the first context built on it while that context
+    lives: the ring holds it through a weak reference, and ``context(ring)``
+    returns it, so every caller that asks for the ring's groups shares one
+    set of relations and relation bases.  A second context on the same
+    ring is independent of the first.
     """
 
     def __init__(self, ring: Ring):
@@ -67,6 +74,8 @@ class ScissorsContext:
         self.windex = {a: i for i, a in enumerate(self.W)}
         self._cache: dict = {}
         self._psi_table: dict = {}
+        if _live_context(ring) is None:
+            ring._scissors = weakref.ref(self)
 
     # -- canonical base point ------------------------------------------------
     @property
@@ -579,7 +588,7 @@ class ScissorsContext:
         return rows
 
     def residue_context(self) -> "ScissorsContext":
-        return ScissorsContext(self.ring.residue_field())
+        return context(self.ring.residue_field())
 
     def residue_matrix(self, kctx: "ScissorsContext") -> np.ndarray:
         """Matrix of the functorial map RP_flat(B) -> RP_flat(k)."""
@@ -617,15 +626,22 @@ class ScissorsContext:
         }
 
 
+def _live_context(ring: Ring):
+    """The context that owns the ring object, or None."""
+    ref = ring._scissors
+    return None if ref is None else ref()
+
+
 @lru_cache(maxsize=None)
 def _context_by_label(label: str) -> ScissorsContext:
-    from .rings import parse_ring
-
+    """The cached context of a canonical ring label (``Ring.label``)."""
     return ScissorsContext(parse_ring(label))
 
 
 def context(ring_or_label) -> ScissorsContext:
-    """Context factory with caching by ring descriptor."""
-    if isinstance(ring_or_label, str):
-        return _context_by_label(ring_or_label)
-    return _context_by_label(ring_or_label.label)
+    """The scissors context of a ring: the live context that owns the ring
+    object, else the one cached for its canonical label.  A descriptor is
+    parsed first, so "gf(121)" and "gf(11^2)" share one context."""
+    ring = parse_ring(ring_or_label) if isinstance(ring_or_label, str) else ring_or_label
+    live = _live_context(ring)
+    return live if live is not None else _context_by_label(ring.label)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -780,6 +781,106 @@ def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
         hnf_rows(rows, 3)
     monkeypatch.setattr(linalg, "_hnf_mod_det", step)
     assert [[int(x) for x in r] for r in hnf_rows(rows, 3)] == want
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def _ints(basis):
+    return [[int(x) for x in r] for r in basis]
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "zero-rows", "repeated-rows"])
+def test_hnf_rows_leaves_the_callers_rows_unchanged(kind):
+    rows, n = certified_case(kind)
+    sparse = _sparse(rows)
+    sparse[0][n - 1] = 0  # a stored zero, which the reduction must not see
+    for given in (sparse, sparse[: tall(n) - 1]):
+        before = copy.deepcopy(given)
+        hnf_rows(given, n)
+        assert given == before
+        assert all(type(x) is int for r in given for x in r.values())
+
+
+def test_certified_hnf_repeats_give_the_same_basis():
+    rows, n = certified_case("full-rank")
+    sparse = _sparse(rows)
+    want = _ints(hnf_rows(sparse, n))
+    rng = random.Random(2)
+    repeated = sparse + [dict(rng.choice(sparse)) for _ in range(3 * len(sparse))]
+    rng.shuffle(repeated)
+    assert _ints(hnf_rows(repeated, n)) == want == sympy_row_hnf(rows)
+
+
+def test_certified_hnf_reads_numpy_values_exactly():
+    # entries fit int64, but the lattice's determinant is near 10^20, so
+    # the certificate's projection overflows unless values become Python ints
+    rng = random.Random(8)
+    n = 3
+    gens = [[rng.randint(-10**7, 10**7) for _ in range(n)] for _ in range(n)]
+    rows = lattice_rows(rng, gens, 6 * n)
+    det = abs(int(Matrix(gens).det()))
+    assert det > 2**63 and max(abs(x) for r in rows for x in r) < 2**62
+    want = sympy_row_hnf(rows)
+    as_numpy = [{np.int64(j): np.int64(x) for j, x in r.items()} for r in _sparse(rows)]
+    assert _ints(hnf_rows(as_numpy, n)) == _ints(hnf_rows(_sparse(rows), n)) == want
+
+
+def test_certified_path_on_few_distinct_rows_matches_full_path(monkeypatch):
+    # 8 distinct rows, each three times: past the subset size raw, not distinct
+    rng = random.Random(4)
+    n = 3
+    rows = lattice_rows(rng, [[2, 1, 0], [0, 3, 1], [1, 0, 4]], 8) * 3
+    assert len(rows) > linalg.SUBSET_PER_COLUMN * n >= len({tuple(r) for r in rows})
+    certified = []
+    step = linalg._certified_hnf
+
+    def counted(rows, n):
+        certified.append(len(rows))
+        return step(rows, n)
+
+    monkeypatch.setattr(linalg, "_certified_hnf", counted)
+    got = _ints(hnf_rows(_sparse(rows), n))
+    assert certified == [len(rows)]
+    assert got == _ints(linalg._dense(linalg._full_hnf(_sparse(rows), n), n)) == sympy_row_hnf(rows)
+
+
+def test_certified_basis_brings_its_quotient_map(monkeypatch):
+    rows, n = certified_case("deficiency-1")
+    tables = []
+    build = linalg._projection_table
+
+    def counted(ech):
+        tables.append(ech)
+        return build(ech)
+
+    monkeypatch.setattr(linalg, "_projection_table", counted)
+    g = FpAb(n, _sparse(rows))
+    g.rel_basis
+    built = len(tables)  # one per round of the certificate
+    assert built >= 1 and tables[-1].rows == g.echelon().rows
+    # the certificate's map is the group's: no second table on the same basis
+    g.invariant_factors()
+    assert len(tables) == built
+    assert g._projection() == build(g.echelon())
+    short = FpAb(n, _sparse(rows[: tall(n) - 1]))
+    short.invariant_factors()
+    assert len(tables) == built + 1
+
+
+def test_corrupted_certified_map_trips_a_check(monkeypatch):
+    build = linalg._projection_table
+
+    def corrupted(ech):
+        moduli, images = build(ech)
+        images[0] = []
+        return moduli, images
+
+    rows, n = certified_case("full-rank")
+    monkeypatch.setattr(linalg, "_projection_table", corrupted)
+    with pytest.raises(AssertionError):
+        FpAb(n, _sparse(rows)).invariant_factors()
 
 
 # -- kernels and images against sympy --------------------------------------------

@@ -1,13 +1,19 @@
+import gc
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scgroups import linalg
 from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
-from scgroups.scissors import ScissorsContext, context, rp_act
+from scgroups.orbitcomplex import build_row_complex
+from scgroups.rings import parse_ring
+from scgroups.scissors import ScissorsContext, _context_by_label, context, rp_act
 
 SMALL = ["gf(7)", "gf(11)", "gf(13)", "z/7^2", "gf(5)[t]/t^2"]
 
@@ -409,3 +415,90 @@ def test_rp_is_zero_matches_dense_contains(question):
         v[g * n + ctx.W.index(a)] += c
     assert ctx.rp_is_zero(x) == ctx.rp_flat().contains(v)
     assert np.array_equal(ctx.rp_vector(x), v)
+
+
+# -- a ring owns its scissors context -----------------------------------------
+
+
+def test_row_complex_shares_the_rings_context(monkeypatch):
+    ring = parse_ring("gf(13)")
+    ctx = ScissorsContext(ring)
+    assert context(ring) is ctx
+    calls = []
+    hnf = linalg.hnf_rows
+
+    def counted(mat, *args, **kwargs):
+        rows = list(mat) if not isinstance(mat, np.ndarray) else mat
+        calls.append(len(rows))
+        return hnf(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hnf_rows", counted)
+    nrel = len(ctx.refined().flat_rows())
+    ctx.rp1()
+    c = build_row_complex(ring)
+    assert c.ctx is ctx
+    c.homology_at(3)
+    # RP's relation basis was reduced once, for rp1 and position 3 alike
+    assert calls.count(nrel) == 1
+
+
+def test_second_context_on_a_ring_is_independent():
+    label = "gf(11)"
+    owner = context(label)
+    other = ScissorsContext(owner.ring)
+    assert other is not owner
+    assert context(owner.ring) is owner and context(label) is owner
+    assert other.rp_flat() is not owner.rp_flat()
+    assert other.pre_bloch().invariant_factors() == owner.pre_bloch().invariant_factors()
+
+
+def test_dropped_context_leaves_nothing_alive():
+    ring = parse_ring("gf(17)")
+    ctx = ScissorsContext(ring)
+    ctx.rp1()
+    build_row_complex(ring).homology_at(3)
+    refs = [weakref.ref(x) for x in (ctx, ctx.rp_flat(), ctx.refined(), ctx.pre_bloch())]
+    del ctx
+    gc.collect()
+    assert all(r() is None for r in refs)
+    # with no live owner, the ring falls back to the context of its label
+    assert context(ring) is context("gf(17)")
+
+
+def test_cache_clear_gives_a_new_context():
+    label = "gf(19)"
+    old = context(label)
+    _context_by_label.cache_clear()
+    new = context(label)
+    assert new is not old and context(label) is new
+    # the old context still owns its own ring
+    assert context(old.ring) is old
+    new.rp1()
+    refs = [weakref.ref(old), weakref.ref(new), weakref.ref(new.rp_flat())]
+    del old, new
+    _context_by_label.cache_clear()
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_context_is_keyed_by_canonical_label():
+    ring = parse_ring("gf(121)")
+    assert ring.label == "gf(11^2)"
+    before = _context_by_label.cache_info().currsize
+    ctx = context("gf(121)")
+    assert context(ring) is ctx and context("GF(11^2)") is ctx and context(" gf(121) ") is ctx
+    assert _context_by_label.cache_info().currsize <= before + 1
+
+
+def test_residue_context_is_shared():
+    ctx = ScissorsContext(parse_ring("z/7^2"))
+    kctx = ctx.residue_context()
+    assert kctx is ctx.residue_context() is context("gf(7)")
+
+
+def test_ring_with_a_context_pickles():
+    ring = parse_ring("gf(13)")
+    ctx = ScissorsContext(ring)
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy.label == ring.label and copy.elements == ring.elements
+    assert context(copy) is not ctx and context(ring) is ctx
