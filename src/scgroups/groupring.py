@@ -190,23 +190,16 @@ class RModPres:
     def chi_localize(self, chi: Character) -> FpAb:
         """M_chi = M / R^chi M, presented directly on the module generators
         by evaluating every group coefficient through chi."""
-        rows = []
-        for rel in self.relations:
-            row = [0] * self.ngens
-            for j, x in rel.items():
-                for g, c in x.items():
-                    row[j] += chi(g) * c
-            rows.append(row)
-        rels = intmat(rows) if rows else zeros(0, self.ngens)
-        return FpAb(self.ngens, rels)
+        rows = [{j: sum(chi(g) * c for g, c in x.items()) for j, x in rel.items()} for rel in self.relations]
+        return FpAb(self.ngens, rows)
 
     def _half_part(self, g: int, sign: int) -> FpAb:
+        """Image of multiplication by (g + sign): row i of the map is the
+        sparse row of act_matrix(g), whose one entry is at act_permutation's
+        index, plus sign at i."""
         flat = self.flatten()
-        mult = self.act_matrix(g)
-        for i in range(self.flat_ngens):
-            mult[i, i] += sign
-        f = AbMap(flat, flat, mult)
-        return f.image()
+        rows = [add({j: 1}, {i: sign}) for i, j in enumerate(self.act_permutation(g).tolist())]
+        return AbMap(flat, flat, rows).image()
 
     def plus_part(self, g: int) -> FpAb:
         """Image of multiplication by (g + 1); its odd part is e_+^g M."""

@@ -1,13 +1,21 @@
 """Exact integer linear algebra: Hermite/Smith normal forms and a calculus
 of finitely presented abelian groups.
 
-Relation rows travel as sparse {column: value} dicts from the builders to
-``hnf_rows``; canonical bases come back as numpy 2-D arrays with
-``dtype=object`` holding Python ints, so every computation is exact, and
-are solved against through their cached sparse echelon form.
+Inside the exact core a row has one form: a sparse {column: value} dict
+with Python-int keys in range(ncols) and nonzero Python-int values.
+``_sparse_row`` is the one normaliser from what a caller passes (a 2-D
+array, dense sequences, dicts, or a mix) to such rows; it refuses an index
+outside the columns and a dense row of the wrong width.  ``FpAb`` keeps its
+relations so, ``AbMap`` one row per source generator, and a canonical basis
+lives in a ``SparseEchelon``; kernels, images, quotients, sums and
+intersections concatenate and reduce these dicts.  numpy object matrices
+appear only at the API edge, as views built on each read (``hnf_rows``,
+``rel_basis``, ``rels``, ``reduce``, ``solve_in_rows``, ``left_kernel``,
+``lattice_intersect``, ``AbMap.matrix``, ``SubgroupPres.lift``), and in
+``snf``.
 
-``hnf_rows`` has one exact path: a sparse Markowitz reduction to
-triangular rows, then the Hermite basis of their lattice modulo its
+``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz reduction
+to triangular rows, then the Hermite basis of their lattice modulo its
 determinant D, where no entry exceeds D; a rank-deficient lattice is first
 projected onto its pivot columns and lifted back through its rational
 kernel.  Inputs of more than SUBSET_PER_COLUMN rows per column (the
@@ -16,18 +24,19 @@ only, and the basis is returned only under a certificate checked at run
 time: every basis row lies in the subset's lattice (back-substitution on
 the subset's triangular rows), and every input row maps to 0 under the
 basis's quotient map.  Rows that the map does not kill join the subset for
-another round.  This certified path reads the caller's sparse rows in
-place and copies only the subset; exact repeats are dropped only on the
-full path, which reduces copies of every row.  An FpAb keeps the quotient
-map the certificate built, so it is not built twice.
+another round.  This certified path reads the rows in place and copies only
+the subset; exact repeats are dropped only on the full path, which reduces
+copies of every row.  The certified basis comes with the quotient map its
+certificate built, and an FpAb keeps that map instead of building it again.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -80,31 +89,56 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _obj_row(r) -> np.ndarray:
-    out = np.empty(len(r), dtype=object)
-    for i, x in enumerate(r):
-        out[i] = int(x)
-    return out
-
-
-def _entries(v) -> Iterator[tuple[int, int]]:
-    """The nonzero (index, value) pairs of a row given as a {col: value}
-    dict, a numpy row or a plain sequence, values as Python ints."""
+def _sparse_row(v, n: int) -> dict:
+    """A row of width n as a sparse dict with Python-int keys in range(n)
+    and nonzero Python-int values.  The row is a {column: value} dict, whose
+    every key must lie in range(n), or a dense sequence or numpy row of
+    length n; anything else is a ValueError.  A dict that is in that form
+    already is returned as it is, not copied: code that modifies rows
+    copies them first."""
     if isinstance(v, dict):
-        return ((int(j), int(x)) for j, x in v.items() if x)
+        for j, x in v.items():
+            if not (type(j) is int and 0 <= j < n and type(x) is int and x):
+                break
+        else:
+            return v
+        out = {}
+        for j, x in v.items():
+            if not 0 <= j < n:
+                raise ValueError(f"index {j!r} outside the generators range({n})")
+            if x:
+                out[operator.index(j)] = int(x)
+        return out
     if isinstance(v, np.ndarray):
-        flat = v.reshape(-1)
-        nz = flat.nonzero()[0]
-        return zip(nz.tolist(), map(int, flat[nz].tolist()))
-    return ((i, int(x)) for i, x in enumerate(v) if x)
+        v = v.tolist()
+    if len(v) != n:
+        raise ValueError(f"a dense row of length {len(v)} does not match {n} generators")
+    return {j: int(x) for j, x in enumerate(v) if x}
 
 
-def _to_sparse_rows(mat) -> list[dict]:
-    return [dict(_entries(row)) for row in mat]
+def _sparse_rows(rows, n: int) -> list[dict]:
+    """Rows of width n in any form the API takes (None, a 2-D array, or an
+    iterable of dicts, dense sequences and numpy rows), each through
+    ``_sparse_row``: the one normaliser of the exact core."""
+    return [] if rows is None else [_sparse_row(r, n) for r in rows]
+
+
+def _edge_rows(mat, ncols: Optional[int] = None) -> tuple[list[dict], int]:
+    """(sparse rows, width) of a matrix given at the API edge: the width is
+    ncols, else that of a 2-D array or of the first dense row."""
+    if ncols is None:
+        if isinstance(mat, np.ndarray):
+            ncols = mat.shape[1]
+        else:
+            mat = list(mat)
+            if not mat or isinstance(mat[0], dict):
+                raise ValueError("ncols is required for sparse or empty input")
+            ncols = len(mat[0])
+    return _sparse_rows(mat, ncols), ncols
 
 
 def _dense(rows: list[dict], ncols: int) -> np.ndarray:
-    """The sparse rows as an object matrix of width ncols."""
+    """The sparse rows as an object matrix of width ncols: the API-edge view."""
     out = zeros(len(rows), ncols)
     for i, r in enumerate(rows):
         for j, v in r.items():
@@ -219,87 +253,79 @@ def sparse_rank_and_pivots(rows, ncols: int) -> tuple[int, list[int]]:
     a unimodular maximal minor, i.e. the lattice is a direct summand,
     without computing a canonical form.
     """
-    retired, _ = _sparse_reduce(_to_sparse_rows(rows), ncols)
-    pivots = [abs(int(r[c])) for c, r in retired]
+    retired, _ = _sparse_reduce([dict(r) for r in _sparse_rows(rows, ncols)], ncols)
+    pivots = [abs(r[c]) for c, r in retired]
     return len(retired), pivots
 
 
-def hnf_rows(mat, ncols: Optional[int] = None, *, quotient_map: Optional[list] = None) -> np.ndarray:
-    """Canonical row-style Hermite basis of the row lattice of ``mat``.
+def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
+    """Canonical row-style Hermite basis of the row lattice of ``mat``, as a
+    dense view of ``_hnf_sparse``.
 
     ``mat`` may be a 2-D array or an iterable of rows (dense rows or sparse
-    {col: value} dicts).  The result is an r x ncols object matrix in
-    echelon form with positive pivots and the entries above each pivot
-    reduced into [0, pivot).  The caller's rows are never modified.
-
-    Up to SUBSET_PER_COLUMN * ncols rows are all reduced (``_full_hnf``),
-    on copies with exact repeats and zero rows dropped.  Taller inputs take
-    the certified path of ``_certified_hnf``, which reads the rows in
-    place and copies only the subset it reduces: the basis of a
-    seeded random subset, computed modulo its determinant, is accepted
-    only once every basis row lies in the subset's lattice and every input
-    row lies in the basis's lattice.  Repeats are not dropped there; a
-    repeated row costs one more projection in the certificate.
-
-    When the certified path runs and ``quotient_map`` is a list, the
-    quotient map its certificate built for the basis is appended to it, so
-    that an FpAb need not build the same map again.
+    {col: value} dicts; ``ncols`` is required for the latter).  The result
+    is an r x ncols object matrix in echelon form with positive pivots and
+    the entries above each pivot reduced into [0, pivot).  The caller's
+    rows are never modified; an index outside range(ncols), or a dense row
+    of another width, is a ValueError.
     """
-    if isinstance(mat, np.ndarray):
-        if ncols is None:
-            ncols = mat.shape[1]
-    else:
-        mat = list(mat)
-        if ncols is None:
-            if not mat or isinstance(mat[0], dict):
-                raise ValueError("ncols is required for sparse or empty input")
-            ncols = len(mat[0])
-    if len(mat) > SUBSET_PER_COLUMN * ncols:
-        basis, proj = _certified_hnf(mat, ncols)
-        if proj is not None and quotient_map is not None:
-            quotient_map.append(proj)
-    else:
-        basis = _full_hnf(mat, ncols)
-    return _dense(basis, ncols)
+    rows, n = _edge_rows(mat, ncols)
+    return _dense(_hnf_sparse(rows, n)[0], n)
 
 
-def _full_hnf(rows, ncols: int) -> list[dict]:
+def _hnf_sparse(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Projection]]:
+    """Canonical HNF rows of the lattice of the sparse rows (as
+    ``_sparse_rows`` gives them), with the quotient map a certificate built
+    for them, or None.
+
+    Up to SUBSET_PER_COLUMN * n rows are all reduced (``_full_hnf``), on
+    copies with exact repeats and empty rows dropped, and come without a
+    map.  Taller inputs take the certified path of ``_certified_hnf``,
+    which reads the rows in place and copies only the subset it reduces:
+    the basis of a seeded random subset, computed modulo its determinant,
+    is accepted only once every basis row lies in the subset's lattice and
+    every input row lies in the basis's lattice.  Repeats are not dropped
+    there; a repeated row costs one more projection in the certificate.
+    """
+    if len(rows) > SUBSET_PER_COLUMN * n:
+        return _certified_hnf(rows, n)
+    return _full_hnf(rows, n), None
+
+
+def _full_hnf(rows: list[dict], ncols: int) -> list[dict]:
     """Canonical HNF rows of the lattice of every row, by sparse reduction
-    of their distinct nonzero copies and the HNF of the triangular rows."""
-    return _subset_hnf(_sparse_reduce(_distinct(_to_sparse_rows(rows)), ncols)[0], ncols)
+    of copies of the distinct nonempty rows and the HNF of the triangular
+    rows."""
+    return _subset_hnf(_sparse_reduce([dict(r) for r in _distinct(rows)], ncols)[0], ncols)
 
 
-# the certified path of hnf_rows reduces a subset of this many rows per column
+# the certified path of _hnf_sparse reduces a subset of this many rows per column
 SUBSET_PER_COLUMN = 4
 _SUBSET_SEED = 7
 
 
-def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
+def _certified_hnf(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Projection]]:
     """Canonical HNF rows of the lattice of ``rows``, from a seeded random
     subset grown until it is certified, with the quotient map of the
     certificate (None after the fallback).
 
-    The rows (a 2-D array, or a list of rows in any form ``_entries``
-    reads) are read in place: they may hold zero values, repeats and numpy
-    integers.  The subset rows are copied without zeros and with
-    Python-int values before the reduction modifies them.
-
-    Each round reduces the subset to triangular rows, computes the HNF of
-    their lattice L_S modulo its determinant (``_subset_hnf``) and then
-    checks two inclusions: every basis row lies in L_S (back-substitution
-    on the triangular rows), and every input row maps to 0 under the
-    basis's quotient map.  Together they give lattice(basis) = L_S =
-    lattice(rows).  An input row that the map does not kill joins the
-    subset for the next round; a subset row that it does not kill is a
-    fault.  A subset that would hold every row falls back to reducing
-    every row (``_full_hnf``), which needs no certificate: its triangular
-    rows generate the input lattice.  A prefix
+    The rows are read in place and may repeat; the subset rows are copied
+    before the reduction modifies them.  Each round reduces the subset to
+    triangular rows, computes the HNF of their lattice L_S modulo its
+    determinant (``_subset_hnf``) and then checks two inclusions: every
+    basis row lies in L_S (back-substitution on the triangular rows), and
+    every input row maps to 0 under the basis's quotient map.  Together
+    they give lattice(basis) = L_S = lattice(rows).  An input row that the
+    map does not kill joins the subset for the next round; a subset row
+    that it does not kill is a fault.  A subset that would hold every row
+    falls back to reducing every row (``_full_hnf``), which needs no
+    certificate: its triangular rows generate the input lattice.  A prefix
     is no subset: the first 476 rows of P(GF(121)) in pair order reach rank
     108 of 119.
     """
     rng = random.Random(_SUBSET_SEED)
     chosen = set(rng.sample(range(len(rows)), SUBSET_PER_COLUMN * n))
-    work = _to_sparse_rows(rows[i] for i in sorted(chosen))
+    work = [dict(rows[i]) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)
         basis = _subset_hnf(retired, n)
@@ -308,7 +334,7 @@ def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
         if not all(_in_triangular_lattice(r, retired, det) for r in basis):
             raise AssertionError("certified HNF: a basis row is not in the subset lattice")
         proj = _projection_table(SparseEchelon(basis, n))
-        missing = [i for i, r in enumerate(rows) if any(_project(proj, _entries(r)))]
+        missing = [i for i, r in enumerate(rows) if any(_project(proj, r.items()))]
         if not missing:
             return basis, proj
         if chosen.intersection(missing):
@@ -316,7 +342,7 @@ def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
         chosen.update(missing)
         if len(chosen) == len(rows):
             return _full_hnf(rows, n), None
-        work = [r for _, r in retired] + _to_sparse_rows(rows[i] for i in missing)
+        work = [r for _, r in retired] + [dict(rows[i]) for i in missing]
 
 
 def _check_canonical(basis: list[dict], n: int) -> None:
@@ -587,69 +613,56 @@ def hnf(mat) -> np.ndarray:
     return hnf_rows(m.T.copy()).T.copy()
 
 
-def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Return (H, K): H the canonical row-Hermite basis of ``mat`` and K
-    the canonical basis of its left kernel {x : x @ mat = 0}.
+def _left_kernel(rows: list[dict], n: int) -> list[dict]:
+    """Canonical HNF rows of {x : sum_i x_i rows[i] = 0}.
 
-    Each row carries its own unit vector as an augmentation while the sparse
-    reduction eliminates the main columns.  The rows retired there are
-    triangular on the main columns, so independent, and H is their HNF; the
-    rows whose main part vanished carry a basis of the left kernel in their
-    augmentation.  No transform T with T @ mat == H is returned: it is not
-    unique, and ``left_kernel`` needs only K.  The name stays because the
-    benchmark in ``bench/`` traces this function under it.
+    Each row carries its own unit vector as an augmentation while the
+    sparse reduction eliminates the n main columns.  The rows retired there
+    are triangular on the main columns, so independent; the rows whose main
+    part vanished carry a basis of the left kernel in their augmentation.
     """
-    m = mat if isinstance(mat, np.ndarray) else intmat(mat)
-    nrows, ncols = m.shape
-    rows = _to_sparse_rows(m)
-    for i, r in enumerate(rows):
-        r[ncols + i] = 1
-    retired, zeroed = _sparse_reduce(rows, ncols)
-    main = [(c, {j: v for j, v in r.items() if j < ncols}) for c, r in retired]
-    h = _dense(_subset_hnf(main, ncols), ncols)
-    kernel_rows = [{j - ncols: v for j, v in r.items()} for r in zeroed]
-    return h, hnf_rows(kernel_rows, nrows)
+    work = [{**r, n + i: 1} for i, r in enumerate(rows)]
+    _, zeroed = _sparse_reduce(work, n)
+    return _hnf_sparse([{j - n: v for j, v in r.items()} for r in zeroed], len(rows))[0]
 
 
 def left_kernel(mat) -> np.ndarray:
     """Basis (canonical HNF rows) of {x : x @ mat = 0}."""
-    _, k = hnf_with_transform(mat)
-    return k
+    rows, n = _edge_rows(mat)
+    return _dense(_left_kernel(rows, n), len(rows))
+
+
+def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Return (H, K): H the canonical row-Hermite basis of ``mat`` and K
+    the canonical basis of its left kernel {x : x @ mat = 0}.
+
+    No transform T with T @ mat == H is returned: it is not unique.  The
+    name stays because the benchmark in ``bench/`` traces it.
+    """
+    return hnf_rows(mat), left_kernel(mat)
 
 
 class SparseEchelon:
-    """Sparse form of a canonical row HNF: for each row, in order, its pivot
-    column, its pivot and the nonzero (column, value) entries right of the
-    pivot.  Coordinates, membership and canonical representatives are
-    back-substitutions on it that touch only nonzero entries."""
+    """A canonical row HNF in sparse form: ``basis`` holds its rows as
+    sparse dicts, and ``rows`` each row's pivot column, its pivot and the
+    nonzero (column, value) entries right of the pivot.  Coordinates,
+    membership and canonical representatives are back-substitutions on it
+    that touch only nonzero entries."""
 
     def __init__(self, basis, ncols: Optional[int] = None):
-        """``basis`` is a 2-D array, or a list of sparse rows with ``ncols``."""
-        self.ncols = basis.shape[1] if ncols is None else ncols
+        """``basis`` is a 2-D array, or rows in any form with ``ncols``."""
+        self.basis, self.ncols = _edge_rows(basis, ncols)
         self.rows: list[tuple[int, int, list[tuple[int, int]]]] = []
-        for r in basis:
-            entries = sorted(_entries(r))
-            if not entries:
+        for r in self.basis:
+            if not r:
                 raise ValueError("an echelon basis has no zero rows")
-            (j, p), rest = entries[0], entries[1:]
+            (j, p), *rest = sorted(r.items())
             self.rows.append((j, p, rest))
-
-    def row(self, i: int) -> dict:
-        """Basis row i as a sparse {column: value} dict."""
-        j, p, rest = self.rows[i]
-        out = dict(rest)
-        out[j] = p
-        return out
-
-    def _start(self, v) -> dict:
-        if not isinstance(v, dict) and len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return dict(_entries(v))
 
     def solve(self, v) -> Optional[list[int]]:
         """Coefficients c with c @ basis == v, or None if v is not in the
-        row lattice."""
-        r = self._start(v)
+        row lattice.  v is a dense vector or a sparse {index: value} dict."""
+        r = dict(_sparse_row(v, self.ncols))
         coeffs = [0] * len(self.rows)
         for i, (j, p, rest) in enumerate(self.rows):
             x = r.pop(j, 0)
@@ -665,7 +678,7 @@ class SparseEchelon:
     def reduce(self, v) -> dict:
         """Canonical representative of v modulo the row lattice: each pivot
         coordinate reduced into [0, pivot)."""
-        r = self._start(v)
+        r = dict(_sparse_row(v, self.ncols))
         for j, p, rest in self.rows:
             q = r.get(j, 0) // p
             if q:
@@ -688,28 +701,42 @@ def _sub_entries(r: dict, q: int, entries) -> None:
             r.pop(c, None)
 
 
+def _coordinates(ech: SparseEchelon, rows: list[dict], fault: str) -> list[list[int]]:
+    """Coordinates of each row in the basis ``ech``; a row outside its
+    lattice is an AssertionError with the message ``fault``."""
+    out = []
+    for r in rows:
+        c = ech.solve(r)
+        if c is None:
+            raise AssertionError(fault)
+        out.append(c)
+    return out
+
+
 def solve_in_rows(basis, v) -> Optional[np.ndarray]:
     """Coordinates of v in terms of the rows of a canonical HNF, or None if
     v is not in the row lattice.  ``basis`` is the HNF or its SparseEchelon;
     callers that solve many vectors against one basis pass the latter."""
     ech = basis if isinstance(basis, SparseEchelon) else SparseEchelon(basis)
     coeffs = ech.solve(v)
-    return None if coeffs is None else _obj_row(coeffs)
+    return None if coeffs is None else np.array(coeffs, dtype=object)
 
 
-def row_lattice_contains(basis: np.ndarray, v) -> bool:
-    return solve_in_rows(basis, v) is not None
-
-
-def lattice_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical basis of (row lattice of a) ∩ (row lattice of b)."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return zeros(0, a.shape[1])
-    stacked = np.vstack([a, -b])
-    k = left_kernel(stacked)
-    ya = k[:, : a.shape[0]]
-    rows = ya @ a
-    return hnf_rows(rows)
+def lattice_intersect(a, b) -> np.ndarray:
+    """Canonical basis of (row lattice of a) ∩ (row lattice of b): the
+    combinations y @ a over the left kernel {(y, z) : y @ a - z @ b = 0}.
+    a is a 2-D array or dense rows; b has its width, in any row form."""
+    a, n = _edge_rows(a)
+    b = _sparse_rows(b, n)
+    meet = []
+    if a and b:
+        for y in _left_kernel(a + [{j: -v for j, v in r.items()} for r in b], n):
+            row: dict = {}
+            for i, c in y.items():
+                if i < len(a):
+                    _sub_entries(row, -c, a[i].items())
+            meet.append(row)
+    return _dense(_hnf_sparse(meet, n)[0], n)
 
 
 @dataclass
@@ -857,7 +884,7 @@ def _projection_table(ech: SparseEchelon) -> _Projection:
     """
     n = ech.ncols
     unit = {i: j for i, (j, p, _) in enumerate(ech.rows) if p == 1}
-    residual = [ech.row(i) for i in range(len(ech.rows)) if i not in unit]
+    residual = [r for i, r in enumerate(ech.basis) if i not in unit]
     cols = sorted({c for r in residual for c in r})
     free = sorted(set(range(n)) - set(unit.values()) - set(cols))
     if residual:
@@ -893,8 +920,8 @@ def _projection_table(ech: SparseEchelon) -> _Projection:
 def _project(proj: _Projection, entries) -> list[int]:
     """Image under a projection table of the vector with the given nonzero
     (index, value) entries, each torsion coordinate reduced into [0, d).
-    The entries are trusted: in range, values Python ints (FpAb._image
-    checks a sparse vector from outside itself)."""
+    The entries are trusted: in range, values Python ints (``_sparse_row``
+    checks a vector from outside)."""
     moduli, images = proj
     w = [0] * len(moduli)
     for i, x in entries:
@@ -915,59 +942,50 @@ def odd_part(n: int) -> int:
 class FpAb:
     """Finitely presented abelian group Z^ngens / (row lattice of rels).
 
-    The relations are a 2-D array, or rows each given as a dense sequence
-    or a sparse {generator: coefficient} dict.  Element questions
-    (contains, element_order) and the invariant factors go through one
-    cached quotient map onto Z^f + sum Z/d_k; reduce goes through the
-    cached sparse echelon form of the relation basis."""
+    The relations may be given in any row form (a 2-D array, dense
+    sequences, sparse {generator: coefficient} dicts, or a mix) and are
+    kept as sparse rows.  The relation basis lives in a cached
+    SparseEchelon; element questions (contains, element_order) and the
+    invariant factors go through one cached quotient map onto
+    Z^f + sum Z/d_k."""
 
     def __init__(self, ngens: int, rels=None):
         self.ngens = int(ngens)
-        if rels is None:
-            rels = zeros(0, self.ngens)
-        elif not isinstance(rels, np.ndarray):
-            rows = list(rels)
-            if any(isinstance(r, dict) for r in rows):
-                rels = [r if isinstance(r, dict) else dict(_entries(r)) for r in rows]
-                if any(not 0 <= j < self.ngens for r in rels for j in r):
-                    raise ValueError("relation entry outside the generators")
-            else:
-                rels = intmat(rows)
-        if isinstance(rels, np.ndarray):
-            if rels.shape[1] != self.ngens and rels.shape[0] > 0:
-                raise ValueError("relation width does not match generator count")
-            if rels.shape[0] == 0:
-                rels = zeros(0, self.ngens)
-        self._rels = rels
-        self._hnf: Optional[np.ndarray] = None
+        self._rels = _sparse_rows(rels, self.ngens)
         self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
-        # the quotient map a certified hnf_rows built, until _projection checks it
-        self._certified_proj: list = []
 
     @property
     def rels(self) -> np.ndarray:
-        """The relation rows as given, as a dense matrix; sparse rows are
-        expanded on each read."""
-        if isinstance(self._rels, np.ndarray):
-            return self._rels
+        """The relation rows as given, as a dense matrix built on each read."""
         return _dense(self._rels, self.ngens)
 
     @property
     def rel_basis(self) -> np.ndarray:
-        if self._hnf is None:
-            self._hnf = hnf_rows(self._rels, self.ngens, quotient_map=self._certified_proj)
-        return self._hnf
+        """The canonical relation basis, as a dense matrix built on each read."""
+        return _dense(self.echelon().basis, self.ngens)
 
     def echelon(self) -> SparseEchelon:
-        """The cached sparse echelon form of the relation basis."""
+        """The cached sparse echelon form of the relation basis.  A basis
+        from the certified path comes with the quotient map its certificate
+        built, which is checked and kept."""
         if self._ech is None:
-            self._ech = SparseEchelon(self.rel_basis)
+            basis, proj = _hnf_sparse(self._rels, self.ngens)
+            self._ech = SparseEchelon(basis, self.ngens)
+            if proj is not None:
+                self._proj = self._checked(proj)
         return self._ech
+
+    def _checked(self, proj: _Projection) -> _Projection:
+        """The quotient map, after checking that it kills every basis row."""
+        for i, (j, p, rest) in enumerate(self._ech.rows):
+            if any(_project(proj, [(j, p)] + rest)):
+                raise AssertionError(f"quotient map does not kill relation {i}")
+        return proj
 
     @property
     def rank_of_relations(self) -> int:
-        return self.rel_basis.shape[0]
+        return len(self.echelon().rows)
 
     @property
     def free_rank(self) -> int:
@@ -995,38 +1013,19 @@ class FpAb:
         return self.free_rank == 0 and not self.odd_invariants()
 
     def _projection(self) -> _Projection:
-        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, certified on
-        the relation basis when it is built.  A certified relation basis
-        comes with the map its certificate built; it is checked the same
-        way."""
+        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, checked on
+        the relation basis."""
         if self._proj is None:
             ech = self.echelon()
-            proj = self._certified_proj.pop() if self._certified_proj else _projection_table(ech)
-            for i, (j, p, rest) in enumerate(ech.rows):
-                if any(_project(proj, [(j, p)] + rest)):
-                    raise AssertionError(f"quotient map does not kill relation {i}")
-            self._proj = proj
+            if self._proj is None:  # a certified basis brought its map
+                self._proj = self._checked(_projection_table(ech))
         return self._proj
 
     def _image(self, v) -> list[int]:
-        """Image of v under the quotient map.  A dict is range-checked and
-        projected in one pass, its values taken as Python ints so that
+        """Image of v under the quotient map.  v is checked by
+        ``_sparse_row``, which takes its values as Python ints, so that
         numpy integers cannot overflow against large moduli."""
-        if not isinstance(v, dict):
-            if len(v) != self.ngens:
-                raise ValueError("vector length does not match generator count")
-            return _project(self._projection(), _entries(v))
-        moduli, images = self._projection()
-        n = self.ngens
-        w = [0] * len(moduli)
-        for j, x in v.items():
-            if not 0 <= j < n:
-                raise ValueError(f"vector index {j!r} outside the generators")
-            if x:
-                x = int(x)
-                for k, a in images[j]:
-                    w[k] += x * a
-        return [x % d if d else x for x, d in zip(w, moduli)]
+        return _project(self._projection(), _sparse_row(v, self.ngens).items())
 
     def element_order(self, v) -> Optional[int]:
         """Least n >= 1 with n*v in the relation lattice, or None.  v is a
@@ -1048,11 +1047,9 @@ class FpAb:
         return not any(self._image(v))
 
     def reduce(self, v) -> np.ndarray:
-        """Canonical representative of v modulo the relation lattice."""
-        out = zeros(1, self.ngens)[0]
-        for j, x in self.echelon().reduce(v).items():
-            out[j] = x
-        return out
+        """Canonical representative of v modulo the relation lattice, as a
+        dense vector."""
+        return _dense([self.echelon().reduce(v)], self.ngens)[0]
 
     def element_odd_trivial(self, v) -> bool:
         """True iff v dies in the group after inverting 2."""
@@ -1086,81 +1083,84 @@ def iso_odd(a: FpAb, b: FpAb) -> bool:
 
 
 def cokernel(rels, ngens: int) -> FpAb:
-    rels = rels if isinstance(rels, np.ndarray) else intmat(rels)
-    if rels.shape[0] and rels.shape[1] != ngens:
-        raise ValueError("relation width does not match generator count")
     return FpAb(ngens, rels)
 
 
 def direct_sum(a: FpAb, b: FpAb) -> FpAb:
-    n = a.ngens + b.ngens
-    ra, rb = a.rel_basis, b.rel_basis
-    rows = zeros(ra.shape[0] + rb.shape[0], n)
-    rows[: ra.shape[0], : a.ngens] = ra
-    rows[ra.shape[0] :, a.ngens :] = rb
-    return FpAb(n, rows)
+    n = a.ngens
+    shifted = [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
+    return FpAb(n + b.ngens, a.echelon().basis + shifted)
+
+
+def ab_quotient(g: FpAb, sub) -> FpAb:
+    """g modulo the subgroup generated by the rows of ``sub``, given in any
+    row form: the one way to add relations to a group."""
+    return FpAb(g.ngens, g.echelon().basis + _sparse_rows(sub, g.ngens))
 
 
 @dataclass
 class SubgroupPres:
-    """A subgroup of an FpAb: generating lattice rows plus the induced
-    presentation.  ``lift`` rows are coordinates in the ambient generators."""
+    """A subgroup of an FpAb: the canonical basis of its lattice in the
+    ambient generators (``echelon``), and the induced presentation
+    (``group``) on that basis."""
 
     group: FpAb
-    lift: np.ndarray
-    _echelon: Optional[SparseEchelon] = field(default=None, repr=False, compare=False)
+    echelon: SparseEchelon
 
-    def solve(self, v) -> Optional[np.ndarray]:
-        if self._echelon is None:
-            self._echelon = SparseEchelon(self.lift)
-        return solve_in_rows(self._echelon, v)
+    @property
+    def lift(self) -> np.ndarray:
+        """The basis rows as a dense matrix, built on each read."""
+        return _dense(self.echelon.basis, self.echelon.ncols)
+
+    def solve(self, v) -> Optional[list[int]]:
+        """Coordinates of v in the basis, or None if v is not in the subgroup."""
+        return self.echelon.solve(v)
 
 
 class AbMap:
     """Homomorphism of finitely presented abelian groups.
 
-    ``matrix`` has shape (source.ngens, target.ngens); generators map by
-    x -> x @ matrix.  Construction checks that the (reduced) source
-    relations land in the target relation lattice.
+    ``matrix`` has shape (source.ngens, target.ngens), in any row form;
+    generators map by x -> x @ matrix.  ``rows`` keeps it as one sparse
+    row per source generator, and ``matrix`` reads it back as a dense view.
+    Construction checks that the (reduced) source relations land in the
+    target relation lattice.
     """
 
     def __init__(self, source: FpAb, target: FpAb, matrix):
         self.source = source
         self.target = target
-        self.matrix = matrix if isinstance(matrix, np.ndarray) else intmat(matrix)
-        if self.matrix.shape != (source.ngens, target.ngens):
+        self.rows = _sparse_rows(matrix, target.ngens)
+        if len(self.rows) != source.ngens:
             raise ValueError("map matrix has wrong shape")
-        # the relations land in the target lattice iff the target's quotient
-        # map kills their images: compose that map with the matrix once
-        moduli, _ = target._projection()
-        images = [[(k, a) for k, a in enumerate(target._image(row)) if a] for row in self.matrix]
-        for i, rel in enumerate(source.rel_basis):
-            if any(_project((moduli, images), _entries(rel))):
-                raise ValueError(f"map does not respect relations (reduced relation {i})")
+        relations = source.echelon().basis
+        if relations:
+            # the relations land in the target lattice iff the target's
+            # quotient map kills their images: compose that map with the
+            # rows once
+            moduli, _ = target._projection()
+            images = [[(k, a) for k, a in enumerate(target._image(r)) if a] for r in self.rows]
+            for i, rel in enumerate(relations):
+                if any(_project((moduli, images), rel.items())):
+                    raise ValueError(f"map does not respect relations (reduced relation {i})")
 
-    def preimage_lattice(self) -> np.ndarray:
-        """Basis of {x in Z^m : x @ matrix lies in the target lattice}."""
-        tb = self.target.rel_basis
-        if tb.shape[0]:
-            stacked = np.vstack([self.matrix, tb])
-        else:
-            stacked = self.matrix
-        k = left_kernel(stacked)
-        rows = k[:, : self.source.ngens]
-        return hnf_rows(rows, self.source.ngens)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The map rows as a dense matrix, built on each read."""
+        return _dense(self.rows, self.target.ngens)
+
+    def preimage_lattice(self) -> list[dict]:
+        """Canonical basis rows of {x in Z^m : x @ matrix lies in the target
+        lattice}: the left kernel of the map rows stacked on the target's
+        relation basis, cut to its first m coordinates."""
+        m = self.source.ngens
+        kernel = _left_kernel(self.rows + self.target.echelon().basis, self.target.ngens)
+        return _hnf_sparse([{j: v for j, v in r.items() if j < m} for r in kernel], m)[0]
 
     def kernel_subgroup(self) -> SubgroupPres:
-        lift = self.preimage_lattice()
-        ech = SparseEchelon(lift)
-        source = self.source.echelon()
-        rels = []
-        for i in range(len(source.rows)):
-            c = solve_in_rows(ech, source.row(i))
-            if c is None:
-                raise AssertionError("source relations must lie in the preimage")
-            rels.append(c)
-        grp = FpAb(lift.shape[0], np.vstack(rels) if rels else None)
-        return SubgroupPres(group=grp, lift=lift, _echelon=ech)
+        lift = SparseEchelon(self.preimage_lattice(), self.source.ngens)
+        rels = _coordinates(lift, self.source.echelon().basis, "source relations must lie in the preimage")
+        return SubgroupPres(group=FpAb(len(lift.rows), rels), echelon=lift)
 
     def kernel(self) -> FpAb:
         return self.kernel_subgroup().group
@@ -1169,24 +1169,12 @@ class AbMap:
         return FpAb(self.source.ngens, self.preimage_lattice())
 
 
-def ab_quotient(g: FpAb, sub) -> FpAb:
-    sub = sub if isinstance(sub, np.ndarray) else intmat(sub)
-    if sub.shape[0] == 0:
-        return FpAb(g.ngens, g._rels)
-    if sub.shape[1] != g.ngens:
-        raise ValueError("subgroup rows have wrong width")
-    return FpAb(g.ngens, np.vstack([g.rel_basis, sub]))
-
-
-def subquotient(ker_basis: np.ndarray, num_rows: Iterable) -> FpAb:
-    """Present (lattice spanned by ker_basis) / (lattice of num_rows),
-    assuming the numerator lies inside the kernel lattice."""
-    ech = SparseEchelon(ker_basis)
-    reduced = SparseEchelon(hnf_rows(list(num_rows), ech.ncols))
-    rels = []
-    for i in range(len(reduced.rows)):
-        c = solve_in_rows(ech, reduced.row(i))
-        if c is None:
-            raise AssertionError("numerator must lie in the denominator lattice")
-        rels.append(c)
-    return FpAb(len(ech.rows), np.vstack(rels) if rels else None)
+def subquotient(ker_basis, num_rows) -> FpAb:
+    """Present (lattice of the canonical basis ker_basis) / (lattice of
+    num_rows), assuming the numerator lies inside the first lattice.
+    ker_basis is a 2-D array, dense rows or a SparseEchelon; num_rows has
+    its width, in any row form."""
+    ech = ker_basis if isinstance(ker_basis, SparseEchelon) else SparseEchelon(ker_basis)
+    num = _hnf_sparse(_sparse_rows(num_rows, ech.ncols), ech.ncols)[0]
+    rels = _coordinates(ech, num, "the numerator must lie in the lattice of ker_basis")
+    return FpAb(len(ech.rows), rels)

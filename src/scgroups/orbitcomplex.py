@@ -9,8 +9,8 @@ simplicial complex of a finite projective line.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .groupring import dbl_bracket, r_mul, r_vector
 from .linalg import (
     FpAb,
     hnf_rows,
+    identity,
     left_kernel,
     sparse_rank_and_pivots,
     subquotient,
@@ -34,28 +35,30 @@ class RowComplex:
 
     ctx: ScissorsContext
     z2_pairs: list
-    d4: list  # sparse rows {flat index: coefficient}, row g * len(z2_pairs) + k
     d3: np.ndarray
     d2: np.ndarray
+
+    @cached_property
+    def d4(self) -> list:
+        """Sparse rows {flat index: coefficient}, row g * len(z2_pairs) + k:
+        the G-translates of Y_{x,y} for the pairs, built on first read and
+        kept (only the chain identities read them)."""
+        m = self.ctx.refined()
+        # refined() holds Y_{x,y} for these pairs first, in this order
+        rels = m.relations[: len(self.z2_pairs)]
+        return [m.flat_row(rel, g) for g in range(self.ctx.G.order) for rel in rels]
 
     def homology_at(self, position: int) -> FpAb:
         """Homology of ... -> C2 -> C1 -> Z[G] -> Z -> Z at positions 1..3
         (position 1 uses the zero map out of the degree-1 term)."""
         if position == 1:
-            ker = zeros(1, 1)
-            ker[0, 0] = 1
-            im = [self.d2[i] for i in range(self.d2.shape[0])]
-            return subquotient(ker, im)
+            return subquotient(identity(1), self.d2)
         if position == 2:
-            kerb = left_kernel(self.d2)
-            im = hnf_rows(self.d3, self.d3.shape[1])
-            return subquotient(kerb, [im[i] for i in range(im.shape[0])])
+            return subquotient(left_kernel(self.d2), self.d3)
         if position == 3:
             # d4's rows are the G-translates of the RP relations, so their
             # lattice is that of RP's cached relation basis
-            kerb = left_kernel(self.d3)
-            im = self.ctx.rp_flat().rel_basis
-            return subquotient(kerb, [im[i] for i in range(im.shape[0])])
+            return subquotient(left_kernel(self.d3), self.ctx.rp_flat().echelon().basis)
         raise ValueError("position must be 1, 2 or 3")
 
 
@@ -65,11 +68,6 @@ def build_row_complex(ring: Ring) -> RowComplex:
     m = ctx.refined()
     n1 = m.flat_ngens  # |G| * |W|
     ng = G.order
-
-    pairs = list(ctx.five_term_pairs())
-    # refined() holds Y_{x,y} for these pairs first, in this order
-    rels = m.relations[: len(pairs)]
-    d4 = [m.flat_row(rel, g) for g in range(ng) for rel in rels]
 
     d3 = zeros(n1, ng)
     for i, x in enumerate(W):
@@ -83,7 +81,7 @@ def build_row_complex(ring: Ring) -> RowComplex:
     for g in range(ng):
         d2[g, 0] = 1
 
-    return RowComplex(ctx=ctx, z2_pairs=pairs, d4=d4, d3=d3, d2=d2)
+    return RowComplex(ctx=ctx, z2_pairs=list(ctx.five_term_pairs()), d3=d3, d2=d2)
 
 
 def chain_identities_hold(c: RowComplex) -> bool:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groupring import RElem, RModPres, add, dbl_bracket, p_plus, r_mul, r_vector, scale
-from .linalg import AbMap, FpAb, SubgroupPres, intmat, iso_odd, zeros
+from .linalg import AbMap, FpAb, SubgroupPres, ab_quotient, direct_sum, iso_odd, zeros
 
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
@@ -133,20 +133,22 @@ class ScissorsContext:
             out[k] = out.get(k, 0) + c
         return {k: c for k, c in out.items() if c}
 
+    def pb_row(self, x: PBElem) -> dict:
+        """A P element as a sparse row {W index: coefficient}."""
+        return {self.windex[a]: c for a, c in x.items()}
+
     def pb_vector(self, x: PBElem) -> np.ndarray:
+        """The dense form of pb_row, for callers that need an array."""
         v = zeros(1, len(self.W))[0]
-        for a, c in x.items():
-            v[self.windex[a]] += c
+        for j, c in self.pb_row(x).items():
+            v[j] = c
         return v
 
     def pre_bloch(self) -> FpAb:
         """P(A): one generator per element of W, one relation per admissible
         ordered pair."""
         if "P" not in self._cache:
-            rows = [
-                {self.windex[a]: c for a, c in self.x_relation(a, b).items()}
-                for a, b in self.five_term_pairs()
-            ]
+            rows = [self.pb_row(self.x_relation(a, b)) for a, b in self.five_term_pairs()]
             self._cache["P"] = FpAb(len(self.W), rows)
         return self._cache["P"]
 
@@ -168,12 +170,12 @@ class ScissorsContext:
                 for j in range(r):
                     row = [0] * n
                     row[i * r + j] = math.gcd(orders[i], orders[j])
-                    rows.append(list(row))
+                    rows.append(row)
                     row2 = [0] * n
                     row2[i * r + j] += 1
                     row2[j * r + i] += 1
                     rows.append(row2)
-            self._cache["S2"] = FpAb(n, intmat(rows))
+            self._cache["S2"] = FpAb(n, rows)
         return self._cache["S2"]
 
     def s2_vector(self, a, b) -> np.ndarray:
@@ -190,11 +192,9 @@ class ScissorsContext:
     def lambda_map(self) -> AbMap:
         """lambda: P(A) -> S^2, [a] -> a (x) (1-a)."""
         if "lam" not in self._cache:
-            s2 = self.s2_of_units()
-            mat = zeros(len(self.W), s2.ngens)
-            for i, a in enumerate(self.W):
-                mat[i] = self.s2_vector(a, self.ring.sub(self.ring.one, a))
-            self._cache["lam"] = AbMap(self.pre_bloch(), s2, mat)
+            one, sub = self.ring.one, self.ring.sub
+            rows = [self.s2_vector(a, sub(one, a)) for a in self.W]
+            self._cache["lam"] = AbMap(self.pre_bloch(), self.s2_of_units(), rows)
         return self._cache["lam"]
 
     def bloch_subgroup(self) -> SubgroupPres:
@@ -207,9 +207,7 @@ class ScissorsContext:
 
     def k2_cokernel(self) -> FpAb:
         """S^2 / im(lambda); for a local ring this presents K_2^M(A)."""
-        lam = self.lambda_map()
-        s2 = self.s2_of_units()
-        return FpAb(s2.ngens, np.vstack([s2.rel_basis, lam.matrix]))
+        return ab_quotient(self.s2_of_units(), self.lambda_map().rows)
 
     # -- refined presentation --------------------------------------------------
     def y_relation(self, a, b) -> RPElem:
@@ -340,17 +338,9 @@ class ScissorsContext:
     def rb_subgroup(self) -> SubgroupPres:
         """RB = ker(lambda_1) ∩ ker(lambda_2), via the stacked map."""
         if "RB" not in self._cache:
-            s2 = self.s2_of_units()
-            n1 = self.G.order
-            stacked_target = FpAb(
-                n1 + s2.ngens,
-                np.hstack([zeros(s2.rel_basis.shape[0], n1), s2.rel_basis])
-                if s2.rel_basis.shape[0]
-                else zeros(0, n1 + s2.ngens),
-            )
-            mat = np.hstack([self.lambda1_matrix(), self.lambda2_matrix()])
-            f = AbMap(self.rp_flat(), stacked_target, mat)
-            self._cache["RB"] = f.kernel_subgroup()
+            target = direct_sum(FpAb(self.G.order), self.s2_of_units())
+            rows = [a + b for a, b in zip(self.lambda1_matrix().tolist(), self.lambda2_matrix().tolist())]
+            self._cache["RB"] = AbMap(self.rp_flat(), target, rows).kernel_subgroup()
         return self._cache["RB"]
 
     def rb(self) -> FpAb:
@@ -442,17 +432,18 @@ class ScissorsContext:
         return add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
 
     # -- submodules and tilde quotients ------------------------------------------
-    def k_rows(self) -> list[np.ndarray]:
-        """Z-lattice of K = <{a} : a unit> inside P."""
-        return [self.pb_vector(self.brace(a)) for a in self.ring.units]
+    def k_rows(self) -> list[dict]:
+        """Z-lattice of K = <{a} : a unit> inside P, as sparse P rows."""
+        return [self.pb_row(self.brace(a)) for a in self.ring.units]
 
-    def k1_rows(self) -> list[np.ndarray]:
-        """Flattened lattice of the R-submodule K^(1) = <psi_1(a) : a unit>."""
+    def k1_rows(self) -> list[dict]:
+        """Flattened lattice of the R-submodule K^(1) = <psi_1(a) : a unit>,
+        as sparse RP rows."""
         rows = []
         for a in self.ring.units:
             x = self.psi1(a)
             for g in range(self.G.order):
-                rows.append(self.rp_vector(rp_act({g: 1}, x)))
+                rows.append(self.rp_row(rp_act({g: 1}, x)))
         return rows
 
     def p_plus_ideal_rows(self) -> list[np.ndarray]:
@@ -466,13 +457,8 @@ class ScissorsContext:
 
     def s2_tilde(self) -> FpAb:
         """S~^2 = S^2 / <(-a) (x) a : a unit>."""
-        s2 = self.s2_of_units()
-        rows = [s2.rel_basis] if s2.rel_basis.shape[0] else []
-        extra = [
-            self.s2_vector(self.ring.neg(a), a) for a in self.ring.units
-        ]
-        all_rows = (rows + [intmat(extra)]) if extra else rows
-        return FpAb(s2.ngens, np.vstack(all_rows) if all_rows else None)
+        extra = [self.s2_vector(self.ring.neg(a), a) for a in self.ring.units]
+        return ab_quotient(self.s2_of_units(), extra)
 
     @dataclass
     class TildeBundle:
@@ -483,12 +469,9 @@ class ScissorsContext:
 
     def tilde(self) -> "ScissorsContext.TildeBundle":
         if "tilde" not in self._cache:
-            p = self.pre_bloch()
-            p_tilde = FpAb(p.ngens, np.vstack([p.rel_basis] + self.k_rows()))
-            rp = self.rp_flat()
-            k1 = self.k1_rows()
-            rp_tilde = FpAb(rp.ngens, np.vstack([rp.rel_basis] + k1))
-            lam1_target = FpAb(self.G.order, intmat(self.p_plus_ideal_rows()))
+            p_tilde = ab_quotient(self.pre_bloch(), self.k_rows())
+            rp_tilde = ab_quotient(self.rp_flat(), self.k1_rows())
+            lam1_target = FpAb(self.G.order, self.p_plus_ideal_rows())
             f1 = AbMap(rp_tilde, lam1_target, self.lambda1_matrix())
             rp1_tilde = f1.kernel_subgroup()
             s2t = self.s2_tilde()
@@ -537,20 +520,20 @@ class ScissorsContext:
         rpp = self.rp_prime()
         rp1 = self.rp1_subgroup()
         rp_flat = self.rp_flat()
-        # images of the flattened primed basis: (g, [a]') -> g * g(a)
+        # images of the flattened primed basis, as sparse RP rows by flat
+        # index: (g, [a]') -> g * g(a)
         images = {}
         for i, a in enumerate(self.W):
             base = self.g_gen(a)
             for g in range(self.G.order):
-                images[(g, i)] = self.rp_vector(rp_act({g: 1}, base))
+                images[rpp.flat_index(g, i)] = self.rp_row(rp_act({g: 1}, base))
         # each primed relation must die in RP_1 odd part, i.e. be 2-power
         # torsion in the flat RP cokernel
         rel_ok = True
         for rel in rpp.flat_rows():
-            img = zeros(1, rp_flat.ngens)[0]
+            img: dict = {}
             for idx, c in rel.items():
-                g, i = divmod(idx, rpp.ngens)
-                img = img + c * images[(g, i)]
+                img = add(img, scale(c, images[idx]))
             if not rp_flat.element_odd_trivial(img):
                 rel_ok = False
                 break
@@ -561,7 +544,7 @@ class ScissorsContext:
             if c is None:
                 raise AssertionError("g(a) must lie in ker(lambda_1)")
             coords.append(c)
-        quot = FpAb(rp1.group.ngens, np.vstack([rp1.group.rel_basis] + [intmat(coords)]))
+        quot = ab_quotient(rp1.group, coords)
         return {
             "relations_die_odd": rel_ok,
             "iso_odd": iso_odd(rpp.flatten(), rp1.group),
@@ -569,8 +552,9 @@ class ScissorsContext:
         }
 
     # -- L_B and the residue sequence ---------------------------------------------
-    def l_rows(self) -> list[np.ndarray]:
-        """Flattened lattice of L_B = <[au]-[a], <<u>>C_B : a in W, u in U1>."""
+    def l_rows(self) -> list[dict]:
+        """Flattened lattice of L_B = <[au]-[a], <<u>>C_B : a in W, u in U1>,
+        as sparse RP rows."""
         ring = self.ring
         rows = []
         big_c = self.big_c()
@@ -581,27 +565,14 @@ class ScissorsContext:
                 au = ring.mul(a, u)
                 x = add({(0, au): 1}, {(0, a): -1})
                 for g in range(self.G.order):
-                    rows.append(self.rp_vector(rp_act({g: 1}, x)))
+                    rows.append(self.rp_row(rp_act({g: 1}, x)))
             x = rp_act(dbl_bracket(self.G, u), big_c)
             for g in range(self.G.order):
-                rows.append(self.rp_vector(rp_act({g: 1}, x)))
+                rows.append(self.rp_row(rp_act({g: 1}, x)))
         return rows
 
     def residue_context(self) -> "ScissorsContext":
         return context(self.ring.residue_field())
-
-    def residue_matrix(self, kctx: "ScissorsContext") -> np.ndarray:
-        """Matrix of the functorial map RP_flat(B) -> RP_flat(k)."""
-        ring = self.ring
-        m = self.refined()
-        mk = kctx.refined()
-        mat = zeros(m.flat_ngens, mk.flat_ngens)
-        for g in range(self.G.order):
-            gbar = kctx.G.class_of(ring.residue(self.G.rep(g)))
-            for i, a in enumerate(self.W):
-                abar = ring.residue(a)
-                mat[m.flat_index(g, i), mk.flat_index(gbar, kctx.windex[abar])] = 1
-        return mat
 
     def l_submodule(self) -> dict:
         """The short exact sequence data for a non-field local ring B:
@@ -610,13 +581,18 @@ class ScissorsContext:
         if ring.kind == "field":
             raise ValueError("L_B is trivial for a field; nothing to verify")
         kctx = self.residue_context()
-        tb = self.tilde()
         lrows = self.l_rows()
-        quotient = FpAb(tb.rp_tilde.ngens, np.vstack([tb.rp_tilde.rel_basis] + lrows))
+        quotient = ab_quotient(self.tilde().rp_tilde, lrows)
         target = kctx.tilde().rp_tilde
-        # the functorial projection kills every L_B generator exactly
-        rmat = self.residue_matrix(kctx)
-        kernel_ok = all(target.contains(row @ rmat) for row in lrows)
+        # the functorial map RP_flat(B) -> RP_flat(k) sends each flat
+        # index to one flat index; it kills every L_B generator exactly
+        m, mk = self.refined(), kctx.refined()
+        residue = [0] * m.flat_ngens
+        for g in range(self.G.order):
+            gbar = kctx.G.class_of(ring.residue(self.G.rep(g)))
+            for i, a in enumerate(self.W):
+                residue[m.flat_index(g, i)] = mk.flat_index(gbar, kctx.windex[ring.residue(a)])
+        kernel_ok = all(target.contains(_mapped(row, residue)) for row in lrows)
         return {
             "quotient": quotient,
             "target": target,
@@ -624,6 +600,15 @@ class ScissorsContext:
             "match": quotient.free_rank == target.free_rank
             and quotient.invariant_factors() == target.invariant_factors(),
         }
+
+
+def _mapped(row: dict, index: list) -> dict:
+    """The image of a sparse row under the map sending generator j to
+    generator index[j]."""
+    out: dict = {}
+    for j, c in row.items():
+        out[index[j]] = out.get(index[j], 0) + c
+    return out
 
 
 def _live_context(ring: Ring):

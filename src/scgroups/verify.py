@@ -25,7 +25,7 @@ from .groupring import (
     r_vector,
     scale,
 )
-from .linalg import FpAb, direct_sum, intmat, iso_odd, snf
+from .linalg import FpAb, ab_quotient, direct_sum, intmat, iso_odd, snf
 from .rings import GF, Ring, parse_ring, prime_power_decompose, square_classes
 from .scissors import context, rp_act
 from .valuation import (
@@ -102,8 +102,6 @@ def suite_linalg(seed: int = DEFAULT_SEED, **_) -> list[Check]:
         g = FpAb(n)
         s1 = [[rng.randrange(-4, 5) for _ in range(n)]]
         s2 = [[rng.randrange(-4, 5) for _ in range(n)]]
-        from .linalg import ab_quotient
-
         a = ab_quotient(ab_quotient(g, s1), s2)
         b = ab_quotient(g, s1 + s2)
         if a.invariant_factors() != b.invariant_factors() or a.free_rank != b.free_rank:
@@ -173,7 +171,7 @@ def suite_group_ring(ring: Ring, seed: int = DEFAULT_SEED, **_) -> list[Check]:
 
     ok_pair = True
     for c1, c2 in itertools.combinations(chis, 2):
-        both = FpAb(n, np.vstack([chi_ideal_rows(G, c1), chi_ideal_rows(G, c2)]))
+        both = ab_quotient(FpAb(n, chi_ideal_rows(G, c1)), chi_ideal_rows(G, c2))
         if not both.odd_order_trivial():
             ok_pair = False
     out.append(
@@ -211,10 +209,10 @@ def suite_group_ring(ring: Ring, seed: int = DEFAULT_SEED, **_) -> list[Check]:
 def suite_five_term(ring: Ring, **_) -> list[Check]:
     ctx = context(ring)
     out = []
-    lam = ctx.lambda_map()
+    lam = ctx.lambda_map().matrix
     s2 = ctx.s2_of_units()
     ok = all(
-        s2.contains(ctx.pb_vector(ctx.x_relation(a, b)) @ lam.matrix)
+        s2.contains(ctx.pb_vector(ctx.x_relation(a, b)) @ lam)
         for a, b in ctx.five_term_pairs()
     )
     out.append(Check(f"{ring.label}: lambda kills every X relation", ok))
@@ -321,9 +319,11 @@ def suite_idempotent(ring: Ring, **_) -> list[Check]:
     flat = ctx.rp_flat()
     ok = True
     for g in range(1, ctx.G.order):
-        idx = ctx.refined().act_permutation(g)
-        for i in range(sub.lift.shape[0]):
-            if not flat.contains(sub.lift[i][idx] - sub.lift[i]):
+        # row j of act_matrix(g) has its one entry at idx[j]
+        idx = ctx.refined().act_permutation(g).tolist()
+        for row in sub.echelon.basis:
+            moved = add({idx[j]: c for j, c in row.items()}, scale(-1, row))
+            if not flat.contains(moved):
                 ok = False
     out.append(Check(f"{ring.label}: G acts trivially on RB", ok))
     return out
@@ -538,12 +538,12 @@ def suite_specialize(
     ok = True
     for abar in ctx.sc.W:
         img = ctx.delta_pi(sym_act(sym_dbl_bracket(p), sym_g(Fraction(int(abar)))))
-        cvec = sub.solve(img.vec)
+        cvec = sub.solve(img.entries)
         if cvec is None:
             ok = False
             continue
         coords.append(cvec)
-    quot = FpAb(sub.group.ngens, np.vstack([sub.group.rel_basis, intmat(coords)]))
+    quot = ab_quotient(sub.group, coords)
     out.append(
         Check(
             f"p={p}: delta_pi(<<p>>g(a)) images span RP_1 odd part",

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groupring import dbl_bracket, r_mul, r_vector
-from .linalg import FpAb, hnf_rows, subquotient, zeros
+from .linalg import AbMap, FpAb, hnf_rows
 from .rings import Ring, square_classes
 
 
@@ -46,12 +46,12 @@ class WittContext:
 
     def _ideal_group(self, gen_rows: list[np.ndarray]) -> FpAb:
         """Subgroup of GW generated by the given Z[G]-vectors, presented as
-        (generator lattice) / (generator lattice ∩ Steinberg lattice)."""
-        from .linalg import lattice_intersect
-
-        gens = hnf_rows(gen_rows, self.G.order)
-        meet = lattice_intersect(gens, self.gw().rel_basis)
-        return subquotient(gens, [meet[i] for i in range(meet.shape[0])])
+        (generator lattice) / (generator lattice ∩ Steinberg lattice): the
+        image of the map from Z^r onto the canonical basis of the
+        generator lattice, whose relations are the coordinates of that
+        intersection in the basis."""
+        basis = hnf_rows(gen_rows, self.G.order)
+        return AbMap(FpAb(len(basis)), self.gw(), basis).image()
 
     def fundamental_ideal(self) -> FpAb:
         if "I" not in self._cache:

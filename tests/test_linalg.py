@@ -25,7 +25,6 @@ from scgroups.linalg import (
     lattice_intersect,
     left_kernel,
     odd_part,
-    row_lattice_contains,
     snf,
     solve_in_rows,
     subquotient,
@@ -134,7 +133,7 @@ def test_hnf_row_lattice_preserved():
     a = intmat([[rng.randrange(-5, 6) for _ in range(4)] for _ in range(6)])
     h = hnf_rows(a)
     for i in range(a.shape[0]):
-        assert row_lattice_contains(h, a[i])
+        assert solve_in_rows(h, a[i]) is not None
     for i in range(h.shape[0]):
         assert solve_in_rows(h, h[i]) is not None
 
@@ -151,7 +150,7 @@ def test_big_entry_fallback():
     big = 2**70
     a = intmat([[big, big + 1], [1, 1]])
     h = hnf_rows(a)
-    assert row_lattice_contains(h, [big, big + 1])
+    assert solve_in_rows(h, [big, big + 1]) is not None
     sd = snf(a)
     assert np.array_equal(sd.u @ a @ sd.v, sd.s)
 
@@ -274,10 +273,10 @@ def test_lattice_intersect():
     a = intmat([[2, 0], [0, 1]])
     b = intmat([[1, 0], [0, 3]])
     c = lattice_intersect(a, b)
-    assert row_lattice_contains(c, [2, 0])
-    assert row_lattice_contains(c, [0, 3])
-    assert not row_lattice_contains(c, [1, 0])
-    assert not row_lattice_contains(c, [0, 1])
+    assert solve_in_rows(c, [2, 0]) is not None
+    assert solve_in_rows(c, [0, 3]) is not None
+    assert solve_in_rows(c, [1, 0]) is None
+    assert solve_in_rows(c, [0, 1]) is None
 
 
 def test_subquotient():
@@ -634,6 +633,83 @@ def test_fpab_sparse_rows_and_repeats():
     assert b.invariant_factors() == (6,) and b.free_rank == 1
     with pytest.raises(ValueError):
         FpAb(3, [{3: 1}])
+
+
+# -- one normaliser for every row form -------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [{-1: 1}, {3: 1}, {np.int64(-1): 1}, {3: 0}, [1, 0], [1, 0, 0, 0]])
+def test_rows_outside_the_generators_are_refused(bad):
+    # a negative key would alias the last generator through numpy's
+    # negative index; a key past the end, or a dense row of another width,
+    # must not be dropped or truncated silently
+    g = FpAb(3, [[2, 0, 0]])
+    basis = g.rel_basis
+    ech = linalg.SparseEchelon(basis)
+    calls = [
+        g.reduce, g.contains, g.element_order, ech.solve, ech.reduce,
+        lambda v: solve_in_rows(basis, v),
+        lambda v: FpAb(3, [v]),
+        lambda v: hnf_rows([v], 3),
+        lambda v: AbMap(FpAb(1), FpAb(3), [v]),
+        lambda v: ab_quotient(g, [v]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call(bad)
+
+
+def test_dense_rows_of_another_width_are_refused():
+    with pytest.raises(ValueError):
+        hnf_rows([[1, 2, 3]], 2)
+    with pytest.raises(ValueError):
+        FpAb(2, [{0: 1}, [1]])
+    with pytest.raises(ValueError):
+        AbMap(FpAb(2), FpAb(1), [[1], [1, 0]])
+    with pytest.raises(ValueError):
+        AbMap(FpAb(2), FpAb(1), [[1]])
+
+
+@st.composite
+def row_forms(draw):
+    """(n, rows, the same rows in a form drawn per row): a numpy object or
+    int64 row, a dense list, a sparse dict with stored zeros and numpy
+    keys or values, or the whole matrix as one 2-D array."""
+    n, rows = draw(presentations())
+    whole = draw(st.sampled_from(["rows", "object", "int64"]))
+    if whole == "object" and rows:
+        return n, rows, intmat(rows)
+    if whole == "int64" and rows:
+        return n, rows, np.array(rows, dtype=np.int64)
+    mixed = []
+    for r in rows:
+        form = draw(st.sampled_from(["list", "object", "int64", "dict", "numpy dict"]))
+        if form == "list":
+            mixed.append(list(r))
+        elif form == "object":
+            mixed.append(np.array(r, dtype=object))
+        elif form == "int64":
+            mixed.append(np.array(r, dtype=np.int64))
+        elif form == "dict":
+            mixed.append({j: x for j, x in enumerate(r) if x or draw(st.booleans())})
+        else:
+            mixed.append({np.int64(j): np.int64(x) for j, x in enumerate(r) if x})
+    return n, rows, mixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_forms(), st.data())
+def test_every_row_form_gives_the_same_group(case, data):
+    n, rows, given_rows = case
+    want = FpAb(n, rows)
+    got = FpAb(n, given_rows)
+    assert np.array_equal(got.rel_basis, want.rel_basis)
+    assert np.array_equal(got.rels, want.rels)
+    assert got.invariant_factors() == want.invariant_factors()
+    assert got.free_rank == want.free_rank
+    v = data.draw(vectors(n))
+    assert list(got.reduce(v)) == list(want.reduce(v))
+    assert list(got.reduce({j: x for j, x in enumerate(v) if x})) == list(want.reduce(v))
 
 
 # -- the certified path of hnf_rows (inputs taller than the subset) --------------

@@ -425,14 +425,13 @@ def test_row_complex_shares_the_rings_context(monkeypatch):
     ctx = ScissorsContext(ring)
     assert context(ring) is ctx
     calls = []
-    hnf = linalg.hnf_rows
+    hnf = linalg._hnf_sparse
 
-    def counted(mat, *args, **kwargs):
-        rows = list(mat) if not isinstance(mat, np.ndarray) else mat
+    def counted(rows, n):
         calls.append(len(rows))
-        return hnf(rows, *args, **kwargs)
+        return hnf(rows, n)
 
-    monkeypatch.setattr(linalg, "hnf_rows", counted)
+    monkeypatch.setattr(linalg, "_hnf_sparse", counted)
     nrel = len(ctx.refined().flat_rows())
     ctx.rp1()
     c = build_row_complex(ring)
