@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import globalinv, orbitcomplex, tree, verify, witt
-from .groupring import add, scale
+from .groupring import act, add, r_mul, scale
 from .linalg import FpAb
 from .rings import Ring, descriptor_size, is_prime, parse_ring
 from .scissors import context
@@ -25,13 +25,11 @@ from .valuation import (
     QONE,
     qclass,
     specialization,
-    sym_act,
     sym_big_c,
     sym_dbl_bracket,
     sym_g,
     sym_gen,
     sym_psi1,
-    ring_mul,
 )
 
 GROUP_BUILDERS = {
@@ -317,9 +315,9 @@ def _val_mul(v, w):
             f"{MAX_EXPR_TERMS} terms"
         )
     if v[0] == "ring" and w[0] == "ring":
-        return ("ring", ring_mul(v[1], w[1]))
+        return ("ring", r_mul(v[1], w[1]))
     if v[0] == "ring" and w[0] == "mod":
-        return ("mod", sym_act(v[1], w[1]))
+        return ("mod", act(v[1], w[1]))
     raise ValueError("module elements cannot multiply")
 
 

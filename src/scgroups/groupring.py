@@ -2,11 +2,19 @@
 ideal and idempotents, characters, the ideals R^chi, and the functors
 M -> M_chi and M -> e±M on finitely presented Z[G]-modules.
 
-G is an elementary abelian 2-group coordinatized as bitmasks over a chosen
-basis (see rings.SqClassGroup); multiplication is xor.  Ring elements are
-sparse coefficient dicts {bitmask: int}.  Half-integral idempotents are
-never materialized: every construction stays integral and the 1/2 factors
-are absorbed by odd-part comparisons downstream.
+G is an elementary abelian 2-group, so classes multiply by ``^``.  It is
+the square-class group of a finite local ring, coordinatized as bitmasks
+over a chosen basis (see rings.SqClassGroup), or the square classes of Q
+(valuation.Q_CLASSES, whose elements are QSqClass values); ``G.one`` is
+its identity, ``G.class_of`` sends a unit to its class and ``G.neg_one()``
+is the class of -1.  Ring elements are sparse coefficient dicts
+{class: int}, and module elements over G are sparse dicts
+{(class, parameter): int}: ``r_mul`` is the one product and ``act`` the
+one action, whichever G the classes come from.  The characters, the
+ideals R^chi and the module presentations are built over the finite
+groups only.  Half-integral idempotents are never materialized: every
+construction stays integral and the 1/2 factors are absorbed by odd-part
+comparisons downstream.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from .linalg import AbMap, FpAb, intmat, zeros
 from .rings import SqClassGroup
 
-RElem = dict  # bitmask -> integer coefficient
+RElem = dict  # class -> integer coefficient
 
 
 def add(x: dict, y: dict) -> dict:
@@ -40,6 +48,7 @@ def scale(n: int, x: dict) -> dict:
 
 
 def r_mul(x: RElem, y: RElem) -> RElem:
+    """The product in Z[G]."""
     out: RElem = {}
     for g, c in x.items():
         for h, d in y.items():
@@ -48,29 +57,47 @@ def r_mul(x: RElem, y: RElem) -> RElem:
     return {g: c for g, c in out.items() if c}
 
 
+def act(r: RElem, x: dict) -> dict:
+    """The action of r in Z[G] on a module element {(class, parameter): int}:
+    <g> sends the symbol (h, a) to (g h, a)."""
+    out: dict = {}
+    for g, c in r.items():
+        for (h, a), d in x.items():
+            k = (g ^ h, a)
+            out[k] = out.get(k, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
 def augment(x: RElem) -> int:
     return sum(x.values())
 
 
-def bracket(G: SqClassGroup, a) -> RElem:
+def bracket(G, a) -> RElem:
     """The basis element <a> of Z[G]."""
     return {G.class_of(a): 1}
 
 
-def dbl_bracket(G: SqClassGroup, a) -> RElem:
+def dbl_bracket(G, a) -> RElem:
     """<<a>> = <a> - 1."""
     g = G.class_of(a)
-    if g == 0:
+    if g == G.one:
         return {}
-    return {g: 1, 0: -1}
+    return {g: 1, G.one: -1}
 
 
-def p_plus(G: SqClassGroup) -> RElem:
+def p_plus(G) -> RElem:
     """p_{-1}^+ = <-1> + 1 (the integral double of the idempotent e_{-1}^+)."""
     g = G.neg_one()
-    if g == 0:
-        return {0: 2}
-    return {g: 1, 0: 1}
+    if g == G.one:
+        return {g: 2}
+    return {g: 1, G.one: 1}
+
+
+def steinberg(G: SqClassGroup, a) -> RElem:
+    """<<a>><<1 - a>> for a and 1 - a units of G's ring: the value of
+    lambda_1 on [a], and a generator of the Steinberg ideal of GW."""
+    ring = G.ring
+    return r_mul(dbl_bracket(G, a), dbl_bracket(G, ring.sub(ring.one, a)))
 
 
 def r_vector(x: RElem, order: int) -> np.ndarray:

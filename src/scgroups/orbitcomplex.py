@@ -1,9 +1,10 @@
 """The bottom row of the E^1-page for the SL2 orbit stratification of
 tuples of lines: the chain Z[G]Z_2 -> Z[G]Z_1 -> Z[G] -> Z with the
-explicit differentials d4: [x,y] -> Y_{x,y}, d3: [x] -> <<x>><<1-x>>, and
-d2 the augmentation; its homology; plus a brute-force orbit classifier
-for tuples of projective points and an exactness check for the full
-simplicial complex of a finite projective line.
+explicit differentials d4: [x,y] -> Y_{x,y}, d3: [x] -> <<x>><<1-x>> (the
+matrix of lambda_1), and d2 the augmentation; its homology; plus a
+brute-force orbit classifier for tuples of projective points and an
+exactness check for the full simplicial complex of a finite projective
+line.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .groupring import dbl_bracket, r_mul, r_vector
 from .linalg import (
+    AbMap,
     FpAb,
+    SparseEchelon,
     hnf_rows,
     identity,
-    left_kernel,
     sparse_rank_and_pivots,
     subquotient,
     zeros,
@@ -31,7 +32,7 @@ from .scissors import ScissorsContext, context
 @dataclass
 class RowComplex:
     """Flattened matrices of the bottom row; basis conventions follow the
-    scissors context of the ring."""
+    scissors context of the ring, whose cached lambda_1 matrix is d3."""
 
     ctx: ScissorsContext
     z2_pairs: list
@@ -54,34 +55,27 @@ class RowComplex:
         if position == 1:
             return subquotient(identity(1), self.d2)
         if position == 2:
-            return subquotient(left_kernel(self.d2), self.d3)
+            return subquotient(_kernel(self.d2), self.d3)
         if position == 3:
             # d4's rows are the G-translates of the RP relations, so their
             # lattice is that of RP's cached relation basis
-            return subquotient(left_kernel(self.d3), self.ctx.rp_flat().echelon().basis)
+            return subquotient(_kernel(self.d3), self.ctx.rp_flat().echelon().basis)
         raise ValueError("position must be 1, 2 or 3")
+
+
+def _kernel(d: np.ndarray) -> SparseEchelon:
+    """The canonical basis of {x : x @ d = 0}, in sparse form."""
+    rows, cols = d.shape
+    return AbMap(FpAb(rows), FpAb(cols), d).kernel_subgroup().echelon
 
 
 def build_row_complex(ring: Ring) -> RowComplex:
     ctx = context(ring)
-    G, W = ctx.G, ctx.W
-    m = ctx.refined()
-    n1 = m.flat_ngens  # |G| * |W|
-    ng = G.order
-
-    d3 = zeros(n1, ng)
-    for i, x in enumerate(W):
-        val = r_mul(
-            dbl_bracket(G, x), dbl_bracket(G, ctx.ring.sub(ctx.ring.one, x))
-        )
-        for g in range(ng):
-            d3[m.flat_index(g, i)] = r_vector(r_mul({g: 1}, val), ng)
-
+    ng = ctx.G.order
     d2 = zeros(ng, 1)
     for g in range(ng):
         d2[g, 0] = 1
-
-    return RowComplex(ctx=ctx, z2_pairs=list(ctx.five_term_pairs()), d3=d3, d2=d2)
+    return RowComplex(ctx=ctx, z2_pairs=list(ctx.five_term_pairs()), d3=ctx.lambda1_matrix(), d2=d2)
 
 
 def chain_identities_hold(c: RowComplex) -> bool:

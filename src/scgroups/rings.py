@@ -516,9 +516,9 @@ def _parse_ring(desc: str) -> Ring:
 class SqClassGroup:
     """The square-class group A^x/(A^x)^2 as an F2-vector space.
 
-    Group elements are bitmasks over ``basis`` (multiplication is xor);
-    ``class_of`` sends a unit to its class, ``reps`` picks the canonical
-    unit representative of each class.
+    Group elements are bitmasks over ``basis`` (multiplication is xor, and
+    the identity ``one`` is 0); ``class_of`` sends a unit to its class,
+    ``reps`` picks the canonical unit representative of each class.
     """
 
     ring: Ring
@@ -526,6 +526,7 @@ class SqClassGroup:
     basis: list
     class_table: dict
     reps: list
+    one = 0  # a class attribute, not a field
 
     @property
     def order(self) -> int:

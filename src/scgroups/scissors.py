@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groupring import RElem, RModPres, add, dbl_bracket, p_plus, r_mul, r_vector, scale
+from .groupring import RElem, RModPres, act, add, dbl_bracket, p_plus, r_mul, r_vector, scale, steinberg
 from .linalg import AbMap, FpAb, SubgroupPres, ab_quotient, direct_sum, iso_odd, zeros
 
 # unused here: bench/test_checks.py checks that the benchmark's tracer
@@ -32,18 +32,10 @@ PBElem = dict  # ring element a in W -> integer coefficient
 RPElem = dict  # (class bitmask, ring element a in W) -> integer coefficient
 
 
-# bench/workloads.py calls the P and RP sums by these names
+# bench/workloads.py calls the P and RP sums and the action by these names
 pb_add = rp_add = add
 pb_scale = rp_scale = scale
-
-
-def rp_act(r: RElem, x: RPElem) -> RPElem:
-    out: RPElem = {}
-    for g, c in r.items():
-        for (h, a), d in x.items():
-            k = (g ^ h, a)
-            out[k] = out.get(k, 0) + c * d
-    return {k: c for k, c in out.items() if c}
+rp_act = act
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +275,12 @@ class ScissorsContext:
         """Matrix of lambda_1 on the flattened RP basis into Z[G]."""
         if "lam1" not in self._cache:
             m = self.refined()
-            n = self.G.order
-            mat = zeros(m.flat_ngens, n)
+            mat = zeros(m.flat_ngens, self.G.order)
             for i, a in enumerate(self.W):
-                val = r_mul(
-                    dbl_bracket(self.G, a),
-                    dbl_bracket(self.G, self.ring.sub(self.ring.one, a)),
-                )
-                for g in range(n):
-                    row = r_vector(r_mul({g: 1}, val), n)
-                    mat[m.flat_index(g, i)] = row
+                val = steinberg(self.G, a)
+                for g in range(self.G.order):
+                    for h, c in val.items():
+                        mat[m.flat_index(g, i), g ^ h] = c
             self._cache["lam1"] = mat
         return self._cache["lam1"]
 
@@ -306,14 +294,7 @@ class ScissorsContext:
         """Exact value of lambda_1 on a symbolic element."""
         out: RElem = {}
         for (g, a), c in x.items():
-            val = r_mul(
-                {g: c},
-                r_mul(
-                    dbl_bracket(self.G, a),
-                    dbl_bracket(self.G, self.ring.sub(self.ring.one, a)),
-                ),
-            )
-            out = add(out, val)
+            out = add(out, r_mul({g: c}, steinberg(self.G, a)))
         return out
 
     def lambda2_matrix(self) -> np.ndarray:
@@ -396,7 +377,7 @@ class ScissorsContext:
         a0 = self.base_point
         ua = ring.mul(a, a0)
         return add(
-            self.psi(i, ua), scale(-1, rp_act({G.class_of(a): 1}, self.psi(i, a0)))
+            self.psi(i, ua), scale(-1, act({G.class_of(a): 1}, self.psi(i, a0)))
         )
 
     def psi1(self, a) -> RPElem:
@@ -412,7 +393,7 @@ class ScissorsContext:
         a = self.base_point if base is None else base
         one_minus = ring.sub(ring.one, a)
         out = add({(0, a): 1}, {(G.neg_one(), one_minus): 1})
-        return add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
+        return add(out, act(dbl_bracket(G, one_minus), self.psi1(a)))
 
     def c_const(self, base=None) -> PBElem:
         """c = [a] + [1-a] from the canonical base point."""
@@ -428,8 +409,8 @@ class ScissorsContext:
             raise ValueError(f"{a!r} is not in W")
         ring, G = self.ring, self.G
         one_minus = ring.sub(ring.one, a)
-        out = rp_act(p_plus(G), {(0, a): 1})
-        return add(out, rp_act(dbl_bracket(G, one_minus), self.psi1(a)))
+        out = act(p_plus(G), {(0, a): 1})
+        return add(out, act(dbl_bracket(G, one_minus), self.psi1(a)))
 
     # -- submodules and tilde quotients ------------------------------------------
     def k_rows(self) -> list[dict]:
@@ -443,7 +424,7 @@ class ScissorsContext:
         for a in self.ring.units:
             x = self.psi1(a)
             for g in range(self.G.order):
-                rows.append(self.rp_row(rp_act({g: 1}, x)))
+                rows.append(self.rp_row(act({g: 1}, x)))
         return rows
 
     def p_plus_ideal_rows(self) -> list[np.ndarray]:
@@ -526,7 +507,7 @@ class ScissorsContext:
         for i, a in enumerate(self.W):
             base = self.g_gen(a)
             for g in range(self.G.order):
-                images[rpp.flat_index(g, i)] = self.rp_row(rp_act({g: 1}, base))
+                images[rpp.flat_index(g, i)] = self.rp_row(act({g: 1}, base))
         # each primed relation must die in RP_1 odd part, i.e. be 2-power
         # torsion in the flat RP cokernel
         rel_ok = True
@@ -565,10 +546,10 @@ class ScissorsContext:
                 au = ring.mul(a, u)
                 x = add({(0, au): 1}, {(0, a): -1})
                 for g in range(self.G.order):
-                    rows.append(self.rp_row(rp_act({g: 1}, x)))
-            x = rp_act(dbl_bracket(self.G, u), big_c)
+                    rows.append(self.rp_row(act({g: 1}, x)))
+            x = act(dbl_bracket(self.G, u), big_c)
             for g in range(self.G.order):
-                rows.append(self.rp_row(rp_act({g: 1}, x)))
+                rows.append(self.rp_row(act({g: 1}, x)))
         return rows
 
     def residue_context(self) -> "ScissorsContext":

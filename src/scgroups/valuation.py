@@ -4,9 +4,13 @@ over GF(p), its components delta_pi / delta_0 through (rho_0, rho_pi), the
 sign-twisted variants through rho'_pi, and the eta maps into the tilde
 pre-Bloch group of the residue field.
 
-Square classes of Q are (sign, squarefree integer) pairs; module elements
-are finite integer combinations of (class, rational parameter) symbols.
-All reductions land in the exact presentations from the scissors module.
+Square classes of Q are (sign, squarefree integer) pairs, QSqClass values
+that multiply by ``^`` as the finite rings' bitmask classes do.  Q_CLASSES
+is their group for ``groupring``, with identity ``Q_CLASSES.one`` = QONE,
+so the group-ring product ``r_mul``, the action ``act``, the brackets and
+p_{-1}^+ are those of the finite rings.  Module elements are finite integer
+combinations of (class, rational parameter) symbols.  All reductions land
+in the exact presentations from the scissors module.
 
 S_v reads little from a symbol <c>[t]: the sign of v_p(t) and, when
 v_p(t) = 0, the residue of t; the parity of v_p(c) and the square class of
@@ -30,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groupring import add, scale
+from .groupring import act, add, dbl_bracket, p_plus, scale
 from .linalg import FpAb, zeros
 from .rings import GF, is_prime
 from .scissors import ScissorsContext, context as scissors_context
@@ -73,12 +77,11 @@ class QSqClass:
         if self.n < 1 or _squarefree_decompose(self.n) != self.n:
             raise ValueError("representative must be squarefree and positive")
 
-    def mul(self, other: "QSqClass") -> "QSqClass":
+    def __xor__(self, other: "QSqClass") -> "QSqClass":
+        """The product of two classes: Q^x / Q^x2 is an F2-space, so it is
+        written ``^``, as the bitmask classes of a finite ring are."""
         g = math.gcd(self.n, other.n)
         return _sqclass(self.sign * other.sign, (self.n // g) * (other.n // g))
-
-    def is_one(self) -> bool:
-        return self.sign == 1 and self.n == 1
 
     def value(self) -> Fraction:
         return Fraction(self.sign * self.n)
@@ -111,6 +114,19 @@ def qclass(a) -> QSqClass:
     # num and den are coprime, so the product of their squarefree parts is
     # squarefree
     return _sqclass(1 if a > 0 else -1, _squarefree_decompose(num) * _squarefree_decompose(den))
+
+
+class _QClassGroup:
+    """The square classes of Q as a group for ``groupring``."""
+
+    one = QONE
+    class_of = staticmethod(qclass)
+
+    def neg_one(self) -> QSqClass:
+        return qclass(-1)
+
+
+Q_CLASSES = _QClassGroup()
 
 
 def _strip(num: int, den: int, p: int) -> tuple[int, int, int]:
@@ -187,38 +203,13 @@ def sym_gen(a, cls: QSqClass = QONE, coeff: int = 1) -> SymRP:
     return {(cls, a): coeff}
 
 
-def sym_act(r: RingVal, x: SymRP) -> SymRP:
-    out: SymRP = {}
-    for g, c in r.items():
-        for (h, a), d in x.items():
-            k = (g.mul(h), a)
-            out[k] = out.get(k, 0) + c * d
-    return {k: c for k, c in out.items() if c}
-
-
-def ring_one() -> RingVal:
-    return {QONE: 1}
-
-
-def ring_mul(x: RingVal, y: RingVal) -> RingVal:
-    out: RingVal = {}
-    for g, c in x.items():
-        for h, d in y.items():
-            k = g.mul(h)
-            out[k] = out.get(k, 0) + c * d
-    return {k: c for k, c in out.items() if c}
-
-
-def sym_bracket(a) -> RingVal:
-    return {qclass(a): 1}
+# bench/workloads.py calls the action on symbolic elements by this name
+sym_act = act
 
 
 def sym_dbl_bracket(a) -> RingVal:
     """<<a>> = <a> - 1 over the rational square classes."""
-    g = qclass(a)
-    if g.is_one():
-        return {}
-    return {g: 1, QONE: -1}
+    return dbl_bracket(Q_CLASSES, a)
 
 
 def sym_psi1(a) -> SymRP:
@@ -238,7 +229,7 @@ def sym_big_c() -> SymRP:
     """C over Q from the canonical base point 2: [2] + <-1>[-1] + <<-1>>psi_1(2)."""
     a = BASE_POINT
     out = add(sym_gen(a), sym_gen(1 - a, qclass(-1)))
-    return add(out, sym_act(sym_dbl_bracket(1 - a), sym_psi1(a)))
+    return add(out, act(sym_dbl_bracket(1 - a), sym_psi1(a)))
 
 
 def sym_g(a) -> SymRP:
@@ -246,9 +237,8 @@ def sym_g(a) -> SymRP:
     a = Fraction(a)
     if a in (0, 1):
         raise ValueError("g(a) needs a not in {0, 1}")
-    pp = add(sym_bracket(-1), ring_one())
-    out = sym_act(pp, sym_gen(a))
-    return add(out, sym_act(sym_dbl_bracket(1 - a), sym_psi1(a)))
+    out = act(p_plus(Q_CLASSES), sym_gen(a))
+    return add(out, act(sym_dbl_bracket(1 - a), sym_psi1(a)))
 
 
 def sym_y_relation(a, b) -> SymRP:
@@ -503,7 +493,7 @@ class SpecializationContext:
         if abar not in self.sc.windex:
             raise ValueError(f"{abar} is not in W of GF({self.p})")
         a = Fraction(int(abar))
-        x = sym_act(sym_dbl_bracket(self.p), sym_g(a))
+        x = act(sym_dbl_bracket(self.p), sym_g(a))
         img = self.delta_pi(x)
         target = self.reduce_rp_elem(self.sc.g_gen(abar))
         return x, img == target

@@ -17,21 +17,20 @@ import numpy as np
 from . import globalinv, orbitcomplex, tree, witt
 from .groupring import (
     RModPres,
+    act,
     add,
     characters,
     chi_ideal_rows,
     dbl_bracket,
     r_mul,
-    r_vector,
     scale,
 )
 from .linalg import FpAb, ab_quotient, direct_sum, intmat, iso_odd, snf
 from .rings import GF, Ring, parse_ring, prime_power_decompose, square_classes
-from .scissors import context, rp_act
+from .scissors import context
 from .valuation import (
     qclass,
     specialization,
-    sym_act,
     sym_dbl_bracket,
     sym_g,
     sym_gen,
@@ -163,8 +162,7 @@ def suite_group_ring(ring: Ring, seed: int = DEFAULT_SEED, **_) -> list[Check]:
         sq = []
         for g in range(n):
             for h in range(n):
-                val = r_mul(add({g: 1}, {0: -chi(g)}), add({h: 1}, {0: -chi(h)}))
-                sq.append(r_vector(val, n))
+                sq.append(r_mul(add({g: 1}, {0: -chi(g)}), add({h: 1}, {0: -chi(h)})))
         if not iso_odd(FpAb(n, rows), FpAb(n, sq)):
             ok_sq = False
     out.append(Check(f"{ring.label}: R^chi and (R^chi)^2 agree on odd parts", ok_sq))
@@ -236,7 +234,7 @@ def suite_key_identity(ring: Ring, **_) -> list[Check]:
     ok = True
     for a in ring.units:
         val = add(
-            scale(2, rp_act(dbl_bracket(G, a), C)),
+            scale(2, act(dbl_bracket(G, a), C)),
             add(scale(-1, ctx.psi1(a)), ctx.psi2(a)),
         )
         if not ctx.rp_is_zero(val):
@@ -252,7 +250,7 @@ def suite_special_elements(ring: Ring, **_) -> list[Check]:
     ok = True
     for a in ctx.W:
         coeff = r_mul({G.class_of(ring.sub(a, ring.one)): 1}, dbl_bracket(G, ring.neg(a)))
-        cor = add(rp_act(dbl_bracket(G, a), C), scale(-1, rp_act(coeff, {(0, a): 1})))
+        cor = add(act(dbl_bracket(G, a), C), scale(-1, act(coeff, {(0, a): 1})))
         if not ctx.rp_tilde_is_zero(cor):
             ok = False
     out.append(Check(f"{ring.label}: Cor 1.8 <<a>>C = <a-1><<-a>>[a] in RP~ for a in W", ok))
@@ -269,7 +267,7 @@ def suite_special_elements(ring: Ring, **_) -> list[Check]:
             for a in ring.units:
                 for b in ring.units:
                     lhs = ctx.psi(i, ring.mul(a, b))
-                    rhs = add(rp_act({G.class_of(a): 1}, ctx.psi(i, b)), ctx.psi(i, a))
+                    rhs = add(act({G.class_of(a): 1}, ctx.psi(i, b)), ctx.psi(i, a))
                     if not ctx.rp_is_zero(add(lhs, scale(-1, rhs))):
                         ok = False
     out.append(Check(f"{ring.label}: psi_i cocycle law over all unit pairs", ok))
@@ -403,11 +401,19 @@ def suite_orbits(q: int, **_) -> list[Check]:
 # largest q suite_exactness_sanity accepts: it took 7.5 s at q = 11 and
 # 16.7 s at q = 13 (the complex has about q^5 5-tuples)
 MAX_EXACTNESS_Q = 11
+# smallest q it accepts: P^1 of a field with q elements has q + 1 points and
+# so no (q + 2)-tuples, and the complex cannot be exact in degree q <= 3
+MIN_EXACTNESS_Q = 4
 
 
 def suite_exactness_sanity(q: int, **_) -> list[Check]:
     if q > MAX_EXACTNESS_Q:
         raise ValueError(f"--q {q} is more than {MAX_EXACTNESS_Q}")
+    if q < MIN_EXACTNESS_Q:
+        raise ValueError(
+            f"--q {q} is less than {MIN_EXACTNESS_Q}: on q + 1 points there are no "
+            "(q + 2)-tuples, so the complex is not exact in degree q"
+        )
     pd = prime_power_decompose(q)
     if pd is None:
         raise ValueError(f"{q} is not a prime power")
@@ -482,7 +488,7 @@ def suite_specialize(
     for _ in range(samples):
         a, b = _random_admissible_pair(rng)
         cls = qclass(Fraction(rng.randint(1, 60)))
-        if not ctx.s_v(sym_act({cls: 1}, sym_y_relation(a, b))).is_zero():
+        if not ctx.s_v(act({cls: 1}, sym_y_relation(a, b))).is_zero():
             ok = False
     out = [Check(f"p={p}: S_v kills {samples} seeded Y relations exactly", ok)]
 
@@ -499,7 +505,7 @@ def suite_specialize(
         if u % p == 0:
             continue  # not a unit square class
         x = Fraction(rng.randint(2, 30))
-        if not ctx.delta_pi(sym_act(sym_dbl_bracket(u), sym_gen(x))).is_zero():
+        if not ctx.delta_pi(act(sym_dbl_bracket(u), sym_gen(x))).is_zero():
             ok = False
     out.append(Check(f"p={p}: delta_pi vanishes on unit square classes", ok))
 
@@ -512,7 +518,7 @@ def suite_specialize(
             if t in (0, 1):
                 continue
             x = add(
-                x, scale(rng.choice([-2, -1, 1, 2]), sym_act(sym_dbl_bracket(a), sym_gen(t)))
+                x, scale(rng.choice([-2, -1, 1, 2]), act(sym_dbl_bracket(a), sym_gen(t)))
             )
         lhs = ctx.eta_pi_prime(x)
         rhs = ctx.p_tilde_scale(-2, ctx.eta_pi(x))
@@ -526,7 +532,7 @@ def suite_specialize(
         a = Fraction(rng.randint(2, 40))
         if u % p == 0:
             continue  # not a unit square class
-        lhs = ctx.delta_0(sym_act({qclass(u): 1}, sym_gen(a)))
+        lhs = ctx.delta_0(act({qclass(u): 1}, sym_gen(a)))
         gbar = ctx.sc.G.class_of(ctx.residue(u))
         rhs = ctx._act_vec(gbar, ctx.delta_0(sym_gen(a)).vec)
         if not ctx.rp_tilde.contains(lhs.vec - rhs):
@@ -537,7 +543,7 @@ def suite_specialize(
     coords = []
     ok = True
     for abar in ctx.sc.W:
-        img = ctx.delta_pi(sym_act(sym_dbl_bracket(p), sym_g(Fraction(int(abar)))))
+        img = ctx.delta_pi(act(sym_dbl_bracket(p), sym_g(Fraction(int(abar)))))
         cvec = sub.solve(img.entries)
         if cvec is None:
             ok = False

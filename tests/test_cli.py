@@ -361,6 +361,18 @@ def test_oversized_exactness_q_rejected_before_any_tuple(capsys, monkeypatch, q)
     assert err.startswith("error:") and f"more than {verify.MAX_EXACTNESS_Q}" in err
 
 
+@pytest.mark.parametrize("q", [-1, 0, 2, 3])
+def test_exactness_q_below_four_is_usage_error(capsys, monkeypatch, q):
+    # q + 1 points carry no (q + 2)-tuples, so degree q cannot be exact
+    def refuse(*args):
+        raise AssertionError("no tuple may be built for this q")
+
+    monkeypatch.setattr(verify.orbitcomplex, "simplicial_homology_vanishes", refuse)
+    code, out, err = run_cli(["verify", "exactness-sanity", "--q", str(q)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"less than {verify.MIN_EXACTNESS_Q}" in err
+
+
 def test_jobs_zero_is_usage_error(capsys):
     code, _, err = run_cli(["verify-all", "--jobs", "0"], capsys)
     assert code == 2 and "error:" in err

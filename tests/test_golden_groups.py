@@ -114,6 +114,9 @@ def test_group_builds_make_no_dense_round_trip(monkeypatch, label):
     monkeypatch.setattr(np, "hstack", _refuse)
     ctx = ScissorsContext(parse_ring(label))
     groups = [ctx.pre_bloch(), ctx.bloch(), ctx.rp1(), ctx.rb(), ctx.tilde().rp1_tilde.group]
+    wctx = witt.WittContext(ctx.ring)
+    row = orbitcomplex.build_row_complex(ctx.ring)
+    groups += [wctx.fundamental_ideal(), wctx.i_squared()] + [row.homology_at(p) for p in (1, 2, 3)]
     if ctx.ring.kind != "field":
         res = ctx.l_submodule()
         assert res["kernel_ok"] and res["match"]

@@ -165,3 +165,9 @@ def test_relation_rows_match_golden_digests(label):
     d4_rows = [sorted(r.items()) for r in build_row_complex(ring).d4]
     got = (_digest(p_rows), _digest(rp_rows), _digest(d4_rows))
     assert got == GOLDEN_RELATION_DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", ["gf(7)", "z/7^2"])
+def test_d3_is_the_cached_lambda1_matrix(label):
+    ring = parse_ring(label)
+    assert build_row_complex(ring).d3 is context(ring).lambda1_matrix()

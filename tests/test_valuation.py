@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -6,10 +7,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from scgroups import verify
-from scgroups.groupring import add, scale
+from scgroups.groupring import act, add, bracket, dbl_bracket, p_plus, r_mul, scale
 from scgroups.valuation import (
+    Q_CLASSES,
     QONE,
     QSqClass,
     padic_read,
@@ -53,7 +56,7 @@ def test_qclass():
     assert qclass(Fraction(4, 9)) == QONE
     assert qclass(Fraction(-2, 3)) == QSqClass(-1, 6)
     assert qclass(8) == QSqClass(1, 2)
-    c = qclass(6).mul(qclass(10))
+    c = qclass(6) ^ qclass(10)
     assert c == QSqClass(1, 15)
 
 
@@ -359,12 +362,20 @@ def symbols(p):
     )
 
 
-@pytest.mark.parametrize("p", [11, 13, 47])
+PRIMES = (11, 13, 47)
+# the strategies are built once per p, not inside each example: building
+# them there took longer than the example itself
+P_ADIC = {p: p_adic_rationals(p) for p in PRIMES}
+PARAMS = {p: P_ADIC[p].filter(lambda t: t != 1) for p in PRIMES}
+SYMBOLS = {p: symbols(p) for p in PRIMES}
+
+
+@pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_integer_read_matches_fraction_formulas(p, data):
     ctx = specialization(p)
-    a = data.draw(p_adic_rationals(p))
+    a = data.draw(P_ADIC[p])
     v, u = padic_read(a.numerator, a.denominator, p)
     assert v == _ref_vp(a, p) == vp(a, p)
     assert u == _ref_residue(_ref_unit_part(a, p), p)
@@ -374,7 +385,7 @@ def test_integer_read_matches_fraction_formulas(p, data):
     else:
         with pytest.raises(ValueError, match="not a p-adic unit"):
             ctx.residue(a)
-    x = data.draw(symbols(p))
+    x = data.draw(SYMBOLS[p])
     out = ctx.s_v(x)
     got = [out.comp0.vec, out.comp_pi.vec, ctx.delta_pi_prime(x).vec]
     for g, w in zip(got, _ref_s_v(ctx, x)):
@@ -413,15 +424,15 @@ def test_y_symbol_data_from_local_types_sweep_bound_3(p):
         assert _y_data_agree(ctx, a, b), (a, b)
 
 
-@pytest.mark.parametrize("p", [11, 13, 47])
+@pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_y_symbol_data_from_local_types_p_adic(p, data):
     # the box at sweep_bound 3 holds only p-adic units; here a, b, 1 - a and
     # 1 - b take every sign of valuation
     ctx = specialization(p)
-    a = data.draw(p_adic_rationals(p).filter(lambda t: t != 1))
-    b = data.draw(p_adic_rationals(p).filter(lambda t: t not in (1, a)))
+    a = data.draw(PARAMS[p])
+    b = data.draw(PARAMS[p].filter(lambda t: t != a))
     assert _y_data_agree(ctx, a, b)
     assert ctx.s_v(sym_y_relation(a, b)).is_zero()
 
@@ -484,7 +495,71 @@ def test_products_of_classes_are_not_factored_again(monkeypatch):
     p1, p2 = 999999999989, 999999999961  # primes below MAX_CLASS_ENTRY
     c1, c2 = qclass(p1), qclass(-p2)
     monkeypatch.setattr(valuation, "_squarefree_decompose", _no_factoring)
-    prod = c1.mul(c2)
+    prod = c1 ^ c2
     assert (prod.sign, prod.n) == (-1, p1 * p2)
-    back = c1.mul(prod)
+    back = c1 ^ prod
     assert (back.sign, back.n) == (-1, p2) and back == c2
+
+
+def _ref_class_mul(g, h):
+    """The product of two square classes of Q from its definition: the
+    product of the signs and the squarefree part of n * n', read off
+    sympy's factorization."""
+    return QSqClass(g.sign * h.sign, math.prod(q for q, e in factorint(g.n * h.n).items() if e % 2))
+
+
+def _ref_ring_mul(x, y):
+    """The product in Z[G_Q] as valuation wrote it before r_mul served Q."""
+    out = {}
+    for g, c in x.items():
+        for h, d in y.items():
+            k = _ref_class_mul(g, h)
+            out[k] = out.get(k, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_sym_act(r, x):
+    """The action on symbolic elements as valuation wrote it before act
+    served Q."""
+    out = {}
+    for g, c in r.items():
+        for (h, a), d in x.items():
+            k = (_ref_class_mul(g, h), a)
+            out[k] = out.get(k, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+# small representatives, so that products share primes and cancel
+Q_CLASS = st.builds(lambda s, n: qclass(s * n), st.sampled_from((-1, 1)), st.integers(1, 60))
+RING_VALS = st.dictionaries(Q_CLASS, st.integers(-3, 3), max_size=4)
+SYM_VALS = st.dictionaries(
+    st.tuples(Q_CLASS, st.sampled_from((Fraction(2), Fraction(-1), Fraction(3, 5)))),
+    st.integers(-3, 3),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(Q_CLASS, Q_CLASS, Q_CLASS)
+def test_xor_is_the_group_law_of_the_square_classes_of_q(g, h, k):
+    assert g ^ h == h ^ g == _ref_class_mul(g, h)
+    assert (g ^ h) ^ k == g ^ (h ^ k)
+    assert g ^ g == QONE
+    assert g ^ QONE == QONE ^ g == g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(RING_VALS, RING_VALS, SYM_VALS)
+def test_group_ring_calculus_on_q_classes_matches_the_reference(r, s, x):
+    assert r_mul(r, s) == _ref_ring_mul(r, s)
+    assert act(r, x) == _ref_sym_act(r, x)
+    assert act(r_mul(r, s), x) == act(r, act(s, x))
+
+
+def test_q_class_group_reads_its_identity():
+    assert Q_CLASSES.one == QONE and Q_CLASSES.neg_one() == QSqClass(-1, 1)
+    assert bracket(Q_CLASSES, Fraction(-8, 9)) == {QSqClass(-1, 2): 1}
+    assert dbl_bracket(Q_CLASSES, Fraction(4, 9)) == {} == sym_dbl_bracket(49)
+    assert sym_dbl_bracket(-3) == {QSqClass(-1, 3): 1, QONE: -1}
+    assert p_plus(Q_CLASSES) == {QSqClass(-1, 1): 1, QONE: 1}
+    assert sym_act is act

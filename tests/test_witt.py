@@ -1,7 +1,8 @@
 import pytest
 
-from scgroups.linalg import iso_odd
+from scgroups.linalg import FpAb, iso_odd
 from scgroups.rings import GF, ZMod, parse_ring
+from scgroups.scissors import context
 from scgroups.witt import WittContext, fundamental_ideal, gw, i_squared
 
 
@@ -45,3 +46,15 @@ def test_multiplication_table():
 def test_i_squared_odd_part_vanishes_all_fields_in_scope():
     for q, d in [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (3, 2)]:
         assert i_squared(GF(q, d)).odd_order_trivial()
+
+
+@pytest.mark.parametrize("label", ["gf(7)", "gf(13)", "gf(25)", "z/7^2"])
+def test_steinberg_rows_span_the_lambda1_row_lattice(label):
+    # GW's Steinberg ideal is generated by the values of lambda_1 on the
+    # generators [u] of RP and their G-translates
+    ring = parse_ring(label)
+    wctx = WittContext(ring)
+    rows = wctx.steinberg_rows()
+    assert all(isinstance(r, dict) for r in rows)
+    n = wctx.G.order
+    assert FpAb(n, rows).echelon().basis == FpAb(n, context(ring).lambda1_matrix()).echelon().basis
