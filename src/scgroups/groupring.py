@@ -14,17 +14,34 @@ one action, whichever G the classes come from.  The characters, the
 ideals R^chi and the module presentations are built over the finite
 groups only.  Half-integral idempotents are never materialized: every
 construction stays integral and the 1/2 factors are absorbed by odd-part
-comparisons downstream.
+comparisons downstream.  A module's flat lattice is built from its e±
+blocks through a unimodular change of coordinates (``_block_lattice``), so
+its 2-part stays exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .linalg import AbMap, FpAb, intmat, zeros
+from .linalg import (
+    AbMap,
+    FpAb,
+    SparseEchelon,
+    _hnf_sparse,
+    _images,
+    _project,
+    _Projection,
+    _projection_table,
+    _sparse_reduce,
+    _sub_entries,
+    _unkilled,
+    intmat,
+    zeros,
+)
 from .rings import SqClassGroup
 
 RElem = dict  # class -> integer coefficient
@@ -180,18 +197,22 @@ class RModPres:
 
     def flat_row(self, rel: dict, translate: int = 0) -> dict:
         """The translate of a (sparse) relation by a group element, as a
-        sparse row {flat index: coefficient}.  Every relation row is built
-        here, so flat_index is inlined."""
-        n = self.ngens
-        return {(g ^ translate) * n + j: c for j, x in rel.items() for g, c in x.items() if c}
+        sparse row {flat index: coefficient}."""
+        return _flat_row(rel, self.ngens, translate)
 
     def flat_rows(self) -> list[dict]:
         """All G-translates of the defining relations (duplicates kept)."""
-        return [self.flat_row(rel, t) for rel in self.relations for t in range(self.G.order)]
+        return _flat_rows(self.relations, self.G.order, self.ngens)
 
     def flatten(self) -> FpAb:
+        """Z^flat_ngens modulo every G-translate of the relations.  For
+        |G| >= 2 its canonical basis comes from the e± block form
+        (``_block_lattice``), and ``rels`` builds the translates on read."""
         if self._flat is None:
-            self._flat = FpAb(self.flat_ngens, self.flat_rows())
+            if self.G.order == 1:
+                self._flat = FpAb(self.flat_ngens, self.flat_rows())
+            else:
+                self._flat = _block_lattice(self)
         return self._flat
 
     def act_matrix(self, g: int) -> np.ndarray:
@@ -242,3 +263,153 @@ class RModPres:
         for rel in self.relations:
             new_rels.append({j: {g: chi(g) * c for g, c in x.items()} for j, x in rel.items()})
         return RModPres(self.G, self.ngens, new_rels)
+
+
+def _flat_row(rel: dict, n: int, translate: int = 0) -> dict:
+    """RModPres.flat_row for ngens = n.  Every relation row is built here,
+    so flat_index is inlined."""
+    return {(g ^ translate) * n + j: c for j, x in rel.items() for g, c in x.items() if c}
+
+
+def _flat_rows(relations: list, order: int, n: int) -> list[dict]:
+    """RModPres.flat_rows of these relations, |G| = order and ngens = n."""
+    return [_flat_row(rel, n, t) for rel in relations for t in range(order)]
+
+
+def _block_lattice(m: RModPres) -> FpAb:
+    """The flat module of m (|G| >= 2) from its e± block form.
+
+    The top basis class h splits the flat coordinates into x0 (the classes
+    without h: the first N = |G| ngens / 2) and x1 (the classes with h).
+    Translating by h swaps the halves, so the flat lattice L is spanned by
+    (a, b) and (b, a), where (a, b) runs over the translates of the
+    relations by the classes without h.  The unimodular U(x0, x1) =
+    (x0 + x1, x1) carries L to (0 + L-) + <(a + b, b)>, where L- is the
+    lattice of the rows a - b (the e- half).  With pi the quotient map of
+    Z^N / L- onto t coordinates, Z^2N / L is therefore Z^(N+t) / S, where S
+    is spanned by the rows (a + b, pi(b)) (the e+ half) and the moduli of
+    pi: RP's 2-part included, no local step needed.
+
+    L- and S are reduced by the certified Hermite path, N and N + t
+    columns wide.  A section sigma of pi, checked by projecting it, lifts
+    S back: the rows (-l, l) over L-'s basis and U^-1 (s, sigma(z)) =
+    (s - sigma(z), sigma(z)) over S's basis generate L, and one reduction
+    of these ~2N rows gives its canonical basis.  The certificate is the
+    one of every flat lattice: each relation row, in each of the |G|
+    translates, must map to 0 under the resulting quotient map, else
+    AssertionError.  Together with the section check (which puts the
+    generators inside L) this gives the lattice exactly.
+    """
+    n, order = m.ngens, m.G.order
+    half = order // 2
+    N = half * n
+    # one pass over the relations: a + b, a - b and b of each translate
+    plus, minus, upper = [], [], []
+    for rel in m.relations:
+        for t in range(half):
+            a, b = {}, {}
+            for j, x in rel.items():
+                for g, c in x.items():
+                    if c:
+                        i = (g ^ t) * n + j
+                        if i < N:
+                            a[i] = c
+                        else:
+                            b[i - N] = c
+            s, d = a.copy(), a.copy()
+            for i, c in b.items():
+                x = a.get(i, 0)
+                if x + c:
+                    s[i] = x + c
+                else:
+                    del s[i]
+                if x - c:
+                    d[i] = x - c
+                else:
+                    del d[i]
+            plus.append(s)
+            minus.append(d)
+            upper.append(b)
+    # each list of half rows is dropped once read: together they are the
+    # peak of memory
+    minus_basis, pi = _reduced(minus, N)
+    del minus
+    moduli = pi[0]
+    # the rows a + b become the rows (a + b, pi(b)) of S in place
+    for s, w in zip(plus, _images(pi, upper)):
+        s.update((N + k, x) for k, x in enumerate(w) if x)
+    del upper
+    srows = [r for r in plus if r] + [{N + k: d} for k, d in enumerate(moduli) if d]
+    del plus
+    s_basis, _ = _hnf_sparse(srows, N + len(moduli))
+    del srows
+    sigma = _section(pi)
+    for k, v in enumerate(sigma):
+        if _project(pi, v.items()) != [int(i == k) for i in range(len(moduli))]:
+            raise AssertionError("block form: the section does not project to a unit vector")
+    rows = [{**{j: -v for j, v in r.items()}, **{N + j: v for j, v in r.items()}} for r in minus_basis]
+    for r in s_basis:
+        lift: dict = {}
+        row = {}
+        for i, z in r.items():
+            if i < N:
+                row[i] = z
+            else:
+                _sub_entries(lift, -z, sigma[i - N].items())
+        _sub_entries(row, 1, lift.items())
+        row.update((N + j, v) for j, v in lift.items())
+        rows.append(row)
+    basis, proj = _reduced(rows, 2 * N)
+    # rels reads the relations, not m: the group holds no cycle back to m,
+    # so a dropped module is freed at once
+    flat = FpAb._seeded(2 * N, basis, proj, functools.partial(_flat_rows, m.relations, order, n))
+    # the certificate: every relation row, through the map read after each
+    # translation
+    moduli, images = proj
+    untranslated = [_flat_row(rel, n) for rel in m.relations]
+    for t in range(order):
+        translated = [images[i] for i in m.act_permutation(t).tolist()]
+        if _unkilled((moduli, translated), untranslated):
+            raise AssertionError("block form: a relation row does not map to 0")
+    return flat
+
+
+def _reduced(rows: list[dict], n: int) -> tuple[list[dict], _Projection]:
+    """Canonical basis of the lattice of the rows and its quotient map."""
+    basis, proj = _hnf_sparse(rows, n)
+    return basis, proj or _projection_table(SparseEchelon(basis, n))
+
+
+def _section(pi: _Projection) -> list[dict]:
+    """sigma(e_k) for each target coordinate k of a quotient map pi, as a
+    sparse vector that pi sends to e_k (``_block_lattice`` checks it).
+
+    The images of the generators, each carrying its generator as an
+    augmentation, and the rows d e_k of the moduli (which pi's target
+    kills) span Z^t; their triangular rows have unit pivots, and
+    back-substitution of e_k collects the generators it takes."""
+    moduli, images = pi
+    t = len(moduli)
+    rows = [{**dict(img), t + j: 1} for j, img in enumerate(images) if img]
+    rows += [{k: d} for k, d in enumerate(moduli) if d]
+    retired, _ = _sparse_reduce(rows, t)
+    out = []
+    for k in range(t):
+        v, sigma = {k: 1}, {}
+        for c, r in retired:
+            x = v.pop(c, 0)
+            if not x:
+                continue
+            q, rem = divmod(x, r[c])
+            if rem:
+                raise AssertionError("block form: the quotient map is not onto its coordinates")
+            for j, a in r.items():
+                if j >= t:
+                    sigma[j - t] = sigma.get(j - t, 0) + q * a
+                elif j != c:
+                    v[j] = v.get(j, 0) - q * a
+            v = {j: a for j, a in v.items() if a}
+        if v:
+            raise AssertionError("block form: the quotient map is not onto its coordinates")
+        out.append({j: a for j, a in sigma.items() if a})
+    return out

@@ -23,15 +23,18 @@ five-term relation matrices) reduce a seeded random subset of that size
 only, and the basis is returned only under a certificate checked at run
 time: every basis row lies in the subset's lattice (back-substitution on
 the subset's triangular rows), and every input row maps to 0 under the
-basis's quotient map.  Rows that the map does not kill join the subset for
-another round.  This certified path reads the rows in place and copies only
-the subset; exact repeats are dropped only on the full path, which reduces
-copies of every row.  The certified basis comes with the quotient map its
-certificate built, and an FpAb keeps that map instead of building it again.
+basis's quotient map (``_unkilled`` projects the rows in blocks through
+int64 arrays when no sum can reach 2^62, else row by row).  Rows that the
+map does not kill join the subset for another round.  This certified path
+reads the rows in place and copies only the subset; exact repeats are
+dropped only on the full path, which reduces copies of every row.  The
+certified basis comes with the quotient map its certificate built, and an
+FpAb keeps that map instead of building it again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -334,7 +337,7 @@ def _certified_hnf(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Proj
         if not all(_in_triangular_lattice(r, retired, det) for r in basis):
             raise AssertionError("certified HNF: a basis row is not in the subset lattice")
         proj = _projection_table(SparseEchelon(basis, n))
-        missing = [i for i, r in enumerate(rows) if any(_project(proj, r.items()))]
+        missing = _unkilled(proj, rows)
         if not missing:
             return basis, proj
         if chosen.intersection(missing):
@@ -930,6 +933,69 @@ def _project(proj: _Projection, entries) -> list[int]:
     return [x % d if d else x for x, d in zip(w, moduli)]
 
 
+def _image_blocks(proj: _Projection, rows: list[dict]):
+    """The images of many sparse rows under a projection table, each
+    torsion coordinate reduced into [0, d), yielded as (first row, images)
+    for blocks of _IMAGE_BLOCK rows.
+
+    A block goes through int64 arrays, one coordinate at a time, as the
+    rows' values times the images of their columns summed row by row, and
+    its images are an int64 array (rows x coordinates), when no modulus
+    and no partial sum can reach 2^62: the largest value, the largest
+    image entry and the longest row bound every sum.  Otherwise its images
+    are the lists ``_project`` gives, computed exactly in Python ints.
+    Blocks keep the arrays small next to the rows themselves."""
+    moduli, images = proj
+    big = 1 << 62
+    amax = max((abs(a) for img in images for _, a in img), default=0)
+    fits = max(moduli, default=0) < big and amax < big
+    table = np.zeros((len(moduli), len(images) if fits else 0), dtype=np.int64)
+    for j, img in enumerate(images if fits else ()):
+        for k, a in img:
+            table[k, j] = a
+    for lo in range(0, len(rows), _IMAGE_BLOCK):
+        block = rows[lo : lo + _IMAGE_BLOCK]
+        lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        vals = list(itertools.chain.from_iterable(map(dict.values, block)))
+        if not (fits and vals and max(map(abs, vals)) * amax * int(lens.max()) < big):
+            yield lo, [_project(proj, r.items()) for r in block]
+            continue
+        cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
+        vals = np.array(vals, dtype=np.int64)
+        filled = lens > 0
+        starts = (np.cumsum(lens) - lens)[filled]
+        w = np.zeros((len(block), len(moduli)), dtype=np.int64)
+        for k, d in enumerate(moduli):
+            w[filled, k] = np.add.reduceat(vals * table[k][cols], starts)
+            if d:
+                w[:, k] %= d
+        yield lo, w
+
+
+# rows per block of _image_blocks
+_IMAGE_BLOCK = 2048
+
+
+def _images(proj: _Projection, rows: list[dict]) -> list[list[int]]:
+    """The image of each sparse row, as ``_project`` gives it."""
+    out: list[list[int]] = []
+    for _, w in _image_blocks(proj, rows):
+        out += w.tolist() if isinstance(w, np.ndarray) else w
+    return out
+
+
+def _unkilled(proj: _Projection, rows: list[dict]) -> list[int]:
+    """Indices of the sparse rows whose image is not 0: the certificates'
+    test over every input row, which builds no list per row."""
+    out: list[int] = []
+    for lo, w in _image_blocks(proj, rows):
+        if isinstance(w, np.ndarray):
+            out += (lo + np.flatnonzero(w.any(axis=1))).tolist()
+        else:
+            out += [lo + i for i, x in enumerate(w) if any(x)]
+    return out
+
+
 def odd_part(n: int) -> int:
     """n with every factor of 2 removed (n >= 1)."""
     if n < 1:
@@ -955,10 +1021,26 @@ class FpAb:
         self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
 
+    @classmethod
+    def _seeded(cls, ngens: int, basis: list[dict], proj: Optional[_Projection], rels) -> "FpAb":
+        """The group of a canonical relation basis that a caller has
+        computed (the Z[G]-module lattices of ``groupring``, which certify
+        it), with the quotient map that came with it, or None to build it
+        on first use.  A given map is checked on the basis as for any FpAb.
+        ``rels`` is a zero-argument callable that builds the relation rows,
+        called only by the ``rels`` view."""
+        out = cls(ngens)
+        out._rels = rels
+        out._ech = SparseEchelon(basis, out.ngens)
+        if proj is not None:
+            out._proj = out._checked(proj)
+        return out
+
     @property
     def rels(self) -> np.ndarray:
         """The relation rows as given, as a dense matrix built on each read."""
-        return _dense(self._rels, self.ngens)
+        rows = self._rels() if callable(self._rels) else self._rels
+        return _dense(rows, self.ngens)
 
     @property
     def rel_basis(self) -> np.ndarray:
@@ -1154,7 +1236,11 @@ class AbMap:
         lattice}: the left kernel of the map rows stacked on the target's
         relation basis, cut to its first m coordinates."""
         m = self.source.ngens
-        kernel = _left_kernel(self.rows + self.target.echelon().basis, self.target.ngens)
+        relations = self.target.echelon().basis
+        kernel = _left_kernel(self.rows + relations, self.target.ngens)
+        if not relations:
+            # the left kernel of the map rows alone is already canonical
+            return kernel
         return _hnf_sparse([{j: v for j, v in r.items() if j < m} for r in kernel], m)[0]
 
     def kernel_subgroup(self) -> SubgroupPres:
@@ -1173,8 +1259,14 @@ def subquotient(ker_basis, num_rows) -> FpAb:
     """Present (lattice of the canonical basis ker_basis) / (lattice of
     num_rows), assuming the numerator lies inside the first lattice.
     ker_basis is a 2-D array, dense rows or a SparseEchelon; num_rows has
-    its width, in any row form."""
+    its width, in any row form, or is a SparseEchelon, whose canonical
+    rows are read as they are."""
     ech = ker_basis if isinstance(ker_basis, SparseEchelon) else SparseEchelon(ker_basis)
-    num = _hnf_sparse(_sparse_rows(num_rows, ech.ncols), ech.ncols)[0]
+    if isinstance(num_rows, SparseEchelon):
+        if num_rows.ncols != ech.ncols:
+            raise ValueError("the numerator and ker_basis have different widths")
+        num = num_rows.basis
+    else:
+        num = _hnf_sparse(_sparse_rows(num_rows, ech.ncols), ech.ncols)[0]
     rels = _coordinates(ech, num, "the numerator must lie in the lattice of ker_basis")
     return FpAb(len(ech.rows), rels)

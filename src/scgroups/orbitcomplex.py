@@ -59,7 +59,7 @@ class RowComplex:
         if position == 3:
             # d4's rows are the G-translates of the RP relations, so their
             # lattice is that of RP's cached relation basis
-            return subquotient(_kernel(self.d3), self.ctx.rp_flat().echelon().basis)
+            return subquotient(_kernel(self.d3), self.ctx.rp_flat().echelon())
         raise ValueError("position must be 1, 2 or 3")
 
 

@@ -1,7 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scgroups import groupring
 from scgroups.groupring import (
     Character,
     RModPres,
@@ -16,8 +21,19 @@ from scgroups.groupring import (
     r_vector,
     scale,
 )
-from scgroups.linalg import FpAb, direct_sum, hnf_rows, intmat, iso_odd, zeros
-from scgroups.rings import GF, ZMod, square_classes
+from scgroups.linalg import (
+    FpAb,
+    SparseEchelon,
+    _hnf_sparse,
+    _projection_table,
+    direct_sum,
+    hnf_rows,
+    intmat,
+    iso_odd,
+    zeros,
+)
+from scgroups.rings import GF, ZMod, parse_ring, square_classes
+from scgroups.scissors import ScissorsContext
 
 G7 = square_classes(GF(7))
 G49 = square_classes(ZMod(7, 2))
@@ -216,3 +232,104 @@ def test_character_values():
     assert len(chis) == 2
     chi = chis[1]
     assert chi(0) == 1 and chi(1) == -1
+
+
+# -- the e± block form of the flat lattice ---------------------------------------
+
+# square-class groups of order 2, 4 and 8
+BLOCK_GROUPS = [square_classes(parse_ring(r)) for r in ("gf(7)", "gf(2^2)[t]/t^2", "gf(2^3)[t]/t^2")]
+
+
+def _reference(m: RModPres):
+    """Canonical basis and quotient map of every flat row, reduced at once."""
+    basis, proj = _hnf_sparse(m.flat_rows(), m.flat_ngens)
+    return basis, proj or _projection_table(SparseEchelon(basis, m.flat_ngens))
+
+
+@st.composite
+def block_modules(draw):
+    G = draw(st.sampled_from(BLOCK_GROUPS))
+    ngens = draw(st.integers(1, 3))
+    coeff = st.integers(-3, 3).filter(bool)
+    element = st.dictionaries(st.integers(0, G.order - 1), coeff, max_size=3)
+    relation = st.dictionaries(st.integers(0, ngens - 1), element, max_size=ngens)
+    # up to 12 relations: tall enough for the certified path when N is small
+    return RModPres(G, ngens, draw(st.lists(relation, max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_modules())
+def test_block_form_matches_the_flat_reduction(m):
+    flat = m.flatten()
+    basis, proj = _reference(m)
+    assert flat.echelon().basis == basis
+    assert flat._projection() == proj
+
+
+def test_block_form_rels_are_the_flat_rows():
+    m = ScissorsContext(parse_ring("gf(13)")).refined()
+    want = m.flat_rows()
+    got = m.flatten().rels
+    assert got.shape == (len(want), m.flat_ngens)
+    assert all({j: v for j, v in enumerate(row) if v} == r for row, r in zip(got.tolist(), want))
+
+
+def test_block_form_refuses_a_wrong_section(monkeypatch):
+    section = groupring._section
+
+    def doubled(pi):
+        return [{j: 2 * a for j, a in v.items()} for v in section(pi)]
+
+    monkeypatch.setattr(groupring, "_section", doubled)
+    for label in ("gf(13)", "gf(2^2)[t]/t^2"):
+        with pytest.raises(AssertionError, match="section"):
+            ScissorsContext(parse_ring(label)).rp_flat()
+
+
+def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
+    # the generators of L open with (-l, l) for each basis row l of L-;
+    # without one of them the lattice is too small, and some relation row
+    # does not map to 0.  (A row dropped from L-'s own reduction can come
+    # back through the e+ rows, and the certificate then rightly passes.)
+    ring = parse_ring("gf(13)")
+    N = ScissorsContext(ring).refined().flat_ngens // 2
+    hnf = groupring._hnf_sparse
+    seen = []
+
+    def recording(rows, n):
+        if n == 2 * N:
+            seen.append(rows)
+        return hnf(rows, n)
+
+    monkeypatch.setattr(groupring, "_hnf_sparse", recording)
+    ScissorsContext(ring).rp_flat()
+    (rows,) = seen
+    minus = [r for r in rows if r == {**{j: v for j, v in r.items() if j < N}, **{N + j: -v for j, v in r.items() if j < N}}]
+    assert minus == rows[: len(minus)] and len(minus) == 10  # L- has rank 10 of 11
+
+    for i in range(len(minus)):
+
+        def dropping(rows, n, i=i):
+            return hnf(rows[:i] + rows[i + 1 :] if n == 2 * N else rows, n)
+
+        monkeypatch.setattr(groupring, "_hnf_sparse", dropping)
+        with pytest.raises(AssertionError, match="relation row"):
+            ScissorsContext(ring).rp_flat()
+
+
+def test_flat_module_keeps_no_cycle_to_its_presentation():
+    # the flat group reads the relations, not the module: with the cyclic
+    # collector off, dropping the module frees it at once, and rels still
+    # builds the flat rows
+    m = RModPres(G7, 2, [[{0: 2, 1: 1}, {1: 3}], [{1: 1}, {0: 1, 1: -1}]])
+    want = m.flat_rows()
+    flat = m.flatten()
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+    got = flat.rels.tolist()
+    assert [{j: v for j, v in enumerate(row) if v} for row in got] == want

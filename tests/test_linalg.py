@@ -14,6 +14,9 @@ from scgroups import linalg
 from scgroups.linalg import (
     AbMap,
     FpAb,
+    _images,
+    _project,
+    _unkilled,
     ab_quotient,
     cokernel,
     direct_sum,
@@ -335,6 +338,29 @@ def _in_lattice(g, v):
     """Back-substitution on the cached echelon form of the relation basis,
     independent of the quotient map behind contains and element_order."""
     return g.echelon().solve(v) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_images_match_row_by_row_projection(pres, data):
+    # the certificates' bulk projection against _project row by row, on
+    # entries that fit int64 and on entries that need Python ints
+    n, rows = pres
+    g = FpAb(n, rows if rows else None)
+    proj = g._projection()
+    size = data.draw(st.sampled_from([6, 1 << 70]))
+    drawn = data.draw(st.lists(st.lists(st.integers(-size, size), min_size=n, max_size=n), max_size=6))
+    test_rows = [{j: x for j, x in enumerate(v) if x} for v in drawn + [list(r) for r in g.rel_basis.tolist()]]
+    want = [_project(proj, r.items()) for r in test_rows]
+    assert _images(proj, test_rows) == want
+    assert _unkilled(proj, test_rows) == [i for i, w in enumerate(want) if any(w)]
+
+
+def test_images_take_moduli_past_int64():
+    proj = FpAb(2, [[1 << 70, 0]])._projection()
+    rows = [{0: 1 << 70}, {0: 1}, {1: 3}, {}, {0: 1 << 69}, {0: -(1 << 71)}]
+    assert _images(proj, rows) == [[0, 0], [1, 0], [0, 3], [0, 0], [1 << 69, 0], [0, 0]]
+    assert _unkilled(proj, rows) == [1, 2, 4]
 
 
 @settings(max_examples=200, deadline=None)

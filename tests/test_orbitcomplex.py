@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from scgroups import linalg
 from scgroups.linalg import hnf_rows, iso_odd
 from scgroups.orbitcomplex import (
     build_row_complex,
@@ -26,6 +27,26 @@ def test_z1_basis_size_gf7():
 def test_chain_identities(label):
     c = build_row_complex(parse_ring(label))
     assert chain_identities_hold(c)
+
+
+def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
+    # at GF(121) ker d3 and RP's relation basis both have 237 rows; the
+    # left kernel reduces the former once, and neither is reduced again
+    ring = parse_ring("gf(121)")
+    c = build_row_complex(ring)
+    c.ctx.rp_flat()
+    calls = []
+    hnf = linalg._hnf_sparse
+
+    def counted(rows, n):
+        calls.append(len(rows))
+        return hnf(rows, n)
+
+    monkeypatch.setattr(linalg, "_hnf_sparse", counted)
+    h3 = c.homology_at(3)
+    assert calls.count(237) == 1
+    monkeypatch.undo()
+    assert h3.describe() == "Z/61"  # RP_1(F_121)
 
 
 def test_homology_position_1():

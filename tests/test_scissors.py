@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgroups import linalg
+from scgroups import groupring
 from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
 from scgroups.orbitcomplex import build_row_complex
@@ -73,6 +73,30 @@ def test_lambda1_kills_y_relations(label):
     ctx = context(label)
     for a, b in ctx.five_term_pairs():
         assert ctx.lambda1_of(ctx.y_relation(a, b)) == {}
+
+
+def _odd_prime_powers(lo: int, hi: int) -> list[tuple[int, str]]:
+    """(q, descriptor of GF(q)) for every odd prime power lo <= q <= hi."""
+    out = []
+    for q in range(lo | 1, hi + 1, 2):
+        p = next(d for d in range(3, q + 1, 2) if q % d == 0)
+        e, rest = 0, q
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if rest == 1:
+            out.append((q, f"gf({p}^{e})" if e > 1 else f"gf({p})"))
+    return out
+
+
+def test_integral_closed_forms_of_finite_fields():
+    # integrally, 2-part included: P = Z/(q+1), RP = Z + Z/((q+1)/2) and
+    # RP_1 = Z/((q+1)/2); the e± halves alone give RP's 2-part wrong
+    fields = _odd_prime_powers(5, 81)
+    assert len(fields) == 25 and fields[-1] == (81, "gf(3^4)")
+    for q, label in fields:
+        ctx = ScissorsContext(parse_ring(label))
+        got = [(g.free_rank, g.invariant_factors()) for g in (ctx.pre_bloch(), ctx.rp_flat(), ctx.rp1())]
+        assert got == [(0, (q + 1,)), (1, ((q + 1) // 2,)), (0, ((q + 1) // 2,))], label
 
 
 def test_rp1_examples():
@@ -425,20 +449,19 @@ def test_row_complex_shares_the_rings_context(monkeypatch):
     ctx = ScissorsContext(ring)
     assert context(ring) is ctx
     calls = []
-    hnf = linalg._hnf_sparse
+    block = groupring._block_lattice
 
-    def counted(rows, n):
-        calls.append(len(rows))
-        return hnf(rows, n)
+    def counted(m):
+        calls.append(m)
+        return block(m)
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", counted)
-    nrel = len(ctx.refined().flat_rows())
+    monkeypatch.setattr(groupring, "_block_lattice", counted)
     ctx.rp1()
     c = build_row_complex(ring)
     assert c.ctx is ctx
     c.homology_at(3)
-    # RP's relation basis was reduced once, for rp1 and position 3 alike
-    assert calls.count(nrel) == 1
+    # RP's relation lattice was reduced once, for rp1 and position 3 alike
+    assert calls.count(ctx.refined()) == 1
 
 
 def test_second_context_on_a_ring_is_independent():
