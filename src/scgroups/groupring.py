@@ -27,21 +27,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .linalg import (
-    AbMap,
-    FpAb,
-    SparseEchelon,
-    _hnf_sparse,
-    _images,
-    _project,
-    _Projection,
-    _projection_table,
-    _sparse_reduce,
-    _sub_entries,
-    _unkilled,
-    intmat,
-    zeros,
-)
+from .linalg import AbMap, FpAb, _images, _section, _unkilled, intmat, zeros
 from .rings import SqClassGroup
 
 RElem = dict  # class -> integer coefficient
@@ -332,8 +318,9 @@ def _block_lattice(m: RModPres) -> FpAb:
             upper.append(b)
     # each list of half rows is dropped once read: together they are the
     # peak of memory
-    minus_basis, pi = _reduced(minus, N)
-    del minus
+    minus_group = FpAb(N, minus)
+    minus_basis, pi = minus_group.echelon().basis, minus_group._projection()
+    del minus, minus_group
     moduli = pi[0]
     # the rows a + b become the rows (a + b, pi(b)) of S in place
     for s, w in zip(plus, _images(pi, upper)):
@@ -341,75 +328,29 @@ def _block_lattice(m: RModPres) -> FpAb:
     del upper
     srows = [r for r in plus if r] + [{N + k: d} for k, d in enumerate(moduli) if d]
     del plus
-    s_basis, _ = _hnf_sparse(srows, N + len(moduli))
+    s_basis = FpAb(N + len(moduli), srows).echelon().basis
     del srows
     sigma = _section(pi)
-    for k, v in enumerate(sigma):
-        if _project(pi, v.items()) != [int(i == k) for i in range(len(moduli))]:
-            raise AssertionError("block form: the section does not project to a unit vector")
-    rows = [{**{j: -v for j, v in r.items()}, **{N + j: v for j, v in r.items()}} for r in minus_basis]
+    if _images(pi, sigma) != [[int(i == k) for i in range(len(moduli))] for k in range(len(moduli))]:
+        raise AssertionError("block form: the section does not project to unit vectors")
+    rows = [add(scale(-1, r), {N + j: v for j, v in r.items()}) for r in minus_basis]
     for r in s_basis:
         lift: dict = {}
-        row = {}
         for i, z in r.items():
-            if i < N:
-                row[i] = z
-            else:
-                _sub_entries(lift, -z, sigma[i - N].items())
-        _sub_entries(row, 1, lift.items())
+            if i >= N:
+                lift = add(lift, scale(z, sigma[i - N]))
+        row = add({i: z for i, z in r.items() if i < N}, scale(-1, lift))
         row.update((N + j, v) for j, v in lift.items())
         rows.append(row)
-    basis, proj = _reduced(rows, 2 * N)
     # rels reads the relations, not m: the group holds no cycle back to m,
     # so a dropped module is freed at once
-    flat = FpAb._seeded(2 * N, basis, proj, functools.partial(_flat_rows, m.relations, order, n))
+    flat = FpAb._seeded(2 * N, rows, functools.partial(_flat_rows, m.relations, order, n))
     # the certificate: every relation row, through the map read after each
     # translation
-    moduli, images = proj
+    moduli, images = flat._projection()
     untranslated = [_flat_row(rel, n) for rel in m.relations]
     for t in range(order):
         translated = [images[i] for i in m.act_permutation(t).tolist()]
         if _unkilled((moduli, translated), untranslated):
             raise AssertionError("block form: a relation row does not map to 0")
     return flat
-
-
-def _reduced(rows: list[dict], n: int) -> tuple[list[dict], _Projection]:
-    """Canonical basis of the lattice of the rows and its quotient map."""
-    basis, proj = _hnf_sparse(rows, n)
-    return basis, proj or _projection_table(SparseEchelon(basis, n))
-
-
-def _section(pi: _Projection) -> list[dict]:
-    """sigma(e_k) for each target coordinate k of a quotient map pi, as a
-    sparse vector that pi sends to e_k (``_block_lattice`` checks it).
-
-    The images of the generators, each carrying its generator as an
-    augmentation, and the rows d e_k of the moduli (which pi's target
-    kills) span Z^t; their triangular rows have unit pivots, and
-    back-substitution of e_k collects the generators it takes."""
-    moduli, images = pi
-    t = len(moduli)
-    rows = [{**dict(img), t + j: 1} for j, img in enumerate(images) if img]
-    rows += [{k: d} for k, d in enumerate(moduli) if d]
-    retired, _ = _sparse_reduce(rows, t)
-    out = []
-    for k in range(t):
-        v, sigma = {k: 1}, {}
-        for c, r in retired:
-            x = v.pop(c, 0)
-            if not x:
-                continue
-            q, rem = divmod(x, r[c])
-            if rem:
-                raise AssertionError("block form: the quotient map is not onto its coordinates")
-            for j, a in r.items():
-                if j >= t:
-                    sigma[j - t] = sigma.get(j - t, 0) + q * a
-                elif j != c:
-                    v[j] = v.get(j, 0) - q * a
-            v = {j: a for j, a in v.items() if a}
-        if v:
-            raise AssertionError("block form: the quotient map is not onto its coordinates")
-        out.append({j: a for j, a in sigma.items() if a})
-    return out

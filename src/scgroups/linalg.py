@@ -39,7 +39,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -920,6 +920,42 @@ def _projection_table(ech: SparseEchelon) -> _Projection:
     return moduli, images
 
 
+def _section(proj: _Projection) -> list[dict]:
+    """A section of a quotient map: for each target coordinate k, a sparse
+    vector that the map sends to e_k.  Callers that rely on it check it by
+    projecting.
+
+    The images of the generators, each carrying its generator as an
+    augmentation, and the rows d e_k of the moduli (which the target
+    kills) span Z^t; their triangular rows have unit pivots, and
+    back-substitution of e_k collects the generators it takes."""
+    moduli, images = proj
+    t = len(moduli)
+    rows = [{**dict(img), t + j: 1} for j, img in enumerate(images) if img]
+    rows += [{k: d} for k, d in enumerate(moduli) if d]
+    retired, _ = _sparse_reduce(rows, t)
+    out = []
+    for k in range(t):
+        v, sigma = {k: 1}, {}
+        for c, r in retired:
+            x = v.pop(c, 0)
+            if not x:
+                continue
+            q, rem = divmod(x, r[c])
+            if rem:
+                raise AssertionError("the quotient map is not onto its coordinates")
+            for j, a in r.items():
+                if j >= t:
+                    sigma[j - t] = sigma.get(j - t, 0) + q * a
+                elif j != c:
+                    v[j] = v.get(j, 0) - q * a
+            v = {j: a for j, a in v.items() if a}
+        if v:
+            raise AssertionError("the quotient map is not onto its coordinates")
+        out.append({j: a for j, a in sigma.items() if a})
+    return out
+
+
 def _project(proj: _Projection, entries) -> list[int]:
     """Image under a projection table of the vector with the given nonzero
     (index, value) entries, each torsion coordinate reduced into [0, d).
@@ -940,9 +976,11 @@ def _image_blocks(proj: _Projection, rows: list[dict]):
 
     A block goes through int64 arrays, one coordinate at a time, as the
     rows' values times the images of their columns summed row by row, and
-    its images are an int64 array (rows x coordinates), when no modulus
-    and no partial sum can reach 2^62: the largest value, the largest
-    image entry and the longest row bound every sum.  Otherwise its images
+    its images are an int64 array (rows x coordinates), when no value, no
+    modulus and no partial sum can reach 2^62: the largest value, the
+    largest image entry (at least 1, so that the values are bounded even
+    when there is no image, as for a trivial quotient) and the longest row
+    bound every sum.  Otherwise its images
     are the lists ``_project`` gives, computed exactly in Python ints.
     Blocks keep the arrays small next to the rows themselves."""
     moduli, images = proj
@@ -957,7 +995,7 @@ def _image_blocks(proj: _Projection, rows: list[dict]):
         block = rows[lo : lo + _IMAGE_BLOCK]
         lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
         vals = list(itertools.chain.from_iterable(map(dict.values, block)))
-        if not (fits and vals and max(map(abs, vals)) * amax * int(lens.max()) < big):
+        if not (fits and vals and max(map(abs, vals)) * max(amax, 1) * int(lens.max()) < big):
             yield lo, [_project(proj, r.items()) for r in block]
             continue
         cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
@@ -1017,30 +1055,30 @@ class FpAb:
 
     def __init__(self, ngens: int, rels=None):
         self.ngens = int(ngens)
-        self._rels = _sparse_rows(rels, self.ngens)
+        rows = _sparse_rows(rels, self.ngens)
+        # a zero-argument callable that returns the relation rows (a bound
+        # method, which pickles)
+        self._rels: Callable[[], list[dict]] = rows.copy
         self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
 
     @classmethod
-    def _seeded(cls, ngens: int, basis: list[dict], proj: Optional[_Projection], rels) -> "FpAb":
-        """The group of a canonical relation basis that a caller has
-        computed (the Z[G]-module lattices of ``groupring``, which certify
-        it), with the quotient map that came with it, or None to build it
-        on first use.  A given map is checked on the basis as for any FpAb.
-        ``rels`` is a zero-argument callable that builds the relation rows,
-        called only by the ``rels`` view."""
-        out = cls(ngens)
-        out._rels = rels
-        out._ech = SparseEchelon(basis, out.ngens)
-        if proj is not None:
-            out._proj = out._checked(proj)
+    def _seeded(cls, ngens: int, gens: list[dict], rows_of: Callable[[], list[dict]]) -> "FpAb":
+        """Z^ngens modulo the lattice of the rows ``gens``, with its basis
+        and quotient map computed now, whose relation rows are rows_of():
+        another generating set of the same lattice, built on each read of
+        ``rels`` and not kept.  The caller certifies that the two sets
+        span one lattice (the Z[G]-module lattices of ``groupring``, whose
+        gens are far fewer than their relation rows)."""
+        out = cls(ngens, gens)
+        out._projection()
+        out._rels = rows_of
         return out
 
     @property
     def rels(self) -> np.ndarray:
         """The relation rows as given, as a dense matrix built on each read."""
-        rows = self._rels() if callable(self._rels) else self._rels
-        return _dense(rows, self.ngens)
+        return _dense(self._rels(), self.ngens)
 
     @property
     def rel_basis(self) -> np.ndarray:
@@ -1052,7 +1090,7 @@ class FpAb:
         from the certified path comes with the quotient map its certificate
         built, which is checked and kept."""
         if self._ech is None:
-            basis, proj = _hnf_sparse(self._rels, self.ngens)
+            basis, proj = _hnf_sparse(self._rels(), self.ngens)
             self._ech = SparseEchelon(basis, self.ngens)
             if proj is not None:
                 self._proj = self._checked(proj)

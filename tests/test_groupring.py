@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgroups import groupring
+from scgroups import groupring, linalg
 from scgroups.groupring import (
     Character,
     RModPres,
@@ -293,7 +293,7 @@ def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
     # back through the e+ rows, and the certificate then rightly passes.)
     ring = parse_ring("gf(13)")
     N = ScissorsContext(ring).refined().flat_ngens // 2
-    hnf = groupring._hnf_sparse
+    hnf = linalg._hnf_sparse
     seen = []
 
     def recording(rows, n):
@@ -301,7 +301,7 @@ def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
             seen.append(rows)
         return hnf(rows, n)
 
-    monkeypatch.setattr(groupring, "_hnf_sparse", recording)
+    monkeypatch.setattr(linalg, "_hnf_sparse", recording)
     ScissorsContext(ring).rp_flat()
     (rows,) = seen
     minus = [r for r in rows if r == {**{j: v for j, v in r.items() if j < N}, **{N + j: -v for j, v in r.items() if j < N}}]
@@ -312,7 +312,7 @@ def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
         def dropping(rows, n, i=i):
             return hnf(rows[:i] + rows[i + 1 :] if n == 2 * N else rows, n)
 
-        monkeypatch.setattr(groupring, "_hnf_sparse", dropping)
+        monkeypatch.setattr(linalg, "_hnf_sparse", dropping)
         with pytest.raises(AssertionError, match="relation row"):
             ScissorsContext(ring).rp_flat()
 

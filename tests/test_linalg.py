@@ -16,6 +16,7 @@ from scgroups.linalg import (
     FpAb,
     _images,
     _project,
+    _section,
     _unkilled,
     ab_quotient,
     cokernel,
@@ -354,6 +355,27 @@ def test_images_match_row_by_row_projection(pres, data):
     want = [_project(proj, r.items()) for r in test_rows]
     assert _images(proj, test_rows) == want
     assert _unkilled(proj, test_rows) == [i for i, w in enumerate(want) if any(w)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_section_projects_to_unit_vectors(pres):
+    n, rows = pres
+    proj = FpAb(n, rows if rows else None)._projection()
+    t = len(proj[0])
+    assert _images(proj, _section(proj)) == [[int(i == k) for i in range(t)] for k in range(t)]
+
+
+def test_images_of_a_trivial_quotient_take_values_past_int64():
+    # a trivial quotient has no coordinates, so no image entry bounds the
+    # values: they must still fit before they go through int64
+    proj = FpAb(1, [[1]])._projection()
+    rows = [{0: 1 << 70}, {0: -(1 << 63)}, {0: 3}]
+    assert _images(proj, rows) == [[], [], []]
+    assert _unkilled(proj, rows) == []
+    # more than 4 rows per column take the certified path, whose certificate
+    # projects every row through the map of the trivial quotient
+    assert FpAb(1, [[2**70], [2**70 + 1], [3], [5], [7]]).invariant_factors() == ()
 
 
 def test_images_take_moduli_past_int64():
