@@ -59,14 +59,14 @@ MAX_BALL_VERTICES = 10**6
 
 # largest ring, in elements, that `group` and the ring suites of `verify`
 # accept, and the largest p of `specialize` and the prime suites.  The
-# five-term relations number about |W|^2; measured one process each,
-# `group RP1` takes 1.0 s on GF(121), 2.9-3.9 s and about 145 MB peak
-# RSS on GF(233) and 3.7 s on GF(251).  Every `group` name and ring suite
-# stays under 10 s on GF(251) and GF(3^5), but the cap stays at 233: the
-# prime cap is the same number, and `verify specialize` takes 12.6 s at
-# p = 233 already (its sweep of S_v data, not the presentations) and
-# 17.2 s at p = 251; past 255, GF(2^4)[t]/t^2 (256 elements, |G| = 16)
-# does not finish `group RP` in 60 s
+# five-term relations number about |W|^2; measured one process each on a
+# 2-CPU machine, `group RP1` takes 0.8-1.2 s on GF(211) and on GF(233),
+# and the library's `ctx.rp1()` 0.4-0.7 s on GF(211), 0.7-1.0 s on
+# GF(233) and 1.3-2.2 s (about 60 MB peak RSS) on GF(289).  The cap stays
+# at 233: the prime cap is the same number, and `verify specialize` takes
+# 12.6 s at p = 233 already (its sweep of S_v data, not the presentations)
+# and 17.2 s at p = 251; past 255, GF(2^4)[t]/t^2 (256 elements,
+# |G| = 16) does not finish `group RP` in 60 s
 MAX_RING_SIZE = 233
 
 

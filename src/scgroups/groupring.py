@@ -22,12 +22,13 @@ its 2-part stays exact.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .linalg import AbMap, FpAb, _images, _section, _unkilled, intmat, zeros
+from .linalg import AbMap, FpAb, RowTable, _image_blocks, _images, _section, _unkilled, intmat, zeros
 from .rings import SqClassGroup
 
 RElem = dict  # class -> integer coefficient
@@ -150,19 +151,101 @@ def chi_ideal_rows(G: SqClassGroup, chi: Character) -> np.ndarray:
     return intmat(rows) if rows else zeros(0, n)
 
 
+@dataclass(frozen=True, eq=False)
+class RelationTable:
+    """Relations of a Z[G]-module as three int64 arrays of one shape (m, k):
+    relation i is the sum over t of vals[i, t] <classes[i, t]> [gens[i, t]],
+    so repeated terms add and zero values are allowed.  ``vals`` may be
+    anything that broadcasts to that shape (fixed signs, say); every
+    coefficient must fit int64."""
+
+    gens: np.ndarray
+    classes: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.gens)
+        object.__setattr__(self, "vals", np.broadcast_to(np.asarray(self.vals, dtype=np.int64), shape))
+
+    def __len__(self) -> int:
+        return len(self.gens)
+
+    def relations(self) -> list[dict]:
+        """Each relation as {generator: {class: coefficient}}, zero terms
+        dropped, generators and classes in order of first appearance."""
+        out = []
+        for js, gs, cs in zip(self.gens.tolist(), self.classes.tolist(), self.vals.tolist()):
+            rel: dict = {}
+            for j, g, c in zip(js, gs, cs):
+                x = rel.setdefault(j, {})
+                x[g] = x.get(g, 0) + c
+            out.append({j: y for j, x in rel.items() if (y := {g: c for g, c in x.items() if c})})
+        return out
+
+    def flat(self, ngens: int, order: int, translates: int) -> RowTable:
+        """The translates of the relations by the classes below
+        ``translates``, relation by relation, as flat rows over the
+        (class, generator) basis of |G| = order: index g * ngens + j."""
+        t = np.arange(translates, dtype=np.int64)[None, :, None]
+        cols = (self.classes[:, None, :] ^ t) * ngens + self.gens[:, None, :]
+        shape = (len(self) * translates, self.gens.shape[1])
+        vals = np.broadcast_to(self.vals[:, None, :], cols.shape).reshape(shape)
+        return RowTable(cols.reshape(shape), vals, order * ngens)
+
+
+def relation_table(relations: list[dict]) -> RelationTable:
+    """The table of sparse relations {generator: {class: c}}, each padded
+    with zero terms to the longest one; a coefficient past int64 is a
+    ValueError."""
+    terms = [[(j, g, c) for j, x in rel.items() for g, c in x.items()] for rel in relations]
+    out = np.zeros((3, len(terms), max(map(len, terms), default=0) or 1), dtype=np.int64)
+    for i, row in enumerate(terms):
+        try:
+            out[:, i, : len(row)] = np.array(row, dtype=np.int64).reshape(-1, 3).T
+        except OverflowError:
+            raise ValueError(f"relation {i} has a coefficient past int64") from None
+    return RelationTable(out[0], out[1], out[2])
+
+
+def stack_relations(*tables: RelationTable) -> RelationTable:
+    """The relations of the tables in turn, padded with zero terms to the
+    widest."""
+    k = max(t.gens.shape[1] for t in tables)
+
+    def padded(a):
+        return np.concatenate([a, np.zeros((len(a), k - a.shape[1]), dtype=np.int64)], axis=1)
+
+    return RelationTable(
+        *(np.concatenate([padded(getattr(t, name)) for t in tables]) for name in ("gens", "classes", "vals"))
+    )
+
+
 class RModPres:
     """Finitely presented Z[G]-module, flattened over the Z-basis
     (group element, generator): index = g * ngens + j.
 
-    A relation is stored sparse, as {generator: nonzero RElem}; it may be
-    given so, or as a sequence of one RElem per generator."""
+    The relations are kept as a RelationTable (``table``); they may be
+    given so, or as sparse dicts {generator: RElem}, or as sequences of
+    one RElem per generator.  ``relations`` reads them back as dicts,
+    for the callers that ask for them."""
 
-    def __init__(self, G: SqClassGroup, ngens: int, relations: Iterable = ()):
+    def __init__(self, G: SqClassGroup, ngens: int, relations=()):
         self.G = G
         self.ngens = ngens
-        self.relations = [self._sparse_relation(r) for r in relations]
+        if isinstance(relations, RelationTable):
+            if len(relations) and not (0 <= relations.gens.min() and relations.gens.max() < ngens):
+                raise ValueError("relation names a generator out of range")
+            self.table = relations
+        else:
+            self.table = relation_table([self._sparse_relation(r) for r in relations])
         self._flat: Optional[FpAb] = None
         self._perms: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def relations(self) -> list[dict]:
+        """The relations as sparse dicts {generator: RElem}, built on first
+        read and kept (the groups read the table)."""
+        return self.table.relations()
 
     def _sparse_relation(self, rel) -> dict:
         if isinstance(rel, dict):
@@ -187,8 +270,14 @@ class RModPres:
         return _flat_row(rel, self.ngens, translate)
 
     def flat_rows(self) -> list[dict]:
-        """All G-translates of the defining relations (duplicates kept)."""
-        return _flat_rows(self.relations, self.G.order, self.ngens)
+        """All G-translates of the defining relations (duplicates kept),
+        relation by relation."""
+        return self.flat_table().rows()
+
+    def flat_table(self) -> RowTable:
+        """flat_rows as a RowTable."""
+        order = self.G.order
+        return self.table.flat(self.ngens, order, order)
 
     def flatten(self) -> FpAb:
         """Z^flat_ngens modulo every G-translate of the relations.  For
@@ -196,7 +285,7 @@ class RModPres:
         (``_block_lattice``), and ``rels`` builds the translates on read."""
         if self._flat is None:
             if self.G.order == 1:
-                self._flat = FpAb(self.flat_ngens, self.flat_rows())
+                self._flat = FpAb(self.flat_ngens, self.flat_table())
             else:
                 self._flat = _block_lattice(self)
         return self._flat
@@ -257,11 +346,6 @@ def _flat_row(rel: dict, n: int, translate: int = 0) -> dict:
     return {(g ^ translate) * n + j: c for j, x in rel.items() for g, c in x.items() if c}
 
 
-def _flat_rows(relations: list, order: int, n: int) -> list[dict]:
-    """RModPres.flat_rows of these relations, |G| = order and ngens = n."""
-    return [_flat_row(rel, n, t) for rel in relations for t in range(order)]
-
-
 def _block_lattice(m: RModPres) -> FpAb:
     """The flat module of m (|G| >= 2) from its e± block form.
 
@@ -289,49 +373,23 @@ def _block_lattice(m: RModPres) -> FpAb:
     n, order = m.ngens, m.G.order
     half = order // 2
     N = half * n
-    # one pass over the relations: a + b, a - b and b of each translate
-    plus, minus, upper = [], [], []
-    for rel in m.relations:
-        for t in range(half):
-            a, b = {}, {}
-            for j, x in rel.items():
-                for g, c in x.items():
-                    if c:
-                        i = (g ^ t) * n + j
-                        if i < N:
-                            a[i] = c
-                        else:
-                            b[i - N] = c
-            s, d = a.copy(), a.copy()
-            for i, c in b.items():
-                x = a.get(i, 0)
-                if x + c:
-                    s[i] = x + c
-                else:
-                    del s[i]
-                if x - c:
-                    d[i] = x - c
-                else:
-                    del d[i]
-            plus.append(s)
-            minus.append(d)
-            upper.append(b)
-    # each list of half rows is dropped once read: together they are the
-    # peak of memory
-    minus_group = FpAb(N, minus)
+    # the translates by the classes without h, as one table: its columns
+    # folded onto the halves (a flat index i >= N goes to i - N, into b)
+    # serve a - b, a + b and b, which differ only in their values
+    flat = m.table.flat(n, order, half)
+    upper = flat.cols >= N
+    cols = flat.cols - N * upper
+    minus_group = FpAb(N, RowTable(cols, np.where(upper, -flat.vals, flat.vals), N))
     minus_basis, pi = minus_group.echelon().basis, minus_group._projection()
-    del minus, minus_group
+    del minus_group
     moduli = pi[0]
-    # the rows a + b become the rows (a + b, pi(b)) of S in place
-    for s, w in zip(plus, _images(pi, upper)):
-        s.update((N + k, x) for k, x in enumerate(w) if x)
-    del upper
-    srows = [r for r in plus if r] + [{N + k: d} for k, d in enumerate(moduli) if d]
-    del plus
-    s_basis = FpAb(N + len(moduli), srows).echelon().basis
+    t = len(moduli)
+    srows = _s_rows(RowTable(cols, flat.vals, N), pi, RowTable(cols, np.where(upper, flat.vals, 0), N))
+    del flat, upper, cols
+    s_basis = FpAb(N + t, srows).echelon().basis
     del srows
     sigma = _section(pi)
-    if _images(pi, sigma) != [[int(i == k) for i in range(len(moduli))] for k in range(len(moduli))]:
+    if _images(pi, sigma) != [[int(i == k) for i in range(t)] for k in range(t)]:
         raise AssertionError("block form: the section does not project to unit vectors")
     rows = [add(scale(-1, r), {N + j: v for j, v in r.items()}) for r in minus_basis]
     for r in s_basis:
@@ -342,15 +400,41 @@ def _block_lattice(m: RModPres) -> FpAb:
         row = add({i: z for i, z in r.items() if i < N}, scale(-1, lift))
         row.update((N + j, v) for j, v in lift.items())
         rows.append(row)
-    # rels reads the relations, not m: the group holds no cycle back to m,
-    # so a dropped module is freed at once
-    flat = FpAb._seeded(2 * N, rows, functools.partial(_flat_rows, m.relations, order, n))
+    # rels reads the relation table, not m: the group holds no cycle back
+    # to m, so a dropped module is freed at once
+    out = FpAb._seeded(2 * N, rows, functools.partial(m.table.flat, n, order, order))
     # the certificate: every relation row, through the map read after each
     # translation
-    moduli, images = flat._projection()
-    untranslated = [_flat_row(rel, n) for rel in m.relations]
-    for t in range(order):
-        translated = [images[i] for i in m.act_permutation(t).tolist()]
+    moduli, images = out._projection()
+    untranslated = m.table.flat(n, order, 1)
+    for g in range(order):
+        translated = [images[i] for i in m.act_permutation(g).tolist()]
         if _unkilled((moduli, translated), untranslated):
             raise AssertionError("block form: a relation row does not map to 0")
-    return flat
+    return out
+
+
+def _s_rows(plus: RowTable, pi, upper: RowTable):
+    """The generators of S: a row (a + b, pi(b)) for each row a + b of
+    ``plus`` and b of ``upper`` (N columns), where pi(b) takes the columns
+    N, N + 1, ... (one per coordinate of pi), and a row d e_(N + k) for
+    each modulus d of pi.  A RowTable when every image fits int64, else
+    sparse dicts."""
+    moduli = pi[0]
+    N, t, k = plus.ncols, len(moduli), plus.cols.shape[1]
+    blocks = [w for _, w in _image_blocks(pi, upper)]
+    mods = [{N + j: d} for j, d in enumerate(moduli) if d]
+    if not all(isinstance(w, np.ndarray) for w in blocks):
+        images = itertools.chain.from_iterable(w.tolist() if isinstance(w, np.ndarray) else w for w in blocks)
+        rows = [{**plus.row(i), **{N + j: x for j, x in enumerate(w) if x}} for i, w in enumerate(images)]
+        return [r for r in rows if r] + mods
+    width = k + t
+    cols = np.zeros((len(plus) + len(mods), width), dtype=np.int64)
+    vals = np.zeros_like(cols)
+    cols[: len(plus), :k], vals[: len(plus), :k] = plus.cols, plus.vals
+    cols[: len(plus), k:] = N + np.arange(t)
+    if blocks:
+        vals[: len(plus), k:] = np.concatenate(blocks)
+    for i, r in enumerate(mods, start=len(plus)):
+        ((cols[i, 0], vals[i, 0]),) = r.items()
+    return RowTable(cols, vals, N + t)

@@ -30,6 +30,12 @@ reads the rows in place and copies only the subset; exact repeats are
 dropped only on the full path, which reduces copies of every row.  The
 certified basis comes with the quotient map its certificate built, and an
 FpAb keeps that map instead of building it again.
+
+Relation rows of one width may also come as a ``RowTable``: int64 arrays
+of columns and values, one row per line (the five-term relations, and the
+half rows of a Z[G]-module's block form).  The certified path then builds
+dicts only for the rows it reduces, and the certificate projects the
+table's arrays directly.
 """
 
 from __future__ import annotations
@@ -124,6 +130,67 @@ def _sparse_rows(rows, n: int) -> list[dict]:
     iterable of dicts, dense sequences and numpy rows), each through
     ``_sparse_row``: the one normaliser of the exact core."""
     return [] if rows is None else [_sparse_row(r, n) for r in rows]
+
+
+@dataclass(frozen=True, eq=False)
+class RowTable:
+    """Rows of width ncols given by two int64 arrays of one shape (m, k):
+    row i is the sum over t of vals[i, t] * e_{cols[i, t]}, so repeated
+    columns add and zero values are allowed.  ``vals`` may be anything
+    that broadcasts to that shape (fixed signs, say) and is kept as a
+    read-only view.  A column outside range(ncols) is a ValueError.
+
+    The table is never modified, so ``copy`` returns it, and a slice of
+    rows is a table that shares its arrays."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+    ncols: int
+
+    def __post_init__(self):
+        cols = np.asarray(self.cols, dtype=np.int64)
+        if cols.ndim != 2:
+            raise ValueError("a row table's columns must be a 2-D array")
+        if cols.size and not (0 <= int(cols.min()) and int(cols.max()) < self.ncols):
+            raise ValueError(f"a row table's column lies outside the generators range({self.ncols})")
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", np.broadcast_to(np.asarray(self.vals, dtype=np.int64), cols.shape))
+
+    def __len__(self) -> int:
+        return self.cols.shape[0]
+
+    def __getitem__(self, rows: slice) -> "RowTable":
+        return RowTable(self.cols[rows], self.vals[rows], self.ncols)
+
+    def copy(self) -> "RowTable":
+        return self
+
+    def entries(self, i: int):
+        """The (column, value) pairs of row i as Python ints, repeats and
+        zeros included."""
+        return zip(self.cols[i].tolist(), self.vals[i].tolist())
+
+    def row(self, i: int) -> dict:
+        """Row i as a sparse dict: repeated columns summed, zeros dropped."""
+        return _summed(self.entries(i))
+
+    def rows(self) -> list[dict]:
+        """Every row as a sparse dict, in order."""
+        return [_summed(zip(c, v)) for c, v in zip(self.cols.tolist(), self.vals.tolist())]
+
+
+def _summed(entries) -> dict:
+    """The sparse row of (column, value) entries: repeats summed, zeros
+    dropped, columns in order of first appearance."""
+    out: dict = {}
+    for j, x in entries:
+        out[j] = out.get(j, 0) + x
+    return {j: x for j, x in out.items() if x}
+
+
+def _dict_rows(rows) -> list[dict]:
+    """Relation rows as sparse dicts: a table's rows built, a list as it is."""
+    return rows.rows() if isinstance(rows, RowTable) else rows
 
 
 def _edge_rows(mat, ncols: Optional[int] = None) -> tuple[list[dict], int]:
@@ -276,10 +343,10 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     return _dense(_hnf_sparse(rows, n)[0], n)
 
 
-def _hnf_sparse(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Projection]]:
+def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     """Canonical HNF rows of the lattice of the sparse rows (as
-    ``_sparse_rows`` gives them), with the quotient map a certificate built
-    for them, or None.
+    ``_sparse_rows`` gives them, or a RowTable of width n), with the
+    quotient map a certificate built for them, or None.
 
     Up to SUBSET_PER_COLUMN * n rows are all reduced (``_full_hnf``), on
     copies with exact repeats and empty rows dropped, and come without a
@@ -292,7 +359,7 @@ def _hnf_sparse(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Project
     """
     if len(rows) > SUBSET_PER_COLUMN * n:
         return _certified_hnf(rows, n)
-    return _full_hnf(rows, n), None
+    return _full_hnf(_dict_rows(rows), n), None
 
 
 def _full_hnf(rows: list[dict], ncols: int) -> list[dict]:
@@ -307,17 +374,19 @@ SUBSET_PER_COLUMN = 4
 _SUBSET_SEED = 7
 
 
-def _certified_hnf(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Projection]]:
-    """Canonical HNF rows of the lattice of ``rows``, from a seeded random
-    subset grown until it is certified, with the quotient map of the
-    certificate (None after the fallback).
+def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
+    """Canonical HNF rows of the lattice of ``rows`` (sparse dicts or a
+    RowTable), from a seeded random subset grown until it is certified,
+    with the quotient map of the certificate (None after the fallback).
 
     The rows are read in place and may repeat; the subset rows are copied
-    before the reduction modifies them.  Each round reduces the subset to
-    triangular rows, computes the HNF of their lattice L_S modulo its
-    determinant (``_subset_hnf``) and then checks two inclusions: every
-    basis row lies in L_S (back-substitution on the triangular rows), and
-    every input row maps to 0 under the basis's quotient map.  Together
+    (or, from a table, built) before the reduction modifies them, and the
+    certificate projects a table without building its rows.  Each round
+    reduces the subset to triangular rows, computes the HNF of their
+    lattice L_S modulo its determinant (``_subset_hnf``) and then checks
+    two inclusions: every basis row lies in L_S (back-substitution on the
+    triangular rows), and every input row maps to 0 under the basis's
+    quotient map.  Together
     they give lattice(basis) = L_S = lattice(rows).  An input row that the
     map does not kill joins the subset for the next round; a subset row
     that it does not kill is a fault.  A subset that would hold every row
@@ -326,9 +395,10 @@ def _certified_hnf(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Proj
     is no subset: the first 476 rows of P(GF(121)) in pair order reach rank
     108 of 119.
     """
+    copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
     chosen = set(rng.sample(range(len(rows)), SUBSET_PER_COLUMN * n))
-    work = [dict(rows[i]) for i in sorted(chosen)]
+    work = [copy(i) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)
         basis = _subset_hnf(retired, n)
@@ -344,8 +414,8 @@ def _certified_hnf(rows: list[dict], n: int) -> tuple[list[dict], Optional[_Proj
             raise AssertionError("certified HNF: the basis misses a subset row")
         chosen.update(missing)
         if len(chosen) == len(rows):
-            return _full_hnf(rows, n), None
-        work = [r for _, r in retired] + [dict(rows[i]) for i in missing]
+            return _full_hnf(_dict_rows(rows), n), None
+        work = [r for _, r in retired] + [copy(i) for i in missing]
 
 
 def _check_canonical(basis: list[dict], n: int) -> None:
@@ -969,10 +1039,10 @@ def _project(proj: _Projection, entries) -> list[int]:
     return [x % d if d else x for x, d in zip(w, moduli)]
 
 
-def _image_blocks(proj: _Projection, rows: list[dict]):
-    """The images of many sparse rows under a projection table, each
-    torsion coordinate reduced into [0, d), yielded as (first row, images)
-    for blocks of _IMAGE_BLOCK rows.
+def _image_blocks(proj: _Projection, rows):
+    """The images of many rows (sparse dicts or a RowTable) under a
+    projection table, each torsion coordinate reduced into [0, d), yielded
+    as (first row, images) for blocks of _IMAGE_BLOCK rows.
 
     A block goes through int64 arrays, one coordinate at a time, as the
     rows' values times the images of their columns summed row by row, and
@@ -980,9 +1050,10 @@ def _image_blocks(proj: _Projection, rows: list[dict]):
     modulus and no partial sum can reach 2^62: the largest value, the
     largest image entry (at least 1, so that the values are bounded even
     when there is no image, as for a trivial quotient) and the longest row
-    bound every sum.  Otherwise its images
-    are the lists ``_project`` gives, computed exactly in Python ints.
-    Blocks keep the arrays small next to the rows themselves."""
+    bound every sum.  A table's arrays are read as they are; dict rows are
+    flattened into such arrays first.  Otherwise its images are the lists
+    ``_project`` gives, computed exactly in Python ints.  Blocks keep the
+    arrays small next to the rows themselves."""
     moduli, images = proj
     big = 1 << 62
     amax = max((abs(a) for img in images for _, a in img), default=0)
@@ -993,13 +1064,22 @@ def _image_blocks(proj: _Projection, rows: list[dict]):
             table[k, j] = a
     for lo in range(0, len(rows), _IMAGE_BLOCK):
         block = rows[lo : lo + _IMAGE_BLOCK]
-        lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-        vals = list(itertools.chain.from_iterable(map(dict.values, block)))
-        if not (fits and vals and max(map(abs, vals)) * max(amax, 1) * int(lens.max()) < big):
-            yield lo, [_project(proj, r.items()) for r in block]
+        if isinstance(block, RowTable):
+            cols, vals = block.cols.ravel(), block.vals.ravel()
+            lens = np.full(len(block), block.cols.shape[1], dtype=np.int64)
+            vmax = max(int(vals.max()), -int(vals.min())) if vals.size else 0
+            entries = map(block.entries, range(len(block)))
+        else:
+            lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+            vals = list(itertools.chain.from_iterable(map(dict.values, block)))
+            vmax = max(map(abs, vals), default=0)
+            entries = map(dict.items, block)
+        if not (fits and len(vals) and vmax * max(amax, 1) * int(lens.max()) < big):
+            yield lo, [_project(proj, e) for e in entries]
             continue
-        cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
-        vals = np.array(vals, dtype=np.int64)
+        if not isinstance(block, RowTable):
+            cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
+            vals = np.array(vals, dtype=np.int64)
         filled = lens > 0
         starts = (np.cumsum(lens) - lens)[filled]
         w = np.zeros((len(block), len(moduli)), dtype=np.int64)
@@ -1014,17 +1094,19 @@ def _image_blocks(proj: _Projection, rows: list[dict]):
 _IMAGE_BLOCK = 2048
 
 
-def _images(proj: _Projection, rows: list[dict]) -> list[list[int]]:
-    """The image of each sparse row, as ``_project`` gives it."""
+def _images(proj: _Projection, rows) -> list[list[int]]:
+    """The image of each row (sparse dicts or a RowTable), as ``_project``
+    gives it."""
     out: list[list[int]] = []
     for _, w in _image_blocks(proj, rows):
         out += w.tolist() if isinstance(w, np.ndarray) else w
     return out
 
 
-def _unkilled(proj: _Projection, rows: list[dict]) -> list[int]:
-    """Indices of the sparse rows whose image is not 0: the certificates'
-    test over every input row, which builds no list per row."""
+def _unkilled(proj: _Projection, rows) -> list[int]:
+    """Indices of the rows (sparse dicts or a RowTable) whose image is not
+    0: the certificates' test over every input row, which builds no list
+    per row."""
     out: list[int] = []
     for lo, w in _image_blocks(proj, rows):
         if isinstance(w, np.ndarray):
@@ -1048,22 +1130,28 @@ class FpAb:
 
     The relations may be given in any row form (a 2-D array, dense
     sequences, sparse {generator: coefficient} dicts, or a mix) and are
-    kept as sparse rows.  The relation basis lives in a cached
+    kept as sparse rows, or as a RowTable of width ngens, which is kept as
+    it is.  The relation basis lives in a cached
     SparseEchelon; element questions (contains, element_order) and the
     invariant factors go through one cached quotient map onto
     Z^f + sum Z/d_k."""
 
     def __init__(self, ngens: int, rels=None):
         self.ngens = int(ngens)
-        rows = _sparse_rows(rels, self.ngens)
-        # a zero-argument callable that returns the relation rows (a bound
-        # method, which pickles)
-        self._rels: Callable[[], list[dict]] = rows.copy
+        if isinstance(rels, RowTable):
+            if rels.ncols != self.ngens:
+                raise ValueError(f"a row table of width {rels.ncols} does not match {self.ngens} generators")
+            rows = rels
+        else:
+            rows = _sparse_rows(rels, self.ngens)
+        # a zero-argument callable that returns the relation rows, sparse
+        # dicts or a RowTable (a bound method, which pickles)
+        self._rels: Callable[[], list[dict] | RowTable] = rows.copy
         self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
 
     @classmethod
-    def _seeded(cls, ngens: int, gens: list[dict], rows_of: Callable[[], list[dict]]) -> "FpAb":
+    def _seeded(cls, ngens: int, gens: list[dict], rows_of: Callable[[], RowTable]) -> "FpAb":
         """Z^ngens modulo the lattice of the rows ``gens``, with its basis
         and quotient map computed now, whose relation rows are rows_of():
         another generating set of the same lattice, built on each read of
@@ -1078,7 +1166,7 @@ class FpAb:
     @property
     def rels(self) -> np.ndarray:
         """The relation rows as given, as a dense matrix built on each read."""
-        return _dense(self._rels(), self.ngens)
+        return _dense(_dict_rows(self._rels()), self.ngens)
 
     @property
     def rel_basis(self) -> np.ndarray:

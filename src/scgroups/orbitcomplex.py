@@ -153,14 +153,7 @@ def expected_orbit_count(ring: GF, tuple_len: int) -> int:
         return g
     if tuple_len == 4:
         return g * len(ctx.W)
-    wset = set(ctx.W)
-    pairs = sum(
-        1
-        for x in ctx.W
-        for y in ctx.W
-        if ring.mul(x, ring.inv(y)) in wset
-    )
-    return g * pairs
+    return g * len(ctx.five_terms().gens)
 
 
 # ---------------------------------------------------------------------------

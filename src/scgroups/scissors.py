@@ -17,8 +17,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groupring import RElem, RModPres, act, add, dbl_bracket, p_plus, r_mul, r_vector, scale, steinberg
-from .linalg import AbMap, FpAb, SubgroupPres, ab_quotient, direct_sum, iso_odd, zeros
+from .groupring import (
+    RelationTable,
+    RElem,
+    RModPres,
+    act,
+    add,
+    dbl_bracket,
+    p_plus,
+    r_mul,
+    r_vector,
+    relation_table,
+    scale,
+    stack_relations,
+    steinberg,
+)
+from .linalg import AbMap, FpAb, RowTable, SubgroupPres, ab_quotient, direct_sum, iso_odd, zeros
 
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
@@ -75,55 +89,37 @@ class ScissorsContext:
         return self.W[0]
 
     # -- admissible pairs ----------------------------------------------------
+    def five_terms(self) -> "FiveTerms":
+        """The five-term relations of the ring as one integer table, built
+        once per context (``FiveTerms``)."""
+        if "five_terms" not in self._cache:
+            self._cache["five_terms"] = _five_term_table(self)
+        return self._cache["five_terms"]
+
     def five_term_pairs(self):
         """Ordered pairs (a, b), lexicographic in canonical element order,
-        with a, b, a/b all in W."""
-        ring = self.ring
-        wset = set(self.W)
-        for a in self.W:
-            for b in self.W:
-                if ring.mul(a, ring.inv(b)) in wset:
-                    yield a, b
+        with a, b, a/b all in W: the pairs of the five-term table."""
+        W = self.W
+        for i, j in self.five_terms().gens[:, :2].tolist():
+            yield W[i], W[j]
+
+    def _pair_row(self, a, b) -> int:
+        """The table row of the admissible pair (a, b); any other pair is a
+        ValueError."""
+        i, j = self.windex.get(a), self.windex.get(b)
+        k = -1 if i is None or j is None else int(self.five_terms().index[i, j])
+        if k < 0:
+            raise ValueError(f"({a!r}, {b!r}) is not an admissible pair: a, b and a/b must lie in W")
+        return k
 
     # -- classical presentation ----------------------------------------------
-    def _pair_data(self, a):
-        """(a^{-1}, 1 - a, (1 - a)^{-1}, 1 - a^{-1}, (1 - a^{-1})^{-1}, <a>,
-        <a^{-1} - 1>, <1 - a>) for a in W, tabulated once per context."""
-        table = self._cache.get("pair_data")
-        if table is None:
-            ring, cls = self.ring, self.G.class_of
-            one, inv, sub = ring.one, ring.inv, ring.sub
-            table = {}
-            for x in self.W:
-                xi = inv(x)
-                om, omi = sub(one, x), sub(one, xi)
-                table[x] = (xi, om, inv(om), omi, inv(omi), cls(x), cls(sub(xi, one)), cls(om))
-            self._cache["pair_data"] = table
-        try:
-            return table[a]
-        except KeyError:
-            raise ValueError(f"{a!r} is not in W") from None
-
-    def _five_terms(self, a, b) -> tuple:
-        """The five (class, element, sign) terms of Y_{a,b}; X_{a,b} is the
-        same sum with the classes forgotten.  Three ring products."""
-        ai, oma, _, omai, _, ca, c4, c5 = self._pair_data(a)
-        db = self._pair_data(b)
-        mul = self.ring.mul
-        return (
-            (0, a, 1),
-            (0, b, -1),
-            (ca, mul(b, ai), 1),
-            (c4, mul(omai, db[4]), -1),
-            (c5, mul(oma, db[2]), 1),
-        )
-
     def x_relation(self, a, b) -> PBElem:
-        """Five-term element X_{a,b} of the free group on W."""
+        """Five-term element X_{a,b} of the free group on W: Y_{a,b} with
+        the classes forgotten."""
         out: PBElem = {}
-        for _, k, c in self._five_terms(a, b):
-            out[k] = out.get(k, 0) + c
-        return {k: c for k, c in out.items() if c}
+        for (_, x), c in self.y_relation(a, b).items():
+            out[x] = out.get(x, 0) + c
+        return {x: c for x, c in out.items() if c}
 
     def pb_row(self, x: PBElem) -> dict:
         """A P element as a sparse row {W index: coefficient}."""
@@ -140,8 +136,8 @@ class ScissorsContext:
         """P(A): one generator per element of W, one relation per admissible
         ordered pair."""
         if "P" not in self._cache:
-            rows = [self.pb_row(self.x_relation(a, b)) for a, b in self.five_term_pairs()]
-            self._cache["P"] = FpAb(len(self.W), rows)
+            n = len(self.W)
+            self._cache["P"] = FpAb(n, RowTable(self.five_terms().gens, FIVE_TERM_SIGNS, n))
         return self._cache["P"]
 
     # -- symmetric square of the units ----------------------------------------
@@ -208,10 +204,11 @@ class ScissorsContext:
                   + <1-a>[(1-a)/(1-b)].
         This is the unique sign choice under which lambda_1 kills every
         relation exactly and the projection to P(A) is defined."""
+        k, W, t = self._pair_row(a, b), self.W, self.five_terms()
         out: RPElem = {}
-        for g, k, c in self._five_terms(a, b):
-            out[g, k] = out.get((g, k), 0) + c
-        return {k: c for k, c in out.items() if c}
+        for g, j, c in zip(t.classes[k].tolist(), t.gens[k].tolist(), FIVE_TERM_SIGNS):
+            out[g, W[j]] = out.get((g, W[j]), 0) + c
+        return {key: c for key, c in out.items() if c}
 
     def _relation(self, x: RPElem) -> dict:
         """An RP element as a sparse R_A-module relation: its nonzero Z[G]
@@ -222,26 +219,12 @@ class ScissorsContext:
         return rel
 
     def refined(self) -> RModPres:
-        """RP(A) as an R_A-module presentation on the W generators: each
-        Y_{a,b} goes from its five terms to {W index: {class: c}} in one
-        pass (the relation y_relation returns, grouped by generator)."""
+        """RP(A) as an R_A-module presentation on the W generators, with the
+        five-term table as its relation table."""
         if "RP" not in self._cache:
-            windex = self.windex
-            rels = []
-            for a, b in self.five_term_pairs():
-                rel: dict = {}
-                cancelled = False
-                for g, k, c in self._five_terms(a, b):
-                    x = rel.get(windex[k])
-                    if x is None:
-                        rel[windex[k]] = {g: c}
-                    else:
-                        x[g] = x.get(g, 0) + c
-                        cancelled = cancelled or not x[g]
-                if cancelled:
-                    rel = {j: {g: c for g, c in x.items() if c} for j, x in rel.items()}
-                rels.append(rel)
-            self._cache["RP"] = RModPres(self.G, len(self.W), rels)
+            t = self.five_terms()
+            table = RelationTable(t.gens, t.classes, FIVE_TERM_SIGNS)
+            self._cache["RP"] = RModPres(self.G, len(self.W), table)
         return self._cache["RP"]
 
     def rp_flat(self) -> FpAb:
@@ -470,7 +453,8 @@ class ScissorsContext:
         """RP~(A) = RP(A)/K^(1) as an R-module presentation (five-term
         relations plus the psi_1 family)."""
         if "RPt_mod" not in self._cache:
-            rels = self.refined().relations + [self._relation(self.psi1(a)) for a in self.ring.units]
+            psi = relation_table([self._relation(self.psi1(a)) for a in self.ring.units])
+            rels = stack_relations(self.refined().table, psi)
             self._cache["RPt_mod"] = RModPres(self.G, len(self.W), rels)
         return self._cache["RPt_mod"]
 
@@ -487,13 +471,14 @@ class ScissorsContext:
     def rp_prime(self) -> RModPres:
         """RP'(A): the three relation families on primed generators."""
         if "RPprime" not in self._cache:
-            rels = list(self.refined().relations)
+            rels = []
             neg1 = self.G.neg_one()
             for a in self.W:
                 # (<-1> - 1)[a]' and [a]' + [1/a]'
                 rels.append(self._relation(add({(neg1, a): 1}, {(0, a): -1})))
                 rels.append(self._relation(add({(0, a): 1}, {(0, self.ring.inv(a)): 1})))
-            self._cache["RPprime"] = RModPres(self.G, len(self.W), rels)
+            table = stack_relations(self.refined().table, relation_table(rels))
+            self._cache["RPprime"] = RModPres(self.G, len(self.W), table)
         return self._cache["RPprime"]
 
     def rp_prime_witness(self) -> dict:
@@ -581,6 +566,69 @@ class ScissorsContext:
             "match": quotient.free_rank == target.free_rank
             and quotient.invariant_factors() == target.invariant_factors(),
         }
+
+
+# the signs of the five terms [a], [b], [b/a], [(1-a^{-1})/(1-b^{-1})] and
+# [(1-a)/(1-b)] of X_{a,b} and Y_{a,b}
+FIVE_TERM_SIGNS = (1, -1, 1, -1, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class FiveTerms:
+    """The five-term relations of a ring as integer arrays, one row per
+    admissible pair (a, b), lexicographic in canonical element order (W
+    indices throughout):
+
+    - ``gens`` (m x 5): the W index of each term's element, a and b first;
+    - ``classes`` (m x 5): each term's square class, 0 for [a] and [b]
+      and <a>, <a^{-1} - 1>, <1 - a> for the others;
+    - ``index`` (|W| x |W|): the row of the pair (W[i], W[j]), or -1.
+
+    The term signs are FIVE_TERM_SIGNS.  X_{a,b} is row k with the classes
+    forgotten, Y_{a,b} the row with them."""
+
+    gens: np.ndarray
+    classes: np.ndarray
+    index: np.ndarray
+
+
+def _five_term_table(ctx: ScissorsContext) -> FiveTerms:
+    """The five-term table by index arithmetic on discrete logarithms.
+
+    A unit is coded by the mixed-radix number of its exponents in the
+    cyclic decomposition of the unit group (``unit_decomposition``), so
+    x / y is a difference of exponent vectors and every term of every pair
+    is a table lookup: a/b over the W x W grid picks the admissible pairs,
+    and b/a, (1 - a^{-1})/(1 - b^{-1}) and (1 - a)/(1 - b) follow from the
+    exponents of a, 1 - a^{-1} and 1 - a.  Those three terms lie in W
+    whenever a/b does; a term outside W is an AssertionError."""
+    ring, G, W = ctx.ring, ctx.G, ctx.W
+    _, orders, dlog = ctx.unit_decomposition()
+    order = np.array(orders, dtype=np.int64)
+    stride = np.cumprod([1] + list(orders[:-1]), dtype=np.int64)
+    w_of = np.full(math.prod(orders), -1, dtype=np.int64)
+    for i, a in enumerate(W):
+        w_of[int(np.dot(dlog[a], stride))] = i
+    one, inv, sub, cls = ring.one, ring.inv, ring.sub, G.class_of
+    exps = np.array([[dlog[a], dlog[sub(one, inv(a))], dlog[sub(one, a)]] for a in W], dtype=np.int64)
+    exps = exps.reshape(len(W), 3, len(orders))
+
+    def quotient(x, y):
+        # W indices of the units with exponents x / y (-1 outside W)
+        return w_of[((x - y) % order) @ stride]
+
+    ea = exps[:, 0]
+    ratio = quotient(ea[:, None, :], ea[None, :, :])
+    ia, ib = np.nonzero(ratio >= 0)
+    gens = np.stack(
+        [ia, ib, ratio[ib, ia], quotient(exps[ia, 1], exps[ib, 1]), quotient(exps[ia, 2], exps[ib, 2])], axis=1
+    )
+    if (gens < 0).any():
+        raise AssertionError("a five-term element of an admissible pair is not in W")
+    own = np.array([[0, 0, cls(a), cls(sub(inv(a), one)), cls(sub(one, a))] for a in W], dtype=np.int64)
+    index = np.full((len(W), len(W)), -1, dtype=np.int64)
+    index[ia, ib] = np.arange(len(ia))
+    return FiveTerms(gens=gens, classes=own[ia], index=index)
 
 
 def _mapped(row: dict, index: list) -> dict:

@@ -71,6 +71,29 @@ GOLDEN_BASES = {
 }
 
 
+# sha256 of the relation rows as given (``rels`` with its generator
+# count) of P and of RP's flat module: one row per admissible pair in
+# lexicographic order, and for RP each pair's rows in translate order.
+# The canonical bases above do not see a reordering of these rows.
+GOLDEN_RELATION_ROWS = {
+    "gf(49)": {
+        "P": "f8464a3df3f3c78e935aad2f972305af03398bb1018d2656909c4533ff027fe9",
+        "RP": "3915ece6a321894ee18a4ffdbe66c3430a1b1d67befa930c41310631e8de62ea",
+    },
+    "z/7^2": {
+        "P": "dbeb7c0d3daeac539781c82066cf1e0f4f0cf807655259af9e93c5ffb11eecad",
+        "RP": "a86d55f12eda54a9bacf9852490b7309bd98ec507ef9a689adae191cc32c1aa2",
+    },
+}
+
+
+@pytest.mark.parametrize("label", list(GOLDEN_RELATION_ROWS))
+def test_relation_rows_match_golden_digests(label):
+    ctx = ScissorsContext(parse_ring(label))
+    got = {name: _digest((g.ngens, _ints(g.rels))) for name, g in (("P", ctx.pre_bloch()), ("RP", ctx.rp_flat()))}
+    assert got == GOLDEN_RELATION_ROWS[label]
+
+
 def group_digests(label: str) -> dict:
     ctx = ScissorsContext(parse_ring(label))
     tb = ctx.tilde()

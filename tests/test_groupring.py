@@ -266,6 +266,19 @@ def test_block_form_matches_the_flat_reduction(m):
     assert flat._projection() == proj
 
 
+def test_block_form_takes_images_past_int64():
+    # L- = <2^63 e_0, 3^40 e_1>: the quotient map of its e- half has moduli
+    # past int64, so the e+ rows (a + b, pi(b)) are built as dicts
+    big = 2**62
+    m = RModPres(G7, 2, [[{0: big, 1: -big}, {}], [{1: 2}, {0: 3**39, 1: -2 * 3**39}]])
+    flat = m.flatten()
+    basis, proj = _reference(m)
+    assert flat.echelon().basis == basis
+    assert flat._projection() == proj
+    with pytest.raises(ValueError, match="past int64"):
+        RModPres(G7, 1, [[{0: 2**63}]])
+
+
 def test_block_form_rels_are_the_flat_rows():
     m = ScissorsContext(parse_ring("gf(13)")).refined()
     want = m.flat_rows()

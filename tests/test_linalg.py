@@ -1007,6 +1007,104 @@ def test_corrupted_certified_map_trips_a_check(monkeypatch):
         FpAb(n, _sparse(rows)).invariant_factors()
 
 
+# -- relation rows as a RowTable ---------------------------------------------------
+
+
+@st.composite
+def row_tables(draw):
+    """A RowTable of up to 5 columns and width up to 4, with zero values and
+    repeated columns frequent; about half of them are taller than the
+    certified path's subset."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(0, tall(n) + 8))
+    col = st.integers(0, n - 1)
+    val = st.one_of(st.just(0), st.integers(-4, 4), st.sampled_from([6, -9, 10**6]))
+    cols = [[draw(col) for _ in range(k)] for _ in range(m)]
+    vals = [[draw(val) for _ in range(k)] for _ in range(m)]
+    return linalg.RowTable(np.array(cols, dtype=np.int64).reshape(m, k), np.array(vals, dtype=np.int64).reshape(m, k), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_tables())
+def test_table_rows_give_the_dict_rows_basis_and_map(table):
+    n = table.ncols
+    rows = table.rows()
+    assert rows == [table.row(i) for i in range(len(table))]
+    assert all(x for r in rows for x in r.values())
+    got, want = linalg._hnf_sparse(table, n), linalg._hnf_sparse(rows, n)
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    g, h = FpAb(n, table), FpAb(n, rows)
+    assert _ints(g.rel_basis) == _ints(h.rel_basis) and _ints(g.rels) == _ints(h.rels)
+    assert g._projection() == h._projection()
+    proj = g._projection()
+    want_images = [_project(proj, table.entries(i)) for i in range(len(table))]
+    assert _images(proj, table) == want_images == _images(proj, rows)
+    assert _unkilled(proj, table) == [] == _unkilled(proj, rows)
+    # rows of another lattice: the certificate's test on tables and dicts
+    other = FpAb(n, [[2 * (j == 0) for j in range(n)]])._projection()
+    assert _images(other, table) == [_project(other, r.items()) for r in rows]
+    assert _unkilled(other, table) == _unkilled(other, rows)
+
+
+def test_table_columns_outside_the_generators_are_refused():
+    for bad in ([[0, 3]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="outside"):
+            linalg.RowTable(np.array(bad), 1, 3)
+    with pytest.raises(ValueError, match="does not match"):
+        FpAb(4, linalg.RowTable(np.array([[0, 2]]), 1, 3))
+
+
+def test_table_images_take_the_exact_path_past_int64():
+    # each value, image entry and modulus fits, but a row's sum passes 2^63
+    d = 3**37
+    proj = FpAb(1, [[d]])._projection()
+    assert proj == ([d], [[(0, 1)]])
+    big = 2**61
+    table = linalg.RowTable(np.array([[0] * 4, [0] * 4, [0] * 4]), np.array([[big] * 4, [1, 2, 0, 0], [d, 0, 0, 0]]), 1)
+    want = [[4 * big % d], [3], [0]]
+    assert _images(proj, table) == want == [_project(proj, table.entries(i)) for i in range(3)]
+    assert _unkilled(proj, table) == [0, 1]
+    # the moduli themselves past int64, as in test_images_take_moduli_past_int64
+    proj = FpAb(2, [[1 << 70, 0]])._projection()
+    table = linalg.RowTable(np.array([[0, 0], [1, 0]]), np.array([[1 << 40, 1 << 40], [3, 0]]), 2)
+    assert _images(proj, table) == [[1 << 41, 0], [0, 3]]
+    assert _unkilled(proj, table) == [0, 1]
+
+
+def test_corrupted_table_row_joins_the_subset(monkeypatch):
+    # rows of {x : x_0 even} as a table, each 2e_0, e_1 or e_2 padded with
+    # zero values; one row outside the seeded subset gets its column moved
+    # to 0, which the first certificate cannot kill, so the row joins the
+    # subset and the basis becomes Z^3
+    n, m = 3, 60
+    rng = random.Random(11)
+    cols = np.array([[i % 3, rng.randrange(3), rng.randrange(3)] for i in range(m)])
+    vals = np.array([[(2, 1, 1)[i % 3], 0, 0] for i in range(m)])
+    good = linalg.RowTable(cols, vals, n)
+    chosen = set(random.Random(linalg._SUBSET_SEED).sample(range(m), tall(n) - 1))
+    assert {i % 3 for i in chosen} == {0, 1, 2}
+    assert linalg._hnf_sparse(good, n)[0] == [{0: 2}, {1: 1}, {2: 1}]
+    bad = min(i for i in set(range(m)) - chosen if i % 3)
+    cols = cols.copy()
+    cols[bad, 0] = 0
+    corrupted = linalg.RowTable(cols, vals, n)
+    assert corrupted.row(bad).get(0, 0) % 2 == 1
+    missing = []
+    unkilled = linalg._unkilled
+
+    def counted(proj, rows):
+        out = unkilled(proj, rows)
+        missing.append(out)
+        return out
+
+    monkeypatch.setattr(linalg, "_unkilled", counted)
+    basis, proj = linalg._hnf_sparse(corrupted, n)
+    assert missing == [[bad], []]
+    assert basis == linalg._full_hnf(corrupted.rows(), n) == [{0: 1}, {1: 1}, {2: 1}]
+
+
 # -- kernels and images against sympy --------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import pickle
 import re
 import weakref
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgroups import groupring
+from scgroups import groupring, linalg
 from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
 from scgroups.orbitcomplex import build_row_complex
 from scgroups.rings import parse_ring
 from scgroups.scissors import ScissorsContext, _context_by_label, context, rp_act
+from scgroups.witt import WittContext
 
 SMALL = ["gf(7)", "gf(11)", "gf(13)", "z/7^2", "gf(5)[t]/t^2"]
 
@@ -97,6 +99,18 @@ def test_integral_closed_forms_of_finite_fields():
         ctx = ScissorsContext(parse_ring(label))
         got = [(g.free_rank, g.invariant_factors()) for g in (ctx.pre_bloch(), ctx.rp_flat(), ctx.rp1())]
         assert got == [(0, (q + 1,)), (1, ((q + 1) // 2,)), (0, ((q + 1) // 2,))], label
+
+
+def test_more_integral_closed_forms_of_finite_fields():
+    # integrally: B = Z/((q+1)/2), I^2 = 0 and ord(c) = gcd(6, (q+1)/2)
+    fields = _odd_prime_powers(5, 81)
+    assert len(fields) == 25
+    for q, label in fields:
+        ctx = ScissorsContext(parse_ring(label))
+        bloch = ctx.bloch()
+        assert (bloch.free_rank, bloch.invariant_factors()) == (0, ((q + 1) // 2,)), label
+        assert WittContext(ctx.ring).i_squared().is_trivial(), label
+        assert ctx.pre_bloch().element_order(ctx.pb_row(ctx.c_const())) == math.gcd(6, (q + 1) // 2), label
 
 
 def test_rp1_examples():
@@ -348,6 +362,94 @@ def test_relation_rows_equal_the_dense_construction(label):
         primed.append(add({(neg1, a): 1}, {(0, a): -1}))
         primed.append(add({(0, a): 1}, {(0, ctx.ring.inv(a)): 1}))
     assert np.array_equal(ctx.rp_prime().flatten().rels, np.vstack(_translates(ctx, ys + primed)))
+
+
+def _five_terms_reference(ctx):
+    """[(a, b, X_{a,b}, Y_{a,b})] for the admissible pairs in lexicographic
+    order, straight from the formula with the ring's mul, inv and sub."""
+    ring, G = ctx.ring, ctx.G
+    one, mul, inv, sub, cls = ring.one, ring.mul, ring.inv, ring.sub, G.class_of
+    wset = set(ctx.W)
+    out = []
+    for a in ctx.W:
+        for b in ctx.W:
+            if mul(a, inv(b)) not in wset:
+                continue
+            terms = [
+                (0, a),
+                (0, b),
+                (cls(a), mul(b, inv(a))),
+                (cls(sub(inv(a), one)), mul(sub(one, inv(a)), inv(sub(one, inv(b))))),
+                (cls(sub(one, a)), mul(sub(one, a), inv(sub(one, b)))),
+            ]
+            x, y = {}, {}
+            for (g, e), c in zip(terms, (1, -1, 1, -1, 1)):
+                x = add(x, {e: c})
+                y = add(y, {(g, e): c})
+            out.append((a, b, x, y))
+    return out
+
+
+FIVE_TERM_RINGS = ["gf(13)", "gf(3^2)", "gf(5^2)", "z/7^2", "z/5^3", "gf(5)[t]/t^2", "gf(2^3)", "gf(2^2)[t]/t^2"]
+
+
+@pytest.mark.parametrize("label", FIVE_TERM_RINGS)
+def test_five_term_table_matches_the_formula(label):
+    ctx = ScissorsContext(parse_ring(label))
+    want = _five_terms_reference(ctx)
+    assert list(ctx.five_term_pairs()) == [(a, b) for a, b, _, _ in want]
+    assert [ctx.x_relation(a, b) for a, b, _, _ in want] == [x for _, _, x, _ in want]
+    assert [ctx.y_relation(a, b) for a, b, _, _ in want] == [y for _, _, _, y in want]
+    # the groups read the table: P's rows and RP's relations, in pair order
+    assert ctx.pre_bloch()._rels().rows() == [ctx.pb_row(x) for _, _, x, _ in want]
+    assert ctx.refined().relations == [ctx._relation(y) for _, _, _, y in want]
+
+
+@pytest.mark.parametrize("label", ["gf(13)", "z/7^2", "gf(2^2)[t]/t^2"])
+def test_pairs_outside_the_table_are_refused(label):
+    ctx = ScissorsContext(parse_ring(label))
+    ring, a = ctx.ring, ctx.base_point
+    # a/a = 1 is not in W; neither are 0 and 1 themselves
+    bad = [(a, a), (ring.zero, a), (a, ring.one), ("x", a)]
+    one_unit = next((u for u in ring.u1 if u != ring.one), None)
+    if one_unit is not None:
+        # a and a u lie in W, but their quotient u does not
+        bad.append((ring.mul(a, one_unit), a))
+    for pair in bad:
+        for ask in (ctx.x_relation, ctx.y_relation):
+            with pytest.raises(ValueError, match=re.escape(f"({pair[0]!r}, {pair[1]!r}) is not an admissible pair")):
+                ask(*pair)
+
+
+def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
+    # P(GF(97)) reads its 8930 five-term relations as one table: dicts are
+    # built only for the rows the certified reduction takes in, the seeded
+    # subset and the rows its certificate adds
+    made = []
+    added = []
+    row, pb_row, unkilled = linalg.RowTable.row, ScissorsContext.pb_row, linalg._unkilled
+
+    def counted_row(self, i):
+        made.append(i)
+        return row(self, i)
+
+    def counted_pb_row(self, x):
+        made.append(x)
+        return pb_row(self, x)
+
+    def counted_unkilled(proj, rows):
+        out = unkilled(proj, rows)
+        added.extend(out)
+        return out
+
+    monkeypatch.setattr(linalg.RowTable, "row", counted_row)
+    monkeypatch.setattr(ScissorsContext, "pb_row", counted_pb_row)
+    monkeypatch.setattr(linalg, "_unkilled", counted_unkilled)
+    ctx = ScissorsContext(parse_ring("gf(97)"))
+    group = ctx.pre_bloch()
+    assert group.invariant_factors() == (98,)
+    assert len(ctx.five_terms().gens) == 8930
+    assert len(made) <= linalg.SUBSET_PER_COLUMN * 95 + len(added)
 
 
 # -- RP membership as one sparse pass ------------------------------------------
