@@ -122,8 +122,7 @@ def pbar_cross_check(p: int, desc: GlobalFieldDesc = RATIONALS) -> bool:
         return False
     if math.prod(odd) != report.p_plus_1_odd:
         return False
-    c_vec = ctx.pb_vector(ctx.c_const())
-    c_order = pgrp.element_order(c_vec)
+    c_order = pgrp.element_order(ctx.pb_row(ctx.c_const()))
     if c_order != math.gcd(6, (p + 1) // 2):
         return False
     c_odd = odd_part(c_order)

@@ -35,7 +35,9 @@ Relation rows of one width may also come as a ``RowTable``: int64 arrays
 of columns and values, one row per line (the five-term relations, and the
 half rows of a Z[G]-module's block form).  The certified path then builds
 dicts only for the rows it reduces, and the certificate projects the
-table's arrays directly.
+table's arrays directly.  ``AbMap.unkilled`` is the one test that a map
+kills relation rows, dicts or a table: it composes the target's quotient
+map with the map rows once and hands the rows to ``_unkilled``.
 """
 
 from __future__ import annotations
@@ -1332,7 +1334,7 @@ class AbMap:
     generators map by x -> x @ matrix.  ``rows`` keeps it as one sparse
     row per source generator, and ``matrix`` reads it back as a dense view.
     Construction checks that the (reduced) source relations land in the
-    target relation lattice.
+    target relation lattice (``unkilled``).
     """
 
     def __init__(self, source: FpAb, target: FpAb, matrix):
@@ -1342,15 +1344,24 @@ class AbMap:
         if len(self.rows) != source.ngens:
             raise ValueError("map matrix has wrong shape")
         relations = source.echelon().basis
-        if relations:
-            # the relations land in the target lattice iff the target's
-            # quotient map kills their images: compose that map with the
-            # rows once
-            moduli, _ = target._projection()
-            images = [[(k, a) for k, a in enumerate(target._image(r)) if a] for r in self.rows]
-            for i, rel in enumerate(relations):
-                if any(_project((moduli, images), rel.items())):
-                    raise ValueError(f"map does not respect relations (reduced relation {i})")
+        if relations and (bad := self.unkilled(relations)):
+            raise ValueError(f"map does not respect relations (reduced relation {bad[0]})")
+
+    def unkilled(self, rows) -> list[int]:
+        """Indices of the source rows (sparse dicts or a RowTable of width
+        source.ngens) whose images do not lie in the target's relation
+        lattice: the one test that a map kills relation rows.  The target's
+        quotient map is composed with the map rows once, and the rows go
+        through it in blocks (``_unkilled``)."""
+        n = self.source.ngens
+        if isinstance(rows, RowTable):
+            if rows.ncols != n:
+                raise ValueError(f"a row table of width {rows.ncols} does not match {n} generators")
+        else:
+            rows = _sparse_rows(rows, n)
+        moduli, _ = self.target._projection()
+        images = [[(k, a) for k, a in enumerate(self.target._image(r)) if a] for r in self.rows]
+        return _unkilled((moduli, images), rows)
 
     @property
     def matrix(self) -> np.ndarray:

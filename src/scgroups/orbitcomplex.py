@@ -35,19 +35,17 @@ class RowComplex:
     scissors context of the ring, whose cached lambda_1 matrix is d3."""
 
     ctx: ScissorsContext
-    z2_pairs: list
     d3: np.ndarray
     d2: np.ndarray
 
     @cached_property
     def d4(self) -> list:
-        """Sparse rows {flat index: coefficient}, row g * len(z2_pairs) + k:
-        the G-translates of Y_{x,y} for the pairs, built on first read and
-        kept (only the chain identities read them)."""
+        """Sparse rows {flat index: coefficient}, row g * m + k: the
+        G-translates of the m relations Y_{x,y} of RP, one per admissible
+        pair, built on first read and kept (only the chain identities read
+        them)."""
         m = self.ctx.refined()
-        # refined() holds Y_{x,y} for these pairs first, in this order
-        rels = m.relations[: len(self.z2_pairs)]
-        return [m.flat_row(rel, g) for g in range(self.ctx.G.order) for rel in rels]
+        return [m.flat_row(rel, g) for g in range(self.ctx.G.order) for rel in m.relations]
 
     def homology_at(self, position: int) -> FpAb:
         """Homology of ... -> C2 -> C1 -> Z[G] -> Z -> Z at positions 1..3
@@ -75,20 +73,14 @@ def build_row_complex(ring: Ring) -> RowComplex:
     d2 = zeros(ng, 1)
     for g in range(ng):
         d2[g, 0] = 1
-    return RowComplex(ctx=ctx, z2_pairs=list(ctx.five_term_pairs()), d3=ctx.lambda1_matrix(), d2=d2)
+    return RowComplex(ctx=ctx, d3=ctx.lambda1_matrix(), d2=d2)
 
 
 def chain_identities_hold(c: RowComplex) -> bool:
-    """d4 . d3 = 0, row by row over the sparse rows of d4, and d3 . d2 = 0."""
-    d3 = c.d3.tolist()
-    for row in c.d4:
-        acc = [0] * c.d3.shape[1]
-        for j, v in row.items():
-            for k, x in enumerate(d3[j]):
-                acc[k] += v * x
-        if any(acc):
-            return False
-    return all(int(x) == 0 for x in (c.d3 @ c.d2).ravel())
+    """d4 . d3 = 0 over the sparse rows of d4, and d3 . d2 = 0."""
+    rows, cols = c.d3.shape
+    kills = not AbMap(FpAb(rows), FpAb(cols), c.d3).unkilled(c.d4)
+    return kills and all(int(x) == 0 for x in (c.d3 @ c.d2).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -103,28 +103,12 @@ class ScissorsContext:
         for i, j in self.five_terms().gens[:, :2].tolist():
             yield W[i], W[j]
 
-    def _pair_row(self, a, b) -> int:
-        """The table row of the admissible pair (a, b); any other pair is a
-        ValueError."""
-        i, j = self.windex.get(a), self.windex.get(b)
-        k = -1 if i is None or j is None else int(self.five_terms().index[i, j])
-        if k < 0:
-            raise ValueError(f"({a!r}, {b!r}) is not an admissible pair: a, b and a/b must lie in W")
-        return k
-
     # -- classical presentation ----------------------------------------------
-    def x_relation(self, a, b) -> PBElem:
-        """Five-term element X_{a,b} of the free group on W: Y_{a,b} with
-        the classes forgotten."""
-        out: PBElem = {}
-        for (_, x), c in self.y_relation(a, b).items():
-            out[x] = out.get(x, 0) + c
-        return {x: c for x, c in out.items() if c}
-
     def pb_row(self, x: PBElem) -> dict:
         """A P element as a sparse row {W index: coefficient}."""
         return {self.windex[a]: c for a, c in x.items()}
 
+    # bench/workloads.py calls it by this name
     def pb_vector(self, x: PBElem) -> np.ndarray:
         """The dense form of pb_row, for callers that need an array."""
         v = zeros(1, len(self.W))[0]
@@ -198,18 +182,6 @@ class ScissorsContext:
         return ab_quotient(self.s2_of_units(), self.lambda_map().rows)
 
     # -- refined presentation --------------------------------------------------
-    def y_relation(self, a, b) -> RPElem:
-        """Refined five-term element
-        Y_{a,b} = [a] - [b] + <a>[b/a] - <a^{-1}-1>[(1-a^{-1})/(1-b^{-1})]
-                  + <1-a>[(1-a)/(1-b)].
-        This is the unique sign choice under which lambda_1 kills every
-        relation exactly and the projection to P(A) is defined."""
-        k, W, t = self._pair_row(a, b), self.W, self.five_terms()
-        out: RPElem = {}
-        for g, j, c in zip(t.classes[k].tolist(), t.gens[k].tolist(), FIVE_TERM_SIGNS):
-            out[g, W[j]] = out.get((g, W[j]), 0) + c
-        return {key: c for key, c in out.items() if c}
-
     def _relation(self, x: RPElem) -> dict:
         """An RP element as a sparse R_A-module relation: its nonzero Z[G]
         coefficients, by W generator."""
@@ -244,6 +216,7 @@ class ScissorsContext:
             row[g * n + j] = c
         return row
 
+    # bench/spans.py traces it by this name
     def rp_vector(self, x: RPElem) -> np.ndarray:
         """The dense form of rp_row, for callers that need an array."""
         v = zeros(1, self.G.order * len(self.W))[0]
@@ -309,15 +282,6 @@ class ScissorsContext:
 
     def rb(self) -> FpAb:
         return self.rb_subgroup().group
-
-    def coinvariants_map(self) -> np.ndarray:
-        """Matrix of RP_flat -> P collapsing the square classes."""
-        m = self.refined()
-        mat = zeros(m.flat_ngens, len(self.W))
-        for g in range(self.G.order):
-            for i in range(len(self.W)):
-                mat[m.flat_index(g, i), i] = 1
-        return mat
 
     # -- special elements -------------------------------------------------------
     def brace(self, a) -> PBElem:
@@ -558,7 +522,7 @@ class ScissorsContext:
             gbar = kctx.G.class_of(ring.residue(self.G.rep(g)))
             for i, a in enumerate(self.W):
                 residue[m.flat_index(g, i)] = mk.flat_index(gbar, kctx.windex[ring.residue(a)])
-        kernel_ok = all(target.contains(_mapped(row, residue)) for row in lrows)
+        kernel_ok = not AbMap(FpAb(m.flat_ngens), target, [{j: 1} for j in residue]).unkilled(lrows)
         return {
             "quotient": quotient,
             "target": target,
@@ -569,7 +533,8 @@ class ScissorsContext:
 
 
 # the signs of the five terms [a], [b], [b/a], [(1-a^{-1})/(1-b^{-1})] and
-# [(1-a)/(1-b)] of X_{a,b} and Y_{a,b}
+# [(1-a)/(1-b)] of X_{a,b} and Y_{a,b}: the one choice under which
+# lambda_1 kills every Y relation exactly and Y projects to X
 FIVE_TERM_SIGNS = (1, -1, 1, -1, 1)
 
 
@@ -581,15 +546,13 @@ class FiveTerms:
 
     - ``gens`` (m x 5): the W index of each term's element, a and b first;
     - ``classes`` (m x 5): each term's square class, 0 for [a] and [b]
-      and <a>, <a^{-1} - 1>, <1 - a> for the others;
-    - ``index`` (|W| x |W|): the row of the pair (W[i], W[j]), or -1.
+      and <a>, <a^{-1} - 1>, <1 - a> for the others.
 
     The term signs are FIVE_TERM_SIGNS.  X_{a,b} is row k with the classes
     forgotten, Y_{a,b} the row with them."""
 
     gens: np.ndarray
     classes: np.ndarray
-    index: np.ndarray
 
 
 def _five_term_table(ctx: ScissorsContext) -> FiveTerms:
@@ -626,18 +589,7 @@ def _five_term_table(ctx: ScissorsContext) -> FiveTerms:
     if (gens < 0).any():
         raise AssertionError("a five-term element of an admissible pair is not in W")
     own = np.array([[0, 0, cls(a), cls(sub(inv(a), one)), cls(sub(one, a))] for a in W], dtype=np.int64)
-    index = np.full((len(W), len(W)), -1, dtype=np.int64)
-    index[ia, ib] = np.arange(len(ia))
-    return FiveTerms(gens=gens, classes=own[ia], index=index)
-
-
-def _mapped(row: dict, index: list) -> dict:
-    """The image of a sparse row under the map sending generator j to
-    generator index[j]."""
-    out: dict = {}
-    for j, c in row.items():
-        out[index[j]] = out.get(index[j], 0) + c
-    return out
+    return FiveTerms(gens=gens, classes=own[ia])
 
 
 def _live_context(ring: Ring):

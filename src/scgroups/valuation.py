@@ -471,8 +471,13 @@ class SpecializationContext:
         return RPtElem(self, out)
 
     def _to_p_tilde(self, x: RPtElem) -> PtElem:
-        mat = self.sc.coinvariants_map()
-        return PtElem(self, x.vec @ mat)
+        """The image in P~ of the coinvariants map, which sends flat index
+        g * |W| + i to W index i."""
+        n = len(self.sc.W)
+        vec = zeros(1, n)[0]
+        for i, v in x.entries.items():
+            vec[i % n] += v
+        return PtElem(self, vec)
 
     def eta_pi(self, x: SymRP) -> PtElem:
         return self._to_p_tilde(self.delta_pi(x))

@@ -52,6 +52,34 @@ def test_verify_key_identity_exit_zero(capsys):
     assert "[ok]" in out
 
 
+# the stdout of the suites that ask whether a map kills relation rows, as
+# the per-pair walks printed it
+VERIFY_STDOUT = {
+    ("five-term", "z/11^2"): (
+        "[ok] z/11^2: lambda kills every X relation\n"
+        "[ok] z/11^2: lambda_1 kills every Y relation\n"
+        "[ok] z/11^2: lambda_2 kills every Y relation\n"
+    ),
+    ("witt", "z/7^2"): (
+        "[ok] z/7^2: chain identities d3.d4 = 0 and aug.d3 = 0\n"
+        "[ok] z/7^2: E^2 position 1 vanishes\n"
+        "[ok] z/7^2: E^2 position 2 = fundamental ideal (I = Z/2)\n"
+        "[ok] z/7^2: E^2 position 3 has the odd part of RP_1\n"
+    ),
+    ("slr", "z/11^2"): (
+        "[ok] z/11^2: L_B generators die in RP~(k)\n"
+        "[ok] z/11^2: RP~(B)/L_B = RP~(k) with equal invariant factors (quotient Z + Z/3)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("suite, ring", list(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned(capsys, suite, ring):
+    code, out, _ = run_cli(["verify", suite, "--ring", ring], capsys)
+    assert code == 0
+    assert out == VERIFY_STDOUT[suite, ring]
+
+
 def test_verify_usage_error(capsys):
     code, _, err = run_cli(["verify", "key-identity"], capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,12 @@ def test_map_relation_check():
     z = FpAb(1)
     with pytest.raises(ValueError, match="relation"):
         AbMap(z2, z, [[1]])
+    # Z/2 + Z/3 -> Z/4: the reduced relation (2, 0) maps to 4 = 0, and
+    # (0, 3) to 3, the first one the map breaks
+    with pytest.raises(ValueError, match=re.escape("map does not respect relations (reduced relation 1)")):
+        AbMap(FpAb(2, [[2, 0], [0, 3]]), FpAb(1, [[4]]), [[2], [1]])
+    with pytest.raises(ValueError, match="width 3 does not match 2 generators"):
+        AbMap(FpAb(2), z, [[1], [1]]).unkilled(linalg.RowTable([[0, 2]], 1, 3))
 
 
 def test_iso_odd_spec_examples():
@@ -383,6 +390,34 @@ def test_images_take_moduli_past_int64():
     rows = [{0: 1 << 70}, {0: 1}, {1: 3}, {}, {0: 1 << 69}, {0: -(1 << 71)}]
     assert _images(proj, rows) == [[0, 0], [1, 0], [0, 3], [0, 0], [1 << 69, 0], [0, 0]]
     assert _unkilled(proj, rows) == [1, 2, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_unkilled_matches_contains_row_by_row(pres, data):
+    # AbMap.unkilled against the per-row oracle target.contains(row @ matrix),
+    # on a RowTable and on its rows as dicts; map entries and target moduli
+    # past 2^62 force the Python-int path, small ones the int64 path
+    n, rels = pres
+    size = data.draw(st.sampled_from([6, 1 << 70]))
+    tscale = data.draw(st.sampled_from([1, 1 << 64]))
+    target = FpAb(n, [[tscale * x for x in r] for r in rels] if rels else None)
+    m = data.draw(st.integers(1, 4))
+    matrix = [data.draw(st.lists(st.integers(-size, size), min_size=n, max_size=n)) for _ in range(m)]
+    f = AbMap(FpAb(m), target, matrix)
+    k, width = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 3))
+    vmax = min(size, 1 << 62)
+
+    def table_of(entries):
+        drawn = data.draw(st.lists(st.lists(entries, min_size=width, max_size=width), min_size=k, max_size=k))
+        return np.array(drawn, dtype=np.int64).reshape(k, width)
+
+    table = linalg.RowTable(table_of(st.integers(0, m - 1)), table_of(st.integers(-vmax, vmax)), m)
+    rows = table.rows()
+    images = [[sum(r.get(t, 0) * matrix[t][j] for t in range(m)) for j in range(n)] for r in rows]
+    want = [i for i, v in enumerate(images) if not target.contains(v)]
+    assert f.unkilled(table) == want
+    assert f.unkilled(rows) == want
 
 
 @settings(max_examples=200, deadline=None)

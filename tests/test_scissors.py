@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgroups import groupring, linalg
+from scgroups import groupring, linalg, verify
 from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
 from scgroups.orbitcomplex import build_row_complex
@@ -45,11 +45,8 @@ def test_s2_and_lambda():
     ctx = context("gf(7)")
     assert ctx.s2_of_units().invariant_factors() == (2,)
     # lambda kills every five-term relation (well-definedness)
-    lam = ctx.lambda_map()  # construction itself checks the relations
-    s2 = ctx.s2_of_units()
-    for a, b in ctx.five_term_pairs():
-        img = ctx.pb_vector(ctx.x_relation(a, b)) @ lam.matrix
-        assert s2.contains(img)
+    ctx.lambda_map()  # construction itself checks the reduced relations
+    assert verify.suite_five_term(ctx.ring)[0].line() == "[ok] gf(7): lambda kills every X relation"
 
 
 @pytest.mark.parametrize("label", ["gf(7)", "gf(11)", "gf(13)"])
@@ -70,11 +67,42 @@ def test_bloch_odd_part_matches_p(label):
     assert iso_odd(ctx.bloch(), ctx.pre_bloch())
 
 
-@pytest.mark.parametrize("label", SMALL)
+@pytest.mark.parametrize("label", SMALL + ["z/11^2"])
 def test_lambda1_kills_y_relations(label):
-    ctx = context(label)
-    for a, b in ctx.five_term_pairs():
-        assert ctx.lambda1_of(ctx.y_relation(a, b)) == {}
+    # the five-term suite checks lambda on every X relation and lambda_1,
+    # lambda_2 on every Y relation
+    assert [c.ok for c in verify.suite_five_term(context(label).ring)] == [True] * 3
+
+
+def _unit_entry(row: dict) -> int:
+    """A column where the sparse row has coefficient +-1."""
+    return next(j for j, v in row.items() if abs(v) == 1)
+
+
+@pytest.mark.parametrize("label", ["gf(11)", "z/7^2"])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_five_term_suite_fails_on_a_perturbed_map(monkeypatch, label, which):
+    # one entry moved in lambda, lambda_1 or lambda_2 breaks the relation
+    # row through it: the matching check fails, and the suite does not raise
+    ctx = ScissorsContext(parse_ring(label))
+    s2 = ctx.s2_of_units()
+    e = next({k: 1} for k in range(s2.ngens) if not s2.contains({k: 1}))
+    n, order = len(ctx.W), ctx.G.order
+    if which == 0:
+        lam = ctx.lambda_map()
+        j = _unit_entry(ctx.pre_bloch()._rels().row(0))
+        lam.rows[j] = add(lam.rows[j], e)
+    else:
+        mat = (ctx.lambda1_matrix() if which == 1 else ctx.lambda2_matrix()).copy()
+        j = _unit_entry(ctx.refined().table.flat(n, order, 1).row(0))
+        mat[j, next(iter(e)) if which == 2 else 0] += 1
+        if which == 1:
+            ctx._cache["lam1"] = mat
+        else:
+            monkeypatch.setattr(ctx, "lambda2_matrix", lambda: mat)
+    checks = verify.suite_five_term(ctx.ring)
+    assert [c.ok for c in checks] == [i != which for i in range(3)]
+    assert checks[which].line().startswith("[FAIL]")
 
 
 def _odd_prime_powers(lo: int, hi: int) -> list[tuple[int, str]]:
@@ -347,10 +375,10 @@ def _translates(ctx, elems):
 @pytest.mark.parametrize("label", SMALL + ["gf(9)"])
 def test_relation_rows_equal_the_dense_construction(label):
     ctx = ScissorsContext(context(label).ring)
-    pairs = list(ctx.five_term_pairs())
-    want_p = np.vstack([ctx.pb_vector(ctx.x_relation(a, b)) for a, b in pairs])
+    want = _five_terms_reference(ctx)
+    want_p = np.vstack([ctx.pb_vector(x) for _, _, x, _ in want])
     assert np.array_equal(ctx.pre_bloch().rels, want_p)
-    ys = [ctx.y_relation(a, b) for a, b in pairs]
+    ys = [y for _, _, _, y in want]
     assert np.array_equal(ctx.rp_flat().rels, np.vstack(_translates(ctx, ys)))
     # cancelled five-term entries are dropped, not stored as zeros
     assert all(c for rel in ctx.refined().relations for x in rel.values() for c in x.values())
@@ -398,27 +426,9 @@ def test_five_term_table_matches_the_formula(label):
     ctx = ScissorsContext(parse_ring(label))
     want = _five_terms_reference(ctx)
     assert list(ctx.five_term_pairs()) == [(a, b) for a, b, _, _ in want]
-    assert [ctx.x_relation(a, b) for a, b, _, _ in want] == [x for _, _, x, _ in want]
-    assert [ctx.y_relation(a, b) for a, b, _, _ in want] == [y for _, _, _, y in want]
     # the groups read the table: P's rows and RP's relations, in pair order
     assert ctx.pre_bloch()._rels().rows() == [ctx.pb_row(x) for _, _, x, _ in want]
     assert ctx.refined().relations == [ctx._relation(y) for _, _, _, y in want]
-
-
-@pytest.mark.parametrize("label", ["gf(13)", "z/7^2", "gf(2^2)[t]/t^2"])
-def test_pairs_outside_the_table_are_refused(label):
-    ctx = ScissorsContext(parse_ring(label))
-    ring, a = ctx.ring, ctx.base_point
-    # a/a = 1 is not in W; neither are 0 and 1 themselves
-    bad = [(a, a), (ring.zero, a), (a, ring.one), ("x", a)]
-    one_unit = next((u for u in ring.u1 if u != ring.one), None)
-    if one_unit is not None:
-        # a and a u lie in W, but their quotient u does not
-        bad.append((ring.mul(a, one_unit), a))
-    for pair in bad:
-        for ask in (ctx.x_relation, ctx.y_relation):
-            with pytest.raises(ValueError, match=re.escape(f"({pair[0]!r}, {pair[1]!r}) is not an admissible pair")):
-                ask(*pair)
 
 
 def test_row_dicts_of_a_pre_bloch_build(monkeypatch):

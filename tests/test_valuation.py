@@ -11,6 +11,7 @@ from sympy import factorint
 
 from scgroups import verify
 from scgroups.groupring import act, add, bracket, dbl_bracket, p_plus, r_mul, scale
+from scgroups.linalg import zeros
 from scgroups.valuation import (
     Q_CLASSES,
     QONE,
@@ -191,6 +192,26 @@ def test_eta_prime_is_minus_two_eta(p):
         lhs = ctx.eta_pi_prime(x)
         rhs = ctx.p_tilde_scale(-2, ctx.eta_pi(x))
         assert ctx.p_tilde.contains(lhs.vec - rhs.vec)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_eta_folds_square_classes_as_the_coinvariants_matrix(p):
+    # eta_pi and eta_pi_prime fold RP~'s flat index g |W| + i onto W index
+    # i; the oracle is that map as a dense |G||W| x |W| matrix C
+    ctx = specialization(p)
+    n, order = len(ctx.sc.W), ctx.sc.G.order
+    C = zeros(order * n, n)
+    for g in range(order):
+        for i in range(n):
+            C[g * n + i, i] = 1
+    rng = random.Random(p + 101)
+    nonzero = 0
+    for _ in range(20):
+        x = _random_if_rp_element(rng)
+        for rp, pt in ((ctx.delta_pi(x), ctx.eta_pi(x)), (ctx.delta_pi_prime(x), ctx.eta_pi_prime(x))):
+            assert pt.vec.tolist() == (rp.vec @ C).tolist()
+            nonzero += any(pt.vec)
+    assert nonzero
 
 
 def test_delta_pi_vanishes_on_unit_class_combinations():
