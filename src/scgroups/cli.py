@@ -62,11 +62,10 @@ MAX_BALL_VERTICES = 10**6
 # five-term relations number about |W|^2; measured one process each on a
 # 2-CPU machine, `group RP1` takes 0.8-1.2 s on GF(211) and on GF(233),
 # and the library's `ctx.rp1()` 0.4-0.7 s on GF(211), 0.7-1.0 s on
-# GF(233) and 1.3-2.2 s (about 60 MB peak RSS) on GF(289).  The cap stays
-# at 233: the prime cap is the same number, and `verify specialize` takes
-# 12.6 s at p = 233 already (its sweep of S_v data, not the presentations)
-# and 17.2 s at p = 251; past 255, GF(2^4)[t]/t^2 (256 elements,
-# |G| = 16) does not finish `group RP` in 60 s
+# GF(233) and 1.3-2.2 s (about 60 MB peak RSS) on GF(289), and
+# `verify specialize` takes 2.9-3.6 s at p = 233.  The cap stays at 233:
+# the prime cap is the same number, and past 255, GF(2^4)[t]/t^2 (256
+# elements, |G| = 16) does not finish `group RP` in 60 s
 MAX_RING_SIZE = 233
 
 
@@ -524,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=["json", "md", "csv"], default=argparse.SUPPRESS
     )
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(
         prog="scgroups",
@@ -533,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     ap.add_argument("--format", choices=["json", "md", "csv"], default="json")
-    ap.add_argument("--jobs", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("group", help="compute a presented group", parents=[common])
@@ -550,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("verify-all", help="run every verification suite", parents=[common])
     va.add_argument("--max-q", type=int, default=13)
+    va.add_argument("--jobs", type=int, default=1)
     va.set_defaults(func=cmd_verify_all)
 
     s = sub.add_parser("specialize", help="specialize an expression at p", parents=[common])

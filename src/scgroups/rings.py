@@ -571,11 +571,7 @@ def square_classes(ring: Ring) -> SqClassGroup:
         return class_of_unit[ring.mul(rep_of_class[i], rep_of_class[j])]
 
     basis: list[int] = []
-    mask_of_cid = {0: 0}  # identity class is discovered first (from ring.one? not guaranteed)
-    # ensure identity class id
-    ident = class_of_unit[ring.one]
-    mask_of_cid = {ident: 0}
-    span = [ident]
+    mask_of_cid = {class_of_unit[ring.one]: 0}
     for cid in range(ncls):
         if cid in mask_of_cid:
             continue
@@ -596,15 +592,7 @@ def square_classes(ring: Ring) -> SqClassGroup:
 
 
 def element_orders(ring: Ring) -> dict:
-    out = {}
-    for u in ring.units:
-        n = 1
-        x = u
-        while x != ring.one:
-            x = ring.mul(x, u)
-            n += 1
-        out[u] = n
-    return out
+    return {u: _order_of(ring, u) for u in ring.units}
 
 
 def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
@@ -615,14 +603,15 @@ def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
     brute-force representative adjustment; all unit groups in scope are
     tiny, so exhaustive search is exact and fast.
     """
-    orders = element_orders(ring)
     gens: list = []
     gen_orders: list[int] = []
     # span: element -> exponent tuple
     span = {ring.one: ()}
     units_in_order = sorted(ring.units, key=lambda u: ring.index[u])
     while len(span) < len(ring.units):
-        # order of u modulo the current span, with representative fix-up
+        # the first unit of largest order modulo the current span; that
+        # order divides |U| / |span|, so a unit reaching it ends the scan
+        top = len(ring.units) // len(span)
         best = None
         for u in units_in_order:
             if u in span:
@@ -634,12 +623,14 @@ def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
                 k += 1
             if best is None or k > best[0]:
                 best = (k, u)
+                if k == top:
+                    break
         k, u = best
         # adjust u by a span element so that its true order equals k
         chosen = None
-        for h, exps in span.items():
+        for h in span:
             cand = ring.mul(u, h)
-            if orders.get(cand, None) == k or _order_of(ring, cand) == k:
+            if _order_of(ring, cand) == k:
                 chosen = cand
                 break
         assert chosen is not None, "structure theorem guarantees a representative"

@@ -89,9 +89,9 @@ class ScissorsContext:
         return self.W[0]
 
     # -- admissible pairs ----------------------------------------------------
-    def five_terms(self) -> "FiveTerms":
+    def five_terms(self) -> RelationTable:
         """The five-term relations of the ring as one integer table, built
-        once per context (``FiveTerms``)."""
+        once per context (``_five_term_table``)."""
         if "five_terms" not in self._cache:
             self._cache["five_terms"] = _five_term_table(self)
         return self._cache["five_terms"]
@@ -121,7 +121,8 @@ class ScissorsContext:
         ordered pair."""
         if "P" not in self._cache:
             n = len(self.W)
-            self._cache["P"] = FpAb(n, RowTable(self.five_terms().gens, FIVE_TERM_SIGNS, n))
+            t = self.five_terms()
+            self._cache["P"] = FpAb(n, RowTable(t.gens, t.vals, n))
         return self._cache["P"]
 
     # -- symmetric square of the units ----------------------------------------
@@ -194,9 +195,7 @@ class ScissorsContext:
         """RP(A) as an R_A-module presentation on the W generators, with the
         five-term table as its relation table."""
         if "RP" not in self._cache:
-            t = self.five_terms()
-            table = RelationTable(t.gens, t.classes, FIVE_TERM_SIGNS)
-            self._cache["RP"] = RModPres(self.G, len(self.W), table)
+            self._cache["RP"] = RModPres(self.G, len(self.W), self.five_terms())
         return self._cache["RP"]
 
     def rp_flat(self) -> FpAb:
@@ -538,25 +537,19 @@ class ScissorsContext:
 FIVE_TERM_SIGNS = (1, -1, 1, -1, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class FiveTerms:
-    """The five-term relations of a ring as integer arrays, one row per
+def _five_term_table(ctx: ScissorsContext) -> RelationTable:
+    """The five-term relations of a ring as a RelationTable, one row per
     admissible pair (a, b), lexicographic in canonical element order (W
     indices throughout):
 
     - ``gens`` (m x 5): the W index of each term's element, a and b first;
     - ``classes`` (m x 5): each term's square class, 0 for [a] and [b]
-      and <a>, <a^{-1} - 1>, <1 - a> for the others.
+      and <a>, <a^{-1} - 1>, <1 - a> for the others;
+    - ``vals``: FIVE_TERM_SIGNS.
 
-    The term signs are FIVE_TERM_SIGNS.  X_{a,b} is row k with the classes
-    forgotten, Y_{a,b} the row with them."""
+    X_{a,b} is row k with the classes forgotten, Y_{a,b} the row with them.
 
-    gens: np.ndarray
-    classes: np.ndarray
-
-
-def _five_term_table(ctx: ScissorsContext) -> FiveTerms:
-    """The five-term table by index arithmetic on discrete logarithms.
+    The table is built by index arithmetic on discrete logarithms.
 
     A unit is coded by the mixed-radix number of its exponents in the
     cyclic decomposition of the unit group (``unit_decomposition``), so
@@ -589,7 +582,7 @@ def _five_term_table(ctx: ScissorsContext) -> FiveTerms:
     if (gens < 0).any():
         raise AssertionError("a five-term element of an admissible pair is not in W")
     own = np.array([[0, 0, cls(a), cls(sub(inv(a), one)), cls(sub(one, a))] for a in W], dtype=np.int64)
-    return FiveTerms(gens=gens, classes=own[ia])
+    return RelationTable(gens, own[ia], FIVE_TERM_SIGNS)
 
 
 def _live_context(ring: Ring):

@@ -17,11 +17,13 @@ v_p(t) = 0, the residue of t; the parity of v_p(c) and the square class of
 the residue of c's unit part.  Each is one integer pass over the numerator
 and denominator (`padic_read`), with no Fraction arithmetic, and the images
 add into sparse {index: value} dicts, tested for zero through the cached
-quotient map of RP~(GF(p)).  For a five-term relation Y(a, b) that data
-follows by integer arithmetic from the *local types* of a and b,
+quotient map of RP~(GF(p)).  S_v is evaluated on that data alone
+(`SpecializationContext.s_v_of`).  For a five-term relation Y(a, b) the
+data follows by integer arithmetic from the *local types* of a and b,
 (v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a)
-(`SpecializationContext.y_symbol_data`), so a sweep over many pairs needs
-S_v once per distinct datum.
+(`SpecializationContext.y_symbol_data`), so a sweep over many pairs
+evaluates S_v once per distinct datum and builds no relation.  Elements
+of RP~(k) and P~(k) are sparse `RPtElem`s; `.vec` is their dense view.
 """
 
 from __future__ import annotations
@@ -264,52 +266,34 @@ def sym_y_relation(a, b) -> SymRP:
 
 
 class RPtElem:
-    """An element of RP~(k), held as its {index: value} coordinates; the
-    flat coordinate vector is built on the first read of .vec."""
+    """An element of RP~(k) or P~(k), held as its {index: value}
+    coordinates in that group; the dense coordinate vector is built on the
+    first read of .vec."""
 
-    def __init__(self, ctx: "SpecializationContext", coords):
-        self.ctx = ctx
-        if isinstance(coords, dict):
-            self.entries, self._vec = coords, None
-        else:
-            self.entries = {i: int(x) for i, x in enumerate(coords) if x}
-            self._vec = coords
+    def __init__(self, group: FpAb, entries: dict):
+        self.group = group
+        self.entries = entries
+        self._vec = None
 
     @property
     def vec(self) -> np.ndarray:
         if self._vec is None:
-            out = zeros(1, self.ctx.rp_tilde.ngens)[0]
+            out = zeros(1, self.group.ngens)[0]
             for i, v in self.entries.items():
                 out[i] = v
             self._vec = out
         return self._vec
 
     def is_zero(self) -> bool:
-        return self.ctx.rp_tilde.contains(self.entries)
+        return self.group.contains(self.entries)
 
     def __eq__(self, other):
-        if not isinstance(other, RPtElem) or other.ctx is not self.ctx:
+        if not isinstance(other, RPtElem) or other.group is not self.group:
             return NotImplemented
         return (self - other).is_zero()
 
     def __sub__(self, other: "RPtElem") -> "RPtElem":
-        return RPtElem(self.ctx, add(self.entries, scale(-1, other.entries)))
-
-
-class PtElem:
-    """An element of P~(k), held as a coordinate vector over W."""
-
-    def __init__(self, ctx: "SpecializationContext", vec: np.ndarray):
-        self.ctx = ctx
-        self.vec = vec
-
-    def is_zero(self) -> bool:
-        return self.ctx.p_tilde.contains(self.vec)
-
-    def __eq__(self, other):
-        if not isinstance(other, PtElem) or other.ctx is not self.ctx:
-            return NotImplemented
-        return self.ctx.p_tilde.contains(self.vec - other.vec)
+        return RPtElem(self.group, add(self.entries, scale(-1, other.entries)))
 
 
 @dataclass
@@ -405,22 +389,31 @@ class SpecializationContext:
             self._cases[(param, g)] = out
         return out
 
-    def _terms(self, x: SymRP):
-        """For each symbol of x: its coefficient, the valuation parity of
-        its class, and the nonzero entries of its moved case vector."""
-        for (cls, a), coeff in x.items():
-            param, (e, g) = self.symbol_data(cls, a)
-            yield coeff, e, self._case_entries(param, g)
-
-    def s_v(self, x: SymRP) -> IndElem:
-        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p))."""
+    def s_v_of(self, data) -> IndElem:
+        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)), on the
+        (coefficient, parameter data, class data) of each symbol: what
+        symbol_data reads from a symbol or y_symbol_data derives from local
+        types.  Each symbol's moved case entries add into rho_0, and into
+        rho_pi too when its class has odd valuation."""
         c0: dict = {}
         cpi: dict = {}
-        for coeff, e, entries in self._terms(x):
+        for coeff, param, (e, g) in data:
+            entries = self._case_entries(param, g)
             for acc in (c0, cpi) if e else (c0,):
                 for i, v in entries:
                     acc[i] = acc.get(i, 0) + coeff * v
-        return IndElem(RPtElem(self, c0), RPtElem(self, cpi))
+        return IndElem(RPtElem(self.rp_tilde, c0), RPtElem(self.rp_tilde, cpi))
+
+    def s_v(self, x: SymRP) -> IndElem:
+        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)).  The data
+        of each symbol is read as symbol_data reads it, kept inline: the
+        extra call per symbol cost S_v about 7 % on the benchmark's
+        relations."""
+        p, class_data = self.p, self._class_data
+        return self.s_v_of(
+            (coeff, _param_data(*padic_read(a.numerator, a.denominator, p)), class_data(cls))
+            for (cls, a), coeff in x.items()
+        )
 
     def local_type(self, a) -> LocalType:
         """(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a) of
@@ -462,35 +455,32 @@ class SpecializationContext:
         return self.s_v(x).comp0
 
     def delta_pi_prime(self, x: SymRP) -> RPtElem:
-        """rho'_pi composite: <a> (x) m -> (-1)^{v(a)} <u_a-bar> m."""
-        out: dict = {}
-        for coeff, e, entries in self._terms(x):
-            signed = -coeff if e else coeff
-            for i, v in entries:
-                out[i] = out.get(i, 0) + signed * v
-        return RPtElem(self, out)
+        """rho'_pi composite: <a> (x) m -> (-1)^{v(a)} <u_a-bar> m.  As
+        (-1)^v = 1 - 2[v odd], this is rho_0 - 2 rho_pi."""
+        ind = self.s_v(x)
+        return RPtElem(self.rp_tilde, add(ind.comp0.entries, scale(-2, ind.comp_pi.entries)))
 
-    def _to_p_tilde(self, x: RPtElem) -> PtElem:
+    def _to_p_tilde(self, x: RPtElem) -> RPtElem:
         """The image in P~ of the coinvariants map, which sends flat index
         g * |W| + i to W index i."""
         n = len(self.sc.W)
-        vec = zeros(1, n)[0]
+        out: dict = {}
         for i, v in x.entries.items():
-            vec[i % n] += v
-        return PtElem(self, vec)
+            out[i % n] = out.get(i % n, 0) + v
+        return RPtElem(self.p_tilde, out)
 
-    def eta_pi(self, x: SymRP) -> PtElem:
+    def eta_pi(self, x: SymRP) -> RPtElem:
         return self._to_p_tilde(self.delta_pi(x))
 
-    def eta_pi_prime(self, x: SymRP) -> PtElem:
+    def eta_pi_prime(self, x: SymRP) -> RPtElem:
         return self._to_p_tilde(self.delta_pi_prime(x))
 
-    def p_tilde_scale(self, n: int, x: PtElem) -> PtElem:
-        return PtElem(self, n * x.vec)
+    def p_tilde_scale(self, n: int, x: RPtElem) -> RPtElem:
+        return RPtElem(self.p_tilde, scale(n, x.entries))
 
     def reduce_rp_elem(self, x) -> RPtElem:
         """Reduce a finite-ring RPElem of GF(p) in RP~(GF(p))."""
-        return RPtElem(self, self.sc.rp_row(x))
+        return RPtElem(self.rp_tilde, self.sc.rp_row(x))
 
     def surjectivity_witness(self, abar: int) -> tuple[SymRP, bool]:
         """Preimage <<p>> g(a) of g(abar) under delta_pi, with the check

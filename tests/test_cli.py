@@ -73,6 +73,24 @@ VERIFY_STDOUT = {
 }
 
 
+# the stdout of `verify specialize --p 13`, as the sweep printed it when it
+# built the Fraction relation of each distinct datum
+SPECIALIZE_13_STDOUT = (
+    "[ok] p=13: S_v kills 200 seeded Y relations exactly\n"
+    "[ok] p=13: exhaustive Y sweep with entries up to 20\n"
+    "[ok] p=13: delta_pi vanishes on unit square classes\n"
+    "[ok] p=13: eta' = -2 eta on 200 seeded samples\n"
+    "[ok] p=13: delta_0 is R-linear on unit classes\n"
+    "[ok] p=13: delta_pi(<<p>>g(a)) images span RP_1 odd part\n"
+)
+
+
+def test_verify_specialize_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["verify", "specialize", "--p", "13"], capsys)
+    assert code == 0
+    assert out == SPECIALIZE_13_STDOUT
+
+
 @pytest.mark.parametrize("suite, ring", list(VERIFY_STDOUT))
 def test_verify_stdout_is_pinned(capsys, suite, ring):
     code, out, _ = run_cli(["verify", suite, "--ring", ring], capsys)
@@ -404,6 +422,15 @@ def test_exactness_q_below_four_is_usage_error(capsys, monkeypatch, q):
 def test_jobs_zero_is_usage_error(capsys):
     code, _, err = run_cli(["verify-all", "--jobs", "0"], capsys)
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["group", "P", "--ring", "gf(7)", "--jobs", "2"], ["--jobs", "2", "group", "P", "--ring", "gf(7)"]]
+)
+def test_jobs_is_an_option_of_verify_all_only(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
 
 
 def test_worker_count_is_clamped():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scgroups.cli import MAX_RING_SIZE
@@ -190,6 +192,32 @@ def test_unit_group_basis(ring):
             x = ring.mul(x, ring.power(g, ei))
         assert x == u
     assert len(seen) == len(ring.units)
+
+
+# sha256 of (generator indices, orders, sorted (index, exponents) of dlog),
+# recorded when the greedy search scanned every unit for the largest order
+# modulo the span: stopping at the first unit of order |U| / |span| must
+# pick the same generators
+UNIT_BASIS_GOLDEN = {
+    "gf(7)": "712aa2603f753135a73e54053e49f4b2b165abfc497588de43faa58df9acbaa4",
+    "gf(233)": "bbe8186a80e7fb3abf805636ca0c04f3f0fdd72d5234dd3d643c8b7463a373d4",
+    "gf(289)": "a2407cf541a181009238ec8b14777b8b364c7c6a240fa9079bf87dab464d0857",
+    "gf(3^4)": "bd97f30b77815f8f1e9355c4f4e44a3d16222d25cbe849562d5a31da519ea679",
+    "z/2^7": "7d932077ec33fd6b66e31d9dcdfae8fa3b7fb7a18c0eca89a73b3be5df92ad94",
+    "z/11^2": "14e43570a730742858c784f9a33b307c05fd82720d306709dca1c30a591300eb",
+    "gf(5)[t]/t^2": "291db213b5949c5a5947d5dfdfce86421f448402ada9b2885c80dff5d16938c2",
+    "gf(3^2)[t]/t^2": "980b6bc180b93d6d54f9c11c3f52eb89ebafed90e4d2583c00828d59a3a77085",
+    "gf(2^4)[t]/t^2": "5611be3aa30e3bea14985508c81942a173684d65e7ba01df6f4ebfab9609a7c0",
+}
+
+
+@pytest.mark.parametrize("label", sorted(UNIT_BASIS_GOLDEN))
+def test_unit_group_basis_golden(label):
+    ring = parse_ring(label)
+    gens, orders, dlog = unit_group_basis(ring)
+    idx = ring.index
+    text = repr(([idx[g] for g in gens], list(orders), sorted((idx[u], tuple(e)) for u, e in dlog.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == UNIT_BASIS_GOLDEN[label]
 
 
 def test_unit_group_gf9_t2_not_cyclic():

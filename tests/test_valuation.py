@@ -16,6 +16,7 @@ from scgroups.valuation import (
     Q_CLASSES,
     QONE,
     QSqClass,
+    SpecializationContext,
     padic_read,
     qclass,
     specialization,
@@ -458,27 +459,70 @@ def test_y_symbol_data_from_local_types_p_adic(p, data):
     assert ctx.s_v(sym_y_relation(a, b)).is_zero()
 
 
-class _FailOffUnits:
-    """A SpecializationContext whose S_v fails on any symbol with a
-    parameter of nonzero valuation, to check that y_sweep reports it."""
+def _nonzero(entries):
+    return {i: v for i, v in entries.items() if v}
 
-    def __init__(self, ctx):
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_s_v_of_local_type_data_matches_the_relation(p, data):
+    # entry by entry, not only in being zero: the relation merges repeated
+    # symbols and drops cancelled ones, so zero entries may differ
+    ctx = specialization(p)
+    a = data.draw(PARAMS[p])
+    b = data.draw(PARAMS[p].filter(lambda t: t != a))
+    got = ctx.s_v_of(ctx.y_symbol_data(ctx.local_type(a), ctx.local_type(b)))
+    want = ctx.s_v(sym_y_relation(a, b))
+    assert _nonzero(got.comp0.entries) == _nonzero(want.comp0.entries)
+    assert _nonzero(got.comp_pi.entries) == _nonzero(want.comp_pi.entries)
+
+
+def test_y_sweep_fails_when_a_datum_coefficient_flips(monkeypatch):
+    y_symbol_data = SpecializationContext.y_symbol_data
+
+    def flipped(self, ta, tb):
+        (coeff, param, cdata), *rest = y_symbol_data(self, ta, tb)
+        return ((-coeff, param, cdata), *rest)
+
+    ctx = specialization(11)
+    vals = verify.sweep_values(5)
+    assert verify.y_sweep(ctx, vals)
+    monkeypatch.setattr(SpecializationContext, "y_symbol_data", flipped)
+    assert not verify.y_sweep(ctx, vals)
+
+
+class _CountedSvOf:
+    """A SpecializationContext that records each datum handed to s_v_of
+    and, with fail_off_units, fails on any datum with a parameter of
+    nonzero valuation, to check what y_sweep evaluates and that it reports
+    a failure.  Its s_v raises: y_sweep builds no relation."""
+
+    def __init__(self, ctx, fail_off_units=False):
         self.ctx = ctx
-        self.calls = 0
+        self.fail_off_units = fail_off_units
+        self.seen = []
 
     def __getattr__(self, name):
         return getattr(self.ctx, name)
 
     def s_v(self, x):
-        self.calls += 1
-        ok = all(self.ctx.symbol_data(cls, a)[0][0] == 0 for cls, a in x)
-        return SimpleNamespace(is_zero=lambda: ok)
+        raise AssertionError("y_sweep called s_v")
+
+    def s_v_of(self, data):
+        self.seen.append(data)
+        if self.fail_off_units and any(param[0] for _, param, _ in data):
+            return SimpleNamespace(is_zero=lambda: False)
+        return self.ctx.s_v_of(data)
 
 
-def test_y_sweep_runs_s_v_once_per_datum_and_reports_failures():
+def test_y_sweep_runs_s_v_once_per_datum_and_reports_failures(monkeypatch):
+    def no_relation(a, b):
+        raise AssertionError("y_sweep built a relation")
+
+    monkeypatch.setattr(verify, "sym_y_relation", no_relation)
     ctx = specialization(11)
     vals = verify.sweep_values(12)
-    assert verify.y_sweep(ctx, vals)
     types = [ctx.local_type(a) for a in vals]
     data = {
         ctx.y_symbol_data(types[i], types[j])
@@ -486,11 +530,14 @@ def test_y_sweep_runs_s_v_once_per_datum_and_reports_failures():
         for j in range(len(vals))
         if i != j
     }
-    fake = _FailOffUnits(ctx)
+    counted = _CountedSvOf(ctx)
+    assert verify.y_sweep(counted, vals)
+    assert len(counted.seen) == len(set(counted.seen)) == len(data) < len(vals) ** 2 // 100
+    assert set(counted.seen) == data
+    fake = _CountedSvOf(ctx, fail_off_units=True)
     assert verify.y_sweep(fake, verify.sweep_values(3))  # every value a unit
-    fake = _FailOffUnits(ctx)
+    fake = _CountedSvOf(ctx, fail_off_units=True)
     assert not verify.y_sweep(fake, vals)  # 11 is in the box
-    assert fake.calls == len(data) < len(vals) ** 2 // 100
 
 
 def _no_factoring(n):
