@@ -18,18 +18,20 @@ appear only at the API edge, as views built on each read (``hnf_rows``,
 to triangular rows, then the Hermite basis of their lattice modulo its
 determinant D, where no entry exceeds D; a rank-deficient lattice is first
 projected onto its pivot columns and lifted back through its rational
-kernel.  Inputs of more than SUBSET_PER_COLUMN rows per column (the
+kernel.  Inputs of more than SUBSET_PER_COLUMN (2) rows per column (the
 five-term relation matrices) reduce a seeded random subset of that size
 only, and the basis is returned only under a certificate checked at run
-time: every basis row lies in the subset's lattice (back-substitution on
-the subset's triangular rows), and every input row maps to 0 under the
-basis's quotient map (``_unkilled`` projects the rows in blocks through
-int64 arrays when no sum can reach 2^62, else row by row).  Rows that the
-map does not kill join the subset for another round.  This certified path
-reads the rows in place and copies only the subset; exact repeats are
-dropped only on the full path, which reduces copies of every row.  The
-certified basis comes with the quotient map its certificate built, and an
-FpAb keeps that map instead of building it again.
+time: every input row maps to 0 under the basis's quotient map
+(``_unkilled`` projects the rows in blocks through int64 arrays when no
+sum can reach 2^62, else row by row), so the subset's lattice L_S lies in
+the basis's, and the basis has L_S's rank and its pivots multiply to L_S's
+determinant on the same pivot columns, so the two lattices are equal.
+Rows that the map does not kill join the subset for another round, at
+most as many as the subset holds, so it at most doubles.  This certified
+path reads the rows in place and copies only the subset; exact repeats
+are dropped only on the full path, which reduces copies of every row.
+The certified basis comes with the quotient map its certificate built,
+and an FpAb keeps that map instead of building it again.
 
 Relation rows of one width may also come as a ``RowTable``: int64 arrays
 of columns and values, one row per line (the five-term relations, and the
@@ -260,20 +262,27 @@ def _sparse_reduce(rows: list[dict], main: int) -> tuple[list[dict], list[dict]]
             col_rows.setdefault(j, set()).add(rid)
 
     def row_addmul(rid: int, q: int, src: dict):
-        # row[rid] += q * src
+        # row[rid] += q * src, for q != 0: a sum can vanish only where the
+        # row had an entry, so one lookup decides the branch
         r = live[rid]
+        grown = 0
         for j, v in src.items():
-            nv = r.get(j, 0) + q * v
-            if nv:
-                if j not in r and j < main:
-                    nnz_main[rid] += 1
+            x = r.get(j)
+            if x is None:
+                r[j] = q * v
+                if j < main:
+                    grown += 1
                     col_rows[j].add(rid)
-                r[j] = nv
-            elif j in r:
+                continue
+            x += q * v
+            if x:
+                r[j] = x
+            else:
                 del r[j]
                 if j < main:
-                    nnz_main[rid] -= 1
+                    grown -= 1
                     col_rows[j].discard(rid)
+        nnz_main[rid] += grown
 
     retired: list[dict] = []
     import heapq
@@ -354,10 +363,11 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     copies with exact repeats and empty rows dropped, and come without a
     map.  Taller inputs take the certified path of ``_certified_hnf``,
     which reads the rows in place and copies only the subset it reduces:
-    the basis of a seeded random subset, computed modulo its determinant,
-    is accepted only once every basis row lies in the subset's lattice and
-    every input row lies in the basis's lattice.  Repeats are not dropped
-    there; a repeated row costs one more projection in the certificate.
+    the basis of a seeded random subset of 2 rows per column, computed
+    modulo its determinant, is accepted only once its quotient map kills
+    every input row and its pivots multiply to the subset lattice's
+    determinant.  Repeats are not dropped there; a repeated row costs one
+    more projection in the certificate.
     """
     if len(rows) > SUBSET_PER_COLUMN * n:
         return _certified_hnf(rows, n)
@@ -368,11 +378,11 @@ def _full_hnf(rows: list[dict], ncols: int) -> list[dict]:
     """Canonical HNF rows of the lattice of every row, by sparse reduction
     of copies of the distinct nonempty rows and the HNF of the triangular
     rows."""
-    return _subset_hnf(_sparse_reduce([dict(r) for r in _distinct(rows)], ncols)[0], ncols)
+    return _subset_hnf(_sparse_reduce([dict(r) for r in _distinct(rows)], ncols)[0], ncols)[0]
 
 
 # the certified path of _hnf_sparse reduces a subset of this many rows per column
-SUBSET_PER_COLUMN = 4
+SUBSET_PER_COLUMN = 2
 _SUBSET_SEED = 7
 
 
@@ -384,18 +394,21 @@ def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     The rows are read in place and may repeat; the subset rows are copied
     (or, from a table, built) before the reduction modifies them, and the
     certificate projects a table without building its rows.  Each round
-    reduces the subset to triangular rows, computes the HNF of their
-    lattice L_S modulo its determinant (``_subset_hnf``) and then checks
-    two inclusions: every basis row lies in L_S (back-substitution on the
-    triangular rows), and every input row maps to 0 under the basis's
-    quotient map.  Together
-    they give lattice(basis) = L_S = lattice(rows).  An input row that the
-    map does not kill joins the subset for the next round; a subset row
-    that it does not kill is a fault.  A subset that would hold every row
-    falls back to reducing every row (``_full_hnf``), which needs no
-    certificate: its triangular rows generate the input lattice.  A prefix
-    is no subset: the first 476 rows of P(GF(121)) in pair order reach rank
-    108 of 119.
+    reduces the subset to triangular rows, and ``_subset_hnf`` gives the
+    HNF B of their lattice L_S modulo its determinant, with the index d_S
+    of L_S on its pivot columns.  B is accepted only if its quotient map
+    kills every input row, it has rank(L_S) rows and its pivots multiply
+    to d_S.  Then L_S lies in L(B) of the same rank, so both span one space
+    with one set of echelon pivot columns, onto which the projection is
+    injective, and equal indices there give L(B) = L_S = lattice(rows).
+
+    Input rows that the map does not kill join the subset for the next
+    round, a seeded sample of at most len(subset) of them, so the subset
+    at most doubles; a subset row that it does not kill is a fault.  A
+    subset that would hold every row falls back to reducing every row
+    (``_full_hnf``), which needs no certificate: its triangular rows
+    generate the input lattice.  A prefix is no subset: the first 476 rows
+    of P(GF(121)) in pair order reach rank 108 of 119.
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
@@ -403,17 +416,20 @@ def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     work = [copy(i) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)
-        basis = _subset_hnf(retired, n)
+        basis, det = _subset_hnf(retired, n)
         _check_canonical(basis, n)
-        det = math.prod(abs(r[c]) for c, r in retired) if len(retired) == n else 0
-        if not all(_in_triangular_lattice(r, retired, det) for r in basis):
-            raise AssertionError("certified HNF: a basis row is not in the subset lattice")
         proj = _projection_table(SparseEchelon(basis, n))
         missing = _unkilled(proj, rows)
+        escaped = not chosen.isdisjoint(missing)
+        unequal = len(basis) != len(retired) or math.prod(r[min(r)] for r in basis) != det
+        if escaped and unequal:
+            raise AssertionError("certified HNF: the basis misses a subset row")
+        if escaped or unequal:
+            raise AssertionError("certified HNF: a basis row is not in the subset lattice")
         if not missing:
             return basis, proj
-        if chosen.intersection(missing):
-            raise AssertionError("certified HNF: the basis misses a subset row")
+        if len(missing) > len(chosen):
+            missing = sorted(rng.sample(missing, len(chosen)))
         chosen.update(missing)
         if len(chosen) == len(rows):
             return _full_hnf(_dict_rows(rows), n), None
@@ -439,33 +455,11 @@ def _check_canonical(basis: list[dict], n: int) -> None:
                 raise AssertionError("certified HNF: an entry above a pivot is not reduced")
 
 
-def _in_triangular_lattice(v: dict, retired: list, mod: int = 0) -> bool:
-    """Whether v lies in the lattice of the triangular rows ``retired``
-    (from ``_sparse_reduce``), by back-substitution in retirement order.
-    A nonzero ``mod`` must be a multiple of the determinant of full-rank
-    rows: then mod * Z^n lies in the lattice and entries are kept mod it."""
-    v = dict(v)
-    for c, r in retired:
-        x = v.pop(c, 0)
-        if not x:
-            continue
-        q, rem = divmod(x, r[c])
-        if rem:
-            return False
-        for j, a in r.items():
-            if j != c:
-                y = v.get(j, 0) - q * a
-                if mod:
-                    y %= mod
-                if y:
-                    v[j] = y
-                else:
-                    v.pop(j, None)
-    return not v
-
-
-def _subset_hnf(retired: list, n: int) -> list[dict]:
-    """Canonical HNF rows of the lattice of the triangular rows ``retired``.
+def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
+    """Canonical HNF rows of the lattice L of the triangular rows
+    ``retired``, with the index of L projected onto its HNF pivot columns:
+    the product of the |pivots| of ``retired`` at full rank, else of the
+    re-reduced projected rows (1 for no rows).
 
     Full rank goes straight to ``_hnf_mod_det``.  With rank r < n the HNF
     pivot columns P are read off the rational right kernel (the columns Q
@@ -474,9 +468,9 @@ def _subset_hnf(retired: list, n: int) -> list[dict]:
     HNF mod the determinant of the re-reduced projected rows, and each row
     lifts back to Z^n through the kernel."""
     if not retired:
-        return []
+        return [], 1
     if len(retired) == n:
-        return _hnf_mod_det(retired, n)
+        return _hnf_mod_det(retired, n), math.prod(abs(r[c]) for c, r in retired)
     kernel = _rational_kernel(retired, n)
     cols = [c for c in range(n) if c not in kernel]
     pos = {c: i for i, c in enumerate(cols)}
@@ -496,7 +490,7 @@ def _subset_hnf(retired: list, n: int) -> list[dict]:
                 lift[q] = x
         w.update(lift)
         out.append(w)
-    return out
+    return out, math.prod(abs(r[c]) for c, r in sub)
 
 
 def _rational_kernel(retired: list, n: int) -> dict[int, dict]:

@@ -942,6 +942,76 @@ def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
     assert [[int(x) for x in r] for r in hnf_rows(rows, 3)] == want
 
 
+def test_mod_det_superlattice_trips_the_determinant_certificate(monkeypatch):
+    # Z^3, the one lattice above the rows' index-3 lattice, kills every row:
+    # only the determinant tells it from the subset's lattice
+    rows = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
+    monkeypatch.setattr(linalg, "_hnf_mod_det", lambda retired, n: [{j: 1} for j in range(n)])
+    with pytest.raises(AssertionError, match="not in the subset lattice"):
+        hnf_rows(rows, 3)
+
+
+@pytest.mark.parametrize("fault", ["determinant", "lifted-entry"])
+def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, fault):
+    rows, n = certified_case("deficiency-1")
+    step = linalg._subset_hnf
+    lifted = []
+
+    def corrupted(retired, n):
+        basis, det = step(retired, n)
+        assert len(retired) == n - 1
+        if fault == "determinant":
+            return basis, 2 * det
+        # an entry off the pivot columns comes from the lift through the kernel
+        pivots = {min(r) for r in basis}
+        row = next(r for r in basis if any(j not in pivots for j in r))
+        j = max(j for j in row if j not in pivots)
+        row[j] += 1
+        lifted.append(j)
+        return basis, det
+
+    monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
+    with pytest.raises(AssertionError, match="not in the subset lattice"):
+        hnf_rows(rows, n)
+    assert bool(lifted) == (fault == "lifted-entry")
+
+
+def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
+    # the seeded subset spans {x : x_0 even}, an index-2 sublattice, and half
+    # the other rows have x_0 odd: more rows than the subset holds escape it
+    n, m = 3, 60
+    rng = random.Random(6)
+    chosen = sorted(random.Random(linalg._SUBSET_SEED).sample(range(m), tall(n) - 1))
+    even = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows = lattice_rows(rng, even, m)
+    for k, i in enumerate(chosen[:n]):
+        rows[i] = list(even[k])
+    odd = sorted(set(range(m)) - set(chosen))[::2]
+    for i in odd:
+        rows[i][0] += 1
+    assert sympy_row_hnf([rows[i] for i in chosen]) == even
+    assert len(chosen) < len(odd) < m - len(chosen)
+    # as a table, whose rows the certified path builds once, as they join
+    table = linalg.RowTable(np.array([list(range(n))] * m), np.array(rows), n)
+    built, sizes = [], []
+    row, step = linalg.RowTable.row, linalg._subset_hnf
+
+    def counted_row(self, i):
+        built.append(i)
+        return row(self, i)
+
+    def counted(retired, n):
+        sizes.append(len(built))
+        return step(retired, n)
+
+    monkeypatch.setattr(linalg.RowTable, "row", counted_row)
+    monkeypatch.setattr(linalg, "_subset_hnf", counted)
+    got = _ints(linalg._dense(linalg._hnf_sparse(table, n)[0], n))
+    assert len(sizes) >= 2 and sizes[0] == len(chosen)
+    assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+    assert got == sympy_row_hnf(rows) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def _sparse(rows):
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
@@ -987,10 +1057,11 @@ def test_certified_hnf_reads_numpy_values_exactly():
 
 
 def test_certified_path_on_few_distinct_rows_matches_full_path(monkeypatch):
-    # 8 distinct rows, each three times: past the subset size raw, not distinct
+    # as many rows as the subset holds, each three times: past the subset
+    # size raw, not distinct
     rng = random.Random(4)
     n = 3
-    rows = lattice_rows(rng, [[2, 1, 0], [0, 3, 1], [1, 0, 4]], 8) * 3
+    rows = lattice_rows(rng, [[2, 1, 0], [0, 3, 1], [1, 0, 4]], linalg.SUBSET_PER_COLUMN * n) * 3
     assert len(rows) > linalg.SUBSET_PER_COLUMN * n >= len({tuple(r) for r in rows})
     certified = []
     step = linalg._certified_hnf
