@@ -18,24 +18,28 @@ appear only at the API edge, as views built on each read (``hnf_rows``,
 to triangular rows, then the Hermite basis of their lattice modulo its
 determinant D, where no entry exceeds D; a rank-deficient lattice is first
 projected onto its pivot columns and lifted back through its rational
-kernel.  Inputs of more than SUBSET_PER_COLUMN (2) rows per column (the
-five-term relation matrices) reduce a seeded random subset of that size
-only, and the basis is returned only under a certificate checked at run
-time: every input row maps to 0 under the basis's quotient map
-(``_unkilled`` projects the rows in blocks through int64 arrays when no
+kernel.  It reduces a subset of SUBSET_PER_COLUMN (2) rows per column: all
+the rows of a shorter input, else a seeded random sample (the five-term
+relation matrices), whose basis is returned only under a certificate
+checked at run time: every input row maps to 0 under the basis's quotient
+map (``_unkilled`` projects the rows in blocks through int64 arrays when no
 sum can reach 2^62, else row by row), so the subset's lattice L_S lies in
 the basis's, and the basis has L_S's rank and its pivots multiply to L_S's
 determinant on the same pivot columns, so the two lattices are equal.
 Rows that the map does not kill join the subset for another round, at
-most as many as the subset holds, so it at most doubles.  This certified
-path reads the rows in place and copies only the subset; exact repeats
-are dropped only on the full path, which reduces copies of every row.
-The certified basis comes with the quotient map its certificate built,
-and an FpAb keeps that map instead of building it again.
+most as many as the subset holds, so it at most doubles; a subset that
+holds every row needs no certificate.  The rows are read in place and
+only the subset is copied.  The certified basis comes with the quotient
+map its certificate built, and an FpAb keeps that map instead of
+building it again.
+
+Kernels, preimages and intersections are one question, ``_vanishing``:
+the lattice carried by the combinations of rows that vanish, from one
+reduction of the rows with their payloads as an augmentation.
 
 Relation rows of one width may also come as a ``RowTable``: int64 arrays
 of columns and values, one row per line (the five-term relations, and the
-half rows of a Z[G]-module's block form).  The certified path then builds
+half rows of a Z[G]-module's block form).  ``_hnf_sparse`` then builds
 dicts only for the rows it reduces, and the certificate projects the
 table's arrays directly.  ``AbMap.unkilled`` is the one test that a map
 kills relation rows, dicts or a table: it composes the target's quotient
@@ -192,11 +196,6 @@ def _summed(entries) -> dict:
     return {j: x for j, x in out.items() if x}
 
 
-def _dict_rows(rows) -> list[dict]:
-    """Relation rows as sparse dicts: a table's rows built, a list as it is."""
-    return rows.rows() if isinstance(rows, RowTable) else rows
-
-
 def _edge_rows(mat, ncols: Optional[int] = None) -> tuple[list[dict], int]:
     """(sparse rows, width) of a matrix given at the API edge: the width is
     ncols, else that of a 2-D array or of the first dense row."""
@@ -217,19 +216,6 @@ def _dense(rows: list[dict], ncols: int) -> np.ndarray:
     for i, r in enumerate(rows):
         for j, v in r.items():
             out[i, j] = v
-    return out
-
-
-def _distinct(rows: list[dict]) -> list[dict]:
-    """The nonzero rows with exact repeats dropped, first occurrences in
-    order.  The row lattice, and so its canonical HNF, is unchanged."""
-    seen = set()
-    out = []
-    for r in rows:
-        key = frozenset(r.items())
-        if r and key not in seen:
-            seen.add(key)
-            out.append(r)
     return out
 
 
@@ -354,69 +340,47 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     return _dense(_hnf_sparse(rows, n)[0], n)
 
 
-def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
-    """Canonical HNF rows of the lattice of the sparse rows (as
-    ``_sparse_rows`` gives them, or a RowTable of width n), with the
-    quotient map a certificate built for them, or None.
-
-    Up to SUBSET_PER_COLUMN * n rows are all reduced (``_full_hnf``), on
-    copies with exact repeats and empty rows dropped, and come without a
-    map.  Taller inputs take the certified path of ``_certified_hnf``,
-    which reads the rows in place and copies only the subset it reduces:
-    the basis of a seeded random subset of 2 rows per column, computed
-    modulo its determinant, is accepted only once its quotient map kills
-    every input row and its pivots multiply to the subset lattice's
-    determinant.  Repeats are not dropped there; a repeated row costs one
-    more projection in the certificate.
-    """
-    if len(rows) > SUBSET_PER_COLUMN * n:
-        return _certified_hnf(rows, n)
-    return _full_hnf(_dict_rows(rows), n), None
-
-
-def _full_hnf(rows: list[dict], ncols: int) -> list[dict]:
-    """Canonical HNF rows of the lattice of every row, by sparse reduction
-    of copies of the distinct nonempty rows and the HNF of the triangular
-    rows."""
-    return _subset_hnf(_sparse_reduce([dict(r) for r in _distinct(rows)], ncols)[0], ncols)[0]
-
-
-# the certified path of _hnf_sparse reduces a subset of this many rows per column
+# _hnf_sparse reduces a subset of this many rows per column
 SUBSET_PER_COLUMN = 2
 _SUBSET_SEED = 7
 
 
-def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
-    """Canonical HNF rows of the lattice of ``rows`` (sparse dicts or a
-    RowTable), from a seeded random subset grown until it is certified,
-    with the quotient map of the certificate (None after the fallback).
+def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
+    """Canonical HNF rows of the lattice of ``rows`` (sparse dicts as
+    ``_sparse_rows`` gives them, or a RowTable of width n), with the
+    quotient map a certificate built for them, or None.
 
     The rows are read in place and may repeat; the subset rows are copied
     (or, from a table, built) before the reduction modifies them, and the
-    certificate projects a table without building its rows.  Each round
-    reduces the subset to triangular rows, and ``_subset_hnf`` gives the
-    HNF B of their lattice L_S modulo its determinant, with the index d_S
-    of L_S on its pivot columns.  B is accepted only if its quotient map
-    kills every input row, it has rank(L_S) rows and its pivots multiply
-    to d_S.  Then L_S lies in L(B) of the same rank, so both span one space
-    with one set of echelon pivot columns, onto which the projection is
-    injective, and equal indices there give L(B) = L_S = lattice(rows).
+    certificate projects a table without building its rows.  The first
+    subset is every row of an input of at most SUBSET_PER_COLUMN * n rows,
+    else a seeded random sample of that many.  Each round reduces the
+    subset to triangular rows, and ``_subset_hnf`` gives the HNF B of their
+    lattice L_S modulo its determinant, with the index d_S of L_S on its
+    pivot columns.  A subset that holds every row returns B with no map:
+    L_S is the input lattice.  Otherwise B is accepted only if its quotient
+    map kills every input row, it has rank(L_S) rows and its pivots
+    multiply to d_S.  Then L_S lies in L(B) of the same rank, so both span
+    one space with one set of echelon pivot columns, onto which the
+    projection is injective, and equal indices there give L(B) = L_S =
+    lattice(rows).
 
     Input rows that the map does not kill join the subset for the next
     round, a seeded sample of at most len(subset) of them, so the subset
     at most doubles; a subset row that it does not kill is a fault.  A
-    subset that would hold every row falls back to reducing every row
-    (``_full_hnf``), which needs no certificate: its triangular rows
-    generate the input lattice.  A prefix is no subset: the first 476 rows
-    of P(GF(121)) in pair order reach rank 108 of 119.
+    prefix is no subset: the first 476 rows of P(GF(121)) in pair order
+    reach rank 108 of 119.
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
-    chosen = set(rng.sample(range(len(rows)), SUBSET_PER_COLUMN * n))
+    size = SUBSET_PER_COLUMN * n
+    chosen = set(rng.sample(range(len(rows)), size) if len(rows) > size else range(len(rows)))
     work = [copy(i) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)
         basis, det = _subset_hnf(retired, n)
+        if len(chosen) == len(rows):
+            return basis, None
         _check_canonical(basis, n)
         proj = _projection_table(SparseEchelon(basis, n))
         missing = _unkilled(proj, rows)
@@ -431,8 +395,6 @@ def _certified_hnf(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
         if len(missing) > len(chosen):
             missing = sorted(rng.sample(missing, len(chosen)))
         chosen.update(missing)
-        if len(chosen) == len(rows):
-            return _full_hnf(_dict_rows(rows), n), None
         work = [r for _, r in retired] + [copy(i) for i in missing]
 
 
@@ -682,23 +644,25 @@ def hnf(mat) -> np.ndarray:
     return hnf_rows(m.T.copy()).T.copy()
 
 
-def _left_kernel(rows: list[dict], n: int) -> list[dict]:
-    """Canonical HNF rows of {x : sum_i x_i rows[i] = 0}.
+def _vanishing(pairs, n: int, width: int) -> list[dict]:
+    """Canonical HNF rows of {sum_i x_i c_i : sum_i x_i r_i = 0} for the
+    pairs (r_i, c_i) of a row r_i of width n and its payload c_i of width
+    ``width``, both sparse dicts.
 
-    Each row carries its own unit vector as an augmentation while the
-    sparse reduction eliminates the n main columns.  The rows retired there
-    are triangular on the main columns, so independent; the rows whose main
-    part vanished carry a basis of the left kernel in their augmentation.
+    Each row carries its payload as an augmentation while the sparse
+    reduction eliminates the n main columns.  The rows retired there are
+    triangular on the main columns, so independent; the rows whose main
+    part vanished carry generators of the lattice in their augmentation.
     """
-    work = [{**r, n + i: 1} for i, r in enumerate(rows)]
+    work = [{**r, **{n + j: v for j, v in c.items()}} for r, c in pairs]
     _, zeroed = _sparse_reduce(work, n)
-    return _hnf_sparse([{j - n: v for j, v in r.items()} for r in zeroed], len(rows))[0]
+    return _hnf_sparse([{j - n: v for j, v in r.items()} for r in zeroed], width)[0]
 
 
 def left_kernel(mat) -> np.ndarray:
     """Basis (canonical HNF rows) of {x : x @ mat = 0}."""
     rows, n = _edge_rows(mat)
-    return _dense(_left_kernel(rows, n), len(rows))
+    return _dense(_vanishing([(r, {i: 1}) for i, r in enumerate(rows)], n, len(rows)), len(rows))
 
 
 def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -793,19 +757,11 @@ def solve_in_rows(basis, v) -> Optional[np.ndarray]:
 
 def lattice_intersect(a, b) -> np.ndarray:
     """Canonical basis of (row lattice of a) ∩ (row lattice of b): the
-    combinations y @ a over the left kernel {(y, z) : y @ a - z @ b = 0}.
+    vectors y @ a with y @ a - z @ b = 0, as each row of a carries itself.
     a is a 2-D array or dense rows; b has its width, in any row form."""
     a, n = _edge_rows(a)
-    b = _sparse_rows(b, n)
-    meet = []
-    if a and b:
-        for y in _left_kernel(a + [{j: -v for j, v in r.items()} for r in b], n):
-            row: dict = {}
-            for i, c in y.items():
-                if i < len(a):
-                    _sub_entries(row, -c, a[i].items())
-            meet.append(row)
-    return _dense(_hnf_sparse(meet, n)[0], n)
+    b = [{j: -v for j, v in r.items()} for r in _sparse_rows(b, n)]
+    return _dense(_vanishing([(r, r) for r in a] + [(r, {}) for r in b], n, n), n)
 
 
 @dataclass
@@ -1162,7 +1118,8 @@ class FpAb:
     @property
     def rels(self) -> np.ndarray:
         """The relation rows as given, as a dense matrix built on each read."""
-        return _dense(_dict_rows(self._rels()), self.ngens)
+        rows = self._rels()
+        return _dense(rows.rows() if isinstance(rows, RowTable) else rows, self.ngens)
 
     @property
     def rel_basis(self) -> np.ndarray:
@@ -1170,9 +1127,9 @@ class FpAb:
         return _dense(self.echelon().basis, self.ngens)
 
     def echelon(self) -> SparseEchelon:
-        """The cached sparse echelon form of the relation basis.  A basis
-        from the certified path comes with the quotient map its certificate
-        built, which is checked and kept."""
+        """The cached sparse echelon form of the relation basis.  A certified
+        basis comes with the quotient map its certificate built, which is
+        checked and kept."""
         if self._ech is None:
             basis, proj = _hnf_sparse(self._rels(), self.ngens)
             self._ech = SparseEchelon(basis, self.ngens)
@@ -1364,15 +1321,12 @@ class AbMap:
 
     def preimage_lattice(self) -> list[dict]:
         """Canonical basis rows of {x in Z^m : x @ matrix lies in the target
-        lattice}: the left kernel of the map rows stacked on the target's
-        relation basis, cut to its first m coordinates."""
-        m = self.source.ngens
-        relations = self.target.echelon().basis
-        kernel = _left_kernel(self.rows + relations, self.target.ngens)
-        if not relations:
-            # the left kernel of the map rows alone is already canonical
-            return kernel
-        return _hnf_sparse([{j: v for j, v in r.items() if j < m} for r in kernel], m)[0]
+        lattice}: the map rows carry their unit vectors and the target's
+        relation basis carries nothing, so the vanishing combinations
+        carry x."""
+        pairs = [(r, {i: 1}) for i, r in enumerate(self.rows)]
+        pairs += [(r, {}) for r in self.target.echelon().basis]
+        return _vanishing(pairs, self.target.ngens, self.source.ngens)
 
     def kernel_subgroup(self) -> SubgroupPres:
         lift = SparseEchelon(self.preimage_lattice(), self.source.ngens)

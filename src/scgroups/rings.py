@@ -143,6 +143,13 @@ class Ring:
     def size(self) -> int:
         return len(self.elements)
 
+    @property
+    def is_field(self) -> bool:
+        """A local ring is a field iff it has as many elements as its
+        residue field, whatever descriptor built it (gf(11), z/11 or
+        gf(11)[t]/t^1)."""
+        return self.size() == self.residue_field().size()
+
     def __repr__(self):
         return f"Ring({self.label})"
 
@@ -483,23 +490,27 @@ def parse_ring(desc: str) -> Ring:
         raise ValueError(f"bad ring descriptor {desc!r}: {exc}") from None
 
 
+def _gf_base(p: str, d: Optional[str]) -> GF:
+    """The field that gf(p) or gf(p^d) names, alone or as the base of a
+    truncated polynomial ring: p may be a prime power q when no exponent
+    follows, read as gf(q)."""
+    p, d = int(p), int(d or 1)
+    if not is_prime(p):
+        pd = prime_power_decompose(p)
+        if pd is None or d != 1:
+            raise ValueError(f"{p} is not prime")
+        p, d = pd
+    return GF(p, d)
+
+
 def _parse_ring(desc: str) -> Ring:
     m = _RING_RE.match(desc)
     if not m:
         raise ValueError("unrecognized grammar")
     if m.group("p1"):
-        p = int(m.group("p1"))
-        d = int(m.group("d1") or 1)
-        return TruncPoly(GF(p, d), int(m.group("m")))
+        return TruncPoly(_gf_base(m.group("p1"), m.group("d1")), int(m.group("m")))
     if m.group("p2"):
-        p = int(m.group("p2"))
-        d = int(m.group("d2") or 1)
-        if not is_prime(p):
-            pd = prime_power_decompose(p)
-            if pd is None or d != 1:
-                raise ValueError(f"{p} is not prime")
-            p, d = pd
-        return GF(p, d)
+        return _gf_base(m.group("p2"), m.group("d2"))
     p = int(m.group("p3"))
     n = int(m.group("n3") or 1)
     if not is_prime(p):

@@ -507,7 +507,7 @@ class ScissorsContext:
         """The short exact sequence data for a non-field local ring B:
         L_B, the quotient RP~(B)/L_B, and the comparison with RP~(k)."""
         ring = self.ring
-        if ring.kind == "field":
+        if ring.is_field:
             raise ValueError("L_B is trivial for a field; nothing to verify")
         kctx = self.residue_context()
         lrows = self.l_rows()

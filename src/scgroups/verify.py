@@ -368,7 +368,7 @@ def suite_witt(ring: Ring, **_) -> list[Check]:
             iso_odd(h3, context(ring).rp1()),
         )
     )
-    if ring.kind == "field":
+    if ring.is_field:
         out.append(Check(f"{ring.label}: I^2 vanishes", witt.i_squared(ring).is_trivial()))
     return out
 
@@ -699,7 +699,7 @@ def verify_all_jobs(max_q: int = 13) -> list[tuple]:
             jobs.append(("idempotent", r))
     for r in rings:
         ring = parse_ring(r)
-        if ring.kind != "field" and ring.residue_field().size() >= 5:
+        if not ring.is_field and ring.residue_field().size() >= 5:
             jobs.append(("slr", r))
     for r in rings:
         if parse_ring(r).residue_field().size() > 3:

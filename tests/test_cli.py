@@ -98,6 +98,26 @@ def test_verify_stdout_is_pinned(capsys, suite, ring):
     assert out == VERIFY_STDOUT[suite, ring]
 
 
+@pytest.mark.parametrize("ring", ["gf(11)", "z/11", "gf(11)[t]/t^1"])
+def test_slr_refuses_a_field_under_every_descriptor(capsys, ring):
+    code, _, err = run_cli(["verify", "slr", "--ring", ring], capsys)
+    assert code == 2
+    assert "L_B is trivial for a field" in err
+
+
+@pytest.mark.parametrize("ring", ["z/11", "gf(11)[t]/t^1"])
+def test_witt_checks_i_squared_on_a_field_under_every_descriptor(capsys, ring):
+    code, out, _ = run_cli(["verify", "witt", "--ring", ring], capsys)
+    assert code == 0
+    assert f"[ok] {ring}: I^2 vanishes\n" in out
+
+
+def test_prime_power_base_of_a_truncated_ring(capsys):
+    want = run_cli(["group", "P", "--ring", "gf(3^2)[t]/t^2"], capsys)
+    assert want[0] == 0 and json.loads(want[1])["ring"] == "gf(3^2)[t]/t^2"
+    assert run_cli(["group", "P", "--ring", "gf(9)[t]/t^2"], capsys) == want
+
+
 def test_verify_usage_error(capsys):
     code, _, err = run_cli(["verify", "key-identity"], capsys)
     assert code == 2

@@ -1058,22 +1058,52 @@ def test_certified_hnf_reads_numpy_values_exactly():
 
 def test_certified_path_on_few_distinct_rows_matches_full_path(monkeypatch):
     # as many rows as the subset holds, each three times: past the subset
-    # size raw, not distinct
+    # size raw, not distinct, so the certified rounds run
     rng = random.Random(4)
     n = 3
     rows = lattice_rows(rng, [[2, 1, 0], [0, 3, 1], [1, 0, 4]], linalg.SUBSET_PER_COLUMN * n) * 3
     assert len(rows) > linalg.SUBSET_PER_COLUMN * n >= len({tuple(r) for r in rows})
-    certified = []
-    step = linalg._certified_hnf
-
-    def counted(rows, n):
-        certified.append(len(rows))
-        return step(rows, n)
-
-    monkeypatch.setattr(linalg, "_certified_hnf", counted)
+    rounds = count_subset_rounds(monkeypatch)
     got = _ints(hnf_rows(_sparse(rows), n))
-    assert certified == [len(rows)]
-    assert got == _ints(linalg._dense(linalg._full_hnf(_sparse(rows), n), n)) == sympy_row_hnf(rows)
+    assert rounds, "the certified path did not run"
+    assert got == sympy_row_hnf(rows)
+
+
+@st.composite
+def short_inputs(draw):
+    """(n, rows): at most SUBSET_PER_COLUMN * n rows of width n, zero rows
+    and repeats of an earlier row frequent."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, linalg.SUBSET_PER_COLUMN * n))):
+        pick = draw(st.integers(0, 3))
+        if pick == 0:
+            rows.append([0] * n)
+        elif pick == 1 and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_inputs())
+def test_short_input_is_one_round_with_no_certificate(case):
+    n, rows = case
+    certified = []
+    unkilled = linalg._unkilled
+
+    def counted(proj, rows):
+        certified.append(len(rows))
+        return unkilled(proj, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = count_subset_rounds(mp)
+        mp.setattr(linalg, "_unkilled", counted)
+        basis, proj = linalg._hnf_sparse(_sparse(rows), n)
+    assert len(rounds) == 1 and certified == [] and proj is None
+    assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
 
 
 def test_certified_basis_brings_its_quotient_map(monkeypatch):
@@ -1208,7 +1238,7 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
     monkeypatch.setattr(linalg, "_unkilled", counted)
     basis, proj = linalg._hnf_sparse(corrupted, n)
     assert missing == [[bad], []]
-    assert basis == linalg._full_hnf(corrupted.rows(), n) == [{0: 1}, {1: 1}, {2: 1}]
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 # -- kernels and images against sympy --------------------------------------------
@@ -1294,6 +1324,80 @@ def test_kernel_and_image_orders_multiply_to_source_order(case):
     assert ker.group.order() * im_order == src_order
     for i in range(ker.lift.shape[0]):
         assert f.target.contains(ker.lift[i] @ f.matrix)
+
+
+@st.composite
+def targets_with_relations(draw):
+    """(s, target relations, t, matrix): a free source on up to 3
+    generators, a target on up to 3 generators with 1 to 3 relations, a
+    common scale making non-unit pivots frequent, and a map matrix."""
+    t = draw(st.integers(1, 3))
+    scale = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    target = [[scale * draw(entry) for _ in range(t)] for _ in range(draw(st.integers(1, 3)))]
+    s = draw(st.integers(1, 3))
+    matrix = [[draw(entry) for _ in range(t)] for _ in range(s)]
+    return s, target, t, matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets_with_relations(), st.data())
+def test_preimage_lattice_holds_what_the_target_kills(case, data):
+    s, target, t, matrix = case
+    f = AbMap(FpAb(s), FpAb(t, target), matrix)
+    pre = f.preimage_lattice()
+    basis = _ints(linalg._dense(pre, s))
+    assert basis == sympy_row_hnf(basis)
+    ech = linalg.SparseEchelon(pre, s)
+    coeff = st.integers(-3, 3)
+    drawn = data.draw(st.lists(vectors(s), max_size=4))
+    # combinations of the basis rows, and of them plus one unit vector
+    for c in data.draw(st.lists(st.lists(coeff, min_size=len(basis), max_size=len(basis)), max_size=3)):
+        x = [sum(a * r[j] for a, r in zip(c, basis)) for j in range(s)]
+        drawn += [x, [x[j] + (j == 0) for j in range(s)]]
+    for x in drawn:
+        image = [sum(x[i] * matrix[i][j] for i in range(s)) for j in range(t)]
+        assert (ech.solve(x) is not None) == f.target.contains(image)
+
+
+def _member(rows, v):
+    """Whether v lies in the row lattice of rows, by sympy's HNF."""
+    basis = sympy_row_hnf(rows) if rows else []
+    return solve_in_rows(intmat(basis), v) is not None if basis else not any(v)
+
+
+def _rank(rows):
+    return Matrix(rows).rank() if rows else 0
+
+
+@st.composite
+def lattice_meets(draw):
+    """(n, a, b): up to 4 rows each of width up to 4; b is often a scaled
+    copy of combinations of a's rows, so the meet is often nonzero."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    a = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(1, 4)))]
+    b = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        scale = draw(st.integers(1, 4))
+        b += [[scale * sum(draw(st.integers(-2, 2)) * r[j] for r in a) for j in range(n)] for _ in range(2)]
+    return n, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_meets(), st.data())
+def test_lattice_intersect_is_the_meet(case, data):
+    n, a, b = case
+    meet = _ints(lattice_intersect(intmat(a), b))
+    assert meet == sympy_row_hnf(meet)
+    assert _rank(meet) == _rank(a) + _rank(b) - _rank(a + b)
+    coeff = st.integers(-3, 3)
+    drawn = data.draw(st.lists(vectors(n), max_size=3))
+    for rows in (a, b, meet):
+        for c in data.draw(st.lists(st.lists(coeff, min_size=len(rows), max_size=len(rows)), max_size=3)):
+            drawn.append([sum(x * r[j] for x, r in zip(c, rows)) for j in range(n)])
+    for v in drawn:
+        assert _member(meet, v) == (_member(a, v) and _member(b, v))
 
 
 # -- subquotient against sympy ---------------------------------------------------

@@ -240,6 +240,21 @@ def test_parse_ring():
         parse_ring("ring(3)")
 
 
+def test_prime_power_base_reads_one_way():
+    for q, label in (("9", "gf(3^2)"), ("4", "gf(2^2)")):
+        r = parse_ring(f"gf({q})[t]/t^2")
+        assert r.label == f"{label}[t]/t^2" and r.size() == int(q) ** 2
+    with pytest.raises(ValueError, match="4 is not prime"):
+        parse_ring("gf(4^2)[t]/t^2")
+
+
+def test_field_under_every_descriptor():
+    for desc in ("gf(11)", "z/11", "gf(11)[t]/t^1", "gf(3^2)", "gf(9)[t]/t^1"):
+        assert parse_ring(desc).is_field
+    for desc in ("z/11^2", "gf(11)[t]/t^2", "gf(9)[t]/t^2"):
+        assert not parse_ring(desc).is_field
+
+
 def test_element_orders():
     orders = element_orders(GF(7))
     assert orders[1] == 1 and orders[6] == 2
