@@ -60,10 +60,10 @@ MAX_BALL_VERTICES = 10**6
 # largest ring, in elements, that `group` and the ring suites of `verify`
 # accept, and the largest p of `specialize` and the prime suites.  The
 # five-term relations number about |W|^2; measured one process each on a
-# 2-CPU machine, `group RP1` takes 0.7-0.9 s on GF(211) and on GF(233),
-# and the library's `ctx.rp1()` 0.3-0.5 s on GF(211), 0.5-0.6 s on
-# GF(233) and 0.9-1.3 s (about 60 MB peak RSS) on GF(289), and
-# `verify specialize` takes 2.3-2.7 s at p = 233.  The cap stays at 233:
+# 2-CPU machine, `group RP1` takes 0.6-0.7 s on GF(211) and 0.7-0.8 s on
+# GF(233), and the library's `ctx.rp1()` 0.2 s on GF(211), 0.25-0.3 s on
+# GF(233) and 0.5-0.6 s (about 55 MB peak RSS) on GF(289), and
+# `verify specialize` takes 2.1-2.5 s at p = 233.  The cap stays at 233:
 # the prime cap is the same number, and past 255, GF(2^4)[t]/t^2 (256
 # elements, |G| = 16) does not finish `group RP` in 60 s
 MAX_RING_SIZE = 233

@@ -18,20 +18,22 @@ appear only at the API edge, as views built on each read (``hnf_rows``,
 to triangular rows, then the Hermite basis of their lattice modulo its
 determinant D, where no entry exceeds D; a rank-deficient lattice is first
 projected onto its pivot columns and lifted back through its rational
-kernel.  It reduces a subset of SUBSET_PER_COLUMN (2) rows per column: all
-the rows of a shorter input, else a seeded random sample (the five-term
-relation matrices), whose basis is returned only under a certificate
-checked at run time: every input row maps to 0 under the basis's quotient
-map (``_unkilled`` projects the rows in blocks through int64 arrays when no
-sum can reach 2^62, else row by row), so the subset's lattice L_S lies in
-the basis's, and the basis has L_S's rank and its pivots multiply to L_S's
-determinant on the same pivot columns, so the two lattices are equal.
-Rows that the map does not kill join the subset for another round, at
-most as many as the subset holds, so it at most doubles; a subset that
-holds every row needs no certificate.  The rows are read in place and
-only the subset is copied.  The certified basis comes with the quotient
-map its certificate built, and an FpAb keeps that map instead of
-building it again.
+kernel.  An input of at most WHOLE_PER_COLUMN (4) rows per column is
+reduced whole.  A taller one (the five-term relation matrices) starts from
+a subset of n + 8 rows of a seeded stream, taken so that two of them touch
+each column where the stream allows: a uniform sample that small misses
+columns of the sparse five-term rows, and so rank.  The subset's basis is
+returned only under a certificate checked at run time: every input row
+maps to 0 under the basis's quotient map (``_unkilled`` projects the rows
+in blocks through int64 arrays when no sum can reach 2^62, else row by
+row), so the subset's lattice L_S lies in the basis's, and the basis has
+L_S's rank and its pivots multiply to L_S's determinant on the same pivot
+columns, so the two lattices are equal.  Rows that the map does not kill
+join the subset for another round, at most as many as the subset holds,
+so it at most doubles; a subset that holds every row needs no
+certificate.  The rows are read in place and only the subset is copied.
+The certified basis comes with the quotient map its certificate built,
+and an FpAb keeps that map instead of building it again.
 
 Kernels, preimages and intersections are one question, ``_vanishing``:
 the lattice carried by the combinations of rows that vanish, from one
@@ -340,9 +342,62 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     return _dense(_hnf_sparse(rows, n)[0], n)
 
 
-# _hnf_sparse reduces a subset of this many rows per column
-SUBSET_PER_COLUMN = 2
+# _hnf_sparse reduces an input of at most WHOLE_PER_COLUMN * n rows whole;
+# a taller one starts from a subset that covers every column _COVER times,
+# drawn from a seeded stream of _STREAM_PER_COLUMN * n + _STREAM_EXTRA rows
+# and padded to n + _SUBSET_EXTRA rows
+WHOLE_PER_COLUMN = 4
+_STREAM_PER_COLUMN = 8
+_STREAM_EXTRA = 64
+_COVER = 2
+_SUBSET_EXTRA = 8
 _SUBSET_SEED = 7
+
+
+def _supports(rows, stream: list[int]):
+    """The columns of each stream row's sparse form, one row at a time.  A
+    table row's zeros are dropped and, where it repeats a column, its
+    entries summed first, so that columns which cancel do not count; no
+    row dict is built."""
+    if not isinstance(rows, RowTable):
+        return (rows[i].keys() for i in stream)
+    cols, vals = rows.cols[stream], rows.vals[stream]
+    ordered = np.sort(cols, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
+    return (
+        _summed(zip(c, v)).keys() if rep else [j for j, x in zip(c, v) if x]
+        for rep, c, v in zip(repeats, cols.tolist(), vals.tolist())
+    )
+
+
+def _first_subset(rows, n: int) -> set[int]:
+    """The indices of the rows ``_hnf_sparse`` reduces first: every row of
+    an input of at most WHOLE_PER_COLUMN * n rows, else rows of a seeded
+    stream of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of them.  A
+    stream row joins while its support touches a column that fewer than
+    _COVER chosen rows touch, and skipped stream rows pad the subset to
+    n + _SUBSET_EXTRA rows.  A uniform sample that small misses columns of
+    sparse rows, and so rank; this one touches each column as often as
+    _COVER or the stream allows."""
+    m = len(rows)
+    if m <= WHOLE_PER_COLUMN * n:
+        return set(range(m))
+    stream = random.Random(_SUBSET_SEED).sample(range(m), min(m, _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
+    cover = [0] * n
+    short = n  # columns that fewer than _COVER chosen rows touch
+    chosen, skipped = [], []
+    for t, support in enumerate(_supports(rows, stream)):
+        if not any(cover[j] < _COVER for j in support):
+            skipped.append(stream[t])
+            continue
+        chosen.append(stream[t])
+        for j in support:
+            cover[j] += 1
+            short -= cover[j] == _COVER
+        if not short:
+            skipped += stream[t + 1 :]
+            break
+    return set(chosen + skipped[: max(0, n + _SUBSET_EXTRA - len(chosen))])
 
 
 def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
@@ -353,16 +408,17 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     The rows are read in place and may repeat; the subset rows are copied
     (or, from a table, built) before the reduction modifies them, and the
     certificate projects a table without building its rows.  The first
-    subset is every row of an input of at most SUBSET_PER_COLUMN * n rows,
-    else a seeded random sample of that many.  Each round reduces the
-    subset to triangular rows, and ``_subset_hnf`` gives the HNF B of their
-    lattice L_S modulo its determinant, with the index d_S of L_S on its
-    pivot columns.  A subset that holds every row returns B with no map:
-    L_S is the input lattice.  Otherwise B is accepted only if its quotient
-    map kills every input row, it has rank(L_S) rows and its pivots
-    multiply to d_S.  Then L_S lies in L(B) of the same rank, so both span
-    one space with one set of echelon pivot columns, onto which the
-    projection is injective, and equal indices there give L(B) = L_S =
+    subset (``_first_subset``) is every row of an input of at most
+    WHOLE_PER_COLUMN * n rows, else at least n + 8 rows of a seeded stream
+    that touch each column twice where the stream does.  Each round
+    reduces the subset to triangular rows, and ``_subset_hnf`` gives the
+    HNF B of their lattice L_S modulo its determinant, with the index d_S
+    of L_S on its pivot columns.  A subset that holds every row returns B
+    with no map: L_S is the input lattice.  Otherwise B is accepted only if
+    its quotient map kills every input row, it has rank(L_S) rows and its
+    pivots multiply to d_S.  Then L_S lies in L(B) of the same rank, so
+    both span one space with one set of echelon pivot columns, onto which
+    the projection is injective, and equal indices there give L(B) = L_S =
     lattice(rows).
 
     Input rows that the map does not kill join the subset for the next
@@ -373,8 +429,7 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
-    size = SUBSET_PER_COLUMN * n
-    chosen = set(rng.sample(range(len(rows)), size) if len(rows) > size else range(len(rows)))
+    chosen = _first_subset(rows, n)
     work = [copy(i) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)

@@ -85,6 +85,10 @@ def chain_identities_hold(c: RowComplex) -> bool:
 # ---------------------------------------------------------------------------
 # brute-force orbit census
 
+# largest field the census enumerates: it runs through all of SL2(k), about
+# q^3 elements, for each tuple of points
+MAX_CENSUS_Q = 31
+
 
 def projective_points(k: GF) -> list:
     """P^1(k) as normalized column representatives (1, x) and (0, 1)."""
@@ -121,8 +125,8 @@ def orbit_classify(k: GF, tuple_len: int) -> dict:
     points, by canonical-form hashing under full group enumeration."""
     if tuple_len not in (3, 4, 5):
         raise ValueError("tuple_len must be 3, 4 or 5")
-    if k.q > 31:
-        raise ValueError("orbit census is guarded to q <= 31")
+    if k.q > MAX_CENSUS_Q:
+        raise ValueError(f"orbit census is guarded to q <= {MAX_CENSUS_Q}")
     pts = projective_points(k)
     index = {p: i for i, p in enumerate(pts)}
     group = _sl2_elements(k)

@@ -374,6 +374,9 @@ def suite_witt(ring: Ring, **_) -> list[Check]:
 
 
 def suite_orbits(q: int, **_) -> list[Check]:
+    # refused before the trial division of prime_power_decompose runs
+    if q > orbitcomplex.MAX_CENSUS_Q:
+        raise ValueError(f"--q {q} is more than {orbitcomplex.MAX_CENSUS_Q}")
     pd = prime_power_decompose(q)
     if pd is None:
         raise ValueError(f"{q} is not a prime power")

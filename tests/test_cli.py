@@ -427,6 +427,20 @@ def test_oversized_exactness_q_rejected_before_any_tuple(capsys, monkeypatch, q)
     assert err.startswith("error:") and f"more than {verify.MAX_EXACTNESS_Q}" in err
 
 
+@pytest.mark.parametrize("q", [verify.orbitcomplex.MAX_CENSUS_Q + 1, 49, 1000000007 * 1000000009])
+def test_oversized_orbits_q_rejected_before_it_is_decomposed(capsys, monkeypatch, q):
+    # 1000000007 * 1000000009 took prime_power_decompose's trial division
+    # past 10 s before the census guard ran
+    def refuse(*args):
+        raise AssertionError("q may not be decomposed or enumerated")
+
+    monkeypatch.setattr(verify.orbitcomplex, "orbit_classify", refuse)
+    monkeypatch.setattr(verify, "prime_power_decompose", refuse)
+    code, out, err = run_cli(["verify", "orbits", "--q", str(q)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {verify.orbitcomplex.MAX_CENSUS_Q}" in err
+
+
 @pytest.mark.parametrize("q", [-1, 0, 2, 3])
 def test_exactness_q_below_four_is_usage_error(capsys, monkeypatch, q):
     # q + 1 points carry no (q + 2)-tuples, so degree q cannot be exact

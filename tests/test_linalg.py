@@ -809,7 +809,7 @@ def lattice_rows(rng, gens, count, coeff=2):
 
 
 def tall(n):
-    return linalg.SUBSET_PER_COLUMN * n + 1
+    return linalg.WHOLE_PER_COLUMN * n + 1
 
 
 def certified_case(kind):
@@ -904,9 +904,12 @@ def test_certified_hnf_grows_a_subset_that_misses_a_rare_generator(monkeypatch, 
     rows = [r for r in lattice_rows(rng, gens, 4 * total, coeff=9) if any(r)]
     rows = list(dict.fromkeys(map(tuple, rows)))[:total]
     assert len(rows) == total
-    # the subset hnf_rows samples, so that the rare row lies outside it
-    chosen = set(random.Random(linalg._SUBSET_SEED).sample(range(total + 1), tall(n) - 1))
-    at = min(set(range(total + 1)) - chosen)
+    # the first place where the rare row lies outside the first subset
+    at = next(
+        at
+        for at in range(total + 1)
+        if at not in linalg._first_subset(_sparse(rows[:at] + [extra] + rows[at:]), n)
+    )
     rows.insert(at, tuple(extra))
     rounds = count_subset_rounds(monkeypatch)
     got = [[int(x) for x in r] for r in hnf_rows([list(r) for r in rows], n)]
@@ -977,19 +980,23 @@ def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, faul
 
 
 def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
-    # the seeded subset spans {x : x_0 even}, an index-2 sublattice, and half
-    # the other rows have x_0 odd: more rows than the subset holds escape it
+    # the first subset spans {x : x_0 even}, an index-2 sublattice, and half
+    # the other rows have x_0 odd: more rows than the subset holds escape it.
+    # No entry is 0, so every row touches every column, and the subset does
+    # not change with the values
     n, m = 3, 60
     rng = random.Random(6)
-    chosen = sorted(random.Random(linalg._SUBSET_SEED).sample(range(m), tall(n) - 1))
-    even = [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
-    rows = lattice_rows(rng, even, m)
+    even = [[2, 1, 1], [2, 1, 2], [2, 2, 1]]  # a basis of {x : x_0 even}
+    rows = [r for r in lattice_rows(rng, even, 4 * m) if all(r)][:m]
+    assert len(rows) == m
+    chosen = sorted(linalg._first_subset(_sparse(rows), n))
     for k, i in enumerate(chosen[:n]):
         rows[i] = list(even[k])
     odd = sorted(set(range(m)) - set(chosen))[::2]
     for i in odd:
         rows[i][0] += 1
-    assert sympy_row_hnf([rows[i] for i in chosen]) == even
+    assert sorted(linalg._first_subset(_sparse(rows), n)) == chosen
+    assert sympy_row_hnf([rows[i] for i in chosen]) == [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert len(chosen) < len(odd) < m - len(chosen)
     # as a table, whose rows the certified path builds once, as they join
     table = linalg.RowTable(np.array([list(range(n))] * m), np.array(rows), n)
@@ -1061,8 +1068,8 @@ def test_certified_path_on_few_distinct_rows_matches_full_path(monkeypatch):
     # size raw, not distinct, so the certified rounds run
     rng = random.Random(4)
     n = 3
-    rows = lattice_rows(rng, [[2, 1, 0], [0, 3, 1], [1, 0, 4]], linalg.SUBSET_PER_COLUMN * n) * 3
-    assert len(rows) > linalg.SUBSET_PER_COLUMN * n >= len({tuple(r) for r in rows})
+    rows = lattice_rows(rng, [[2, 1, 0], [0, 3, 1], [1, 0, 4]], linalg.WHOLE_PER_COLUMN * n) * 3
+    assert len(rows) > linalg.WHOLE_PER_COLUMN * n >= len({tuple(r) for r in rows})
     rounds = count_subset_rounds(monkeypatch)
     got = _ints(hnf_rows(_sparse(rows), n))
     assert rounds, "the certified path did not run"
@@ -1071,12 +1078,12 @@ def test_certified_path_on_few_distinct_rows_matches_full_path(monkeypatch):
 
 @st.composite
 def short_inputs(draw):
-    """(n, rows): at most SUBSET_PER_COLUMN * n rows of width n, zero rows
+    """(n, rows): at most WHOLE_PER_COLUMN * n rows of width n, zero rows
     and repeats of an earlier row frequent."""
     n = draw(st.integers(1, 5))
     entry = st.one_of(st.just(0), st.integers(-9, 9))
     rows = []
-    for _ in range(draw(st.integers(0, linalg.SUBSET_PER_COLUMN * n))):
+    for _ in range(draw(st.integers(0, linalg.WHOLE_PER_COLUMN * n))):
         pick = draw(st.integers(0, 3))
         if pick == 0:
             rows.append([0] * n)
@@ -1209,9 +1216,16 @@ def test_table_images_take_the_exact_path_past_int64():
     assert _unkilled(proj, table) == [0, 1]
 
 
+def _moved_to_column_0(cols, vals, n, i):
+    """The table of width n with row i's first column moved to 0."""
+    cols = cols.copy()
+    cols[i, 0] = 0
+    return linalg.RowTable(cols, vals, n)
+
+
 def test_corrupted_table_row_joins_the_subset(monkeypatch):
     # rows of {x : x_0 even} as a table, each 2e_0, e_1 or e_2 padded with
-    # zero values; one row outside the seeded subset gets its column moved
+    # zero values; one row outside the first subset gets its column moved
     # to 0, which the first certificate cannot kill, so the row joins the
     # subset and the basis becomes Z^3
     n, m = 3, 60
@@ -1219,13 +1233,16 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
     cols = np.array([[i % 3, rng.randrange(3), rng.randrange(3)] for i in range(m)])
     vals = np.array([[(2, 1, 1)[i % 3], 0, 0] for i in range(m)])
     good = linalg.RowTable(cols, vals, n)
-    chosen = set(random.Random(linalg._SUBSET_SEED).sample(range(m), tall(n) - 1))
+    chosen = linalg._first_subset(good, n)
     assert {i % 3 for i in chosen} == {0, 1, 2}
     assert linalg._hnf_sparse(good, n)[0] == [{0: 2}, {1: 1}, {2: 1}]
-    bad = min(i for i in set(range(m)) - chosen if i % 3)
-    cols = cols.copy()
-    cols[bad, 0] = 0
-    corrupted = linalg.RowTable(cols, vals, n)
+    # the first such row that the corrupted table's first subset leaves out
+    bad = next(
+        i
+        for i in sorted(set(range(m)) - chosen)
+        if i % 3 and linalg._first_subset(_moved_to_column_0(cols, vals, n, i), n) == chosen
+    )
+    corrupted = _moved_to_column_0(cols, vals, n, bad)
     assert corrupted.row(bad).get(0, 0) % 2 == 1
     missing = []
     unkilled = linalg._unkilled
@@ -1239,6 +1256,106 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
     basis, proj = linalg._hnf_sparse(corrupted, n)
     assert missing == [[bad], []]
     assert basis == [{0: 1}, {1: 1}, {2: 1}]
+
+
+# -- the first subset of the certified path ---------------------------------------
+
+
+def test_first_subset_is_every_row_of_a_short_input_else_n_plus_8_rows():
+    n = 2
+    rows = [{0: 1}, {1: 1}] * 20
+    short = rows[: linalg.WHOLE_PER_COLUMN * n]
+    assert linalg._first_subset(short, n) == set(range(len(short)))
+    # one row more: a stream of fewer than n + 8 rows, all of which pad the subset
+    assert linalg._first_subset(short + [{0: 2}], n) == set(range(len(short) + 1))
+    assert len(linalg._first_subset(rows, n)) == n + linalg._SUBSET_EXTRA
+
+
+@pytest.mark.parametrize("at", range(16))
+def test_first_subset_does_not_count_a_column_whose_entries_cancel(at):
+    # 8 table rows touch column 1 only through two entries that cancel, and
+    # 2 rows touch it for real, at rows at and 16 - at: wherever they
+    # stand, both join.  Counted on the raw columns, cancelling rows ahead
+    # of them would cover column 1
+    n = 4
+    filler = [([0, 2], [1, 1]), ([2, 3], [1, -1]), ([0, 3], [2, 1]), ([0, 0], [1, 1])]
+    rows = [filler[i % 4] for i in range(7)] + [([1, 1], [5, -5])] * 8
+    real = (at, 16 - at) if at != 8 else (8, 0)
+    for i, row in zip(sorted(real), [([1, 1], [2, 1]), ([1, 3], [1, 1])]):
+        rows.insert(i, row)
+    table = linalg.RowTable(np.array([c for c, _ in rows]), np.array([v for _, v in rows]), n)
+    assert len(table) == linalg.WHOLE_PER_COLUMN * n + 1
+    chosen = linalg._first_subset(table, n)
+    assert set(real) <= chosen
+    assert chosen == linalg._first_subset(table.rows(), n)
+    basis, _ = linalg._hnf_sparse(table, n)
+    assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(table.rows(), n)))
+
+
+@st.composite
+def sparse_tables(draw):
+    """A RowTable of width up to 3 whose rows hold 1 to 3 entries, zero
+    values and cancelling repeats frequent, with up to 16 rows more than
+    the stream of the first subset takes."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, linalg._STREAM_PER_COLUMN * n + linalg._STREAM_EXTRA + 16))
+    col = st.integers(0, n - 1)
+    val = st.one_of(st.just(0), st.sampled_from([1, -1, 2, -2, 3, 6]))
+    cols = [[draw(col) for _ in range(k)] for _ in range(m)]
+    vals = [[draw(val) for _ in range(k)] for _ in range(m)]
+    if k > 1 and m:
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=m // 2)):
+            cols[i][1] = cols[i][0]
+            vals[i][1] = -vals[i][0]
+    return linalg.RowTable(np.array(cols, dtype=np.int64).reshape(m, k), np.array(vals, dtype=np.int64).reshape(m, k), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_tables())
+def test_first_subset_covers_each_column_the_stream_touches_twice(table):
+    n, m = table.ncols, len(table)
+    rows = table.rows()
+    chosen = linalg._first_subset(table, n)
+    assert chosen == linalg._first_subset(table, n) == linalg._first_subset(rows, n)
+    if m <= linalg.WHOLE_PER_COLUMN * n:
+        assert chosen == set(range(m))
+    else:
+        size = min(m, linalg._STREAM_PER_COLUMN * n + linalg._STREAM_EXTRA)
+        stream = random.Random(linalg._SUBSET_SEED).sample(range(m), size)
+        assert chosen <= set(stream)
+        assert len(chosen) >= min(size, n + linalg._SUBSET_EXTRA)
+        for j in range(n):
+            touching = [i for i in stream if j in rows[i]]
+            assert sum(i in chosen for i in touching) >= min(2, len(touching))
+    basis, _ = linalg._hnf_sparse(table, n)
+    assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(rows, n)) or [[0] * n])
+
+
+@pytest.mark.parametrize("missed", range(6))
+def test_first_subset_that_misses_a_column_still_reaches_the_basis(monkeypatch, missed):
+    # a first subset patched to hold no row that touches one column: the
+    # certificate finds the rows it leaves out, and a later round adds them
+    n, m = 6, 80
+    rng = random.Random(12)
+    rows = []
+    for _ in range(m):
+        a, b = rng.sample(range(n), 2)
+        rows.append({a: rng.choice([1, -1, 2, 3]), b: rng.choice([1, -2, 4])})
+    first = linalg._first_subset
+    patched = []
+
+    def missing(rows, n):
+        out = {i for i in first(rows, n) if missed not in rows[i]}
+        patched.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(linalg, "_first_subset", missing)
+    rounds = count_subset_rounds(monkeypatch)
+    basis, proj = linalg._hnf_sparse(rows, n)
+    assert patched and all(missed not in rows[i] for i in patched[0])
+    assert len(rounds) >= 2 and proj is not None
+    assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(rows, n)))
 
 
 # -- kernels and images against sympy --------------------------------------------

@@ -433,8 +433,8 @@ def test_five_term_table_matches_the_formula(label):
 
 def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
     # P(GF(97)) reads its 8930 five-term relations as one table: dicts are
-    # built only for the rows the certified reduction takes in, the seeded
-    # subset and the rows its certificate adds
+    # built only for the rows the certified reduction takes in, the first
+    # subset of 95 + 8 rows and the rows its certificate adds
     made = []
     added = []
     row, pb_row, unkilled = linalg.RowTable.row, ScissorsContext.pb_row, linalg._unkilled
@@ -459,8 +459,39 @@ def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
     group = ctx.pre_bloch()
     assert group.invariant_factors() == (98,)
     assert len(ctx.five_terms().gens) == 8930
-    assert len(made) <= linalg.SUBSET_PER_COLUMN * 95 + len(added)
+    assert len(made) <= 95 + linalg._SUBSET_EXTRA + len(added)
 
+
+
+def test_five_term_lattices_certify_in_one_round(monkeypatch):
+    # the first subset, n + 8 rows that touch every column twice, already
+    # spans each lattice: P, L- and S of GF(121), and P(GF(p)) for the
+    # primes 11..97, certify on their first round.  Counted on the raw
+    # table columns, a cancelling repeat left column 52 of P(GF(121))
+    # untouched, and the first round reached rank 118 of 119
+    calls, rounds = [], []
+    hnf, step = linalg._hnf_sparse, linalg._subset_hnf
+
+    def counted_hnf(rows, n):
+        rounds.clear()
+        basis, proj = hnf(rows, n)
+        if proj is not None:
+            calls.append([n, len(rounds)])
+        return basis, proj
+
+    def counted_step(retired, n):
+        rounds.append(len(retired))
+        return step(retired, n)
+
+    monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
+    monkeypatch.setattr(linalg, "_subset_hnf", counted_step)
+    ctx = ScissorsContext(parse_ring("gf(121)"))
+    ctx.pre_bloch().echelon()
+    ctx.rp_flat()
+    primes = [p for p in range(11, 98) if all(p % d for d in range(2, p))]
+    for p in primes:
+        ScissorsContext(parse_ring(f"gf({p})")).pre_bloch().echelon()
+    assert calls == [[119, 1], [119, 1], [120, 1]] + [[p - 2, 1] for p in primes]
 
 # -- RP membership as one sparse pass ------------------------------------------
 
