@@ -342,10 +342,7 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     return _dense(_hnf_sparse(rows, n)[0], n)
 
 
-# _hnf_sparse reduces an input of at most WHOLE_PER_COLUMN * n rows whole;
-# a taller one starts from a subset that covers every column _COVER times,
-# drawn from a seeded stream of _STREAM_PER_COLUMN * n + _STREAM_EXTRA rows
-# and padded to n + _SUBSET_EXTRA rows
+# the sizes and the seed of _hnf_sparse's first subset (_first_subset)
 WHOLE_PER_COLUMN = 4
 _STREAM_PER_COLUMN = 8
 _STREAM_EXTRA = 64
