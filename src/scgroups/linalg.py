@@ -354,8 +354,7 @@ _SUBSET_SEED = 7
 def _supports(rows, stream: list[int]):
     """The columns of each stream row's sparse form, one row at a time.  A
     table row's zeros are dropped and, where it repeats a column, its
-    entries summed first, so that columns which cancel do not count; no
-    row dict is built."""
+    entries summed first, so that columns which cancel do not count."""
     if not isinstance(rows, RowTable):
         return (rows[i].keys() for i in stream)
     cols, vals = rows.cols[stream], rows.vals[stream]
