@@ -352,18 +352,13 @@ _SUBSET_SEED = 7
 
 
 def _supports(rows, stream: list[int]):
-    """The columns of each stream row's sparse form, one row at a time.  A
-    table row's zeros are dropped and, where it repeats a column, its
-    entries summed first, so that columns which cancel do not count."""
+    """The columns of each stream row's sparse form, one row at a time: a
+    table row's repeated columns are summed and its zeros dropped first, so
+    that columns which cancel do not count."""
     if not isinstance(rows, RowTable):
         return (rows[i].keys() for i in stream)
-    cols, vals = rows.cols[stream], rows.vals[stream]
-    ordered = np.sort(cols, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
-    return (
-        _summed(zip(c, v)).keys() if rep else [j for j, x in zip(c, v) if x]
-        for rep, c, v in zip(repeats, cols.tolist(), vals.tolist())
-    )
+    cols, vals = rows.cols[stream].tolist(), rows.vals[stream].tolist()
+    return (_summed(zip(c, v)).keys() for c, v in zip(cols, vals))
 
 
 def _first_subset(rows, n: int) -> set[int]:
@@ -374,7 +369,9 @@ def _first_subset(rows, n: int) -> set[int]:
     _COVER chosen rows touch, and skipped stream rows pad the subset to
     n + _SUBSET_EXTRA rows.  A uniform sample that small misses columns of
     sparse rows, and so rank; this one touches each column as often as
-    _COVER or the stream allows."""
+    _COVER or the stream allows.  Up to 4n rows it still misses rank
+    often enough (RP~ = RP/K^(1) is a basis of RP and the psi_1 rows, 2n
+    to 4n of them) that a second round costs more than a whole reduction."""
     m = len(rows)
     if m <= WHOLE_PER_COLUMN * n:
         return set(range(m))

@@ -809,7 +809,10 @@ def lattice_rows(rng, gens, count, coeff=2):
 
 
 def tall(n):
-    return linalg.WHOLE_PER_COLUMN * n + 1
+    """The fewest rows of width n that the certified path does not reduce
+    whole: more than WHOLE_PER_COLUMN * n, and more than the n + 8 rows
+    that the first subset pads to."""
+    return max(linalg.WHOLE_PER_COLUMN * n, n + linalg._SUBSET_EXTRA) + 1
 
 
 def certified_case(kind):
@@ -887,6 +890,7 @@ def tall_lattices(draw):
 def test_certified_hnf_matches_oracle_on_random_tall_inputs(lat):
     n, rows = lat
     assume(len({tuple(r) for r in rows if any(r)}) >= tall(n))
+    assert len(linalg._first_subset(_sparse(rows), n)) < len(rows)
     got = [[int(x) for x in r] for r in hnf_rows(intmat(rows), n)]
     assert got == sympy_row_hnf(rows)
 
