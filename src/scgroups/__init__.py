@@ -6,7 +6,7 @@ finite local rings, all by arbitrary-precision integer linear algebra.
 
 __version__ = "0.1.0"
 
-from .linalg import FpAb, SmithData, cokernel, hnf, hnf_rows, iso_odd, snf
+from .linalg import FpAb, SmithData, cokernel, hnf_rows, iso_odd, snf
 from .rings import GF, TruncPoly, ZMod, parse_ring, square_classes
 from .scissors import ScissorsContext, context
 
@@ -19,7 +19,6 @@ __all__ = [
     "ZMod",
     "cokernel",
     "context",
-    "hnf",
     "hnf_rows",
     "iso_odd",
     "parse_ring",

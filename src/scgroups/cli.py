@@ -338,7 +338,7 @@ def _specialize_report(p: int, expr: str) -> dict:
     dpp = ctx.delta_pi_prime(val)
 
     def pack(elem):
-        red = ctx.rp_tilde.reduce(elem.vec)
+        red = ctx.rp_tilde.reduce(elem.entries)
         return {"zero": elem.is_zero(), "reduced": [int(x) for x in red]}
 
     return {

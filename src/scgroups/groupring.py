@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import AbMap, FpAb, RowTable, _image_blocks, _images, _section, _unkilled, intmat, zeros
+from .linalg import AbMap, FpAb, RowTable, _dense, _image_blocks, _images, _section, _unkilled
 from .rings import SqClassGroup
 
 RElem = dict  # class -> integer coefficient
@@ -104,11 +104,12 @@ def steinberg(G: SqClassGroup, a) -> RElem:
     return r_mul(dbl_bracket(G, a), dbl_bracket(G, ring.sub(ring.one, a)))
 
 
-def r_vector(x: RElem, order: int) -> np.ndarray:
-    out = zeros(1, order)[0]
-    for g, c in x.items():
-        out[g] = c
-    return out
+def steinberg_rows(G: SqClassGroup, W) -> list[RElem]:
+    """The values <g> <<a>><<1 - a>> of lambda_1 on the flat basis, with g
+    the outer loop: row g * |W| + i is lambda_1 of <g>[W[i]].  They span
+    the Steinberg ideal of GW."""
+    vals = [steinberg(G, a) for a in W]
+    return [{g ^ h: c for h, c in v.items()} for g in range(G.order) for v in vals]
 
 
 @dataclass(frozen=True)
@@ -137,18 +138,10 @@ def characters(G: SqClassGroup) -> list[Character]:
     return out
 
 
-def chi_ideal_rows(G: SqClassGroup, chi: Character) -> np.ndarray:
+def chi_ideal_rows(G: SqClassGroup, chi: Character) -> list[RElem]:
     """Z-lattice of the ideal R^chi, generated by g - chi(g) over g in G
     (a group basis suffices; the full set keeps the lattice obvious)."""
-    n = G.order
-    rows = []
-    for g in range(n):
-        row = [0] * n
-        row[g] += 1
-        row[0] -= chi(g)
-        if any(row):
-            rows.append(row)
-    return intmat(rows) if rows else zeros(0, n)
+    return [add({g: 1}, {0: -chi(g)}) for g in range(1, G.order)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,13 +284,9 @@ class RModPres:
         return self._flat
 
     def act_matrix(self, g: int) -> np.ndarray:
-        """Permutation matrix of the action of g on the flattened basis."""
-        n = self.flat_ngens
-        m = zeros(n, n)
-        for h in range(self.G.order):
-            for j in range(self.ngens):
-                m[self.flat_index(h, j), self.flat_index(h ^ g, j)] = 1
-        return m
+        """Permutation matrix of the action of g on the flattened basis:
+        row i has its one entry at act_permutation(g)[i]."""
+        return _dense([{j: 1} for j in self.act_permutation(g).tolist()], self.flat_ngens)
 
     def act_permutation(self, g: int) -> np.ndarray:
         """Cached index array idx with vec[idx] == vec @ act_matrix(g)."""

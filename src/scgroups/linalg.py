@@ -30,10 +30,12 @@ row), so the subset's lattice L_S lies in the basis's, and the basis has
 L_S's rank and its pivots multiply to L_S's determinant on the same pivot
 columns, so the two lattices are equal.  Rows that the map does not kill
 join the subset for another round, at most as many as the subset holds,
-so it at most doubles; a subset that holds every row needs no
-certificate.  The rows are read in place and only the subset is copied.
-The certified basis comes with the quotient map its certificate built,
-and an FpAb keeps that map instead of building it again.
+so it at most doubles; that round reduces them with the certified basis,
+whose entries lie below L_S's determinant, in place of the triangular
+rows.  A subset that holds every row needs no certificate.  The rows are
+read in place and only the subset is copied.  The certified basis comes
+with the quotient map its certificate built, and an FpAb keeps that map
+instead of building it again.
 
 Kernels, preimages and intersections are one question, ``_vanishing``:
 the lattice carried by the combinations of rows that vanish, from one
@@ -416,9 +418,14 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
 
     Input rows that the map does not kill join the subset for the next
     round, a seeded sample of at most len(subset) of them, so the subset
-    at most doubles; a subset row that it does not kill is a fault.  A
-    prefix is no subset: the first 476 rows of P(GF(121)) in pair order
-    reach rank 108 of 119.
+    at most doubles; a subset row that it does not kill is a fault.  The
+    next round reduces them together with B, not with the triangular
+    rows: the checks have just proved L(B) = L_S, so the new subset's
+    lattice is the same, and B's entries lie below d_S while the
+    triangular rows' can be far larger (on P(GF(729)), 2 541 bits against
+    an index of 1 460).  Hermite insertion modulo the determinant does
+    the same (Domich-Kannan-Trotter 1987).  A prefix is no subset: the
+    first 476 rows of P(GF(121)) in pair order reach rank 108 of 119.
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
@@ -443,7 +450,7 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
         if len(missing) > len(chosen):
             missing = sorted(rng.sample(missing, len(chosen)))
         chosen.update(missing)
-        work = [r for _, r in retired] + [copy(i) for i in missing]
+        work = [dict(r) for r in basis] + [copy(i) for i in missing]
 
 
 def _check_canonical(basis: list[dict], n: int) -> None:
@@ -683,13 +690,6 @@ class _ModLattice:
             for j, a in self.combs[u].items():
                 out[j] = out.get(j, 0) + q * a
         return {j: a for j, a in out.items() if a}
-
-
-def hnf(mat) -> np.ndarray:
-    """Column-style Hermite normal form (the canonical key convention:
-    nonnegative pivots, entries left of each pivot reduced into [0, pivot))."""
-    m = mat if isinstance(mat, np.ndarray) else intmat(mat)
-    return hnf_rows(m.T.copy()).T.copy()
 
 
 def _vanishing(pairs, n: int, width: int) -> list[dict]:

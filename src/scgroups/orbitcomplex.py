@@ -1,7 +1,7 @@
 """The bottom row of the E^1-page for the SL2 orbit stratification of
 tuples of lines: the chain Z[G]Z_2 -> Z[G]Z_1 -> Z[G] -> Z with the
 explicit differentials d4: [x,y] -> Y_{x,y}, d3: [x] -> <<x>><<1-x>> (the
-matrix of lambda_1), and d2 the augmentation; its homology; plus a
+rows of lambda_1), and d2 the augmentation; its homology; plus a
 brute-force orbit classifier for tuples of projective points and an
 exactness check for the full simplicial complex of a finite projective
 line.
@@ -13,29 +13,20 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .linalg import (
-    AbMap,
-    FpAb,
-    SparseEchelon,
-    identity,
-    sparse_rank_and_pivots,
-    subquotient,
-    zeros,
-)
+from .linalg import AbMap, FpAb, SparseEchelon, sparse_rank_and_pivots, subquotient
 from .rings import GF, Ring
 from .scissors import ScissorsContext, context
 
 
 @dataclass
 class RowComplex:
-    """Flattened matrices of the bottom row; basis conventions follow the
-    scissors context of the ring, whose cached lambda_1 matrix is d3."""
+    """The differentials of the bottom row as sparse rows, one per source
+    basis element; basis conventions follow the scissors context of the
+    ring, whose cached lambda_1 rows are d3, and d2 sends each class to 1."""
 
     ctx: ScissorsContext
-    d3: np.ndarray
-    d2: np.ndarray
+    d3: list
+    d2: list
 
     @cached_property
     def d4(self) -> list:
@@ -50,36 +41,32 @@ class RowComplex:
         """Homology of ... -> C2 -> C1 -> Z[G] -> Z -> Z at positions 1..3
         (position 1 uses the zero map out of the degree-1 term)."""
         if position == 1:
-            return subquotient(identity(1), self.d2)
+            return subquotient([[1]], self.d2)
         if position == 2:
-            return subquotient(_kernel(self.d2), self.d3)
+            return subquotient(_kernel(self.d2, 1), self.d3)
         if position == 3:
             # d4's rows are the G-translates of the RP relations, so their
             # lattice is that of RP's cached relation basis
-            return subquotient(_kernel(self.d3), self.ctx.rp_flat().echelon())
+            return subquotient(_kernel(self.d3, len(self.d2)), self.ctx.rp_flat().echelon())
         raise ValueError("position must be 1, 2 or 3")
 
 
-def _kernel(d: np.ndarray) -> SparseEchelon:
-    """The canonical basis of {x : x @ d = 0}, in sparse form."""
-    rows, cols = d.shape
-    return AbMap(FpAb(rows), FpAb(cols), d).kernel_subgroup().echelon
+def _kernel(rows: list, ncols: int) -> SparseEchelon:
+    """The canonical basis of {x : x @ rows = 0} for sparse rows of width
+    ncols."""
+    return AbMap(FpAb(len(rows)), FpAb(ncols), rows).kernel_subgroup().echelon
 
 
 def build_row_complex(ring: Ring) -> RowComplex:
     ctx = context(ring)
-    ng = ctx.G.order
-    d2 = zeros(ng, 1)
-    for g in range(ng):
-        d2[g, 0] = 1
-    return RowComplex(ctx=ctx, d3=ctx.lambda1_matrix(), d2=d2)
+    return RowComplex(ctx=ctx, d3=ctx.lambda1_matrix(), d2=[{0: 1}] * ctx.G.order)
 
 
 def chain_identities_hold(c: RowComplex) -> bool:
-    """d4 . d3 = 0 over the sparse rows of d4, and d3 . d2 = 0."""
-    rows, cols = c.d3.shape
-    kills = not AbMap(FpAb(rows), FpAb(cols), c.d3).unkilled(c.d4)
-    return kills and all(int(x) == 0 for x in (c.d3 @ c.d2).ravel())
+    """d4 . d3 = 0 and d3 . d2 = 0, each asked as whether a map kills rows."""
+    d3 = AbMap(FpAb(len(c.d3)), FpAb(len(c.d2)), c.d3)
+    d2 = AbMap(FpAb(len(c.d2)), FpAb(1), c.d2)
+    return not d3.unkilled(c.d4) and not d2.unkilled(c.d3)
 
 
 # ---------------------------------------------------------------------------

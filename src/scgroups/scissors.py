@@ -26,13 +26,13 @@ from .groupring import (
     dbl_bracket,
     p_plus,
     r_mul,
-    r_vector,
     relation_table,
     scale,
     stack_relations,
     steinberg,
+    steinberg_rows,
 )
-from .linalg import AbMap, FpAb, RowTable, SubgroupPres, ab_quotient, direct_sum, iso_odd, zeros
+from .linalg import AbMap, FpAb, RowTable, SubgroupPres, _dense, ab_quotient, direct_sum, iso_odd
 
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
@@ -111,10 +111,7 @@ class ScissorsContext:
     # bench/workloads.py calls it by this name
     def pb_vector(self, x: PBElem) -> np.ndarray:
         """The dense form of pb_row, for callers that need an array."""
-        v = zeros(1, len(self.W))[0]
-        for j, c in self.pb_row(x).items():
-            v[j] = c
-        return v
+        return _dense([self.pb_row(x)], len(self.W))[0]
 
     def pre_bloch(self) -> FpAb:
         """P(A): one generator per element of W, one relation per admissible
@@ -137,36 +134,26 @@ class ScissorsContext:
         if "S2" not in self._cache:
             gens, orders, _ = self.unit_decomposition()
             r = len(gens)
-            n = r * r
             rows = []
             for i in range(r):
                 for j in range(r):
-                    row = [0] * n
-                    row[i * r + j] = math.gcd(orders[i], orders[j])
-                    rows.append(row)
-                    row2 = [0] * n
-                    row2[i * r + j] += 1
-                    row2[j * r + i] += 1
-                    rows.append(row2)
-            self._cache["S2"] = FpAb(n, rows)
+                    rows.append({i * r + j: math.gcd(orders[i], orders[j])})
+                    rows.append(add({i * r + j: 1}, {j * r + i: 1}))
+            self._cache["S2"] = FpAb(r * r, rows)
         return self._cache["S2"]
 
-    def s2_vector(self, a, b) -> np.ndarray:
-        """Class of a (x) b in the tensor coordinates."""
-        gens, orders, dlog = self.unit_decomposition()
+    def s2_row(self, a, b) -> dict:
+        """Class of a (x) b in the tensor coordinates, as a sparse row."""
+        gens, _, dlog = self.unit_decomposition()
         r = len(gens)
         ea, eb = dlog[a], dlog[b]
-        v = zeros(1, r * r)[0]
-        for i in range(r):
-            for j in range(r):
-                v[i * r + j] += ea[i] * eb[j]
-        return v
+        return {i * r + j: x * y for i, x in enumerate(ea) if x for j, y in enumerate(eb) if y}
 
     def lambda_map(self) -> AbMap:
         """lambda: P(A) -> S^2, [a] -> a (x) (1-a)."""
         if "lam" not in self._cache:
             one, sub = self.ring.one, self.ring.sub
-            rows = [self.s2_vector(a, sub(one, a)) for a in self.W]
+            rows = [self.s2_row(a, sub(one, a)) for a in self.W]
             self._cache["lam"] = AbMap(self.pre_bloch(), self.s2_of_units(), rows)
         return self._cache["lam"]
 
@@ -218,25 +205,18 @@ class ScissorsContext:
     # bench/spans.py traces it by this name
     def rp_vector(self, x: RPElem) -> np.ndarray:
         """The dense form of rp_row, for callers that need an array."""
-        v = zeros(1, self.G.order * len(self.W))[0]
-        for j, c in self.rp_row(x).items():
-            v[j] = c
-        return v
+        return _dense([self.rp_row(x)], self.G.order * len(self.W))[0]
 
     def rp_is_zero(self, x: RPElem) -> bool:
         return self.rp_flat().contains(self.rp_row(x))
 
-    def lambda1_matrix(self) -> np.ndarray:
-        """Matrix of lambda_1 on the flattened RP basis into Z[G]."""
+    # lambda1_matrix, lambda2_matrix and p_plus_ideal_rows return sparse
+    # rows; the names stay because bench/spans.py traces them
+    def lambda1_matrix(self) -> list[dict]:
+        """The rows of lambda_1 on the flattened RP basis into Z[G], built
+        once (``groupring.steinberg_rows``)."""
         if "lam1" not in self._cache:
-            m = self.refined()
-            mat = zeros(m.flat_ngens, self.G.order)
-            for i, a in enumerate(self.W):
-                val = steinberg(self.G, a)
-                for g in range(self.G.order):
-                    for h, c in val.items():
-                        mat[m.flat_index(g, i), g ^ h] = c
-            self._cache["lam1"] = mat
+            self._cache["lam1"] = steinberg_rows(self.G, self.W)
         return self._cache["lam1"]
 
     def lambda1_map(self) -> AbMap:
@@ -252,16 +232,11 @@ class ScissorsContext:
             out = add(out, r_mul({g: c}, steinberg(self.G, a)))
         return out
 
-    def lambda2_matrix(self) -> np.ndarray:
-        """Matrix of lambda_2 (the G-invariant map to S^2)."""
-        m = self.refined()
-        s2 = self.s2_of_units()
-        mat = zeros(m.flat_ngens, s2.ngens)
-        for i, a in enumerate(self.W):
-            v = self.s2_vector(a, self.ring.sub(self.ring.one, a))
-            for g in range(self.G.order):
-                mat[m.flat_index(g, i)] = v
-        return mat
+    def lambda2_matrix(self) -> list[dict]:
+        """The rows of lambda_2, the G-invariant map to S^2: a (x) (1 - a)
+        on every translate of [a]."""
+        one, sub = self.ring.one, self.ring.sub
+        return [self.s2_row(a, sub(one, a)) for a in self.W] * self.G.order
 
     def rp1_subgroup(self) -> SubgroupPres:
         if "RP1" not in self._cache:
@@ -274,8 +249,10 @@ class ScissorsContext:
     def rb_subgroup(self) -> SubgroupPres:
         """RB = ker(lambda_1) ∩ ker(lambda_2), via the stacked map."""
         if "RB" not in self._cache:
-            target = direct_sum(FpAb(self.G.order), self.s2_of_units())
-            rows = [a + b for a, b in zip(self.lambda1_matrix().tolist(), self.lambda2_matrix().tolist())]
+            n = self.G.order
+            target = direct_sum(FpAb(n), self.s2_of_units())
+            lam1, lam2 = self.lambda1_matrix(), self.lambda2_matrix()
+            rows = [{**a, **{n + k: v for k, v in b.items()}} for a, b in zip(lam1, lam2)]
             self._cache["RB"] = AbMap(self.rp_flat(), target, rows).kernel_subgroup()
         return self._cache["RB"]
 
@@ -373,18 +350,13 @@ class ScissorsContext:
                 rows.append(self.rp_row(act({g: 1}, x)))
         return rows
 
-    def p_plus_ideal_rows(self) -> list[np.ndarray]:
+    def p_plus_ideal_rows(self) -> list[RElem]:
         """Z-lattice of p_{-1}^+ I_A inside Z[G]."""
-        n = self.G.order
-        rows = []
-        for g in range(1, n):
-            val = r_mul(p_plus(self.G), {g: 1, 0: -1})
-            rows.append(r_vector(val, n))
-        return rows or [r_vector({}, n)]
+        return [r_mul(p_plus(self.G), {g: 1, 0: -1}) for g in range(1, self.G.order)]
 
     def s2_tilde(self) -> FpAb:
         """S~^2 = S^2 / <(-a) (x) a : a unit>."""
-        extra = [self.s2_vector(self.ring.neg(a), a) for a in self.ring.units]
+        extra = [self.s2_row(self.ring.neg(a), a) for a in self.ring.units]
         return ab_quotient(self.s2_of_units(), extra)
 
     @dataclass

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .groupring import act, add, dbl_bracket, p_plus, scale
-from .linalg import FpAb, zeros
+from .linalg import FpAb, _dense
 from .rings import GF, is_prime
 from .scissors import ScissorsContext, context as scissors_context
 
@@ -278,10 +278,7 @@ class RPtElem:
     @property
     def vec(self) -> np.ndarray:
         if self._vec is None:
-            out = zeros(1, self.group.ngens)[0]
-            for i, v in self.entries.items():
-                out[i] = v
-            self._vec = out
+            self._vec = _dense([self.entries], self.group.ngens)[0]
         return self._vec
 
     def is_zero(self) -> bool:
@@ -442,11 +439,6 @@ class SpecializationContext:
             ),
             (1, _param_data(wa - wb, xa * ixb % p), (wa & 1, gc[xa])),
         )
-
-    def _act_vec(self, g: int, vec: np.ndarray) -> np.ndarray:
-        if g == 0:
-            return vec
-        return vec[self.sc.refined().act_permutation(g)]
 
     def delta_pi(self, x: SymRP) -> RPtElem:
         return self.s_v(x).comp_pi

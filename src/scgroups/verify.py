@@ -521,8 +521,10 @@ def suite_specialize(
             continue  # not a unit square class
         lhs = ctx.delta_0(act({qclass(u): 1}, sym_gen(a)))
         gbar = ctx.sc.G.class_of(ctx.residue(u))
-        rhs = ctx._act_vec(gbar, ctx.delta_0(sym_gen(a)).vec)
-        if not ctx.rp_tilde.contains(lhs.vec - rhs):
+        # the permutation is an involution, so the entry at i moves to perm[i]
+        perm = ctx.sc.refined().act_permutation(gbar).tolist()
+        rhs = {perm[i]: v for i, v in ctx.delta_0(sym_gen(a)).entries.items()}
+        if not ctx.rp_tilde.contains(add(lhs.entries, scale(-1, rhs))):
             ok = False
     out.append(Check(f"p={p}: delta_0 is R-linear on unit classes", ok))
 

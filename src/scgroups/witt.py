@@ -6,7 +6,7 @@ Z[G_R] are the sparse rows {class: coefficient} that FpAb takes.
 
 from __future__ import annotations
 
-from .groupring import RElem, r_mul, steinberg
+from .groupring import RElem, r_mul, steinberg_rows
 from .linalg import AbMap, FpAb
 
 # unused here: bench/test_checks.py checks that the benchmark's tracer
@@ -25,12 +25,8 @@ class WittContext:
 
     def steinberg_rows(self) -> list[RElem]:
         """Z-lattice of the ideal generated by <<u>><<1-u>>, u in W: the
-        G-translates of each generator."""
-        rows = []
-        for u in self.ring.w_set:
-            val = steinberg(self.G, u)
-            rows.extend(r_mul({g: 1}, val) for g in range(self.G.order))
-        return rows
+        G-translates of each generator, the rows of lambda_1."""
+        return steinberg_rows(self.G, self.ring.w_set)
 
     def gw(self) -> FpAb:
         if "gw" not in self._cache:

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from scgroups import linalg, orbitcomplex, witt
+from scgroups import groupring, linalg, orbitcomplex, scissors, valuation, witt
 from scgroups.rings import parse_ring
 from scgroups.scissors import ScissorsContext
 
@@ -131,15 +131,20 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("label", list(GOLDEN_BASES))
 def test_group_builds_make_no_dense_round_trip(monkeypatch, label):
     # the builds read only invariants, so no dense basis may be made: the
-    # exact core keeps sparse rows from the relations to the quotient map
+    # exact core keeps sparse rows from the relations to the quotient map,
+    # and the relation and map rows are built sparse outside it
     monkeypatch.setattr(linalg, "_dense", _refuse)
     monkeypatch.setattr(np, "vstack", _refuse)
     monkeypatch.setattr(np, "hstack", _refuse)
+    for module in (scissors, groupring, orbitcomplex, witt, valuation):
+        for name in ("zeros", "intmat", "identity", "_dense"):
+            monkeypatch.setattr(module, name, _refuse, raising=False)
     ctx = ScissorsContext(parse_ring(label))
     groups = [ctx.pre_bloch(), ctx.bloch(), ctx.rp1(), ctx.rb(), ctx.tilde().rp1_tilde.group]
     wctx = witt.WittContext(ctx.ring)
     row = orbitcomplex.build_row_complex(ctx.ring)
     groups += [wctx.fundamental_ideal(), wctx.i_squared()] + [row.homology_at(p) for p in (1, 2, 3)]
+    assert orbitcomplex.chain_identities_hold(row)
     if ctx.ring.kind != "field":
         res = ctx.l_submodule()
         assert res["kernel_ok"] and res["match"]

@@ -18,7 +18,6 @@ from scgroups.groupring import (
     dbl_bracket,
     p_plus,
     r_mul,
-    r_vector,
     scale,
 )
 from scgroups.linalg import (
@@ -156,17 +155,13 @@ def test_chi_ideal_odd_properties():
                 gen_g = add({g: 1}, {0: -chi(g)})
                 for h in range(n):
                     gen_h = add({h: 1}, {0: -chi(h)})
-                    sq_rows.append(r_vector(r_mul(gen_g, gen_h), n))
+                    sq_rows.append(r_mul(gen_g, gen_h))
             a = FpAb(n, rows)
-            import numpy as np
-
-            b = FpAb(n, np.vstack(sq_rows))
+            b = FpAb(n, sq_rows)
             assert iso_odd(a, b)
         for i, c1 in enumerate(chis):
             for c2 in chis[i + 1 :]:
-                import numpy as np
-
-                both = FpAb(n, np.vstack([chi_ideal_rows(G, c1), chi_ideal_rows(G, c2)]))
+                both = FpAb(n, chi_ideal_rows(G, c1) + chi_ideal_rows(G, c2))
                 # odd part of Z[G]/(R^c1+R^c2) is trivial
                 assert both.odd_order_trivial()
 
@@ -218,12 +213,6 @@ def test_chi_localize_right_exact_euler():
             # torsion comparison on odd parts via orders of finite parts
             assert mloc.free_rank >= qloc.free_rank
     # exactness statement proper is exercised via iso_odd in scissors tests
-
-
-def test_r_vector_roundtrip():
-    x = {0: 3, 1: -2}
-    v = r_vector(x, 2)
-    assert list(v) == [3, -2]
 
 
 def test_character_values():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from scgroups.linalg import (
     ab_quotient,
     cokernel,
     direct_sum,
-    hnf,
     hnf_rows,
     identity,
     intmat,
@@ -128,9 +128,6 @@ def test_hnf_canonical_and_idempotent():
         assert h[i, piv] > 0
         for k in range(i):
             assert 0 <= h[k, piv] < h[i, piv]
-    # column-style convention is the transpose dance
-    hc = hnf(a)
-    assert np.array_equal(hc, hnf_rows(a.T.copy()).T)
 
 
 def test_hnf_row_lattice_preserved():
@@ -983,11 +980,12 @@ def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, faul
     assert bool(lifted) == (fault == "lifted-entry")
 
 
-def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
-    # the first subset spans {x : x_0 even}, an index-2 sublattice, and half
-    # the other rows have x_0 odd: more rows than the subset holds escape it.
-    # No entry is 0, so every row touches every column, and the subset does
-    # not change with the values
+def _index_two_case(even_column_1=False):
+    """(rows, chosen, odd): 60 rows of width 3 whose first subset ``chosen``
+    spans {x : x_0 even}, an index-2 sublattice, while the rows ``odd``,
+    half the others, have x_0 odd (and x_1 even, with even_column_1): more
+    rows than the subset holds escape it.  No entry is 0, so every row
+    touches every column, and the subset does not change with the values."""
     n, m = 3, 60
     rng = random.Random(6)
     even = [[2, 1, 1], [2, 1, 2], [2, 2, 1]]  # a basis of {x : x_0 even}
@@ -999,9 +997,17 @@ def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
     odd = sorted(set(range(m)) - set(chosen))[::2]
     for i in odd:
         rows[i][0] += 1
+        if even_column_1:
+            rows[i][1] *= 2
     assert sorted(linalg._first_subset(_sparse(rows), n)) == chosen
     assert sympy_row_hnf([rows[i] for i in chosen]) == [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert len(chosen) < len(odd) < m - len(chosen)
+    return rows, chosen, odd
+
+
+def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
+    n, m = 3, 60
+    rows, chosen, _ = _index_two_case()
     # as a table, whose rows the certified path builds once, as they join
     table = linalg.RowTable(np.array([list(range(n))] * m), np.array(rows), n)
     built, sizes = [], []
@@ -1021,6 +1027,80 @@ def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
     assert len(sizes) >= 2 and sizes[0] == len(chosen)
     assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
     assert got == sympy_row_hnf(rows) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_certified_hnf_second_round_starts_from_the_first_rounds_basis(monkeypatch):
+    # round 2 reduces round 1's canonical basis, whose entries do not exceed
+    # the subset's index d_S, with the escaped rows, and certifies
+    rows, chosen, odd = _index_two_case()
+    inputs, rounds = [], []
+    reduce, step = linalg._sparse_reduce, linalg._subset_hnf
+
+    def recording_reduce(work, main):
+        inputs.append([dict(r) for r in work])
+        return reduce(work, main)
+
+    def recording_step(retired, n):
+        rounds.append(step(retired, n))
+        return rounds[-1]
+
+    monkeypatch.setattr(linalg, "_sparse_reduce", recording_reduce)
+    monkeypatch.setattr(linalg, "_subset_hnf", recording_step)
+    basis, proj = linalg._hnf_sparse(_sparse(rows), 3)
+    assert len(rounds) == len(inputs) == 2 and proj is not None
+    (first, d_s), _ = rounds
+    assert first == [{0: 2}, {1: 1}, {2: 1}] and d_s == 2
+    assert inputs[0] == _sparse([rows[i] for i in chosen])
+    assert inputs[1][: len(first)] == first
+    assert all(0 < v <= d_s for r in first for v in r.values())
+    escaped = inputs[1][len(first) :]
+    assert 0 < len(escaped) <= len(chosen) and all(r in _sparse([rows[i] for i in odd]) for r in escaped)
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_certified_hnf_refuses_a_basis_row_dropped_between_rounds(monkeypatch):
+    # the escaped rows have x_1 even, so without round 1's row e_1 the
+    # second subset misses the first one's rows of odd x_1
+    rows, _, _ = _index_two_case(even_column_1=True)
+    assert linalg._hnf_sparse(_sparse(rows), 3)[0] == [{0: 1}, {1: 1}, {2: 1}]
+    reduce, calls, dropped = linalg._sparse_reduce, [], []
+
+    def dropping(work, main):
+        calls.append(main)
+        if len(calls) == 2:
+            dropped.append(work.pop(1))
+        return reduce(work, main)
+
+    monkeypatch.setattr(linalg, "_sparse_reduce", dropping)
+    with pytest.raises(AssertionError, match="certified HNF"):
+        linalg._hnf_sparse(_sparse(rows), 3)
+    assert dropped == [{1: 1}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_certified_hnf_past_its_first_round_matches_sympy(data):
+    # a first subset inside {x : d | x_0} and a row outside it force a
+    # second round; the basis must still be the input lattice's HNF
+    n = data.draw(st.integers(1, 4))
+    d = data.draw(st.sampled_from([2, 3]))
+    entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    subset = data.draw(st.lists(entries, min_size=1, max_size=n + 3))
+    rest = data.draw(st.lists(entries, min_size=1, max_size=8))
+    rows = [[d * r[0]] + r[1:] for r in subset] + rest
+    if rows[len(subset)][0] % d == 0:
+        rows[len(subset)][0] += 1
+    step, rounds = linalg._subset_hnf, []
+
+    def counted(retired, n):
+        rounds.append(len(retired))
+        return step(retired, n)
+
+    with mock.patch.object(linalg, "_first_subset", lambda rows, n: set(range(len(subset)))):
+        with mock.patch.object(linalg, "_subset_hnf", counted):
+            basis, _ = linalg._hnf_sparse(_sparse(rows), n)
+    assert len(rounds) >= 2
+    assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
 
 
 def _sparse(rows):

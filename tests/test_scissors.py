@@ -93,13 +93,13 @@ def test_five_term_suite_fails_on_a_perturbed_map(monkeypatch, label, which):
         j = _unit_entry(ctx.pre_bloch()._rels().row(0))
         lam.rows[j] = add(lam.rows[j], e)
     else:
-        mat = (ctx.lambda1_matrix() if which == 1 else ctx.lambda2_matrix()).copy()
+        rows = list(ctx.lambda1_matrix() if which == 1 else ctx.lambda2_matrix())
         j = _unit_entry(ctx.refined().table.flat(n, order, 1).row(0))
-        mat[j, next(iter(e)) if which == 2 else 0] += 1
+        rows[j] = add(rows[j], e if which == 2 else {0: 1})
         if which == 1:
-            ctx._cache["lam1"] = mat
+            ctx._cache["lam1"] = rows
         else:
-            monkeypatch.setattr(ctx, "lambda2_matrix", lambda: mat)
+            monkeypatch.setattr(ctx, "lambda2_matrix", lambda: rows)
     checks = verify.suite_five_term(ctx.ring)
     assert [c.ok for c in checks] == [i != which for i in range(3)]
     assert checks[which].line().startswith("[FAIL]")
@@ -260,6 +260,21 @@ def test_tilde_quotients(label):
     assert iso_odd(tb.rp1_tilde.group, ctx.rp1())
 
 
+@pytest.mark.parametrize("label", ["gf(7)", "gf(49)", "z/7^2", "gf(2^2)[t]/t^2"])
+def test_lambda_rows_are_the_values_on_the_flat_basis(label):
+    # row g |W| + i of lambda_1 is its value on <g>[W[i]], and of lambda_2
+    # the class of W[i] (x) (1 - W[i]) for every g
+    ctx = ScissorsContext(parse_ring(label))
+    W, order, one, sub = ctx.W, ctx.G.order, ctx.ring.one, ctx.ring.sub
+    lam1, lam2 = ctx.lambda1_matrix(), ctx.lambda2_matrix()
+    assert len(lam1) == len(lam2) == order * len(W) == ctx.refined().flat_ngens
+    for g in range(order):
+        for i, a in enumerate(W):
+            assert lam1[g * len(W) + i] == ctx.lambda1_of({(g, a): 1})
+            assert lam2[g * len(W) + i] == ctx.s2_row(a, sub(one, a))
+    assert ctx.lambda1_matrix() is lam1
+
+
 def test_lambda1_on_k1_lattice():
     # lambda_1(K^(1)) equals the lattice p+I exactly, for GF(7)
     ctx = context("gf(7)")
@@ -275,7 +290,7 @@ def test_lambda1_on_k1_lattice():
         for g in range(n)
     ]
     lat1 = hnf_rows([list(v) for v in imgs], n)
-    lat2 = hnf_rows([list(r) for r in ctx.p_plus_ideal_rows()], n)
+    lat2 = hnf_rows(ctx.p_plus_ideal_rows(), n)
     assert np.array_equal(lat1, lat2)
 
 

@@ -167,7 +167,7 @@ def test_delta_r_linearity_on_unit_classes():
         x = sym_gen(a)
         lhs = ctx.delta_0(sym_act({qclass(u): 1}, x))
         gbar = ctx.sc.G.class_of(ctx.residue(u))
-        rhs_vec = ctx._act_vec(gbar, ctx.delta_0(x).vec)
+        rhs_vec = ctx.delta_0(x).vec[ctx.sc.refined().act_permutation(gbar)]
         assert ctx.rp_tilde.contains(lhs.vec - rhs_vec)
 
 
@@ -317,7 +317,8 @@ def _ref_symbol_data(ctx, cls, a):
 
 def _ref_s_v(ctx, x):
     """(delta_0, delta_pi, delta_pi') as dense vectors, as the Fraction
-    formulas built them: a dense case vector per symbol, moved by _act_vec."""
+    formulas built them: a dense case vector per symbol, moved by indexing
+    it with the action's permutation."""
     p = ctx.p
     ck = ctx.sc.rp_vector(ctx.sc.big_c())
     out = [0 * ck, 0 * ck, 0 * ck]
@@ -332,7 +333,7 @@ def _ref_s_v(ctx, x):
             base = ctx.sc.rp_vector({(0, _ref_residue(a, p)): 1})
         q = cls.value()
         gbar = ctx.sc.G.class_of(_ref_residue(_ref_unit_part(q, p), p))
-        moved = coeff * ctx._act_vec(gbar, base)
+        moved = coeff * base[ctx.sc.refined().act_permutation(gbar)]
         out[0] = out[0] + moved
         if _ref_vp(q, p) % 2:
             out[1] = out[1] + moved
