@@ -35,7 +35,14 @@ whose entries lie below L_S's determinant, in place of the triangular
 rows.  A subset that holds every row needs no certificate.  The rows are
 read in place and only the subset is copied.  The certified basis comes
 with the quotient map its certificate built, and an FpAb keeps that map
-instead of building it again.
+instead of building it again.  ``ab_quotient`` puts the group's canonical
+basis first, and the first subset takes it whole.
+
+Coordinates, membership and canonical representatives in a
+``SparseEchelon`` are one walk that takes the smallest column left in the
+vector from a heap, so it touches only the pivots the vector reaches;
+kernels and subquotients hand their coordinates to ``FpAb`` as
+{row: coefficient} dicts.
 
 Kernels, preimages and intersections are one question, ``_vanishing``:
 the lattice carried by the combinations of rows that vanish, from one
@@ -52,6 +59,7 @@ map with the map rows once and hands the rows to ``_unkilled``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -275,8 +283,6 @@ def _sparse_reduce(rows: list[dict], main: int) -> tuple[list[dict], list[dict]]
         nnz_main[rid] += grown
 
     retired: list[dict] = []
-    import heapq
-
     heap = [(len(s), j) for j, s in col_rows.items() if s]
     heapq.heapify(heap)
     while heap:
@@ -363,24 +369,32 @@ def _supports(rows, stream: list[int]):
     return (_summed(zip(c, v)).keys() for c, v in zip(cols, vals))
 
 
-def _first_subset(rows, n: int) -> set[int]:
+def _first_subset(rows, n: int, lead: int = 0) -> set[int]:
     """The indices of the rows ``_hnf_sparse`` reduces first: every row of
-    an input of at most WHOLE_PER_COLUMN * n rows, else rows of a seeded
-    stream of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of them.  A
+    an input of at most WHOLE_PER_COLUMN * n rows, else the first ``lead``
+    rows (a canonical basis, at most n rows) and rows of a seeded stream
+    of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of the others.  A
     stream row joins while its support touches a column that fewer than
     _COVER chosen rows touch, and skipped stream rows pad the subset to
     n + _SUBSET_EXTRA rows.  A uniform sample that small misses columns of
     sparse rows, and so rank; this one touches each column as often as
-    _COVER or the stream allows.  Up to 4n rows it still misses rank
-    often enough (RP~ = RP/K^(1) is a basis of RP and the psi_1 rows, 2n
-    to 4n of them) that a second round costs more than a whole reduction."""
+    _COVER or the stream allows, which still misses rank on rows of two
+    entries (a graph's edges), where a leading basis does not.  Up to 4n
+    rows it still misses rank often enough (RP~ = RP/K^(1) is a basis of
+    RP and the psi_1 rows, 2n to 4n of them) that a second round costs
+    more than a whole reduction."""
     m = len(rows)
     if m <= WHOLE_PER_COLUMN * n:
         return set(range(m))
-    stream = random.Random(_SUBSET_SEED).sample(range(m), min(m, _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
+    others = range(lead, m)
+    stream = random.Random(_SUBSET_SEED).sample(others, min(len(others), _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
     cover = [0] * n
-    short = n  # columns that fewer than _COVER chosen rows touch
-    chosen, skipped = [], []
+    for support in _supports(rows, list(range(lead))):
+        for j in support:
+            cover[j] += 1
+    # columns that fewer than _COVER chosen rows touch
+    short = sum(x < _COVER for x in cover)
+    chosen, skipped = list(range(lead)), []
     for t, support in enumerate(_supports(rows, stream)):
         if not any(cover[j] < _COVER for j in support):
             skipped.append(stream[t])
@@ -395,10 +409,12 @@ def _first_subset(rows, n: int) -> set[int]:
     return set(chosen + skipped[: max(0, n + _SUBSET_EXTRA - len(chosen))])
 
 
-def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
+def _hnf_sparse(rows, n: int, lead: int = 0) -> tuple[list[dict], Optional[_Projection]]:
     """Canonical HNF rows of the lattice of ``rows`` (sparse dicts as
     ``_sparse_rows`` gives them, or a RowTable of width n), with the
-    quotient map a certificate built for them, or None.
+    quotient map a certificate built for them, or None.  The first
+    ``lead`` rows, if any, are a canonical basis, which the first subset
+    takes whole.
 
     The rows are read in place and may repeat; the subset rows are copied
     (or, from a table, built) before the reduction modifies them, and the
@@ -429,7 +445,7 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[_Projection]]:
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
-    chosen = _first_subset(rows, n)
+    chosen = _first_subset(rows, n, lead)
     work = [copy(i) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)
@@ -725,10 +741,11 @@ def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
 
 class SparseEchelon:
     """A canonical row HNF in sparse form: ``basis`` holds its rows as
-    sparse dicts, and ``rows`` each row's pivot column, its pivot and the
-    nonzero (column, value) entries right of the pivot.  Coordinates,
-    membership and canonical representatives are back-substitutions on it
-    that touch only nonzero entries."""
+    sparse dicts, ``rows`` each row's pivot column, its pivot and the
+    nonzero (column, value) entries right of the pivot, and ``pivot_row``
+    the row of each pivot column.  Coordinates, membership and canonical
+    representatives are one sparse walk (``_walk``) that touches only the
+    pivots a vector reaches (Gilbert-Peierls 1988)."""
 
     def __init__(self, basis, ncols: Optional[int] = None):
         """``basis`` is a 2-D array, or rows in any form with ``ncols``."""
@@ -739,37 +756,65 @@ class SparseEchelon:
                 raise ValueError("an echelon basis has no zero rows")
             (j, p), *rest = sorted(r.items())
             self.rows.append((j, p, rest))
+        self.pivot_row = {j: i for i, (j, _, _) in enumerate(self.rows)}
 
-    def solve(self, v) -> Optional[list[int]]:
-        """Coefficients c with c @ basis == v, or None if v is not in the
-        row lattice.  v is a dense vector or a sparse {index: value} dict."""
+    def _walk(self, v, exact: bool) -> Optional[tuple[dict, dict]]:
+        """(coefficients {row: c}, remainder) of v against the basis: the
+        smallest column left in v is taken from a heap, and its row, if it
+        is a pivot column, is subtracted as often as its pivot fits in it.
+        A row changes only columns right of its pivot, so each column is
+        final when it is taken, and the walk gives what the row-order
+        back-substitution gives.  With ``exact`` the walk stops with None
+        at the first column that the basis cannot clear, so the remainder
+        of a returned pair is empty; otherwise the remainder is v's
+        canonical representative, each pivot column reduced into [0, pivot)."""
         r = dict(_sparse_row(v, self.ncols))
-        coeffs = [0] * len(self.rows)
-        for i, (j, p, rest) in enumerate(self.rows):
-            x = r.pop(j, 0)
-            if not x:
+        heap = list(r)
+        heapq.heapify(heap)
+        coeffs: dict = {}
+        last = -1
+        while heap:
+            c = heapq.heappop(heap)
+            if c == last or c not in r:
                 continue
-            q, rem = divmod(x, p)
+            last = c
+            i = self.pivot_row.get(c)
+            if i is None:
+                if exact:
+                    return None
+                continue
+            _, p, rest = self.rows[i]
+            q, rem = divmod(r.pop(c), p)
             if rem:
-                return None
+                if exact:
+                    return None
+                r[c] = rem
+            if not q:
+                continue
             coeffs[i] = q
-            _sub_entries(r, q, rest)
-        return None if r else coeffs
-
-    def reduce(self, v) -> dict:
-        """Canonical representative of v modulo the row lattice: each pivot
-        coordinate reduced into [0, pivot)."""
-        r = dict(_sparse_row(v, self.ncols))
-        for j, p, rest in self.rows:
-            q = r.get(j, 0) // p
-            if q:
-                x = r[j] - q * p
+            for j, a in rest:
+                x = r.get(j)
+                if x is None:
+                    r[j] = -q * a
+                    heapq.heappush(heap, j)
+                    continue
+                x -= q * a
                 if x:
                     r[j] = x
                 else:
                     del r[j]
-                _sub_entries(r, q, rest)
-        return r
+        return coeffs, r
+
+    def solve(self, v) -> Optional[list[int]]:
+        """Coefficients c with c @ basis == v, or None if v is not in the
+        row lattice.  v is a dense vector or a sparse {index: value} dict."""
+        out = self._walk(v, True)
+        return None if out is None else [out[0].get(i, 0) for i in range(len(self.rows))]
+
+    def reduce(self, v) -> dict:
+        """Canonical representative of v modulo the row lattice: each pivot
+        coordinate reduced into [0, pivot)."""
+        return self._walk(v, False)[1]
 
 
 def _sub_entries(r: dict, q: int, entries) -> None:
@@ -782,15 +827,16 @@ def _sub_entries(r: dict, q: int, entries) -> None:
             r.pop(c, None)
 
 
-def _coordinates(ech: SparseEchelon, rows: list[dict], fault: str) -> list[list[int]]:
-    """Coordinates of each row in the basis ``ech``; a row outside its
-    lattice is an AssertionError with the message ``fault``."""
+def _coordinates(ech: SparseEchelon, rows: list[dict], fault: str) -> list[dict]:
+    """Coordinates {basis row: coefficient} of each row in the basis
+    ``ech``; a row outside its lattice is an AssertionError with the
+    message ``fault``."""
     out = []
     for r in rows:
-        c = ech.solve(r)
+        c = ech._walk(r, True)
         if c is None:
             raise AssertionError(fault)
-        out.append(c)
+        out.append(c[0])
     return out
 
 
@@ -1147,6 +1193,7 @@ class FpAb:
         # a zero-argument callable that returns the relation rows, sparse
         # dicts or a RowTable (a bound method, which pickles)
         self._rels: Callable[[], list[dict] | RowTable] = rows.copy
+        self._lead = 0  # leading relation rows that are a canonical basis (ab_quotient)
         self._ech: Optional[SparseEchelon] = None
         self._proj: Optional[_Projection] = None
 
@@ -1179,7 +1226,7 @@ class FpAb:
         basis comes with the quotient map its certificate built, which is
         checked and kept."""
         if self._ech is None:
-            basis, proj = _hnf_sparse(self._rels(), self.ngens)
+            basis, proj = _hnf_sparse(self._rels(), self.ngens, self._lead)
             self._ech = SparseEchelon(basis, self.ngens)
             if proj is not None:
                 self._proj = self._checked(proj)
@@ -1303,8 +1350,13 @@ def direct_sum(a: FpAb, b: FpAb) -> FpAb:
 
 def ab_quotient(g: FpAb, sub) -> FpAb:
     """g modulo the subgroup generated by the rows of ``sub``, given in any
-    row form: the one way to add relations to a group."""
-    return FpAb(g.ngens, g.echelon().basis + _sparse_rows(sub, g.ngens))
+    row form: the one way to add relations to a group.  g's canonical
+    basis leads the relations, and the Hermite call takes it whole into
+    its first subset."""
+    basis = g.echelon().basis
+    out = FpAb(g.ngens, basis + _sparse_rows(sub, g.ngens))
+    out._lead = len(basis)
+    return out
 
 
 @dataclass

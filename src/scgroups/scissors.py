@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -359,29 +358,36 @@ class ScissorsContext:
         extra = [self.s2_row(self.ring.neg(a), a) for a in self.ring.units]
         return ab_quotient(self.s2_of_units(), extra)
 
-    @dataclass
     class TildeBundle:
-        p_tilde: FpAb
-        rp_tilde: FpAb
-        rp1_tilde: SubgroupPres
-        rb_tilde: SubgroupPres
+        """The tilde groups of a context, each built on its first read:
+        P~ = P/K, RP~ = RP/K^(1), and the kernels RP_1~ of lambda_1 and
+        RB~ of lambda_2 on RP~."""
+
+        def __init__(self, ctx: "ScissorsContext"):
+            self.ctx = ctx
+
+        @cached_property
+        def p_tilde(self) -> FpAb:
+            return ab_quotient(self.ctx.pre_bloch(), self.ctx.k_rows())
+
+        @cached_property
+        def rp_tilde(self) -> FpAb:
+            return ab_quotient(self.ctx.rp_flat(), self.ctx.k1_rows())
+
+        @cached_property
+        def rp1_tilde(self) -> SubgroupPres:
+            ctx = self.ctx
+            target = FpAb(ctx.G.order, ctx.p_plus_ideal_rows())
+            return AbMap(self.rp_tilde, target, ctx.lambda1_matrix()).kernel_subgroup()
+
+        @cached_property
+        def rb_tilde(self) -> SubgroupPres:
+            ctx = self.ctx
+            return AbMap(self.rp_tilde, ctx.s2_tilde(), ctx.lambda2_matrix()).kernel_subgroup()
 
     def tilde(self) -> "ScissorsContext.TildeBundle":
         if "tilde" not in self._cache:
-            p_tilde = ab_quotient(self.pre_bloch(), self.k_rows())
-            rp_tilde = ab_quotient(self.rp_flat(), self.k1_rows())
-            lam1_target = FpAb(self.G.order, self.p_plus_ideal_rows())
-            f1 = AbMap(rp_tilde, lam1_target, self.lambda1_matrix())
-            rp1_tilde = f1.kernel_subgroup()
-            s2t = self.s2_tilde()
-            f2 = AbMap(rp_tilde, s2t, self.lambda2_matrix())
-            rb_tilde = f2.kernel_subgroup()
-            self._cache["tilde"] = self.TildeBundle(
-                p_tilde=p_tilde,
-                rp_tilde=rp_tilde,
-                rp1_tilde=rp1_tilde,
-                rb_tilde=rb_tilde,
-            )
+            self._cache["tilde"] = self.TildeBundle(self)
         return self._cache["tilde"]
 
     def refined_tilde(self) -> RModPres:

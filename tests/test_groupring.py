@@ -298,10 +298,10 @@ def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
     hnf = linalg._hnf_sparse
     seen = []
 
-    def recording(rows, n):
+    def recording(rows, n, *lead):
         if n == 2 * N:
             seen.append(rows)
-        return hnf(rows, n)
+        return hnf(rows, n, *lead)
 
     monkeypatch.setattr(linalg, "_hnf_sparse", recording)
     ScissorsContext(ring).rp_flat()
@@ -311,8 +311,8 @@ def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
 
     for i in range(len(minus)):
 
-        def dropping(rows, n, i=i):
-            return hnf(rows[:i] + rows[i + 1 :] if n == 2 * N else rows, n)
+        def dropping(rows, n, *lead, i=i):
+            return hnf(rows[:i] + rows[i + 1 :] if n == 2 * N else rows, n, *lead)
 
         monkeypatch.setattr(linalg, "_hnf_sparse", dropping)
         with pytest.raises(AssertionError, match="relation row"):

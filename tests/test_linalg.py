@@ -703,6 +703,96 @@ def test_sparse_solve_matches_dense_walk_on_canonical_hnf(pres, data):
         assert [int(x) for x in g.reduce(v)] == dense_reduce(basis, v)
 
 
+def row_order_solve(ech, v):
+    """The row-order walk SparseEchelon.solve used before its sparse walk:
+    every basis row in pivot order, whether v reaches its pivot or not."""
+    r = dict(v)
+    coeffs = [0] * len(ech.rows)
+    for i, (j, p, rest) in enumerate(ech.rows):
+        x = r.pop(j, 0)
+        if not x:
+            continue
+        q, rem = divmod(x, p)
+        if rem:
+            return None
+        coeffs[i] = q
+        linalg._sub_entries(r, q, rest)
+    return None if r else coeffs
+
+
+def row_order_reduce(ech, v):
+    """The row-order walk SparseEchelon.reduce used before its sparse walk."""
+    r = dict(v)
+    for j, p, rest in ech.rows:
+        q = r.get(j, 0) // p
+        if q:
+            x = r[j] - q * p
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+            linalg._sub_entries(r, q, rest)
+    return r
+
+
+@st.composite
+def sparse_echelon_bases(draw):
+    """A sparse echelon basis as dict rows of width n: pivots 1..6 on
+    strictly increasing columns, and mostly zero entries right of them."""
+    n = draw(st.integers(1, 10))
+    cols = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5])
+    rows = []
+    for j in cols:
+        r = {j: draw(st.integers(1, 6))}
+        for c in range(j + 1, n):
+            if x := draw(entry):
+                r[c] = x
+        rows.append(r)
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_echelon_bases(), st.data())
+def test_sparse_walk_matches_row_order_walk(nb, data):
+    # solve, reduce and the sparse coordinates of kernels and subquotients
+    # against the row-order walk, on vectors in the lattice, near it, with
+    # the leftmost entry on a column that is no pivot, and with entries
+    # only right of the last pivot
+    n, rows = nb
+    ech = linalg.SparseEchelon(rows, n)
+    pivots = [j for j, _, _ in ech.rows]
+    small = st.integers(-9, 9)
+    coeffs = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -4]), min_size=len(rows), max_size=len(rows)))
+    inside: dict = {}
+    for c, r in zip(coeffs, rows):
+        for j, a in r.items():
+            inside[j] = inside.get(j, 0) + c * a
+    inside = {j: x for j, x in inside.items() if x}
+    shift = {j: x for j in range(n) if (x := data.draw(st.sampled_from([0, 0, 0, 1, -2])))}
+    near = {j: x for j in range(n) if (x := inside.get(j, 0) + shift.get(j, 0))}
+    vs = [inside, near, {}]
+    free = [c for c in range(n) if c not in pivots]
+    if free:
+        c = data.draw(st.sampled_from(free))
+        v = {j: x for j in range(c + 1, n) if (x := data.draw(small))}
+        vs.append({c: data.draw(small.filter(bool)), **v})
+    last = pivots[-1] if pivots else -1
+    if last < n - 1:
+        vs.append({j: data.draw(small.filter(bool)) for j in range(last + 1, n)})
+    for v in vs:
+        want = row_order_solve(ech, v)
+        assert ech.solve(v) == want
+        assert ech.reduce(v) == row_order_reduce(ech, v)
+        if v is inside:
+            assert want == coeffs
+        if want is None:
+            with pytest.raises(AssertionError, match="outside"):
+                linalg._coordinates(ech, [v], "outside")
+        else:
+            assert linalg._coordinates(ech, [v], "outside") == [{i: c for i, c in enumerate(want) if c}]
+
+
 def test_fpab_sparse_rows_and_repeats():
     dense = [[2, 0, 4], [0, 3, 3], [2, 0, 4], [0, 0, 0], [0, 3, 3]]
     sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
@@ -1096,7 +1186,7 @@ def test_certified_hnf_past_its_first_round_matches_sympy(data):
         rounds.append(len(retired))
         return step(retired, n)
 
-    with mock.patch.object(linalg, "_first_subset", lambda rows, n: set(range(len(subset)))):
+    with mock.patch.object(linalg, "_first_subset", lambda rows, n, *lead: set(range(len(subset)))):
         with mock.patch.object(linalg, "_subset_hnf", counted):
             basis, _ = linalg._hnf_sparse(_sparse(rows), n)
     assert len(rounds) >= 2
@@ -1429,8 +1519,8 @@ def test_first_subset_that_misses_a_column_still_reaches_the_basis(monkeypatch, 
     first = linalg._first_subset
     patched = []
 
-    def missing(rows, n):
-        out = {i for i in first(rows, n) if missed not in rows[i]}
+    def missing(rows, n, *lead):
+        out = {i for i in first(rows, n, *lead) if missed not in rows[i]}
         patched.append(sorted(out))
         return out
 

@@ -40,9 +40,9 @@ def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     calls = []
     hnf = linalg._hnf_sparse
 
-    def counted(rows, n):
+    def counted(rows, n, *lead):
         calls.append(len(rows))
-        return hnf(rows, n)
+        return hnf(rows, n, *lead)
 
     monkeypatch.setattr(linalg, "_hnf_sparse", counted)
     h3 = c.homology_at(3)

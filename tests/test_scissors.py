@@ -487,9 +487,9 @@ def test_five_term_lattices_certify_in_one_round(monkeypatch):
     calls, rounds = [], []
     hnf, step = linalg._hnf_sparse, linalg._subset_hnf
 
-    def counted_hnf(rows, n):
+    def counted_hnf(rows, n, *lead):
         rounds.clear()
-        basis, proj = hnf(rows, n)
+        basis, proj = hnf(rows, n, *lead)
         if proj is not None:
             calls.append([n, len(rounds)])
         return basis, proj
@@ -507,6 +507,33 @@ def test_five_term_lattices_certify_in_one_round(monkeypatch):
     for p in primes:
         ScissorsContext(parse_ring(f"gf({p})")).pre_bloch().echelon()
     assert calls == [[119, 1], [119, 1], [120, 1]] + [[p - 2, 1] for p in primes]
+
+def test_l_b_quotient_certifies_in_one_round(monkeypatch):
+    # RP~(Z/121)/L_B is 2 197 rows x 198 columns, 2 029 of them with two
+    # entries: a first subset of rows that touch every column twice reached
+    # rank 186 of 197 and needed a second round.  ab_quotient puts RP~'s
+    # canonical basis first, and the first subset takes it whole
+    calls, rounds = [], []
+    hnf, step = linalg._hnf_sparse, linalg._subset_hnf
+
+    def counted_hnf(rows, n, *lead):
+        rounds.clear()
+        basis, proj = hnf(rows, n, *lead)
+        calls.append((len(rows), n, *lead, len(rounds), proj is not None))
+        return basis, proj
+
+    def counted_step(retired, n):
+        rounds.append(len(retired))
+        return step(retired, n)
+
+    monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
+    monkeypatch.setattr(linalg, "_subset_hnf", counted_step)
+    ctx = ScissorsContext(parse_ring("z/11^2"))
+    res = ctx.l_submodule()
+    assert res["match"] and res["kernel_ok"]
+    (call,) = [c for c in calls if c[:2] == (2197, 198)]
+    assert call == (2197, 198, len(ctx.tilde().rp_tilde.echelon().basis), 1, True)
+
 
 # -- RP membership as one sparse pass ------------------------------------------
 
@@ -637,12 +664,60 @@ def test_dropped_context_leaves_nothing_alive():
     ctx = ScissorsContext(ring)
     ctx.rp1()
     build_row_complex(ring).homology_at(3)
-    refs = [weakref.ref(x) for x in (ctx, ctx.rp_flat(), ctx.refined(), ctx.pre_bloch())]
+    tb = ctx.tilde()
+    tilde = [tb.p_tilde, tb.rp_tilde, tb.rp1_tilde.group, tb.rb_tilde.group]
+    refs = [weakref.ref(x) for x in (ctx, ctx.rp_flat(), ctx.refined(), ctx.pre_bloch(), tb, *tilde)]
+    del tb, tilde
     del ctx
     gc.collect()
     assert all(r() is None for r in refs)
     # with no live owner, the ring falls back to the context of its label
     assert context(ring) is context("gf(17)")
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    kernel = linalg.AbMap.kernel_subgroup
+
+    def counted(f):
+        calls.append(f)
+        return kernel(f)
+
+    monkeypatch.setattr(linalg.AbMap, "kernel_subgroup", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["gf(13)", "z/7^2"])
+def test_rp_tilde_builds_no_kernel_and_no_p_basis(monkeypatch, label):
+    # l_submodule and the specialization read RP~ alone: reading it builds
+    # neither P's Hermite basis nor the lambda_1 and lambda_2 kernels
+    kernels = _count_kernels(monkeypatch)
+    widths = []
+    hnf = linalg._hnf_sparse
+
+    def counted(rows, n, *lead):
+        widths.append(n)
+        return hnf(rows, n, *lead)
+
+    monkeypatch.setattr(linalg, "_hnf_sparse", counted)
+    ctx = ScissorsContext(parse_ring(label))
+    tb = ctx.tilde()
+    tb.rp_tilde.describe()
+    assert kernels == [] and "P" not in ctx._cache
+    assert vars(tb).keys() == {"ctx", "rp_tilde"}
+    assert ctx.pre_bloch()._ech is None
+    assert widths and min(widths) > 0 and len(ctx.W) * ctx.G.order in widths
+
+
+def test_rp1_tilde_does_not_build_rb_tilde(monkeypatch):
+    kernels = _count_kernels(monkeypatch)
+    ctx = ScissorsContext(parse_ring("gf(13)"))
+    tb = ctx.tilde()
+    assert iso_odd(tb.rp1_tilde.group, ctx.rp1())
+    assert "rb_tilde" not in vars(tb) and "p_tilde" not in vars(tb)
+    # one kernel for RP_1~ and one for RP_1, none for RB~
+    assert [f.target.ngens for f in kernels] == [ctx.G.order, ctx.G.order]
+    assert ctx.tilde() is tb and tb.rp1_tilde is tb.rp1_tilde
 
 
 def test_cache_clear_gives_a_new_context():

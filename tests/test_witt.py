@@ -1,8 +1,10 @@
 import pytest
 
+from scgroups import groupring
+from scgroups.groupring import scale
 from scgroups.linalg import FpAb, iso_odd
-from scgroups.rings import GF, ZMod, parse_ring
-from scgroups.scissors import context
+from scgroups.rings import GF, ZMod, parse_ring, square_classes
+from scgroups.scissors import ScissorsContext
 from scgroups.witt import WittContext, fundamental_ideal, gw, i_squared
 
 
@@ -53,8 +55,40 @@ def test_steinberg_rows_span_the_lambda1_row_lattice(label):
     # GW's Steinberg ideal is generated by the values of lambda_1 on the
     # generators [u] of RP and their G-translates
     ring = parse_ring(label)
-    wctx = WittContext(ring)
-    rows = wctx.steinberg_rows()
-    assert all(isinstance(r, dict) for r in rows)
-    n = wctx.G.order
-    assert FpAb(n, rows).echelon().basis == FpAb(n, context(ring).lambda1_matrix()).echelon().basis
+    assert all(isinstance(r, dict) for r in WittContext(ring).steinberg_rows())
+    assert steinberg_rows_hold(ring)
+
+
+def test_steinberg_rows_check_sees_a_wrong_steinberg(monkeypatch):
+    ring = parse_ring("gf(13)")
+    steinberg = groupring.steinberg
+    monkeypatch.setattr(groupring, "steinberg", lambda G, a: scale(2, steinberg(G, a)))
+    assert not steinberg_rows_hold(ring)
+
+
+def expected_steinberg_rows(ring) -> list[dict]:
+    """(<a> - 1)(<1 - a> - 1) translated by <g>, g outer and a in W inner,
+    expanded by hand from the square classes alone:
+    <g a (1 - a)> - <g a> - <g (1 - a)> + <g>."""
+    G = square_classes(ring)
+    rows = []
+    for g in range(G.order):
+        for a in ring.w_set:
+            x, y = G.class_of(a), G.class_of(ring.sub(ring.one, a))
+            row: dict = {}
+            for h, c in ((g ^ x ^ y, 1), (g ^ x, -1), (g ^ y, -1), (g, 1)):
+                row[h] = row.get(h, 0) + c
+            rows.append({h: c for h, c in row.items() if c})
+    return rows
+
+
+def steinberg_rows_hold(ring) -> bool:
+    """lambda_1's rows of a fresh context are the expected rows, one for
+    one, and GW's Steinberg rows span their lattice."""
+    want = expected_steinberg_rows(ring)
+    n = square_classes(ring).order
+    basis = FpAb(n, want).echelon().basis
+    return (
+        ScissorsContext(ring).lambda1_matrix() == want
+        and FpAb(n, WittContext(ring).steinberg_rows()).echelon().basis == basis
+    )
