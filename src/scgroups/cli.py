@@ -383,9 +383,10 @@ def cmd_group(args) -> int:
 
 def cmd_verify(args) -> int:
     ring, p = args.ring, args.p
-    if args.suite in verify.RING_SUITES and ring is not None:
+    param = verify.SUITES[args.suite][0]
+    if param == "ring" and ring is not None:
         ring = _ring_of(ring)
-    if args.suite in verify.PRIME_SUITES and p is not None:
+    if param == "p" and p is not None:
         p = _prime_of(p)
         if args.suite == "tree":
             _check_ball(p, verify.TREE_SUITE_RADIUS)

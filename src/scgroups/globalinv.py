@@ -147,6 +147,8 @@ PBAR_TABLE_MAX_P = 10**6
 def pbar_table(p_min: int, p_max: int, desc: GlobalFieldDesc = RATIONALS):
     if p_max > PBAR_TABLE_MAX_P:
         raise ValueError(f"p_max = {p_max} is above the limit {PBAR_TABLE_MAX_P}")
+    if p_min > p_max:
+        raise ValueError(f"p_min = {p_min} is more than p_max = {p_max}: the range is empty")
     out = []
     p = max(p_min, 2)
     while p <= p_max:

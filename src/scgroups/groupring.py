@@ -12,7 +12,9 @@ is the class of -1.  Ring elements are sparse coefficient dicts
 {(class, parameter): int}: ``r_mul`` is the one product and ``act`` the
 one action, whichever G the classes come from.  The characters, the
 ideals R^chi and the module presentations are built over the finite
-groups only.  Half-integral idempotents are never materialized: every
+groups only.  A presentation keeps its relations as one linalg.RowTable of
+untranslated flat rows {g * ngens + j: c}, and ``translates`` gives their
+G-translates.  Half-integral idempotents are never materialized: every
 construction stays integral and the 1/2 factors are absorbed by odd-part
 comparisons downstream.  A module's flat lattice is built from its e±
 blocks through a unimodular change of coordinates (``_block_lattice``), so
@@ -144,111 +146,51 @@ def chi_ideal_rows(G: SqClassGroup, chi: Character) -> list[RElem]:
     return [add({g: 1}, {0: -chi(g)}) for g in range(1, G.order)]
 
 
-@dataclass(frozen=True, eq=False)
-class RelationTable:
-    """Relations of a Z[G]-module as three int64 arrays of one shape (m, k):
-    relation i is the sum over t of vals[i, t] <classes[i, t]> [gens[i, t]],
-    so repeated terms add and zero values are allowed.  ``vals`` may be
-    anything that broadcasts to that shape (fixed signs, say); every
-    coefficient must fit int64."""
-
-    gens: np.ndarray
-    classes: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.gens)
-        object.__setattr__(self, "vals", np.broadcast_to(np.asarray(self.vals, dtype=np.int64), shape))
-
-    def __len__(self) -> int:
-        return len(self.gens)
-
-    def relations(self) -> list[dict]:
-        """Each relation as {generator: {class: coefficient}}, zero terms
-        dropped, generators and classes in order of first appearance."""
-        out = []
-        for js, gs, cs in zip(self.gens.tolist(), self.classes.tolist(), self.vals.tolist()):
-            rel: dict = {}
-            for j, g, c in zip(js, gs, cs):
-                x = rel.setdefault(j, {})
-                x[g] = x.get(g, 0) + c
-            out.append({j: y for j, x in rel.items() if (y := {g: c for g, c in x.items() if c})})
-        return out
-
-    def flat(self, ngens: int, order: int, translates: int) -> RowTable:
-        """The translates of the relations by the classes below
-        ``translates``, relation by relation, as flat rows over the
-        (class, generator) basis of |G| = order: index g * ngens + j."""
-        t = np.arange(translates, dtype=np.int64)[None, :, None]
-        cols = (self.classes[:, None, :] ^ t) * ngens + self.gens[:, None, :]
-        shape = (len(self) * translates, self.gens.shape[1])
-        vals = np.broadcast_to(self.vals[:, None, :], cols.shape).reshape(shape)
-        return RowTable(cols.reshape(shape), vals, order * ngens)
-
-
-def relation_table(relations: list[dict]) -> RelationTable:
-    """The table of sparse relations {generator: {class: c}}, each padded
-    with zero terms to the longest one; a coefficient past int64 is a
-    ValueError."""
-    terms = [[(j, g, c) for j, x in rel.items() for g, c in x.items()] for rel in relations]
-    out = np.zeros((3, len(terms), max(map(len, terms), default=0) or 1), dtype=np.int64)
-    for i, row in enumerate(terms):
-        try:
-            out[:, i, : len(row)] = np.array(row, dtype=np.int64).reshape(-1, 3).T
-        except OverflowError:
-            raise ValueError(f"relation {i} has a coefficient past int64") from None
-    return RelationTable(out[0], out[1], out[2])
-
-
-def stack_relations(*tables: RelationTable) -> RelationTable:
-    """The relations of the tables in turn, padded with zero terms to the
-    widest."""
-    k = max(t.gens.shape[1] for t in tables)
-
-    def padded(a):
-        return np.concatenate([a, np.zeros((len(a), k - a.shape[1]), dtype=np.int64)], axis=1)
-
-    return RelationTable(
-        *(np.concatenate([padded(getattr(t, name)) for t in tables]) for name in ("gens", "classes", "vals"))
-    )
+def translates(table: RowTable, ngens: int, count: int) -> RowTable:
+    """The translates of a module's flat rows (``RModPres.table``) by the
+    classes below ``count``, row by row: column i of row k goes, in row
+    k * count + t, to ((i // ngens) ^ t) * ngens + i % ngens."""
+    t = np.arange(count, dtype=np.int64)[None, :, None]
+    cols = ((table.cols[:, None, :] // ngens) ^ t) * ngens + table.cols[:, None, :] % ngens
+    shape = (len(table) * count, table.cols.shape[1])
+    vals = np.broadcast_to(table.vals[:, None, :], cols.shape).reshape(shape)
+    return RowTable(cols.reshape(shape), vals, table.ncols)
 
 
 class RModPres:
     """Finitely presented Z[G]-module, flattened over the Z-basis
     (group element, generator): index = g * ngens + j.
 
-    The relations are kept as a RelationTable (``table``); they may be
-    given so, or as sparse dicts {generator: RElem}, or as sequences of
-    one RElem per generator.  ``relations`` reads them back as dicts,
-    for the callers that ask for them."""
+    The relations are kept as one RowTable (``table``) of untranslated
+    flat rows, |G| ngens columns wide; every G-translate of them is a
+    relation too (``translates``).  They may be given so, or as sparse
+    dicts {generator: RElem}, or as sequences of one RElem per generator,
+    which are flattened once here."""
 
     def __init__(self, G: SqClassGroup, ngens: int, relations=()):
         self.G = G
         self.ngens = ngens
-        if isinstance(relations, RelationTable):
-            if len(relations) and not (0 <= relations.gens.min() and relations.gens.max() < ngens):
-                raise ValueError("relation names a generator out of range")
+        if isinstance(relations, RowTable):
+            if relations.ncols != self.flat_ngens:
+                raise ValueError("relation table width does not match the flat basis")
             self.table = relations
         else:
-            self.table = relation_table([self._sparse_relation(r) for r in relations])
+            self.table = RowTable.stack(self.flat_ngens, [self._flat_row(r) for r in relations])
         self._flat: Optional[FpAb] = None
         self._perms: dict[int, np.ndarray] = {}
 
-    @functools.cached_property
-    def relations(self) -> list[dict]:
-        """The relations as sparse dicts {generator: RElem}, built on first
-        read and kept (the groups read the table)."""
-        return self.table.relations()
-
-    def _sparse_relation(self, rel) -> dict:
+    def _flat_row(self, rel) -> dict:
+        """A relation {generator: RElem} or (RElem per generator) as a
+        sparse flat row {g * ngens + j: coefficient}."""
         if isinstance(rel, dict):
             if any(not 0 <= j < self.ngens for j in rel):
                 raise ValueError("relation names a generator out of range")
-            return {j: x for j, x in rel.items() if x}
-        rel = list(rel)
-        if len(rel) != self.ngens:
-            raise ValueError("relation width does not match generator count")
-        return {j: x for j, x in enumerate(rel) if x}
+        else:
+            rel = list(rel)
+            if len(rel) != self.ngens:
+                raise ValueError("relation width does not match generator count")
+            rel = dict(enumerate(rel))
+        return {g * self.ngens + j: c for j, x in rel.items() if x for g, c in x.items() if c}
 
     @property
     def flat_ngens(self) -> int:
@@ -257,11 +199,6 @@ class RModPres:
     def flat_index(self, g: int, j: int) -> int:
         return g * self.ngens + j
 
-    def flat_row(self, rel: dict, translate: int = 0) -> dict:
-        """The translate of a (sparse) relation by a group element, as a
-        sparse row {flat index: coefficient}."""
-        return _flat_row(rel, self.ngens, translate)
-
     def flat_rows(self) -> list[dict]:
         """All G-translates of the defining relations (duplicates kept),
         relation by relation."""
@@ -269,8 +206,7 @@ class RModPres:
 
     def flat_table(self) -> RowTable:
         """flat_rows as a RowTable."""
-        order = self.G.order
-        return self.table.flat(self.ngens, order, order)
+        return translates(self.table, self.ngens, self.G.order)
 
     def flatten(self) -> FpAb:
         """Z^flat_ngens modulo every G-translate of the relations.  For
@@ -299,11 +235,15 @@ class RModPres:
             self._perms[g] = idx
         return idx
 
+    def _chi_vals(self, chi: Character) -> np.ndarray:
+        """The table's values times chi of each entry's class."""
+        signs = np.array([chi(g) for g in range(self.G.order)], dtype=np.int64)
+        return self.table.vals * signs[self.table.cols // self.ngens]
+
     def chi_localize(self, chi: Character) -> FpAb:
         """M_chi = M / R^chi M, presented directly on the module generators
         by evaluating every group coefficient through chi."""
-        rows = [{j: sum(chi(g) * c for g, c in x.items()) for j, x in rel.items()} for rel in self.relations]
-        return FpAb(self.ngens, rows)
+        return FpAb(self.ngens, RowTable(self.table.cols % self.ngens, self._chi_vals(chi), self.ngens))
 
     def _half_part(self, g: int, sign: int) -> FpAb:
         """Image of multiplication by (g + sign): row i of the map is the
@@ -323,16 +263,7 @@ class RModPres:
 
     def twist(self, chi: Character) -> "RModPres":
         """The chi-twisted module: <a> acts as chi(a)<a>."""
-        new_rels = []
-        for rel in self.relations:
-            new_rels.append({j: {g: chi(g) * c for g, c in x.items()} for j, x in rel.items()})
-        return RModPres(self.G, self.ngens, new_rels)
-
-
-def _flat_row(rel: dict, n: int, translate: int = 0) -> dict:
-    """RModPres.flat_row for ngens = n.  Every relation row is built here,
-    so flat_index is inlined."""
-    return {(g ^ translate) * n + j: c for j, x in rel.items() for g, c in x.items() if c}
+        return RModPres(self.G, self.ngens, RowTable(self.table.cols, self._chi_vals(chi), self.flat_ngens))
 
 
 def _block_lattice(m: RModPres) -> FpAb:
@@ -365,7 +296,7 @@ def _block_lattice(m: RModPres) -> FpAb:
     # the translates by the classes without h, as one table: its columns
     # folded onto the halves (a flat index i >= N goes to i - N, into b)
     # serve a - b, a + b and b, which differ only in their values
-    flat = m.table.flat(n, order, half)
+    flat = translates(m.table, n, half)
     upper = flat.cols >= N
     cols = flat.cols - N * upper
     minus_group = FpAb(N, RowTable(cols, np.where(upper, -flat.vals, flat.vals), N))
@@ -391,14 +322,13 @@ def _block_lattice(m: RModPres) -> FpAb:
         rows.append(row)
     # rels reads the relation table, not m: the group holds no cycle back
     # to m, so a dropped module is freed at once
-    out = FpAb._seeded(2 * N, rows, functools.partial(m.table.flat, n, order, order))
+    out = FpAb._seeded(2 * N, rows, functools.partial(translates, m.table, n, order))
     # the certificate: every relation row, through the map read after each
     # translation
     moduli, images = out._projection()
-    untranslated = m.table.flat(n, order, 1)
     for g in range(order):
         translated = [images[i] for i in m.act_permutation(g).tolist()]
-        if _unkilled((moduli, translated), untranslated):
+        if _unkilled((moduli, translated), m.table):
             raise AssertionError("block form: a relation row does not map to 0")
     return out
 
@@ -410,20 +340,13 @@ def _s_rows(plus: RowTable, pi, upper: RowTable):
     each modulus d of pi.  A RowTable when every image fits int64, else
     sparse dicts."""
     moduli = pi[0]
-    N, t, k = plus.ncols, len(moduli), plus.cols.shape[1]
+    N, t = plus.ncols, len(moduli)
     blocks = [w for _, w in _image_blocks(pi, upper)]
     mods = [{N + j: d} for j, d in enumerate(moduli) if d]
     if not all(isinstance(w, np.ndarray) for w in blocks):
         images = itertools.chain.from_iterable(w.tolist() if isinstance(w, np.ndarray) else w for w in blocks)
         rows = [{**plus.row(i), **{N + j: x for j, x in enumerate(w) if x}} for i, w in enumerate(images)]
         return [r for r in rows if r] + mods
-    width = k + t
-    cols = np.zeros((len(plus) + len(mods), width), dtype=np.int64)
-    vals = np.zeros_like(cols)
-    cols[: len(plus), :k], vals[: len(plus), :k] = plus.cols, plus.vals
-    cols[: len(plus), k:] = N + np.arange(t)
-    if blocks:
-        vals[: len(plus), k:] = np.concatenate(blocks)
-    for i, r in enumerate(mods, start=len(plus)):
-        ((cols[i, 0], vals[i, 0]),) = r.items()
-    return RowTable(cols, vals, N + t)
+    images = np.concatenate(blocks) if blocks else np.zeros((0, t), dtype=np.int64)
+    cols = np.concatenate([plus.cols, np.broadcast_to(N + np.arange(t), (len(plus), t))], axis=1)
+    return RowTable.stack(N + t, RowTable(cols, np.concatenate([plus.vals, images], axis=1), N + t), mods)

@@ -160,8 +160,11 @@ class RowTable:
     that broadcasts to that shape (fixed signs, say) and is kept as a
     read-only view.  A column outside range(ncols) is a ValueError.
 
-    The table is never modified, so ``copy`` returns it, and a slice of
-    rows is a table that shares its arrays."""
+    It is the one int64 form of relation rows: the five-term table, the
+    untranslated relations of a Z[G]-module over its flat basis, and what
+    ``stack`` builds from tables and sparse dicts.  The table is never
+    modified, so ``copy`` returns it, and a slice of rows is a table that
+    shares its arrays."""
 
     cols: np.ndarray
     vals: np.ndarray
@@ -197,6 +200,27 @@ class RowTable:
     def rows(self) -> list[dict]:
         """Every row as a sparse dict, in order."""
         return [_summed(zip(c, v)) for c, v in zip(self.cols.tolist(), self.vals.tolist())]
+
+    @classmethod
+    def stack(cls, ncols: int, *parts) -> "RowTable":
+        """The rows of the parts in turn, each a RowTable or a list of
+        sparse dicts, padded with zero entries to the widest row.  A value
+        past int64 is a ValueError."""
+        widths = [p.cols.shape[1] if isinstance(p, RowTable) else max(map(len, p), default=0) for p in parts]
+        cols = np.zeros((sum(map(len, parts)), max([1, *widths])), dtype=np.int64)
+        vals = np.zeros_like(cols)
+        lo = 0
+        for part, k in zip(parts, widths):
+            if isinstance(part, RowTable):
+                cols[lo : lo + len(part), :k], vals[lo : lo + len(part), :k] = part.cols, part.vals
+            else:
+                for i, r in enumerate(part, start=lo):
+                    try:
+                        cols[i, : len(r)], vals[i, : len(r)] = list(r), list(r.values())
+                    except OverflowError:
+                        raise ValueError(f"row {i} has a value past int64") from None
+            lo += len(part)
+        return cls(cols, vals, ncols)
 
 
 def _summed(entries) -> dict:

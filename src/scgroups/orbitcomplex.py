@@ -32,10 +32,11 @@ class RowComplex:
     def d4(self) -> list:
         """Sparse rows {flat index: coefficient}, row g * m + k: the
         G-translates of the m relations Y_{x,y} of RP, one per admissible
-        pair, built on first read and kept (only the chain identities read
-        them)."""
+        pair, built on first read and kept (only the checks of the complex
+        read them)."""
         m = self.ctx.refined()
-        return [m.flat_row(rel, g) for g in range(self.ctx.G.order) for rel in m.relations]
+        n, rows = m.ngens, m.table.rows()
+        return [{((i // n) ^ g) * n + i % n: c for i, c in r.items()} for g in range(self.ctx.G.order) for r in rows]
 
     def homology_at(self, position: int) -> FpAb:
         """Homology of ... -> C2 -> C1 -> Z[G] -> Z -> Z at positions 1..3
@@ -45,9 +46,9 @@ class RowComplex:
         if position == 2:
             return subquotient(_kernel(self.d2, 1), self.d3)
         if position == 3:
-            # d4's rows are the G-translates of the RP relations, so their
-            # lattice is that of RP's cached relation basis
-            return subquotient(_kernel(self.d3, len(self.d2)), self.ctx.rp_flat().echelon())
+            # d3 is lambda_1 and d4's rows are the G-translates of the RP
+            # relations, so ker d3 / im d4 is RP_1 as the context builds it
+            return self.ctx.rp1()
         raise ValueError("position must be 1, 2 or 3")
 
 
@@ -135,7 +136,7 @@ def expected_orbit_count(ring: GF, tuple_len: int) -> int:
         return g
     if tuple_len == 4:
         return g * len(ctx.W)
-    return g * len(ctx.five_terms().gens)
+    return g * len(ctx.five_terms())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .groupring import (
-    RelationTable,
     RElem,
     RModPres,
     act,
@@ -25,9 +24,7 @@ from .groupring import (
     dbl_bracket,
     p_plus,
     r_mul,
-    relation_table,
     scale,
-    stack_relations,
     steinberg,
     steinberg_rows,
 )
@@ -88,7 +85,7 @@ class ScissorsContext:
         return self.W[0]
 
     # -- admissible pairs ----------------------------------------------------
-    def five_terms(self) -> RelationTable:
+    def five_terms(self) -> RowTable:
         """The five-term relations of the ring as one integer table, built
         once per context (``_five_term_table``)."""
         if "five_terms" not in self._cache:
@@ -99,7 +96,7 @@ class ScissorsContext:
         """Ordered pairs (a, b), lexicographic in canonical element order,
         with a, b, a/b all in W: the pairs of the five-term table."""
         W = self.W
-        for i, j in self.five_terms().gens[:, :2].tolist():
+        for i, j in (self.five_terms().cols[:, :2] % len(W)).tolist():
             yield W[i], W[j]
 
     # -- classical presentation ----------------------------------------------
@@ -118,7 +115,7 @@ class ScissorsContext:
         if "P" not in self._cache:
             n = len(self.W)
             t = self.five_terms()
-            self._cache["P"] = FpAb(n, RowTable(t.gens, t.vals, n))
+            self._cache["P"] = FpAb(n, RowTable(t.cols % n, t.vals, n))
         return self._cache["P"]
 
     # -- symmetric square of the units ----------------------------------------
@@ -169,14 +166,6 @@ class ScissorsContext:
         return ab_quotient(self.s2_of_units(), self.lambda_map().rows)
 
     # -- refined presentation --------------------------------------------------
-    def _relation(self, x: RPElem) -> dict:
-        """An RP element as a sparse R_A-module relation: its nonzero Z[G]
-        coefficients, by W generator."""
-        rel: dict = {}
-        for (g, a), c in x.items():
-            rel.setdefault(self.windex[a], {})[g] = c
-        return rel
-
     def refined(self) -> RModPres:
         """RP(A) as an R_A-module presentation on the W generators, with the
         five-term table as its relation table."""
@@ -394,9 +383,9 @@ class ScissorsContext:
         """RP~(A) = RP(A)/K^(1) as an R-module presentation (five-term
         relations plus the psi_1 family)."""
         if "RPt_mod" not in self._cache:
-            psi = relation_table([self._relation(self.psi1(a)) for a in self.ring.units])
-            rels = stack_relations(self.refined().table, psi)
-            self._cache["RPt_mod"] = RModPres(self.G, len(self.W), rels)
+            m = self.refined()
+            psi = [self.rp_row(self.psi1(a)) for a in self.ring.units]
+            self._cache["RPt_mod"] = RModPres(self.G, m.ngens, RowTable.stack(m.flat_ngens, m.table, psi))
         return self._cache["RPt_mod"]
 
     def e_plus_rp_tilde(self) -> FpAb:
@@ -412,14 +401,14 @@ class ScissorsContext:
     def rp_prime(self) -> RModPres:
         """RP'(A): the three relation families on primed generators."""
         if "RPprime" not in self._cache:
-            rels = []
+            rows = []
             neg1 = self.G.neg_one()
             for a in self.W:
                 # (<-1> - 1)[a]' and [a]' + [1/a]'
-                rels.append(self._relation(add({(neg1, a): 1}, {(0, a): -1})))
-                rels.append(self._relation(add({(0, a): 1}, {(0, self.ring.inv(a)): 1})))
-            table = stack_relations(self.refined().table, relation_table(rels))
-            self._cache["RPprime"] = RModPres(self.G, len(self.W), table)
+                rows.append(self.rp_row(add({(neg1, a): 1}, {(0, a): -1})))
+                rows.append(self.rp_row(add({(0, a): 1}, {(0, self.ring.inv(a)): 1})))
+            m = self.refined()
+            self._cache["RPprime"] = RModPres(self.G, m.ngens, RowTable.stack(m.flat_ngens, m.table, rows))
         return self._cache["RPprime"]
 
     def rp_prime_witness(self) -> dict:
@@ -515,17 +504,15 @@ class ScissorsContext:
 FIVE_TERM_SIGNS = (1, -1, 1, -1, 1)
 
 
-def _five_term_table(ctx: ScissorsContext) -> RelationTable:
-    """The five-term relations of a ring as a RelationTable, one row per
-    admissible pair (a, b), lexicographic in canonical element order (W
-    indices throughout):
+def _five_term_table(ctx: ScissorsContext) -> RowTable:
+    """The five-term relations of a ring as a RowTable over RP's flat
+    basis, one row per admissible pair (a, b), lexicographic in canonical
+    element order: row k has the columns class * |W| + W index of its five
+    terms (m x 5), a and b first, and the values FIVE_TERM_SIGNS.  The
+    classes are 0 for [a] and [b] and <a>, <a^{-1} - 1>, <1 - a> for the
+    others.
 
-    - ``gens`` (m x 5): the W index of each term's element, a and b first;
-    - ``classes`` (m x 5): each term's square class, 0 for [a] and [b]
-      and <a>, <a^{-1} - 1>, <1 - a> for the others;
-    - ``vals``: FIVE_TERM_SIGNS.
-
-    X_{a,b} is row k with the classes forgotten, Y_{a,b} the row with them.
+    Y_{a,b} is row k, and X_{a,b} is row k with its columns taken mod |W|.
 
     The table is built by index arithmetic on discrete logarithms.
 
@@ -560,7 +547,7 @@ def _five_term_table(ctx: ScissorsContext) -> RelationTable:
     if (gens < 0).any():
         raise AssertionError("a five-term element of an admissible pair is not in W")
     own = np.array([[0, 0, cls(a), cls(sub(inv(a), one)), cls(sub(one, a))] for a in W], dtype=np.int64)
-    return RelationTable(gens, own[ia], FIVE_TERM_SIGNS)
+    return RowTable(own[ia] * len(W) + gens, FIVE_TERM_SIGNS, G.order * len(W))
 
 
 def _live_context(ring: Ring):

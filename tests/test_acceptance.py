@@ -109,8 +109,8 @@ def test_criterion_07_orbit_complex_identifications():
     report_suite(
         7,
         on_rings(verify.suite_witt, [f"gf({q})" for q in (7, 11, 13, 25)]),
-        "E2 page: position 1 = 0, position 2 = I(k), position 3 = rp1 odd, "
-        "and I^2 = 0 for q in {7, 11, 13, 25}",
+        "E2 page: position 1 = 0, position 2 = I(k), position 3 = RP_1 (d4 reduces "
+        "to RP's block-form basis), and I^2 = 0 for q in {7, 11, 13, 25}",
     )
 
 

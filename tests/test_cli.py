@@ -64,7 +64,7 @@ VERIFY_STDOUT = {
         "[ok] z/7^2: chain identities d3.d4 = 0 and aug.d3 = 0\n"
         "[ok] z/7^2: E^2 position 1 vanishes\n"
         "[ok] z/7^2: E^2 position 2 = fundamental ideal (I = Z/2)\n"
-        "[ok] z/7^2: E^2 position 3 has the odd part of RP_1\n"
+        "[ok] z/7^2: E^2 position 3 is RP_1: d4 reduces to RP's block-form basis\n"
     ),
     ("slr", "z/11^2"): (
         "[ok] z/11^2: L_B generators die in RP~(k)\n"
@@ -334,8 +334,9 @@ def test_oversized_ring_rejected_before_building(capsys, monkeypatch, args):
 
     for which in cli.GROUP_BUILDERS:
         monkeypatch.setitem(cli.GROUP_BUILDERS, which, refuse)
-    for name in verify.RING_SUITES:
-        monkeypatch.setitem(verify.RING_SUITES, name, refuse)
+    for name, (param, _) in verify.SUITES.items():
+        if param == "ring":
+            monkeypatch.setitem(verify.SUITES, name, (param, refuse))
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"more than {cli.MAX_RING_SIZE}" in err
@@ -343,7 +344,7 @@ def test_oversized_ring_rejected_before_building(capsys, monkeypatch, args):
 
 def test_ring_size_limit_admits_every_ring_in_use():
     jobs = verify.verify_all_jobs(max_q=10**6)
-    labels = {param for name, param in jobs if name in verify.RING_SUITES}
+    labels = {value for name, value in jobs if verify.SUITES[name][0] == "ring"}
     labels |= {"gf(121)", "gf(11^2)", "z/11^2", "gf(49)", "gf(97)", "gf(7)[t]/t^2"}
     for label in labels:
         ring = cli._ring_of(label)
@@ -519,6 +520,15 @@ def test_p_one_exits_instead_of_hanging(tmp_path):
     )
     assert proc.returncode == 2
     assert b"error:" in proc.stderr
+
+
+def test_pbar_table_inverted_range_exits_2(capsys):
+    code, out, err = run_cli(["pbar-table", "--p-min", "100", "--p-max", "10"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than p_max" in err
+    # an empty range that is not inverted is still a table
+    code, out, _ = run_cli(["pbar-table", "--p-min", "24", "--p-max", "28", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out) == []
 
 
 def test_pbar_table_range_limit_exits_instead_of_hanging(tmp_path):

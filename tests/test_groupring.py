@@ -129,8 +129,8 @@ def test_twist_involutive_and_by_chi0():
     rels = [[{1: 2, 0: 1}], [{0: 3}]]
     m = RModPres(G7, 1, rels)
     chi0, chi1 = characters(G7)
-    assert m.twist(chi0).relations == m.relations
-    assert m.twist(chi1).twist(chi1).relations == m.relations
+    assert m.twist(chi0).table.rows() == m.table.rows()
+    assert m.twist(chi1).twist(chi1).table.rows() == m.table.rows()
 
 
 def test_twist_of_trivial_module():
@@ -139,7 +139,7 @@ def test_twist_of_trivial_module():
     chi1 = characters(G7)[1]
     t = m.twist(chi1)
     # g acts as chi(g) id: relation becomes chi(g)g - 1
-    assert t.relations[0][0] == {1: -1, 0: -1}
+    assert t.table.row(0) == {1: -1, 0: -1}
 
 
 def test_chi_ideal_odd_properties():
@@ -199,7 +199,7 @@ def test_chi_localize_right_exact_euler():
         sub = [
             [{g: rng.randrange(-2, 3) for g in range(G7.order)} for _ in range(ngens)]
         ]
-        q = RModPres(G7, ngens, m.relations + sub)
+        q = RModPres(G7, ngens, rels + sub)
         mflat, qflat = m.flatten(), q.flatten()
         # N = submodule generated by sub inside M
         subrows = RModPres(G7, ngens, sub).flat_rows()
@@ -253,6 +253,36 @@ def test_block_form_matches_the_flat_reduction(m):
     basis, proj = _reference(m)
     assert flat.echelon().basis == basis
     assert flat._projection() == proj
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_modules(), st.integers(0, 8))
+def test_translates_are_the_per_row_formula(m, count):
+    n, order = m.ngens, m.G.order
+    count = min(count, order)
+    rows = [{((i // n) ^ t) * n + i % n: c for i, c in r.items()} for r in m.table.rows() for t in range(count)]
+    table = groupring.translates(m.table, n, count)
+    assert table.ncols == m.flat_ngens and table.rows() == rows
+    assert m.flat_rows() == groupring.translates(m.table, n, order).rows()
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_modules())
+def test_module_from_nested_dicts_sequences_or_a_table_has_one_table(m):
+    n, order = m.ngens, m.G.order
+    nested = [{i % n: {} for i in r} for r in m.table.rows()]
+    for r, rel in zip(m.table.rows(), nested):
+        for i, c in r.items():
+            rel[i % n][i // n] = c
+    sequences = [[rel.get(j, {}) for j in range(n)] for rel in nested]
+    for rels in (nested, sequences, m.table, nested[:1] + sequences[1:]):
+        assert RModPres(m.G, n, rels).table.rows() == m.table.rows()
+    with pytest.raises(ValueError, match="out of range"):
+        RModPres(m.G, n, [{n: {0: 1}}])
+    with pytest.raises(ValueError, match="generator count"):
+        RModPres(m.G, n, [[{0: 1}] * (n + 1)])
+    with pytest.raises(ValueError, match="width"):
+        RModPres(m.G, n + 1, m.table)
 
 
 def test_block_form_takes_images_past_int64():

@@ -1373,6 +1373,28 @@ def test_table_columns_outside_the_generators_are_refused():
         FpAb(4, linalg.RowTable(np.array([[0, 2]]), 1, 3))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(row_tables(), st.lists(st.dictionaries(st.integers(0, 4), st.integers(-9, 9)), max_size=4)), max_size=4))
+def test_stacked_tables_and_dict_rows_keep_their_rows_in_turn(parts):
+    want = [r for p in parts for r in (p.rows() if isinstance(p, linalg.RowTable) else [{j: x for j, x in r.items() if x} for r in p])]
+    table = linalg.RowTable.stack(5, *parts)
+    assert table.ncols == 5 and table.rows() == want
+    widths = [p.cols.shape[1] if isinstance(p, linalg.RowTable) else max(map(len, p), default=0) for p in parts]
+    assert table.cols.shape == (len(want), max([1, *widths]))
+
+
+def test_stack_of_nothing_and_past_int64():
+    for parts in ((), ([],), ([], linalg.RowTable(np.zeros((0, 2), dtype=np.int64), 0, 3))):
+        table = linalg.RowTable.stack(3, *parts)
+        assert len(table) == 0 and table.rows() == []
+    assert linalg.RowTable.stack(3, [{}]).rows() == [{}]
+    top = linalg.RowTable.stack(3, [{1: 2**63 - 1}])
+    assert top.rows() == [{1: 2**63 - 1}]
+    for rows in ([{0: 1}, {1: 2**63}], [{2: -(2**63) - 1}]):
+        with pytest.raises(ValueError, match="past int64"):
+            linalg.RowTable.stack(3, linalg.RowTable(np.array([[0]]), 1, 3), rows)
+
+
 def test_table_images_take_the_exact_path_past_int64():
     # each value, image entry and modulus fits, but a row's sum passes 2^63
     d = 3**37

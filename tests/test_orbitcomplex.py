@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scgroups import linalg, orbitcomplex
-from scgroups.linalg import hnf_rows, iso_odd, snf
+from scgroups.linalg import FpAb, hnf_rows, snf
 from scgroups.orbitcomplex import (
     build_row_complex,
     chain_identities_hold,
@@ -33,10 +33,14 @@ def test_chain_identities(label):
 
 def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     # at GF(121) ker d3 and RP's relation basis both have 237 rows; the
-    # left kernel reduces the former once, and neither is reduced again
+    # left kernel of lambda_1 reduces the former once, for RP_1, and
+    # neither is reduced again.  The ring's own context has built no RP_1
+    # yet, whatever other tests built on the shared one.
     ring = parse_ring("gf(121)")
+    ctx = ScissorsContext(ring)
     c = build_row_complex(ring)
-    c.ctx.rp_flat()
+    assert c.ctx is ctx
+    ctx.rp_flat()
     calls = []
     hnf = linalg._hnf_sparse
 
@@ -47,6 +51,7 @@ def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     monkeypatch.setattr(linalg, "_hnf_sparse", counted)
     h3 = c.homology_at(3)
     assert calls.count(237) == 1
+    assert c.homology_at(3) is h3 is ctx.rp1() and calls.count(237) == 1
     monkeypatch.undo()
     assert h3.describe() == "Z/61"  # RP_1(F_121)
 
@@ -67,11 +72,15 @@ def test_homology_position_2_is_fundamental_ideal():
     assert build_row_complex(GF(7)).homology_at(2).invariant_factors() == (2,)
 
 
-@pytest.mark.parametrize("label", ["gf(7)", "gf(11)", "gf(13)"])
+@pytest.mark.parametrize("label", ["gf(7)", "gf(11)", "gf(13)", "z/7^2"])
 def test_homology_position_3_is_rp1(label):
+    # E^2 position 3 is ker d3 / im d4 and RP_1 is ker lambda_1 on RP, with
+    # d3 = lambda_1's rows: they agree once d4's rows, reduced on their
+    # own, give the canonical basis that RP's block form certifies
     ring = parse_ring(label)
     c = build_row_complex(ring)
-    assert iso_odd(c.homology_at(3), context(ring).rp1())
+    assert FpAb(len(c.d3), c.d4).echelon().basis == context(ring).rp_flat().echelon().basis
+    assert c.homology_at(3) is context(ring).rp1()
 
 
 def test_projective_points_count():

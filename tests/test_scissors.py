@@ -87,14 +87,13 @@ def test_five_term_suite_fails_on_a_perturbed_map(monkeypatch, label, which):
     ctx = ScissorsContext(parse_ring(label))
     s2 = ctx.s2_of_units()
     e = next({k: 1} for k in range(s2.ngens) if not s2.contains({k: 1}))
-    n, order = len(ctx.W), ctx.G.order
     if which == 0:
         lam = ctx.lambda_map()
         j = _unit_entry(ctx.pre_bloch()._rels().row(0))
         lam.rows[j] = add(lam.rows[j], e)
     else:
         rows = list(ctx.lambda1_matrix() if which == 1 else ctx.lambda2_matrix())
-        j = _unit_entry(ctx.refined().table.flat(n, order, 1).row(0))
+        j = _unit_entry(ctx.refined().table.row(0))
         rows[j] = add(rows[j], e if which == 2 else {0: 1})
         if which == 1:
             ctx._cache["lam1"] = rows
@@ -396,7 +395,7 @@ def test_relation_rows_equal_the_dense_construction(label):
     ys = [y for _, _, _, y in want]
     assert np.array_equal(ctx.rp_flat().rels, np.vstack(_translates(ctx, ys)))
     # cancelled five-term entries are dropped, not stored as zeros
-    assert all(c for rel in ctx.refined().relations for x in rel.values() for c in x.values())
+    assert all(c for row in ctx.refined().table.rows() for c in row.values())
     psi = [ctx.psi1(a) for a in ctx.ring.units]
     assert np.array_equal(ctx.refined_tilde().flatten().rels, np.vstack(_translates(ctx, ys + psi)))
     neg1 = ctx.G.neg_one()
@@ -443,7 +442,7 @@ def test_five_term_table_matches_the_formula(label):
     assert list(ctx.five_term_pairs()) == [(a, b) for a, b, _, _ in want]
     # the groups read the table: P's rows and RP's relations, in pair order
     assert ctx.pre_bloch()._rels().rows() == [ctx.pb_row(x) for _, _, x, _ in want]
-    assert ctx.refined().relations == [ctx._relation(y) for _, _, _, y in want]
+    assert ctx.refined().table.rows() == [ctx.rp_row(y) for _, _, _, y in want]
 
 
 def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
@@ -473,7 +472,7 @@ def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
     ctx = ScissorsContext(parse_ring("gf(97)"))
     group = ctx.pre_bloch()
     assert group.invariant_factors() == (98,)
-    assert len(ctx.five_terms().gens) == 8930
+    assert len(ctx.five_terms()) == 8930
     assert len(made) <= 95 + linalg._SUBSET_EXTRA + len(added)
 
 
@@ -599,12 +598,12 @@ def rp_questions(draw):
     (zero in RP) and, half of the time, a few free (class, W) terms."""
     label = draw(st.sampled_from(["gf(13)", "gf(49)", "z/11^2"]))
     ctx = context(label)
-    rels, order = ctx.refined().relations, ctx.G.order
+    rels, order, n = ctx.refined().table.rows(), ctx.G.order, len(ctx.W)
     x: dict = {}
     for _ in range(draw(st.integers(0, 3))):
         rel = rels[draw(st.integers(0, len(rels) - 1))]
         t, c = draw(st.integers(0, order - 1)), draw(st.integers(-3, 3))
-        y = {(g ^ t, ctx.W[j]): c * d for j, coeffs in rel.items() for g, d in coeffs.items()}
+        y = {((i // n) ^ t, ctx.W[i % n]): c * d for i, d in rel.items()}
         x = add(x, y)
     if draw(st.booleans()):
         for _ in range(draw(st.integers(1, 2))):
