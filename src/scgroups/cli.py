@@ -354,6 +354,11 @@ def _specialize_report(p: int, expr: str) -> dict:
 # matrix parsing for tree/amalgam commands
 
 
+# a matrix entry: an integer or n/d in ASCII digits, so that no exponent
+# (1e1000000000) can expand into a huge integer
+_ENTRY_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_matrix_arg(text: str):
     rows = text.split(";")
     if len(rows) != 2:
@@ -363,7 +368,11 @@ def parse_matrix_arg(text: str):
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError("each row needs two ','-separated entries")
-        vals.extend(_fraction(p.strip()) for p in parts)
+        for part in parts:
+            entry = part.strip()
+            if not _ENTRY_RE.fullmatch(entry):
+                raise ValueError(f"matrix entry {entry!r} is not an integer or a fraction n/d")
+            vals.append(_fraction(entry))
     return tree.mat2(*vals)
 
 

@@ -42,9 +42,11 @@ def add(x: dict, y: dict) -> dict:
     such combinations, so this is the one addition they share."""
     out = dict(x)
     for k, c in y.items():
-        out[k] = out.get(k, 0) + c
-        if not out[k]:
-            del out[k]
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
     return out
 
 
@@ -65,7 +67,11 @@ def r_mul(x: RElem, y: RElem) -> RElem:
 
 def act(r: RElem, x: dict) -> dict:
     """The action of r in Z[G] on a module element {(class, parameter): int}:
-    <g> sends the symbol (h, a) to (g h, a)."""
+    <g> sends the symbol (h, a) to (g h, a).  A one-term r = c<g> is a
+    relabelling of the symbols, a bijection, so its terms need no sums."""
+    if len(r) == 1:
+        ((g, c),) = r.items()
+        return {(g ^ h, a): e for (h, a), d in x.items() if (e := c * d)}
     out: dict = {}
     for g, c in r.items():
         for (h, a), d in x.items():

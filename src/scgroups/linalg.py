@@ -5,7 +5,9 @@ Inside the exact core a row has one form: a sparse {column: value} dict
 with Python-int keys in range(ncols) and nonzero Python-int values.
 ``_sparse_row`` is the one normaliser from what a caller passes (a 2-D
 array, dense sequences, dicts, or a mix) to such rows; it refuses an index
-outside the columns and a dense row of the wrong width.  ``FpAb`` keeps its
+outside the columns and a dense row of the wrong width.  A membership
+question on a dict (``FpAb._image``) makes the same checks while it
+projects, with no normalised copy.  ``FpAb`` keeps its
 relations so, ``AbMap`` one row per source generator, and a canonical basis
 lives in a ``SparseEchelon``; kernels, images, quotients, sums and
 intersections concatenate and reduce these dicts.  numpy object matrices
@@ -540,7 +542,7 @@ def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
         w = {cols[j]: v for j, v in row.items()}
         lift = {}
         for q, kap in kernel.items():
-            x, rem = divmod(-sum(a * w[c] for c, a in kap.items() if c in w), kap[q])
+            x, rem = divmod(-sum(kap[c] * v for c, v in w.items() if c in kap), kap[q])
             if rem:
                 raise AssertionError("certified HNF: a lifted entry is not an integer")
             if x:
@@ -1099,7 +1101,7 @@ def _section(proj: _Projection) -> list[dict]:
 def _project(proj: _Projection, entries) -> list[int]:
     """Image under a projection table of the vector with the given nonzero
     (index, value) entries, each torsion coordinate reduced into [0, d).
-    The entries are trusted: in range, values Python ints (``_sparse_row``
+    The entries are trusted: in range, values Python ints (``FpAb._image``
     checks a vector from outside)."""
     moduli, images = proj
     w = [0] * len(moduli)
@@ -1302,10 +1304,26 @@ class FpAb:
         return self._proj
 
     def _image(self, v) -> list[int]:
-        """Image of v under the quotient map.  v is checked by
-        ``_sparse_row``, which takes its values as Python ints, so that
-        numpy integers cannot overflow against large moduli."""
-        return _project(self._projection(), _sparse_row(v, self.ngens).items())
+        """Image of v under the quotient map.  A dict is checked and
+        projected in one loop: every key must lie in range(ngens), zero
+        values included, and each value is taken as a Python int, so that
+        numpy integers cannot overflow against large moduli.  A dense row
+        goes through ``_sparse_row`` first."""
+        proj = self._projection()
+        if not isinstance(v, dict):
+            return _project(proj, _sparse_row(v, self.ngens).items())
+        moduli, images = proj
+        n = self.ngens
+        w = [0] * len(moduli)
+        for j, x in v.items():
+            if not 0 <= j < n:
+                raise ValueError(f"index {j!r} outside the generators range({n})")
+            if x:
+                if type(x) is not int:
+                    x = int(x)
+                for k, a in images[j]:
+                    w[k] += x * a
+        return [x % d if d else x for x, d in zip(w, moduli)]
 
     def element_order(self, v) -> Optional[int]:
         """Least n >= 1 with n*v in the relation lattice, or None.  v is a

@@ -259,7 +259,7 @@ def matrix_texts(draw, p):
         seps = st.sampled_from([",", ";", " ", ",,", ";;"])
         seps = draw(st.lists(seps, min_size=len(parts), max_size=len(parts)))
         return "".join(x + s for x, s in zip(parts, seps))
-    return draw(st.text(alphabet="0123456789/,;- ", max_size=24))
+    return draw(st.text(alphabet="0123456789/,;- e._", max_size=24))
 
 
 @settings(max_examples=300, deadline=2000, derandomize=True)
@@ -520,6 +520,30 @@ def test_p_one_exits_instead_of_hanging(tmp_path):
     )
     assert proc.returncode == 2
     assert b"error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, matrix, entry",
+    [
+        ("amalgam", "1,1e1000000000;0,1", "1e1000000000"),
+        ("tree vertex", "1e100000000,0;0,1e-100000000", "1e100000000"),
+    ],
+)
+def test_exponent_matrix_entry_exits_instead_of_hanging(tmp_path, command, matrix, entry):
+    # Fraction would expand the exponent into an integer of 10^9 digits
+    proc = run_cli_subprocess([*command.split(), "--p", "7", "--matrix", matrix], tmp_path, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and repr(entry).encode() in proc.stderr
+
+
+@pytest.mark.parametrize("entry", ["1e3", "1e100000", "1_000", "1.5", "0x10", "2/-3", "\u0661"])
+def test_matrix_entry_outside_the_grammar_exits_2(capsys, entry):
+    code, out, err = run_cli(["tree", "vertex", "--p", "7", f"--matrix= {entry} ,0;0,1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(entry) in err
+    # spaces around an integer or n/d are accepted
+    code, _, _ = run_cli(["tree", "vertex", "--p", "7", "--matrix= -7 , 0 ; 0 , -1/7 "], capsys)
+    assert code == 0
 
 
 def test_pbar_table_inverted_range_exits_2(capsys):

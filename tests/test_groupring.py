@@ -365,3 +365,51 @@ def test_flat_module_keeps_no_cycle_to_its_presentation():
         gc.enable()
     got = flat.rels.tolist()
     assert [{j: v for j, v in enumerate(row) if v} for row in got] == want
+
+
+def _add_by_loop(x: dict, y: dict) -> dict:
+    """The sum of formal combinations, term by term (the oracle)."""
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + c
+        if not out[k]:
+            del out[k]
+    return out
+
+
+def _act_by_loop(r: dict, x: dict) -> dict:
+    """The action of Z[G] on {(class, parameter): int}, summed over every
+    pair of terms (the oracle)."""
+    out: dict = {}
+    for g, c in r.items():
+        for (h, a), d in x.items():
+            k = (g ^ h, a)
+            out[k] = out.get(k, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def module_sums(draw):
+    """(r, x, y): r in Z[G] and module elements x, y over G of order 1, 2
+    or 4, with zero coefficients; y often cancels terms of x."""
+    order = draw(st.sampled_from([1, 2, 4]))
+    coeff = st.integers(-3, 3)
+    keys = st.tuples(st.integers(0, order - 1), st.sampled_from("abc"))
+    r = draw(st.dictionaries(st.integers(0, order - 1), coeff, max_size=order))
+    x = draw(st.dictionaries(keys, coeff, max_size=6))
+    y = draw(st.dictionaries(keys, coeff, max_size=6))
+    y.update({k: -c for k, c in x.items() if draw(st.booleans())})
+    return r, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(module_sums())
+def test_add_and_act_match_the_term_loops(sums):
+    r, x, y = sums
+    assert add(x, y) == _add_by_loop(x, y)
+    assert groupring.act(r, x) == _act_by_loop(r, x)
+    for g, c in r.items():
+        # a one-term r relabels the symbols
+        got = groupring.act({g: c}, x)
+        assert got == _act_by_loop({g: c}, x)
+        assert all(got.values())

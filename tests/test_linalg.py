@@ -499,6 +499,51 @@ def test_sparse_dict_matches_dense(data):
     assert g.element_order(sparse) == g.element_order(v)
 
 
+def _entry(kind, x):
+    """x as a Python int, a numpy integer or (for 0 and 1) a bool."""
+    if kind == "numpy":
+        return np.int64(x)
+    if kind == "bool" and x in (0, 1):
+        return bool(x)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_image_of_a_dict_is_the_normalised_projection(data):
+    # the oracle: normalise the dict with _sparse_row, then project it
+    n, rows = data.draw(presentations())
+    g = FpAb(n, rows if rows else None)
+    kinds = st.sampled_from(["int", "numpy", "bool"])
+    v = {}
+    for j, x in enumerate(data.draw(vectors(n))):
+        if x or data.draw(st.booleans()):
+            v[_entry(data.draw(kinds), j)] = _entry(data.draw(kinds), x if data.draw(st.booleans()) else 0)
+    want = _project(g._projection(), linalg._sparse_row(v, n).items())
+    assert g._image(v) == want
+    assert all(type(x) is int for x in g._image(v))
+    # an index outside range(n), even with value 0, is refused by both
+    bad = {**v, _entry(data.draw(kinds), data.draw(st.sampled_from([-1, n, n + 3]))): data.draw(st.integers(0, 2))}
+    with pytest.raises(ValueError) as oracle:
+        linalg._sparse_row(bad, n)
+    with pytest.raises(ValueError, match=re.escape(str(oracle.value))):
+        g._image(bad)
+
+
+def test_membership_of_a_clean_dict_builds_no_normalised_row(monkeypatch):
+    g = FpAb(3, [[2, 0, 0], [0, 3, 3]])
+    g._projection()
+
+    def refuse(v, n):
+        raise AssertionError("_sparse_row called")
+
+    monkeypatch.setattr(linalg, "_sparse_row", refuse)
+    assert g.contains({0: 2, 1: 3, 2: 3}) and not g.contains({0: 1})
+    assert g.element_order({0: 1, 1: 1}) is None and g.element_order({0: 1}) == 2
+    with pytest.raises(AssertionError, match="_sparse_row"):
+        g.contains([2, 0, 0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(presentations())
 def test_invariant_factors_match_sympy(pres):

@@ -625,6 +625,17 @@ def test_rp_is_zero_matches_dense_contains(question):
     assert np.array_equal(ctx.rp_vector(x), v)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rp_questions())
+def test_rp_tilde_is_zero_matches_contains_of_the_flat_row(question):
+    label, x = question
+    ctx = context(label)
+    want = ctx.tilde().rp_tilde.contains(ctx.rp_row(x))
+    assert ctx.rp_tilde_is_zero(x) == want
+    # numpy values are taken as Python ints
+    assert ctx.rp_tilde_is_zero({k: np.int64(c) for k, c in x.items()}) == want
+
+
 # -- a ring owns its scissors context -----------------------------------------
 
 
