@@ -14,12 +14,12 @@ in the exact presentations from the scissors module.
 
 S_v reads little from a symbol <c>[t]: the sign of v_p(t) and, when
 v_p(t) = 0, the residue of t; the parity of v_p(c) and the square class of
-the residue of c's unit part.  Each is one integer pass over the numerator
-and denominator (`padic_read`), with no Fraction arithmetic, and the images
-add into sparse {index: value} dicts, tested for zero through the cached
-quotient map of RP~(GF(p)).  S_v is evaluated on that data alone
-(`SpecializationContext.s_v_of`).  For a five-term relation Y(a, b) the
-data follows by integer arithmetic from the *local types* of a and b,
+the residue of c's unit part (`SpecializationContext.symbol_data`, one
+integer pass with a table of inverses mod p).  S_v is held as its terms
+(coefficient, parameter data, class data) (`s_v_of`), and whether it is
+zero is one pass through the quotient map of RP~(GF(p)) + RP~(GF(p)), read
+by case (parameter data, residue class).  For a five-term relation Y(a, b)
+the data follows by integer arithmetic from the *local types* of a and b,
 (v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a)
 (`SpecializationContext.y_symbol_data`), so a sweep over many pairs
 evaluates S_v once per distinct datum and builds no relation.  Elements
@@ -32,12 +32,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .groupring import act, add, dbl_bracket, p_plus, scale
-from .linalg import FpAb, _dense
+from .linalg import FpAb, _dense, _project
 from .rings import GF, is_prime
 from .scissors import ScissorsContext, context as scissors_context
 
@@ -293,15 +292,50 @@ class RPtElem:
         return RPtElem(self.group, add(self.entries, scale(-1, other.entries)))
 
 
-@dataclass
+@dataclass(eq=False)
 class IndElem:
-    """Image of S_v through (rho_0, rho_pi): a pair of RP~(k) elements."""
+    """Image of S_v through (rho_0, rho_pi), a pair of RP~(k) elements, held
+    as S_v's terms (coefficient, parameter data, class data (e, g)); comp0
+    and comp_pi are built from the case entries when read."""
 
-    comp0: RPtElem
-    comp_pi: RPtElem
+    ctx: "SpecializationContext"
+    terms: tuple
 
     def is_zero(self) -> bool:
-        return self.comp0.is_zero() and self.comp_pi.is_zero()
+        return self.ctx.cases.contains(self.terms)
+
+    def component(self, even: int, odd: int) -> RPtElem:
+        """even * rho_0 + (odd - even) * rho_pi: each term's case entries
+        times its coefficient times ``odd`` if e is odd, else ``even``."""
+        out: dict = {}
+        for coeff, param, (e, g) in self.terms:
+            c = coeff * (odd if e else even)
+            if c:
+                for i, v in self.ctx._cases[param, g][0]:
+                    out[i] = out.get(i, 0) + c * v
+        return RPtElem(self.ctx.rp_tilde, out)
+
+    comp0 = property(lambda self: self.component(1, 1))
+    comp_pi = property(lambda self: self.component(0, 1))
+
+
+class _CaseGroup(FpAb):
+    """RP~(k) + RP~(k), the target of (rho_0, rho_pi), read by S_v case
+    (parameter data, g): FpAb's own ``contains`` (as for
+    ``scissors._SymbolGroup``) takes S_v's terms in one pass, adding each
+    case's image under RP~'s quotient map into rho_0's coordinates, and
+    into rho_pi's too when e is odd."""
+
+    def __init__(self, moduli: list, cases: dict):
+        self._proj = (moduli * 2, cases)
+
+    def _image(self, terms) -> list[int]:
+        moduli, cases = self._proj
+        w = [0] * len(moduli)
+        for coeff, param, (e, g) in terms:
+            for k, a in cases[param, g][1 + e]:
+                w[k] += coeff * a
+        return [x % d if d else x for x, d in zip(w, moduli)]
 
 
 # What s_v reads from a symbol <c>[t]:
@@ -337,10 +371,13 @@ class SpecializationContext:
         self.p_tilde: FpAb = tb.p_tilde
         ck = self.sc.rp_row(self.sc.big_c())
         self._ck_entries = sorted((i, int(x)) for i, x in ck.items() if x)
-        # square class in GF(p) of each nonzero residue
+        # square class in GF(p) and inverse mod p of each nonzero residue
         self._gclass = [0] + [self.sc.G.class_of(u) for u in range(1, p)]
-        self._classes: dict[tuple[int, int], ClassData] = {}
-        self._cases: dict[tuple[ParamData, int], list[tuple[int, int]]] = {}
+        self._inv = [0] + [pow(u, -1, p) for u in range(1, p)]
+        # the 2(p + 1) cases (parameter data, residue class) of S_v
+        params = [(1, 0), (-1, 0)] + [(0, u) for u in range(1, p)]
+        self._cases = {(d, g): self._case(d, g) for d in params for g in range(self.sc.G.order)}
+        self.cases = _CaseGroup(self.rp_tilde._projection()[0], self._cases)
 
     # residue of a p-adic unit rational, as an element of GF(p)
     def residue(self, a) -> int:
@@ -350,67 +387,57 @@ class SpecializationContext:
             raise ValueError(f"{a} is not a p-adic unit")
         return u
 
-    def _class_data(self, cls: QSqClass) -> ClassData:
-        """Class data, cached per (sign, n): symbols repeat few classes."""
-        key = (cls.sign, cls.n)
-        out = self._classes.get(key)
-        if out is None:
-            v, u = padic_read(cls.sign * cls.n, 1, self.p)
-            out = self._classes[key] = (v & 1, self._gclass[u])
-        return out
-
     def symbol_data(self, cls: QSqClass, a) -> tuple[ParamData, ClassData]:
-        """The data s_v reads from the symbol <cls>[a]."""
-        return _param_data(*padic_read(a.numerator, a.denominator, self.p)), self._class_data(cls)
+        """The data s_v reads from the symbol <cls>[a], in one pass."""
+        p, num, den, n = self.p, a.numerator, a.denominator, cls.n
+        if not num or not n:
+            raise ValueError("0 has no valuation")
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        # n is squarefree, so p divides it at most once
+        e, n = (1, n // p) if n % p == 0 else (0, n)
+        param = (0, num * self._inv[den % p] % p) if v == 0 else ((1 if v > 0 else -1), 0)
+        return param, (e, self._gclass[cls.sign * n % p])
 
-    def _case_entries(self, param: ParamData, g: int) -> list[tuple[int, int]]:
+    def _case(self, param: ParamData, g: int) -> tuple[list, list, list]:
         """The nonzero (index, value) entries of the RP~(k) coordinate of S_v
-        on a symbol with this parameter data, moved by the residue class g;
-        cached, as there are at most 2(p + 1) of them."""
-        out = self._cases.get((param, g))
-        if out is None:
-            s, u = param
-            if s:
-                out = [(i, s * x) for i, x in self._ck_entries]
-            elif u == 1:
-                # parameters reducing to 1 specialize to 0 (their classes
-                # generate the kernel L_v of S_v)
-                out = []
-            else:
-                out = [(self.sc.refined().flat_index(0, self.sc.windex[u]), 1)]
-            if g:
-                # moved = base[perm], and perm is an involution (g * g = 1
-                # in G), so the entry of base at i lands at perm[i]
-                perm = self.sc.refined().act_permutation(g)
-                out = [(int(perm[i]), x) for i, x in out]
-            self._cases[(param, g)] = out
-        return out
+        on a symbol with this parameter data, moved by the residue class g,
+        and their image under RP~'s quotient map as (coordinate, value)
+        lists in rho_0 and in (rho_0, rho_pi)."""
+        s, u = param
+        if s:
+            entries = [(i, s * x) for i, x in self._ck_entries]
+        elif u == 1:
+            # parameters reducing to 1 specialize to 0 (their classes
+            # generate the kernel L_v of S_v)
+            entries = []
+        else:
+            entries = [(self.sc.refined().flat_index(0, self.sc.windex[u]), 1)]
+        if g:
+            # moved = base[perm], and perm is an involution (g * g = 1 in
+            # G), so the entry of base at i lands at perm[i]
+            perm = self.sc.refined().act_permutation(g)
+            entries = [(int(perm[i]), x) for i, x in entries]
+        img = _project(self.rp_tilde._projection(), entries)
+        rho0 = [(k, a) for k, a in enumerate(img) if a]
+        return entries, rho0, rho0 + [(k + len(img), a) for k, a in rho0]
 
     def s_v_of(self, data) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)), on the
         (coefficient, parameter data, class data) of each symbol: what
         symbol_data reads from a symbol or y_symbol_data derives from local
-        types.  Each symbol's moved case entries add into rho_0, and into
-        rho_pi too when its class has odd valuation."""
-        c0: dict = {}
-        cpi: dict = {}
-        for coeff, param, (e, g) in data:
-            entries = self._case_entries(param, g)
-            for acc in (c0, cpi) if e else (c0,):
-                for i, v in entries:
-                    acc[i] = acc.get(i, 0) + coeff * v
-        return IndElem(RPtElem(self.rp_tilde, c0), RPtElem(self.rp_tilde, cpi))
+        types."""
+        return IndElem(self, tuple(data))
 
     def s_v(self, x: SymRP) -> IndElem:
-        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)).  The data
-        of each symbol is read as symbol_data reads it, kept inline: the
-        extra call per symbol cost S_v about 7 % on the benchmark's
-        relations."""
-        p, class_data = self.p, self._class_data
-        return self.s_v_of(
-            (coeff, _param_data(*padic_read(a.numerator, a.denominator, p)), class_data(cls))
-            for (cls, a), coeff in x.items()
-        )
+        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p))."""
+        read = self.symbol_data
+        return self.s_v_of([(coeff, *read(cls, a)) for (cls, a), coeff in x.items()])
 
     def local_type(self, a) -> LocalType:
         """(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a) of
@@ -426,7 +453,7 @@ class SpecializationContext:
         p, gc = self.p, self._gclass
         va, ua, wa, xa = ta
         vb, ub, wb, xb = tb
-        ia, ixb = pow(ua, -1, p), pow(xb, -1, p)
+        ia, ixb = self._inv[ua], self._inv[xb]
         one = (0, gc[1])
         return (
             (1, _param_data(va, ua), one),
@@ -449,8 +476,7 @@ class SpecializationContext:
     def delta_pi_prime(self, x: SymRP) -> RPtElem:
         """rho'_pi composite: <a> (x) m -> (-1)^{v(a)} <u_a-bar> m.  As
         (-1)^v = 1 - 2[v odd], this is rho_0 - 2 rho_pi."""
-        ind = self.s_v(x)
-        return RPtElem(self.rp_tilde, add(ind.comp0.entries, scale(-2, ind.comp_pi.entries)))
+        return self.s_v(x).component(1, -1)
 
     def _to_p_tilde(self, x: RPtElem) -> RPtElem:
         """The image in P~ of the coinvariants map, which sends flat index

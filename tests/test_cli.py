@@ -130,6 +130,39 @@ def test_usage_error_bad_ring(capsys):
     assert "gf(6)" in err
 
 
+# the full stdout of `specialize --p 11`, zero flags and reduced vectors, as
+# printed when both components were summed into dicts eagerly: <<11>> and
+# <11> have odd valuation at 11, and 3/11, 121/2 and 1/13 take both signs
+# of valuation and none
+SPECIALIZE_11_STDOUT = {
+    '<<11>>*g(2)': (
+        '{"delta_0": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "zero": true}, '
+        '"delta_pi": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0], "zero": false}, '
+        '"delta_pi_prime": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0], "zero": false}, '
+        '"expr": "<<11>>*g(2)", "p": 11}\n'
+    ),
+    '<22>*[3/11] - <-11>*[121/2] + <<33>>*[5] + 2*<11>*[1/13]': (
+        '{"delta_0": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -2], "zero": false}, '
+        '"delta_pi": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -2], "zero": false}, '
+        '"delta_pi_prime": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2], "zero": false}, '
+        '"expr": "<22>*[3/11] - <-11>*[121/2] + <<33>>*[5] + 2*<11>*[1/13]", "p": 11}\n'
+    ),
+    '<11>*([2] - [3] + <2>*[3/2] - <-2>*[3/4] + <-1>*[1/2]) + <-11>*[12]': (
+        '{"delta_0": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "zero": true}, '
+        '"delta_pi": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "zero": true}, '
+        '"delta_pi_prime": {"reduced": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "zero": true}, '
+        '"expr": "<11>*([2] - [3] + <2>*[3/2] - <-2>*[3/4] + <-1>*[1/2]) + <-11>*[12]", "p": 11}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("expr", list(SPECIALIZE_11_STDOUT))
+def test_specialize_stdout_is_pinned(capsys, expr):
+    code, out, _ = run_cli(["specialize", "--p", "11", "--expr", expr], capsys)
+    assert code == 0
+    assert out == SPECIALIZE_11_STDOUT[expr]
+
+
 def test_specialize(capsys):
     code, out, _ = run_cli(["specialize", "--p", "11", "--expr", "<<11>>*g(2)"], capsys)
     assert code == 0

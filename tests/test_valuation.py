@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
+import scgroups
 from scgroups import verify
 from scgroups.groupring import act, add, bracket, dbl_bracket, p_plus, r_mul, scale
 from scgroups.linalg import zeros
@@ -477,6 +482,114 @@ def test_s_v_of_local_type_data_matches_the_relation(p, data):
     want = ctx.s_v(sym_y_relation(a, b))
     assert _nonzero(got.comp0.entries) == _nonzero(want.comp0.entries)
     assert _nonzero(got.comp_pi.entries) == _nonzero(want.comp_pi.entries)
+
+
+@st.composite
+def s_v_inputs(draw, p):
+    """Symbolic elements whose S_v is zero or not: Y relations moved by
+    classes (of odd valuation too), symbols whose parameters take both
+    signs of valuation, and for some symbols a twin <c(1 + p)>[t(1 + p)],
+    another symbol with the same data, with the same or the opposite
+    coefficient, so that cases repeat or cancel in S_v's terms."""
+    x = {}
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(PARAMS[p])
+        b = draw(PARAMS[p].filter(lambda t: t != a))
+        cls = qclass(draw(P_ADIC[p]))
+        x = add(x, act({cls: draw(st.sampled_from((-1, 1, 2)))}, sym_y_relation(a, b)))
+    for _ in range(draw(st.integers(0, 3))):
+        cls, t = qclass(draw(P_ADIC[p])), draw(PARAMS[p])
+        k = draw(st.sampled_from((-2, -1, 1, 3)))
+        x = add(x, {(cls, t): k})
+        if draw(st.booleans()) and t * (1 + p) != 1:
+            twin = (qclass(cls.value() * (1 + p)), t * (1 + p))
+            x = add(x, {twin: draw(st.sampled_from((-k, k)))})
+    return x
+
+
+S_V_INPUTS = {p: s_v_inputs(p) for p in PRIMES}
+
+
+def _case_sums(ctx, x):
+    """(rho_0, rho_pi) entries of S_v(x), summed from the case entries of
+    the data the Fraction formulas read, zero sums dropped."""
+    out = ({}, {})
+    for (cls, t), coeff in x.items():
+        param, (e, g) = _ref_symbol_data(ctx, cls, t)
+        for acc in out if e else out[:1]:
+            for i, v in ctx._cases[param, g][0]:
+                acc[i] = acc.get(i, 0) + coeff * v
+    return tuple(map(_nonzero, out))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_one_pass_membership_matches_the_entry_path(p):
+    ctx = specialization(p)
+    rp = ctx.rp_tilde
+    answers = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(S_V_INPUTS[p])
+    def check(x):
+        out = ctx.s_v(x)
+        assert out.is_zero() == (rp.contains(out.comp0.entries) and rp.contains(out.comp_pi.entries))
+        assert (_nonzero(out.comp0.entries), _nonzero(out.comp_pi.entries)) == _case_sums(ctx, x)
+        answers.add((bool(x), out.is_zero()))
+
+    check()
+    # both answers occur, and nonzero elements that die among them
+    assert {(True, True), (True, False)} <= answers
+
+
+def test_s_v_refuses_a_zero_parameter_or_class_without_hanging():
+    # symbols built by hand reach the loops that strip p: 0 must be a
+    # ValueError there, not a loop on 0 % p == 0
+    code = (
+        "from fractions import Fraction\n"
+        "from scgroups.valuation import QONE, _sqclass, specialization\n"
+        "ctx = specialization(11)\n"
+        "for x in ({(QONE, Fraction(0)): 1}, {(QONE, 0): 1}, {(_sqclass(1, 0), Fraction(2)): 1},\n"
+        "          {(_sqclass(-1, 0), Fraction(1, 11)): 3}):\n"
+        "    try:\n"
+        "        ctx.s_v(x)\n"
+        "    except ValueError as e:\n"
+        "        print('ValueError:', e)\n"
+    )
+    env = dict(os.environ)
+    pkg_root = str(Path(scgroups.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError: 0 has no valuation"] * 4
+
+
+def _off_by_one(case):
+    """A case builder whose images in RP~'s quotient are one too large in
+    the first coordinate (in rho_0, and so in (rho_0, rho_pi) too)."""
+
+    def bumped(img):
+        out = dict(img)
+        out[0] = out.get(0, 0) + 1
+        return sorted(out.items())
+
+    def wrong(self, param, g):
+        entries, even, odd = case(self, param, g)
+        return entries, bumped(even), bumped(odd)
+
+    return wrong
+
+
+def test_an_off_by_one_case_image_fails_the_sweep_and_the_suite(monkeypatch):
+    vals = verify.sweep_values(5)
+    assert verify.y_sweep(specialization(11), vals)
+    assert all(c.ok for c in verify.suite_specialize(11))
+    monkeypatch.setattr(SpecializationContext, "_case", _off_by_one(SpecializationContext._case))
+    wrong = SpecializationContext(11)
+    assert not verify.y_sweep(wrong, vals)
+    monkeypatch.setattr(verify, "specialization", lambda p: wrong)
+    failed = [c.name for c in verify.suite_specialize(11) if not c.ok]
+    assert "p=11: S_v kills 200 seeded Y relations exactly" in failed
+    assert "p=11: exhaustive Y sweep with entries up to 20" in failed
 
 
 def test_y_sweep_fails_when_a_datum_coefficient_flips(monkeypatch):
