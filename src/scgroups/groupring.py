@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import AbMap, FpAb, RowTable, _dense, _image_blocks, _images, _section, _unkilled
+from .linalg import AbMap, FpAb, Quotient, RowTable, _dense
 from .rings import SqClassGroup
 
 RElem = dict  # class -> integer coefficient
@@ -308,14 +308,13 @@ def _block_lattice(m: RModPres) -> FpAb:
     minus_group = FpAb(N, RowTable(cols, np.where(upper, -flat.vals, flat.vals), N))
     minus_basis, pi = minus_group.echelon().basis, minus_group._projection()
     del minus_group
-    moduli = pi[0]
-    t = len(moduli)
+    t = len(pi.moduli)
     srows = _s_rows(RowTable(cols, flat.vals, N), pi, RowTable(cols, np.where(upper, flat.vals, 0), N))
     del flat, upper, cols
     s_basis = FpAb(N + t, srows).echelon().basis
     del srows
-    sigma = _section(pi)
-    if _images(pi, sigma) != [[int(i == k) for i in range(t)] for k in range(t)]:
+    sigma = pi.section()
+    if pi.images(sigma) != [[int(i == k) for i in range(t)] for k in range(t)]:
         raise AssertionError("block form: the section does not project to unit vectors")
     rows = [add(scale(-1, r), {N + j: v for j, v in r.items()}) for r in minus_basis]
     for r in s_basis:
@@ -331,28 +330,29 @@ def _block_lattice(m: RModPres) -> FpAb:
     out = FpAb._seeded(2 * N, rows, functools.partial(translates, m.table, n, order))
     # the certificate: every relation row, through the map read after each
     # translation
-    moduli, images = out._projection()
+    proj = out._projection()
     for g in range(order):
-        translated = [images[i] for i in m.act_permutation(g).tolist()]
-        if _unkilled((moduli, translated), m.table):
+        if proj.compose([{i: 1} for i in m.act_permutation(g).tolist()]).unkilled(m.table):
             raise AssertionError("block form: a relation row does not map to 0")
     return out
 
 
-def _s_rows(plus: RowTable, pi, upper: RowTable):
+def _s_rows(plus: RowTable, pi: Quotient, upper: RowTable):
     """The generators of S: a row (a + b, pi(b)) for each row a + b of
     ``plus`` and b of ``upper`` (N columns), where pi(b) takes the columns
     N, N + 1, ... (one per coordinate of pi), and a row d e_(N + k) for
     each modulus d of pi.  A RowTable when every image fits int64, else
     sparse dicts."""
-    moduli = pi[0]
-    N, t = plus.ncols, len(moduli)
-    blocks = [w for _, w in _image_blocks(pi, upper)]
-    mods = [{N + j: d} for j, d in enumerate(moduli) if d]
-    if not all(isinstance(w, np.ndarray) for w in blocks):
-        images = itertools.chain.from_iterable(w.tolist() if isinstance(w, np.ndarray) else w for w in blocks)
-        rows = [{**plus.row(i), **{N + j: x for j, x in enumerate(w) if x}} for i, w in enumerate(images)]
+    N, t = plus.ncols, len(pi.moduli)
+    mods = [{N + j: d} for j, d in enumerate(pi.moduli) if d]
+    # the images of upper, a slice at a time so that their lists stay short,
+    # flattened into one int64 array
+    parts = (pi.images(upper[lo : lo + 2048]) for lo in range(0, len(upper), 2048))
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(parts)), np.int64, len(plus) * t)
+    except OverflowError:
+        rows = [{**plus.row(i), **{N + j: x for j, x in enumerate(w) if x}} for i, w in enumerate(pi.images(upper))]
         return [r for r in rows if r] + mods
-    images = np.concatenate(blocks) if blocks else np.zeros((0, t), dtype=np.int64)
     cols = np.concatenate([plus.cols, np.broadcast_to(N + np.arange(t), (len(plus), t))], axis=1)
-    return RowTable.stack(N + t, RowTable(cols, np.concatenate([plus.vals, images], axis=1), N + t), mods)
+    vals = np.concatenate([plus.vals, flat.reshape(len(plus), t)], axis=1)
+    return RowTable.stack(N + t, RowTable(cols, vals, N + t), mods)

@@ -5,9 +5,7 @@ Inside the exact core a row has one form: a sparse {column: value} dict
 with Python-int keys in range(ncols) and nonzero Python-int values.
 ``_sparse_row`` is the one normaliser from what a caller passes (a 2-D
 array, dense sequences, dicts, or a mix) to such rows; it refuses an index
-outside the columns and a dense row of the wrong width.  A membership
-question on a dict (``FpAb._image``) makes the same checks while it
-projects, with no normalised copy.  ``FpAb`` keeps its
+outside the columns and a dense row of the wrong width.  ``FpAb`` keeps its
 relations so, ``AbMap`` one row per source generator, and a canonical basis
 lives in a ``SparseEchelon``; kernels, images, quotients, sums and
 intersections concatenate and reduce these dicts.  numpy object matrices
@@ -16,29 +14,30 @@ appear only at the API edge, as views built on each read (``hnf_rows``,
 ``lattice_intersect``, ``AbMap.matrix``, ``SubgroupPres.lift``), and in
 ``snf``.
 
+A quotient map Z^n -> Z^f + sum Z/d_k has one form, ``Quotient``: its
+moduli and the images of the generators, by index or by any hashable key.
+``Quotient.image`` is the one loop that sums generator images; every
+membership question goes through it: ``FpAb.contains`` and
+``element_order`` (a dict is read as it is, its keys checked), the check
+that a map kills the basis rows, and the keyed reads of ``KeyedFpAb``,
+whose images ``compose`` reads through rows named by keys (RP by symbol,
+RP~ + RP~ by S_v case).  ``unkilled`` and ``images`` take many rows at
+once, dicts or a ``RowTable``, in blocks through int64 arrays when no sum
+can reach 2^62 and in Python ints otherwise; ``section`` lifts each
+target coordinate back to the generators.  ``AbMap.unkilled``, the one
+test that a map kills relation rows, composes the target's map with the
+map rows once.
+
 ``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz reduction
 to triangular rows, then the Hermite basis of their lattice modulo its
-determinant D, where no entry exceeds D; a rank-deficient lattice is first
-projected onto its pivot columns and lifted back through its rational
-kernel.  An input of at most WHOLE_PER_COLUMN (4) rows per column is
-reduced whole.  A taller one (the five-term relation matrices) starts from
-a subset of n + 8 rows of a seeded stream, taken so that two of them touch
-each column where the stream allows: a uniform sample that small misses
-columns of the sparse five-term rows, and so rank.  The subset's basis is
-returned only under a certificate checked at run time: every input row
-maps to 0 under the basis's quotient map (``_unkilled`` projects the rows
-in blocks through int64 arrays when no sum can reach 2^62, else row by
-row), so the subset's lattice L_S lies in the basis's, and the basis has
-L_S's rank and its pivots multiply to L_S's determinant on the same pivot
-columns, so the two lattices are equal.  Rows that the map does not kill
-join the subset for another round, at most as many as the subset holds,
-so it at most doubles; that round reduces them with the certified basis,
-whose entries lie below L_S's determinant, in place of the triangular
-rows.  A subset that holds every row needs no certificate.  The rows are
-read in place and only the subset is copied.  The certified basis comes
-with the quotient map its certificate built, and an FpAb keeps that map
-instead of building it again.  ``ab_quotient`` puts the group's canonical
-basis first, and the first subset takes it whole.
+determinant, lifted through the rational kernel when the rank is
+deficient.  An input of more than WHOLE_PER_COLUMN (4) rows per column is
+not reduced whole: a seeded subset of n + 8 rows that touch each column
+twice is, and its basis is returned under a certificate checked at run
+time, its quotient map killing every input row (``Quotient.unkilled``)
+with equal rank and determinant; rows it does not kill join the subset
+for another round.  The certified basis comes with that map, and an FpAb
+keeps it instead of building it again.
 
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
@@ -54,9 +53,7 @@ Relation rows of one width may also come as a ``RowTable``: int64 arrays
 of columns and values, one row per line (the five-term relations, and the
 half rows of a Z[G]-module's block form).  ``_hnf_sparse`` then builds
 dicts only for the rows it reduces, and the certificate projects the
-table's arrays directly.  ``AbMap.unkilled`` is the one test that a map
-kills relation rows, dicts or a table: it composes the target's quotient
-map with the map rows once and hands the rows to ``_unkilled``.
+table's arrays directly.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -435,7 +432,7 @@ def _first_subset(rows, n: int, lead: int = 0) -> set[int]:
     return set(chosen + skipped[: max(0, n + _SUBSET_EXTRA - len(chosen))])
 
 
-def _hnf_sparse(rows, n: int, lead: int = 0) -> tuple[list[dict], Optional[_Projection]]:
+def _hnf_sparse(rows, n: int, lead: int = 0) -> tuple[list[dict], Optional[Quotient]]:
     """Canonical HNF rows of the lattice of ``rows`` (sparse dicts as
     ``_sparse_rows`` gives them, or a RowTable of width n), with the
     quotient map a certificate built for them, or None.  The first
@@ -480,7 +477,7 @@ def _hnf_sparse(rows, n: int, lead: int = 0) -> tuple[list[dict], Optional[_Proj
             return basis, None
         _check_canonical(basis, n)
         proj = _projection_table(SparseEchelon(basis, n))
-        missing = _unkilled(proj, rows)
+        missing = proj.unkilled(rows)
         escaped = not chosen.isdisjoint(missing)
         unequal = len(basis) != len(retired) or math.prod(r[min(r)] for r in basis) != det
         if escaped and unequal:
@@ -625,22 +622,18 @@ def _hnf_mod_det(retired: list, n: int) -> list[dict]:
     """
     tri = [(c, r if r[c] > 0 else {j: -v for j, v in r.items()}) for c, r in retired]
     det = math.prod(r[c] for c, r in tri)
-    images: dict[int, list[tuple[int, int]]] = {}
+    m = sum(r[c] > 1 for c, r in tri)
+    images = Quotient([det] * m, {})
     rels = []
     for c, r in reversed(tri):
-        acc: dict[int, int] = {}
-        for j, a in r.items():
-            if j != c:
-                for t, x in images[j]:
-                    acc[t] = acc.get(t, 0) + a * x
+        images.by_key[c] = []  # the row's own column, not yet mapped, adds nothing
+        acc = images.image(r.items())
         if r[c] == 1:
-            images[c] = [(t, -x % det) for t, x in acc.items() if x % det]
+            images.by_key[c] = [(t, -x % det) for t, x in enumerate(acc) if x]
         else:
             t = len(rels)
-            images[c] = [(t, 1)]
-            acc[t] = r[c]
-            rels.append(acc)
-    m = len(rels)
+            images.by_key[c] = [(t, 1)]
+            rels.append({**{u: x for u, x in enumerate(acc) if x}, t: r[c]})
     lat = _ModLattice(m, det)
     for rel in rels:
         lat.insert(rel, {})
@@ -657,7 +650,7 @@ def _hnf_mod_det(retired: list, n: int) -> list[dict]:
         return row
 
     for i in reversed(range(n)):
-        v = dict(images[i])
+        v = dict(images.by_key[i])
         comb = lat.solve(v)
         if comb is None:
             before = lat.det()
@@ -1009,23 +1002,15 @@ def snf(mat) -> SmithData:
     return SmithData(s=a, u=u, v=v, rank=rank)
 
 
-# (moduli, images) of a quotient map; see _projection_table
-_Projection = tuple[list[int], list[list[tuple[int, int]]]]
-
-
-def _projection_table(ech: SparseEchelon) -> _Projection:
+def _projection_table(ech: SparseEchelon) -> Quotient:
     """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF),
-    read from its sparse echelon form.
+    read from its sparse echelon form, with images listed by generator.
 
-    Returns (moduli, images): coordinate k of the target is Z/moduli[k]
-    for a modulus > 1 and Z for a modulus 0, and images[j] lists the
-    nonzero (k, value) of generator j.  A row with pivot 1 rewrites its
-    generator through the later columns, and the canonical HNF clears the
-    entries above a unit pivot, so the rows with a larger pivot live on
-    the remaining (residual) columns: only that block goes through snf.
-    The image of a residual column is its row of the Smith transform V,
-    reduced mod d_k (Cohen, A Course in Computational Algebraic Number
-    Theory, §2.4).
+    A row with pivot 1 rewrites its generator through the later columns,
+    and the canonical HNF clears the entries above a unit pivot, so the
+    rows with a larger pivot live on the remaining (residual) columns: only
+    that block goes through snf.  The image of a residual column is its
+    row of the Smith transform V, reduced mod d_k.
     """
     n = ech.ncols
     unit = {i: j for i, (j, p, _) in enumerate(ech.rows) if p == 1}
@@ -1052,140 +1037,164 @@ def _projection_table(ech: SparseEchelon) -> _Projection:
     for out, c in enumerate(free, start=len(keep)):
         images[c].append((out, 1))
     # unit rows bottom-up: a generator is rewritten through later columns only
+    proj = Quotient(moduli, images)
     for i in sorted(unit, reverse=True):
-        acc = [0] * len(moduli)
-        for c, a in ech.rows[i][2]:
-            for k, x in images[c]:
-                acc[k] -= a * x
-        acc = [x % d if d else x for x, d in zip(acc, moduli)]
-        images[unit[i]] = [(k, x) for k, x in enumerate(acc) if x]
-    return moduli, images
+        w = proj.image((c, -a) for c, a in ech.rows[i][2])
+        images[unit[i]] = [(k, x) for k, x in enumerate(w) if x]
+    return proj
 
 
-def _section(proj: _Projection) -> list[dict]:
-    """A section of a quotient map: for each target coordinate k, a sparse
-    vector that the map sends to e_k.  Callers that rely on it check it by
-    projecting.
+class Quotient(NamedTuple):
+    """A quotient map Z^n -> Z^f + sum Z/d_k, read through the images of
+    the generators (Cohen, A Course in Computational Algebraic Number
+    Theory, §2.4): coordinate k of the target is Z/moduli[k] for a modulus
+    > 1 and Z for a modulus 0, and by_key[key] lists the nonzero
+    (k, value) of the image of the generator named key, each value reduced
+    into [0, d).  by_key is a list, indexed by generator, or a dict whose
+    keys are any hashable names (``compose``).
 
-    The images of the generators, each carrying its generator as an
-    augmentation, and the rows d e_k of the moduli (which the target
-    kills) span Z^t; their triangular rows have unit pivots, and
-    back-substitution of e_k collects the generators it takes."""
-    moduli, images = proj
-    t = len(moduli)
-    rows = [{**dict(img), t + j: 1} for j, img in enumerate(images) if img]
-    rows += [{k: d} for k, d in enumerate(moduli) if d]
-    retired, _ = _sparse_reduce(rows, t)
-    out = []
-    for k in range(t):
-        v, sigma = {k: 1}, {}
-        for c, r in retired:
-            x = v.pop(c, 0)
-            if not x:
-                continue
-            q, rem = divmod(x, r[c])
-            if rem:
+    It is the one form of a quotient map: an FpAb keeps its own, the
+    certificates ask it which rows it kills, and a keyed read
+    (``KeyedFpAb``) is one composed with named rows."""
+
+    moduli: list[int]
+    by_key: list | dict
+
+    def image(self, pairs) -> list[int]:
+        """The image of sum x * e_key over the (key, x) pairs, each torsion
+        coordinate reduced into [0, d): the one loop that sums generator
+        images.  Each value is taken as a Python int, so that numpy
+        integers cannot overflow against large moduli.  Every key is looked
+        up, zero values included; a key with no image is the container's
+        KeyError or IndexError, and a list takes a negative index from its
+        end, so callers refuse those first."""
+        moduli, images = self
+        w = [0] * len(moduli)
+        for key, x in pairs:
+            if type(x) is not int:
+                x = int(x)
+            for k, a in images[key]:
+                w[k] += x * a
+        return [x % d if d else x for x, d in zip(w, moduli)]
+
+    def compose(self, rows) -> "Quotient":
+        """The map read through rows: the generator named key goes to the
+        image of rows[key], a sparse row {generator: value} of this map's
+        source, so that sum c * e_key and sum c * rows[key] have one image.
+        A dict of rows, under any hashable keys, gives a dict of images; a
+        sequence gives a list, indexed by position."""
+        keyed = rows.items() if isinstance(rows, dict) else enumerate(rows)
+        by_key = {key: [(k, a) for k, a in enumerate(self.image(r.items())) if a] for key, r in keyed}
+        return Quotient(self.moduli, by_key if isinstance(rows, dict) else list(by_key.values()))
+
+    def images(self, rows) -> list[list[int]]:
+        """The image of each row (sparse dicts or a RowTable), as ``image``
+        gives it."""
+        out: list[list[int]] = []
+        for _, w in self._blocks(rows):
+            out += w.tolist() if isinstance(w, np.ndarray) else w
+        return out
+
+    def unkilled(self, rows) -> list[int]:
+        """Indices of the rows (sparse dicts or a RowTable) whose image is
+        not 0: the certificates' test over every input row, which builds no
+        list per row."""
+        out: list[int] = []
+        for lo, w in self._blocks(rows):
+            if isinstance(w, np.ndarray):
+                out += (lo + np.flatnonzero(w.any(axis=1))).tolist()
+            else:
+                out += [lo + i for i, x in enumerate(w) if any(x)]
+        return out
+
+    def section(self) -> list[dict]:
+        """A section of the map: for each target coordinate k, a sparse
+        vector that the map sends to e_k.  Callers that rely on it check it
+        with ``images``.
+
+        The images of the generators, each carrying its generator as an
+        augmentation, and the rows d e_k of the moduli (which the target
+        kills) span Z^t; their triangular rows have unit pivots, and
+        back-substitution of e_k collects the generators it takes."""
+        moduli, images = self
+        t = len(moduli)
+        rows = [{**dict(img), t + j: 1} for j, img in enumerate(images) if img]
+        rows += [{k: d} for k, d in enumerate(moduli) if d]
+        retired, _ = _sparse_reduce(rows, t)
+        out = []
+        for k in range(t):
+            v, sigma = {k: 1}, {}
+            for c, r in retired:
+                x = v.pop(c, 0)
+                if not x:
+                    continue
+                q, rem = divmod(x, r[c])
+                if rem:
+                    raise AssertionError("the quotient map is not onto its coordinates")
+                for j, a in r.items():
+                    if j >= t:
+                        sigma[j - t] = sigma.get(j - t, 0) + q * a
+                    elif j != c:
+                        v[j] = v.get(j, 0) - q * a
+                v = {j: a for j, a in v.items() if a}
+            if v:
                 raise AssertionError("the quotient map is not onto its coordinates")
-            for j, a in r.items():
-                if j >= t:
-                    sigma[j - t] = sigma.get(j - t, 0) + q * a
-                elif j != c:
-                    v[j] = v.get(j, 0) - q * a
-            v = {j: a for j, a in v.items() if a}
-        if v:
-            raise AssertionError("the quotient map is not onto its coordinates")
-        out.append({j: a for j, a in sigma.items() if a})
-    return out
+            out.append({j: a for j, a in sigma.items() if a})
+        return out
+
+    def _blocks(self, rows):
+        """The images of many rows (sparse dicts or a RowTable), yielded as
+        (first row, images) for blocks of _IMAGE_BLOCK rows; the images are
+        indexed by generator.
+
+        A block goes through int64 arrays, one coordinate at a time, as the
+        rows' values times the images of their columns summed row by row,
+        and its images are an int64 array (rows x coordinates), when no
+        value, no modulus and no partial sum can reach 2^62: the largest
+        value, the largest image entry (at least 1, so that the values are
+        bounded even when there is no image, as for a trivial quotient) and
+        the longest row bound every sum.  A table's arrays are read as they
+        are; dict rows are flattened into such arrays first.  Otherwise its
+        images are the lists ``image`` gives, computed exactly in Python
+        ints.  Blocks keep the arrays small next to the rows themselves."""
+        moduli, images = self
+        big = 1 << 62
+        amax = max((abs(a) for img in images for _, a in img), default=0)
+        fits = max(moduli, default=0) < big and amax < big
+        table = np.zeros((len(moduli), len(images) if fits else 0), dtype=np.int64)
+        for j, img in enumerate(images if fits else ()):
+            for k, a in img:
+                table[k, j] = a
+        for lo in range(0, len(rows), _IMAGE_BLOCK):
+            block = rows[lo : lo + _IMAGE_BLOCK]
+            if isinstance(block, RowTable):
+                cols, vals = block.cols.ravel(), block.vals.ravel()
+                lens = np.full(len(block), block.cols.shape[1], dtype=np.int64)
+                vmax = max(int(vals.max()), -int(vals.min())) if vals.size else 0
+                entries = map(block.entries, range(len(block)))
+            else:
+                lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+                vals = list(itertools.chain.from_iterable(map(dict.values, block)))
+                vmax = max(map(abs, vals), default=0)
+                entries = map(dict.items, block)
+            if not (fits and len(vals) and vmax * max(amax, 1) * int(lens.max()) < big):
+                yield lo, [self.image(e) for e in entries]
+                continue
+            if not isinstance(block, RowTable):
+                cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
+                vals = np.array(vals, dtype=np.int64)
+            filled = lens > 0
+            starts = (np.cumsum(lens) - lens)[filled]
+            w = np.zeros((len(block), len(moduli)), dtype=np.int64)
+            for k, d in enumerate(moduli):
+                w[filled, k] = np.add.reduceat(vals * table[k][cols], starts)
+                if d:
+                    w[:, k] %= d
+            yield lo, w
 
 
-def _project(proj: _Projection, entries) -> list[int]:
-    """Image under a projection table of the vector with the given nonzero
-    (index, value) entries, each torsion coordinate reduced into [0, d).
-    The entries are trusted: in range, values Python ints (``FpAb._image``
-    checks a vector from outside)."""
-    moduli, images = proj
-    w = [0] * len(moduli)
-    for i, x in entries:
-        for k, a in images[i]:
-            w[k] += x * a
-    return [x % d if d else x for x, d in zip(w, moduli)]
-
-
-def _image_blocks(proj: _Projection, rows):
-    """The images of many rows (sparse dicts or a RowTable) under a
-    projection table, each torsion coordinate reduced into [0, d), yielded
-    as (first row, images) for blocks of _IMAGE_BLOCK rows.
-
-    A block goes through int64 arrays, one coordinate at a time, as the
-    rows' values times the images of their columns summed row by row, and
-    its images are an int64 array (rows x coordinates), when no value, no
-    modulus and no partial sum can reach 2^62: the largest value, the
-    largest image entry (at least 1, so that the values are bounded even
-    when there is no image, as for a trivial quotient) and the longest row
-    bound every sum.  A table's arrays are read as they are; dict rows are
-    flattened into such arrays first.  Otherwise its images are the lists
-    ``_project`` gives, computed exactly in Python ints.  Blocks keep the
-    arrays small next to the rows themselves."""
-    moduli, images = proj
-    big = 1 << 62
-    amax = max((abs(a) for img in images for _, a in img), default=0)
-    fits = max(moduli, default=0) < big and amax < big
-    table = np.zeros((len(moduli), len(images) if fits else 0), dtype=np.int64)
-    for j, img in enumerate(images if fits else ()):
-        for k, a in img:
-            table[k, j] = a
-    for lo in range(0, len(rows), _IMAGE_BLOCK):
-        block = rows[lo : lo + _IMAGE_BLOCK]
-        if isinstance(block, RowTable):
-            cols, vals = block.cols.ravel(), block.vals.ravel()
-            lens = np.full(len(block), block.cols.shape[1], dtype=np.int64)
-            vmax = max(int(vals.max()), -int(vals.min())) if vals.size else 0
-            entries = map(block.entries, range(len(block)))
-        else:
-            lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-            vals = list(itertools.chain.from_iterable(map(dict.values, block)))
-            vmax = max(map(abs, vals), default=0)
-            entries = map(dict.items, block)
-        if not (fits and len(vals) and vmax * max(amax, 1) * int(lens.max()) < big):
-            yield lo, [_project(proj, e) for e in entries]
-            continue
-        if not isinstance(block, RowTable):
-            cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
-            vals = np.array(vals, dtype=np.int64)
-        filled = lens > 0
-        starts = (np.cumsum(lens) - lens)[filled]
-        w = np.zeros((len(block), len(moduli)), dtype=np.int64)
-        for k, d in enumerate(moduli):
-            w[filled, k] = np.add.reduceat(vals * table[k][cols], starts)
-            if d:
-                w[:, k] %= d
-        yield lo, w
-
-
-# rows per block of _image_blocks
+# rows per block of Quotient._blocks
 _IMAGE_BLOCK = 2048
-
-
-def _images(proj: _Projection, rows) -> list[list[int]]:
-    """The image of each row (sparse dicts or a RowTable), as ``_project``
-    gives it."""
-    out: list[list[int]] = []
-    for _, w in _image_blocks(proj, rows):
-        out += w.tolist() if isinstance(w, np.ndarray) else w
-    return out
-
-
-def _unkilled(proj: _Projection, rows) -> list[int]:
-    """Indices of the rows (sparse dicts or a RowTable) whose image is not
-    0: the certificates' test over every input row, which builds no list
-    per row."""
-    out: list[int] = []
-    for lo, w in _image_blocks(proj, rows):
-        if isinstance(w, np.ndarray):
-            out += (lo + np.flatnonzero(w.any(axis=1))).tolist()
-        else:
-            out += [lo + i for i, x in enumerate(w) if any(x)]
-    return out
 
 
 def odd_part(n: int) -> int:
@@ -1221,7 +1230,7 @@ class FpAb:
         self._rels: Callable[[], list[dict] | RowTable] = rows.copy
         self._lead = 0  # leading relation rows that are a canonical basis (ab_quotient)
         self._ech: Optional[SparseEchelon] = None
-        self._proj: Optional[_Projection] = None
+        self._proj: Optional[Quotient] = None
 
     @classmethod
     def _seeded(cls, ngens: int, gens: list[dict], rows_of: Callable[[], RowTable]) -> "FpAb":
@@ -1258,10 +1267,10 @@ class FpAb:
                 self._proj = self._checked(proj)
         return self._ech
 
-    def _checked(self, proj: _Projection) -> _Projection:
+    def _checked(self, proj: Quotient) -> Quotient:
         """The quotient map, after checking that it kills every basis row."""
         for i, (j, p, rest) in enumerate(self._ech.rows):
-            if any(_project(proj, [(j, p)] + rest)):
+            if any(proj.image([(j, p)] + rest)):
                 raise AssertionError(f"quotient map does not kill relation {i}")
         return proj
 
@@ -1294,7 +1303,7 @@ class FpAb:
     def odd_order_trivial(self) -> bool:
         return self.free_rank == 0 and not self.odd_invariants()
 
-    def _projection(self) -> _Projection:
+    def _projection(self) -> Quotient:
         """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, checked on
         the relation basis."""
         if self._proj is None:
@@ -1304,26 +1313,24 @@ class FpAb:
         return self._proj
 
     def _image(self, v) -> list[int]:
-        """Image of v under the quotient map.  A dict is checked and
-        projected in one loop: every key must lie in range(ngens), zero
-        values included, and each value is taken as a Python int, so that
-        numpy integers cannot overflow against large moduli.  A dense row
-        goes through ``_sparse_row`` first."""
-        proj = self._projection()
+        """Image of v under the quotient map (``Quotient.image``).  A dict
+        is read as it is, with no normalised copy: every key must lie in
+        range(ngens), zero values included, a negative one too, which the
+        list of images would take from its end.  A dense row goes through
+        ``_sparse_row`` first."""
+        proj, n = self._projection(), self.ngens
         if not isinstance(v, dict):
-            return _project(proj, _sparse_row(v, self.ngens).items())
-        moduli, images = proj
-        n = self.ngens
-        w = [0] * len(moduli)
-        for j, x in v.items():
+            return proj.image(_sparse_row(v, n).items())
+        try:
+            if min(v, default=0) >= 0:
+                return proj.image(v.items())
+        except (IndexError, TypeError):
+            pass
+        for j in v:
             if not 0 <= j < n:
                 raise ValueError(f"index {j!r} outside the generators range({n})")
-            if x:
-                if type(x) is not int:
-                    x = int(x)
-                for k, a in images[j]:
-                    w[k] += x * a
-        return [x % d if d else x for x, d in zip(w, moduli)]
+        # every key is in range, so the error was the values' own: raise it again
+        return proj.image(v.items())
 
     def element_order(self, v) -> Optional[int]:
         """Least n >= 1 with n*v in the relation lattice, or None.  v is a
@@ -1374,6 +1381,31 @@ class FpAb:
         }
 
 
+class KeyedFpAb(FpAb):
+    """A group's quotient map read through rows named by keys
+    (``Quotient.compose``): ``contains`` and ``element_order`` take an
+    element {key: c}, or its (key, c) pairs, in one pass.  It is the one
+    FpAb subclass for keyed reads, and those two are FpAb's own methods, so
+    that patching FpAb.contains reaches keyed membership too (the
+    benchmark's negative controls do, and expect RP and S_v membership to
+    fail).  Group questions are about the target, presented by its moduli.
+    It keeps only the composed map, no reference to the group or context
+    it was read from.  A key with no row is a ValueError: ``refusal``
+    formatted with the key."""
+
+    def __init__(self, group: FpAb, rows: dict, refusal: str):
+        proj = group._projection().compose(rows)
+        super().__init__(len(proj.moduli), [{k: d} for k, d in enumerate(proj.moduli) if d])
+        self._proj = proj
+        self._refusal = refusal
+
+    def _image(self, v) -> list[int]:
+        try:
+            return self._proj.image(v.items() if isinstance(v, dict) else v)
+        except KeyError as e:
+            raise ValueError(self._refusal.format(e.args[0])) from None
+
+
 def iso_odd(a: FpAb, b: FpAb) -> bool:
     """Isomorphism test after inverting 2: equal free ranks and equal
     multisets of odd parts of the invariant factors."""
@@ -1385,9 +1417,13 @@ def cokernel(rels, ngens: int) -> FpAb:
 
 
 def direct_sum(a: FpAb, b: FpAb) -> FpAb:
+    """a + b: the two canonical bases side by side, b's past a's columns,
+    are the canonical basis of the sum, kept with no second reduction."""
     n = a.ngens
-    shifted = [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
-    return FpAb(n + b.ngens, a.echelon().basis + shifted)
+    basis = a.echelon().basis + [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
+    out = FpAb(n + b.ngens, basis)
+    out._ech = SparseEchelon(basis, out.ngens)
+    return out
 
 
 def ab_quotient(g: FpAb, sub) -> FpAb:
@@ -1445,16 +1481,14 @@ class AbMap:
         source.ngens) whose images do not lie in the target's relation
         lattice: the one test that a map kills relation rows.  The target's
         quotient map is composed with the map rows once, and the rows go
-        through it in blocks (``_unkilled``)."""
+        through it in blocks (``Quotient.unkilled``)."""
         n = self.source.ngens
         if isinstance(rows, RowTable):
             if rows.ncols != n:
                 raise ValueError(f"a row table of width {rows.ncols} does not match {n} generators")
         else:
             rows = _sparse_rows(rows, n)
-        moduli, _ = self.target._projection()
-        images = [[(k, a) for k, a in enumerate(self.target._image(r)) if a] for r in self.rows]
-        return _unkilled((moduli, images), rows)
+        return self.target._projection().compose(self.rows).unkilled(rows)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -28,7 +28,7 @@ from .groupring import (
     steinberg,
     steinberg_rows,
 )
-from .linalg import AbMap, FpAb, RowTable, SubgroupPres, _dense, ab_quotient, direct_sum, iso_odd
+from .linalg import AbMap, FpAb, KeyedFpAb, RowTable, SubgroupPres, _dense, ab_quotient, direct_sum, iso_odd
 
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
@@ -48,36 +48,8 @@ pb_scale = rp_scale = scale
 rp_act = act
 
 
-class _SymbolGroup(FpAb):
-    """A group on the flat RP basis {g * |W| + W index} (RP, or a quotient
-    of it) read by symbol: its quotient map's images indexed by the keys
-    (g, a) of G x W, so that ``contains`` and ``element_order`` take an RP
-    element {(g, a): c} in one pass, with no flat row in between.  They
-    are FpAb's own, so RP membership is FpAb membership (bench/test_checks.py
-    patches FpAb.contains and expects the RP controls to fail).  It holds
-    only the moduli and that table (ints, tuples and lists), so it keeps no
-    cycle back to a context; every other question goes to the group
-    itself."""
-
-    def __init__(self, group: FpAb, order: int, windex: dict):
-        moduli, images = group._projection()
-        n = len(windex)
-        self._proj = (moduli, {(g, a): images[g * n + j] for g in range(order) for a, j in windex.items()})
-
-    def _image(self, x: RPElem) -> list[int]:
-        """Image of x under the quotient map.  A key outside G x W is a
-        ValueError, and each value is taken as a Python int."""
-        moduli, symbols = self._proj
-        w = [0] * len(moduli)
-        try:
-            for key, c in x.items():
-                if type(c) is not int:
-                    c = int(c)
-                for k, a in symbols[key]:
-                    w[k] += c * a
-        except KeyError:
-            raise ValueError(f"RP key {key!r} is not a (square class, element of W) pair") from None
-        return [v % d if d else v for v, d in zip(w, moduli)]
+# the refusal of an RP key outside G x W, formatted with the key
+RP_KEY_REFUSAL = "RP key {!r} is not a (square class, element of W) pair"
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +190,7 @@ class ScissorsContext:
         for (g, a), c in x.items():
             j = windex.get(a)
             if j is None or not 0 <= g < order:
-                raise ValueError(f"RP key {(g, a)!r} is not a (square class, element of W) pair")
+                raise ValueError(RP_KEY_REFUSAL.format((g, a)))
             row[g * n + j] = c
         return row
 
@@ -227,16 +199,18 @@ class ScissorsContext:
         """The dense form of rp_row, for callers that need an array."""
         return _dense([self.rp_row(x)], self.G.order * len(self.W))[0]
 
-    def rp_is_zero(self, x: RPElem) -> bool:
-        return self._symbols("RP symbols", self.rp_flat).contains(x)
+    def symbol_rows(self) -> dict:
+        """The flat row {g * |W| + W index of a: 1} of each RP key (g, a) of
+        G x W: RP, and any quotient of it on the flat basis, reads an RP
+        element {(g, a): c} by symbol through its quotient map composed
+        with these rows, in one pass, with no flat row in between."""
+        n = len(self.W)
+        return {(g, a): {g * n + j: 1} for g in range(self.G.order) for a, j in self.windex.items()}
 
-    def _symbols(self, key: str, group) -> "_SymbolGroup":
-        """group() (RP, or a quotient of it on the flat basis) read by
-        symbol, built once and kept under ``key``."""
-        out = self._cache.get(key)
-        if out is None:
-            out = self._cache[key] = _SymbolGroup(group(), self.G.order, self.windex)
-        return out
+    def rp_is_zero(self, x: RPElem) -> bool:
+        if "RP symbols" not in self._cache:
+            self._cache["RP symbols"] = KeyedFpAb(self.rp_flat(), self.symbol_rows(), RP_KEY_REFUSAL)
+        return self._cache["RP symbols"].contains(x)
 
     # lambda1_matrix, lambda2_matrix and p_plus_ideal_rows return sparse
     # rows; the names stay because bench/spans.py traces them
@@ -435,7 +409,9 @@ class ScissorsContext:
         return self.refined_tilde().plus_part(self.G.neg_one())
 
     def rp_tilde_is_zero(self, x: RPElem) -> bool:
-        return self._symbols("RP~ symbols", lambda: self.tilde().rp_tilde).contains(x)
+        if "RP~ symbols" not in self._cache:
+            self._cache["RP~ symbols"] = KeyedFpAb(self.tilde().rp_tilde, self.symbol_rows(), RP_KEY_REFUSAL)
+        return self._cache["RP~ symbols"].contains(x)
 
     # -- RP' ---------------------------------------------------------------------
     def rp_prime(self) -> RModPres:

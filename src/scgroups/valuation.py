@@ -15,10 +15,10 @@ in the exact presentations from the scissors module.
 S_v reads little from a symbol <c>[t]: the sign of v_p(t) and, when
 v_p(t) = 0, the residue of t; the parity of v_p(c) and the square class of
 the residue of c's unit part (`SpecializationContext.symbol_data`, one
-integer pass with a table of inverses mod p).  S_v is held as its terms
-(coefficient, parameter data, class data) (`s_v_of`), and whether it is
-zero is one pass through the quotient map of RP~(GF(p)) + RP~(GF(p)), read
-by case (parameter data, residue class).  For a five-term relation Y(a, b)
+integer pass with a table of inverses mod p).  S_v is held as its terms,
+a coefficient on each key (parameter data, class data), and whether it is
+zero is one pass through the quotient map of RP~(GF(p)) + RP~(GF(p)) read
+by those keys (`SpecializationContext.cases`).  For a five-term relation Y(a, b)
 the data follows by integer arithmetic from the *local types* of a and b,
 (v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a)
 (`SpecializationContext.y_symbol_data`), so a sweep over many pairs
@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groupring import act, add, dbl_bracket, p_plus, scale
-from .linalg import FpAb, _dense, _project
+from .linalg import FpAb, KeyedFpAb, _dense, direct_sum
 from .rings import GF, is_prime
 from .scissors import ScissorsContext, context as scissors_context
 
@@ -295,7 +295,8 @@ class RPtElem:
 @dataclass(eq=False)
 class IndElem:
     """Image of S_v through (rho_0, rho_pi), a pair of RP~(k) elements, held
-    as S_v's terms (coefficient, parameter data, class data (e, g)); comp0
+    as S_v's terms, the pairs ((parameter data, class data (e, g)),
+    coefficient) that ``SpecializationContext.cases`` reads by key; comp0
     and comp_pi are built from the case entries when read."""
 
     ctx: "SpecializationContext"
@@ -308,34 +309,15 @@ class IndElem:
         """even * rho_0 + (odd - even) * rho_pi: each term's case entries
         times its coefficient times ``odd`` if e is odd, else ``even``."""
         out: dict = {}
-        for coeff, param, (e, g) in self.terms:
+        for (param, (e, g)), coeff in self.terms:
             c = coeff * (odd if e else even)
             if c:
-                for i, v in self.ctx._cases[param, g][0]:
+                for i, v in self.ctx._cases[param, g]:
                     out[i] = out.get(i, 0) + c * v
         return RPtElem(self.ctx.rp_tilde, out)
 
     comp0 = property(lambda self: self.component(1, 1))
     comp_pi = property(lambda self: self.component(0, 1))
-
-
-class _CaseGroup(FpAb):
-    """RP~(k) + RP~(k), the target of (rho_0, rho_pi), read by S_v case
-    (parameter data, g): FpAb's own ``contains`` (as for
-    ``scissors._SymbolGroup``) takes S_v's terms in one pass, adding each
-    case's image under RP~'s quotient map into rho_0's coordinates, and
-    into rho_pi's too when e is odd."""
-
-    def __init__(self, moduli: list, cases: dict):
-        self._proj = (moduli * 2, cases)
-
-    def _image(self, terms) -> list[int]:
-        moduli, cases = self._proj
-        w = [0] * len(moduli)
-        for coeff, param, (e, g) in terms:
-            for k, a in cases[param, g][1 + e]:
-                w[k] += coeff * a
-        return [x % d if d else x for x, d in zip(w, moduli)]
 
 
 # What s_v reads from a symbol <c>[t]:
@@ -374,10 +356,18 @@ class SpecializationContext:
         # square class in GF(p) and inverse mod p of each nonzero residue
         self._gclass = [0] + [self.sc.G.class_of(u) for u in range(1, p)]
         self._inv = [0] + [pow(u, -1, p) for u in range(1, p)]
-        # the 2(p + 1) cases (parameter data, residue class) of S_v
+        # the RP~(k) entries of the 2(p + 1) cases (parameter data, residue
+        # class) of S_v
         params = [(1, 0), (-1, 0)] + [(0, u) for u in range(1, p)]
         self._cases = {(d, g): self._case(d, g) for d in params for g in range(self.sc.G.order)}
-        self.cases = _CaseGroup(self.rp_tilde._projection()[0], self._cases)
+        # RP~(k) + RP~(k), the target of (rho_0, rho_pi), read by S_v's
+        # (parameter data, class data (e, g)): a case's entries go into
+        # rho_0's coordinates, and into rho_pi's too when e is odd
+        n = self.rp_tilde.ngens
+        rows = {(d, (e, g)): {**dict(x), **{n + i: v for i, v in x if e}}
+                for (d, g), x in self._cases.items() for e in (0, 1)}
+        refusal = "S_v case {!r} is not a (parameter data, class data) pair"
+        self.cases = KeyedFpAb(direct_sum(self.rp_tilde, self.rp_tilde), rows, refusal)
 
     # residue of a p-adic unit rational, as an element of GF(p)
     def residue(self, a) -> int:
@@ -404,11 +394,9 @@ class SpecializationContext:
         param = (0, num * self._inv[den % p] % p) if v == 0 else ((1 if v > 0 else -1), 0)
         return param, (e, self._gclass[cls.sign * n % p])
 
-    def _case(self, param: ParamData, g: int) -> tuple[list, list, list]:
+    def _case(self, param: ParamData, g: int) -> list:
         """The nonzero (index, value) entries of the RP~(k) coordinate of S_v
-        on a symbol with this parameter data, moved by the residue class g,
-        and their image under RP~'s quotient map as (coordinate, value)
-        lists in rho_0 and in (rho_0, rho_pi)."""
+        on a symbol with this parameter data, moved by the residue class g."""
         s, u = param
         if s:
             entries = [(i, s * x) for i, x in self._ck_entries]
@@ -423,21 +411,19 @@ class SpecializationContext:
             # G), so the entry of base at i lands at perm[i]
             perm = self.sc.refined().act_permutation(g)
             entries = [(int(perm[i]), x) for i, x in entries]
-        img = _project(self.rp_tilde._projection(), entries)
-        rho0 = [(k, a) for k, a in enumerate(img) if a]
-        return entries, rho0, rho0 + [(k + len(img), a) for k, a in rho0]
+        return entries
 
     def s_v_of(self, data) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)), on the
         (coefficient, parameter data, class data) of each symbol: what
         symbol_data reads from a symbol or y_symbol_data derives from local
         types."""
-        return IndElem(self, tuple(data))
+        return IndElem(self, tuple(((param, cd), coeff) for coeff, param, cd in data))
 
     def s_v(self, x: SymRP) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p))."""
         read = self.symbol_data
-        return self.s_v_of([(coeff, *read(cls, a)) for (cls, a), coeff in x.items()])
+        return IndElem(self, tuple((read(cls, a), coeff) for (cls, a), coeff in x.items()))
 
     def local_type(self, a) -> LocalType:
         """(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a) of

@@ -33,7 +33,6 @@ from .valuation import (
     qclass,
     specialization,
     sym_dbl_bracket,
-    sym_g,
     sym_gen,
     sym_y_relation,
     vp,
@@ -528,13 +527,15 @@ def suite_specialize(
             ok = False
     out.append(Check(f"p={p}: delta_0 is R-linear on unit classes", ok))
 
+    # each witness <<p>>g(a) must map onto g(abar), and the images must
+    # lie in RP_1~ and span its odd part
     sub = ctx.sc.tilde().rp1_tilde
     coords = []
     ok = True
     for abar in ctx.sc.W:
-        img = ctx.delta_pi(act(sym_dbl_bracket(p), sym_g(Fraction(int(abar)))))
-        cvec = sub.solve(img.entries)
-        if cvec is None:
+        x, mapped = ctx.surjectivity_witness(abar)
+        cvec = sub.solve(ctx.delta_pi(x).entries)
+        if not mapped or cvec is None:
             ok = False
             continue
         coords.append(cvec)

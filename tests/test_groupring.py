@@ -21,6 +21,7 @@ from scgroups.groupring import (
     scale,
 )
 from scgroups.linalg import (
+    AbMap,
     FpAb,
     SparseEchelon,
     _hnf_sparse,
@@ -32,7 +33,7 @@ from scgroups.linalg import (
     zeros,
 )
 from scgroups.rings import GF, ZMod, parse_ring, square_classes
-from scgroups.scissors import ScissorsContext
+from scgroups.scissors import ScissorsContext, context
 
 G7 = square_classes(GF(7))
 G49 = square_classes(ZMod(7, 2))
@@ -307,12 +308,12 @@ def test_block_form_rels_are_the_flat_rows():
 
 
 def test_block_form_refuses_a_wrong_section(monkeypatch):
-    section = groupring._section
+    section = linalg.Quotient.section
 
     def doubled(pi):
         return [{j: 2 * a for j, a in v.items()} for v in section(pi)]
 
-    monkeypatch.setattr(groupring, "_section", doubled)
+    monkeypatch.setattr(linalg.Quotient, "section", doubled)
     for label in ("gf(13)", "gf(2^2)[t]/t^2"):
         with pytest.raises(AssertionError, match="section"):
             ScissorsContext(parse_ring(label)).rp_flat()
@@ -347,6 +348,52 @@ def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
         monkeypatch.setattr(linalg, "_hnf_sparse", dropping)
         with pytest.raises(AssertionError, match="relation row"):
             ScissorsContext(ring).rp_flat()
+
+
+# -- Quotient.compose ---------------------------------------------------------------
+
+
+def _composes(base, rows, data):
+    """The image of sum c e_key under base.compose(rows) is that of
+    sum c rows[key] under base, for drawn keys and coefficients, some past
+    int64; a dict of rows composes to a dict of images, a list to a list."""
+    keys = list(rows) if isinstance(rows, dict) else list(range(len(rows)))
+    coeff = st.one_of(st.integers(-9, 9), st.sampled_from([1 << 70, -(1 << 65)]))
+    x = data.draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6)) if keys else {}
+    flat: dict = {}
+    for key, c in x.items():
+        for j, a in rows[key].items():
+            flat[j] = flat.get(j, 0) + c * a
+    composed = base.compose(rows)
+    assert composed.moduli == base.moduli
+    assert isinstance(composed.by_key, dict) == isinstance(rows, dict)
+    assert composed.image(x.items()) == base.image(flat.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["gf(7)", "gf(13)", "z/5^2", "gf(2^2)[t]/t^2"]), st.booleans(), st.data())
+def test_compose_through_the_rp_symbol_table(label, tilde, data):
+    ctx = context(label)
+    group = ctx.tilde().rp_tilde if tilde else ctx.rp_flat()
+    _composes(group._projection(), ctx.symbol_rows(), data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_modules(), st.data())
+def test_compose_through_a_translate_permutation(m, data):
+    g = data.draw(st.integers(0, m.G.order - 1))
+    _composes(m.flatten()._projection(), [{j: 1} for j in m.act_permutation(g).tolist()], data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_through_map_rows(data):
+    n = data.draw(st.integers(1, 5))
+    rels = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5))
+    size = data.draw(st.sampled_from([6, 1 << 70]))
+    matrix = data.draw(st.lists(st.lists(st.integers(-size, size), min_size=n, max_size=n), min_size=1, max_size=4))
+    f = AbMap(FpAb(len(matrix)), FpAb(n, rels or None), matrix)
+    _composes(f.target._projection(), f.rows, data)
 
 
 def test_flat_module_keeps_no_cycle_to_its_presentation():

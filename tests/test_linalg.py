@@ -1,7 +1,9 @@
+import ast
 import copy
 import itertools
 import random
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,10 +18,6 @@ from scgroups import linalg
 from scgroups.linalg import (
     AbMap,
     FpAb,
-    _images,
-    _project,
-    _section,
-    _unkilled,
     ab_quotient,
     cokernel,
     direct_sum,
@@ -339,6 +337,15 @@ def vectors(n):
     return st.lists(st.integers(-12, 12), min_size=n, max_size=n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(presentations(), presentations())
+def test_direct_sum_keeps_the_two_canonical_bases(a, b):
+    # the kept basis is the one a reduction of the stacked bases gives
+    g = direct_sum(FpAb(a[0], a[1] or None), FpAb(b[0], b[1] or None))
+    assert g.echelon().basis == linalg._hnf_sparse(g._rels(), g.ngens)[0]
+    assert g.invariant_factors() == FpAb(g.ngens, g._rels()).invariant_factors()
+
+
 def _in_lattice(g, v):
     """Back-substitution on the cached echelon form of the relation basis,
     independent of the quotient map behind contains and element_order."""
@@ -348,7 +355,7 @@ def _in_lattice(g, v):
 @settings(max_examples=200, deadline=None)
 @given(presentations(), st.data())
 def test_images_match_row_by_row_projection(pres, data):
-    # the certificates' bulk projection against _project row by row, on
+    # the certificates' bulk projection against Quotient.image row by row, on
     # entries that fit int64 and on entries that need Python ints
     n, rows = pres
     g = FpAb(n, rows if rows else None)
@@ -356,9 +363,9 @@ def test_images_match_row_by_row_projection(pres, data):
     size = data.draw(st.sampled_from([6, 1 << 70]))
     drawn = data.draw(st.lists(st.lists(st.integers(-size, size), min_size=n, max_size=n), max_size=6))
     test_rows = [{j: x for j, x in enumerate(v) if x} for v in drawn + [list(r) for r in g.rel_basis.tolist()]]
-    want = [_project(proj, r.items()) for r in test_rows]
-    assert _images(proj, test_rows) == want
-    assert _unkilled(proj, test_rows) == [i for i, w in enumerate(want) if any(w)]
+    want = [proj.image(r.items()) for r in test_rows]
+    assert proj.images(test_rows) == want
+    assert proj.unkilled(test_rows) == [i for i, w in enumerate(want) if any(w)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,7 +374,7 @@ def test_section_projects_to_unit_vectors(pres):
     n, rows = pres
     proj = FpAb(n, rows if rows else None)._projection()
     t = len(proj[0])
-    assert _images(proj, _section(proj)) == [[int(i == k) for i in range(t)] for k in range(t)]
+    assert proj.images(proj.section()) == [[int(i == k) for i in range(t)] for k in range(t)]
 
 
 def test_images_of_a_trivial_quotient_take_values_past_int64():
@@ -375,8 +382,8 @@ def test_images_of_a_trivial_quotient_take_values_past_int64():
     # values: they must still fit before they go through int64
     proj = FpAb(1, [[1]])._projection()
     rows = [{0: 1 << 70}, {0: -(1 << 63)}, {0: 3}]
-    assert _images(proj, rows) == [[], [], []]
-    assert _unkilled(proj, rows) == []
+    assert proj.images(rows) == [[], [], []]
+    assert proj.unkilled(rows) == []
     # more than 4 rows per column take the certified path, whose certificate
     # projects every row through the map of the trivial quotient
     assert FpAb(1, [[2**70], [2**70 + 1], [3], [5], [7]]).invariant_factors() == ()
@@ -385,8 +392,8 @@ def test_images_of_a_trivial_quotient_take_values_past_int64():
 def test_images_take_moduli_past_int64():
     proj = FpAb(2, [[1 << 70, 0]])._projection()
     rows = [{0: 1 << 70}, {0: 1}, {1: 3}, {}, {0: 1 << 69}, {0: -(1 << 71)}]
-    assert _images(proj, rows) == [[0, 0], [1, 0], [0, 3], [0, 0], [1 << 69, 0], [0, 0]]
-    assert _unkilled(proj, rows) == [1, 2, 4]
+    assert proj.images(rows) == [[0, 0], [1, 0], [0, 3], [0, 0], [1 << 69, 0], [0, 0]]
+    assert proj.unkilled(rows) == [1, 2, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -519,7 +526,7 @@ def test_image_of_a_dict_is_the_normalised_projection(data):
     for j, x in enumerate(data.draw(vectors(n))):
         if x or data.draw(st.booleans()):
             v[_entry(data.draw(kinds), j)] = _entry(data.draw(kinds), x if data.draw(st.booleans()) else 0)
-    want = _project(g._projection(), linalg._sparse_row(v, n).items())
+    want = g._projection().image(linalg._sparse_row(v, n).items())
     assert g._image(v) == want
     assert all(type(x) is int for x in g._image(v))
     # an index outside range(n), even with value 0, is refused by both
@@ -581,7 +588,7 @@ def test_corrupted_projection_trips_certificate(monkeypatch):
     def corrupted(ech):
         moduli, images = build(ech)
         images[0] = []  # generator 0 = -generator 1 in Z/3; drop its image
-        return moduli, images
+        return linalg.Quotient(moduli, images)
 
     monkeypatch.setattr(linalg, "_projection_table", corrupted)
     g = FpAb(2, [[1, 1], [0, 3]])
@@ -1318,7 +1325,7 @@ def short_inputs(draw):
 def test_short_input_is_one_round_with_no_certificate(case):
     n, rows = case
     certified = []
-    unkilled = linalg._unkilled
+    unkilled = linalg.Quotient.unkilled
 
     def counted(proj, rows):
         certified.append(len(rows))
@@ -1326,7 +1333,7 @@ def test_short_input_is_one_round_with_no_certificate(case):
 
     with pytest.MonkeyPatch.context() as mp:
         rounds = count_subset_rounds(mp)
-        mp.setattr(linalg, "_unkilled", counted)
+        mp.setattr(linalg.Quotient, "unkilled", counted)
         basis, proj = linalg._hnf_sparse(_sparse(rows), n)
     assert len(rounds) == 1 and certified == [] and proj is None
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
@@ -1361,7 +1368,7 @@ def test_corrupted_certified_map_trips_a_check(monkeypatch):
     def corrupted(ech):
         moduli, images = build(ech)
         images[0] = []
-        return moduli, images
+        return linalg.Quotient(moduli, images)
 
     rows, n = certified_case("full-rank")
     monkeypatch.setattr(linalg, "_projection_table", corrupted)
@@ -1401,13 +1408,13 @@ def test_table_rows_give_the_dict_rows_basis_and_map(table):
     assert _ints(g.rel_basis) == _ints(h.rel_basis) and _ints(g.rels) == _ints(h.rels)
     assert g._projection() == h._projection()
     proj = g._projection()
-    want_images = [_project(proj, table.entries(i)) for i in range(len(table))]
-    assert _images(proj, table) == want_images == _images(proj, rows)
-    assert _unkilled(proj, table) == [] == _unkilled(proj, rows)
+    want_images = [proj.image(table.entries(i)) for i in range(len(table))]
+    assert proj.images(table) == want_images == proj.images(rows)
+    assert proj.unkilled(table) == [] == proj.unkilled(rows)
     # rows of another lattice: the certificate's test on tables and dicts
     other = FpAb(n, [[2 * (j == 0) for j in range(n)]])._projection()
-    assert _images(other, table) == [_project(other, r.items()) for r in rows]
-    assert _unkilled(other, table) == _unkilled(other, rows)
+    assert other.images(table) == [other.image(r.items()) for r in rows]
+    assert other.unkilled(table) == other.unkilled(rows)
 
 
 def test_table_columns_outside_the_generators_are_refused():
@@ -1448,13 +1455,13 @@ def test_table_images_take_the_exact_path_past_int64():
     big = 2**61
     table = linalg.RowTable(np.array([[0] * 4, [0] * 4, [0] * 4]), np.array([[big] * 4, [1, 2, 0, 0], [d, 0, 0, 0]]), 1)
     want = [[4 * big % d], [3], [0]]
-    assert _images(proj, table) == want == [_project(proj, table.entries(i)) for i in range(3)]
-    assert _unkilled(proj, table) == [0, 1]
+    assert proj.images(table) == want == [proj.image(table.entries(i)) for i in range(3)]
+    assert proj.unkilled(table) == [0, 1]
     # the moduli themselves past int64, as in test_images_take_moduli_past_int64
     proj = FpAb(2, [[1 << 70, 0]])._projection()
     table = linalg.RowTable(np.array([[0, 0], [1, 0]]), np.array([[1 << 40, 1 << 40], [3, 0]]), 2)
-    assert _images(proj, table) == [[1 << 41, 0], [0, 3]]
-    assert _unkilled(proj, table) == [0, 1]
+    assert proj.images(table) == [[1 << 41, 0], [0, 3]]
+    assert proj.unkilled(table) == [0, 1]
 
 
 def _moved_to_column_0(cols, vals, n, i):
@@ -1486,14 +1493,14 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
     corrupted = _moved_to_column_0(cols, vals, n, bad)
     assert corrupted.row(bad).get(0, 0) % 2 == 1
     missing = []
-    unkilled = linalg._unkilled
+    unkilled = linalg.Quotient.unkilled
 
     def counted(proj, rows):
         out = unkilled(proj, rows)
         missing.append(out)
         return out
 
-    monkeypatch.setattr(linalg, "_unkilled", counted)
+    monkeypatch.setattr(linalg.Quotient, "unkilled", counted)
     basis, proj = linalg._hnf_sparse(corrupted, n)
     assert missing == [[bad], []]
     assert basis == [{0: 1}, {1: 1}, {2: 1}]
@@ -1799,3 +1806,29 @@ def test_subquotient_matches_sympy(case):
     assert g.ngens == r
     assert g.invariant_factors() == tuple(d for d in nonzero if d > 1)
     assert g.free_rank == r - len(nonzero)
+
+
+# -- the boundary of linalg ------------------------------------------------------
+
+
+def _is_projection_call(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_projection"
+
+
+def test_other_modules_reach_a_quotient_map_through_its_methods():
+    # outside linalg, a quotient map is asked through Quotient's methods:
+    # no module imports a private linalg helper but _dense, reads one off
+    # the module, or indexes or unpacks an FpAb's _projection()
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg":
+                private = [a.name for a in node.names if a.name.startswith("_") and a.name != "_dense"]
+                assert not private, (path.name, private)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linalg":
+                assert not node.attr.startswith("_") or node.attr == "_dense", (path.name, node.attr)
+            if isinstance(node, ast.Subscript):
+                assert not _is_projection_call(node.value), (path.name, node.lineno)
+            if isinstance(node, ast.Assign) and _is_projection_call(node.value):
+                assert not any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets), (path.name, node.lineno)

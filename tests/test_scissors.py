@@ -452,7 +452,7 @@ def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
     # subset of 95 + 8 rows and the rows its certificate adds
     made = []
     added = []
-    row, pb_row, unkilled = linalg.RowTable.row, ScissorsContext.pb_row, linalg._unkilled
+    row, pb_row, unkilled = linalg.RowTable.row, ScissorsContext.pb_row, linalg.Quotient.unkilled
 
     def counted_row(self, i):
         made.append(i)
@@ -469,7 +469,7 @@ def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
 
     monkeypatch.setattr(linalg.RowTable, "row", counted_row)
     monkeypatch.setattr(ScissorsContext, "pb_row", counted_pb_row)
-    monkeypatch.setattr(linalg, "_unkilled", counted_unkilled)
+    monkeypatch.setattr(linalg.Quotient, "unkilled", counted_unkilled)
     ctx = ScissorsContext(parse_ring("gf(97)"))
     group = ctx.pre_bloch()
     assert group.invariant_factors() == (98,)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import scgroups
-from scgroups import verify
+from scgroups import linalg, verify
 from scgroups.groupring import act, add, bracket, dbl_bracket, p_plus, r_mul, scale
-from scgroups.linalg import zeros
+from scgroups.linalg import KeyedFpAb, zeros
 from scgroups.valuation import (
     Q_CLASSES,
     QONE,
@@ -517,7 +518,7 @@ def _case_sums(ctx, x):
     for (cls, t), coeff in x.items():
         param, (e, g) = _ref_symbol_data(ctx, cls, t)
         for acc in out if e else out[:1]:
-            for i, v in ctx._cases[param, g][0]:
+            for i, v in ctx._cases[param, g]:
                 acc[i] = acc.get(i, 0) + coeff * v
     return tuple(map(_nonzero, out))
 
@@ -539,6 +540,47 @@ def test_one_pass_membership_matches_the_entry_path(p):
     check()
     # both answers occur, and nonzero elements that die among them
     assert {(True, True), (True, False)} <= answers
+
+
+def test_every_membership_question_reaches_fpab_contains(monkeypatch):
+    # bench/test_checks.py injects its fault into the queries round by
+    # patching linalg.FpAb.contains alone, and expects RP and S_v membership
+    # to fail: each of them must call it, keyed reads included
+    ctx = specialization(11)
+    sc = ctx.sc
+    rp = {(0, sc.W[0]): 6}
+    sv = ctx.s_v(sym_gen(Fraction(2)))
+    rpt = sv.comp0
+    questions = {
+        "rp_is_zero": lambda: sc.rp_is_zero(rp),
+        "rp_tilde_is_zero": lambda: sc.rp_tilde_is_zero(rp),
+        "IndElem.is_zero": sv.is_zero,
+        "RPtElem.is_zero": rpt.is_zero,
+    }
+    assert {name: ask() for name, ask in questions.items()} == dict.fromkeys(questions, False)
+    for key in ("RP symbols", "RP~ symbols"):
+        assert isinstance(sc._cache[key], KeyedFpAb)
+    assert isinstance(ctx.cases, KeyedFpAb)
+    monkeypatch.setattr(linalg.FpAb, "contains", lambda self, v: "patched")
+    assert {name: ask() for name, ask in questions.items()} == dict.fromkeys(questions, "patched")
+
+
+def test_keyed_reads_are_whole_groups():
+    # the keyed reads answer group questions about their targets, RP, RP~
+    # and RP~ + RP~, and refuse a key they have no row for
+    ctx = specialization(11)
+    sc = ctx.sc
+    sc.rp_is_zero({})
+    sc.rp_tilde_is_zero({})
+    for keyed, group in ((sc._cache["RP symbols"], sc.rp_flat()), (sc._cache["RP~ symbols"], ctx.rp_tilde)):
+        assert repr(keyed) == repr(group)
+        assert keyed.free_rank == group.free_rank
+    twice = linalg.direct_sum(ctx.rp_tilde, ctx.rp_tilde)
+    assert (ctx.cases.free_rank, ctx.cases.invariant_factors()) == (twice.free_rank, twice.invariant_factors())
+    with pytest.raises(ValueError, match=re.escape("RP key (0, 0) is not a (square class, element of W) pair")):
+        sc.rp_is_zero({(0, 0): 1})
+    with pytest.raises(ValueError, match="S_v case"):
+        ctx.cases.contains({((0, 1), (0, 99)): 1})
 
 
 def test_s_v_refuses_a_zero_parameter_or_class_without_hanging():
@@ -564,17 +606,14 @@ def test_s_v_refuses_a_zero_parameter_or_class_without_hanging():
 
 
 def _off_by_one(case):
-    """A case builder whose images in RP~'s quotient are one too large in
-    the first coordinate (in rho_0, and so in (rho_0, rho_pi) too)."""
-
-    def bumped(img):
-        out = dict(img)
-        out[0] = out.get(0, 0) + 1
-        return sorted(out.items())
+    """A case builder whose entries are one too large at flat index 0, so
+    that every case image in RP~'s quotient is off by the image of that
+    generator (in rho_0, and so in (rho_0, rho_pi) too)."""
 
     def wrong(self, param, g):
-        entries, even, odd = case(self, param, g)
-        return entries, bumped(even), bumped(odd)
+        out = dict(case(self, param, g))
+        out[0] = out.get(0, 0) + 1
+        return sorted(out.items())
 
     return wrong
 
