@@ -24,7 +24,6 @@ its 2-part stays exact.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -287,14 +286,15 @@ def _block_lattice(m: RModPres) -> FpAb:
     pi: RP's 2-part included, no local step needed.
 
     L- and S are reduced by the certified Hermite path, N and N + t
-    columns wide.  A section sigma of pi, checked by projecting it, lifts
-    S back: the rows (-l, l) over L-'s basis and U^-1 (s, sigma(z)) =
-    (s - sigma(z), sigma(z)) over S's basis generate L, and one reduction
-    of these ~2N rows gives its canonical basis.  The certificate is the
-    one of every flat lattice: each relation row, in each of the |G|
-    translates, must map to 0 under the resulting quotient map, else
-    AssertionError.  Together with the section check (which puts the
-    generators inside L) this gives the lattice exactly.
+    columns wide, and L is the kernel of q_S o phi, where q_S is S's
+    quotient map and phi(x0, x1) = (x0 + x1, pi(x1)): one pass over the 2N
+    composite images (``Quotient.kernel``) gives its canonical basis.  The
+    certificate is the one of every flat lattice: each relation row, in
+    each of the |G| translates, must map to 0 under the quotient map of
+    that basis, else AssertionError, which gives L within the kernel.  The
+    reverse inclusion rests on pi and q_S being the exact maps of their
+    certified bases, the trust that every quotient map of this package
+    carries.
     """
     n, order = m.ngens, m.G.order
     half = order // 2
@@ -305,29 +305,15 @@ def _block_lattice(m: RModPres) -> FpAb:
     flat = translates(m.table, n, half)
     upper = flat.cols >= N
     cols = flat.cols - N * upper
-    minus_group = FpAb(N, RowTable(cols, np.where(upper, -flat.vals, flat.vals), N))
-    minus_basis, pi = minus_group.echelon().basis, minus_group._projection()
-    del minus_group
+    pi = FpAb(N, RowTable(cols, np.where(upper, -flat.vals, flat.vals), N))._projection()
     t = len(pi.moduli)
-    srows = _s_rows(RowTable(cols, flat.vals, N), pi, RowTable(cols, np.where(upper, flat.vals, 0), N))
+    q_s = FpAb(N + t, _s_rows(RowTable(cols, flat.vals, N), pi, RowTable(cols, np.where(upper, flat.vals, 0), N)))._projection()
     del flat, upper, cols
-    s_basis = FpAb(N + t, srows).echelon().basis
-    del srows
-    sigma = pi.section()
-    if pi.images(sigma) != [[int(i == k) for i in range(t)] for k in range(t)]:
-        raise AssertionError("block form: the section does not project to unit vectors")
-    rows = [add(scale(-1, r), {N + j: v for j, v in r.items()}) for r in minus_basis]
-    for r in s_basis:
-        lift: dict = {}
-        for i, z in r.items():
-            if i >= N:
-                lift = add(lift, scale(z, sigma[i - N]))
-        row = add({i: z for i, z in r.items() if i < N}, scale(-1, lift))
-        row.update((N + j, v) for j, v in lift.items())
-        rows.append(row)
+    phi = [{i: 1} for i in range(N)]
+    phi += [{i: 1, **{N + k: a for k, a in enumerate(w) if a}} for i, w in enumerate(pi.images(phi))]
     # rels reads the relation table, not m: the group holds no cycle back
     # to m, so a dropped module is freed at once
-    out = FpAb._seeded(2 * N, rows, functools.partial(translates, m.table, n, order))
+    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q_s.compose(phi).kernel())
     # the certificate: every relation row, through the map read after each
     # translation
     proj = out._projection()
@@ -345,14 +331,12 @@ def _s_rows(plus: RowTable, pi: Quotient, upper: RowTable):
     sparse dicts."""
     N, t = plus.ncols, len(pi.moduli)
     mods = [{N + j: d} for j, d in enumerate(pi.moduli) if d]
-    # the images of upper, a slice at a time so that their lists stay short,
-    # flattened into one int64 array
-    parts = (pi.images(upper[lo : lo + 2048]) for lo in range(0, len(upper), 2048))
     try:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(parts)), np.int64, len(plus) * t)
+        # the images of upper, in int64 blocks (or exact lists, which must fit)
+        flat = np.concatenate([np.zeros((0, t), np.int64)] + [np.asarray(w, np.int64) for _, w in pi.blocks(upper)])
     except OverflowError:
         rows = [{**plus.row(i), **{N + j: x for j, x in enumerate(w) if x}} for i, w in enumerate(pi.images(upper))]
         return [r for r in rows if r] + mods
     cols = np.concatenate([plus.cols, np.broadcast_to(N + np.arange(t), (len(plus), t))], axis=1)
-    vals = np.concatenate([plus.vals, flat.reshape(len(plus), t)], axis=1)
+    vals = np.concatenate([plus.vals, flat], axis=1)
     return RowTable.stack(N + t, RowTable(cols, vals, N + t), mods)

@@ -7,8 +7,7 @@ with Python-int keys in range(ncols) and nonzero Python-int values.
 array, dense sequences, dicts, or a mix) to such rows; it refuses an index
 outside the columns and a dense row of the wrong width.  ``FpAb`` keeps its
 relations so, ``AbMap`` one row per source generator, and a canonical basis
-lives in a ``SparseEchelon``; kernels, images, quotients, sums and
-intersections concatenate and reduce these dicts.  numpy object matrices
+lives in a ``SparseEchelon``.  numpy object matrices
 appear only at the API edge, as views built on each read (``hnf_rows``,
 ``rel_basis``, ``rels``, ``reduce``, ``solve_in_rows``, ``left_kernel``,
 ``lattice_intersect``, ``AbMap.matrix``, ``SubgroupPres.lift``), and in
@@ -21,12 +20,20 @@ membership question goes through it: ``FpAb.contains`` and
 ``element_order`` (a dict is read as it is, its keys checked), the check
 that a map kills the basis rows, and the keyed reads of ``KeyedFpAb``,
 whose images ``compose`` reads through rows named by keys (RP by symbol,
-RP~ + RP~ by S_v case).  ``unkilled`` and ``images`` take many rows at
-once, dicts or a ``RowTable``, in blocks through int64 arrays when no sum
-can reach 2^62 and in Python ints otherwise; ``section`` lifts each
-target coordinate back to the generators.  ``AbMap.unkilled``, the one
-test that a map kills relation rows, composes the target's map with the
-map rows once.
+RP~ + RP~ by S_v case).  ``unkilled``, ``images`` and ``blocks`` take many
+rows at once, dicts or a ``RowTable``, in blocks through int64 arrays when
+no sum can reach 2^62 and in Python ints otherwise.  ``AbMap.unkilled``,
+the one test that a map kills relation rows, composes the target's map
+with the map rows once.
+
+Every derived lattice is one question, ``Quotient.kernel``: the canonical
+basis of {x : image(x) lies in the lattice of the moduli and some extra
+rows}, read off the generator images in one right-to-left pass over a
+lattice of the few target coordinates.  Kernels and images of maps (the
+target's map composed with the map rows), quotients (the images of the new
+rows as extra rows), the block form of a Z[G]-module, ``left_kernel``,
+``lattice_intersect`` and the modular step of ``_hnf_sparse`` all read
+their bases so, and hand them to ``FpAb`` as its echelon.
 
 ``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz reduction
 to triangular rows, then the Hermite basis of their lattice modulo its
@@ -42,12 +49,8 @@ keeps it instead of building it again.
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
 vector from a heap, so it touches only the pivots the vector reaches;
-kernels and subquotients hand their coordinates to ``FpAb`` as
-{row: coefficient} dicts.
-
-Kernels, preimages and intersections are one question, ``_vanishing``:
-the lattice carried by the combinations of rows that vanish, from one
-reduction of the rows with their payloads as an augmentation.
+subquotients hand their coordinates to ``FpAb`` as {row: coefficient}
+dicts.
 
 Relation rows of one width may also come as a ``RowTable``: int64 arrays
 of columns and values, one row per line (the five-term relations, and the
@@ -392,32 +395,25 @@ def _supports(rows, stream: list[int]):
     return (_summed(zip(c, v)).keys() for c, v in zip(cols, vals))
 
 
-def _first_subset(rows, n: int, lead: int = 0) -> set[int]:
+def _first_subset(rows, n: int) -> set[int]:
     """The indices of the rows ``_hnf_sparse`` reduces first: every row of
-    an input of at most WHOLE_PER_COLUMN * n rows, else the first ``lead``
-    rows (a canonical basis, at most n rows) and rows of a seeded stream
-    of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of the others.  A
+    an input of at most WHOLE_PER_COLUMN * n rows, else rows of a seeded
+    stream of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of them.  A
     stream row joins while its support touches a column that fewer than
     _COVER chosen rows touch, and skipped stream rows pad the subset to
     n + _SUBSET_EXTRA rows.  A uniform sample that small misses columns of
     sparse rows, and so rank; this one touches each column as often as
     _COVER or the stream allows, which still misses rank on rows of two
-    entries (a graph's edges), where a leading basis does not.  Up to 4n
-    rows it still misses rank often enough (RP~ = RP/K^(1) is a basis of
-    RP and the psi_1 rows, 2n to 4n of them) that a second round costs
-    more than a whole reduction."""
+    entries (a graph's edges).  Up to 4n rows it still misses rank often
+    enough that a second round costs more than a whole reduction."""
     m = len(rows)
     if m <= WHOLE_PER_COLUMN * n:
         return set(range(m))
-    others = range(lead, m)
-    stream = random.Random(_SUBSET_SEED).sample(others, min(len(others), _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
+    stream = random.Random(_SUBSET_SEED).sample(range(m), min(m, _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
     cover = [0] * n
-    for support in _supports(rows, list(range(lead))):
-        for j in support:
-            cover[j] += 1
     # columns that fewer than _COVER chosen rows touch
-    short = sum(x < _COVER for x in cover)
-    chosen, skipped = list(range(lead)), []
+    short = n
+    chosen, skipped = [], []
     for t, support in enumerate(_supports(rows, stream)):
         if not any(cover[j] < _COVER for j in support):
             skipped.append(stream[t])
@@ -432,12 +428,10 @@ def _first_subset(rows, n: int, lead: int = 0) -> set[int]:
     return set(chosen + skipped[: max(0, n + _SUBSET_EXTRA - len(chosen))])
 
 
-def _hnf_sparse(rows, n: int, lead: int = 0) -> tuple[list[dict], Optional[Quotient]]:
+def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[Quotient]]:
     """Canonical HNF rows of the lattice of ``rows`` (sparse dicts as
     ``_sparse_rows`` gives them, or a RowTable of width n), with the
-    quotient map a certificate built for them, or None.  The first
-    ``lead`` rows, if any, are a canonical basis, which the first subset
-    takes whole.
+    quotient map a certificate built for them, or None.
 
     The rows are read in place and may repeat; the subset rows are copied
     (or, from a table, built) before the reduction modifies them, and the
@@ -468,7 +462,7 @@ def _hnf_sparse(rows, n: int, lead: int = 0) -> tuple[list[dict], Optional[Quoti
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
     rng = random.Random(_SUBSET_SEED)
-    chosen = _first_subset(rows, n, lead)
+    chosen = _first_subset(rows, n)
     work = [copy(i) for i in sorted(chosen)]
     while True:
         retired, _ = _sparse_reduce(work, n)
@@ -505,9 +499,9 @@ def _check_canonical(basis: list[dict], n: int) -> None:
         pivots[j] = r[j]
         last = j
     for r in basis:
-        lead = min(r)
+        first = min(r)
         for j, v in r.items():
-            if j != lead and j in pivots and not 0 <= v < pivots[j]:
+            if j != first and j in pivots and not 0 <= v < pivots[j]:
                 raise AssertionError("certified HNF: an entry above a pivot is not reduced")
 
 
@@ -592,13 +586,11 @@ def _primitive_comb(a: int, u: dict, b: int, w: dict) -> dict:
     return {j: x // g for j, x in out.items()}
 
 
-def _axpy(a: int, x: dict, b: int, y: dict, mod: int = 0) -> dict:
-    """a*x + b*y of sparse rows, each entry reduced mod ``mod`` if nonzero."""
+def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
+    """a*x + b*y of sparse rows."""
     out = {}
     for j in x.keys() | y.keys():
         z = a * x.get(j, 0) + b * y.get(j, 0)
-        if mod:
-            z %= mod
         if z:
             out[j] = z
     return out
@@ -609,144 +601,101 @@ def _hnf_mod_det(retired: list, n: int) -> list[dict]:
     ``retired``, modulo its determinant D (Domich-Kannan-Trotter 1987;
     Hafner-McCurley 1991): D*Z^n lies in L, so no entry leaves [0, D).
 
-    The quotient map Z^n -> Z^n / L comes from back-substitution: a row
-    with pivot 1 rewrites its generator through later columns, and the m
-    rows with a larger pivot give m coordinates and the relation lattice
-    Lambda_0 in Z^m, all mod D.  The HNF is then read off the chain of
-    subgroups H_i generated by the images of e_i, ..., e_{n-1}, right to
-    left: the pivot at column i is [H_i : H_{i+1}], and the rest of row i
-    is a relation expressing pivot * image(e_i) through the images of the
-    later columns with a pivot > 1, reduced by their rows.  Lambda (the
-    lift of H_{i+1} to Z^m) is kept as a triangular basis, each row with
-    the combination of images it came from.
+    The quotient map Z^n -> Z^n / L comes from back-substitution, summed
+    into sparse dicts: a row with pivot 1 rewrites its generator through
+    later columns, and each of the m rows with a larger pivot gives a
+    coordinate mod D, and its own image as a relation row in Z^m.  L is
+    the kernel of that map modulo the relation rows (``Quotient.kernel``),
+    and its pivots multiply to D exactly when the map has the order of
+    Z^n / L.
     """
     tri = [(c, r if r[c] > 0 else {j: -v for j, v in r.items()}) for c, r in retired]
     det = math.prod(r[c] for c, r in tri)
-    m = sum(r[c] > 1 for c, r in tri)
-    images = Quotient([det] * m, {})
+    images: list[dict] = [{} for _ in range(n)]
     rels = []
     for c, r in reversed(tri):
-        images.by_key[c] = []  # the row's own column, not yet mapped, adds nothing
-        acc = images.image(r.items())
+        acc: dict = {}
+        for j, a in r.items():
+            for k, x in images[j].items():  # the row's own column is not mapped yet
+                acc[k] = acc.get(k, 0) + a * x
         if r[c] == 1:
-            images.by_key[c] = [(t, -x % det) for t, x in enumerate(acc) if x]
+            images[c] = {k: -x % det for k, x in acc.items() if x % det}
         else:
-            t = len(rels)
-            images.by_key[c] = [(t, 1)]
-            rels.append({**{u: x for u, x in enumerate(acc) if x}, t: r[c]})
-    lat = _ModLattice(m, det)
-    for rel in rels:
-        lat.insert(rel, {})
-    if lat.det() != det:
+            images[c] = {len(rels): 1}
+            rels.append({**acc, len(rels): r[c]})
+    basis = Quotient([det] * len(rels), [list(img.items()) for img in images]).kernel(rels)
+    if math.prod(r[min(r)] for r in basis) != det:
         raise AssertionError("certified HNF: the quotient map has the wrong order")
-    basis: dict[int, dict] = {}
-    larger: list[int] = []  # columns with a pivot > 1, ascending
-
-    def reduce(row: dict) -> dict:
-        for j in larger:
-            q = row.get(j, 0) // basis[j][j]
-            if q:
-                _sub_entries(row, q, basis[j].items())
-        return row
-
-    for i in reversed(range(n)):
-        v = dict(images.by_key[i])
-        comb = lat.solve(v)
-        if comb is None:
-            before = lat.det()
-            grown = lat.copy()
-            grown.insert(v, {i: 1})
-            pivot = before // grown.det()
-            comb = lat.solve({t: pivot * x for t, x in v.items()})
-            if comb is None:
-                raise AssertionError("certified HNF: pivot * image is not in the subgroup")
-            lat = grown
-        else:
-            pivot = 1
-        row = {i: pivot}
-        _sub_entries(row, 1, comb.items())
-        basis[i] = reduce(row)
-        if pivot > 1:
-            larger.insert(0, i)
-            lat.combs = [reduce(t) for t in lat.combs]
-    return [basis[i] for i in range(n)]
+    return basis
 
 
-class _ModLattice:
-    """A full-rank lattice of Z^m that contains mod * Z^m, as triangular
-    rows b[u] (pivot at u) reduced mod ``mod``; each row carries the
-    combination {column: coefficient} of generator images it stands for
-    (rows of mod * Z^m stand for nothing)."""
+class _ImageLattice:
+    """A lattice H of Z^t that holds d_k e_k for each modulus d_k > 0, as
+    echelon rows by pivot coordinate, each with the combination {generator:
+    coefficient} of generator images it stands for, modulo the lattice H
+    started as (whose rows stand for nothing).  The rows are kept in
+    Hermite form, each entry at a later pivot reduced into [0, pivot), so
+    that no entry grows with each insertion (on a torsion coordinate the
+    pivot divides d_k)."""
 
-    def __init__(self, m: int, mod: int):
-        self.mod = mod
-        self.rows = [{u: mod} for u in range(m)]
-        self.combs: list[dict] = [{} for _ in range(m)]
+    def __init__(self, moduli: list[int]):
+        self.moduli = moduli
+        self.rows = {k: ({k: d}, {}) for k, d in enumerate(moduli) if d}
 
-    def copy(self) -> "_ModLattice":
-        out = _ModLattice.__new__(_ModLattice)
-        out.mod = self.mod
-        out.rows = [dict(b) for b in self.rows]
-        out.combs = [dict(t) for t in self.combs]
-        return out
-
-    def det(self) -> int:
-        return math.prod(b[u] for u, b in enumerate(self.rows))
-
-    def insert(self, v: dict, comb: dict) -> None:
-        """Add the vector v, standing for the combination comb."""
-        v = {u: x % self.mod for u, x in v.items() if x % self.mod}
-        for u in range(len(self.rows)):
-            x = v.get(u)
-            if x is None:
-                continue
-            b, t = self.rows[u], self.combs[u]
-            p = b[u]
-            g, s, y = xgcd(p, x)
-            self.rows[u] = _axpy(s, b, y, v, self.mod)
-            self.combs[u] = _axpy(s, t, y, comb)
-            v = _axpy(-(x // g), b, p // g, v, self.mod)
-            comb = _axpy(-(x // g), t, p // g, comb)
-
-    def solve(self, v: dict) -> Optional[dict]:
-        """The combination v stands for, or None if v is not in the lattice."""
-        v = dict(v)
-        out: dict = {}
-        for u, b in enumerate(self.rows):
-            x = v.pop(u, 0) % self.mod
+    def insert(self, v: dict, comb: dict) -> Optional[dict]:
+        """Add v, standing for comb; both dicts are the lattice's from now
+        on.  If v raises the rank of H it becomes a row and None is
+        returned.  Otherwise v reduces to 0 through the rows, which change
+        only where their pivot does not divide v, and the combination left
+        is returned: a relation among the generator images modulo the
+        lattice H started as, in which a generator of comb that no row
+        stands for is scaled by [H + <v> : H]."""
+        moduli, rows = self.moduli, self.rows
+        changed = False
+        while v:
+            u = min(v)
+            x = v.pop(u)
+            if moduli[u]:
+                x %= moduli[u]
             if not x:
                 continue
-            q, rem = divmod(x, b[u])
-            if rem:
+            v[u] = x
+            if u not in rows:
+                rows[u] = (v, comb) if x > 0 else ({j: -a for j, a in v.items()}, {j: -a for j, a in comb.items()})
+                self._hermite()
                 return None
-            for j, a in b.items():
-                if j != u:
-                    v[j] = (v.get(j, 0) - q * a) % self.mod
-            for j, a in self.combs[u].items():
-                out[j] = out.get(j, 0) + q * a
-        return {j: a for j, a in out.items() if a}
+            b, t = rows[u]
+            p = b[u]
+            if x % p:
+                g, s, y = xgcd(p, x)
+                rows[u] = (_axpy(s, b, y, v), _axpy(s, t, y, comb))
+                v, comb = _axpy(-(x // g), b, p // g, v), _axpy(-(x // g), t, p // g, comb)
+                changed = True
+            else:
+                _sub_entries(v, x // p, b.items())
+                _sub_entries(comb, x // p, t.items())
+        if changed:
+            self._hermite()
+        return comb
 
-
-def _vanishing(pairs, n: int, width: int) -> list[dict]:
-    """Canonical HNF rows of {sum_i x_i c_i : sum_i x_i r_i = 0} for the
-    pairs (r_i, c_i) of a row r_i of width n and its payload c_i of width
-    ``width``, both sparse dicts.
-
-    Each row carries its payload as an augmentation while the sparse
-    reduction eliminates the n main columns.  The rows retired there are
-    triangular on the main columns, so independent; the rows whose main
-    part vanished carry generators of the lattice in their augmentation.
-    """
-    work = [{**r, **{n + j: v for j, v in c.items()}} for r, c in pairs]
-    _, zeroed = _sparse_reduce(work, n)
-    return _hnf_sparse([{j - n: v for j, v in r.items()} for r in zeroed], width)[0]
+    def _hermite(self) -> None:
+        """Reduce each row, bottom-up, by the later rows at their pivots."""
+        rows = self.rows
+        pivots = sorted(rows)
+        for k in reversed(range(len(pivots))):
+            b, t = rows[pivots[k]]
+            for j in pivots[k + 1 :]:
+                q = b.get(j, 0) // rows[j][0][j]
+                if q:
+                    _sub_entries(b, q, rows[j][0].items())
+                    _sub_entries(t, q, rows[j][1].items())
 
 
 def left_kernel(mat) -> np.ndarray:
-    """Basis (canonical HNF rows) of {x : x @ mat = 0}."""
+    """Basis (canonical HNF rows) of {x : x @ mat = 0}: the kernel of the
+    map that sends generator i to row i of mat in a free target."""
     rows, n = _edge_rows(mat)
-    return _dense(_vanishing([(r, {i: 1}) for i, r in enumerate(rows)], n, len(rows)), len(rows))
-
+    return _dense(Quotient([0] * n, [list(r.items()) for r in rows]).kernel(), len(rows))
 
 def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
     """Return (H, K): H the canonical row-Hermite basis of ``mat`` and K
@@ -870,11 +819,12 @@ def solve_in_rows(basis, v) -> Optional[np.ndarray]:
 
 def lattice_intersect(a, b) -> np.ndarray:
     """Canonical basis of (row lattice of a) ∩ (row lattice of b): the
-    vectors y @ a with y @ a - z @ b = 0, as each row of a carries itself.
-    a is a 2-D array or dense rows; b has its width, in any row form."""
+    vectors y @ a for y in the kernel of y -> y @ a in a free target
+    modulo the rows of b.  a is a 2-D array or dense rows; b has its
+    width, in any row form."""
     a, n = _edge_rows(a)
-    b = [{j: -v for j, v in r.items()} for r in _sparse_rows(b, n)]
-    return _dense(_vanishing([(r, r) for r in a] + [(r, {}) for r in b], n, n), n)
+    ys = Quotient([0] * n, [list(r.items()) for r in a]).kernel(_sparse_rows(b, n))
+    return _dense(_hnf_sparse([_summed((j, c * x) for i, c in y.items() for j, x in a[i].items()) for y in ys], n)[0], n)
 
 
 @dataclass
@@ -1037,11 +987,14 @@ def _projection_table(ech: SparseEchelon) -> Quotient:
     for out, c in enumerate(free, start=len(keep)):
         images[c].append((out, 1))
     # unit rows bottom-up: a generator is rewritten through later columns only
-    proj = Quotient(moduli, images)
     for i in sorted(unit, reverse=True):
-        w = proj.image((c, -a) for c, a in ech.rows[i][2])
-        images[unit[i]] = [(k, x) for k, x in enumerate(w) if x]
-    return proj
+        acc: dict = {}
+        for c, a in ech.rows[i][2]:
+            for k, x in images[c]:
+                acc[k] = acc.get(k, 0) - a * x
+        w = {k: x % d if (d := moduli[k]) else x for k, x in acc.items()}
+        images[unit[i]] = sorted((k, x) for k, x in w.items() if x)
+    return Quotient(moduli, images)
 
 
 class Quotient(NamedTuple):
@@ -1054,8 +1007,9 @@ class Quotient(NamedTuple):
     keys are any hashable names (``compose``).
 
     It is the one form of a quotient map: an FpAb keeps its own, the
-    certificates ask it which rows it kills, and a keyed read
-    (``KeyedFpAb``) is one composed with named rows."""
+    certificates ask it which rows it kills, a keyed read (``KeyedFpAb``)
+    is one composed with named rows, and ``kernel`` reads every derived
+    lattice off one."""
 
     moduli: list[int]
     by_key: list | dict
@@ -1091,7 +1045,7 @@ class Quotient(NamedTuple):
         """The image of each row (sparse dicts or a RowTable), as ``image``
         gives it."""
         out: list[list[int]] = []
-        for _, w in self._blocks(rows):
+        for _, w in self.blocks(rows):
             out += w.tolist() if isinstance(w, np.ndarray) else w
         return out
 
@@ -1100,49 +1054,53 @@ class Quotient(NamedTuple):
         not 0: the certificates' test over every input row, which builds no
         list per row."""
         out: list[int] = []
-        for lo, w in self._blocks(rows):
+        for lo, w in self.blocks(rows):
             if isinstance(w, np.ndarray):
                 out += (lo + np.flatnonzero(w.any(axis=1))).tolist()
             else:
                 out += [lo + i for i, x in enumerate(w) if any(x)]
         return out
 
-    def section(self) -> list[dict]:
-        """A section of the map: for each target coordinate k, a sparse
-        vector that the map sends to e_k.  Callers that rely on it check it
-        with ``images``.
+    def kernel(self, extra=()) -> list[dict]:
+        """Canonical HNF rows of {x : image(x) lies in the lattice M of the
+        rows d_k e_k and the ``extra`` rows}, which are sparse dicts or
+        dense lists over the target coordinates: one right-to-left pass
+        over the generator images (the Hermite basis read off the images
+        modulo a known lattice: Domich-Kannan-Trotter 1987; Cohen, §2.4).
 
-        The images of the generators, each carrying its generator as an
-        augmentation, and the rows d e_k of the moduli (which the target
-        kills) span Z^t; their triangular rows have unit pivots, and
-        back-substitution of e_k collects the generators it takes."""
+        With H_i the lattice of M and the images of the generators i, ...,
+        n - 1, generator i has a pivot unless its image raises the rank of
+        H_{i+1}; the pivot is then [H_i : H_{i+1}], and the row is the
+        relation that inserting the image into H_{i+1} leaves, reduced by
+        the later rows with a pivot > 1.  A generator with pivot 1 changes
+        no row of H, so no relation takes it."""
         moduli, images = self
-        t = len(moduli)
-        rows = [{**dict(img), t + j: 1} for j, img in enumerate(images) if img]
-        rows += [{k: d} for k, d in enumerate(moduli) if d]
-        retired, _ = _sparse_reduce(rows, t)
-        out = []
-        for k in range(t):
-            v, sigma = {k: 1}, {}
-            for c, r in retired:
-                x = v.pop(c, 0)
-                if not x:
-                    continue
-                q, rem = divmod(x, r[c])
-                if rem:
-                    raise AssertionError("the quotient map is not onto its coordinates")
-                for j, a in r.items():
-                    if j >= t:
-                        sigma[j - t] = sigma.get(j - t, 0) + q * a
-                    elif j != c:
-                        v[j] = v.get(j, 0) - q * a
-                v = {j: a for j, a in v.items() if a}
-            if v:
-                raise AssertionError("the quotient map is not onto its coordinates")
-            out.append({j: a for j, a in sigma.items() if a})
-        return out
+        lat = _ImageLattice(moduli)
+        for r in extra:
+            lat.insert(dict(_sparse_row(r, len(moduli))), {})
+        basis: dict[int, dict] = {}
+        larger: list[int] = []  # columns with a pivot > 1, ascending
 
-    def _blocks(self, rows):
+        def reduce(row: dict) -> dict:
+            for j in larger:
+                q = row.get(j, 0) // basis[j][j]
+                if q:
+                    _sub_entries(row, q, basis[j].items())
+            return row
+
+        for i in reversed(range(len(images))):
+            rel = lat.insert(dict(images[i]), {i: 1})
+            if rel is not None:
+                basis[i] = reduce(rel)
+                if rel[i] == 1:
+                    continue
+                larger.insert(0, i)
+            # the rows changed, and their combinations take generator i
+            for _, t in lat.rows.values():
+                reduce(t)
+        return [basis[i] for i in sorted(basis)]
+
+    def blocks(self, rows):
         """The images of many rows (sparse dicts or a RowTable), yielded as
         (first row, images) for blocks of _IMAGE_BLOCK rows; the images are
         indexed by generator.
@@ -1193,7 +1151,7 @@ class Quotient(NamedTuple):
             yield lo, w
 
 
-# rows per block of Quotient._blocks
+# rows per block of Quotient.blocks
 _IMAGE_BLOCK = 2048
 
 
@@ -1215,35 +1173,26 @@ class FpAb:
     it is.  The relation basis lives in a cached
     SparseEchelon; element questions (contains, element_order) and the
     invariant factors go through one cached quotient map onto
-    Z^f + sum Z/d_k."""
+    Z^f + sum Z/d_k.
 
-    def __init__(self, ngens: int, rels=None):
+    A caller that has read the canonical basis of the relations' lattice
+    off a quotient map (``Quotient.kernel``) passes it as ``basis``, and it
+    is the echelon with no reduction; ``rels`` may then be a zero-argument
+    callable that builds the relation rows on each read, which are not
+    kept."""
+
+    def __init__(self, ngens: int, rels=None, basis: Optional[list[dict]] = None):
         self.ngens = int(ngens)
-        if isinstance(rels, RowTable):
+        if callable(rels):
+            self._rels: Callable[[], list[dict] | RowTable] = rels
+        elif isinstance(rels, RowTable):
             if rels.ncols != self.ngens:
                 raise ValueError(f"a row table of width {rels.ncols} does not match {self.ngens} generators")
-            rows = rels
+            self._rels = rels.copy
         else:
-            rows = _sparse_rows(rels, self.ngens)
-        # a zero-argument callable that returns the relation rows, sparse
-        # dicts or a RowTable (a bound method, which pickles)
-        self._rels: Callable[[], list[dict] | RowTable] = rows.copy
-        self._lead = 0  # leading relation rows that are a canonical basis (ab_quotient)
-        self._ech: Optional[SparseEchelon] = None
+            self._rels = _sparse_rows(rels, self.ngens).copy
+        self._ech = None if basis is None else SparseEchelon(basis, self.ngens)
         self._proj: Optional[Quotient] = None
-
-    @classmethod
-    def _seeded(cls, ngens: int, gens: list[dict], rows_of: Callable[[], RowTable]) -> "FpAb":
-        """Z^ngens modulo the lattice of the rows ``gens``, with its basis
-        and quotient map computed now, whose relation rows are rows_of():
-        another generating set of the same lattice, built on each read of
-        ``rels`` and not kept.  The caller certifies that the two sets
-        span one lattice (the Z[G]-module lattices of ``groupring``, whose
-        gens are far fewer than their relation rows)."""
-        out = cls(ngens, gens)
-        out._projection()
-        out._rels = rows_of
-        return out
 
     @property
     def rels(self) -> np.ndarray:
@@ -1261,7 +1210,7 @@ class FpAb:
         basis comes with the quotient map its certificate built, which is
         checked and kept."""
         if self._ech is None:
-            basis, proj = _hnf_sparse(self._rels(), self.ngens, self._lead)
+            basis, proj = _hnf_sparse(self._rels(), self.ngens)
             self._ech = SparseEchelon(basis, self.ngens)
             if proj is not None:
                 self._proj = self._checked(proj)
@@ -1269,9 +1218,8 @@ class FpAb:
 
     def _checked(self, proj: Quotient) -> Quotient:
         """The quotient map, after checking that it kills every basis row."""
-        for i, (j, p, rest) in enumerate(self._ech.rows):
-            if any(proj.image([(j, p)] + rest)):
-                raise AssertionError(f"quotient map does not kill relation {i}")
+        for i in proj.unkilled(self._ech.basis)[:1]:
+            raise AssertionError(f"quotient map does not kill relation {i}")
         return proj
 
     @property
@@ -1421,20 +1369,18 @@ def direct_sum(a: FpAb, b: FpAb) -> FpAb:
     are the canonical basis of the sum, kept with no second reduction."""
     n = a.ngens
     basis = a.echelon().basis + [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
-    out = FpAb(n + b.ngens, basis)
-    out._ech = SparseEchelon(basis, out.ngens)
-    return out
+    return FpAb(n + b.ngens, basis, basis)
 
 
 def ab_quotient(g: FpAb, sub) -> FpAb:
     """g modulo the subgroup generated by the rows of ``sub``, given in any
-    row form: the one way to add relations to a group.  g's canonical
-    basis leads the relations, and the Hermite call takes it whole into
-    its first subset."""
-    basis = g.echelon().basis
-    out = FpAb(g.ngens, basis + _sparse_rows(sub, g.ngens))
-    out._lead = len(basis)
-    return out
+    row form: the one way to add relations to a group.  Its relations are
+    g's canonical basis and the new rows, and its basis is the kernel of
+    g's quotient map modulo the images of the new rows, with no Hermite
+    call."""
+    rows = _sparse_rows(sub, g.ngens)
+    proj = g._projection()
+    return FpAb(g.ngens, g.echelon().basis + rows, proj.kernel(proj.images(rows)))
 
 
 @dataclass
@@ -1497,23 +1443,26 @@ class AbMap:
 
     def preimage_lattice(self) -> list[dict]:
         """Canonical basis rows of {x in Z^m : x @ matrix lies in the target
-        lattice}: the map rows carry their unit vectors and the target's
-        relation basis carries nothing, so the vanishing combinations
-        carry x."""
-        pairs = [(r, {i: 1}) for i, r in enumerate(self.rows)]
-        pairs += [(r, {}) for r in self.target.echelon().basis]
-        return _vanishing(pairs, self.target.ngens, self.source.ngens)
+        lattice}: the kernel of the target's quotient map composed with the
+        map rows."""
+        return self.target._projection().compose(self.rows).kernel()
 
     def kernel_subgroup(self) -> SubgroupPres:
+        """The kernel on the preimage basis (``lift``).  Its relations are
+        the coordinates of the source's basis rows, each checked to lie in
+        the preimage, and their canonical basis is the kernel of the
+        source's quotient map composed with the lift rows."""
         lift = SparseEchelon(self.preimage_lattice(), self.source.ngens)
         rels = _coordinates(lift, self.source.echelon().basis, "source relations must lie in the preimage")
-        return SubgroupPres(group=FpAb(len(lift.rows), rels), echelon=lift)
+        basis = self.source._projection().compose(lift.basis).kernel()
+        return SubgroupPres(group=FpAb(len(lift.rows), rels, basis), echelon=lift)
 
     def kernel(self) -> FpAb:
         return self.kernel_subgroup().group
 
     def image(self) -> FpAb:
-        return FpAb(self.source.ngens, self.preimage_lattice())
+        basis = self.preimage_lattice()
+        return FpAb(self.source.ngens, basis, basis)
 
 
 def subquotient(ker_basis, num_rows) -> FpAb:

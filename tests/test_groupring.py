@@ -307,45 +307,63 @@ def test_block_form_rels_are_the_flat_rows():
     assert all({j: v for j, v in enumerate(row) if v} == r for row, r in zip(got.tolist(), want))
 
 
-def test_block_form_refuses_a_wrong_section(monkeypatch):
-    section = linalg.Quotient.section
-
-    def doubled(pi):
-        return [{j: 2 * a for j, a in v.items()} for v in section(pi)]
-
-    monkeypatch.setattr(linalg.Quotient, "section", doubled)
+def test_block_form_refuses_a_corrupted_composite_image(monkeypatch):
+    # L is the kernel of the composite map x -> q_S(x0 + x1, pi(x1)); with
+    # one generator's image moved by 1 in the first coordinate the kernel
+    # misses relation rows, whichever generator it is, and the certificate
+    # of the flat lattice refuses it
+    compose = linalg.Quotient.compose
     for label in ("gf(13)", "gf(2^2)[t]/t^2"):
-        with pytest.raises(AssertionError, match="section"):
-            ScissorsContext(parse_ring(label)).rp_flat()
+        flat = ScissorsContext(parse_ring(label)).refined().flat_ngens
+        for j in range(flat):
+            hit = []
+
+            def corrupted(q, rows, j=j, hit=hit):
+                out = compose(q, rows)
+                if not hit and len(rows) == flat:
+                    hit.append(j)
+                    d = q.moduli[0]
+                    img = dict(out.by_key[j])
+                    img[0] = (img.get(0, 0) + 1) % d if d else img.get(0, 0) + 1
+                    out.by_key[j] = sorted((k, x) for k, x in img.items() if x)
+                return out
+
+            monkeypatch.setattr(linalg.Quotient, "compose", corrupted)
+            with pytest.raises(AssertionError, match="relation row"):
+                ScissorsContext(parse_ring(label)).rp_flat()
+            assert hit == [j]
+        monkeypatch.undo()
 
 
-def test_block_form_refuses_a_dropped_minus_row(monkeypatch):
-    # the generators of L open with (-l, l) for each basis row l of L-;
-    # without one of them the lattice is too small, and some relation row
-    # does not map to 0.  (A row dropped from L-'s own reduction can come
-    # back through the e+ rows, and the certificate then rightly passes.)
+def test_block_form_refuses_a_dropped_kernel_row(monkeypatch):
+    # the flat lattice's basis is the kernel of the composite map over all
+    # 2N generators; without any one of its rows the lattice is too small,
+    # and some relation row does not map to 0.  (A row dropped from L-'s
+    # basis comes back through the e+ rows, and the certificate then
+    # rightly passes.)
     ring = parse_ring("gf(13)")
-    N = ScissorsContext(ring).refined().flat_ngens // 2
-    hnf = linalg._hnf_sparse
+    flat = ScissorsContext(ring).refined().flat_ngens
+    kernel = linalg.Quotient.kernel
     seen = []
 
-    def recording(rows, n, *lead):
-        if n == 2 * N:
-            seen.append(rows)
-        return hnf(rows, n, *lead)
+    def recording(q, extra=()):
+        out = kernel(q, extra)
+        if len(q.by_key) == flat:
+            seen.append(out)
+        return out
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", recording)
+    monkeypatch.setattr(linalg.Quotient, "kernel", recording)
     ScissorsContext(ring).rp_flat()
-    (rows,) = seen
-    minus = [r for r in rows if r == {**{j: v for j, v in r.items() if j < N}, **{N + j: -v for j, v in r.items() if j < N}}]
-    assert minus == rows[: len(minus)] and len(minus) == 10  # L- has rank 10 of 11
+    (basis,) = seen
+    assert len(basis) == flat - 1  # RP(F_13) = Z + Z/7 has free rank 1
 
-    for i in range(len(minus)):
+    for i in range(len(basis)):
 
-        def dropping(rows, n, *lead, i=i):
-            return hnf(rows[:i] + rows[i + 1 :] if n == 2 * N else rows, n, *lead)
+        def dropping(q, extra=(), i=i):
+            out = kernel(q, extra)
+            return out[:i] + out[i + 1 :] if len(q.by_key) == flat else out
 
-        monkeypatch.setattr(linalg, "_hnf_sparse", dropping)
+        monkeypatch.setattr(linalg.Quotient, "kernel", dropping)
         with pytest.raises(AssertionError, match="relation row"):
             ScissorsContext(ring).rp_flat()
 

@@ -370,11 +370,18 @@ def test_images_match_row_by_row_projection(pres, data):
 
 @settings(max_examples=200, deadline=None)
 @given(presentations())
-def test_section_projects_to_unit_vectors(pres):
+def test_kernel_of_a_quotient_map_is_its_relation_lattice(pres):
+    # the map is onto its coordinates (the images and the moduli rows span
+    # Z^t), and its kernel is exactly the relation lattice: read back
+    # through Quotient.kernel it gives the canonical basis
     n, rows = pres
-    proj = FpAb(n, rows if rows else None)._projection()
-    t = len(proj[0])
-    assert proj.images(proj.section()) == [[int(i == k) for i in range(t)] for k in range(t)]
+    g = FpAb(n, rows if rows else None)
+    proj = g._projection()
+    t = len(proj.moduli)
+    spans = [proj.image([(j, 1)]) for j in range(n)] + [[d * (i == k) for i in range(t)] for k, d in enumerate(proj.moduli) if d]
+    assert (sympy_row_hnf(spans) if t else []) == [[int(i == k) for i in range(t)] for k in range(t)]
+    assert proj.kernel() == g.echelon().basis
+    assert _ints(g.rel_basis) == (sympy_row_hnf(rows) if rows else [])
 
 
 def test_images_of_a_trivial_quotient_take_values_past_int64():
@@ -1763,6 +1770,112 @@ def test_lattice_intersect_is_the_meet(case, data):
             drawn.append([sum(x * r[j] for x, r in zip(c, rows)) for j in range(n)])
     for v in drawn:
         assert _member(meet, v) == (_member(a, v) and _member(b, v))
+
+
+# -- Quotient.kernel: every derived lattice against sympy ------------------------
+
+
+def _sympy_kernel(images, t, lattice):
+    """Canonical basis of {x : sum x_i images[i] lies in the lattice of the
+    rows ``lattice``}, all dense of width t, by sympy: the rows
+    (images[i], e_i) and (r, 0) reduced with the t target columns first,
+    whose rows that vanish there carry the kernel."""
+    n = len(images)
+    rows = [list(w) + [int(i == j) for j in range(n)] for i, w in enumerate(images)]
+    rows += [list(r) + [0] * n for r in lattice]
+    if not rows or not n:
+        return []
+    return [r[t:] for r in sympy_row_hnf(rows) if not any(r[:t])]
+
+
+@st.composite
+def quotient_maps(draw):
+    """(moduli, images, extra): up to 3 coordinates, each free or Z/d, up to
+    6 generators whose images are reduced into [0, d) on torsion
+    coordinates, so free coordinates raise the rank, and up to 3 extra
+    rows, drawn dense or sparse."""
+    moduli = draw(st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 9, 12]), max_size=3))
+    t = len(moduli)
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    images = [[draw(entry) % d if d else draw(entry) for d in moduli] for _ in range(draw(st.integers(0, 6)))]
+    extra = [[draw(entry) for _ in range(t)] for _ in range(draw(st.integers(0, 3)))]
+    return moduli, images, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_maps(), st.booleans())
+def test_quotient_kernel_matches_sympy(case, sparse):
+    moduli, images, extra = case
+    t = len(moduli)
+    q = linalg.Quotient(moduli, [[(k, a) for k, a in enumerate(w) if a] for w in images])
+    given_extra = [{k: a for k, a in enumerate(r) if a} for r in extra] if sparse else extra
+    got = q.kernel(given_extra)
+    lattice = [[d * (j == k) for j in range(t)] for k, d in enumerate(moduli) if d] + extra
+    assert _ints(linalg._dense(got, len(images))) == _sympy_kernel(images, t, lattice)
+    # the extra rows are read, not kept or changed
+    assert given_extra == ([{k: a for k, a in enumerate(r) if a} for r in extra] if sparse else extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), st.data())
+def test_ab_quotient_matches_sympy(pres, data):
+    n, rows = pres
+    sub = data.draw(st.lists(vectors(n), max_size=4))
+    g = FpAb(n, rows if rows else None)
+    q = ab_quotient(g, sub)
+    assert _ints(q.rel_basis) == (sympy_row_hnf(rows + sub) if rows + sub else [])
+    assert q.echelon().basis == FpAb(n, (rows + sub) or None).echelon().basis
+    assert _ints(q.rels) == _ints(g.rel_basis) + sub
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_maps())
+def test_map_kernel_and_image_match_sympy(case):
+    source, s, target, t, matrix = case
+    f = AbMap(FpAb(s, source), FpAb(t, target), matrix)
+    pre = _sympy_kernel(matrix, t, target)
+    assert _ints(f.image().rel_basis) == pre
+    ker = f.kernel_subgroup()
+    assert _ints(ker.lift) == pre
+    # the kernel's relations: y with y @ lift in the source lattice
+    assert _ints(ker.group.rel_basis) == _sympy_kernel(_ints(ker.lift), s, source)
+    assert ker.group.echelon().basis == FpAb(len(pre), ker.group.rels).echelon().basis
+    assert f.kernel().invariant_factors() == ker.group.invariant_factors()
+
+
+@settings(max_examples=150, deadline=None)
+@given(targets_with_relations())
+def test_map_from_a_free_source_matches_sympy(case):
+    s, target, t, matrix = case
+    f = AbMap(FpAb(s), FpAb(t, target), matrix)
+    pre = _sympy_kernel(matrix, t, target)
+    assert _ints(f.image().rel_basis) == pre
+    ker = f.kernel_subgroup()
+    assert _ints(ker.lift) == pre and ker.group.rank_of_relations == 0
+
+
+def test_kernel_refuses_a_source_relation_outside_the_preimage(monkeypatch):
+    # Z/4 -> Z/4, x -> 2x: the preimage is <2>, and the relation 4 lies in
+    # it; forced to hold the relation 1 as well, the source has a relation
+    # outside the preimage, which the kernel's coordinates refuse
+    f = AbMap(FpAb(1, [[4]]), FpAb(1, [[4]]), [[2]])
+    assert _ints(f.kernel_subgroup().lift) == [[2]]
+    f.source._ech = linalg.SparseEchelon([{0: 1}], 1)
+    with pytest.raises(AssertionError, match="source relations must lie in the preimage"):
+        f.kernel_subgroup()
+    # RP_1(F_13) is finite, so RP's relations span the preimage of lambda_1
+    # rationally: a preimage one row short leaves one of them outside
+    from scgroups.scissors import ScissorsContext
+    from scgroups.rings import parse_ring
+
+    ctx = ScissorsContext(parse_ring("gf(13)"))
+    lam1 = ctx.lambda1_map()
+    kernel = linalg.Quotient.kernel
+    monkeypatch.setattr(linalg.Quotient, "kernel", lambda q, extra=(): kernel(q, extra)[:-1])
+    with pytest.raises(AssertionError, match="source relations must lie in the preimage"):
+        lam1.kernel_subgroup()
+    monkeypatch.undo()
+    assert lam1.kernel_subgroup().group.order() == 7
 
 
 # -- subquotient against sympy ---------------------------------------------------

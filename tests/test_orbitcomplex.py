@@ -33,27 +33,34 @@ def test_chain_identities(label):
 
 def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     # at GF(121) ker d3 and RP's relation basis both have 237 rows; the
-    # left kernel of lambda_1 reduces the former once, for RP_1, and
-    # neither is reduced again.  The ring's own context has built no RP_1
-    # yet, whatever other tests built on the shared one.
+    # kernel of lambda_1 reads the former off RP's quotient map in one pass
+    # over the 238 flat generators, and RP_1's relations in one pass over
+    # its 237, with no Hermite call, and neither is read again.  The ring's
+    # own context has built no RP_1 yet, whatever other tests built on the
+    # shared one.
     ring = parse_ring("gf(121)")
     ctx = ScissorsContext(ring)
     c = build_row_complex(ring)
     assert c.ctx is ctx
     ctx.rp_flat()
-    calls = []
-    hnf = linalg._hnf_sparse
+    reduced, passes = [], []
+    hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
 
-    def counted(rows, n, *lead):
-        calls.append(len(rows))
-        return hnf(rows, n, *lead)
+    def counted_hnf(rows, n):
+        reduced.extend([len(rows)] if len(rows) else [])  # lambda_1's free target has no rows
+        return hnf(rows, n)
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", counted)
+    def counted_kernel(q, extra=()):
+        passes.append(len(q.by_key))
+        return kernel(q, extra)
+
+    monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
+    monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     h3 = c.homology_at(3)
-    assert calls.count(237) == 1
-    assert c.homology_at(3) is h3 is ctx.rp1() and calls.count(237) == 1
-    monkeypatch.undo()
+    assert passes == [238, 237] and reduced == []
+    assert c.homology_at(3) is h3 is ctx.rp1()
     assert h3.describe() == "Z/61"  # RP_1(F_121)
+    assert passes == [238, 237] and reduced == []
 
 
 def test_homology_position_1():

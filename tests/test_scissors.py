@@ -509,30 +509,36 @@ def test_five_term_lattices_certify_in_one_round(monkeypatch):
     assert calls == [[119, 1], [119, 1], [120, 1]] + [[p - 2, 1] for p in primes]
 
 def test_l_b_quotient_certifies_in_one_round(monkeypatch):
-    # RP~(Z/121)/L_B is 2 197 rows x 198 columns, 2 029 of them with two
-    # entries: a first subset of rows that touch every column twice reached
-    # rank 186 of 197 and needed a second round.  ab_quotient puts RP~'s
-    # canonical basis first, and the first subset takes it whole
-    calls, rounds = [], []
-    hnf, step = linalg._hnf_sparse, linalg._subset_hnf
+    # RP~(Z/121)/L_B is RP~'s 197 canonical rows and 2 000 rows of L_B over
+    # 198 columns.  A Hermite reduction of the 2 197 rows needed a second
+    # round until RP~'s basis led its first subset; ab_quotient now reads
+    # the basis in one pass, the kernel of RP~'s quotient map modulo the
+    # images of the L_B rows, and no Hermite call reduces rows of width 198
+    passes, widths = [], []
+    hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
 
-    def counted_hnf(rows, n, *lead):
-        rounds.clear()
-        basis, proj = hnf(rows, n, *lead)
-        calls.append((len(rows), n, *lead, len(rounds), proj is not None))
-        return basis, proj
+    def counted_hnf(rows, n):
+        widths.extend([n] if len(rows) else [])
+        return hnf(rows, n)
 
-    def counted_step(retired, n):
-        rounds.append(len(retired))
-        return step(retired, n)
+    def counted_kernel(q, extra=()):
+        extra = list(extra)
+        passes.append((len(q.by_key), len(extra)))
+        return kernel(q, extra)
 
     monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
-    monkeypatch.setattr(linalg, "_subset_hnf", counted_step)
+    monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     ctx = ScissorsContext(parse_ring("z/11^2"))
     res = ctx.l_submodule()
     assert res["match"] and res["kernel_ok"]
-    (call,) = [c for c in calls if c[:2] == (2197, 198)]
-    assert call == (2197, 198, len(ctx.tilde().rp_tilde.echelon().basis), 1, True)
+    rp_tilde = ctx.tilde().rp_tilde.echelon().basis
+    lrows = ctx.l_rows()
+    assert (len(rp_tilde), len(lrows)) == (197, 2000)
+    # the block form, RP~ = RP/K^(1), and RP~/L_B: one pass each
+    assert [p for p in passes if p[0] == 198] == [(198, 0), (198, 220), (198, len(lrows))]
+    assert 198 not in widths
+    monkeypatch.undo()
+    assert res["quotient"].echelon().basis == linalg._hnf_sparse(rp_tilde + lrows, 198)[0]
 
 
 # -- RP membership as one sparse pass ------------------------------------------
@@ -701,23 +707,32 @@ def _count_kernels(monkeypatch):
 @pytest.mark.parametrize("label", ["gf(13)", "z/7^2"])
 def test_rp_tilde_builds_no_kernel_and_no_p_basis(monkeypatch, label):
     # l_submodule and the specialization read RP~ alone: reading it builds
-    # neither P's Hermite basis nor the lambda_1 and lambda_2 kernels
+    # neither P's Hermite basis nor the lambda_1 and lambda_2 kernels.  Its
+    # Hermite calls are the block form's two halves, and its flat-width
+    # reads are the block form and RP~ = RP/K^(1), one kernel pass each
     kernels = _count_kernels(monkeypatch)
-    widths = []
-    hnf = linalg._hnf_sparse
+    widths, passes = [], []
+    hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
 
-    def counted(rows, n, *lead):
+    def counted(rows, n):
         widths.append(n)
-        return hnf(rows, n, *lead)
+        return hnf(rows, n)
+
+    def counted_kernel(q, extra=()):
+        passes.append(len(q.by_key))
+        return kernel(q, extra)
 
     monkeypatch.setattr(linalg, "_hnf_sparse", counted)
+    monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     ctx = ScissorsContext(parse_ring(label))
     tb = ctx.tilde()
     tb.rp_tilde.describe()
     assert kernels == [] and "P" not in ctx._cache
     assert vars(tb).keys() == {"ctx", "rp_tilde"}
     assert ctx.pre_bloch()._ech is None
-    assert widths and min(widths) > 0 and len(ctx.W) * ctx.G.order in widths
+    flat = len(ctx.W) * ctx.G.order
+    assert widths and min(widths) > 0 and max(widths) < flat
+    assert passes.count(flat) == 2
 
 
 def test_rp1_tilde_does_not_build_rb_tilde(monkeypatch):
