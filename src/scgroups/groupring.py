@@ -250,25 +250,26 @@ class RModPres:
         by evaluating every group coefficient through chi."""
         return FpAb(self.ngens, RowTable(self.table.cols % self.ngens, self._chi_vals(chi), self.ngens))
 
-    def _half_part(self, g: int, sign: int) -> FpAb:
-        """Image of multiplication by (g + sign): row i of the map is the
-        sparse row of act_matrix(g), whose one entry is at act_permutation's
-        index, plus sign at i."""
-        flat = self.flatten()
-        rows = [add({j: 1}, {i: sign}) for i, j in enumerate(self.act_permutation(g).tolist())]
-        return AbMap(flat, flat, rows).image()
-
     def plus_part(self, g: int) -> FpAb:
         """Image of multiplication by (g + 1); its odd part is e_+^g M."""
-        return self._half_part(g, +1)
+        return half_part(self.flatten(), self.act_permutation(g), +1)
 
     def minus_part(self, g: int) -> FpAb:
         """Image of multiplication by (g - 1); its odd part is e_-^g M."""
-        return self._half_part(g, -1)
+        return half_part(self.flatten(), self.act_permutation(g), -1)
 
     def twist(self, chi: Character) -> "RModPres":
         """The chi-twisted module: <a> acts as chi(a)<a>."""
         return RModPres(self.G, self.ngens, RowTable(self.table.cols, self._chi_vals(chi), self.flat_ngens))
+
+
+def half_part(flat: FpAb, perm: np.ndarray, sign: int) -> FpAb:
+    """Image of multiplication by (g + sign) on a flat module, or on a
+    quotient of it on the same generators, where ``perm`` is
+    ``act_permutation(g)``: row i of the map is the sparse row of
+    act_matrix(g), whose one entry is at perm[i], plus sign at i."""
+    rows = [add({j: 1}, {i: sign}) for i, j in enumerate(perm.tolist())]
+    return AbMap(flat, flat, rows).image()
 
 
 def _block_lattice(m: RModPres) -> FpAb:

@@ -48,9 +48,10 @@ keeps it instead of building it again.
 
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
-vector from a heap, so it touches only the pivots the vector reaches;
-subquotients hand their coordinates to ``FpAb`` as {row: coefficient}
-dicts.
+vector from a heap, so it touches only the pivots the vector reaches; a
+kernel hands the coordinates of its source relations to ``FpAb`` as
+{row: coefficient} dicts.  A subquotient A/B is the image of the map that
+sends the generators to the rows of A in Z^n/B.
 
 Relation rows of one width may also come as a ``RowTable``: int64 arrays
 of columns and values, one row per line (the five-term relations, and the
@@ -257,96 +258,73 @@ def _dense(rows: list[dict], ncols: int) -> np.ndarray:
     return out
 
 
-def _sparse_reduce(rows: list[dict], main: int) -> tuple[list[dict], list[dict]]:
-    """Unimodular row reduction of sparse rows, eliminating on the columns
-    [0, main) with a Markowitz-style pivot rule (fewest entries in the
-    column, then smallest absolute pivot value, then sparsest row).
+def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
+    """Unimodular row reduction of sparse rows with a Markowitz-style pivot
+    rule (fewest entries in the column, then smallest absolute pivot value,
+    then sparsest row).
 
-    Columns >= main are carried along untouched (augmentation).  The rows
-    must hold no zero values; they are modified in place.  Returns
-    (retired, zeroed): ``retired`` pairs each surviving row with its
-    retirement column and forms a triangular generating set of the
-    lattice; ``zeroed`` are rows whose main part vanished.  This staged
-    reduction is what keeps entries small on the large five-term relation
-    matrices; naive leftmost-pivot elimination blows up.
+    The rows must hold no zero values; they are modified in place.  Returns
+    the retired rows, each paired with its retirement column: a triangular
+    generating set of the lattice.  This staged reduction is what keeps
+    entries small on the large five-term relation matrices; naive
+    leftmost-pivot elimination blows up.
     """
     live: dict[int, dict] = {}
-    nnz_main: dict[int, int] = {}
     col_rows: dict[int, set] = {}
-    zeroed: list[dict] = []
     for rid, r in enumerate(rows):
-        mains = [j for j in r if j < main]
-        if not mains:
-            if r:
-                zeroed.append(r)
-            continue
-        live[rid] = r
-        nnz_main[rid] = len(mains)
-        for j in mains:
-            col_rows.setdefault(j, set()).add(rid)
+        if r:
+            live[rid] = r
+            for j in r:
+                col_rows.setdefault(j, set()).add(rid)
 
     def row_addmul(rid: int, q: int, src: dict):
         # row[rid] += q * src, for q != 0: a sum can vanish only where the
         # row had an entry, so one lookup decides the branch
         r = live[rid]
-        grown = 0
         for j, v in src.items():
             x = r.get(j)
             if x is None:
                 r[j] = q * v
-                if j < main:
-                    grown += 1
-                    col_rows[j].add(rid)
+                col_rows[j].add(rid)
                 continue
             x += q * v
             if x:
                 r[j] = x
             else:
                 del r[j]
-                if j < main:
-                    grown -= 1
-                    col_rows[j].discard(rid)
-        nnz_main[rid] += grown
+                col_rows[j].discard(rid)
 
-    retired: list[dict] = []
-    heap = [(len(s), j) for j, s in col_rows.items() if s]
+    retired: list[tuple[int, dict]] = []
+    heap = [(len(s), j) for j, s in col_rows.items()]
     heapq.heapify(heap)
     while heap:
         l, j = heapq.heappop(heap)
-        s = col_rows.get(j)
+        s = col_rows[j]
         if not s:
             continue
         if len(s) != l:
             heapq.heappush(heap, (len(s), j))
             continue
-        while len(col_rows[j]) > 1:
-            rid0 = min(
-                col_rows[j],
-                key=lambda rid: (abs(live[rid][j]), nnz_main[rid], rid),
-            )
+        while len(s) > 1:
+            rid0 = min(s, key=lambda rid: (abs(live[rid][j]), len(live[rid]), rid))
             if live[rid0][j] < 0:
                 live[rid0] = {c: -v for c, v in live[rid0].items()}
             piv = live[rid0][j]
             src = dict(live[rid0])
-            for rid in list(col_rows[j]):
+            for rid in list(s):
                 if rid == rid0:
                     continue
                 q = live[rid][j] // piv
                 if q:
                     row_addmul(rid, -q, src)
-        (rid0,) = col_rows[j]
+        (rid0,) = s
         r = live.pop(rid0)
-        nnz_main.pop(rid0)
         for c in r:
-            if c < main:
-                col_rows[c].discard(rid0)
+            col_rows[c].discard(rid0)
         retired.append((j, r))
-    for r in live.values():
-        if any(c < main for c in r):
-            raise AssertionError("sparse reduction left a main-part entry")
-        if r:
-            zeroed.append(r)
-    return retired, zeroed
+    if any(live.values()):
+        raise AssertionError("sparse reduction left an entry")
+    return retired
 
 
 def sparse_rank_and_pivots(rows, ncols: int) -> tuple[int, list[int]]:
@@ -356,7 +334,7 @@ def sparse_rank_and_pivots(rows, ncols: int) -> tuple[int, list[int]]:
     a unimodular maximal minor, i.e. the lattice is a direct summand,
     without computing a canonical form.
     """
-    retired, _ = _sparse_reduce([dict(r) for r in _sparse_rows(rows, ncols)], ncols)
+    retired = _sparse_reduce([dict(r) for r in _sparse_rows(rows, ncols)])
     pivots = [abs(r[c]) for c, r in retired]
     return len(retired), pivots
 
@@ -465,7 +443,7 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[Quotient]]:
     chosen = _first_subset(rows, n)
     work = [copy(i) for i in sorted(chosen)]
     while True:
-        retired, _ = _sparse_reduce(work, n)
+        retired = _sparse_reduce(work)
         basis, det = _subset_hnf(retired, n)
         if len(chosen) == len(rows):
             return basis, None
@@ -525,8 +503,8 @@ def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
     cols = [c for c in range(n) if c not in kernel]
     pos = {c: i for i, c in enumerate(cols)}
     projected = [{pos[j]: v for j, v in r.items() if j in pos} for _, r in retired]
-    sub, zeroed = _sparse_reduce(projected, len(cols))
-    if len(sub) != len(cols) or zeroed:
+    sub = _sparse_reduce(projected)
+    if len(sub) != len(cols):
         raise AssertionError("certified HNF: the projection onto the pivot columns is not injective")
     out = []
     for row in _hnf_mod_det(sub, len(cols)):
@@ -1464,19 +1442,3 @@ class AbMap:
         basis = self.preimage_lattice()
         return FpAb(self.source.ngens, basis, basis)
 
-
-def subquotient(ker_basis, num_rows) -> FpAb:
-    """Present (lattice of the canonical basis ker_basis) / (lattice of
-    num_rows), assuming the numerator lies inside the first lattice.
-    ker_basis is a 2-D array, dense rows or a SparseEchelon; num_rows has
-    its width, in any row form, or is a SparseEchelon, whose canonical
-    rows are read as they are."""
-    ech = ker_basis if isinstance(ker_basis, SparseEchelon) else SparseEchelon(ker_basis)
-    if isinstance(num_rows, SparseEchelon):
-        if num_rows.ncols != ech.ncols:
-            raise ValueError("the numerator and ker_basis have different widths")
-        num = num_rows.basis
-    else:
-        num = _hnf_sparse(_sparse_rows(num_rows, ech.ncols), ech.ncols)[0]
-    rels = _coordinates(ech, num, "the numerator must lie in the lattice of ker_basis")
-    return FpAb(len(ech.rows), rels)

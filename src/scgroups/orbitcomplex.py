@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import AbMap, FpAb, SparseEchelon, sparse_rank_and_pivots, subquotient
+from .linalg import AbMap, FpAb, sparse_rank_and_pivots
 from .rings import GF, Ring
 from .scissors import ScissorsContext, context
 
@@ -40,22 +40,18 @@ class RowComplex:
 
     def homology_at(self, position: int) -> FpAb:
         """Homology of ... -> C2 -> C1 -> Z[G] -> Z -> Z at positions 1..3
-        (position 1 uses the zero map out of the degree-1 term)."""
+        (position 1 uses the zero map out of the degree-1 term, so it is
+        Z / im d2).  Position 2 is the kernel of d2 on Z[G] / im d3, whose
+        construction checks that im d3 lies in ker d2."""
         if position == 1:
-            return subquotient([[1]], self.d2)
+            return FpAb(1, self.d2)
         if position == 2:
-            return subquotient(_kernel(self.d2, 1), self.d3)
+            return AbMap(FpAb(len(self.d2), self.d3), FpAb(1), self.d2).kernel()
         if position == 3:
             # d3 is lambda_1 and d4's rows are the G-translates of the RP
             # relations, so ker d3 / im d4 is RP_1 as the context builds it
             return self.ctx.rp1()
         raise ValueError("position must be 1, 2 or 3")
-
-
-def _kernel(rows: list, ncols: int) -> SparseEchelon:
-    """The canonical basis of {x : x @ rows = 0} for sparse rows of width
-    ncols."""
-    return AbMap(FpAb(len(rows)), FpAb(ncols), rows).kernel_subgroup().echelon
 
 
 def build_row_complex(ring: Ring) -> RowComplex:

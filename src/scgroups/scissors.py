@@ -22,6 +22,7 @@ from .groupring import (
     act,
     add,
     dbl_bracket,
+    half_part,
     p_plus,
     r_mul,
     scale,
@@ -403,10 +404,10 @@ class ScissorsContext:
         return self._cache["RPt_mod"]
 
     def e_plus_rp_tilde(self) -> FpAb:
-        """Image of multiplication by (<-1> + 1) on RP~; its odd part is
-        e_{-1}^+ RP~(A)[1/2], the group Thm 1.5 actually feeds into the
-        specialization diagram."""
-        return self.refined_tilde().plus_part(self.G.neg_one())
+        """Image of multiplication by (<-1> + 1) on RP~, which has RP's flat
+        generators; its odd part is e_{-1}^+ RP~(A)[1/2], the group Thm 1.5
+        actually feeds into the specialization diagram."""
+        return half_part(self.tilde().rp_tilde, self.refined().act_permutation(self.G.neg_one()), +1)
 
     def rp_tilde_is_zero(self, x: RPElem) -> bool:
         if "RP~ symbols" not in self._cache:

@@ -30,7 +30,6 @@ from scgroups.linalg import (
     odd_part,
     snf,
     solve_in_rows,
-    subquotient,
     zeros,
 )
 
@@ -286,8 +285,9 @@ def test_lattice_intersect():
 
 
 def test_subquotient():
+    # L/N as the image of the map sending the generators to L's basis in Z^n/N
     k = intmat([[2, 0], [0, 2]])
-    h = subquotient(k, [[4, 0], [0, 4]])
+    h = AbMap(FpAb(2), FpAb(2, [[4, 0], [0, 4]]), k).image()
     assert h.invariant_factors() == (2, 2)
 
 
@@ -814,7 +814,7 @@ def sparse_echelon_bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_echelon_bases(), st.data())
 def test_sparse_walk_matches_row_order_walk(nb, data):
-    # solve, reduce and the sparse coordinates of kernels and subquotients
+    # solve, reduce and the sparse coordinates of kernels
     # against the row-order walk, on vectors in the lattice, near it, with
     # the leftmost entry on a column that is no pivot, and with entries
     # only right of the last pivot
@@ -1129,6 +1129,81 @@ def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, faul
     assert bool(lifted) == (fault == "lifted-entry")
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [("order", "not in echelon form"), ("pivot", "not in echelon form"), ("above", "entry above a pivot is not reduced")],
+    ids=["order", "pivot", "above"],
+)
+def test_check_canonical_refuses_a_basis_out_of_hermite_form(monkeypatch, fault, message):
+    # each fault keeps the lattice, so the certificate's map, rank and
+    # determinant still match it: only the canonical-form check sees it
+    rows = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
+    step = linalg._subset_hnf
+
+    def corrupted(retired, n):
+        basis, det = step(retired, n)
+        if fault == "order":
+            basis.reverse()
+        elif fault == "pivot":
+            basis[2] = {j: -v for j, v in basis[2].items()}
+        else:
+            basis[0] = linalg._axpy(1, basis[0], 1, basis[1])
+        return basis, det
+
+    monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
+    with pytest.raises(AssertionError, match=message):
+        hnf_rows(rows, 3)
+
+
+def test_mod_det_refuses_a_kernel_of_the_wrong_order(monkeypatch):
+    # a kernel row doubled spans a sublattice of index 2 in L, whose pivots
+    # multiply to 2 D; a whole input has no certificate to catch it later
+    rows = [[2, 1, 1], [0, 3, 1], [0, 0, 5]]
+    kernel = linalg.Quotient.kernel
+
+    def doubled(q, extra=()):
+        basis = kernel(q, extra)
+        basis[-1] = {j: 2 * v for j, v in basis[-1].items()}
+        return basis
+
+    monkeypatch.setattr(linalg.Quotient, "kernel", doubled)
+    with pytest.raises(AssertionError, match="wrong order"):
+        hnf_rows(rows, 3)
+    monkeypatch.undo()
+    assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows)
+
+
+def test_subset_hnf_refuses_a_projection_that_is_not_injective(monkeypatch):
+    # a rational kernel one vector short leaves two columns for rows of
+    # rank 1: the projection onto them cannot be injective
+    rational = linalg._rational_kernel
+
+    def short(retired, n):
+        out = rational(retired, n)
+        assert len(out) == 2
+        out.pop(max(out))
+        return out
+
+    monkeypatch.setattr(linalg, "_rational_kernel", short)
+    with pytest.raises(AssertionError, match="not injective"):
+        hnf_rows([[1, 2, 3]], 3)
+
+
+def test_subset_hnf_refuses_a_lift_that_is_not_integral(monkeypatch):
+    # the kernel vector (-1, 1) with its last entry doubled lifts the
+    # projected row (1) to (1, 1/2)
+    rational = linalg._rational_kernel
+
+    def doubled(retired, n):
+        return {q: {**kap, q: 2 * kap[q]} for q, kap in rational(retired, n).items()}
+
+    monkeypatch.setattr(linalg, "_rational_kernel", doubled)
+    with pytest.raises(AssertionError, match="not an integer"):
+        hnf_rows([[1, 1]], 2)
+    monkeypatch.undo()
+    assert _ints(hnf_rows([[1, 1]], 2)) == [[1, 1]]
+
+
 def _index_two_case(even_column_1=False):
     """(rows, chosen, odd): 60 rows of width 3 whose first subset ``chosen``
     spans {x : x_0 even}, an index-2 sublattice, while the rows ``odd``,
@@ -1185,9 +1260,9 @@ def test_certified_hnf_second_round_starts_from_the_first_rounds_basis(monkeypat
     inputs, rounds = [], []
     reduce, step = linalg._sparse_reduce, linalg._subset_hnf
 
-    def recording_reduce(work, main):
+    def recording_reduce(work):
         inputs.append([dict(r) for r in work])
-        return reduce(work, main)
+        return reduce(work)
 
     def recording_step(retired, n):
         rounds.append(step(retired, n))
@@ -1214,11 +1289,11 @@ def test_certified_hnf_refuses_a_basis_row_dropped_between_rounds(monkeypatch):
     assert linalg._hnf_sparse(_sparse(rows), 3)[0] == [{0: 1}, {1: 1}, {2: 1}]
     reduce, calls, dropped = linalg._sparse_reduce, [], []
 
-    def dropping(work, main):
-        calls.append(main)
+    def dropping(work):
+        calls.append(len(work))
         if len(calls) == 2:
             dropped.append(work.pop(1))
-        return reduce(work, main)
+        return reduce(work)
 
     monkeypatch.setattr(linalg, "_sparse_reduce", dropping)
     with pytest.raises(AssertionError, match="certified HNF"):
@@ -1910,7 +1985,7 @@ def test_subquotient_matches_sympy(case):
     n, gens, r, c, num = case
     ker_basis = hnf_rows(gens, n)
     assert ker_basis.shape == (r, n)
-    g = subquotient(ker_basis, num)
+    g = AbMap(FpAb(r), FpAb(n, num), ker_basis).image()
     if c:
         diag = [abs(int(d)) for d in sympy_invariant_factors(Matrix(c), domain=ZZ)]
     else:

@@ -297,13 +297,15 @@ def test_lambda1_on_k1_lattice():
 def test_ker_lambda1_on_k1_killed_by_4():
     # the kernel of lambda_1 restricted to K^(1) has exponent dividing 4
     ctx = context("gf(7)")
-    from scgroups.linalg import hnf_rows, lattice_intersect, subquotient
+    from scgroups.linalg import AbMap, hnf_rows, lattice_intersect
 
-    k1 = hnf_rows(ctx.k1_rows(), ctx.rp_flat().ngens)
+    n = ctx.rp_flat().ngens
+    k1 = hnf_rows(ctx.k1_rows(), n)
     kerlat = ctx.lambda1_map().preimage_lattice()
     meet = lattice_intersect(k1, kerlat)
     denom = lattice_intersect(meet, ctx.rp_flat().rel_basis)
-    sub = subquotient(meet, [denom[i] for i in range(denom.shape[0])])
+    # meet / denom as the image of the map sending the generators to meet's rows in Z^n / denom
+    sub = AbMap(FpAb(len(meet)), FpAb(n, denom), meet).image()
     assert sub.free_rank == 0
     for d in sub.invariant_factors():
         assert 4 % d == 0
@@ -325,6 +327,27 @@ def test_g_action_trivial_on_rb(label):
 def test_idempotent_theorem_tilde_form(label):
     ctx = context(label)
     assert iso_odd(ctx.e_plus_rp_tilde(), ctx.rp1())
+
+
+@pytest.mark.parametrize("label", ["gf(13)", "z/7^2", "gf(5)[t]/t^2", "gf(2^3)[t]/t^2"])
+def test_e_plus_rp_tilde_reduces_no_second_flat_lattice(monkeypatch, label):
+    # e+RP~ is read off RP~ = RP/K^(1), so only RP's flat module takes the
+    # block form; refined_tilde's plus part, which reduces RP~'s flat
+    # lattice again, is the reference
+    ctx = ScissorsContext(parse_ring(label))
+    block, built = groupring._block_lattice, []
+
+    def counted(m):
+        built.append(m)
+        return block(m)
+
+    monkeypatch.setattr(groupring, "_block_lattice", counted)
+    got = ctx.e_plus_rp_tilde()
+    assert len(built) == 1 and built[0] is ctx.refined()
+    monkeypatch.undo()
+    want = ctx.refined_tilde().plus_part(ctx.G.neg_one())
+    assert got.echelon().basis == want.echelon().basis
+    assert got._projection() == want._projection()
 
 
 def test_idempotent_theorem_literal_form_minus_one_nonsquare():
