@@ -17,8 +17,15 @@ untranslated flat rows {g * ngens + j: c}, and ``translates`` gives their
 G-translates.  Half-integral idempotents are never materialized: every
 construction stays integral and the 1/2 factors are absorbed by odd-part
 comparisons downstream.  A module's flat lattice is built from its e±
-blocks through a unimodular change of coordinates (``_block_lattice``), so
-its 2-part stays exact.
+blocks (``_block_lattice``), so its 2-part stays exact.  The halves are
+L- = <a - b> and L+ = <a + b> over the relation translates (a, b) by the
+classes without the top class h.  The flat lattice L lies in
+L' = {(x0, x1) : x0 + x1 in L+, x0 - x1 in L-}, with 2L' in L, and L' = L
+when Z^N / L- has no 2-torsion: then L is read off L+ and L- alone, and
+for |G| = 2 L+ is the module's coinvariants, so RP's e+ half is P
+(``RModPres.coinvariants``).  When Z^N / L- has 2-torsion, L' may be
+larger than L, and the halves glue exactly through S, the e+ rows
+(a + b, pi(b)) with pi the quotient map of L-.
 """
 
 from __future__ import annotations
@@ -182,6 +189,7 @@ class RModPres:
         else:
             self.table = RowTable.stack(self.flat_ngens, [self._flat_row(r) for r in relations])
         self._flat: Optional[FpAb] = None
+        self._coinvariants: Optional[FpAb] = None
         self._perms: dict[int, np.ndarray] = {}
 
     def _flat_row(self, rel) -> dict:
@@ -216,13 +224,21 @@ class RModPres:
     def flatten(self) -> FpAb:
         """Z^flat_ngens modulo every G-translate of the relations.  For
         |G| >= 2 its canonical basis comes from the e± block form
-        (``_block_lattice``), and ``rels`` builds the translates on read."""
+        (``_block_lattice``), and ``rels`` builds the translates on read;
+        for |G| = 1 it is the coinvariants."""
         if self._flat is None:
-            if self.G.order == 1:
-                self._flat = FpAb(self.flat_ngens, self.flat_table())
-            else:
-                self._flat = _block_lattice(self)
+            self._flat = self.coinvariants() if self.G.order == 1 else _block_lattice(self)
         return self._flat
+
+    def coinvariants(self) -> FpAb:
+        """M ⊗_{Z[G]} Z: Z^ngens modulo the relation rows with every class
+        set to 1, built once.  For |G| = 2 it is also L+, the e+ half of
+        the block form, so P (RP's coinvariants) and RP share its
+        reduction."""
+        if self._coinvariants is None:
+            n = self.ngens
+            self._coinvariants = FpAb(n, RowTable(self.table.cols % n, self.table.vals, n))
+        return self._coinvariants
 
     def act_matrix(self, g: int) -> np.ndarray:
         """Permutation matrix of the action of g on the flattened basis:
@@ -279,23 +295,37 @@ def _block_lattice(m: RModPres) -> FpAb:
     without h: the first N = |G| ngens / 2) and x1 (the classes with h).
     Translating by h swaps the halves, so the flat lattice L is spanned by
     (a, b) and (b, a), where (a, b) runs over the translates of the
-    relations by the classes without h.  The unimodular U(x0, x1) =
-    (x0 + x1, x1) carries L to (0 + L-) + <(a + b, b)>, where L- is the
-    lattice of the rows a - b (the e- half).  With pi the quotient map of
-    Z^N / L- onto t coordinates, Z^2N / L is therefore Z^(N+t) / S, where S
-    is spanned by the rows (a + b, pi(b)) (the e+ half) and the moduli of
-    pi: RP's 2-part included, no local step needed.
+    relations by the classes without h.  L- is the lattice of the rows
+    a - b (the e- half) and L+ that of the rows a + b (the e+ half), with
+    quotient maps pi (onto t coordinates) and q+.
 
-    L- and S are reduced by the certified Hermite path, N and N + t
-    columns wide, and L is the kernel of q_S o phi, where q_S is S's
-    quotient map and phi(x0, x1) = (x0 + x1, pi(x1)): one pass over the 2N
-    composite images (``Quotient.kernel``) gives its canonical basis.  The
-    certificate is the one of every flat lattice: each relation row, in
-    each of the |G| translates, must map to 0 under the quotient map of
-    that basis, else AssertionError, which gives L within the kernel.  The
-    reverse inclusion rests on pi and q_S being the exact maps of their
-    certified bases, the trust that every quotient map of this package
-    carries.
+    L lies in L' = {(x0, x1) : x0 + x1 in L+, x0 - x1 in L-}, and 2L' lies
+    in L.  When Z^N / L- has no 2-torsion (pi has no even modulus), L' = L:
+    for (x0, x1) in L' write x0 + x1 = sum c (a + b); then (x0, x1) minus
+    sum c (a, b) is (z, -z) with 2z in L-, so z = sum e (a - b) lies in L-
+    and (z, -z) = sum e [(a, b) - (b, a)] lies in L.  L is then the kernel
+    of (x0, x1) -> (q+(x0 + x1), pi(x0 - x1)).  For |G| = 2, L+ is the
+    module's coinvariants (``RModPres.coinvariants``): RP's e+ half is P,
+    and the two read one reduction.
+
+    When pi has an even modulus, the glue is S.  The unimodular
+    U(x0, x1) = (x0 + x1, x1) carries L to (0 + L-) + <(a + b, b)>, so
+    Z^2N / L is Z^(N+t) / S, where S is spanned by the rows (a + b, pi(b))
+    and the moduli of pi: RP's 2-part included, no local step needed.  L
+    is then the kernel of q_S o phi, where q_S is S's quotient map and
+    phi(x0, x1) = (x0 + x1, pi(x1)).
+
+    L-, L+ and S are reduced by the certified Hermite path, N, N and N + t
+    columns wide, and one pass over the 2N composite images
+    (``Quotient.kernel``) gives L's canonical basis.  The certificate is
+    the one of every flat lattice: each relation row, in each of the |G|
+    translates, must map to 0 under the quotient map of that basis, else
+    AssertionError, which gives L within the kernel.  The reverse inclusion
+    rests on pi, q+ and q_S being the exact maps of their certified bases,
+    the trust that every quotient map of this package carries, and for the
+    L' glue on the 2-torsion guard (``_no_two_torsion``): without it the
+    kernel is L', which may be larger than L while every relation row
+    still maps to 0.
     """
     n, order = m.ngens, m.G.order
     half = order // 2
@@ -307,14 +337,24 @@ def _block_lattice(m: RModPres) -> FpAb:
     upper = flat.cols >= N
     cols = flat.cols - N * upper
     pi = FpAb(N, RowTable(cols, np.where(upper, -flat.vals, flat.vals), N))._projection()
-    t = len(pi.moduli)
-    q_s = FpAb(N + t, _s_rows(RowTable(cols, flat.vals, N), pi, RowTable(cols, np.where(upper, flat.vals, 0), N)))._projection()
-    del flat, upper, cols
-    phi = [{i: 1} for i in range(N)]
-    phi += [{i: 1, **{N + k: a for k, a in enumerate(w) if a}} for i, w in enumerate(pi.images(phi))]
+    if _no_two_torsion(pi):
+        plus = m.coinvariants() if half == 1 else FpAb(N, RowTable(cols, flat.vals, N))
+        del flat, upper, cols
+        q = plus._projection()
+        # q+ on the first N coordinates, pi on the next N, read at
+        # (x0 + x1, x0 - x1)
+        t = len(q.moduli)
+        q = Quotient(q.moduli + pi.moduli, list(q.by_key) + [[(t + k, a) for k, a in w] for w in pi.by_key])
+        phi = [{i: 1, N + i: 1} for i in range(N)] + [{i: 1, N + i: -1} for i in range(N)]
+    else:
+        t = len(pi.moduli)
+        q = FpAb(N + t, _s_rows(RowTable(cols, flat.vals, N), pi, RowTable(cols, np.where(upper, flat.vals, 0), N)))._projection()
+        del flat, upper, cols
+        phi = [{i: 1} for i in range(N)]
+        phi += [{i: 1, **{N + k: a for k, a in enumerate(w) if a}} for i, w in enumerate(pi.images(phi))]
     # rels reads the relation table, not m: the group holds no cycle back
     # to m, so a dropped module is freed at once
-    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q_s.compose(phi).kernel())
+    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q.compose(phi).kernel())
     # the certificate: every relation row, through the map read after each
     # translation
     proj = out._projection()
@@ -322,6 +362,12 @@ def _block_lattice(m: RModPres) -> FpAb:
         if proj.compose([{i: 1} for i in m.act_permutation(g).tolist()]).unkilled(m.table):
             raise AssertionError("block form: a relation row does not map to 0")
     return out
+
+
+def _no_two_torsion(pi: Quotient) -> bool:
+    """Whether the group of a quotient map has no 2-torsion: no modulus is
+    even (a free coordinate, modulus 0, has none)."""
+    return not any(d and d % 2 == 0 for d in pi.moduli)
 
 
 def _s_rows(plus: RowTable, pi: Quotient, upper: RowTable):

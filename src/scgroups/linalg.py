@@ -43,8 +43,9 @@ not reduced whole: a seeded subset of n + 8 rows that touch each column
 twice is, and its basis is returned under a certificate checked at run
 time, its quotient map killing every input row (``Quotient.unkilled``)
 with equal rank and determinant; rows it does not kill join the subset
-for another round.  The certified basis comes with that map, and an FpAb
-keeps it instead of building it again.
+for another round.  The basis comes as the SparseEchelon that its
+certificate read, with that map, and an FpAb keeps both instead of
+building them again.
 
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
@@ -351,7 +352,7 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     of another width, is a ValueError.
     """
     rows, n = _edge_rows(mat, ncols)
-    return _dense(_hnf_sparse(rows, n)[0], n)
+    return _dense(_hnf_sparse(rows, n)[0].basis, n)
 
 
 # the sizes and the seed of _hnf_sparse's first subset (_first_subset)
@@ -406,10 +407,12 @@ def _first_subset(rows, n: int) -> set[int]:
     return set(chosen + skipped[: max(0, n + _SUBSET_EXTRA - len(chosen))])
 
 
-def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[Quotient]]:
-    """Canonical HNF rows of the lattice of ``rows`` (sparse dicts as
-    ``_sparse_rows`` gives them, or a RowTable of width n), with the
-    quotient map a certificate built for them, or None.
+def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
+    """The canonical HNF of the lattice of ``rows`` (sparse dicts as
+    ``_sparse_rows`` gives them, or a RowTable of width n) as a
+    SparseEchelon, with the quotient map a certificate built for it, or
+    None.  The echelon is the one the certificate read, so a caller keeps
+    it and builds no second one.
 
     The rows are read in place and may repeat; the subset rows are copied
     (or, from a table, built) before the reduction modifies them, and the
@@ -445,10 +448,11 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[Quotient]]:
     while True:
         retired = _sparse_reduce(work)
         basis, det = _subset_hnf(retired, n)
+        ech = SparseEchelon._canonical(basis, n)
         if len(chosen) == len(rows):
-            return basis, None
+            return ech, None
         _check_canonical(basis, n)
-        proj = _projection_table(SparseEchelon(basis, n))
+        proj = _projection_table(ech)
         missing = proj.unkilled(rows)
         escaped = not chosen.isdisjoint(missing)
         unequal = len(basis) != len(retired) or math.prod(r[min(r)] for r in basis) != det
@@ -457,7 +461,7 @@ def _hnf_sparse(rows, n: int) -> tuple[list[dict], Optional[Quotient]]:
         if escaped or unequal:
             raise AssertionError("certified HNF: a basis row is not in the subset lattice")
         if not missing:
-            return basis, proj
+            return ech, proj
         if len(missing) > len(chosen):
             missing = sorted(rng.sample(missing, len(chosen)))
         chosen.update(missing)
@@ -695,7 +699,18 @@ class SparseEchelon:
 
     def __init__(self, basis, ncols: Optional[int] = None):
         """``basis`` is a 2-D array, or rows in any form with ``ncols``."""
-        self.basis, self.ncols = _edge_rows(basis, ncols)
+        self._index(*_edge_rows(basis, ncols))
+
+    @classmethod
+    def _canonical(cls, basis: list[dict], ncols: int) -> "SparseEchelon":
+        """The echelon of rows that ``_hnf_sparse`` built, which are in the
+        exact core's form already: no pass through the normaliser."""
+        ech = cls.__new__(cls)
+        ech._index(basis, ncols)
+        return ech
+
+    def _index(self, basis: list[dict], ncols: int) -> None:
+        self.basis, self.ncols = basis, ncols
         self.rows: list[tuple[int, int, list[tuple[int, int]]]] = []
         for r in self.basis:
             if not r:
@@ -802,7 +817,7 @@ def lattice_intersect(a, b) -> np.ndarray:
     width, in any row form."""
     a, n = _edge_rows(a)
     ys = Quotient([0] * n, [list(r.items()) for r in a]).kernel(_sparse_rows(b, n))
-    return _dense(_hnf_sparse([_summed((j, c * x) for i, c in y.items() for j, x in a[i].items()) for y in ys], n)[0], n)
+    return _dense(_hnf_sparse([_summed((j, c * x) for i, c in y.items() for j, x in a[i].items()) for y in ys], n)[0].basis, n)
 
 
 @dataclass
@@ -1184,12 +1199,11 @@ class FpAb:
         return _dense(self.echelon().basis, self.ngens)
 
     def echelon(self) -> SparseEchelon:
-        """The cached sparse echelon form of the relation basis.  A certified
-        basis comes with the quotient map its certificate built, which is
-        checked and kept."""
+        """The cached sparse echelon form of the relation basis, as
+        ``_hnf_sparse`` built it.  A certified basis comes with the quotient
+        map its certificate built, which is checked and kept."""
         if self._ech is None:
-            basis, proj = _hnf_sparse(self._rels(), self.ngens)
-            self._ech = SparseEchelon(basis, self.ngens)
+            self._ech, proj = _hnf_sparse(self._rels(), self.ngens)
             if proj is not None:
                 self._proj = self._checked(proj)
         return self._ech

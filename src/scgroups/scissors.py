@@ -116,12 +116,10 @@ class ScissorsContext:
 
     def pre_bloch(self) -> FpAb:
         """P(A): one generator per element of W, one relation per admissible
-        ordered pair."""
-        if "P" not in self._cache:
-            n = len(self.W)
-            t = self.five_terms()
-            self._cache["P"] = FpAb(n, RowTable(t.cols % n, t.vals, n))
-        return self._cache["P"]
+        ordered pair.  It is RP's coinvariant module RP ⊗_{Z[G]} Z, so it is
+        read off the refined presentation, whose block form shares its
+        reduction."""
+        return self.refined().coinvariants()
 
     # -- symmetric square of the units ----------------------------------------
     def unit_decomposition(self):

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from scgroups.groupring import (
 from scgroups.linalg import (
     AbMap,
     FpAb,
-    SparseEchelon,
     _hnf_sparse,
     _projection_table,
     direct_sum,
@@ -232,13 +232,13 @@ BLOCK_GROUPS = [square_classes(parse_ring(r)) for r in ("gf(7)", "gf(2^2)[t]/t^2
 
 def _reference(m: RModPres):
     """Canonical basis and quotient map of every flat row, reduced at once."""
-    basis, proj = _hnf_sparse(m.flat_rows(), m.flat_ngens)
-    return basis, proj or _projection_table(SparseEchelon(basis, m.flat_ngens))
+    ech, proj = _hnf_sparse(m.flat_rows(), m.flat_ngens)
+    return ech.basis, proj or _projection_table(ech)
 
 
 @st.composite
-def block_modules(draw):
-    G = draw(st.sampled_from(BLOCK_GROUPS))
+def block_modules(draw, groups=tuple(BLOCK_GROUPS)):
+    G = draw(st.sampled_from(groups))
     ngens = draw(st.integers(1, 3))
     coeff = st.integers(-3, 3).filter(bool)
     element = st.dictionaries(st.integers(0, G.order - 1), coeff, max_size=3)
@@ -286,6 +286,90 @@ def test_module_from_nested_dicts_sequences_or_a_table_has_one_table(m):
         RModPres(m.G, n + 1, m.table)
 
 
+def _e_minus_has_two_torsion(m: RModPres) -> bool:
+    """Whether Z^N / L- has 2-torsion, where L- is spanned by the rows
+    a - b of the translates (a, b) of m's relations by the classes without
+    the top class h: built one dict at a time, apart from the block form's
+    table code."""
+    n, half = m.ngens, m.G.order // 2
+    N = half * n
+    rows = []
+    for r in m.table.rows():
+        for t in range(half):
+            d: dict = {}
+            for i, c in r.items():
+                j = ((i // n) ^ t) * n + i % n
+                k, c = (j - N, -c) if j >= N else (j, c)
+                d[k] = d.get(k, 0) + c
+            rows.append({k: c for k, c in d.items() if c})
+    return any(d % 2 == 0 for d in FpAb(N, rows).invariant_factors())
+
+
+def _flatten_and_glue(m: RModPres):
+    """m's flat module, and whether the block form glued its halves by S."""
+    with mock.patch.object(groupring, "_s_rows", wraps=groupring._s_rows) as s_rows:
+        flat = m.flatten()
+    return flat, s_rows.called
+
+
+@pytest.mark.parametrize("two_torsion", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_form_glues_match_the_flat_reduction(two_torsion, data):
+    # |G| = 2 and 4, drawn on each side of the 2-torsion guard: without
+    # 2-torsion in Z^N / L- the halves glue as L' (L+ and L- alone), with
+    # it through S; either way the basis and map are the whole reduction's
+    groups = tuple(G for G in BLOCK_GROUPS if G.order <= 4)
+    m = data.draw(block_modules(groups).filter(lambda m: _e_minus_has_two_torsion(m) == two_torsion))
+    flat, by_s = _flatten_and_glue(m)
+    basis, proj = _reference(m)
+    assert flat.echelon().basis == basis
+    assert flat._projection() == proj
+    assert by_s == two_torsion
+
+
+# the pinned modules that glue through S: pi has an even modulus
+S_GLUED = {
+    ("gf(7)", "RP'"),
+    ("gf(11)", "RP'"),
+    ("z/7^2", "RP'"),
+    ("gf(2^2)[t]/t^2", "RP"),
+    ("gf(2^2)[t]/t^2", "RP'"),
+    ("gf(2^3)[t]/t^2", "RP"),
+    ("gf(2^3)[t]/t^2", "RP'"),
+}
+
+
+@pytest.mark.parametrize("name", ["RP", "RP'"])
+@pytest.mark.parametrize(
+    "label", ["gf(7)", "gf(11)", "gf(49)", "z/7^2", "gf(5)[t]/t^2", "gf(2^2)[t]/t^2", "gf(2^3)[t]/t^2"]
+)
+def test_block_form_of_rp_and_rp_prime_is_the_flat_reduction(label, name):
+    ctx = ScissorsContext(parse_ring(label))
+    m = ctx.refined() if name == "RP" else ctx.rp_prime()
+    flat, by_s = _flatten_and_glue(m)
+    basis, proj = _reference(m)
+    assert flat.echelon().basis == basis
+    assert flat._projection() == proj
+    assert by_s == ((label, name) in S_GLUED)
+
+
+def test_l_prime_glue_past_the_two_torsion_guard_is_wrong_yet_certified(monkeypatch):
+    # on RP'(GF(8)[t]/t^2), Z^N / L- has 2-torsion, and L' is larger than
+    # the flat lattice: glued as L' regardless, the group loses a Z/2, yet
+    # every relation row still maps to 0, so the relation certificate alone
+    # cannot see the fault.  Only the guard keeps the group right
+    label = "gf(2^3)[t]/t^2"
+    m = ScissorsContext(parse_ring(label)).rp_prime()
+    assert _e_minus_has_two_torsion(m)
+    assert m.flatten().invariant_factors() == (2, 2, 2, 18)
+    monkeypatch.setattr(groupring, "_no_two_torsion", lambda pi: True)
+    forced, by_s = _flatten_and_glue(ScissorsContext(parse_ring(label)).rp_prime())
+    assert not by_s
+    assert forced.invariant_factors() == (2, 2, 18)
+    assert forced._projection().unkilled(m.flat_table()) == []
+
+
 def test_block_form_takes_images_past_int64():
     # L- = <2^63 e_0, 3^40 e_1>: the quotient map of its e- half has moduli
     # past int64, so the e+ rows (a + b, pi(b)) are built as dicts
@@ -308,10 +392,11 @@ def test_block_form_rels_are_the_flat_rows():
 
 
 def test_block_form_refuses_a_corrupted_composite_image(monkeypatch):
-    # L is the kernel of the composite map x -> q_S(x0 + x1, pi(x1)); with
-    # one generator's image moved by 1 in the first coordinate the kernel
-    # misses relation rows, whichever generator it is, and the certificate
-    # of the flat lattice refuses it
+    # L is the kernel of a composite map over the 2N flat generators,
+    # x -> (q+(x0 + x1), pi(x0 - x1)) on GF(13), x -> q_S(x0 + x1, pi(x1))
+    # on GF(4)[t]/t^2; with one generator's image moved by 1 in the first
+    # coordinate the kernel misses relation rows, whichever generator it
+    # is, and the certificate of the flat lattice refuses it
     compose = linalg.Quotient.compose
     for label in ("gf(13)", "gf(2^2)[t]/t^2"):
         flat = ScissorsContext(parse_ring(label)).refined().flat_ngens

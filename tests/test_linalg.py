@@ -342,7 +342,7 @@ def vectors(n):
 def test_direct_sum_keeps_the_two_canonical_bases(a, b):
     # the kept basis is the one a reduction of the stacked bases gives
     g = direct_sum(FpAb(a[0], a[1] or None), FpAb(b[0], b[1] or None))
-    assert g.echelon().basis == linalg._hnf_sparse(g._rels(), g.ngens)[0]
+    assert g.echelon().basis == linalg._hnf_sparse(g._rels(), g.ngens)[0].basis
     assert g.invariant_factors() == FpAb(g.ngens, g._rels()).invariant_factors()
 
 
@@ -1247,7 +1247,7 @@ def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
 
     monkeypatch.setattr(linalg.RowTable, "row", counted_row)
     monkeypatch.setattr(linalg, "_subset_hnf", counted)
-    got = _ints(linalg._dense(linalg._hnf_sparse(table, n)[0], n))
+    got = _ints(linalg._dense(linalg._hnf_sparse(table, n)[0].basis, n))
     assert len(sizes) >= 2 and sizes[0] == len(chosen)
     assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
     assert got == sympy_row_hnf(rows) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -1270,7 +1270,8 @@ def test_certified_hnf_second_round_starts_from_the_first_rounds_basis(monkeypat
 
     monkeypatch.setattr(linalg, "_sparse_reduce", recording_reduce)
     monkeypatch.setattr(linalg, "_subset_hnf", recording_step)
-    basis, proj = linalg._hnf_sparse(_sparse(rows), 3)
+    ech, proj = linalg._hnf_sparse(_sparse(rows), 3)
+    basis = ech.basis
     assert len(rounds) == len(inputs) == 2 and proj is not None
     (first, d_s), _ = rounds
     assert first == [{0: 2}, {1: 1}, {2: 1}] and d_s == 2
@@ -1286,7 +1287,7 @@ def test_certified_hnf_refuses_a_basis_row_dropped_between_rounds(monkeypatch):
     # the escaped rows have x_1 even, so without round 1's row e_1 the
     # second subset misses the first one's rows of odd x_1
     rows, _, _ = _index_two_case(even_column_1=True)
-    assert linalg._hnf_sparse(_sparse(rows), 3)[0] == [{0: 1}, {1: 1}, {2: 1}]
+    assert linalg._hnf_sparse(_sparse(rows), 3)[0].basis == [{0: 1}, {1: 1}, {2: 1}]
     reduce, calls, dropped = linalg._sparse_reduce, [], []
 
     def dropping(work):
@@ -1322,7 +1323,7 @@ def test_certified_hnf_past_its_first_round_matches_sympy(data):
 
     with mock.patch.object(linalg, "_first_subset", lambda rows, n, *lead: set(range(len(subset)))):
         with mock.patch.object(linalg, "_subset_hnf", counted):
-            basis, _ = linalg._hnf_sparse(_sparse(rows), n)
+            basis = linalg._hnf_sparse(_sparse(rows), n)[0].basis
     assert len(rounds) >= 2
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
 
@@ -1416,7 +1417,8 @@ def test_short_input_is_one_round_with_no_certificate(case):
     with pytest.MonkeyPatch.context() as mp:
         rounds = count_subset_rounds(mp)
         mp.setattr(linalg.Quotient, "unkilled", counted)
-        basis, proj = linalg._hnf_sparse(_sparse(rows), n)
+        ech, proj = linalg._hnf_sparse(_sparse(rows), n)
+        basis = ech.basis
     assert len(rounds) == 1 and certified == [] and proj is None
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
 
@@ -1484,7 +1486,7 @@ def test_table_rows_give_the_dict_rows_basis_and_map(table):
     assert rows == [table.row(i) for i in range(len(table))]
     assert all(x for r in rows for x in r.values())
     got, want = linalg._hnf_sparse(table, n), linalg._hnf_sparse(rows, n)
-    assert got[0] == want[0]
+    assert got[0].basis == want[0].basis
     assert (got[1] is None) == (want[1] is None)
     g, h = FpAb(n, table), FpAb(n, rows)
     assert _ints(g.rel_basis) == _ints(h.rel_basis) and _ints(g.rels) == _ints(h.rels)
@@ -1565,7 +1567,7 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
     good = linalg.RowTable(cols, vals, n)
     chosen = linalg._first_subset(good, n)
     assert {i % 3 for i in chosen} == {0, 1, 2}
-    assert linalg._hnf_sparse(good, n)[0] == [{0: 2}, {1: 1}, {2: 1}]
+    assert linalg._hnf_sparse(good, n)[0].basis == [{0: 2}, {1: 1}, {2: 1}]
     # the first such row that the corrupted table's first subset leaves out
     bad = next(
         i
@@ -1583,7 +1585,8 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg.Quotient, "unkilled", counted)
-    basis, proj = linalg._hnf_sparse(corrupted, n)
+    ech, proj = linalg._hnf_sparse(corrupted, n)
+    basis = ech.basis
     assert missing == [[bad], []]
     assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
@@ -1618,7 +1621,7 @@ def test_first_subset_does_not_count_a_column_whose_entries_cancel(at):
     chosen = linalg._first_subset(table, n)
     assert set(real) <= chosen
     assert chosen == linalg._first_subset(table.rows(), n)
-    basis, _ = linalg._hnf_sparse(table, n)
+    basis = linalg._hnf_sparse(table, n)[0].basis
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(table.rows(), n)))
 
 
@@ -1658,7 +1661,7 @@ def test_first_subset_covers_each_column_the_stream_touches_twice(table):
         for j in range(n):
             touching = [i for i in stream if j in rows[i]]
             assert sum(i in chosen for i in touching) >= min(2, len(touching))
-    basis, _ = linalg._hnf_sparse(table, n)
+    basis = linalg._hnf_sparse(table, n)[0].basis
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(rows, n)) or [[0] * n])
 
 
@@ -1682,7 +1685,8 @@ def test_first_subset_that_misses_a_column_still_reaches_the_basis(monkeypatch, 
 
     monkeypatch.setattr(linalg, "_first_subset", missing)
     rounds = count_subset_rounds(monkeypatch)
-    basis, proj = linalg._hnf_sparse(rows, n)
+    ech, proj = linalg._hnf_sparse(rows, n)
+    basis = ech.basis
     assert patched and all(missed not in rows[i] for i in patched[0])
     assert len(rounds) >= 2 and proj is not None
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(rows, n)))

@@ -503,10 +503,11 @@ def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
 
 def test_five_term_lattices_certify_in_one_round(monkeypatch):
     # the first subset, n + 8 rows that touch every column twice, already
-    # spans each lattice: P, L- and S of GF(121), and P(GF(p)) for the
-    # primes 11..97, certify on their first round.  Counted on the raw
-    # table columns, a cancelling repeat left column 52 of P(GF(121))
-    # untouched, and the first round reached rank 118 of 119
+    # spans each lattice: P and L- of GF(121), and P(GF(p)) for the primes
+    # 11..97, certify on their first round.  RP's e+ half is P, so the
+    # block form reduces no S.  Counted on the raw table columns, a
+    # cancelling repeat left column 52 of P(GF(121)) untouched, and the
+    # first round reached rank 118 of 119
     calls, rounds = [], []
     hnf, step = linalg._hnf_sparse, linalg._subset_hnf
 
@@ -529,7 +530,7 @@ def test_five_term_lattices_certify_in_one_round(monkeypatch):
     primes = [p for p in range(11, 98) if all(p % d for d in range(2, p))]
     for p in primes:
         ScissorsContext(parse_ring(f"gf({p})")).pre_bloch().echelon()
-    assert calls == [[119, 1], [119, 1], [120, 1]] + [[p - 2, 1] for p in primes]
+    assert calls == [[119, 1], [119, 1]] + [[p - 2, 1] for p in primes]
 
 def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     # RP~(Z/121)/L_B is RP~'s 197 canonical rows and 2 000 rows of L_B over
@@ -561,7 +562,7 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     assert [p for p in passes if p[0] == 198] == [(198, 0), (198, 220), (198, len(lrows))]
     assert 198 not in widths
     monkeypatch.undo()
-    assert res["quotient"].echelon().basis == linalg._hnf_sparse(rp_tilde + lrows, 198)[0]
+    assert res["quotient"].echelon().basis == linalg._hnf_sparse(rp_tilde + lrows, 198)[0].basis
 
 
 # -- RP membership as one sparse pass ------------------------------------------
@@ -728,10 +729,11 @@ def _count_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["gf(13)", "z/7^2"])
-def test_rp_tilde_builds_no_kernel_and_no_p_basis(monkeypatch, label):
+def test_rp_tilde_builds_no_kernel_and_shares_p_basis(monkeypatch, label):
     # l_submodule and the specialization read RP~ alone: reading it builds
-    # neither P's Hermite basis nor the lambda_1 and lambda_2 kernels.  Its
-    # Hermite calls are the block form's two halves, and its flat-width
+    # neither the lambda_1 nor the lambda_2 kernel.  Its Hermite calls are
+    # the block form's two halves, L- and L+ = P, both |W| wide, and P keeps
+    # its basis, so a later read of P reduces nothing.  Its flat-width
     # reads are the block form and RP~ = RP/K^(1), one kernel pass each
     kernels = _count_kernels(monkeypatch)
     widths, passes = [], []
@@ -750,11 +752,13 @@ def test_rp_tilde_builds_no_kernel_and_no_p_basis(monkeypatch, label):
     ctx = ScissorsContext(parse_ring(label))
     tb = ctx.tilde()
     tb.rp_tilde.describe()
-    assert kernels == [] and "P" not in ctx._cache
+    assert kernels == []
     assert vars(tb).keys() == {"ctx", "rp_tilde"}
-    assert ctx.pre_bloch()._ech is None
+    assert widths == [len(ctx.W), len(ctx.W)]
+    assert ctx.pre_bloch()._ech is not None
+    ctx.pre_bloch().describe()
+    assert widths == [len(ctx.W), len(ctx.W)]
     flat = len(ctx.W) * ctx.G.order
-    assert widths and min(widths) > 0 and max(widths) < flat
     assert passes.count(flat) == 2
 
 
