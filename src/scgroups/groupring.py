@@ -354,7 +354,7 @@ def _block_lattice(m: RModPres) -> FpAb:
         phi += [{i: 1, **{N + k: a for k, a in enumerate(w) if a}} for i, w in enumerate(pi.images(phi))]
     # rels reads the relation table, not m: the group holds no cycle back
     # to m, so a dropped module is freed at once
-    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q.compose(phi).kernel())
+    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q.compose(phi).kernel_echelon())
     # the certificate: every relation row, through the map read after each
     # translation
     proj = out._projection()

@@ -1093,6 +1093,12 @@ class Quotient(NamedTuple):
                 reduce(t)
         return [basis[i] for i in sorted(basis)]
 
+    def kernel_echelon(self, extra=()) -> "SparseEchelon":
+        """``kernel`` as the SparseEchelon of its rows, which are canonical
+        already, so that ``FpAb(..., basis=...)`` keeps them with no pass
+        through the normaliser."""
+        return SparseEchelon._canonical(self.kernel(extra), len(self.by_key))
+
     def blocks(self, rows):
         """The images of many rows (sparse dicts or a RowTable), yielded as
         (first row, images) for blocks of _IMAGE_BLOCK rows; the images are
@@ -1168,13 +1174,14 @@ class FpAb:
     invariant factors go through one cached quotient map onto
     Z^f + sum Z/d_k.
 
-    A caller that has read the canonical basis of the relations' lattice
-    off a quotient map (``Quotient.kernel``) passes it as ``basis``, and it
-    is the echelon with no reduction; ``rels`` may then be a zero-argument
-    callable that builds the relation rows on each read, which are not
-    kept."""
+    A caller that knows the canonical basis of the relations' lattice
+    passes it as ``basis``, and it is the echelon with no reduction: rows,
+    which are checked, or the SparseEchelon of a quotient map's kernel
+    (``Quotient.kernel_echelon``), which is kept as it is.  ``rels`` may
+    then be a zero-argument callable that builds the relation rows on each
+    read, which are not kept."""
 
-    def __init__(self, ngens: int, rels=None, basis: Optional[list[dict]] = None):
+    def __init__(self, ngens: int, rels=None, basis: Optional[list[dict] | SparseEchelon] = None):
         self.ngens = int(ngens)
         if callable(rels):
             self._rels: Callable[[], list[dict] | RowTable] = rels
@@ -1184,7 +1191,12 @@ class FpAb:
             self._rels = rels.copy
         else:
             self._rels = _sparse_rows(rels, self.ngens).copy
-        self._ech = None if basis is None else SparseEchelon(basis, self.ngens)
+        if isinstance(basis, SparseEchelon):
+            if basis.ncols != self.ngens:
+                raise ValueError(f"an echelon of width {basis.ncols} does not match {self.ngens} generators")
+            self._ech = basis
+        else:
+            self._ech = None if basis is None else SparseEchelon(basis, self.ngens)
         self._proj: Optional[Quotient] = None
 
     @property
@@ -1361,7 +1373,7 @@ def direct_sum(a: FpAb, b: FpAb) -> FpAb:
     are the canonical basis of the sum, kept with no second reduction."""
     n = a.ngens
     basis = a.echelon().basis + [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
-    return FpAb(n + b.ngens, basis, basis)
+    return FpAb(n + b.ngens, basis.copy, SparseEchelon._canonical(basis, n + b.ngens))
 
 
 def ab_quotient(g: FpAb, sub) -> FpAb:
@@ -1372,7 +1384,7 @@ def ab_quotient(g: FpAb, sub) -> FpAb:
     call."""
     rows = _sparse_rows(sub, g.ngens)
     proj = g._projection()
-    return FpAb(g.ngens, g.echelon().basis + rows, proj.kernel(proj.images(rows)))
+    return FpAb(g.ngens, (g.echelon().basis + rows).copy, proj.kernel_echelon(proj.images(rows)))
 
 
 @dataclass
@@ -1444,15 +1456,15 @@ class AbMap:
         the coordinates of the source's basis rows, each checked to lie in
         the preimage, and their canonical basis is the kernel of the
         source's quotient map composed with the lift rows."""
-        lift = SparseEchelon(self.preimage_lattice(), self.source.ngens)
+        lift = SparseEchelon._canonical(self.preimage_lattice(), self.source.ngens)
         rels = _coordinates(lift, self.source.echelon().basis, "source relations must lie in the preimage")
-        basis = self.source._projection().compose(lift.basis).kernel()
-        return SubgroupPres(group=FpAb(len(lift.rows), rels, basis), echelon=lift)
+        basis = self.source._projection().compose(lift.basis).kernel_echelon()
+        return SubgroupPres(group=FpAb(len(lift.rows), rels.copy, basis), echelon=lift)
 
     def kernel(self) -> FpAb:
         return self.kernel_subgroup().group
 
     def image(self) -> FpAb:
         basis = self.preimage_lattice()
-        return FpAb(self.source.ngens, basis, basis)
+        return FpAb(self.source.ngens, basis.copy, SparseEchelon._canonical(basis, self.source.ngens))
 

@@ -463,37 +463,54 @@ class ScissorsContext:
         }
 
     # -- L_B and the residue sequence ---------------------------------------------
+    def _one_unit_shifts(self) -> list[tuple]:
+        """(u, the W indices of a u over a in W) for each one-unit u, 1
+        included: multiplication by u on W's indices, built once.  A product
+        outside W is an AssertionError: u is no one-unit."""
+        if "U1 shifts" not in self._cache:
+            ring, windex = self.ring, self.windex
+            out = []
+            for u in ring.u1:
+                shift = np.array([windex.get(ring.mul(a, u), -1) for a in self.W], dtype=np.int64)
+                if (shift < 0).any():
+                    raise AssertionError(f"{u!r} moves an element of W out of W: it is no one-unit")
+                out.append((u, shift))
+            self._cache["U1 shifts"] = out
+        return self._cache["U1 shifts"]
+
     def l_rows(self) -> list[dict]:
         """Flattened lattice of L_B = <[au]-[a], <<u>>C_B : a in W, u in U1>,
-        as sparse RP rows."""
-        ring = self.ring
+        as sparse RP rows: for each one-unit u but 1, the rows [au] - [a]
+        over a in W, then <<u>>C_B, each in its |G| translates, built by
+        index arithmetic on ``_one_unit_shifts``."""
+        n, order, one = len(self.W), self.G.order, self.ring.one
         rows = []
-        big_c = self.big_c()
-        for u in ring.u1:
-            if u == ring.one:
+        for u, shift in self._one_unit_shifts():
+            if u == one:
                 continue
-            for a in self.W:
-                au = ring.mul(a, u)
-                x = add({(0, au): 1}, {(0, a): -1})
-                for g in range(self.G.order):
-                    rows.append(self.rp_row(act({g: 1}, x)))
-            x = act(dbl_bracket(self.G, u), big_c)
-            for g in range(self.G.order):
-                rows.append(self.rp_row(act({g: 1}, x)))
+            for i, j in enumerate(shift.tolist()):
+                rows += [{g * n + j: 1, g * n + i: -1} for g in range(order)]
+            c = self._dbl_c_row(u)
+            rows += [{((k // n) ^ g) * n + k % n: v for k, v in c.items()} for g in range(order)]
         return rows
+
+    def _dbl_c_row(self, u) -> dict:
+        """<<u>>C_B as a sparse RP row."""
+        return self.rp_row(act(dbl_bracket(self.G, u), self.big_c()))
 
     def residue_context(self) -> "ScissorsContext":
         return context(self.ring.residue_field())
 
     def l_submodule(self) -> dict:
         """The short exact sequence data for a non-field local ring B:
-        L_B, the quotient RP~(B)/L_B, and the comparison with RP~(k)."""
+        L_B, the quotient RP~(B)/L_B (``_l_quotient``), and the comparison
+        with RP~(k)."""
         ring = self.ring
         if ring.is_field:
             raise ValueError("L_B is trivial for a field; nothing to verify")
         kctx = self.residue_context()
         lrows = self.l_rows()
-        quotient = ab_quotient(self.tilde().rp_tilde, lrows)
+        quotient = self._l_quotient(kctx, lrows)
         target = kctx.tilde().rp_tilde
         # the functorial map RP_flat(B) -> RP_flat(k) sends each flat
         # index to one flat index; it kills every L_B generator exactly
@@ -511,6 +528,64 @@ class ScissorsContext:
             "match": quotient.free_rank == target.free_rank
             and quotient.invariant_factors() == target.invariant_factors(),
         }
+
+    def _l_quotient(self, kctx: "ScissorsContext", lrows: list[dict]) -> FpAb:
+        """RP~(B)/L_B on RP's flat generators, read through the module of
+        one-unit cosets, with no reduction of RP~(B).
+
+        sigma sends W to the W(k) index of the residue.  Its fibres must be
+        the cosets a U1: every one-unit keeps each residue, and each W(k)
+        index has |U1| preimages (``ring.u1`` includes 1); else
+        AssertionError.  Then the rows [au] - [a] of L_B span the
+        kernel of sigma on Z^W, and a Tietze transformation takes the
+        quotient to the R-module on W(k) whose relations are the sigma
+        images, class kept, of RP~(B)'s relations (``refined_tilde``) and
+        the rows <<u>>C_B.  That small module is reduced by
+        its own certified ``flatten``, and the quotient's canonical basis
+        is the kernel of its quotient map read through sigma on the flat
+        index: one pass over RP's flat generators.
+
+        The certificate is the block form's: every relation row of B, the
+        |G| translates of the five-term table, ``k1_rows`` and ``l_rows``,
+        must map to 0 under the quotient map of that basis, else
+        AssertionError, which puts the lattice of B's relations within the
+        basis's, from rows built apart from the small module's.  The reverse
+        inclusion rests on the fibre check and on the small module's exact
+        quotient map."""
+        ring, G, nk = self.ring, self.G, len(kctx.W)
+        sigma = np.array([kctx.windex[ring.residue(a)] for a in self.W], dtype=np.int64)
+        if np.bincount(sigma, minlength=nk).tolist() != [len(set(ring.u1))] * nk:
+            raise AssertionError("L_B quotient: a residue has not |U1| preimages")
+        if any((sigma[shift] != sigma).any() for _, shift in self._one_unit_shifts()):
+            raise AssertionError("L_B quotient: a one-unit moves a residue")
+        # sigma on RP's flat index, the class kept
+        flat = (np.arange(G.order, dtype=np.int64)[:, None] * nk + sigma).ravel()
+        m, k1 = self.refined(), self.k1_rows()
+        # RP~(B)'s relations and the rows <<u>>C_B, untranslated, through
+        # sigma: each distinct row once
+        rows = RowTable.stack(
+            m.flat_ngens, self.refined_tilde().table, [self._dbl_c_row(u) for u in ring.u1 if u != ring.one]
+        )
+        k = rows.cols.shape[1]
+        table = _distinct(np.concatenate([flat[rows.cols], rows.vals], axis=1))
+        small = RModPres(G, nk, RowTable(table[:, :k], table[:, k:], G.order * nk))
+        out = FpAb(
+            m.flat_ngens,
+            lambda: RowTable.stack(m.flat_ngens, m.flat_table(), k1, lrows),
+            small.flatten()._projection().compose([{j: 1} for j in flat.tolist()]).kernel_echelon(),
+        )
+        proj = out._projection()
+        if proj.unkilled(m.flat_table()) or proj.unkilled(k1) or proj.unkilled(lrows):
+            raise AssertionError("L_B quotient: a relation row of B does not map to 0")
+        return out
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in lexicographic order."""
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
 
 
 # the signs of the five terms [a], [b], [b/a], [(1-a^{-1})/(1-b^{-1})] and

@@ -346,6 +346,32 @@ def test_direct_sum_keeps_the_two_canonical_bases(a, b):
     assert g.invariant_factors() == FpAb(g.ngens, g._rels()).invariant_factors()
 
 
+def test_kernel_bases_reach_fpab_without_the_normaliser(monkeypatch):
+    # a kernel basis is handed to FpAb as the SparseEchelon of
+    # Quotient.kernel_echelon and kept, and the relation rows linalg built
+    # itself are kept as they are: of ab_quotient, AbMap.image and
+    # AbMap.kernel, only ab_quotient normalises rows, the ones it is given.
+    # An echelon of the wrong width is refused
+    g = FpAb(3, [{0: 2}, {1: 3}])
+    f = AbMap(g, FpAb(2, [{0: 6}]), [{0: 3}, {0: 2}, {0: 1, 1: 1}])
+    calls = []
+    rows = linalg._sparse_rows
+
+    def counted(v, n):
+        calls.append(v)
+        return rows(v, n)
+
+    monkeypatch.setattr(linalg, "_sparse_rows", counted)
+    q = ab_quotient(g, [{0: 1, 2: 2}])
+    image, kernel = f.image(), f.kernel()
+    assert calls == [[{0: 1, 2: 2}]]
+    monkeypatch.undo()
+    for h in (q, image, kernel):
+        assert h.echelon().basis == linalg._hnf_sparse(h._rels(), h.ngens)[0].basis
+    with pytest.raises(ValueError, match="width"):
+        FpAb(4, None, q.echelon())
+
+
 def _in_lattice(g, v):
     """Back-substitution on the cached echelon form of the relation basis,
     independent of the quotient map behind contains and element_order."""

@@ -533,11 +533,12 @@ def test_five_term_lattices_certify_in_one_round(monkeypatch):
     assert calls == [[119, 1], [119, 1]] + [[p - 2, 1] for p in primes]
 
 def test_l_b_quotient_certifies_in_one_round(monkeypatch):
-    # RP~(Z/121)/L_B is RP~'s 197 canonical rows and 2 000 rows of L_B over
-    # 198 columns.  A Hermite reduction of the 2 197 rows needed a second
-    # round until RP~'s basis led its first subset; ab_quotient now reads
-    # the basis in one pass, the kernel of RP~'s quotient map modulo the
-    # images of the L_B rows, and no Hermite call reduces rows of width 198
+    # RP~(Z/121)/L_B is read through the module of one-unit cosets: the
+    # rows [au] - [a] identify each generator with its coset, so the small
+    # module on W(GF(11)) is reduced instead of RP~'s 198 columns, and the
+    # quotient's basis is one kernel pass over RP's 198 flat generators,
+    # with no extra rows.  No Hermite call reduces rows of width 198, and
+    # l_submodule builds no RP~(Z/121)
     passes, widths = [], []
     hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
 
@@ -555,14 +556,124 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     ctx = ScissorsContext(parse_ring("z/11^2"))
     res = ctx.l_submodule()
     assert res["match"] and res["kernel_ok"]
+    assert [p for p in passes if p[0] == 198] == [(198, 0)]
+    assert 198 not in widths
+    assert "rp_tilde" not in vars(ctx.tilde())
     rp_tilde = ctx.tilde().rp_tilde.echelon().basis
     lrows = ctx.l_rows()
     assert (len(rp_tilde), len(lrows)) == (197, 2000)
-    # the block form, RP~ = RP/K^(1), and RP~/L_B: one pass each
-    assert [p for p in passes if p[0] == 198] == [(198, 0), (198, 220), (198, len(lrows))]
-    assert 198 not in widths
     monkeypatch.undo()
     assert res["quotient"].echelon().basis == linalg._hnf_sparse(rp_tilde + lrows, 198)[0].basis
+
+
+L_B_RINGS = [
+    "z/7^2",
+    "z/11^2",
+    "z/13^2",
+    "gf(5)[t]/t^2",
+    "gf(9)[t]/t^2",
+    "gf(7)[t]/t^3",
+    "gf(2^2)[t]/t^2",
+    "gf(2^3)[t]/t^2",
+]
+
+
+@pytest.mark.parametrize("label", L_B_RINGS)
+def test_l_b_quotient_through_cosets_is_rp_tilde_mod_l_b(label):
+    # the coset module's quotient has the basis and quotient map of RP~(B)
+    # reduced modulo the L_B rows
+    ctx = ScissorsContext(parse_ring(label))
+    res = ctx.l_submodule()
+    assert res["kernel_ok"] and res["match"]
+    want = linalg.ab_quotient(ctx.tilde().rp_tilde, ctx.l_rows())
+    assert res["quotient"].echelon().basis == want.echelon().basis
+    assert res["quotient"]._projection() == want._projection()
+
+
+def _l_rows_reference(ctx):
+    """L_B's rows straight from the formula, through add, act and rp_row."""
+    ring, rows = ctx.ring, []
+    big_c = ctx.big_c()
+    for u in ring.u1:
+        if u == ring.one:
+            continue
+        for a in ctx.W:
+            x = add({(0, ring.mul(a, u)): 1}, {(0, a): -1})
+            rows += [ctx.rp_row(rp_act({g: 1}, x)) for g in range(ctx.G.order)]
+        x = rp_act(dbl_bracket(ctx.G, u), big_c)
+        rows += [ctx.rp_row(rp_act({g: 1}, x)) for g in range(ctx.G.order)]
+    return rows
+
+
+@pytest.mark.parametrize("label", ["z/7^2", "gf(2^2)[t]/t^2"])
+def test_l_rows_by_index_arithmetic_match_the_formula(label):
+    ctx = ScissorsContext(parse_ring(label))
+    assert ctx.l_rows() == _l_rows_reference(ctx)
+
+
+def _swap(f, x, y):
+    """f with its values at x and y exchanged."""
+    return lambda a: f(y) if a == x else f(x) if a == y else f(a)
+
+
+@pytest.mark.parametrize(
+    "attr, fault, message",
+    [
+        # 2 and 3 trade residues: every residue keeps its 7 preimages, but
+        # the fibres of 2 and 3 are no longer their cosets 2 U1 and 3 U1
+        ("residue", lambda ring: _swap(ring.residue, 2, 3), "one-unit moves a residue"),
+        # the coset 3 U1 joins 2 U1: the fibre of 2 holds two cosets
+        ("residue", lambda ring: lambda a: 2 if a % 7 == 3 else a % 7, "has not |U1| preimages"),
+        # the one-unit 8 listed as 1 again: U1 is one short of the fibres
+        ("u1", lambda ring: [1 if u == 8 else u for u in ring.u1], "has not |U1| preimages"),
+    ],
+    ids=["swapped", "merged", "repeated"],
+)
+def test_l_b_quotient_refuses_fibres_that_are_not_the_cosets(monkeypatch, attr, fault, message):
+    ring = parse_ring("z/7^2")
+    ctx = ScissorsContext(ring)
+    monkeypatch.setattr(ring, attr, fault(ring))
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        ctx.l_submodule()
+
+
+def test_l_b_quotient_refuses_a_one_unit_that_moves_a_residue(monkeypatch):
+    # 8 = 1 + 7 is a one-unit of Z/49; its products with 2 and 3 trade
+    # places, so multiplying by it keeps W but moves two residues
+    ring = parse_ring("z/7^2")
+    ctx = ScissorsContext(ring)
+    mul = ring.mul
+    moved = {(2, 8): mul(3, 8), (3, 8): mul(2, 8)}
+    monkeypatch.setattr(ring, "mul", lambda a, b: moved.get((a, b)) or mul(a, b))
+    with pytest.raises(AssertionError, match="one-unit moves a residue"):
+        ctx.l_submodule()
+
+
+def test_l_b_quotient_refuses_a_unit_listed_as_a_one_unit(monkeypatch):
+    # 2 in place of the one-unit 8: the fibres keep their size, but 2 sends
+    # an element of W out of W
+    ring = parse_ring("z/7^2")
+    ctx = ScissorsContext(ring)
+    monkeypatch.setattr(ring, "u1", [2 if u == 8 else u for u in ring.u1])
+    with pytest.raises(AssertionError, match="out of W"):
+        ctx.l_submodule()
+
+
+def test_l_b_quotient_certificate_catches_a_dropped_coset_row(monkeypatch):
+    # on GF(5)[t]/t^2, where <-1> = 1, psi_1 of every unit of residue 2 or
+    # 3 maps to the one row [2] + [3] of the coset module, and that row is
+    # no combination of its other relations: without it the kernel is too
+    # small, and the psi_1 rows of B do not all map to 0
+    ring = parse_ring("gf(5)[t]/t^2")
+    ctx = ScissorsContext(ring)
+    m = ctx.refined()
+    psi = [ctx.rp_row(ctx.psi1(a)) for a in ring.units if ring.residue(a) not in (2, 3)]
+    short = groupring.RModPres(ctx.G, m.ngens, linalg.RowTable.stack(m.flat_ngens, m.table, psi))
+    monkeypatch.setattr(ctx, "refined_tilde", lambda: short)
+    with pytest.raises(AssertionError, match="relation row of B does not map to 0"):
+        ctx.l_submodule()
+    monkeypatch.undo()
+    assert ctx.l_submodule()["match"]
 
 
 # -- RP membership as one sparse pass ------------------------------------------
