@@ -679,6 +679,7 @@ def left_kernel(mat) -> np.ndarray:
     rows, n = _edge_rows(mat)
     return _dense(Quotient([0] * n, [list(r.items()) for r in rows]).kernel(), len(rows))
 
+
 def hnf_with_transform(mat) -> tuple[np.ndarray, np.ndarray]:
     """Return (H, K): H the canonical row-Hermite basis of ``mat`` and K
     the canonical basis of its left kernel {x : x @ mat = 0}.
@@ -1022,7 +1023,10 @@ class Quotient(NamedTuple):
                 x = int(x)
             for k, a in images[key]:
                 w[k] += x * a
-        return [x % d if d else x for x, d in zip(w, moduli)]
+        for k, d in enumerate(moduli):
+            if d:
+                w[k] %= d
+        return w
 
     def compose(self, rows) -> "Quotient":
         """The map read through rows: the generator named key goes to the
@@ -1274,7 +1278,7 @@ class FpAb:
         if not isinstance(v, dict):
             return proj.image(_sparse_row(v, n).items())
         try:
-            if min(v, default=0) >= 0:
+            if not v or min(v) >= 0:
                 return proj.image(v.items())
         except (IndexError, TypeError):
             pass

@@ -513,14 +513,15 @@ class ScissorsContext:
         quotient = self._l_quotient(kctx, lrows)
         target = kctx.tilde().rp_tilde
         # the functorial map RP_flat(B) -> RP_flat(k) sends each flat
-        # index to one flat index; it kills every L_B generator exactly
+        # index to one flat index; it kills every L_B generator exactly (the
+        # rows are the program's own sparse dicts, read with no normaliser)
         m, mk = self.refined(), kctx.refined()
         residue = [0] * m.flat_ngens
         for g in range(self.G.order):
             gbar = kctx.G.class_of(ring.residue(self.G.rep(g)))
             for i, a in enumerate(self.W):
                 residue[m.flat_index(g, i)] = mk.flat_index(gbar, kctx.windex[ring.residue(a)])
-        kernel_ok = not AbMap(FpAb(m.flat_ngens), target, [{j: 1} for j in residue]).unkilled(lrows)
+        kernel_ok = not target._projection().compose([{j: 1} for j in residue]).unkilled(lrows)
         return {
             "quotient": quotient,
             "target": target,

@@ -14,16 +14,18 @@ in the exact presentations from the scissors module.
 
 S_v reads little from a symbol <c>[t]: the sign of v_p(t) and, when
 v_p(t) = 0, the residue of t; the parity of v_p(c) and the square class of
-the residue of c's unit part (`SpecializationContext.symbol_data`, one
-integer pass with a table of inverses mod p).  S_v is held as its terms,
-a coefficient on each key (parameter data, class data), and whether it is
-zero is one pass through the quotient map of RP~(GF(p)) + RP~(GF(p)) read
-by those keys (`SpecializationContext.cases`).  For a five-term relation Y(a, b)
-the data follows by integer arithmetic from the *local types* of a and b,
-(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a)
-(`SpecializationContext.y_symbol_data`), so a sweep over many pairs
-evaluates S_v once per distinct datum and builds no relation.  Elements
-of RP~(k) and P~(k) are sparse `RPtElem`s; `.vec` is their dense view.
+the residue of c's unit part, read in one integer pass with a table of
+inverses mod p.  Those data name one of the 2(p + 1)|G| *cases* of S_v,
+and a case is one int, its case key (`SpecializationContext.case_key`).
+S_v is held as its terms, the pairs (case key, coefficient), and whether
+it is zero is one pass through the quotient map of RP~(GF(p)) +
+RP~(GF(p)) read by case key (`SpecializationContext.cases`).  For a
+five-term relation Y(a, b) the keys follow by integer arithmetic from the
+*local types* of a and b, (v_p(a), unit residue of a, v_p(1 - a), unit
+residue of 1 - a) (`SpecializationContext.y_symbol_data`), so a sweep over
+many pairs evaluates S_v once per distinct datum and builds no relation.
+Elements of RP~(k) and P~(k) are sparse `RPtElem`s; `.vec` is their dense
+view.
 """
 
 from __future__ import annotations
@@ -295,9 +297,9 @@ class RPtElem:
 @dataclass(eq=False)
 class IndElem:
     """Image of S_v through (rho_0, rho_pi), a pair of RP~(k) elements, held
-    as S_v's terms, the pairs ((parameter data, class data (e, g)),
-    coefficient) that ``SpecializationContext.cases`` reads by key; comp0
-    and comp_pi are built from the case entries when read."""
+    as S_v's terms, the pairs (case key, coefficient) that
+    ``SpecializationContext.cases`` reads; comp0 and comp_pi are built from
+    the case entries when read."""
 
     ctx: "SpecializationContext"
     terms: tuple
@@ -307,12 +309,16 @@ class IndElem:
 
     def component(self, even: int, odd: int) -> RPtElem:
         """even * rho_0 + (odd - even) * rho_pi: each term's case entries
-        times its coefficient times ``odd`` if e is odd, else ``even``."""
-        out: dict = {}
-        for (param, (e, g)), coeff in self.terms:
-            c = coeff * (odd if e else even)
+        times its coefficient times ``odd`` if e is odd, else ``even``.  A
+        key outside the cases is a ValueError, as for ``is_zero``: the list
+        of cases would take a negative one from its end."""
+        cases, out = self.ctx._cases, {}
+        for key, coeff in self.terms:
+            if not 0 <= key >> 1 < len(cases):
+                raise ValueError(self.ctx._refusal.format(key))
+            c = coeff * (odd if key & 1 else even)
             if c:
-                for i, v in self.ctx._cases[param, g]:
+                for i, v in cases[key >> 1]:
                     out[i] = out.get(i, 0) + c * v
         return RPtElem(self.ctx.rp_tilde, out)
 
@@ -331,14 +337,14 @@ ClassData = tuple[int, int]
 LocalType = tuple[int, int, int, int]
 
 
-def _param_data(v: int, u: int) -> ParamData:
-    if v == 0:
-        return 0, u
-    return (1 if v > 0 else -1), 0
-
-
 class SpecializationContext:
-    """Specialization of symbolic RP(Q) elements at the prime p."""
+    """Specialization of symbolic RP(Q) elements at the prime p.
+
+    A case of S_v, parameter data (s, r) and class data (e, g), is the int
+    key = 2 * (i * |G| + g) + e (``case_key``), where the parameter index i
+    is 0 for s = 1, 1 for s = -1 and 1 + r for s = 0: the keys of the
+    2(p + 1)|G| cases are range(2(p + 1)|G|).  ``_cases[key >> 1]`` holds
+    the case's RP~(k) entries, and ``cases`` reads RP~(k) + RP~(k) by key."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -354,20 +360,44 @@ class SpecializationContext:
         ck = self.sc.rp_row(self.sc.big_c())
         self._ck_entries = sorted((i, int(x)) for i, x in ck.items() if x)
         # square class in GF(p) and inverse mod p of each nonzero residue
+        self._gorder = self.sc.G.order
         self._gclass = [0] + [self.sc.G.class_of(u) for u in range(1, p)]
         self._inv = [0] + [pow(u, -1, p) for u in range(1, p)]
-        # the RP~(k) entries of the 2(p + 1) cases (parameter data, residue
-        # class) of S_v
+        # the RP~(k) entries of each case (parameter data, residue class g)
+        # of S_v, at i * |G| + g for the parameter index i
         params = [(1, 0), (-1, 0)] + [(0, u) for u in range(1, p)]
-        self._cases = {(d, g): self._case(d, g) for d in params for g in range(self.sc.G.order)}
-        # RP~(k) + RP~(k), the target of (rho_0, rho_pi), read by S_v's
-        # (parameter data, class data (e, g)): a case's entries go into
-        # rho_0's coordinates, and into rho_pi's too when e is odd
+        self._cases = [self._case(d, g) for d in params for g in range(self._gorder)]
+        # RP~(k) + RP~(k), the target of (rho_0, rho_pi), read by case key:
+        # a case's entries go into rho_0's coordinates, and into rho_pi's
+        # too when e is odd.  The rows are a dict, so that a key outside
+        # range(2(p + 1)|G|), a negative one too, has no row
         n = self.rp_tilde.ngens
-        rows = {(d, (e, g)): {**dict(x), **{n + i: v for i, v in x if e}}
-                for (d, g), x in self._cases.items() for e in (0, 1)}
-        refusal = "S_v case {!r} is not a (parameter data, class data) pair"
-        self.cases = KeyedFpAb(direct_sum(self.rp_tilde, self.rp_tilde), rows, refusal)
+        rows = {2 * c + e: {**dict(x), **{n + i: v for i, v in x if e}}
+                for c, x in enumerate(self._cases) for e in (0, 1)}
+        self._refusal = f"S_v case {{!r}} is not a case key in range({len(rows)})"
+        self.cases = KeyedFpAb(direct_sum(self.rp_tilde, self.rp_tilde), rows, self._refusal)
+
+    def case_key(self, param: ParamData, cdata: ClassData) -> int:
+        """The key of the case with parameter data (s, r) and class data
+        (e, g); ValueError for data that name no case."""
+        (s, r), (e, g) = param, cdata
+        if (s, r) in ((1, 0), (-1, 0)):
+            i = 0 if s == 1 else 1
+        elif s == 0 and 0 < r < self.p:
+            i = 1 + r
+        else:
+            raise ValueError(f"{param!r} is not the parameter data of an S_v case")
+        if e not in (0, 1) or not 0 <= g < self._gorder:
+            raise ValueError(f"{cdata!r} is not the class data of an S_v case")
+        return 2 * (i * self._gorder + g) + e
+
+    def case_of(self, key: int) -> tuple[ParamData, ClassData]:
+        """(parameter data, class data) of a case key: case_key's inverse."""
+        if not 0 <= key < 2 * len(self._cases):
+            raise ValueError(self._refusal.format(key))
+        i, g = divmod(key >> 1, self._gorder)
+        param = ((1, 0), (-1, 0))[i] if i < 2 else (0, i - 1)
+        return param, (key & 1, g)
 
     # residue of a p-adic unit rational, as an element of GF(p)
     def residue(self, a) -> int:
@@ -377,22 +407,9 @@ class SpecializationContext:
             raise ValueError(f"{a} is not a p-adic unit")
         return u
 
-    def symbol_data(self, cls: QSqClass, a) -> tuple[ParamData, ClassData]:
-        """The data s_v reads from the symbol <cls>[a], in one pass."""
-        p, num, den, n = self.p, a.numerator, a.denominator, cls.n
-        if not num or not n:
-            raise ValueError("0 has no valuation")
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        # n is squarefree, so p divides it at most once
-        e, n = (1, n // p) if n % p == 0 else (0, n)
-        param = (0, num * self._inv[den % p] % p) if v == 0 else ((1 if v > 0 else -1), 0)
-        return param, (e, self._gclass[cls.sign * n % p])
+    def symbol_data(self, cls: QSqClass, a) -> int:
+        """The case key s_v reads from the symbol <cls>[a]."""
+        return self.s_v({(cls, a): 1}).terms[0][0]
 
     def _case(self, param: ParamData, g: int) -> list:
         """The nonzero (index, value) entries of the RP~(k) coordinate of S_v
@@ -415,15 +432,36 @@ class SpecializationContext:
 
     def s_v_of(self, data) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)), on the
-        (coefficient, parameter data, class data) of each symbol: what
-        symbol_data reads from a symbol or y_symbol_data derives from local
-        types."""
-        return IndElem(self, tuple(((param, cd), coeff) for coeff, param, cd in data))
+        (coefficient, case key) of each symbol, as y_symbol_data derives
+        them from local types."""
+        return IndElem(self, tuple((key, coeff) for coeff, key in data))
 
     def s_v(self, x: SymRP) -> IndElem:
-        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p))."""
-        read = self.symbol_data
-        return IndElem(self, tuple((read(cls, a), coeff) for (cls, a), coeff in x.items()))
+        """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)).  Each
+        symbol's case key is read in one integer pass, inline: p is
+        stripped from the parameter's numerator and denominator and from
+        the class, and the unit residue comes from the table of inverses."""
+        p, inv, gclass, width = self.p, self._inv, self._gclass, 2 * self._gorder
+        terms = []
+        for (cls, a), coeff in x.items():
+            num, den, n = a.numerator, a.denominator, cls.n
+            if not num or not n:
+                raise ValueError("0 has no valuation")
+            v = 0
+            while num % p == 0:
+                num //= p
+                v += 1
+            while den % p == 0:
+                den //= p
+                v -= 1
+            # n is squarefree, so p divides it at most once
+            if n % p:
+                e = 0
+            else:
+                e, n = 1, n // p
+            i = (1 + num * inv[den % p] % p) if v == 0 else (0 if v > 0 else 1)
+            terms.append((width * i + 2 * gclass[cls.sign * n % p] + e, coeff))
+        return IndElem(self, tuple(terms))
 
     def local_type(self, a) -> LocalType:
         """(v_p(a), unit residue of a, v_p(1 - a), unit residue of 1 - a) of
@@ -432,25 +470,28 @@ class SpecializationContext:
         return padic_read(num, den, self.p) + padic_read(den - num, den, self.p)
 
     def y_symbol_data(self, ta: LocalType, tb: LocalType) -> tuple:
-        """(coefficient, parameter data, class data) of each symbol of
-        sym_y_relation(a, b), in its order, from the local types of a and b
-        alone: the parameters are a, b, b/a, (1 - a)b / (a(1 - b)) and
-        (1 - a)/(1 - b), with the classes 1, 1, <a>, <(1 - a)/a>, <1 - a>."""
-        p, gc = self.p, self._gclass
+        """(coefficient, case key) of each symbol of sym_y_relation(a, b),
+        in its order, from the local types of a and b alone: the parameters
+        are a, b, b/a, (1 - a)b / (a(1 - b)) and (1 - a)/(1 - b), with the
+        classes 1, 1, <a>, <(1 - a)/a>, <1 - a>.  A key is width * i + 2g + e
+        (``case_key``), i read inline from the valuation and unit residue."""
+        p, gc, width = self.p, self._gclass, 2 * self._gorder
         va, ua, wa, xa = ta
         vb, ub, wb, xb = tb
         ia, ixb = self._inv[ua], self._inv[xb]
-        one = (0, gc[1])
+        one = 2 * gc[1]
+        v3, v4, v5 = vb - va, wa + vb - va - wb, wa - wb
         return (
-            (1, _param_data(va, ua), one),
-            (-1, _param_data(vb, ub), one),
-            (1, _param_data(vb - va, ub * ia % p), (va & 1, gc[ua])),
+            (1, width * ((1 + ua) if va == 0 else (0 if va > 0 else 1)) + one),
+            (-1, width * ((1 + ub) if vb == 0 else (0 if vb > 0 else 1)) + one),
+            (1, width * ((1 + ub * ia % p) if v3 == 0 else (0 if v3 > 0 else 1)) + 2 * gc[ua] + (va & 1)),
             (
                 -1,
-                _param_data(wa + vb - va - wb, xa * ub * ia * ixb % p),
-                ((wa - va) & 1, gc[xa * ia % p]),
+                width * ((1 + xa * ub * ia * ixb % p) if v4 == 0 else (0 if v4 > 0 else 1))
+                + 2 * gc[xa * ia % p]
+                + ((wa - va) & 1),
             ),
-            (1, _param_data(wa - wb, xa * ixb % p), (wa & 1, gc[xa])),
+            (1, width * ((1 + xa * ixb % p) if v5 == 0 else (0 if v5 > 0 else 1)) + 2 * gc[xa] + (wa & 1)),
         )
 
     def delta_pi(self, x: SymRP) -> RPtElem:

@@ -20,6 +20,7 @@ from scgroups.groupring import act, add, bracket, dbl_bracket, p_plus, r_mul, sc
 from scgroups.linalg import KeyedFpAb, zeros
 from scgroups.valuation import (
     Q_CLASSES,
+    IndElem,
     QONE,
     QSqClass,
     SpecializationContext,
@@ -420,7 +421,7 @@ def test_integer_read_matches_fraction_formulas(p, data):
     for g, w in zip(got, _ref_s_v(ctx, x)):
         assert g.dtype == object and [int(t) for t in g] == [int(t) for t in w]
     for (cls, t) in x:
-        assert ctx.symbol_data(cls, t) == _ref_symbol_data(ctx, cls, t)
+        assert ctx.symbol_data(cls, t) == ctx.case_key(*_ref_symbol_data(ctx, cls, t))
 
 
 def _net(pairs):
@@ -433,13 +434,10 @@ def _net(pairs):
 
 def _y_data_agree(ctx, a, b):
     read = _net(
-        (_ref_symbol_data(ctx, cls, t), coeff)
+        (ctx.case_key(*_ref_symbol_data(ctx, cls, t)), coeff)
         for (cls, t), coeff in sym_y_relation(a, b).items()
     )
-    derived = _net(
-        ((param, cdata), coeff)
-        for coeff, param, cdata in ctx.y_symbol_data(ctx.local_type(a), ctx.local_type(b))
-    )
+    derived = _net((key, coeff) for coeff, key in ctx.y_symbol_data(ctx.local_type(a), ctx.local_type(b)))
     return read == derived
 
 
@@ -518,7 +516,7 @@ def _case_sums(ctx, x):
     for (cls, t), coeff in x.items():
         param, (e, g) = _ref_symbol_data(ctx, cls, t)
         for acc in out if e else out[:1]:
-            for i, v in ctx._cases[param, g]:
+            for i, v in ctx._cases[ctx.case_key(param, (e, g)) >> 1]:
                 acc[i] = acc.get(i, 0) + coeff * v
     return tuple(map(_nonzero, out))
 
@@ -579,8 +577,33 @@ def test_keyed_reads_are_whole_groups():
     assert (ctx.cases.free_rank, ctx.cases.invariant_factors()) == (twice.free_rank, twice.invariant_factors())
     with pytest.raises(ValueError, match=re.escape("RP key (0, 0) is not a (square class, element of W) pair")):
         sc.rp_is_zero({(0, 0): 1})
-    with pytest.raises(ValueError, match="S_v case"):
-        ctx.cases.contains({((0, 1), (0, 99)): 1})
+    # a negative key, a key past the cases and a tuple key have no row, and
+    # the components refuse the int keys too
+    for key in (-1, 2 * (ctx.p + 1) * ctx.sc.G.order, ((0, 2), (0, 0))):
+        with pytest.raises(ValueError, match="S_v case"):
+            ctx.cases.contains({key: 1})
+        if isinstance(key, int):
+            with pytest.raises(ValueError, match="S_v case"):
+                ctx.s_v_of([(1, key)]).comp0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_case_keys_are_a_bijection_onto_a_range(p):
+    ctx = specialization(p)
+    order = ctx.sc.G.order
+    params = [(1, 0), (-1, 0)] + [(0, r) for r in range(1, p)]
+    cases = [(d, (e, g)) for d in params for g in range(order) for e in (0, 1)]
+    keys = [ctx.case_key(*c) for c in cases]
+    assert len(cases) == 2 * (p + 1) * order
+    assert sorted(keys) == list(range(len(cases)))
+    assert [ctx.case_of(k) for k in keys] == cases
+    for key in (-1, len(cases)):
+        with pytest.raises(ValueError, match="S_v case"):
+            ctx.case_of(key)
+    for param, cdata in (((0, 0), (0, 0)), ((0, p), (0, 0)), ((1, 1), (0, 0)), ((2, 0), (0, 0)),
+                         ((1, 0), (2, 0)), ((1, 0), (0, order)), ((1, 0), (0, -1))):
+        with pytest.raises(ValueError, match="S_v case"):
+            ctx.case_key(param, cdata)
 
 
 def test_s_v_refuses_a_zero_parameter_or_class_without_hanging():
@@ -631,12 +654,38 @@ def test_an_off_by_one_case_image_fails_the_sweep_and_the_suite(monkeypatch):
     assert "p=11: exhaustive Y sweep with entries up to 20" in failed
 
 
+def test_a_case_key_collision_fails_the_suite(monkeypatch):
+    # S_v's two encoders, s_v and y_symbol_data, patched so that the
+    # parameter data (-1, 0) take the keys of (1, 0): the seeded Y relations
+    # and the sweep must both fail
+    s_v, y_symbol_data = SpecializationContext.s_v, SpecializationContext.y_symbol_data
+
+    def collide(ctx, key):
+        param, cdata = ctx.case_of(key)
+        return ctx.case_key((1, 0), cdata) if param == (-1, 0) else key
+
+    def colliding_s_v(self, x):
+        return IndElem(self, tuple((collide(self, key), c) for key, c in s_v(self, x).terms))
+
+    def colliding_y(self, ta, tb):
+        return tuple((c, collide(self, key)) for c, key in y_symbol_data(self, ta, tb))
+
+    ctx = specialization(11)
+    assert ctx.symbol_data(QONE, Fraction(1, 11)) != ctx.symbol_data(QONE, Fraction(11))
+    monkeypatch.setattr(SpecializationContext, "s_v", colliding_s_v)
+    monkeypatch.setattr(SpecializationContext, "y_symbol_data", colliding_y)
+    assert ctx.symbol_data(QONE, Fraction(1, 11)) == ctx.symbol_data(QONE, Fraction(11))
+    failed = [c.name for c in verify.suite_specialize(11) if not c.ok]
+    assert "p=11: S_v kills 200 seeded Y relations exactly" in failed
+    assert "p=11: exhaustive Y sweep with entries up to 20" in failed
+
+
 def test_y_sweep_fails_when_a_datum_coefficient_flips(monkeypatch):
     y_symbol_data = SpecializationContext.y_symbol_data
 
     def flipped(self, ta, tb):
-        (coeff, param, cdata), *rest = y_symbol_data(self, ta, tb)
-        return ((-coeff, param, cdata), *rest)
+        (coeff, key), *rest = y_symbol_data(self, ta, tb)
+        return ((-coeff, key), *rest)
 
     ctx = specialization(11)
     vals = verify.sweep_values(5)
@@ -664,7 +713,7 @@ class _CountedSvOf:
 
     def s_v_of(self, data):
         self.seen.append(data)
-        if self.fail_off_units and any(param[0] for _, param, _ in data):
+        if self.fail_off_units and any(self.ctx.case_of(key)[0][0] for _, key in data):
             return SimpleNamespace(is_zero=lambda: False)
         return self.ctx.s_v_of(data)
 
