@@ -25,10 +25,12 @@ ad - bc = p^(2e) and its inverse is the adjugate with the same e.  A key
 is (a, n, j) with c = n / p^j and p not dividing n when j > 0;
 `_key_in` converts a VertexKey to it, refusing a c outside [0, p^a), and
 `_key_out` converts back.  The amalgam walk, its word normalization and
-its validation run on these tuples.  Fraction converts only at the edge:
-`_mat_in` reads a matrix in (refusing entries outside Z[1/p]), `_cleared`
-clears every denominator of a rational matrix by a homothety for the key
-functions, and `_mat_out` builds the returned factors.
+its validation run on these tuples; the walk reads of w * base only a,
+whether c lies in Z_p and c mod p^2 (`_walk_read`), and builds no key.
+Fraction converts only at the edge: `_mat_in` reads a matrix in (refusing
+entries outside Z[1/p]), `_cleared` clears every denominator of a
+rational matrix by a homothety for the key functions, and `_mat_out`
+builds the returned factors.
 
 `_tree_nbrs` gives the p children and the parent of a key in closed form
 on the plain tuple (a, n, p^j) that a VertexKey holds; `neighbors` wraps
@@ -214,13 +216,6 @@ def _ikey(m11: int, m12: int, m21: int, m22: int, vdet: int, p: int) -> IKey:
     return (a, *_reduce_mod_power(m12 * pow(u, -1, p ** (a + w)), w, a, p))
 
 
-def _ikey_of(m: IMat, p: int) -> IKey:
-    """Key of the class of the columns of an SL2 element: its integer
-    matrix has determinant p^(2e)."""
-    a, b, c, d, e = m
-    return _ikey(a, b, c, d, 2 * e, p)
-
-
 def _integral_basis(m: Mat2, p: int) -> tuple[int, int, int, int, int]:
     """(m11, m12, m21, m22, v_p(det)) of m with its denominators cleared,
     a homothety that keeps the class."""
@@ -238,8 +233,6 @@ def canonical_vertex(m: Mat2, p: int) -> VertexKey:
 
 
 LAMBDA0 = VertexKey(0, Fraction(0))
-K0 = (0, 0, 0)
-K1 = (1, 0, 0)
 
 
 def lambda0() -> VertexKey:
@@ -248,12 +241,6 @@ def lambda0() -> VertexKey:
 
 def lambda1() -> VertexKey:
     return VertexKey(1, Fraction(0))
-
-
-def _parent(k: IKey, p: int) -> IKey:
-    """The ball of radius p^-(a-1) around the ball (a, c)."""
-    a, n, j = k
-    return (a - 1, *_reduce_mod_power(n, j, a - 1, p))
 
 
 def distance(v1: VertexKey, v2: VertexKey, p: int) -> int:
@@ -322,22 +309,16 @@ def neighbors(v: VertexKey, p: int) -> list[VertexKey]:
     return [new(VertexKey, k) for k in _tree_nbrs(*v, p)]
 
 
-def _step_toward(v: IKey, t: IKey, p: int) -> IKey:
-    """step_toward on integer keys; for t = v it returns v's parent, which
-    the amalgam walk reads when w * base is (1, 0), one step from the base."""
-    a, n, j = v
-    if t[0] > a and _reduce_mod_power(t[1], t[2], a, p) == (n, j):
-        return (a + 1, *_reduce_mod_power(t[1], t[2], a + 1, p))
-    return _parent(v, p)
-
-
 def step_toward(v: VertexKey, t: VertexKey, p: int) -> VertexKey:
     """The neighbour of v on the path to t != v: the child ball of v that
-    holds t, or else v's parent."""
+    holds t, or else v's parent, the ball of radius p^-(a-1) around v."""
     v, t = _key_in(v, p), _key_in(t, p)
     if v == t:
         raise ValueError(f"no step from {_key_out(v, p)} toward itself")
-    return _key_out(_step_toward(v, t, p), p)
+    (a, n, j), (ta, tn, tj) = v, t
+    if ta > a and _reduce_mod_power(tn, tj, a, p) == (n, j):
+        return _key_out((a + 1, *_reduce_mod_power(tn, tj, a + 1, p)), p)
+    return _key_out((a - 1, *_reduce_mod_power(n, j, a - 1, p)), p)
 
 
 def act(g: Mat2, v: VertexKey, p: int) -> VertexKey:
@@ -480,15 +461,11 @@ class AmalgamWord:
             return False
 
 
-def _base_coset(a: int, n: int) -> IMat:
-    return I_ROT if a < 0 else (1, n, 0, 1, 0)
-
-
 def base_coset(v: VertexKey) -> Mat2:
     """The h in SL2(Z) with h (1, 0) = v, for a neighbour v of the base
     vertex: [[1, j], [0, 1]] for the child (1, j), the rotation for the
     parent (-1, 0)."""
-    return mat2(*_base_coset(*v[:2])[:4])
+    return mat2(0, -1, 1, 0) if v[0] < 0 else mat2(1, v[1], 0, 1)
 
 
 def _lambda1_coset(a: int, n: int, p: int) -> IMat:
@@ -508,19 +485,49 @@ def lambda1_coset(v: VertexKey, p: int) -> Mat2:
     return _mat_out(_lambda1_coset(*v[:2], p), p)
 
 
+def _walk_read(m: IMat, p: int) -> tuple[int, bool, int]:
+    """What the amalgam walk reads of the key (a, c) of the class of the
+    columns of an SL2 element m: a, whether c lies in Z_p, and c mod p^2
+    (0 when c does not).  After _ikey's column pivot, with w = v_p(m22):
+    a = 2e - 2w, c = m12 / m22 lies in Z_p iff m12 = 0 or v_p(m12) >= w,
+    and then c mod p^2 is (m12 / p^w)(m22 / p^w)^-1 mod p^2, one inverse
+    mod p^2."""
+    m11, m12, m21, m22, e = m
+    if m22 == 0 or (m21 != 0 and vp_int(m21, 1, p) < vp_int(m22, 1, p)):
+        m12, m22 = m11, m21
+    w = vp_int(m22, 1, p)
+    pw = p**w
+    if m12 % pw:
+        return (2 * e - 2 * w, False, 0)
+    pp = p * p
+    return (2 * e - 2 * w, True, m12 // pw * pow(m22 // pw, -1, pp) % pp)
+
+
 def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     """Greedy geodesic descent: peel a (G0, G1) factor pair per two steps
-    of the geodesic from the base vertex to g * base, until g fixes it."""
+    of the geodesic from the base vertex to g * base, until g fixes it.
+
+    w * base is the class of the columns of w, the base basis being I.
+    The step from the base toward the key (a, c) is the child (1, c mod p)
+    when a > 0 and c lies in Z_p, else the parent (-1, 0); the step from
+    (1, 0) is the child (2, c mod p^2) when moreover a > 1 and p divides
+    c, else the base.  So the walk reads _walk_read, never a whole key.
+    For g = [[a, b], [c, d]] / p^e normalized, some entry is prime to p
+    and ad - bc = p^(2e), so the columns' elementary divisors are 1 and
+    p^(2e): g * base lies 2e from the base and the walk takes e passes.  A
+    faulty read thus cannot loop, and _word_ok refuses the rest w when it
+    does not fix the base."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = _mat_in(g, p, sl2=True)
     factors = []
     w = g
-    # w * base is the class of the columns of w, the base basis being I
-    while (target := _ikey_of(w, p)) != K0:
-        h = _base_coset(*_step_toward(K0, target, p)[:2])
+    for _ in range(g[4]):
+        a, integral, c = _walk_read(w, p)
+        h = (1, c % p, 0, 1, 0) if a > 0 and integral else I_ROT
         w = _imul(_iinv(h), w, p)
-        q = _lambda1_coset(*_step_toward(K1, _ikey_of(w, p), p)[:2], p)
+        a, integral, c = _walk_read(w, p)
+        q = _lambda1_coset(2, c, p) if a > 1 and integral and c % p == 0 else I_IDENT
         w = _imul(_iinv(q), w, p)
         factors += [(h, G0_SIDE), (q, G1_SIDE)]
     factors.append((w, G0_SIDE))

@@ -430,11 +430,11 @@ class SpecializationContext:
             entries = [(int(perm[i]), x) for i, x in entries]
         return entries
 
-    def s_v_of(self, data) -> IndElem:
+    def s_v_of(self, data: tuple) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)), on the
-        (coefficient, case key) of each symbol, as y_symbol_data derives
-        them from local types."""
-        return IndElem(self, tuple((key, coeff) for coeff, key in data))
+        (case key, coefficient) of each symbol, as y_symbol_data derives
+        them from local types: the data are S_v's terms as they stand."""
+        return IndElem(self, data)
 
     def s_v(self, x: SymRP) -> IndElem:
         """S_v followed by (rho_0, rho_pi), reduced in RP~(GF(p)).  Each
@@ -470,7 +470,7 @@ class SpecializationContext:
         return padic_read(num, den, self.p) + padic_read(den - num, den, self.p)
 
     def y_symbol_data(self, ta: LocalType, tb: LocalType) -> tuple:
-        """(coefficient, case key) of each symbol of sym_y_relation(a, b),
+        """(case key, coefficient) of each symbol of sym_y_relation(a, b),
         in its order, from the local types of a and b alone: the parameters
         are a, b, b/a, (1 - a)b / (a(1 - b)) and (1 - a)/(1 - b), with the
         classes 1, 1, <a>, <(1 - a)/a>, <1 - a>.  A key is width * i + 2g + e
@@ -482,16 +482,16 @@ class SpecializationContext:
         one = 2 * gc[1]
         v3, v4, v5 = vb - va, wa + vb - va - wb, wa - wb
         return (
-            (1, width * ((1 + ua) if va == 0 else (0 if va > 0 else 1)) + one),
-            (-1, width * ((1 + ub) if vb == 0 else (0 if vb > 0 else 1)) + one),
-            (1, width * ((1 + ub * ia % p) if v3 == 0 else (0 if v3 > 0 else 1)) + 2 * gc[ua] + (va & 1)),
+            (width * ((1 + ua) if va == 0 else (0 if va > 0 else 1)) + one, 1),
+            (width * ((1 + ub) if vb == 0 else (0 if vb > 0 else 1)) + one, -1),
+            (width * ((1 + ub * ia % p) if v3 == 0 else (0 if v3 > 0 else 1)) + 2 * gc[ua] + (va & 1), 1),
             (
-                -1,
                 width * ((1 + xa * ub * ia * ixb % p) if v4 == 0 else (0 if v4 > 0 else 1))
                 + 2 * gc[xa * ia % p]
                 + ((wa - va) & 1),
+                -1,
             ),
-            (1, width * ((1 + xa * ixb % p) if v5 == 0 else (0 if v5 > 0 else 1)) + 2 * gc[xa] + (wa & 1)),
+            (width * ((1 + xa * ixb % p) if v5 == 0 else (0 if v5 > 0 else 1)) + 2 * gc[xa] + (wa & 1), 1),
         )
 
     def delta_pi(self, x: SymRP) -> RPtElem:

@@ -604,7 +604,8 @@ def test_amalgam_words_match_golden_digest():
 
 
 def test_amalgam_at_a_large_prime():
-    # nothing of size p is built: the walk reads its cosets off the keys
+    # nothing of size p is built: the walk reads its cosets off a, c in Z_p
+    # and c mod p^2
     p = 1000000007
     g = mat2(1, Fraction(1, p), 0, 1)
     w = amalgam_decompose(g, p)
@@ -822,3 +823,142 @@ def test_neighbors_match_the_fraction_reference(p, a, j, n):
     for u in got:
         assert tuple(u) == (u.a, u.c.numerator, u.c.denominator)
         assert hash(u) == hash(VertexKey(u.a, u.c))
+
+
+def _o_read(m, p):
+    """The walk's read (a, c in Z_p, c mod p^2 or 0) by the Fraction
+    oracle, with _o_key's pivot."""
+    (m11, m12), (m21, m22) = m
+    if m22 == 0 or (m21 != 0 and _o_vp(m21, p) < _o_vp(m22, p)):
+        m12, m22 = m11, m21
+    c = m12 / m22
+    integral = c == 0 or _o_vp(c, p) >= 0
+    return (_o_key(m, p)[0], integral, int(_o_reduce(c, 2, p)) if integral else 0)
+
+
+def _random_sl2_form(rng, p):
+    """The integer form of a random element of SL2(Z[1/p]): a product of
+    elementary matrices, diagonals diag(p^k, p^-k) and the rotation, so
+    that m12 = 0, p | m22 and the column swap all occur."""
+    g = IDENT
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(4)
+        x = Fraction(rng.randint(-30, 30), p ** rng.randint(0, 3))
+        if kind == 0:
+            g = mat_mul(g, mat2(1, x, 0, 1))
+        elif kind == 1:
+            g = mat_mul(g, mat2(1, 0, x, 1))
+        elif kind == 2:
+            k = rng.randint(-3, 3)
+            g = mat_mul(g, mat2(Fraction(p) ** k, 0, 0, Fraction(p) ** -k))
+        else:
+            g = mat_mul(g, mat2(0, -1, 1, 0))
+    return tree._mat_in(g, p, sl2=True)
+
+
+@pytest.mark.parametrize("p, count", [(2, 400), (3, 400), (5, 400), (7, 400), (11, 400), (1000000007, 30)])
+def test_walk_read_matches_the_full_key(p, count):
+    # the walk reads (a, c in Z_p, c mod p^2) of w * base; the Fraction
+    # oracle gives all three, and _ikey's key (a, n / p^j) gives a, c in Z_p
+    # when a >= 0 (then j = 0 exactly for c in Z_p) and c mod p^min(a, 2)
+    rng = random.Random(3000 + p)
+    seen = {"m12 = 0": 0, "p | m22": 0, "swap": 0, "c not in Z_p": 0, "a > 1, p | c": 0}
+    for _ in range(count):
+        form = _random_sl2_form(rng, p)
+        m11, m12, m21, m22, e = form
+        read = tree._walk_read(form, p)
+        assert read == _o_read(mat2(m11, m12, m21, m22), p), form
+        a, integral, c = read
+        ka, kn, kj = tree._ikey(m11, m12, m21, m22, 2 * e, p)
+        assert ka == a
+        if a >= 0:
+            assert (kj == 0) == integral
+        if integral and a >= 1:
+            mod = p ** min(a, 2)
+            assert kn % mod == c % mod
+        swap = m22 == 0 or (m21 != 0 and vp(m21, p) < vp(m22, p))
+        seen["swap"] += swap
+        seen["m12 = 0"] += (m11 if swap else m12) == 0
+        seen["p | m22"] += m22 != 0 and m22 % p == 0
+        seen["c not in Z_p"] += not integral
+        seen["a > 1, p | c"] += a > 1 and integral and c % p == 0
+    assert all(seen.values()), seen
+
+
+def _seeded_words(p, count=100):
+    rng = random.Random(4000 + p)
+    return [_random_sl2_zp_inv(rng, p, max_den_pow=4) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 11])
+def test_a_read_one_too_large_is_refused(monkeypatch, p):
+    # c mod p^2 one too large steps to the wrong child on every pass that
+    # reads a child, and every word off G0 reads one: _word_ok refuses it
+    read = tree._walk_read
+    words = _seeded_words(p)
+    want = [amalgam_decompose(g, p).factors for g in words]
+
+    def one_too_large(m, q):
+        a, integral, c = read(m, q)
+        return (a, integral, (c + 1) % (q * q))
+
+    monkeypatch.setattr(tree, "_walk_read", one_too_large)
+    refused = 0
+    for g, factors in zip(words, want):
+        if in_g0(g, p):
+            assert amalgam_decompose(g, p).factors == factors
+            continue
+        with pytest.raises(AssertionError, match="^amalgam decomposition failed to validate$"):
+            amalgam_decompose(g, p)
+        refused += 1
+    assert refused > len(words) // 2
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 11])
+def test_a_read_that_calls_c_integral_is_refused(monkeypatch, p):
+    # reporting c in Z_p for a c outside it, with a > 0, steps to a child
+    # instead of the parent; the word is refused exactly when that happened
+    read = tree._walk_read
+    told = []
+
+    def lying(m, q):
+        a, integral, c = read(m, q)
+        if a > 0 and not integral:
+            told.append(m)
+        return (a, True, c)
+
+    words = _seeded_words(p)
+    want = [amalgam_decompose(g, p).factors for g in words]
+    monkeypatch.setattr(tree, "_walk_read", lying)
+    refused = 0
+    for g, factors in zip(words, want):
+        told.clear()
+        try:
+            got = amalgam_decompose(g, p).factors
+        except AssertionError as e:
+            assert str(e) == "amalgam decomposition failed to validate"
+            assert told
+            refused += 1
+        else:
+            assert not told and got == factors
+    assert refused > len(words) // 4
+
+
+def test_the_walk_builds_no_key(monkeypatch):
+    calls = []
+    ikey = tree._ikey
+
+    def counted(*args):
+        calls.append(args)
+        return ikey(*args)
+
+    monkeypatch.setattr(tree, "_ikey", counted)
+    for p in (5, 7, 11):
+        for g in _seeded_words(p, 40):
+            assert amalgam_decompose(g, p).validate(g)
+    assert calls == []
+    g = mat2(1, Fraction(1, 7), 0, 1)
+    canonical_vertex(g, 7)
+    assert len(calls) == 1
+    act(g, lambda0(), 7)
+    assert len(calls) == 2

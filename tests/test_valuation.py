@@ -437,7 +437,7 @@ def _y_data_agree(ctx, a, b):
         (ctx.case_key(*_ref_symbol_data(ctx, cls, t)), coeff)
         for (cls, t), coeff in sym_y_relation(a, b).items()
     )
-    derived = _net((key, coeff) for coeff, key in ctx.y_symbol_data(ctx.local_type(a), ctx.local_type(b)))
+    derived = _net(ctx.y_symbol_data(ctx.local_type(a), ctx.local_type(b)))
     return read == derived
 
 
@@ -584,7 +584,7 @@ def test_keyed_reads_are_whole_groups():
             ctx.cases.contains({key: 1})
         if isinstance(key, int):
             with pytest.raises(ValueError, match="S_v case"):
-                ctx.s_v_of([(1, key)]).comp0
+                ctx.s_v_of([(key, 1)]).comp0
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -668,7 +668,7 @@ def test_a_case_key_collision_fails_the_suite(monkeypatch):
         return IndElem(self, tuple((collide(self, key), c) for key, c in s_v(self, x).terms))
 
     def colliding_y(self, ta, tb):
-        return tuple((c, collide(self, key)) for c, key in y_symbol_data(self, ta, tb))
+        return tuple((collide(self, key), c) for key, c in y_symbol_data(self, ta, tb))
 
     ctx = specialization(11)
     assert ctx.symbol_data(QONE, Fraction(1, 11)) != ctx.symbol_data(QONE, Fraction(11))
@@ -684,8 +684,8 @@ def test_y_sweep_fails_when_a_datum_coefficient_flips(monkeypatch):
     y_symbol_data = SpecializationContext.y_symbol_data
 
     def flipped(self, ta, tb):
-        (coeff, key), *rest = y_symbol_data(self, ta, tb)
-        return ((-coeff, key), *rest)
+        (key, coeff), *rest = y_symbol_data(self, ta, tb)
+        return ((key, -coeff), *rest)
 
     ctx = specialization(11)
     vals = verify.sweep_values(5)
@@ -713,7 +713,7 @@ class _CountedSvOf:
 
     def s_v_of(self, data):
         self.seen.append(data)
-        if self.fail_off_units and any(self.ctx.case_of(key)[0][0] for _, key in data):
+        if self.fail_off_units and any(self.ctx.case_of(key)[0][0] for key, _ in data):
             return SimpleNamespace(is_zero=lambda: False)
         return self.ctx.s_v_of(data)
 
