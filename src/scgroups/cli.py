@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -91,6 +92,19 @@ def _ring_of(label: str) -> Ring:
 MAX_TREE_PRIME = 10**12
 
 
+# largest e of p^e in the common denominator that `amalgam` accepts: the
+# walk takes e passes and each reads valuations of entries about as long
+# as p^e, so its time grows as e^2 times their bit length.  Python by
+# default refuses to parse an integer of more than 4300 digits, which
+# bounds those bits.
+# Measured one process each on a 2-CPU machine, with [[1, N / p^e], [0, 1]]
+# and N of 4 290 digits: at e = 800, 0.6 s at p = 2, 0.9 s at p = 7 and
+# 3.3 s at p = 236 449, the largest prime whose 800th power parses; at
+# e = 1000, 5.3 s at p = 19 891; with N = 1, 6.8 s at e = 1500 (p = 733)
+# and 11.9 s at e = 2000 (p = 139)
+MAX_AMALGAM_EXPONENT = 800
+
+
 def _prime_of(p: int, cap: int = MAX_RING_SIZE) -> int:
     """The prime of a command, refused above cap before the trial division
     of is_prime runs.  The default cap is for `specialize` and the prime
@@ -107,6 +121,17 @@ def _check_ball(p: int, radius: int) -> None:
         raise ValueError(
             f"ball of radius {radius} at p = {p} has {size} vertices, "
             f"more than {MAX_BALL_VERTICES}"
+        )
+
+
+def _check_amalgam_exponent(g, p: int) -> None:
+    """Refuse a matrix whose common denominator holds p^e with e above
+    MAX_AMALGAM_EXPONENT before the walk runs; a p below 2 is left to the
+    walk's own refusal."""
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    if p > 1 and den % p ** (MAX_AMALGAM_EXPONENT + 1) == 0:
+        raise ValueError(
+            f"--matrix has {p}^e in its denominator with e more than {MAX_AMALGAM_EXPONENT}"
         )
 
 
@@ -492,7 +517,9 @@ def cmd_tree(args) -> int:
 
 def cmd_amalgam(args) -> int:
     g = parse_matrix_arg(args.matrix)
-    word = tree.amalgam_decompose(g, _prime_of(args.p, MAX_TREE_PRIME))
+    p = _prime_of(args.p, MAX_TREE_PRIME)
+    _check_amalgam_exponent(g, p)
+    word = tree.amalgam_decompose(g, p)
     rep = {
         "p": args.p,
         "matrix": _mat_str(g),

@@ -24,9 +24,10 @@ four entries, so equal matrices have equal tuples; an SL2 element has
 ad - bc = p^(2e) and its inverse is the adjugate with the same e.  A key
 is (a, n, j) with c = n / p^j and p not dividing n when j > 0;
 `_key_in` converts a VertexKey to it, refusing a c outside [0, p^a), and
-`_key_out` converts back.  The amalgam walk, its word normalization and
-its validation run on these tuples; the walk reads of w * base only a,
-whether c lies in Z_p and c mod p^2 (`_walk_read`), and builds no key.
+`_key_out` converts back.  The amalgam walk and its validation run on
+these tuples; the walk writes its word in normal form as it goes, reads
+of w * base only a, whether c lies in Z_p and c mod p^2 (`_walk_read`),
+and builds no key.
 Fraction converts only at the edge: `_mat_in` reads a matrix in (refusing
 entries outside Z[1/p]), `_cleared` clears every denominator of a
 rational matrix by a homothety for the key functions, and `_mat_out`
@@ -94,7 +95,6 @@ def g_pi(p: int) -> Mat2:
 # integer matrices over a power of p, and the conversions at the edge
 
 I_IDENT = (1, 0, 0, 1, 0)
-I_NEG = (-1, 0, 0, -1, 0)
 I_ROT = (0, -1, 1, 0, 0)
 
 
@@ -130,11 +130,6 @@ def _iinv(x: IMat) -> IMat:
     """Inverse of an SL2 element: det = p^(2e), so the adjugate over p^e."""
     a, b, c, d, e = x
     return (d, -b, -c, a, e)
-
-
-def _ineg(x: IMat) -> IMat:
-    a, b, c, d, e = x
-    return (-a, -b, -c, -d, e)
 
 
 class VertexKey(tuple):
@@ -505,110 +500,72 @@ def _walk_read(m: IMat, p: int) -> tuple[int, bool, int]:
 
 def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
     """Greedy geodesic descent: peel a (G0, G1) factor pair per two steps
-    of the geodesic from the base vertex to g * base, until g fixes it.
+    of the geodesic from the base vertex to g * base, until g fixes it,
+    writing the word in normal form as it goes.
 
     w * base is the class of the columns of w, the base basis being I.
     The step from the base toward the key (a, c) is the child (1, c mod p)
     when a > 0 and c lies in Z_p, else the parent (-1, 0); the step from
-    (1, 0) is the child (2, c mod p^2) when moreover a > 1 and p divides
-    c, else the base.  So the walk reads _walk_read, never a whole key.
-    For g = [[a, b], [c, d]] / p^e normalized, some entry is prime to p
-    and ad - bc = p^(2e), so the columns' elementary divisors are 1 and
-    p^(2e): g * base lies 2e from the base and the walk takes e passes.  A
-    faulty read thus cannot loop, and _word_ok refuses the rest w when it
-    does not fix the base."""
+    (1, 0) is the child (2, c mod p^2) when moreover p divides c, else the
+    base.  So the walk reads _walk_read, never a whole key.  For g =
+    [[a, b], [c, d]] / p^e normalized, some entry is prime to p and ad - bc
+    = p^(2e), so the columns' elementary divisors are 1 and p^(2e): g * base
+    lies 2e from the base and the walk takes e passes.  A faulty read thus
+    cannot loop, and _word_ok refuses the rest w when it does not fix the
+    base.
+
+    The word is built in normal form: a G0 factor, (1, r, 0, 1, 0) with
+    0 <= r < p or the rotation, lies in the edge group only when it is I,
+    and a G1 factor is I or over p^1, never in G0.  So push drops I and
+    merges same-side neighbours, and only the rest w, when it lies in the
+    edge group (-I included), is folded into the last factor."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = _mat_in(g, p, sl2=True)
-    factors = []
+    word = []
+
+    def push(m: IMat, side: int) -> None:
+        if m == I_IDENT:
+            return
+        if word and word[-1][1] == side:
+            word[-1] = (_imul(word[-1][0], m, p), side)
+        else:
+            word.append((m, side))
+
     w = g
     for _ in range(g[4]):
         a, integral, c = _walk_read(w, p)
         h = (1, c % p, 0, 1, 0) if a > 0 and integral else I_ROT
         w = _imul(_iinv(h), w, p)
+        push(h, G0_SIDE)
+        # a = 2e - 2 v_p(m22) is even, so a > 0 here means a > 1
         a, integral, c = _walk_read(w, p)
-        q = _lambda1_coset(2, c, p) if a > 1 and integral and c % p == 0 else I_IDENT
+        q = _lambda1_coset(2, c, p) if a > 0 and integral and c % p == 0 else I_IDENT
         w = _imul(_iinv(q), w, p)
-        factors += [(h, G0_SIDE), (q, G1_SIDE)]
-    factors.append((w, G0_SIDE))
-    factors = _normalize_word(factors, p)
-    if not _word_ok(factors, g, p):
+        push(q, G1_SIDE)
+    # w has determinant 1, so e = 0 and p | b put it in the edge group
+    if word and w[4] == 0 and w[1] % p == 0:
+        word[-1] = (_imul(word[-1][0], w, p), word[-1][1])
+    else:
+        push(w, G0_SIDE)
+    word = word or [(w, G0_SIDE)]
+    if not _word_ok(word, g, p):
         raise AssertionError("amalgam decomposition failed to validate")
-    return AmalgamWord(factors=[(_mat_out(m, p), s) for m, s in factors], p=p)
-
-
-def _in_edge_group(m: IMat, p: int) -> bool:
-    return _in_g0(m, 1) and _in_g1(m, 1, p)
-
-
-def _normalize_word(factors: list, p: int) -> list:
-    """Drop identity factors, fold central -I into a neighboring factor,
-    absorb edge-group factors into a neighbor (the edge group lies in both
-    sides), and merge any same-side runs that the absorptions create."""
-    work = []
-    pending_neg = False
-    for m, s in factors:
-        if pending_neg:
-            m = _ineg(m)
-            pending_neg = False
-        if m == I_IDENT:
-            continue
-        if m == I_NEG:
-            if work:
-                pm, ps = work[-1]
-                work[-1] = (_ineg(pm), ps)
-            else:
-                pending_neg = True
-            continue
-        work.append((m, s))
-    if pending_neg:
-        if work:
-            m, s = work[0]
-            work[0] = (_ineg(m), s)
-        else:
-            work = [(I_NEG, G0_SIDE)]
-    if not work:
-        return [(I_IDENT, G0_SIDE)]
-    out = []
-    for m, s in work:
-        if out and _in_edge_group(m, p):
-            pm, ps = out[-1]
-            out[-1] = (_imul(pm, m, p), ps)
-        else:
-            out.append((m, s))
-    if len(out) > 1 and _in_edge_group(out[0][0], p):
-        m0, _ = out.pop(0)
-        m1, s1 = out[0]
-        out[0] = (_imul(m0, m1, p), s1)
-    merged = [out[0]]
-    for m, s in out[1:]:
-        pm, ps = merged[-1]
-        if ps == s:
-            merged[-1] = (_imul(pm, m, p), s)
-        else:
-            merged.append((m, s))
-    return merged
+    return AmalgamWord(factors=[(_mat_out(m, p), s) for m, s in word], p=p)
 
 
 def gamma_membership(g: Mat2, level: int, p: int) -> bool:
     """Congruence tests relative to the maximal ideal: level 0 needs the
     lower-left entry in pZ_(p); level 1 adds the upper-right; level 2 adds
-    the difference of the diagonal entries."""
-    g = tuple((Fraction(x), Fraction(y)) for x, y in g)
-    if not in_g0(g, p):
+    the difference of the diagonal entries.  In SL2(Z_(p)) the common
+    denominator is prime to p, so each test is p | numerator."""
+    m, den = _local_form(g, p)
+    if not _in_g0(m, den):
         raise ValueError("argument must lie in SL2(Z_(p))")
-    (a, b), (c, d) = g
-
-    def in_m(x):
-        return x == 0 or vp(x, p) >= 1
-
-    if level == 0:
-        return in_m(c)
-    if level == 1:
-        return in_m(c) and in_m(b)
-    if level == 2:
-        return in_m(c) and in_m(b) and in_m(a - d)
-    raise ValueError("level must be 0, 1 or 2")
+    if level not in (0, 1, 2):
+        raise ValueError("level must be 0, 1 or 2")
+    a, b, c, d, _ = m
+    return all(x % p == 0 for x in (c, b, a - d)[: level + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,7 @@ def test_tree_vertex(capsys):
         ["group", "P", "--ring", "gf(11)", "--format", "csv"],
         ["--format", "csv", "tree", "ball", "--p", "5"],
         ["amalgam", "--p", "7", "--matrix", "1,1/7;0,1", "--format", "csv"],
+        ["amalgam", "--p", "7", "--matrix", f"1,1/{7 ** (cli.MAX_AMALGAM_EXPONENT + 1)};0,1"],
     ],
 )
 def test_rejected_inputs_exit_2(capsys, args):
@@ -441,6 +442,24 @@ def test_oversized_tree_prime_rejected_before_primality_test(capsys, monkeypatch
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and f"more than {cli.MAX_TREE_PRIME}" in err
+
+
+@pytest.mark.parametrize("p", [2, 7, 131])
+def test_deep_amalgam_refused_before_the_walk(capsys, monkeypatch, p):
+    class Walked(Exception):
+        pass
+
+    def walk(g, q):
+        raise Walked
+
+    monkeypatch.setattr(cli.tree, "amalgam_decompose", walk)
+    cap = cli.MAX_AMALGAM_EXPONENT
+    # the exponent is read off the common denominator, whichever entry holds it
+    with pytest.raises(Walked):
+        main(["amalgam", "--p", str(p), "--matrix", f"1,0;1/{p**cap},1"])
+    code, out, err = run_cli(["amalgam", "--p", str(p), "--matrix", f"1,0;3/{p ** (cap + 1)},1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {cap}" in err
 
 
 def test_tree_vertex_without_matrix_is_usage_error(capsys):

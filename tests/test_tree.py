@@ -585,6 +585,43 @@ def _random_sl2_zp_inv(rng, p, max_den_pow=3):
     return g
 
 
+def _wide_word(rng, p):
+    """A product of up to seven factors: [[1, x], [0, 1]] or [[1, 0], [x, 1]]
+    with x in p^-3 Z, the rotation S, or -I.  Its walk ends on every kind
+    of rest: I, -I, another edge-group element and one in G0 only."""
+    g = IDENT
+    for _ in range(rng.randint(0, 7)):
+        r = rng.random()
+        if r < 0.15:
+            f = mat2(0, -1, 1, 0)
+        elif r < 0.25:
+            f = mat2(-1, 0, 0, -1)
+        else:
+            x = Fraction(rng.randint(-3 * p, 3 * p), p ** rng.randint(0, 3))
+            f = mat2(1, x, 0, 1) if r < 0.6 else mat2(1, 0, x, 1)
+        g = mat_mul(g, f)
+    return g
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_amalgam_words_are_in_normal_form(p):
+    # the walk writes the normal form itself: sides alternate, a word of
+    # more than one factor holds no edge-group factor (I and -I included),
+    # and the word is no longer than the geodesic to g * base, plus one
+    rng = random.Random(4100 + p)
+    neg = mat_scale(-1, IDENT)
+    for _ in range(3000):
+        g = _wide_word(rng, p)
+        w = amalgam_decompose(g, p)
+        sides = w.sides()
+        assert all(s1 != s2 for s1, s2 in zip(sides, sides[1:]))
+        if len(w) > 1:
+            for m, _ in w.factors:
+                assert m != IDENT and m != neg
+                assert not (in_g0(m, p) and in_g1(m, p))
+        assert len(w) <= distance(lambda0(), act(g, lambda0(), p), p) + 1
+
+
 # sha256 of the factor lists below, taken from the decomposition that
 # scanned the neighbours with the matrix distance and read its cosets from
 # per-prime tables
@@ -641,6 +678,42 @@ def test_gamma_membership_level2_positive_case():
 def test_gamma_membership_rejects_nonintegral():
     with pytest.raises(ValueError):
         gamma_membership(mat2(1, Fraction(1, 5), 0, 1), 0, 5)
+
+
+def _gamma_by_fractions(g, level, p):
+    """Oracle: the congruence tests read off the Fraction entries."""
+    (a, b), (c, d) = g
+    return all(x == 0 or vp(x, p) >= 1 for x in (c, b, a - d)[: level + 1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gamma_membership_matches_the_fraction_formula(p):
+    # products over Z_(p) of unipotents, diag(u, 1/u) and -I, with entries
+    # in pZ_(p) half of the time so that every level holds and fails
+    rng = random.Random(4200 + p)
+    dens = [k for k in (1, 2, 3, 4, 5, 7, 9, 11) if k % p]
+    outcomes = set()
+    for _ in range(400):
+        g = IDENT
+        for _ in range(rng.randint(0, 4)):
+            x = Fraction(rng.randint(-9, 9) * rng.choice([1, p]), rng.choice(dens))
+            u = Fraction(rng.choice(dens), rng.choice(dens))
+            f = rng.choice(
+                [mat2(1, x, 0, 1), mat2(1, 0, x, 1), mat2(u, 0, 0, 1 / u), mat2(-1, 0, 0, -1)]
+            )
+            g = mat_mul(g, f)
+        for level in (0, 1, 2):
+            want = _gamma_by_fractions(g, level, p)
+            assert gamma_membership(g, level, p) == want
+            outcomes.add((level, want))
+        with pytest.raises(ValueError, match="level"):
+            gamma_membership(g, 3, p)
+        # off SL2(Z_(p)) is refused before the level is read
+        for off in (mat_mul(g, mat2(1, Fraction(1, p), 0, 1)), mat_scale(p, g)):
+            for level in (0, 3):
+                with pytest.raises(ValueError, match="SL2"):
+                    gamma_membership(off, level, p)
+    assert len(outcomes) == 6
 
 
 def test_dot_output():
