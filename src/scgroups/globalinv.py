@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import odd_part
-from .rings import GF, is_prime
+from .rings import GF, is_prime, sufficiently_large
 from .scissors import context
 
 
@@ -87,7 +87,7 @@ def pbar_order(desc: GlobalFieldDesc, p: int) -> PBarReport:
     by the image of c exactly when 3 | p+1) must agree."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p < 11:
+    if not sufficiently_large(p):
         raise ValueError("the corollary branch needs p >= 11")
     total = odd_part(p + 1)
     killed = odd_part(math.gcd(desc.w2, p + 1))

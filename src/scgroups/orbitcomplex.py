@@ -32,11 +32,12 @@ class RowComplex:
     def d4(self) -> list:
         """Sparse rows {flat index: coefficient}, row g * m + k: the
         G-translates of the m relations Y_{x,y} of RP, one per admissible
-        pair, built on first read and kept (only the checks of the complex
-        read them)."""
+        pair, moved by RP's ``act_permutation``, built on first read and
+        kept (only the checks of the complex read them)."""
         m = self.ctx.refined()
-        n, rows = m.ngens, m.table.rows()
-        return [{((i // n) ^ g) * n + i % n: c for i, c in r.items()} for g in range(self.ctx.G.order) for r in rows]
+        rows = m.table.rows()
+        perms = [m.act_permutation(g).tolist() for g in range(self.ctx.G.order)]
+        return [{perm[i]: c for i, c in r.items()} for perm in perms for r in rows]
 
     def homology_at(self, position: int) -> FpAb:
         """Homology of ... -> C2 -> C1 -> Z[G] -> Z -> Z at positions 1..3

@@ -3,19 +3,24 @@ truncated polynomial rings GF(q)[t]/(t^m)) with exact, fully enumerated
 arithmetic: units, the set W = {a : a and 1-a invertible}, the one-units
 U1 = 1 + m, square classes, and residue maps.
 
-All rings in scope are small (at most a few hundred elements).  The
-element list, the inverses of the units, W and U1 are tabulated once at
-construction.  Arithmetic in GF(p^d), d > 1, is a lookup in O(q) Zech-
-logarithm tables; GF(p) and Z/p^n compute modulo an integer, and
-GF(q)[t]/(t^m) multiplies truncated polynomials over its base field.
-Square classes and the unit-group basis are built on request.
+All rings in scope are small (at most a few hundred elements) and local.
+The element list, the units (the elements with a nonzero residue), W and
+U1 are tabulated at construction.  Arithmetic in GF(p^d), d > 1, is a
+lookup in O(q) Zech-logarithm tables; GF(p) and Z/p^n compute modulo an
+integer, and GF(q)[t]/(t^m) multiplies truncated polynomials over its
+base field.
+
+The cyclic decomposition of the unit group (``unit_group_basis``) is the
+one description of the units: a ring builds it on first read and keeps
+it, and the inverse table (built on first read too) and the square classes
+read its exponents.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 
@@ -52,21 +57,22 @@ def prime_power_decompose(q: int) -> Optional[tuple[int, int]]:
     return (q, 1)
 
 
-# |F| values excluded by the size hypothesis (p-1)d > 6
-_SMALL_FIELD_SIZES = {2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 64}
-
-
 def sufficiently_large(q: int) -> bool:
-    if prime_power_decompose(q) is None:
+    """The paper's size hypothesis on a field of q = p^d elements:
+    (p - 1)d > 6."""
+    pd = prime_power_decompose(q)
+    if pd is None:
         raise ValueError(f"{q} is not a prime power")
-    return q not in _SMALL_FIELD_SIZES
+    p, d = pd
+    return (p - 1) * d > 6
 
 
 class Ring:
     """Base class: a finite commutative local ring with tabulated arithmetic.
 
     Elements are opaque hashable values; ``elements`` fixes the canonical
-    enumeration order used everywhere for reproducibility.
+    enumeration order used everywhere for reproducibility.  The units are
+    the elements with a nonzero residue.
     """
 
     kind: str
@@ -80,8 +86,8 @@ class Ring:
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.zero = self.elements[0]
         self.one = self._one()
-        self.units = [x for x in self.elements if self._inverse(x) is not None]
-        self._inv = {u: self._inverse(u) for u in self.units}
+        zero = self.residue_field().zero
+        self.units = [x for x in self.elements if self.residue(x) != zero]
         self._unit_set = set(self.units)
         self.w_set = [a for a in self.units if self.sub(self.one, a) in self._unit_set]
         w = set(self.w_set)
@@ -103,9 +109,6 @@ class Ring:
     def _one(self):
         raise NotImplementedError
 
-    def _inverse(self, a):
-        raise NotImplementedError
-
     def residue_field(self) -> "GF":
         raise NotImplementedError
 
@@ -116,8 +119,22 @@ class Ring:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    @cached_property
+    def unit_decomposition(self) -> tuple[list, list, dict]:
+        """(gens, orders, dlog) of ``unit_group_basis``, built on first read
+        and kept."""
+        return unit_group_basis(self)
+
+    @cached_property
+    def _inverses(self) -> dict:
+        """Each unit's inverse: the unit whose exponents are its negated
+        exponents."""
+        _, orders, dlog = self.unit_decomposition
+        unit_of = {e: u for u, e in dlog.items()}
+        return {u: unit_of[tuple(-x % n for x, n in zip(e, orders))] for u, e in dlog.items()}
+
     def inv(self, a):
-        r = self._inv.get(a)
+        r = self._inverses.get(a)
         if r is None:
             raise ValueError(f"{a!r} is not a unit of {self.label}")
         return r
@@ -323,14 +340,6 @@ class GF(Ring):
             return self.zero
         return self._exp[la + lb]
 
-    def _inverse(self, a):
-        if self.d == 1:
-            return pow(a, -1, self.p) if a % self.p else None
-        la = self._log[a]
-        if la is None:
-            return None
-        return self._exp[self.q - 1 - la]
-
     def residue_field(self):
         return self
 
@@ -369,11 +378,6 @@ class ZMod(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.modulus
-
-    def _inverse(self, a):
-        if a % self.p == 0:
-            return None
-        return pow(a, -1, self.modulus)
 
     def residue_field(self):
         return self._res
@@ -423,19 +427,6 @@ class TruncPoly(Ring):
                     break
                 out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
         return tuple(out)
-
-    def _inverse(self, a):
-        if a[0] == self.base.zero:
-            return None
-        # constant-term inverse plus geometric-series correction
-        c = self.base._inverse(a[0])
-        inv = (c,) + (self.base.zero,) * (self.m - 1)
-        # Newton iteration: x -> x*(2 - a*x), quadratic convergence
-        for _ in range(self.m):
-            ax = self.mul(a, inv)
-            two_minus = self.sub(self.add(self._one(), self._one()), ax)
-            inv = self.mul(inv, two_minus)
-        return inv
 
     def residue_field(self):
         return self.base
@@ -563,43 +554,28 @@ class SqClassGroup:
 
 
 def square_classes(ring: Ring) -> SqClassGroup:
-    """Partition the units into square classes by brute-force enumeration
-    of the squares, then coordinatize the quotient as an F2-space."""
-    squares = sorted({ring.index[ring.mul(u, u)] for u in ring.units})
-    square_elems = [ring.elements[i] for i in squares]
-    class_of_unit: dict = {}
-    rep_of_class: list = []
+    """A^x/(A^x)^2 read off the unit group's decomposition: a unit's class
+    is the parity of its exponents at the even-order generators.  The basis
+    is the first unit, in canonical order, of each class not yet spanned,
+    and each class's rep is its first unit."""
+    _, orders, dlog = ring.unit_decomposition
+    even = [i for i, n in enumerate(orders) if n % 2 == 0]
+    parity = {u: sum((e[i] & 1) << k for k, i in enumerate(even)) for u, e in dlog.items()}
+    basis: list = []
+    mask_of = {0: 0}  # parity -> bitmask over the basis
+    reps: list = [None] * (1 << len(even))
     for u in ring.units:
-        if u in class_of_unit:
-            continue
-        cid = len(rep_of_class)
-        rep_of_class.append(u)
-        for s in square_elems:
-            class_of_unit[ring.mul(u, s)] = cid
-    ncls = len(rep_of_class)
-    # multiplication on discovery ids
-    def cid_mul(i, j):
-        return class_of_unit[ring.mul(rep_of_class[i], rep_of_class[j])]
-
-    basis: list[int] = []
-    mask_of_cid = {class_of_unit[ring.one]: 0}
-    for cid in range(ncls):
-        if cid in mask_of_cid:
-            continue
-        bit = 1 << len(basis)
-        basis.append(rep_of_class[cid])
-        for old in list(mask_of_cid):
-            new_cid = cid_mul(cid, old)
-            mask_of_cid[new_cid] = mask_of_cid[old] | bit
-    assert len(mask_of_cid) == ncls
-    class_table = {u: mask_of_cid[c] for u, c in class_of_unit.items()}
-    reps = [None] * ncls
-    for cid, mask in mask_of_cid.items():
-        reps[mask] = rep_of_class[cid]
-    rank = len(basis)
-    return SqClassGroup(
-        ring=ring, rank=rank, basis=basis, class_table=class_table, reps=reps
-    )
+        c = parity[u]
+        if c not in mask_of:
+            bit = 1 << len(basis)
+            basis.append(u)
+            for old, mask in list(mask_of.items()):
+                mask_of[old ^ c] = mask | bit
+        mask = mask_of[c]
+        if reps[mask] is None:
+            reps[mask] = u
+    class_table = {u: mask_of[c] for u, c in parity.items()}
+    return SqClassGroup(ring=ring, rank=len(basis), basis=basis, class_table=class_table, reps=reps)
 
 
 def element_orders(ring: Ring) -> dict:

@@ -34,7 +34,7 @@ from .linalg import AbMap, FpAb, KeyedFpAb, RowTable, SubgroupPres, _dense, ab_q
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
 from .linalg import hnf_rows  # noqa: F401
-from .rings import Ring, parse_ring, square_classes, unit_group_basis
+from .rings import Ring, parse_ring, square_classes
 
 # ---------------------------------------------------------------------------
 # symbolic elements
@@ -122,16 +122,11 @@ class ScissorsContext:
         return self.refined().coinvariants()
 
     # -- symmetric square of the units ----------------------------------------
-    def unit_decomposition(self):
-        if "unit_basis" not in self._cache:
-            self._cache["unit_basis"] = unit_group_basis(self.ring)
-        return self._cache["unit_basis"]
-
     def s2_of_units(self) -> FpAb:
         """S^2_Z(A^x) on the tensor basis g_i (x) g_j of a cyclic
         decomposition, modulo the symmetry relations."""
         if "S2" not in self._cache:
-            gens, orders, _ = self.unit_decomposition()
+            gens, orders, _ = self.ring.unit_decomposition
             r = len(gens)
             rows = []
             for i in range(r):
@@ -143,7 +138,7 @@ class ScissorsContext:
 
     def s2_row(self, a, b) -> dict:
         """Class of a (x) b in the tensor coordinates, as a sparse row."""
-        gens, _, dlog = self.unit_decomposition()
+        gens, _, dlog = self.ring.unit_decomposition
         r = len(gens)
         ea, eb = dlog[a], dlog[b]
         return {i * r + j: x * y for i, x in enumerate(ea) if x for j, y in enumerate(eb) if y}
@@ -462,28 +457,51 @@ class ScissorsContext:
             "spans_odd": quot.odd_order_trivial(),
         }
 
+    # -- unit codes ------------------------------------------------------------
+    def _unit_codes(self) -> tuple:
+        """(order, stride, w_of), built once: the orders of the cyclic
+        factors of the unit group (``Ring.unit_decomposition``), the strides
+        that code an exponent vector e as the mixed-radix number e @ stride,
+        and w_of[code], the W index of the unit with that code (-1 outside
+        W).  A product or quotient of units is a sum or difference of
+        exponents mod order, read back through w_of."""
+        if "unit codes" not in self._cache:
+            orders = self.ring.unit_decomposition[1]
+            stride = np.cumprod([1] + orders[:-1], dtype=np.int64)
+            w_of = np.full(math.prod(orders), -1, dtype=np.int64)
+            w_of[self._exponents(self.W) @ stride] = np.arange(len(self.W))
+            self._cache["unit codes"] = (np.array(orders, dtype=np.int64), stride, w_of)
+        return self._cache["unit codes"]
+
+    def _exponents(self, units) -> np.ndarray:
+        """The exponent vectors of a list of units, one row each."""
+        dlog = self.ring.unit_decomposition[2]
+        return np.array([dlog[u] for u in units], dtype=np.int64).reshape(len(units), -1)
+
     # -- L_B and the residue sequence ---------------------------------------------
     def _one_unit_shifts(self) -> list[tuple]:
         """(u, the W indices of a u over a in W) for each one-unit u, 1
-        included: multiplication by u on W's indices, built once.  A product
-        outside W is an AssertionError: u is no one-unit."""
+        included: multiplication by u on W's indices, read through
+        ``_unit_codes`` and built once.  A product outside W is an
+        AssertionError: u is no one-unit."""
         if "U1 shifts" not in self._cache:
-            ring, windex = self.ring, self.windex
-            out = []
-            for u in ring.u1:
-                shift = np.array([windex.get(ring.mul(a, u), -1) for a in self.W], dtype=np.int64)
+            u1 = self.ring.u1
+            order, stride, w_of = self._unit_codes()
+            shifts = w_of[((self._exponents(u1)[:, None, :] + self._exponents(self.W)) % order) @ stride]
+            for u, shift in zip(u1, shifts):
                 if (shift < 0).any():
                     raise AssertionError(f"{u!r} moves an element of W out of W: it is no one-unit")
-                out.append((u, shift))
-            self._cache["U1 shifts"] = out
+            self._cache["U1 shifts"] = list(zip(u1, shifts))
         return self._cache["U1 shifts"]
 
     def l_rows(self) -> list[dict]:
         """Flattened lattice of L_B = <[au]-[a], <<u>>C_B : a in W, u in U1>,
         as sparse RP rows: for each one-unit u but 1, the rows [au] - [a]
         over a in W, then <<u>>C_B, each in its |G| translates, built by
-        index arithmetic on ``_one_unit_shifts``."""
+        index arithmetic on ``_one_unit_shifts`` and on RP's
+        ``act_permutation``."""
         n, order, one = len(self.W), self.G.order, self.ring.one
+        perms = [self.refined().act_permutation(g).tolist() for g in range(order)]
         rows = []
         for u, shift in self._one_unit_shifts():
             if u == one:
@@ -491,7 +509,7 @@ class ScissorsContext:
             for i, j in enumerate(shift.tolist()):
                 rows += [{g * n + j: 1, g * n + i: -1} for g in range(order)]
             c = self._dbl_c_row(u)
-            rows += [{((k // n) ^ g) * n + k % n: v for k, v in c.items()} for g in range(order)]
+            rows += [{perm[k]: v for k, v in c.items()} for perm in perms]
         return rows
 
     def _dbl_c_row(self, u) -> dict:
@@ -608,22 +626,16 @@ def _five_term_table(ctx: ScissorsContext) -> RowTable:
     The table is built by index arithmetic on discrete logarithms.
 
     A unit is coded by the mixed-radix number of its exponents in the
-    cyclic decomposition of the unit group (``unit_decomposition``), so
-    x / y is a difference of exponent vectors and every term of every pair
-    is a table lookup: a/b over the W x W grid picks the admissible pairs,
-    and b/a, (1 - a^{-1})/(1 - b^{-1}) and (1 - a)/(1 - b) follow from the
-    exponents of a, 1 - a^{-1} and 1 - a.  Those three terms lie in W
-    whenever a/b does; a term outside W is an AssertionError."""
+    cyclic decomposition of the unit group (``ScissorsContext._unit_codes``),
+    so x / y is a difference of exponent vectors and every term of every
+    pair is a table lookup: a/b over the W x W grid picks the admissible
+    pairs, and b/a, (1 - a^{-1})/(1 - b^{-1}) and (1 - a)/(1 - b) follow
+    from the exponents of a, 1 - a^{-1} and 1 - a.  Those three terms lie
+    in W whenever a/b does; a term outside W is an AssertionError."""
     ring, G, W = ctx.ring, ctx.G, ctx.W
-    _, orders, dlog = ctx.unit_decomposition()
-    order = np.array(orders, dtype=np.int64)
-    stride = np.cumprod([1] + list(orders[:-1]), dtype=np.int64)
-    w_of = np.full(math.prod(orders), -1, dtype=np.int64)
-    for i, a in enumerate(W):
-        w_of[int(np.dot(dlog[a], stride))] = i
+    order, stride, w_of = ctx._unit_codes()
     one, inv, sub, cls = ring.one, ring.inv, ring.sub, G.class_of
-    exps = np.array([[dlog[a], dlog[sub(one, inv(a))], dlog[sub(one, a)]] for a in W], dtype=np.int64)
-    exps = exps.reshape(len(W), 3, len(orders))
+    exps = ctx._exponents([x for a in W for x in (a, sub(one, inv(a)), sub(one, a))]).reshape(len(W), 3, len(order))
 
     def quotient(x, y):
         # W indices of the units with exponents x / y (-1 outside W)

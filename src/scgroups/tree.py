@@ -516,20 +516,18 @@ def amalgam_decompose(g: Mat2, p: int) -> AmalgamWord:
 
     The word is built in normal form: a G0 factor, (1, r, 0, 1, 0) with
     0 <= r < p or the rotation, lies in the edge group only when it is I,
-    and a G1 factor is I or over p^1, never in G0.  So push drops I and
-    merges same-side neighbours, and only the rest w, when it lies in the
-    edge group (-I included), is folded into the last factor."""
+    and a G1 factor is I or over p^1, never in G0.  So push drops I, and
+    only the rest w, when it lies in the edge group (-I included), is
+    folded into the last factor.  Only the first pass's h can be I, and
+    every q after it is a child coset, so on a correct read no two
+    neighbours share a side; _word_ok refuses a word in which they do."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = _mat_in(g, p, sl2=True)
     word = []
 
     def push(m: IMat, side: int) -> None:
-        if m == I_IDENT:
-            return
-        if word and word[-1][1] == side:
-            word[-1] = (_imul(word[-1][0], m, p), side)
-        else:
+        if m != I_IDENT:
             word.append((m, side))
 
     w = g

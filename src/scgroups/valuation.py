@@ -39,7 +39,7 @@ import numpy as np
 
 from .groupring import act, add, dbl_bracket, p_plus, scale
 from .linalg import FpAb, KeyedFpAb, _dense, direct_sum
-from .rings import GF, is_prime
+from .rings import GF, is_prime, sufficiently_large
 from .scissors import ScissorsContext, context as scissors_context
 
 
@@ -349,7 +349,7 @@ class SpecializationContext:
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p < 11:
+        if not sufficiently_large(p):
             raise ValueError("residue field must be sufficiently large (p >= 11)")
         self.p = p
         self.k: GF = GF(p)

@@ -1,8 +1,11 @@
 import hashlib
+import re
 
 import pytest
 
+from scgroups import valuation
 from scgroups.cli import MAX_RING_SIZE
+from scgroups.globalinv import RATIONALS, pbar_order
 from scgroups.rings import (
     GF,
     TruncPoly,
@@ -142,6 +145,64 @@ def test_class_of_rejects_nonunit():
         g.class_of(7)
 
 
+def _square_classes_by_partition(ring):
+    """The reference (basis, class_table, reps): partition the units into
+    square classes by enumerating the squares, then take as basis the first
+    unit of each class, in canonical order, not yet spanned."""
+    squares = {ring.mul(u, u) for u in ring.units}
+    class_of_unit, rep_of_class = {}, []
+    for u in ring.units:
+        if u not in class_of_unit:
+            for s in squares:
+                class_of_unit[ring.mul(u, s)] = len(rep_of_class)
+            rep_of_class.append(u)
+    basis, mask_of_cid = [], {class_of_unit[ring.one]: 0}
+    for cid, u in enumerate(rep_of_class):
+        if cid not in mask_of_cid:
+            bit = 1 << len(basis)
+            basis.append(u)
+            for old in list(mask_of_cid):
+                mask_of_cid[class_of_unit[ring.mul(u, rep_of_class[old])]] = mask_of_cid[old] | bit
+    reps = [None] * len(rep_of_class)
+    for cid, mask in mask_of_cid.items():
+        reps[mask] = rep_of_class[cid]
+    return basis, {u: mask_of_cid[c] for u, c in class_of_unit.items()}, reps
+
+
+# |G| = 1, 2, 4, 8 and 16, each at least once
+ORACLE_RINGS = [
+    "gf(8)",
+    "gf(49)",
+    "z/7^3",
+    "z/2^5",
+    "gf(3)[t]/t^4",
+    "gf(2)[t]/t^6",
+    "gf(4)[t]/t^3",
+    "gf(2^4)[t]/t^2",
+]
+
+
+def test_square_classes_match_the_partition_by_squares():
+    orders = set()
+    for label in ORACLE_RINGS:
+        ring = parse_ring(label)
+        g = square_classes(ring)
+        assert (g.basis, g.class_table, g.reps) == _square_classes_by_partition(ring), label
+        orders.add(g.order)
+    assert orders == {1, 2, 4, 8, 16}
+
+
+@pytest.mark.parametrize("label", ["gf(13)", "gf(3^3)", "z/3^4", "gf(3)[t]/t^6", "gf(4)[t]/t^3"])
+def test_every_unit_times_its_inverse_is_one(label):
+    ring = parse_ring(label)
+    # parsing leaves the decomposition to the first read
+    assert "unit_decomposition" not in vars(ring)
+    for a in ring.units:
+        assert ring.mul(a, ring.inv(a)) == ring.one
+    with pytest.raises(ValueError, match="is not a unit"):
+        ring.inv(ring.zero)
+
+
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.label)
 def test_residue_is_ring_map(ring):
     k = ring.residue_field()
@@ -164,6 +225,30 @@ def test_sufficiently_large():
     assert sufficiently_large(9) is False
     with pytest.raises(ValueError):
         sufficiently_large(12)
+
+
+def test_sufficiently_large_gates_specialization_and_the_corollary(monkeypatch):
+    # (p - 1)d > 6 refuses exactly the primes 2, 3, 5 and 7 below 300, with
+    # the messages of both callers; an accepted prime passes the gate of
+    # SpecializationContext and reaches its scissors context, stubbed here
+    class Passed(Exception):
+        pass
+
+    def passed(ring):
+        raise Passed
+
+    monkeypatch.setattr(valuation, "scissors_context", passed)
+    for p in filter(is_prime, range(300)):
+        assert sufficiently_large(p) is (p >= 11)
+        if p < 11:
+            with pytest.raises(ValueError, match=re.escape("residue field must be sufficiently large (p >= 11)")):
+                valuation.SpecializationContext(p)
+            with pytest.raises(ValueError, match=re.escape("the corollary branch needs p >= 11")):
+                pbar_order(RATIONALS, p)
+        else:
+            with pytest.raises(Passed):
+                valuation.SpecializationContext(p)
+            assert pbar_order(RATIONALS, p).p == p
 
 
 def test_prime_power_decompose():

@@ -637,14 +637,16 @@ def test_l_b_quotient_refuses_fibres_that_are_not_the_cosets(monkeypatch, attr, 
         ctx.l_submodule()
 
 
-def test_l_b_quotient_refuses_a_one_unit_that_moves_a_residue(monkeypatch):
-    # 8 = 1 + 7 is a one-unit of Z/49; its products with 2 and 3 trade
-    # places, so multiplying by it keeps W but moves two residues
+def test_l_b_quotient_refuses_a_one_unit_that_moves_a_residue():
+    # 8 = 1 + 7 is a one-unit of Z/49; with the codes of its products with
+    # 2 and 3 swapped in the unit code table (after the five-term table is
+    # built from it), multiplying by 8 keeps W but moves two residues
     ring = parse_ring("z/7^2")
     ctx = ScissorsContext(ring)
-    mul = ring.mul
-    moved = {(2, 8): mul(3, 8), (3, 8): mul(2, 8)}
-    monkeypatch.setattr(ring, "mul", lambda a, b: moved.get((a, b)) or mul(a, b))
+    ctx.five_terms()
+    _, stride, w_of = ctx._unit_codes()
+    i, j = (int(ctx._exponents([ring.mul(a, 8)])[0] @ stride) for a in (2, 3))
+    w_of[[i, j]] = w_of[[j, i]]
     with pytest.raises(AssertionError, match="one-unit moves a residue"):
         ctx.l_submodule()
 
