@@ -87,27 +87,26 @@ def _ring_of(label: str) -> Ring:
 
 
 # largest p of `tree` and `amalgam`: neither builds anything of size p,
-# but is_prime's trial division runs to sqrt(p): 0.13 s at 10^12, 0.8 s
-# at 10^14, and about 100 times that at 10^18
+# and is_prime decides a p below it in under 0.1 ms
 MAX_TREE_PRIME = 10**12
 
 
 # largest e of p^e in the common denominator that `amalgam` accepts: the
 # walk takes e passes and each reads valuations of entries about as long
-# as p^e, so its time grows as e^2 times their bit length.  Python by
-# default refuses to parse an integer of more than 4300 digits, which
-# bounds those bits.
+# as p^e, past p^16 by O(log e) divisions.  Python by default refuses to
+# parse an integer of more than 4300 digits, which bounds those bits.
 # Measured one process each on a 2-CPU machine, with [[1, N / p^e], [0, 1]]
-# and N of 4 290 digits: at e = 800, 0.6 s at p = 2, 0.9 s at p = 7 and
-# 3.3 s at p = 236 449, the largest prime whose 800th power parses; at
-# e = 1000, 5.3 s at p = 19 891; with N = 1, 6.8 s at e = 1500 (p = 733)
-# and 11.9 s at e = 2000 (p = 139)
+# and N of 4 290 digits: through the command, start-up included, at
+# e = 800, 0.4 s at p = 2 and p = 7 and 0.85 s at p = 236 449, the
+# largest prime whose 800th power parses; through the library, 0.65 s at
+# e = 1000 (p = 19 891), and with N = 1, 0.5 s at e = 1500 (p = 733) and
+# 0.65 s at e = 2000 (p = 139)
 MAX_AMALGAM_EXPONENT = 800
 
 
 def _prime_of(p: int, cap: int = MAX_RING_SIZE) -> int:
-    """The prime of a command, refused above cap before the trial division
-    of is_prime runs.  The default cap is for `specialize` and the prime
+    """The prime of a command, refused above cap before the primality
+    test runs.  The default cap is for `specialize` and the prime
     suites of `verify`, which build GF(p) and its presentations."""
     if p > cap:
         raise ValueError(f"--p {p} is more than {cap}")

@@ -262,13 +262,18 @@ def _dense(rows: list[dict], ncols: int) -> np.ndarray:
 def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
     """Unimodular row reduction of sparse rows with a Markowitz-style pivot
     rule (fewest entries in the column, then smallest absolute pivot value,
-    then sparsest row).
+    then sparsest row, then first row).
 
     The rows must hold no zero values; they are modified in place.  Returns
     the retired rows, each paired with its retirement column: a triangular
     generating set of the lattice.  This staged reduction is what keeps
     entries small on the large five-term relation matrices; naive
     leftmost-pivot elimination blows up.
+
+    A pass subtracts the pivot row from every other row of its column,
+    which leaves each such entry in [0, pivot) and changes no row but its
+    own, so the next pass's pivot is the least (value, length, row) key
+    that the pass itself saw.
     """
     live: dict[int, dict] = {}
     col_rows: dict[int, set] = {}
@@ -277,23 +282,6 @@ def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
             live[rid] = r
             for j in r:
                 col_rows.setdefault(j, set()).add(rid)
-
-    def row_addmul(rid: int, q: int, src: dict):
-        # row[rid] += q * src, for q != 0: a sum can vanish only where the
-        # row had an entry, so one lookup decides the branch
-        r = live[rid]
-        for j, v in src.items():
-            x = r.get(j)
-            if x is None:
-                r[j] = q * v
-                col_rows[j].add(rid)
-                continue
-            x += q * v
-            if x:
-                r[j] = x
-            else:
-                del r[j]
-                col_rows[j].discard(rid)
 
     retired: list[tuple[int, dict]] = []
     heap = [(len(s), j) for j, s in col_rows.items()]
@@ -306,18 +294,41 @@ def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
         if len(s) != l:
             heapq.heappush(heap, (len(s), j))
             continue
+        if len(s) > 1:
+            best = min((abs(live[rid][j]), len(live[rid]), rid) for rid in s)
         while len(s) > 1:
-            rid0 = min(s, key=lambda rid: (abs(live[rid][j]), len(live[rid]), rid))
-            if live[rid0][j] < 0:
-                live[rid0] = {c: -v for c, v in live[rid0].items()}
-            piv = live[rid0][j]
-            src = dict(live[rid0])
+            rid0 = best[2]
+            src = live[rid0]
+            piv = src[j]
+            if piv < 0:
+                for c, v in src.items():
+                    src[c] = -v
+                piv = -piv
+            best = (piv, len(src), rid0)
+            items = tuple(src.items())
             for rid in list(s):
                 if rid == rid0:
                     continue
-                q = live[rid][j] // piv
+                r = live[rid]
+                q = -(r[j] // piv)
                 if q:
-                    row_addmul(rid, -q, src)
+                    # r += q * src: a sum can vanish only where r had an
+                    # entry, so one lookup decides the branch
+                    for c, v in items:
+                        x = r.get(c)
+                        if x is None:
+                            r[c] = q * v
+                            col_rows[c].add(rid)
+                        else:
+                            x += q * v
+                            if x:
+                                r[c] = x
+                            else:
+                                del r[c]
+                                col_rows[c].discard(rid)
+                x = r.get(j)
+                if x is not None and (x, len(r), rid) < best:
+                    best = (x, len(r), rid)
         (rid0,) = s
         r = live.pop(rid0)
         for c in r:
@@ -364,47 +375,72 @@ _SUBSET_EXTRA = 8
 _SUBSET_SEED = 7
 
 
-def _supports(rows, stream: list[int]):
-    """The columns of each stream row's sparse form, one row at a time: a
-    table row's repeated columns are summed and its zeros dropped first, so
-    that columns which cancel do not count."""
-    if not isinstance(rows, RowTable):
-        return (rows[i].keys() for i in stream)
-    cols, vals = rows.cols[stream].tolist(), rows.vals[stream].tolist()
-    return (_summed(zip(c, v)).keys() for c, v in zip(cols, vals))
+def _seeded_stream(m: int, k: int):
+    """The indices of random.Random(_SUBSET_SEED).sample(range(m), k), in
+    order, drawn one at a time: the same calls on the same generator as
+    ``random.sample`` makes, through its two branches (a pool of the m
+    indices, kept here as the swaps that differ from range(m), or a set of
+    those already drawn), so a reader that stops early draws no more."""
+    rng = random.Random(_SUBSET_SEED)
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if m <= setsize:
+        pool: dict[int, int] = {}
+        for i in range(k):
+            j = rng.randrange(m - i)
+            yield pool.get(j, j)
+            pool[j] = pool.get(m - i - 1, m - i - 1)
+    else:
+        drawn: set[int] = set()
+        for _ in range(k):
+            j = rng.randrange(m)
+            while j in drawn:
+                j = rng.randrange(m)
+            drawn.add(j)
+            yield j
 
 
-def _first_subset(rows, n: int) -> set[int]:
+def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
     """The indices of the rows ``_hnf_sparse`` reduces first: every row of
     an input of at most WHOLE_PER_COLUMN * n rows, else rows of a seeded
     stream of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of them.  A
     stream row joins while its support touches a column that fewer than
-    _COVER chosen rows touch, and skipped stream rows pad the subset to
-    n + _SUBSET_EXTRA rows.  A uniform sample that small misses columns of
-    sparse rows, and so rank; this one touches each column as often as
-    _COVER or the stream allows, which still misses rank on rows of two
-    entries (a graph's edges).  Up to 4n rows it still misses rank often
-    enough that a second round costs more than a whole reduction."""
+    _COVER chosen rows touch, and skipped stream rows, then the next ones
+    drawn, pad the subset to n + _SUBSET_EXTRA rows.  A uniform sample that
+    small misses columns of sparse rows, and so rank; this one touches each
+    column as often as _COVER or the stream allows, which still misses rank
+    on rows of two entries (a graph's edges).  Up to 4n rows it still
+    misses rank often enough that a second round costs more than a whole
+    reduction.
+
+    The stream is drawn lazily and stops where the cover rule does.  Each
+    row it reads is built once as a new dict (a table row's repeated
+    columns summed and its zeros dropped, so that columns which cancel do
+    not count) and put in ``built`` by index, from where the reduction
+    takes it."""
     m = len(rows)
     if m <= WHOLE_PER_COLUMN * n:
         return set(range(m))
-    stream = random.Random(_SUBSET_SEED).sample(range(m), min(m, _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
+    if built is None:
+        built = {}
+    table = isinstance(rows, RowTable)
+    stream = _seeded_stream(m, min(m, _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
     cover = [0] * n
     # columns that fewer than _COVER chosen rows touch
     short = n
     chosen, skipped = [], []
-    for t, support in enumerate(_supports(rows, stream)):
+    for i in stream:
+        built[i] = support = _summed(rows.entries(i)) if table else dict(rows[i])
         if not any(cover[j] < _COVER for j in support):
-            skipped.append(stream[t])
+            skipped.append(i)
             continue
-        chosen.append(stream[t])
+        chosen.append(i)
         for j in support:
             cover[j] += 1
             short -= cover[j] == _COVER
         if not short:
-            skipped += stream[t + 1 :]
             break
-    return set(chosen + skipped[: max(0, n + _SUBSET_EXTRA - len(chosen))])
+    pad = max(0, n + _SUBSET_EXTRA - len(chosen))
+    return set(chosen + skipped[:pad] + list(itertools.islice(stream, max(0, pad - len(skipped)))))
 
 
 def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
@@ -414,8 +450,9 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     None.  The echelon is the one the certificate read, so a caller keeps
     it and builds no second one.
 
-    The rows are read in place and may repeat; the subset rows are copied
-    (or, from a table, built) before the reduction modifies them, and the
+    The rows are read in place and may repeat; each row the path reduces
+    is copied (or, from a table, built) once before the reduction modifies
+    it, the first subset's as ``_first_subset`` reads them, and the
     certificate projects a table without building its rows.  The first
     subset (``_first_subset``) is every row of an input of at most
     WHOLE_PER_COLUMN * n rows, else at least n + 8 rows of a seeded stream
@@ -442,9 +479,14 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     first 476 rows of P(GF(121)) in pair order reach rank 108 of 119.
     """
     copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
+    built: dict[int, dict] = {}
+
+    def take(i: int) -> dict:
+        return built.pop(i) if i in built else copy(i)
+
     rng = random.Random(_SUBSET_SEED)
-    chosen = _first_subset(rows, n)
-    work = [copy(i) for i in sorted(chosen)]
+    chosen = _first_subset(rows, n, built)
+    work = [take(i) for i in sorted(chosen)]
     while True:
         retired = _sparse_reduce(work)
         basis, det = _subset_hnf(retired, n)
@@ -465,7 +507,7 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
         if len(missing) > len(chosen):
             missing = sorted(rng.sample(missing, len(chosen)))
         chosen.update(missing)
-        work = [dict(r) for r in basis] + [copy(i) for i in missing]
+        work = [dict(r) for r in basis] + [take(i) for i in missing]
 
 
 def _check_canonical(basis: list[dict], n: int) -> None:

@@ -24,13 +24,37 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 
+# the first 13 primes, as Miller-Rabin bases, and the least strong
+# pseudoprime to all of them (Sorenson-Webster 2015): below it the test on
+# these bases decides primality exactly
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: by Miller-Rabin on the bases _MR_BASES below
+    _MR_BOUND, where that is exact, and by trial division above it."""
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < _MR_BOUND:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
         return True
-    if n % 2 == 0:
-        return False
     f = 3
     while f * f <= n:
         if n % f == 0:

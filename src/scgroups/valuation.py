@@ -134,26 +134,64 @@ Q_CLASSES = _QClassGroup()
 
 def _strip(num: int, den: int, p: int) -> tuple[int, int, int]:
     """(v, num', den') with num / den = p^v * num' / den' and p dividing
-    neither num' nor den', for integers num != 0 and den != 0."""
+    neither num' nor den', for integers num != 0 and den != 0; a zero den
+    reaches _halve, which refuses it."""
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
     if num == 0:
         raise ValueError("0 has no valuation")
+    v, num = _remove(num, p)
+    w, den = _remove(den, p)
+    return v - w, num, den
+
+
+# valuations up to _SHORT are read one factor of p at a time, which is
+# cheapest for the shallow entries of most matrices; past it, by _halve
+_SHORT = 16
+
+
+def _remove(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) with v = v_p(n), for an integer n != 0."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, num, den
+        if v == _SHORT:
+            w, n = _halve(n, p)
+            return v + w, n
+    return v, n
+
+
+def _halve(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) with v = v_p(n), for an integer n != 0, by a halving
+    search: it divides by p, p^2, p^4, ... while they divide and then by
+    the same powers downwards, so it takes O(log v) divisions where one
+    factor at a time takes v."""
+    if n == 0:
+        raise ValueError("a valuation needs a nonzero denominator")
+    v, k, pk = 0, 1, p
+    powers = []
+    while True:
+        q, r = divmod(n, pk)
+        if r:
+            break
+        n, v = q, v + k
+        powers.append((k, pk))
+        k, pk = 2 * k, pk * pk
+    # p^k no longer divides n, so what is left of v_p is a sum of distinct
+    # earlier k
+    for k, pk in reversed(powers):
+        q, r = divmod(n, pk)
+        if not r:
+            n, v = q, v + k
+    return v, n
 
 
 def vp_int(num: int, den: int, p: int) -> int:
     """p-adic valuation of num / den for integers num != 0 and den != 0.
-    The loop of _strip, kept inline: the tree's keys call this in their
+    The loops of _remove, kept inline: the tree's keys call this in their
     inner loops, where the extra call cost the `tree` benchmark about 2 %
-    of its items per second."""
+    of its items per second.  A zero den reaches _halve, which refuses it."""
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
     if num == 0:
@@ -162,10 +200,19 @@ def vp_int(num: int, den: int, p: int) -> int:
     while num % p == 0:
         num //= p
         v += 1
+        if v == _SHORT:
+            v += _halve(num, p)[0]
+            break
+    if den % p:
+        return v
+    w = 0
     while den % p == 0:
         den //= p
-        v -= 1
-    return v
+        w += 1
+        if w == _SHORT:
+            w += _halve(den, p)[0]
+            break
+    return v - w
 
 
 def padic_read(num: int, den: int, p: int) -> tuple[int, int]:

@@ -1,6 +1,9 @@
 import ast
 import copy
+import functools
+import heapq
 import itertools
+import math
 import random
 import re
 from pathlib import Path
@@ -14,7 +17,7 @@ from sympy import ZZ, Matrix, primefactors
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
-from scgroups import linalg
+from scgroups import linalg, scissors
 from scgroups.linalg import (
     AbMap,
     FpAb,
@@ -32,6 +35,8 @@ from scgroups.linalg import (
     solve_in_rows,
     zeros,
 )
+from scgroups.rings import is_prime, parse_ring
+from scgroups.scissors import ScissorsContext
 
 
 def exact_det(m):
@@ -1260,23 +1265,47 @@ def test_certified_hnf_at_most_doubles_its_subset(monkeypatch):
     rows, chosen, _ = _index_two_case()
     # as a table, whose rows the certified path builds once, as they join
     table = linalg.RowTable(np.array([list(range(n))] * m), np.array(rows), n)
-    built, sizes = [], []
-    row, step = linalg.RowTable.row, linalg._subset_hnf
+    built, sizes, drawn = [], [], []
+    entries, step, stream = linalg.RowTable.entries, linalg._subset_hnf, linalg._seeded_stream
 
-    def counted_row(self, i):
+    def counted_entries(self, i):
+        # every dict built from a table row reads its entries once
         built.append(i)
-        return row(self, i)
+        return entries(self, i)
 
     def counted(retired, n):
         sizes.append(len(built))
         return step(retired, n)
 
-    monkeypatch.setattr(linalg.RowTable, "row", counted_row)
+    def counted_stream(m, k):
+        for i in stream(m, k):
+            drawn.append(i)
+            yield i
+
+    monkeypatch.setattr(linalg.RowTable, "entries", counted_entries)
     monkeypatch.setattr(linalg, "_subset_hnf", counted)
     got = _ints(linalg._dense(linalg._hnf_sparse(table, n)[0].basis, n))
     assert len(sizes) >= 2 and sizes[0] == len(chosen)
     assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
     assert got == sympy_row_hnf(rows) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # on P(GF(97))'s five-term table the stream stops where the cover rule
+    # does: every index drawn was read by the rule or pads the subset, and
+    # each row is built once, the subset's as the rule reads them
+    table = scissors.context("gf(97)").pre_bloch()._rels()
+    n = table.ncols
+    monkeypatch.setattr(linalg, "_seeded_stream", counted_stream)
+    built.clear()
+    subset = linalg._first_subset(table, n)
+    read = set(built)
+    assert len(read) == len(built) and len(subset) == n + linalg._SUBSET_EXTRA
+    assert len(drawn) == len(set(drawn)) and set(drawn) <= read | subset
+    assert len(drawn) < min(len(table), linalg._STREAM_PER_COLUMN * n + linalg._STREAM_EXTRA) // 4
+    built.clear()
+    sizes.clear()
+    basis = linalg._hnf_sparse(table, n)[0].basis
+    assert len(sizes) == 1 and len(built) == len(set(built)) and subset <= set(built)
+    # P(GF(97)) is finite, of odd part 49 = (97 + 1)'
+    assert len(basis) == n and odd_part(math.prod(r[min(r)] for r in basis)) == 49
 
 
 def test_certified_hnf_second_round_starts_from_the_first_rounds_basis(monkeypatch):
@@ -1716,6 +1745,135 @@ def test_first_subset_that_misses_a_column_still_reaches_the_basis(monkeypatch, 
     assert patched and all(missed not in rows[i] for i in patched[0])
     assert len(rounds) >= 2 and proj is not None
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(_ints(linalg._dense(rows, n)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 7, 40, 200, 4117, 4118, 16405, 16406, 70000])
+def test_seeded_stream_draws_the_seeded_sample_one_index_at_a_time(m):
+    # random.sample keeps a pool of the m indices up to a set size that
+    # grows with k, and a set of the drawn ones above it: both branches
+    sizes = {0, 1, 5, 6, min(m, 824), m // 2, min(m, 8 * 99 + 64)}
+    for k in sorted(k for k in sizes if k <= m):
+        want = random.Random(linalg._SUBSET_SEED).sample(range(m), k)
+        assert list(linalg._seeded_stream(m, k)) == want
+        assert list(itertools.islice(linalg._seeded_stream(m, k), 3)) == want[:3]
+
+
+# -- the sparse reduction against its reference -----------------------------------
+
+
+def _reference_sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
+    """The Markowitz reduction as it stood before its inner loop was
+    inlined: a pivot chosen by min over the column on every pass, a copy
+    of the pivot row, and one call per row update."""
+    live: dict[int, dict] = {}
+    col_rows: dict[int, set] = {}
+    for rid, r in enumerate(rows):
+        if r:
+            live[rid] = r
+            for j in r:
+                col_rows.setdefault(j, set()).add(rid)
+
+    def row_addmul(rid: int, q: int, src: dict):
+        r = live[rid]
+        for j, v in src.items():
+            x = r.get(j)
+            if x is None:
+                r[j] = q * v
+                col_rows[j].add(rid)
+                continue
+            x += q * v
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+                col_rows[j].discard(rid)
+
+    retired: list[tuple[int, dict]] = []
+    heap = [(len(s), j) for j, s in col_rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        l, j = heapq.heappop(heap)
+        s = col_rows[j]
+        if not s:
+            continue
+        if len(s) != l:
+            heapq.heappush(heap, (len(s), j))
+            continue
+        while len(s) > 1:
+            rid0 = min(s, key=lambda rid: (abs(live[rid][j]), len(live[rid]), rid))
+            if live[rid0][j] < 0:
+                live[rid0] = {c: -v for c, v in live[rid0].items()}
+            piv = live[rid0][j]
+            src = dict(live[rid0])
+            for rid in list(s):
+                if rid == rid0:
+                    continue
+                q = live[rid][j] // piv
+                if q:
+                    row_addmul(rid, -q, src)
+        (rid0,) = s
+        r = live.pop(rid0)
+        for c in r:
+            col_rows[c].discard(rid0)
+        retired.append((j, r))
+    if any(live.values()):
+        raise AssertionError("sparse reduction left an entry")
+    return retired
+
+
+def _same_retired(rows: list[dict]) -> list[tuple[int, dict]]:
+    """The reduction of copies of rows, after checking that it retires the
+    reference's rows, entry for entry and in the same key order."""
+    got = linalg._sparse_reduce([dict(r) for r in rows])
+    want = _reference_sparse_reduce([dict(r) for r in rows])
+    assert [(j, list(r.items())) for j, r in got] == [(j, list(r.items())) for j, r in want]
+    return got
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_subsets() -> tuple:
+    """(label, first-subset rows) of the tall tables the certified path
+    meets: P(GF(p)) for the primes 11 <= p <= 97 and L- of GF(121), the
+    first table that RP(GF(121))'s block form reduces."""
+    tables = [(f"P(GF({p}))", scissors.context(f"gf({p})").pre_bloch()._rels()) for p in range(11, 98) if is_prime(p)]
+    seen = []
+    hnf = linalg._hnf_sparse
+    with mock.patch.object(linalg, "_hnf_sparse", lambda rows, n: seen.append(rows) or hnf(rows, n)):
+        ScissorsContext(parse_ring("gf(121)")).rp_flat().echelon()
+    tables.append(("L-(GF(121))", seen[0]))
+    return tuple((label, [t.row(i) for i in sorted(linalg._first_subset(t, t.ncols))]) for label, t in tables)
+
+
+def test_sparse_reduce_matches_its_reference_on_the_seeded_subsets():
+    subsets = _seeded_subsets()
+    assert len(subsets) == 22
+    for label, rows in subsets:
+        retired = _same_retired(rows)
+        assert retired, label
+
+
+@st.composite
+def reducible_rows(draw):
+    """Sparse rows of width up to 6, summed from entries with zero values,
+    repeated columns and negative values: empty rows, and rows that repeat
+    or combine earlier ones, so the rank is often deficient."""
+    n = draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(-9, 9))
+    rows = [linalg._summed(draw(st.lists(entry, max_size=5))) for _ in range(draw(st.integers(0, 10)))]
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append(linalg._summed([(j, x * v) for j, v in a.items()] + [(j, y * v) for j, v in b.items()]))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_rows())
+def test_sparse_reduce_matches_its_reference_on_drawn_rows(rows):
+    retired = _same_retired(rows)
+    n = 1 + max((j for r in rows for j in r), default=0)
+    assert len(retired) == (Matrix(_ints(linalg._dense(rows, n))).rank() if rows else 0)
 
 
 # -- kernels and images against sympy --------------------------------------------

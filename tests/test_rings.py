@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import pytest
@@ -344,3 +345,31 @@ def test_element_orders():
     orders = element_orders(GF(7))
     assert orders[1] == 1 and orders[6] == 2
     assert max(orders.values()) == 6
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_2e5():
+    assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if _trial_division_is_prime(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3_215_031_751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3_825_123_056_546_413_051,  # strong pseudoprime to every prime base up to 23
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801, 232250619601,  # Carmichael
+        43 * 53**14,  # above the Miller-Rabin bound, decided by trial division
+        (10**9 + 7) * (10**9 + 9),
+    ],
+)
+def test_is_prime_refuses_pseudoprimes_and_carmichael_numbers(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 10**9 + 7, 10**12 + 39, 2**61 - 1, 3_317_044_064_679_887_385_961_813])
+def test_is_prime_accepts_large_primes(n):
+    # the last is the largest prime below the Miller-Rabin bound
+    assert is_prime(n)

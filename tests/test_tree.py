@@ -649,6 +649,15 @@ def test_amalgam_at_a_large_prime():
     assert w.validate(g) and len(w) == 3
 
 
+def test_amalgam_of_a_deep_word():
+    # e = 600 passes, each reading valuations of entries of about 4 300
+    # bits: the halving search keeps this well under a second
+    p, e = 139, 600
+    g = mat2(1, Fraction(1, p**e), 0, 1)
+    w = amalgam_decompose(g, p)
+    assert w.validate(g) and len(w) == 2 * e + 1
+
+
 def test_amalgam_rejects_bad_input():
     p = 5
     with pytest.raises(ValueError, match="determinant"):

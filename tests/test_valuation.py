@@ -58,6 +58,33 @@ def test_vp_int_reads_numerator_and_denominator():
         vp_int(0, 5, 7)
     with pytest.raises(ValueError, match="p >= 2"):
         vp_int(3, 1, 1)
+    with pytest.raises(ValueError, match="nonzero denominator"):
+        vp_int(3, 0, 7)
+    with pytest.raises(ValueError, match="nonzero denominator"):
+        padic_read(3, 0, 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7, 139, 10**9 + 7]),
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.integers(1, 10**6),
+    st.integers(0, 3000),
+    st.integers(0, 3000),
+)
+def test_valuations_match_dividing_one_factor_at_a_time(p, a, b, i, j):
+    # the halving search over p, p^2, p^4, ... against v divisions by p,
+    # up to valuations past 2^11, in numerator and denominator
+    num, den = a * p**i, b * p**j
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    while b % p == 0:
+        b //= p
+        v -= 1
+    assert vp_int(num, den, p) == v + i - j
+    assert padic_read(num, den, p) == (v + i - j, a * pow(b, -1, p) % p)
 
 
 def test_qclass():
