@@ -399,6 +399,12 @@ def _seeded_stream(m: int, k: int):
             yield j
 
 
+def _row_builder(rows):
+    """Row i of ``rows`` as a new sparse dict, the one way the certified
+    path builds a row: ``RowTable.row`` for a table, else a copy."""
+    return rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
+
+
 def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
     """The indices of the rows ``_hnf_sparse`` reduces first: every row of
     an input of at most WHOLE_PER_COLUMN * n rows, else rows of a seeded
@@ -413,7 +419,7 @@ def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
     reduction.
 
     The stream is drawn lazily and stops where the cover rule does.  Each
-    row it reads is built once as a new dict (a table row's repeated
+    row it reads is built once by ``_row_builder`` (a table row's repeated
     columns summed and its zeros dropped, so that columns which cancel do
     not count) and put in ``built`` by index, from where the reduction
     takes it."""
@@ -422,14 +428,14 @@ def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
         return set(range(m))
     if built is None:
         built = {}
-    table = isinstance(rows, RowTable)
+    build = _row_builder(rows)
     stream = _seeded_stream(m, min(m, _STREAM_PER_COLUMN * n + _STREAM_EXTRA))
     cover = [0] * n
     # columns that fewer than _COVER chosen rows touch
     short = n
     chosen, skipped = [], []
     for i in stream:
-        built[i] = support = _summed(rows.entries(i)) if table else dict(rows[i])
+        built[i] = support = build(i)
         if not any(cover[j] < _COVER for j in support):
             skipped.append(i)
             continue
@@ -478,11 +484,11 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     the same (Domich-Kannan-Trotter 1987).  A prefix is no subset: the
     first 476 rows of P(GF(121)) in pair order reach rank 108 of 119.
     """
-    copy = rows.row if isinstance(rows, RowTable) else lambda i: dict(rows[i])
+    build = _row_builder(rows)
     built: dict[int, dict] = {}
 
     def take(i: int) -> dict:
-        return built.pop(i) if i in built else copy(i)
+        return built.pop(i) if i in built else build(i)
 
     rng = random.Random(_SUBSET_SEED)
     chosen = _first_subset(rows, n, built)

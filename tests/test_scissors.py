@@ -471,18 +471,24 @@ def test_five_term_table_matches_the_formula(label):
 
 def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
     # P(GF(97)) reads its 8930 five-term relations as one table: dicts are
-    # built only for the rows the certified reduction takes in, the first
-    # subset of 95 + 8 rows and the rows its certificate adds
-    made = []
-    added = []
-    row, pb_row, unkilled = linalg.RowTable.row, ScissorsContext.pb_row, linalg.Quotient.unkilled
+    # built only for the rows the certified reduction reads, each once: the
+    # stream rows the first subset's cover rule reads, the draws that pad
+    # the subset to 95 + 8 rows, and the rows its certificate adds
+    made, drawn, added, pb_rows = [], [], [], []
+    entries, pb_row, unkilled, stream = (
+        linalg.RowTable.entries,
+        ScissorsContext.pb_row,
+        linalg.Quotient.unkilled,
+        linalg._seeded_stream,
+    )
 
-    def counted_row(self, i):
+    def counted_entries(self, i):
+        # every dict built from a table row reads its entries
         made.append(i)
-        return row(self, i)
+        return entries(self, i)
 
     def counted_pb_row(self, x):
-        made.append(x)
+        pb_rows.append(x)
         return pb_row(self, x)
 
     def counted_unkilled(proj, rows):
@@ -490,14 +496,24 @@ def test_row_dicts_of_a_pre_bloch_build(monkeypatch):
         added.extend(out)
         return out
 
-    monkeypatch.setattr(linalg.RowTable, "row", counted_row)
+    def counted_stream(m, k):
+        for i in stream(m, k):
+            drawn.append(i)
+            yield i
+
+    monkeypatch.setattr(linalg.RowTable, "entries", counted_entries)
     monkeypatch.setattr(ScissorsContext, "pb_row", counted_pb_row)
     monkeypatch.setattr(linalg.Quotient, "unkilled", counted_unkilled)
+    monkeypatch.setattr(linalg, "_seeded_stream", counted_stream)
     ctx = ScissorsContext(parse_ring("gf(97)"))
     group = ctx.pre_bloch()
     assert group.invariant_factors() == (98,)
     assert len(ctx.five_terms()) == 8930
-    assert len(made) <= 95 + linalg._SUBSET_EXTRA + len(added)
+    assert not pb_rows and len(made) == len(set(made))
+    assert set(made) <= set(drawn) | set(added)
+    assert len(made) <= len(drawn) + len(added)
+    # the stream of 8 * 95 + 64 rows is read no further than the cover rule
+    assert 95 + linalg._SUBSET_EXTRA <= len(drawn) < (8 * 95 + 64) // 4
 
 
 
