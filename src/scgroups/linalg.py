@@ -376,27 +376,17 @@ _SUBSET_SEED = 7
 
 
 def _seeded_stream(m: int, k: int):
-    """The indices of random.Random(_SUBSET_SEED).sample(range(m), k), in
-    order, drawn one at a time: the same calls on the same generator as
-    ``random.sample`` makes, through its two branches (a pool of the m
-    indices, kept here as the swaps that differ from range(m), or a set of
-    those already drawn), so a reader that stops early draws no more."""
+    """k distinct indices of range(m), drawn one at a time by a Fisher-Yates
+    shuffle seeded with _SUBSET_SEED (Durstenfeld 1964, Algorithm 235) whose
+    swaps a dict keeps, so a reader that stops early draws no more: draw i
+    takes position j of the m - i indices not yet drawn and moves the last
+    of them into j."""
     rng = random.Random(_SUBSET_SEED)
-    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-    if m <= setsize:
-        pool: dict[int, int] = {}
-        for i in range(k):
-            j = rng.randrange(m - i)
-            yield pool.get(j, j)
-            pool[j] = pool.get(m - i - 1, m - i - 1)
-    else:
-        drawn: set[int] = set()
-        for _ in range(k):
-            j = rng.randrange(m)
-            while j in drawn:
-                j = rng.randrange(m)
-            drawn.add(j)
-            yield j
+    swaps: dict[int, int] = {}
+    for i in range(k):
+        j = rng.randrange(m - i)
+        yield swaps.get(j, j)
+        swaps[j] = swaps.get(m - i - 1, m - i - 1)
 
 
 def _row_builder(rows):
@@ -490,7 +480,6 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     def take(i: int) -> dict:
         return built.pop(i) if i in built else build(i)
 
-    rng = random.Random(_SUBSET_SEED)
     chosen = _first_subset(rows, n, built)
     work = [take(i) for i in sorted(chosen)]
     while True:
@@ -511,7 +500,7 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
         if not missing:
             return ech, proj
         if len(missing) > len(chosen):
-            missing = sorted(rng.sample(missing, len(chosen)))
+            missing = sorted(missing[i] for i in _seeded_stream(len(missing), len(chosen)))
         chosen.update(missing)
         work = [dict(r) for r in basis] + [take(i) for i in missing]
 

@@ -10,6 +10,7 @@ line.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,10 +141,6 @@ def expected_orbit_count(ring: GF, tuple_len: int) -> int:
 # exactness range of the full simplicial complex
 
 
-def _tuples(npts: int, length: int):
-    return itertools.permutations(range(npts), length)
-
-
 def simplicial_homology_vanishes(k: GF, degree: int) -> bool:
     """Reduced homology of the complex of tuples of pairwise-distinct
     projective points vanishes in the given degree (1 <= degree <= 3),
@@ -154,8 +151,8 @@ def simplicial_homology_vanishes(k: GF, degree: int) -> bool:
 
     def boundary_rows(length):
         # rows of the boundary map L_length -> L_{length-1}
-        target_index = {t: i for i, t in enumerate(_tuples(npts, length - 1))}
-        for t in _tuples(npts, length):
+        target_index = {t: i for i, t in enumerate(itertools.permutations(range(npts), length - 1))}
+        for t in itertools.permutations(range(npts), length):
             row = {}
             for i in range(length):
                 face = t[:i] + t[i + 1 :]
@@ -163,12 +160,12 @@ def simplicial_homology_vanishes(k: GF, degree: int) -> bool:
                 row[j] = row.get(j, 0) + (1 if i % 2 == 0 else -1)
             yield {j: v for j, v in row.items() if v}
 
-    dim_mid = _count_tuples(npts, degree + 1)
+    dim_mid = math.perm(npts, degree + 1)
     rank_upper, pivots = sparse_rank_and_pivots(
         list(boundary_rows(degree + 2)), dim_mid
     )
     rank_lower, _ = sparse_rank_and_pivots(
-        list(boundary_rows(degree + 1)), _count_tuples(npts, degree)
+        list(boundary_rows(degree + 1)), math.perm(npts, degree)
     )
     if rank_upper + rank_lower != dim_mid:
         return False
@@ -178,10 +175,3 @@ def simplicial_homology_vanishes(k: GF, degree: int) -> bool:
     if all(p == 1 for p in pivots):
         return True
     return FpAb(dim_mid, boundary_rows(degree + 2)).invariant_factors() == ()
-
-
-def _count_tuples(npts: int, length: int) -> int:
-    out = 1
-    for i in range(length):
-        out *= npts - i
-    return out

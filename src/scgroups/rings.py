@@ -18,6 +18,7 @@ read its exponents.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -67,18 +68,15 @@ def prime_power_decompose(q: int) -> Optional[tuple[int, int]]:
     """Return (p, d) with q = p^d, or None if q is not a prime power."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p:
-            continue
-        d = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            d += 1
-        return (p, d) if m == 1 else None
-    return (q, 1)
+    if is_prime(q):
+        return (q, 1)
+    # a composite q has its least prime factor p at most sqrt(q)
+    p = next(f for f in range(2, math.isqrt(q) + 1) if q % f == 0)
+    d = 0
+    while q % p == 0:
+        q //= p
+        d += 1
+    return (p, d) if q == 1 else None
 
 
 def sufficiently_large(q: int) -> bool:

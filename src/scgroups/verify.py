@@ -26,7 +26,7 @@ from .groupring import (
     r_mul,
     scale,
 )
-from .linalg import AbMap, FpAb, RowTable, ab_quotient, direct_sum, intmat, iso_odd, snf
+from .linalg import AbMap, FpAb, RowTable, ab_quotient, direct_sum, intmat, iso_odd, odd_part, snf
 from .rings import GF, Ring, parse_ring, prime_power_decompose, square_classes
 from .scissors import context
 from .valuation import (
@@ -618,7 +618,7 @@ def suite_global(**_) -> list[Check]:
     )
     ok = True
     for r in reports:
-        c_odd = globalinv.odd_part(math.gcd(6, (r.p + 1) // 2))
+        c_odd = odd_part(math.gcd(6, (r.p + 1) // 2))
         expected = r.p_plus_1_odd // c_odd if r.three_divides_p_plus_1 else r.p_plus_1_odd
         if expected != r.pbar_odd_order:
             ok = False

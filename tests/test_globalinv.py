@@ -11,6 +11,7 @@ from scgroups.globalinv import (
     pbar_table,
 )
 from scgroups.linalg import odd_part
+from scgroups.rings import is_prime
 
 
 def test_k3_image_order_examples():
@@ -46,6 +47,12 @@ def test_pbar_order_examples():
 def test_pbar_internal_consistency_sweep():
     for r in pbar_table(11, 97):
         assert r.pbar_odd_order * r.killed_order == r.p_plus_1_odd
+
+
+def test_pbar_table_lists_the_primes_from_11():
+    assert [r.p for r in pbar_table(11, 20000)] == [p for p in range(11, 20001) if is_prime(p)]
+    assert [r.p for r in pbar_table(-5, 30)] == [11, 13, 17, 19, 23, 29]
+    assert pbar_table(0, 10) == pbar_table(-1, 1) == []
 
 
 def test_pbar_guards():

@@ -1748,14 +1748,28 @@ def test_first_subset_that_misses_a_column_still_reaches_the_basis(monkeypatch, 
 
 
 @pytest.mark.parametrize("m", [1, 2, 6, 7, 40, 200, 4117, 4118, 16405, 16406, 70000])
-def test_seeded_stream_draws_the_seeded_sample_one_index_at_a_time(m):
-    # random.sample keeps a pool of the m indices up to a set size that
-    # grows with k, and a set of the drawn ones above it: both branches
+def test_seeded_stream_draws_the_seeded_sample_one_index_at_a_time(m, monkeypatch):
     sizes = {0, 1, 5, 6, min(m, 824), m // 2, min(m, 8 * 99 + 64)}
+    randrange, calls = random.Random.randrange, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return randrange(self, *args, **kwargs)
+
     for k in sorted(k for k in sizes if k <= m):
-        want = random.Random(linalg._SUBSET_SEED).sample(range(m), k)
-        assert list(linalg._seeded_stream(m, k)) == want
-        assert list(itertools.islice(linalg._seeded_stream(m, k), 3)) == want[:3]
+        got = list(linalg._seeded_stream(m, k))
+        assert len(got) == len(set(got)) == k and all(0 <= i < m for i in got)
+        assert list(linalg._seeded_stream(m, k)) == got
+        assert list(itertools.islice(linalg._seeded_stream(m, k), 3)) == got[:3]
+        # random.sample keeps a pool of the m indices, and so makes the same
+        # draws, while m is at most a set size that grows with k
+        if k and m <= 21 + 4 ** math.ceil(math.log(3 * k, 4)) * (k > 5):
+            assert got == random.Random(linalg._SUBSET_SEED).sample(range(m), k)
+        # one draw of the generator per index, so no rejection sampling
+        monkeypatch.setattr(random.Random, "randrange", counted)
+        calls.clear()
+        assert list(linalg._seeded_stream(m, k)) == got and len(calls) == k
+        monkeypatch.undo()
 
 
 # -- the sparse reduction against its reference -----------------------------------

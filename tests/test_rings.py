@@ -259,6 +259,13 @@ def test_prime_power_decompose():
     assert prime_power_decompose(13) == (13, 1)
 
 
+def test_prime_power_decompose_agrees_with_brute_force_below_10_4():
+    primes = [p for p in range(2, 10**4) if all(p % f for f in range(2, math.isqrt(p) + 1))]
+    want = {p**d: (p, d) for p in primes for d in range(1, 14) if p**d < 10**4}
+    for q in range(-1, 10**4):
+        assert prime_power_decompose(q) == want.get(q), q
+
+
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.label)
 def test_unit_group_basis(ring):
     gens, orders, dlog = unit_group_basis(ring)
