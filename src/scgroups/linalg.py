@@ -36,16 +36,16 @@ rows as extra rows), the block form of a Z[G]-module, ``left_kernel``,
 their bases so, and hand them to ``FpAb`` as its echelon.
 
 ``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz reduction
-to triangular rows, then the Hermite basis of their lattice modulo its
-determinant, lifted through the rational kernel when the rank is
-deficient.  An input of more than WHOLE_PER_COLUMN (4) rows per column is
-not reduced whole: a seeded subset of n + 8 rows that touch each column
-twice is, and its basis is returned under a certificate checked at run
-time, its quotient map killing every input row (``Quotient.unkilled``)
-with equal rank and determinant; rows it does not kill join the subset
-for another round.  The basis comes as the SparseEchelon that its
-certificate read, with that map, and an FpAb keeps both instead of
-building them again.
+to triangular rows, then one back-substitution over them at every rank,
+whose quotient map's kernel is the Hermite basis of their lattice, taken
+modulo its determinant at full rank.  An input of more than
+WHOLE_PER_COLUMN (4) rows per column is not reduced whole: a seeded subset
+of n + 8 rows that touch each column twice is, and its basis is returned
+under a certificate checked at run time, its quotient map killing every
+input row (``Quotient.unkilled``) with equal rank and determinant; rows it
+does not kill join the subset for another round.  The basis comes as the
+SparseEchelon that its certificate read, with that map, and an FpAb keeps
+both instead of building them again.
 
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
@@ -454,10 +454,10 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     WHOLE_PER_COLUMN * n rows, else at least n + 8 rows of a seeded stream
     that touch each column twice where the stream does.  Each round
     reduces the subset to triangular rows, and ``_subset_hnf`` gives the
-    HNF B of their lattice L_S modulo its determinant, with the index d_S
-    of L_S on its pivot columns.  A subset that holds every row returns B
-    with no map: L_S is the input lattice.  Otherwise B is accepted only if
-    its quotient map kills every input row, it has rank(L_S) rows and its
+    HNF B of their lattice L_S, with the index d_S of L_S projected onto
+    B's pivot columns.  A subset that holds every row returns B with no
+    map: L_S is the input lattice.  Otherwise B is accepted only if its
+    quotient map kills every input row, it has rank(L_S) rows and its
     pivots multiply to d_S.  Then L_S lies in L(B) of the same rank, so
     both span one space with one set of echelon pivot columns, onto which
     the projection is injective, and equal indices there give L(B) = L_S =
@@ -526,83 +526,55 @@ def _check_canonical(basis: list[dict], n: int) -> None:
 
 def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
     """Canonical HNF rows of the lattice L of the triangular rows
-    ``retired``, with the index of L projected onto its HNF pivot columns:
-    the product of the |pivots| of ``retired`` at full rank, else of the
-    re-reduced projected rows (1 for no rows).
+    ``retired``, with the index of L projected onto its HNF pivot columns.
 
-    Full rank goes straight to ``_hnf_mod_det``.  With rank r < n the HNF
-    pivot columns P are read off the rational right kernel (the columns Q
-    where the kernel's rank grows from the right, ``_rational_kernel``); the
-    lattice projects injectively onto the columns P, so its HNF there is the
-    HNF mod the determinant of the re-reduced projected rows, and each row
-    lifts back to Z^n through the kernel."""
+    The quotient map Z^n -> Z^n / L comes from one back-substitution, a
+    Tietze presentation (Cohen 1993, §2.4) summed bottom-up into sparse
+    dicts: a column where no row retires gets a free coordinate, a row with
+    pivot 1 rewrites its generator through later columns, and each row with
+    a larger pivot gives its generator a coordinate of its own, and its
+    image as a relation row.  At full rank those coordinates are taken
+    modulo the determinant D, the product of the pivots: D*Z^n lies in L,
+    so no entry leaves [0, D) (Domich-Kannan-Trotter 1987; Hafner-McCurley
+    1991); below full rank they are free.  L is the kernel of that map
+    modulo the relation rows (``Quotient.kernel``).
+
+    The index is D at full rank, else that of the rows re-reduced on the
+    basis's pivot columns, onto which L must project injectively.  A basis
+    whose pivots do not multiply to the index is refused: the map it was
+    read from has the wrong order."""
     if not retired:
         return [], 1
-    if len(retired) == n:
-        return _hnf_mod_det(retired, n), math.prod(abs(r[c]) for c, r in retired)
-    kernel = _rational_kernel(retired, n)
-    cols = [c for c in range(n) if c not in kernel]
-    pos = {c: i for i, c in enumerate(cols)}
-    projected = [{pos[j]: v for j, v in r.items() if j in pos} for _, r in retired]
-    sub = _sparse_reduce(projected)
-    if len(sub) != len(cols):
-        raise AssertionError("certified HNF: the projection onto the pivot columns is not injective")
-    out = []
-    for row in _hnf_mod_det(sub, len(cols)):
-        w = {cols[j]: v for j, v in row.items()}
-        lift = {}
-        for q, kap in kernel.items():
-            x, rem = divmod(-sum(kap[c] * v for c, v in w.items() if c in kap), kap[q])
-            if rem:
-                raise AssertionError("certified HNF: a lifted entry is not an integer")
-            if x:
-                lift[q] = x
-        w.update(lift)
-        out.append(w)
-    return out, math.prod(abs(r[c]) for c, r in sub)
-
-
-def _rational_kernel(retired: list, n: int) -> dict[int, dict]:
-    """Integer basis {q: kappa} of the rational right kernel of the
-    triangular rows ``retired``, in reduced echelon form from the right:
-    q is the last nonzero column of kappa (with kappa[q] > 0) and every
-    other kappa vanishes at q.  These q are exactly the columns that are
-    not HNF pivot columns of the row space."""
-    cols = {c for c, _ in retired}
-    out: dict[int, dict] = {}
-    for f in range(n):
-        if f in cols:
-            continue
-        # free column f set to 1, the others to 0; solve upwards, scaling
-        # the vector whenever a pivot does not divide
-        v = {f: 1}
-        for c, r in reversed(retired):
-            s = sum(a * v[j] for j, a in r.items() if j in v)
-            if s:
-                scale = abs(r[c]) // math.gcd(s, r[c])
-                if scale > 1:
-                    v = {j: a * scale for j, a in v.items()}
-                v[c] = -s * scale // r[c]
-        g = math.gcd(*v.values())
-        v = {j: a // g for j, a in v.items()}
-        for q, kap in out.items():
-            if q in v:
-                v = _primitive_comb(kap[q], v, -v[q], kap)
-        q = max(v)
-        if v[q] < 0:
-            v = {j: -a for j, a in v.items()}
-        for q2, kap in out.items():
-            if q in kap:
-                out[q2] = _primitive_comb(v[q], kap, -kap[q], v)
-        out[q] = v
-    return out
-
-
-def _primitive_comb(a: int, u: dict, b: int, w: dict) -> dict:
-    """a*u + b*w divided by the gcd of its entries (a > 0 keeps signs)."""
-    out = _axpy(a, u, b, w)
-    g = math.gcd(*out.values())
-    return {j: x // g for j, x in out.items()}
+    tri = [(c, r if r[c] > 0 else {j: -v for j, v in r.items()}) for c, r in retired]
+    det = math.prod(r[c] for c, r in tri) if len(tri) == n else 0
+    images: list[dict] = [{} for _ in range(n)]
+    moduli: list[int] = []
+    for j in sorted(set(range(n)) - {c for c, _ in tri}):
+        images[j] = {len(moduli): 1}
+        moduli.append(0)
+    rels = []
+    for c, r in reversed(tri):
+        acc: dict = {}
+        for j, a in r.items():
+            for k, x in images[j].items():  # the row's own column is not mapped yet
+                acc[k] = acc.get(k, 0) + a * x
+        if r[c] == 1:
+            images[c] = {k: y for k, x in acc.items() if (y := -x % det if det else -x)}
+        else:
+            images[c] = {len(moduli): 1}
+            rels.append({**acc, len(moduli): r[c]})
+            moduli.append(det)
+    basis = Quotient(moduli, [list(img.items()) for img in images]).kernel(rels)
+    index = det
+    if not det:
+        pos = {min(r): i for i, r in enumerate(basis)}
+        sub = _sparse_reduce([{pos[j]: v for j, v in r.items() if j in pos} for _, r in tri])
+        if not len(sub) == len(pos) == len(tri):
+            raise AssertionError("certified HNF: the projection onto the pivot columns is not injective")
+        index = math.prod(abs(r[c]) for c, r in sub)
+    if math.prod(r[min(r)] for r in basis) != index:
+        raise AssertionError("certified HNF: the quotient map has the wrong order")
+    return basis, index
 
 
 def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
@@ -613,39 +585,6 @@ def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
         if z:
             out[j] = z
     return out
-
-
-def _hnf_mod_det(retired: list, n: int) -> list[dict]:
-    """Canonical HNF rows of the full-rank lattice L of the triangular rows
-    ``retired``, modulo its determinant D (Domich-Kannan-Trotter 1987;
-    Hafner-McCurley 1991): D*Z^n lies in L, so no entry leaves [0, D).
-
-    The quotient map Z^n -> Z^n / L comes from back-substitution, summed
-    into sparse dicts: a row with pivot 1 rewrites its generator through
-    later columns, and each of the m rows with a larger pivot gives a
-    coordinate mod D, and its own image as a relation row in Z^m.  L is
-    the kernel of that map modulo the relation rows (``Quotient.kernel``),
-    and its pivots multiply to D exactly when the map has the order of
-    Z^n / L.
-    """
-    tri = [(c, r if r[c] > 0 else {j: -v for j, v in r.items()}) for c, r in retired]
-    det = math.prod(r[c] for c, r in tri)
-    images: list[dict] = [{} for _ in range(n)]
-    rels = []
-    for c, r in reversed(tri):
-        acc: dict = {}
-        for j, a in r.items():
-            for k, x in images[j].items():  # the row's own column is not mapped yet
-                acc[k] = acc.get(k, 0) + a * x
-        if r[c] == 1:
-            images[c] = {k: -x % det for k, x in acc.items() if x % det}
-        else:
-            images[c] = {len(rels): 1}
-            rels.append({**acc, len(rels): r[c]})
-    basis = Quotient([det] * len(rels), [list(img.items()) for img in images]).kernel(rels)
-    if math.prod(r[min(r)] for r in basis) != det:
-        raise AssertionError("certified HNF: the quotient map has the wrong order")
-    return basis
 
 
 class _ImageLattice:

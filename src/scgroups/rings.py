@@ -27,14 +27,17 @@ from typing import Optional
 
 # the first 13 primes, as Miller-Rabin bases, and the least strong
 # pseudoprime to all of them (Sorenson-Webster 2015): below it the test on
-# these bases decides primality exactly
+# these bases decides primality exactly.  Below 3 215 031 751, the least
+# strong pseudoprime to 2, 3, 5 and 7 (Pomerance-Selfridge-Wagstaff 1980),
+# those four bases suffice
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: by Miller-Rabin on the bases _MR_BASES below
-    _MR_BOUND, where that is exact, and by trial division above it."""
+    _MR_BOUND, where that is exact (on the first four of them below
+    3 215 031 751), and by trial division above it."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -45,7 +48,7 @@ def is_prime(n: int) -> bool:
         while d % 2 == 0:
             d //= 2
             s += 1
-        for a in _MR_BASES:
+        for a in _MR_BASES[:4] if n < 3_215_031_751 else _MR_BASES:
             x = pow(a, d, n)
             if x == 1 or x == n - 1:
                 continue
@@ -600,10 +603,6 @@ def square_classes(ring: Ring) -> SqClassGroup:
     return SqClassGroup(ring=ring, rank=len(basis), basis=basis, class_table=class_table, reps=reps)
 
 
-def element_orders(ring: Ring) -> dict:
-    return {u: _order_of(ring, u) for u in ring.units}
-
-
 def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
     """Decompose A^x as a direct sum of cyclic groups.
 
@@ -651,7 +650,7 @@ def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
             for e in range(k):
                 new_span[x] = exps + (e,)
                 x = ring.mul(x, chosen)
-        span = {h: exps for h, exps in new_span.items()}
+        span = new_span
     dlog = {u: span[u] for u in ring.units}
     # pad exponent tuples of elements recorded before later generators
     r = len(gens)

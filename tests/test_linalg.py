@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, primefactors
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
@@ -1072,6 +1072,69 @@ def test_certified_hnf_matches_oracle_on_random_tall_inputs(lat):
     assert got == sympy_row_hnf(rows)
 
 
+@st.composite
+def tall_graphs(draw):
+    """(n, edges): more than tall(n) distinct edges (u, v) of a graph on
+    n >= 12 vertices.  The edges lie inside the blocks of a random
+    partition into at most three, except for one bridge, drawn or not,
+    from each later block to the first: the graph may have several
+    components, and two dense blocks joined by one bridge are what the
+    first subset's cover rule misses, so that the bridge escapes it."""
+    n = draw(st.integers(12, 24))
+    cut = next(c for c in range(n // 2, n + 1) if math.comb(c, 2) + math.comb(n - c, 2) > tall(n))
+    cut = draw(st.integers(cut, n))
+    split = draw(st.integers(cut, n))
+    rng = draw(st.randoms(use_true_random=False))
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    blocks = [b for b in (vertices[:cut], vertices[cut:split], vertices[split:]) if b]
+    pairs = [pair for b in blocks for pair in itertools.combinations(b, 2)]
+    assume(len(pairs) > tall(n))
+    edges = rng.sample(pairs, draw(st.integers(tall(n) + 1, len(pairs))))
+    edges += [(rng.choice(blocks[0]), rng.choice(b)) for b in blocks[1:] if draw(st.booleans())]
+    rng.shuffle(edges)
+    return n, [tuple(rng.sample(e, 2)) for e in edges]
+
+
+def components(n, edges):
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    return len({root(v) for v in range(n)})
+
+
+def two_cliques():
+    """(24, edges): two complete graphs on 12 vertices joined by the bridge
+    (0, 23), in the first seeded order whose first subset misses the
+    bridge, so that it escapes the first round."""
+    for seed in itertools.count():
+        edges = [e for b in (range(12), range(12, 24)) for e in itertools.combinations(b, 2)] + [(0, 23)]
+        random.Random(seed).shuffle(edges)
+        if edges.index((0, 23)) not in linalg._first_subset([{u: 1, v: -1} for u, v in edges], 24):
+            return 24, edges
+
+
+@settings(max_examples=30, deadline=None)
+@given(tall_graphs())
+@example(two_cliques())
+def test_certified_hnf_on_tall_graph_incidence_lattices(graph):
+    # rows e_u - e_v: two entries each, on which the cover rule misses rank,
+    # so rank-deficient and escape rounds run through the certified step
+    n, edges = graph
+    rows = [[int(j == u) - int(j == v) for j in range(n)] for u, v in edges]
+    assert len(linalg._first_subset(_sparse(rows), n)) < len(rows)
+    assert _ints(hnf_rows(rows, n)) == sympy_row_hnf(rows)
+    g = FpAb(n, _sparse(rows))
+    assert g.free_rank == components(n, edges)
+    assert g.invariant_factors() == ()
+
+
 @pytest.mark.parametrize("rare", ["index", "rank"])
 def test_certified_hnf_grows_a_subset_that_misses_a_rare_generator(monkeypatch, rare):
     # 300 rows of 2Z^3 (or of Z^2 x 0) and one row that only the full set has:
@@ -1109,20 +1172,20 @@ def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
     rows = lattice_rows(rng, [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
     want = [[1, 0, 1], [0, 1, 1], [0, 0, 3]]
     assert sympy_row_hnf(rows) == want
-    step = linalg._hnf_mod_det
+    step = linalg._subset_hnf
 
     def corrupted(retired, n):
-        basis = step(retired, n)
+        basis, det = step(retired, n)
         if fault == "entry":
             basis[0][2] = 2  # still reduced, no longer in the lattice
         else:
             basis[2][2] = 6  # a sublattice: the input rows escape it
-        return basis
+        return basis, det
 
-    monkeypatch.setattr(linalg, "_hnf_mod_det", corrupted)
+    monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
     with pytest.raises(AssertionError, match=message):
         hnf_rows(rows, 3)
-    monkeypatch.setattr(linalg, "_hnf_mod_det", step)
+    monkeypatch.setattr(linalg, "_subset_hnf", step)
     assert [[int(x) for x in r] for r in hnf_rows(rows, 3)] == want
 
 
@@ -1130,7 +1193,8 @@ def test_mod_det_superlattice_trips_the_determinant_certificate(monkeypatch):
     # Z^3, the one lattice above the rows' index-3 lattice, kills every row:
     # only the determinant tells it from the subset's lattice
     rows = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
-    monkeypatch.setattr(linalg, "_hnf_mod_det", lambda retired, n: [{j: 1} for j in range(n)])
+    step = linalg._subset_hnf
+    monkeypatch.setattr(linalg, "_subset_hnf", lambda retired, n: ([{j: 1} for j in range(n)], step(retired, n)[1]))
     with pytest.raises(AssertionError, match="not in the subset lattice"):
         hnf_rows(rows, 3)
 
@@ -1146,7 +1210,7 @@ def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, faul
         assert len(retired) == n - 1
         if fault == "determinant":
             return basis, 2 * det
-        # an entry off the pivot columns comes from the lift through the kernel
+        # an entry off the pivot columns, which the projected index does not read
         pivots = {min(r) for r in basis}
         row = next(r for r in basis if any(j not in pivots for j in r))
         j = max(j for j in row if j not in pivots)
@@ -1204,35 +1268,44 @@ def test_mod_det_refuses_a_kernel_of_the_wrong_order(monkeypatch):
     assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows)
 
 
-def test_subset_hnf_refuses_a_projection_that_is_not_injective(monkeypatch):
-    # a rational kernel one vector short leaves two columns for rows of
-    # rank 1: the projection onto them cannot be injective
-    rational = linalg._rational_kernel
+def test_subset_hnf_refuses_a_rank_deficient_kernel_of_the_wrong_order(monkeypatch):
+    # a whole input of rank 2 in Z^3, so no certificate runs after the step:
+    # a kernel row doubled spans a sublattice of index 2 in L, and its
+    # pivots multiply to twice the index of the re-reduced projected rows
+    rows = [[2, 1, 1], [0, 3, 1], [2, 4, 2]]
+    kernel = linalg.Quotient.kernel
 
-    def short(retired, n):
-        out = rational(retired, n)
-        assert len(out) == 2
-        out.pop(max(out))
-        return out
+    def doubled(q, extra=()):
+        basis = kernel(q, extra)
+        basis[-1] = {j: 2 * v for j, v in basis[-1].items()}
+        return basis
 
-    monkeypatch.setattr(linalg, "_rational_kernel", short)
-    with pytest.raises(AssertionError, match="not injective"):
-        hnf_rows([[1, 2, 3]], 3)
-
-
-def test_subset_hnf_refuses_a_lift_that_is_not_integral(monkeypatch):
-    # the kernel vector (-1, 1) with its last entry doubled lifts the
-    # projected row (1) to (1, 1/2)
-    rational = linalg._rational_kernel
-
-    def doubled(retired, n):
-        return {q: {**kap, q: 2 * kap[q]} for q, kap in rational(retired, n).items()}
-
-    monkeypatch.setattr(linalg, "_rational_kernel", doubled)
-    with pytest.raises(AssertionError, match="not an integer"):
-        hnf_rows([[1, 1]], 2)
+    monkeypatch.setattr(linalg.Quotient, "kernel", doubled)
+    with pytest.raises(AssertionError, match="wrong order"):
+        hnf_rows(rows, 3)
     monkeypatch.undo()
-    assert _ints(hnf_rows([[1, 1]], 2)) == [[1, 1]]
+    assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows)
+
+
+def test_subset_hnf_refuses_a_kernel_whose_pivot_column_moved(monkeypatch):
+    # a whole input of rank 2 in Z^3 with pivot columns 0 and 1: the last
+    # kernel row moved one column right leaves pivot columns 0 and 2, onto
+    # which the rows project with rank 1.  Every pivot is 1 on both sides,
+    # so only the injectivity check can refuse it
+    rows = [[1, 2, 0], [0, 1, 0], [1, 3, 0]]
+    kernel = linalg.Quotient.kernel
+
+    def moved(q, extra=()):
+        basis = kernel(q, extra)
+        n = len(q.by_key)
+        basis[-1] = {j + 1: v for j, v in basis[-1].items() if j + 1 < n}
+        return basis
+
+    monkeypatch.setattr(linalg.Quotient, "kernel", moved)
+    with pytest.raises(AssertionError, match="not injective"):
+        hnf_rows(rows, 3)
+    monkeypatch.undo()
+    assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows) == [[1, 0, 0], [0, 1, 0]]
 
 
 def _index_two_case(even_column_1=False):

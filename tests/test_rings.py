@@ -11,8 +11,8 @@ from scgroups.rings import (
     GF,
     TruncPoly,
     ZMod,
+    _order_of,
     _poly_mul_mod,
-    element_orders,
     is_prime,
     make_ring,
     parse_ring,
@@ -348,8 +348,9 @@ def test_field_under_every_descriptor():
         assert not parse_ring(desc).is_field
 
 
-def test_element_orders():
-    orders = element_orders(GF(7))
+def test_order_of():
+    ring = GF(7)
+    orders = {u: _order_of(ring, u) for u in ring.units}
     assert orders[1] == 1 and orders[6] == 2
     assert max(orders.values()) == 6
 
