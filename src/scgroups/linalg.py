@@ -10,8 +10,8 @@ relations so, ``AbMap`` one row per source generator, and a canonical basis
 lives in a ``SparseEchelon``.  numpy object matrices
 appear only at the API edge, as views built on each read (``hnf_rows``,
 ``rel_basis``, ``rels``, ``reduce``, ``solve_in_rows``, ``left_kernel``,
-``lattice_intersect``, ``AbMap.matrix``, ``SubgroupPres.lift``), and in
-``snf``.
+``lattice_intersect``, ``AbMap.matrix``, ``SubgroupPres.lift``), and as
+``snf``'s result.
 
 A quotient map Z^n -> Z^f + sum Z/d_k has one form, ``Quotient``: its
 moduli and the images of the generators, by index or by any hashable key.
@@ -32,13 +32,15 @@ rows}, read off the generator images in one right-to-left pass over a
 lattice of the few target coordinates.  Kernels and images of maps (the
 target's map composed with the map rows), quotients (the images of the new
 rows as extra rows), the block form of a Z[G]-module, ``left_kernel``,
-``lattice_intersect`` and the modular step of ``_hnf_sparse`` all read
-their bases so, and hand them to ``FpAb`` as its echelon.
+``lattice_intersect`` and the certified Hermite step all read their bases
+so, and hand them to ``FpAb`` as its echelon.
 
-``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz reduction
-to triangular rows, then one back-substitution over them at every rank,
-whose quotient map's kernel is the Hermite basis of their lattice, taken
-modulo its determinant at full rank.  An input of more than
+Every map read off rows comes from one builder, ``_quotient_map``: one
+back-substitution over triangular rows, then ``snf`` on the relation rows
+of their pivots > 1.  ``_hnf_sparse`` is the one exact Hermite path: a
+sparse Markowitz reduction to triangular rows, whose map (modulo their
+determinant at full rank) has the Hermite basis as its kernel, and an
+FpAb's map is the builder's on that basis.  An input of more than
 WHOLE_PER_COLUMN (4) rows per column is not reduced whole: a seeded subset
 of n + 8 rows that touch each column twice is, and its basis is returned
 under a certificate checked at run time, its quotient map killing every
@@ -454,14 +456,15 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     WHOLE_PER_COLUMN * n rows, else at least n + 8 rows of a seeded stream
     that touch each column twice where the stream does.  Each round
     reduces the subset to triangular rows, and ``_subset_hnf`` gives the
-    HNF B of their lattice L_S, with the index d_S of L_S projected onto
-    B's pivot columns.  A subset that holds every row returns B with no
-    map: L_S is the input lattice.  Otherwise B is accepted only if its
-    quotient map kills every input row, it has rank(L_S) rows and its
-    pivots multiply to d_S.  Then L_S lies in L(B) of the same rank, so
-    both span one space with one set of echelon pivot columns, onto which
-    the projection is injective, and equal indices there give L(B) = L_S =
-    lattice(rows).
+    HNF B of their lattice L_S, the kernel of their quotient map, with the
+    index d_S of L_S projected onto B's pivot columns.  A subset that holds
+    every row returns B with no map: L_S is the input lattice.  Otherwise B
+    is accepted only if its own quotient map, the one builder's on its rows
+    (``_projection_table``), kills every input row, it has rank(L_S) rows
+    and its pivots multiply to d_S.  Then L_S lies in L(B) of the same rank,
+    so both span one space with one set of echelon pivot columns, onto
+    which the projection is injective, and equal indices there give L(B) =
+    L_S = lattice(rows).
 
     Input rows that the map does not kill join the subset for the next
     round, a seeded sample of at most len(subset) of them, so the subset
@@ -524,20 +527,65 @@ def _check_canonical(basis: list[dict], n: int) -> None:
                 raise AssertionError("certified HNF: an entry above a pivot is not reduced")
 
 
+def _quotient_map(tri: list, n: int, det: int = 0) -> Quotient:
+    """The quotient map Z^n -> Z^n / L of the lattice L of triangular rows,
+    (column, row) pairs in which each row vanishes at the columns of the
+    pairs before it (retired rows, or a canonical HNF by pivot): the one
+    builder of a quotient map from rows.  One back-substitution, a Tietze
+    presentation (Cohen 1993, §2.4): a column where no row lies gets a free
+    coordinate, a pivot ±1 rewrites its generator through later columns,
+    and a larger pivot gives its generator a coordinate of its own and its
+    image as a relation row.  A ``det`` with det*Z^n in L takes every value
+    modulo det, so no entry leaves [0, det) (Domich-Kannan-Trotter 1987),
+    and adds the rows det*e_k to the relations.  ``snf`` reads these, in
+    increasing column, over the coordinates they touch: the target is Z/d_k
+    for each Smith modulus other than 1, then the untouched coordinates,
+    and a touched coordinate's image is its row of the transform V.  With
+    no relation row the back-substitution's map is the result."""
+    images: list[dict] = [{} for _ in range(n)]
+    cols: list[int] = []  # the column of each coordinate
+    for j in sorted(set(range(n)) - {c for c, _ in tri}):
+        images[j] = {len(cols): 1}
+        cols.append(j)
+    rels: dict[int, dict] = {}
+    for c, r in reversed(tri):
+        acc: dict = {}
+        for j, a in r.items():
+            for k, x in images[j].items():  # the row's own column is not mapped yet
+                acc[k] = acc.get(k, 0) + a * x
+        if (p := r[c]) in (1, -1):
+            images[c] = {k: y for k, x in acc.items() if (y := -p * x % det if det else -p * x)}
+        else:
+            images[c] = {len(cols): 1}
+            rels[c] = {**acc, len(cols): p}
+            cols.append(c)
+    if not rels:
+        return Quotient([0] * len(cols), [sorted(img.items()) for img in images])
+    touched = sorted({k for r in rels.values() for k in r}, key=cols.__getitem__)
+    mat = [[r.get(k, 0) for k in touched] for _, r in sorted(rels.items())]
+    if det:
+        mat = [[x % det for x in row] for row in mat] + [[det * (k == t) for k in touched] for t in touched]
+    sd = snf(mat)
+    d = sd.diagonal() + [0] * max(0, len(touched) - len(mat))
+    keep = [i for i, x in enumerate(d) if x != 1]
+    new = {k: [(out, sd.v[pos, i]) for out, i in enumerate(keep)] for pos, k in enumerate(touched)}
+    free = [k for k in range(len(cols)) if k not in new]
+    new.update((k, [(out, 1)]) for out, k in enumerate(free, start=len(keep)))
+    moduli = [d[i] for i in keep] + [0] * len(free)
+    for j, img in enumerate(images):
+        w: dict = {}
+        for k, x in img.items():
+            for o, a in new[k]:
+                w[o] = w.get(o, 0) + x * a
+        images[j] = sorted((o, y) for o, x in w.items() if (y := x % moduli[o] if moduli[o] else x))
+    return Quotient(moduli, images)
+
+
 def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
     """Canonical HNF rows of the lattice L of the triangular rows
-    ``retired``, with the index of L projected onto its HNF pivot columns.
-
-    The quotient map Z^n -> Z^n / L comes from one back-substitution, a
-    Tietze presentation (Cohen 1993, §2.4) summed bottom-up into sparse
-    dicts: a column where no row retires gets a free coordinate, a row with
-    pivot 1 rewrites its generator through later columns, and each row with
-    a larger pivot gives its generator a coordinate of its own, and its
-    image as a relation row.  At full rank those coordinates are taken
-    modulo the determinant D, the product of the pivots: D*Z^n lies in L,
-    so no entry leaves [0, D) (Domich-Kannan-Trotter 1987; Hafner-McCurley
-    1991); below full rank they are free.  L is the kernel of that map
-    modulo the relation rows (``Quotient.kernel``).
+    ``retired``, with the index of L projected onto its HNF pivot columns:
+    the kernel of their quotient map (``_quotient_map``), taken modulo the
+    determinant D, the product of the pivots, at full rank.
 
     The index is D at full rank, else that of the rows re-reduced on the
     basis's pivot columns, onto which L must project injectively.  A basis
@@ -545,31 +593,13 @@ def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
     read from has the wrong order."""
     if not retired:
         return [], 1
-    tri = [(c, r if r[c] > 0 else {j: -v for j, v in r.items()}) for c, r in retired]
-    det = math.prod(r[c] for c, r in tri) if len(tri) == n else 0
-    images: list[dict] = [{} for _ in range(n)]
-    moduli: list[int] = []
-    for j in sorted(set(range(n)) - {c for c, _ in tri}):
-        images[j] = {len(moduli): 1}
-        moduli.append(0)
-    rels = []
-    for c, r in reversed(tri):
-        acc: dict = {}
-        for j, a in r.items():
-            for k, x in images[j].items():  # the row's own column is not mapped yet
-                acc[k] = acc.get(k, 0) + a * x
-        if r[c] == 1:
-            images[c] = {k: y for k, x in acc.items() if (y := -x % det if det else -x)}
-        else:
-            images[c] = {len(moduli): 1}
-            rels.append({**acc, len(moduli): r[c]})
-            moduli.append(det)
-    basis = Quotient(moduli, [list(img.items()) for img in images]).kernel(rels)
+    det = math.prod(abs(r[c]) for c, r in retired) if len(retired) == n else 0
+    basis = _quotient_map(retired, n, det).kernel()
     index = det
     if not det:
         pos = {min(r): i for i, r in enumerate(basis)}
-        sub = _sparse_reduce([{pos[j]: v for j, v in r.items() if j in pos} for _, r in tri])
-        if not len(sub) == len(pos) == len(tri):
+        sub = _sparse_reduce([{pos[j]: v for j, v in r.items() if j in pos} for _, r in retired])
+        if not len(sub) == len(pos) == len(retired):
             raise AssertionError("certified HNF: the projection onto the pivot columns is not injective")
         index = math.prod(abs(r[c]) for c, r in sub)
     if math.prod(r[min(r)] for r in basis) != index:
@@ -811,24 +841,37 @@ class SmithData:
         return [int(self.s[i, i]) for i in range(min(m, n))]
 
 
-def _pivot_search(a: np.ndarray, t: int) -> Optional[tuple[int, int]]:
-    m, n = a.shape
-    nnz_row = [sum(1 for j in range(t, n) if a[i, j]) for i in range(m)]
-    nnz_col = [sum(1 for i in range(t, m) if a[i, j]) for j in range(n)]
+def _pivot_search(a: list[list[int]], t: int, n: int) -> Optional[tuple[int, int]]:
+    nnz_row = [sum(1 for x in r[t:] if x) for r in a]
+    nnz_col = [sum(1 for r in a[t:] if r[j]) for j in range(n)]
     best = None
     best_key = None
-    for i in range(t, m):
+    for i in range(t, len(a)):
         if not nnz_row[i]:
             continue
         for j in range(t, n):
-            x = a[i, j]
+            x = a[i][j]
             if not x:
                 continue
-            key = (abs(int(x)), (nnz_row[i] - 1) * (nnz_col[j] - 1), i, j)
+            key = (abs(x), (nnz_row[i] - 1) * (nnz_col[j] - 1), i, j)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (i, j)
     return best
+
+
+def _mix_rows(r: list, i: int, j: int, x: int, y: int, z: int, w: int, cols) -> None:
+    """Rows i and j of r become x*r[i] + y*r[j] and z*r[i] + w*r[j] at the
+    positions cols."""
+    ri, rj = r[i], r[j]
+    for c in cols:
+        ri[c], rj[c] = x * ri[c] + y * rj[c], z * ri[c] + w * rj[c]
+
+
+def _mix_cols(r, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+    """Columns i and j of the rows r become x*c_i + y*c_j and z*c_i + w*c_j."""
+    for row in r:
+        row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
 
 
 def snf(mat) -> SmithData:
@@ -836,61 +879,40 @@ def snf(mat) -> SmithData:
 
     Pivoting picks the minimal-absolute-value entry with a Markowitz-style
     fill-in tiebreak, which keeps entries small on the sparse relation
-    matrices this library produces.
+    matrices this library produces.  The work runs on lists of Python ints,
+    and s, u and v come back as object matrices.
     """
     a = intmat(mat)
     m, n = a.shape
-    u = identity(m)
-    v = identity(n)
+    a, u, v = a.tolist(), identity(m).tolist(), identity(n).tolist()
     t = 0
     while t < min(m, n):
-        pos = _pivot_search(a, t)
+        pos = _pivot_search(a, t, n)
         if pos is None:
             break
         i, j = pos
-        if i != t:
-            a[[t, i], :] = a[[i, t], :]
-            u[[t, i], :] = u[[i, t], :]
-        if j != t:
-            a[:, [t, j]] = a[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        _mix_cols(a, t, j, 0, 1, 1, 0)
+        _mix_cols(v, t, j, 0, 1, 1, 0)
+        at = a[t]
         while True:
             for i in range(t + 1, m):
-                x = int(a[i, t])
+                x, p = a[i][t], at[t]
                 if not x:
                     continue
-                p = int(a[t, t])
-                q, rem = divmod(x, p)
-                if rem == 0:
-                    a[i, t:] -= q * a[t, t:]
-                    u[i, :] -= q * u[t, :]
-                else:
-                    g, xx, yy = xgcd(p, x)
-                    rt, ri = a[t, t:].copy(), a[i, t:].copy()
-                    a[t, t:] = xx * rt + yy * ri
-                    a[i, t:] = -(x // g) * rt + (p // g) * ri
-                    ut, ui = u[t, :].copy(), u[i, :].copy()
-                    u[t, :] = xx * ut + yy * ui
-                    u[i, :] = -(x // g) * ut + (p // g) * ui
+                g, xx, yy = (p, 1, 0) if x % p == 0 else xgcd(p, x)
+                _mix_rows(a, t, i, xx, yy, -(x // g), p // g, range(t, n))
+                _mix_rows(u, t, i, xx, yy, -(x // g), p // g, range(m))
             for j in range(t + 1, n):
-                x = int(a[t, j])
+                x, p = at[j], at[t]
                 if not x:
                     continue
-                p = int(a[t, t])
-                q, rem = divmod(x, p)
-                if rem == 0:
-                    a[t:, j] -= q * a[t:, t]
-                    v[:, j] -= q * v[:, t]
-                else:
-                    g, xx, yy = xgcd(p, x)
-                    ct, cj = a[t:, t].copy(), a[t:, j].copy()
-                    a[t:, t] = xx * ct + yy * cj
-                    a[t:, j] = -(x // g) * ct + (p // g) * cj
-                    vt, vj = v[:, t].copy(), v[:, j].copy()
-                    v[:, t] = xx * vt + yy * vj
-                    v[:, j] = -(x // g) * vt + (p // g) * vj
+                g, xx, yy = (p, 1, 0) if x % p == 0 else xgcd(p, x)
+                _mix_cols(a[t:], t, j, xx, yy, -(x // g), p // g)
+                _mix_cols(v, t, j, xx, yy, -(x // g), p // g)
             # the row pass just cleared row t; stop once column t survived it
-            if all(not a[i, t] for i in range(t + 1, m)):
+            if all(not a[i][t] for i in range(t + 1, m)):
                 break
         t += 1
     rank = t
@@ -899,72 +921,29 @@ def snf(mat) -> SmithData:
     while changed:
         changed = False
         for i in range(rank - 1):
-            di, dj = int(a[i, i]), int(a[i + 1, i + 1])
+            di, dj = a[i][i], a[i + 1][i + 1]
             if dj % di == 0:
                 continue
             changed = True
-            a[:, i] += a[:, i + 1]
-            v[:, i] += v[:, i + 1]
+            _mix_cols(a, i, i + 1, 1, 1, 0, 1)
+            _mix_cols(v, i, i + 1, 1, 1, 0, 1)
             g, x, y = xgcd(di, dj)
-            ri, rj = a[i, :].copy(), a[i + 1, :].copy()
-            a[i, :] = x * ri + y * rj
-            a[i + 1, :] = -(dj // g) * ri + (di // g) * rj
-            ui, uj = u[i, :].copy(), u[i + 1, :].copy()
-            u[i, :] = x * ui + y * uj
-            u[i + 1, :] = -(dj // g) * ui + (di // g) * uj
-            q = int(a[i, i + 1]) // g
-            a[:, i + 1] -= q * a[:, i]
-            v[:, i + 1] -= q * v[:, i]
+            _mix_rows(a, i, i + 1, x, y, -(dj // g), di // g, range(n))
+            _mix_rows(u, i, i + 1, x, y, -(dj // g), di // g, range(m))
+            q = a[i][i + 1] // g
+            _mix_cols(a, i, i + 1, 1, 0, -q, 1)
+            _mix_cols(v, i, i + 1, 1, 0, -q, 1)
     for i in range(rank):
-        if a[i, i] < 0:
-            a[i, :] = -a[i, :]
-            u[i, :] = -u[i, :]
-    return SmithData(s=a, u=u, v=v, rank=rank)
+        if a[i][i] < 0:
+            a[i], u[i] = [-x for x in a[i]], [-x for x in u[i]]
+    return SmithData(s=intmat(a) if m else zeros(0, n), u=intmat(u), v=intmat(v), rank=rank)
 
 
 def _projection_table(ech: SparseEchelon) -> Quotient:
-    """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF),
-    read from its sparse echelon form, with images listed by generator.
-
-    A row with pivot 1 rewrites its generator through the later columns,
-    and the canonical HNF clears the entries above a unit pivot, so the
-    rows with a larger pivot live on the remaining (residual) columns: only
-    that block goes through snf.  The image of a residual column is its
-    row of the Smith transform V, reduced mod d_k.
-    """
-    n = ech.ncols
-    unit = {i: j for i, (j, p, _) in enumerate(ech.rows) if p == 1}
-    residual = [r for i, r in enumerate(ech.basis) if i not in unit]
-    cols = sorted({c for r in residual for c in r})
-    free = sorted(set(range(n)) - set(unit.values()) - set(cols))
-    if residual:
-        sd = snf(intmat([[r.get(c, 0) for c in cols] for r in residual]))
-        diag = sd.diagonal()
-    else:
-        sd, diag = None, []
-    # SNF coordinates with d_k = 1 are zero in the group and are dropped
-    d_all = [diag[k] if k < len(diag) else 0 for k in range(len(cols))]
-    keep = [k for k, d in enumerate(d_all) if d != 1]
-    moduli = [d_all[k] for k in keep] + [0] * len(free)
-    images: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for pos, c in enumerate(cols):
-        for out, k in enumerate(keep):
-            x = int(sd.v[pos, k])
-            if d_all[k]:
-                x %= d_all[k]
-            if x:
-                images[c].append((out, x))
-    for out, c in enumerate(free, start=len(keep)):
-        images[c].append((out, 1))
-    # unit rows bottom-up: a generator is rewritten through later columns only
-    for i in sorted(unit, reverse=True):
-        acc: dict = {}
-        for c, a in ech.rows[i][2]:
-            for k, x in images[c]:
-                acc[k] = acc.get(k, 0) - a * x
-        w = {k: x % d if (d := moduli[k]) else x for k, x in acc.items()}
-        images[unit[i]] = sorted((k, x) for k, x in w.items() if x)
-    return Quotient(moduli, images)
+    """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF):
+    ``_quotient_map`` of its rows, whose relation rows are the rows with a
+    pivot > 1 as they stand, the HNF clearing entries above a unit pivot."""
+    return _quotient_map(list(zip(ech.pivot_row, ech.basis)), ech.ncols)
 
 
 class Quotient(NamedTuple):

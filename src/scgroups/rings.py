@@ -651,14 +651,7 @@ def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
                 new_span[x] = exps + (e,)
                 x = ring.mul(x, chosen)
         span = new_span
-    dlog = {u: span[u] for u in ring.units}
-    # pad exponent tuples of elements recorded before later generators
-    r = len(gens)
-    for u in list(dlog):
-        e = dlog[u]
-        if len(e) < r:
-            dlog[u] = e + (0,) * (r - len(e))
-    return gens, gen_orders, dlog
+    return gens, gen_orders, {u: span[u] for u in ring.units}
 
 
 def _order_of(ring: Ring, u) -> int:

@@ -1308,6 +1308,121 @@ def test_subset_hnf_refuses_a_kernel_whose_pivot_column_moved(monkeypatch):
     assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows) == [[1, 0, 0], [0, 1, 0]]
 
 
+# -- the one quotient-map builder ------------------------------------------------
+
+
+@st.composite
+def triangular_rows(draw):
+    """(n, tri, det): rows with pivots on distinct columns, taken in a drawn
+    order, each vanishing at the pivot columns of the rows before it, as
+    ``_sparse_reduce`` retires them.  Pivots are ±1 or larger, other entries
+    small or up to 200 bits.  At full rank det is the pivots' product, or 0
+    where drawn so; below full rank it is 0."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    rank = draw(st.integers(1, n))
+    big = st.integers(-(2**200), 2**200)
+    entry = st.one_of(st.just(0), st.integers(-9, 9), big)
+    pivot = st.one_of(st.sampled_from([1, -1]), st.integers(2, 9), st.integers(2, 2**200))
+    tri = []
+    for i, c in enumerate(order[:rank]):
+        row = {j: x for j in order[i + 1 :] if (x := draw(entry))}
+        row[c] = draw(pivot) * draw(st.sampled_from([1, -1]))
+        tri.append((c, row))
+    det = math.prod(abs(r[c]) for c, r in tri) if rank == n and draw(st.booleans()) else 0
+    return n, tri, det
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_rows())
+def test_quotient_map_of_triangular_rows_matches_sympy(case):
+    n, tri, det = case
+    q = linalg._quotient_map(tri, n, det)
+    rows = [r for _, r in tri]
+    dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+    assert q.unkilled(rows) == []
+    assert _ints(linalg._dense(q.kernel(), n)) == sympy_row_hnf(dense)
+    factors = [abs(int(d)) for d in sympy_invariant_factors(Matrix(dense), domain=ZZ)]
+    assert [d for d in q.moduli if d > 1] == [d for d in factors if d > 1]
+    assert 1 not in q.moduli and q.moduli.count(0) == n - len(tri)
+
+
+def _single_pivot_input(name):
+    """(rows, n): P(GF(49))'s five-term table, which the certified path
+    reduces through a subset, or a whole input of 12 rows in Z^3.  The
+    step's triangular rows have one pivot > 1 on each, the determinant (50,
+    a prime 3), whose relation row is 0 modulo it: only the rows det*e_k
+    keep that coordinate's order.  With two or more pivots > 1 each lies
+    below det, the relation block already holds det*Z^t, and those rows
+    change no modulus (P(GF(97)): pivots 2 and 49, det 98)."""
+    if name == "five-term":
+        table = scissors.context("gf(49)").pre_bloch()._rels()
+        assert len(table) > linalg.WHOLE_PER_COLUMN * table.ncols
+        return table, table.ncols
+    whole = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 12)
+    assert len(whole) <= linalg.WHOLE_PER_COLUMN * 3
+    return [{j: x for j, x in enumerate(r) if x} for r in whole], 3
+
+
+@pytest.mark.parametrize("name", ["five-term", "whole"])
+@pytest.mark.parametrize("fault", ["modulus-as-1", "no-det-rows"])
+def test_faulty_smith_input_or_step_trips_hnf_sparse(monkeypatch, fault, name):
+    # a Smith step that reports one modulus d > 1 as 1 drops a coordinate,
+    # and a full-rank map built without its rows det*e_k loses one's order:
+    # either map's kernel is not the lattice, and _hnf_sparse refuses it
+    rows, n = _single_pivot_input(name)
+    want = linalg._hnf_sparse(rows, n)[0].basis
+    snf, build, seen = linalg.snf, linalg._quotient_map, []
+
+    def spy(tri, n, det=0):
+        seen.append((det, [abs(r[c]) for c, r in tri if abs(r[c]) != 1]))
+        return build(tri, n, det)
+
+    def modulus_as_one(mat):
+        sd = snf(mat)
+        i = next(i for i, d in enumerate(sd.diagonal()) if d > 1)
+        sd.s[i, i] = 1
+        return sd
+
+    def without_det_rows(mat):
+        # the rows det*e_k are the last len(mat[0]) of a full-rank input,
+        # the only input with more rows than columns
+        return snf(mat[: len(mat[0])])
+
+    monkeypatch.setattr(linalg, "_quotient_map", spy)
+    monkeypatch.setattr(linalg, "snf", modulus_as_one if fault == "modulus-as-1" else without_det_rows)
+    with pytest.raises(AssertionError, match="certified HNF"):
+        linalg._hnf_sparse(rows, n)
+    det, larger = seen[0]
+    assert det and larger == [det]
+    monkeypatch.setattr(linalg, "snf", snf)
+    assert linalg._hnf_sparse(rows, n)[0].basis == want
+
+
+def test_quotient_map_is_built_once_for_the_step_and_once_for_the_map(monkeypatch):
+    # a tall input: the Hermite step and the certificate, whose map FpAb
+    # keeps; a whole input: the step, then FpAb's map on its first query
+    build, calls = linalg._quotient_map, []
+
+    def counted(tri, n, det=0):
+        calls.append(det)
+        return build(tri, n, det)
+
+    monkeypatch.setattr(linalg, "_quotient_map", counted)
+    table = scissors.context("gf(97)").pre_bloch()._rels()
+    whole = [[2, 1, 1], [0, 3, 1], [0, 0, 5]]
+    for g, dets, factors in [(FpAb(table.ncols, table), [98, 0], (98,)), (FpAb(3, whole), [30], (30,))]:
+        calls.clear()
+        g.echelon()
+        assert calls == dets
+        assert g.invariant_factors() == factors
+        for v in ({0: 1}, {g.ngens - 1: 1}):
+            k = g.element_order(v)
+            assert g.echelon().solve({j: k * x for j, x in v.items()}) is not None
+            assert all(g.echelon().solve({j: i * x for j, x in v.items()}) is None for i in range(1, k))
+        assert calls == [dets[0], 0]
+
+
 def _index_two_case(even_column_1=False):
     """(rows, chosen, odd): 60 rows of width 3 whose first subset ``chosen``
     spans {x : x_0 even}, an index-2 sublattice, while the rows ``odd``,
