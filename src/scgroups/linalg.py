@@ -11,7 +11,7 @@ lives in a ``SparseEchelon``.  numpy object matrices
 appear only at the API edge, as views built on each read (``hnf_rows``,
 ``rel_basis``, ``rels``, ``reduce``, ``solve_in_rows``, ``left_kernel``,
 ``lattice_intersect``, ``AbMap.matrix``, ``SubgroupPres.lift``), and as
-``snf``'s result.
+``snf``'s result; its Smith core ``_smith`` works on lists.
 
 A quotient map Z^n -> Z^f + sum Z/d_k has one form, ``Quotient``: its
 moduli and the images of the generators, by index or by any hashable key.
@@ -21,8 +21,9 @@ membership question goes through it: ``FpAb.contains`` and
 that a map kills the basis rows, and the keyed reads of ``KeyedFpAb``,
 whose images ``compose`` reads through rows named by keys (RP by symbol,
 RP~ + RP~ by S_v case).  ``unkilled``, ``images`` and ``blocks`` take many
-rows at once, dicts or a ``RowTable``, in blocks through int64 arrays when
-no sum can reach 2^62 and in Python ints otherwise.  ``AbMap.unkilled``,
+rows at once, dicts or a ``RowTable`` (read as its 2-D arrays, one gather
+per coordinate), in blocks through int64 arrays when no sum can reach 2^62
+and in Python ints otherwise.  ``AbMap.unkilled``,
 the one test that a map kills relation rows, composes the target's map
 with the map rows once.
 
@@ -36,11 +37,12 @@ rows as extra rows), the block form of a Z[G]-module, ``left_kernel``,
 so, and hand them to ``FpAb`` as its echelon.
 
 Every map read off rows comes from one builder, ``_quotient_map``: one
-back-substitution over triangular rows, then ``snf`` on the relation rows
-of their pivots > 1.  ``_hnf_sparse`` is the one exact Hermite path: a
-sparse Markowitz reduction to triangular rows, whose map (modulo their
-determinant at full rank) has the Hermite basis as its kernel, and an
-FpAb's map is the builder's on that basis.  An input of more than
+back-substitution over triangular rows, then ``_smith`` on the relation
+rows of their pivots > 1, with no rows det*e_k at full rank.
+``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz
+reduction to triangular rows, whose map (modulo their determinant at full
+rank) has the Hermite basis as its kernel, and an FpAb's map is the
+builder's on that basis.  An input of more than
 WHOLE_PER_COLUMN (4) rows per column is not reduced whole: a seeded subset
 of n + 8 rows that touch each column twice is, and its basis is returned
 under a certificate checked at run time, its quotient map killing every
@@ -536,8 +538,10 @@ def _quotient_map(tri: list, n: int, det: int = 0) -> Quotient:
     coordinate, a pivot ±1 rewrites its generator through later columns,
     and a larger pivot gives its generator a coordinate of its own and its
     image as a relation row.  A ``det`` with det*Z^n in L takes every value
-    modulo det, so no entry leaves [0, det) (Domich-Kannan-Trotter 1987),
-    and adds the rows det*e_k to the relations.  ``snf`` reads these, in
+    modulo det but each relation row's own pivot, so no other entry leaves
+    [0, det) (Domich-Kannan-Trotter 1987): the triangular relation block
+    has index det, so it holds det*Z^t already, and a single pivot equal
+    to det keeps its order.  ``_smith`` reads the relation rows, in
     increasing column, over the coordinates they touch: the target is Z/d_k
     for each Smith modulus other than 1, then the untouched coordinates,
     and a touched coordinate's image is its row of the transform V.  With
@@ -557,18 +561,15 @@ def _quotient_map(tri: list, n: int, det: int = 0) -> Quotient:
             images[c] = {k: y for k, x in acc.items() if (y := -p * x % det if det else -p * x)}
         else:
             images[c] = {len(cols): 1}
-            rels[c] = {**acc, len(cols): p}
+            rels[c] = {**({k: x % det for k, x in acc.items()} if det else acc), len(cols): p}
             cols.append(c)
     if not rels:
         return Quotient([0] * len(cols), [sorted(img.items()) for img in images])
     touched = sorted({k for r in rels.values() for k in r}, key=cols.__getitem__)
-    mat = [[r.get(k, 0) for k in touched] for _, r in sorted(rels.items())]
-    if det:
-        mat = [[x % det for x in row] for row in mat] + [[det * (k == t) for k in touched] for t in touched]
-    sd = snf(mat)
-    d = sd.diagonal() + [0] * max(0, len(touched) - len(mat))
+    s, _, v, _ = _smith([[r.get(k, 0) for k in touched] for _, r in sorted(rels.items())], len(touched))
+    d = [s[i][i] for i in range(min(len(s), len(touched)))] + [0] * max(0, len(touched) - len(s))
     keep = [i for i, x in enumerate(d) if x != 1]
-    new = {k: [(out, sd.v[pos, i]) for out, i in enumerate(keep)] for pos, k in enumerate(touched)}
+    new = {k: [(out, a) for out, i in enumerate(keep) if (a := v[pos][i])] for pos, k in enumerate(touched)}
     free = [k for k in range(len(cols)) if k not in new]
     new.update((k, [(out, 1)]) for out, k in enumerate(free, start=len(keep)))
     moduli = [d[i] for i in keep] + [0] * len(free)
@@ -874,17 +875,18 @@ def _mix_cols(r, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
         row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
 
 
-def snf(mat) -> SmithData:
-    """Smith normal form with unimodular transforms.
+def _smith(a: list[list[int]], n: int) -> tuple[list, list, list, int]:
+    """(s, u, v, rank) with u @ a @ v = s in Smith normal form, for the m x
+    n matrix a given as lists of Python ints: the one Smith core, on lists
+    throughout (``snf`` converts its result).  a is reduced in place and
+    returned as s; u and v are unimodular, as lists of rows.
 
     Pivoting picks the minimal-absolute-value entry with a Markowitz-style
     fill-in tiebreak, which keeps entries small on the sparse relation
-    matrices this library produces.  The work runs on lists of Python ints,
-    and s, u and v come back as object matrices.
-    """
-    a = intmat(mat)
-    m, n = a.shape
-    a, u, v = a.tolist(), identity(m).tolist(), identity(n).tolist()
+    matrices this library produces."""
+    m = len(a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0
     while t < min(m, n):
         pos = _pivot_search(a, t, n)
@@ -936,7 +938,16 @@ def snf(mat) -> SmithData:
     for i in range(rank):
         if a[i][i] < 0:
             a[i], u[i] = [-x for x in a[i]], [-x for x in u[i]]
-    return SmithData(s=intmat(a) if m else zeros(0, n), u=intmat(u), v=intmat(v), rank=rank)
+    return a, u, v, rank
+
+
+def snf(mat) -> SmithData:
+    """Smith normal form with unimodular transforms: ``_smith`` on the
+    matrix's Python ints, with s, u and v as object matrices."""
+    a = intmat(mat)
+    m, n = a.shape
+    s, u, v, rank = _smith(a.tolist(), n)
+    return SmithData(s=intmat(s) if m else zeros(0, n), u=intmat(u), v=intmat(v), rank=rank)
 
 
 def _projection_table(ech: SparseEchelon) -> Quotient:
@@ -1069,10 +1080,11 @@ class Quotient(NamedTuple):
         value, no modulus and no partial sum can reach 2^62: the largest
         value, the largest image entry (at least 1, so that the values are
         bounded even when there is no image, as for a trivial quotient) and
-        the longest row bound every sum.  A table's arrays are read as they
-        are; dict rows are flattened into such arrays first.  Otherwise its
-        images are the lists ``image`` gives, computed exactly in Python
-        ints.  Blocks keep the arrays small next to the rows themselves."""
+        the longest row bound every sum.  A table is read as its 2-D arrays,
+        its slices unchecked and its bound taken once; dict rows are
+        flattened into such arrays, block by block.  Otherwise its images
+        are the lists ``image`` gives, computed exactly in Python ints.
+        Blocks keep the arrays small next to the rows themselves."""
         moduli, images = self
         big = 1 << 62
         amax = max((abs(a) for img in images for _, a in img), default=0)
@@ -1081,24 +1093,33 @@ class Quotient(NamedTuple):
         for j, img in enumerate(images if fits else ()):
             for k, a in img:
                 table[k, j] = a
+        if isinstance(rows, RowTable):
+            # the values once, an axis of stride 0 (broadcast signs) read at one index
+            vals = rows.vals[tuple(slice(None if step else 1) for step in rows.vals.strides)]
+            vmax = max(int(vals.max()), -int(vals.min())) if vals.size else 0
+            fits = fits and vals.size > 0 and vmax * max(amax, 1) * rows.cols.shape[1] < big
+            for lo in range(0, len(rows), _IMAGE_BLOCK):
+                hi = min(lo + _IMAGE_BLOCK, len(rows))
+                if not fits:
+                    yield lo, [self.image(rows.entries(i)) for i in range(lo, hi)]
+                    continue
+                cols, vals = rows.cols[lo:hi], rows.vals[lo:hi]
+                w = np.empty((hi - lo, len(moduli)), dtype=np.int64)
+                for k, d in enumerate(moduli):
+                    w[:, k] = np.einsum("ij,ij->i", table[k][cols], vals)
+                    if d:
+                        w[:, k] %= d
+                yield lo, w
+            return
         for lo in range(0, len(rows), _IMAGE_BLOCK):
             block = rows[lo : lo + _IMAGE_BLOCK]
-            if isinstance(block, RowTable):
-                cols, vals = block.cols.ravel(), block.vals.ravel()
-                lens = np.full(len(block), block.cols.shape[1], dtype=np.int64)
-                vmax = max(int(vals.max()), -int(vals.min())) if vals.size else 0
-                entries = map(block.entries, range(len(block)))
-            else:
-                lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-                vals = list(itertools.chain.from_iterable(map(dict.values, block)))
-                vmax = max(map(abs, vals), default=0)
-                entries = map(dict.items, block)
-            if not (fits and len(vals) and vmax * max(amax, 1) * int(lens.max()) < big):
-                yield lo, [self.image(e) for e in entries]
+            lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+            vals = list(itertools.chain.from_iterable(map(dict.values, block)))
+            if not (fits and vals and max(map(abs, vals)) * max(amax, 1) * int(lens.max()) < big):
+                yield lo, [self.image(r.items()) for r in block]
                 continue
-            if not isinstance(block, RowTable):
-                cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
-                vals = np.array(vals, dtype=np.int64)
+            cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
+            vals = np.array(vals, dtype=np.int64)
             filled = lens > 0
             starts = (np.cumsum(lens) - lens)[filled]
             w = np.zeros((len(block), len(moduli)), dtype=np.int64)

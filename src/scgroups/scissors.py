@@ -630,26 +630,28 @@ def _five_term_table(ctx: ScissorsContext) -> RowTable:
     so x / y is a difference of exponent vectors and every term of every
     pair is a table lookup: a/b over the W x W grid picks the admissible
     pairs, and b/a, (1 - a^{-1})/(1 - b^{-1}) and (1 - a)/(1 - b) follow
-    from the exponents of a, 1 - a^{-1} and 1 - a.  Those three terms lie
-    in W whenever a/b does; a term outside W is an AssertionError."""
+    from the exponents of a and 1 - a, one ring operation per a: since
+    1 - a^{-1} = -(1 - a)/a, its exponents are e(-1) + e(1 - a) - e(a),
+    and <a^{-1} - 1> = <1 - a><a>.  Those three terms lie in W whenever a/b
+    does; a term outside W is an AssertionError."""
     ring, G, W = ctx.ring, ctx.G, ctx.W
     order, stride, w_of = ctx._unit_codes()
-    one, inv, sub, cls = ring.one, ring.inv, ring.sub, G.class_of
-    exps = ctx._exponents([x for a in W for x in (a, sub(one, inv(a)), sub(one, a))]).reshape(len(W), 3, len(order))
+    one_minus = [ring.sub(ring.one, a) for a in W]
+    # the exponents of a, 1 - a and 1 - a^{-1}
+    ea, e1 = ctx._exponents(W), ctx._exponents(one_minus)
+    e2 = (ctx._exponents([ring.neg_one()]) + e1 - ea) % order
 
     def quotient(x, y):
         # W indices of the units with exponents x / y (-1 outside W)
         return w_of[((x - y) % order) @ stride]
 
-    ea = exps[:, 0]
     ratio = quotient(ea[:, None, :], ea[None, :, :])
     ia, ib = np.nonzero(ratio >= 0)
-    gens = np.stack(
-        [ia, ib, ratio[ib, ia], quotient(exps[ia, 1], exps[ib, 1]), quotient(exps[ia, 2], exps[ib, 2])], axis=1
-    )
+    gens = np.stack([ia, ib, ratio[ib, ia], quotient(e2[ia], e2[ib]), quotient(e1[ia], e1[ib])], axis=1)
     if (gens < 0).any():
         raise AssertionError("a five-term element of an admissible pair is not in W")
-    own = np.array([[0, 0, cls(a), cls(sub(inv(a), one)), cls(sub(one, a))] for a in W], dtype=np.int64)
+    classes = [(G.class_of(a), G.class_of(b)) for a, b in zip(W, one_minus)]
+    own = np.array([[0, 0, x, G.mul(x, y), y] for x, y in classes], dtype=np.int64)
     return RowTable(own[ia] * len(W) + gens, FIVE_TERM_SIGNS, G.order * len(W))
 
 

@@ -84,6 +84,20 @@ GOLDEN_RELATION_ROWS = {
         "P": "dbeb7c0d3daeac539781c82066cf1e0f4f0cf807655259af9e93c5ffb11eecad",
         "RP": "a86d55f12eda54a9bacf9852490b7309bd98ec507ef9a689adae191cc32c1aa2",
     },
+    # characteristic 2 (-1 = 1), |G| = 2 with a unit group Z/20, and
+    # |G| = 8 with the non-cyclic unit group Z/14 + Z/2 + Z/2
+    "gf(2^3)": {
+        "P": "c6a1946ef0d5f3b2ed45e84005e6736ae0548e9059ee9cabda0beb9033c300a0",
+        "RP": "c6a1946ef0d5f3b2ed45e84005e6736ae0548e9059ee9cabda0beb9033c300a0",
+    },
+    "gf(5)[t]/t^2": {
+        "P": "4a4e5230409b355650a43d3e08866edd0123a0bbdb23a1c1642b62c6f5e91991",
+        "RP": "5ea0a9fe46f674119b12cdaf37a3930c3053baf3a95fc28a630fb169e7c54df1",
+    },
+    "gf(2^3)[t]/t^2": {
+        "P": "f0d111b1bfdb0e06eaf8706194a43b0d5424caf0d5b437f602ea82339bfecdd8",
+        "RP": "4ec4ee9116e2a5f9d0002ec319f72df991bf02d072ce2dfcb94aa4b79328bf20",
+    },
 }
 
 

@@ -404,6 +404,8 @@ def test_block_form_refuses_a_corrupted_composite_image(monkeypatch):
             hit = []
 
             def corrupted(q, rows, j=j, hit=hit):
+                # rows may come as any iterable: read them once, then count
+                rows = rows if isinstance(rows, dict) else list(rows)
                 out = compose(q, rows)
                 if not hit and len(rows) == flat:
                     hit.append(j)

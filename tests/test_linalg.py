@@ -678,6 +678,34 @@ def test_snf_matches_sympy(mat):
         assert sd.diagonal() == []
 
 
+@st.composite
+def smith_inputs(draw):
+    """(m, n, rows) up to 4 x 5, empty ones included, with entries of up to
+    200 bits and, where drawn, a last row that is twice the first, so the
+    rank falls short."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**200), 2**200))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = [2 * x for x in rows[0]]
+    return m, n, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(smith_inputs())
+def test_smith_core_agrees_with_snf_and_sympy(case):
+    m, n, rows = case
+    s, u, v, rank = linalg._smith([list(r) for r in rows], n)
+    sd = snf(_as_matrix(m, n, rows))
+    assert (s, u, v, rank) == (sd.s.tolist(), sd.u.tolist(), sd.v.tolist(), sd.rank)
+    product = [[sum(u[i][k] * rows[k][l] * v[l][j] for k in range(m) for l in range(n)) for j in range(n)] for i in range(m)]
+    assert product == s
+    assert rank == (Matrix(rows).rank() if m and n else 0)
+    if m and n:
+        factors = sympy_invariant_factors(Matrix(rows), domain=ZZ)
+        assert [s[i][i] for i in range(min(m, n))] == [abs(int(d)) for d in factors]
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices(min_rows=1))
 def test_hnf_rows_matches_sympy_on_full_row_rank(mat):
@@ -1351,10 +1379,10 @@ def _single_pivot_input(name):
     """(rows, n): P(GF(49))'s five-term table, which the certified path
     reduces through a subset, or a whole input of 12 rows in Z^3.  The
     step's triangular rows have one pivot > 1 on each, the determinant (50,
-    a prime 3), whose relation row is 0 modulo it: only the rows det*e_k
-    keep that coordinate's order.  With two or more pivots > 1 each lies
-    below det, the relation block already holds det*Z^t, and those rows
-    change no modulus (P(GF(97)): pivots 2 and 49, det 98)."""
+    a prime 3), the one relation value that ``_quotient_map`` does not take
+    modulo det: reduced, it would be 0 and its coordinate free.  With two
+    or more pivots > 1 each lies below det (P(GF(97)): pivots 2 and 49, det
+    98), and reducing them changes nothing."""
     if name == "five-term":
         table = scissors.context("gf(49)").pre_bloch()._rels()
         assert len(table) > linalg.WHOLE_PER_COLUMN * table.ncols
@@ -1365,38 +1393,60 @@ def _single_pivot_input(name):
 
 
 @pytest.mark.parametrize("name", ["five-term", "whole"])
-@pytest.mark.parametrize("fault", ["modulus-as-1", "no-det-rows"])
+@pytest.mark.parametrize("fault", ["modulus-as-1", "pivot-mod-det"])
 def test_faulty_smith_input_or_step_trips_hnf_sparse(monkeypatch, fault, name):
     # a Smith step that reports one modulus d > 1 as 1 drops a coordinate,
-    # and a full-rank map built without its rows det*e_k loses one's order:
-    # either map's kernel is not the lattice, and _hnf_sparse refuses it
+    # and a full-rank map whose pivots were reduced modulo det frees the
+    # single pivot's coordinate: either map's kernel is not the lattice,
+    # and _hnf_sparse refuses it
     rows, n = _single_pivot_input(name)
     want = linalg._hnf_sparse(rows, n)[0].basis
-    snf, build, seen = linalg.snf, linalg._quotient_map, []
+    smith, build, seen = linalg._smith, linalg._quotient_map, []
 
     def spy(tri, n, det=0):
         seen.append((det, [abs(r[c]) for c, r in tri if abs(r[c]) != 1]))
         return build(tri, n, det)
 
-    def modulus_as_one(mat):
-        sd = snf(mat)
-        i = next(i for i, d in enumerate(sd.diagonal()) if d > 1)
-        sd.s[i, i] = 1
-        return sd
+    def modulus_as_one(a, n):
+        s, u, v, rank = smith(a, n)
+        i = next(i for i in range(min(len(s), n)) if s[i][i] > 1)
+        s[i][i] = 1
+        return s, u, v, rank
 
-    def without_det_rows(mat):
-        # the rows det*e_k are the last len(mat[0]) of a full-rank input,
-        # the only input with more rows than columns
-        return snf(mat[: len(mat[0])])
+    def pivot_mod_det(a, n):
+        det = seen[-1][0]
+        return smith([[x % det for x in r] for r in a] if det else a, n)
 
     monkeypatch.setattr(linalg, "_quotient_map", spy)
-    monkeypatch.setattr(linalg, "snf", modulus_as_one if fault == "modulus-as-1" else without_det_rows)
+    monkeypatch.setattr(linalg, "_smith", modulus_as_one if fault == "modulus-as-1" else pivot_mod_det)
     with pytest.raises(AssertionError, match="certified HNF"):
         linalg._hnf_sparse(rows, n)
     det, larger = seen[0]
     assert det and larger == [det]
-    monkeypatch.setattr(linalg, "snf", snf)
+    monkeypatch.setattr(linalg, "_smith", smith)
     assert linalg._hnf_sparse(rows, n)[0].basis == want
+
+
+@pytest.mark.parametrize("label, pivots", [("gf(49)", [50]), ("gf(97)", [2, 49])])
+def test_full_rank_smith_input_has_one_row_per_pivot(monkeypatch, label, pivots):
+    # the triangular relation block has index det, so it holds det*Z^t and
+    # the step's Smith input is that block alone, with no rows det*e_k:
+    # P(GF(49)) has one pivot > 1, det 50; P(GF(97)) two, det 98
+    smith, build, seen = linalg._smith, linalg._quotient_map, []
+
+    def spy(tri, n, det=0):
+        seen.append([det, sorted(abs(r[c]) for c, r in tri if abs(r[c]) != 1)])
+        return build(tri, n, det)
+
+    def shape(a, n):
+        seen[-1].append((len(a), n))
+        return smith(a, n)
+
+    monkeypatch.setattr(linalg, "_quotient_map", spy)
+    monkeypatch.setattr(linalg, "_smith", shape)
+    table = scissors.context(label).pre_bloch()._rels()
+    linalg._hnf_sparse(table, table.ncols)
+    assert seen[0] == [math.prod(pivots), pivots, (len(pivots), len(pivots))]
 
 
 def test_quotient_map_is_built_once_for_the_step_and_once_for_the_map(monkeypatch):
@@ -1789,6 +1839,46 @@ def test_table_images_take_the_exact_path_past_int64():
     table = linalg.RowTable(np.array([[0, 0], [1, 0]]), np.array([[1 << 40, 1 << 40], [3, 0]]), 2)
     assert proj.images(table) == [[1 << 41, 0], [0, 3]]
     assert proj.unkilled(table) == [0, 1]
+
+
+@st.composite
+def image_cases(draw):
+    """(map, table): a quotient map of up to 3 coordinates on up to 4
+    generators, and a table whose rows repeat columns and hold zero values,
+    with its values a full array or one row broadcast to every row.  A
+    drawn tiling makes some tables longer than _IMAGE_BLOCK.  Moduli,
+    image entries and values reach a drawn size: 2^31 - 1, where products
+    fit int64 but a row's sum may not, or 2^40 and 2^70, which send some
+    tables through the exact Python-int path."""
+    n, t, width, k = (draw(st.integers(1, hi)) for hi in (4, 3, 3, 4))
+    size = draw(st.sampled_from([9, 2**31 - 1, 1 << 40, 1 << 70]))
+    moduli = [draw(st.sampled_from([0, 2, 7, size])) for _ in range(t)]
+
+    def up_to(top):
+        return st.one_of(st.just(0), st.integers(-9, 9), st.sampled_from([top, -top]), st.integers(-top, top))
+
+    entry = up_to(size)
+    images = [[(c, y) for c, d in enumerate(moduli) if (y := draw(entry) % d if d else draw(entry))] for _ in range(n)]
+    val = up_to(min(size, 2**63 - 1))
+    cols = np.array([[draw(st.integers(0, n - 1)) for _ in range(width)] for _ in range(k)])
+    cols[:, -1] = cols[:, 0]
+    vals = np.array([draw(val) for _ in range(width * (1 if draw(st.booleans()) else k))]).reshape(-1, width)
+    reps = draw(st.sampled_from([1, linalg._IMAGE_BLOCK // k + 1]))
+    table = linalg.RowTable(np.tile(cols, (reps, 1)), vals if len(vals) == 1 else np.tile(vals, (reps, 1)), n)
+    return linalg.Quotient(moduli, images), table
+
+
+@settings(max_examples=100, deadline=None)
+@given(image_cases())
+# every product fits below 2^62, but three of them pass 2^63
+@example((linalg.Quotient([0], [[(0, 2**31 - 1)]]), linalg.RowTable(np.zeros((1, 3)), 2**31 - 1, 1)))
+# the first row's values are small, the second's are not
+@example((linalg.Quotient([0], [[(0, 1 << 40)]]), linalg.RowTable(np.zeros((2, 1)), np.array([[1], [1 << 40]]), 1)))
+def test_table_images_and_unkilled_match_image_row_by_row(case):
+    proj, table = case
+    want = [proj.image(table.entries(i)) for i in range(len(table))]
+    assert proj.images(table) == want == proj.images(table.rows())
+    assert proj.unkilled(table) == [i for i, w in enumerate(want) if any(w)]
 
 
 def _moved_to_column_0(cols, vals, n, i):
