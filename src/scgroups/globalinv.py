@@ -90,10 +90,9 @@ def pbar_order(desc: GlobalFieldDesc, p: int) -> PBarReport:
     pbar = total // killed
     three = (p + 1) % 3 == 0
     if desc.kind == "rationals":
-        # corollary: kill <c> (odd order gcd(3, p+1)) iff 3 | p+1
+        # corollary: kill <c>, of odd order gcd(3, p+1), which is 1 unless 3 | p+1
         c_odd = odd_part(math.gcd(6, (p + 1) // 2))
-        expected = total // c_odd if three else total
-        if expected != pbar:
+        if total // c_odd != pbar:
             raise AssertionError("corollary and theorem branches disagree")
     return PBarReport(
         p=p,
@@ -119,18 +118,9 @@ def pbar_cross_check(p: int, desc: GlobalFieldDesc = RATIONALS) -> bool:
     c_order = pgrp.element_order(ctx.pb_row(ctx.c_const()))
     if c_order != math.gcd(6, (p + 1) // 2):
         return False
+    # c has odd order 1 unless 3 | p+1, since gcd(6, (p+1)/2) is then 1 or 2
     c_odd = odd_part(c_order)
-    if report.three_divides_p_plus_1:
-        if report.p_plus_1_odd // c_odd != report.pbar_odd_order:
-            return False
-        if c_odd != report.killed_order:
-            return False
-    else:
-        if c_odd != 1 or report.killed_order != 1:
-            return False
-        if report.pbar_odd_order != report.p_plus_1_odd:
-            return False
-    return True
+    return (c_odd, report.p_plus_1_odd // c_odd) == (report.killed_order, report.pbar_odd_order)
 
 
 # largest p_max pbar_table accepts: it sieves the integers up to p_max and

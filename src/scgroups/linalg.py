@@ -21,9 +21,9 @@ membership question goes through it: ``FpAb.contains`` and
 that a map kills the basis rows, and the keyed reads of ``KeyedFpAb``,
 whose images ``compose`` reads through rows named by keys (RP by symbol,
 RP~ + RP~ by S_v case).  ``unkilled``, ``images`` and ``blocks`` take many
-rows at once, dicts or a ``RowTable`` (read as its 2-D arrays, one gather
-per coordinate), in blocks through int64 arrays when no sum can reach 2^62
-and in Python ints otherwise.  ``AbMap.unkilled``,
+rows at once as a ``RowTable`` (dicts are packed into one first), read as
+its 2-D arrays, one gather per coordinate, in blocks through int64 arrays
+when no sum can reach 2^62 and in Python ints otherwise.  ``AbMap.unkilled``,
 the one test that a map kills relation rows, composes the target's map
 with the map rows once.
 
@@ -58,11 +58,11 @@ kernel hands the coordinates of its source relations to ``FpAb`` as
 {row: coefficient} dicts.  A subquotient A/B is the image of the map that
 sends the generators to the rows of A in Z^n/B.
 
-Relation rows of one width may also come as a ``RowTable``: int64 arrays
-of columns and values, one row per line (the five-term relations, and the
-half rows of a Z[G]-module's block form).  ``_hnf_sparse`` then builds
-dicts only for the rows it reduces, and the certificate projects the
-table's arrays directly.
+Rows read in bulk have one form, a ``RowTable`` of int64 columns and
+values, one row per line (the five-term relations, K^(1), L_B and the half
+rows of a Z[G]-module's block form); ``_packed`` is the one packer of dict
+rows into it.  ``_hnf_sparse`` builds dicts only for the rows of a table
+it reduces, and the certificate projects the table's arrays directly.
 """
 
 from __future__ import annotations
@@ -160,6 +160,17 @@ def _sparse_rows(rows, n: int) -> list[dict]:
     return [] if rows is None else [_sparse_row(r, n) for r in rows]
 
 
+def _bulk_rows(rows, n: int) -> "list[dict] | RowTable":
+    """Rows of width n to be read in bulk: a RowTable of width n as it is
+    (the one check of a table's width), any other form through
+    ``_sparse_rows``."""
+    if not isinstance(rows, RowTable):
+        return _sparse_rows(rows, n)
+    if rows.ncols != n:
+        raise ValueError(f"a row table of width {rows.ncols} does not match {n} generators")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class RowTable:
     """Rows of width ncols given by two int64 arrays of one shape (m, k):
@@ -212,23 +223,36 @@ class RowTable:
     @classmethod
     def stack(cls, ncols: int, *parts) -> "RowTable":
         """The rows of the parts in turn, each a RowTable or a list of
-        sparse dicts, padded with zero entries to the widest row.  A value
-        past int64 is a ValueError."""
-        widths = [p.cols.shape[1] if isinstance(p, RowTable) else max(map(len, p), default=0) for p in parts]
-        cols = np.zeros((sum(map(len, parts)), max([1, *widths])), dtype=np.int64)
+        sparse dicts (``_packed``), padded with zero entries to the widest
+        row.  A value past int64 is a ValueError."""
+        try:
+            parts = [p if isinstance(p, RowTable) else _packed(p, ncols) for p in parts]
+        except OverflowError:
+            raise ValueError("a row has a value past int64") from None
+        width = max([min(1, ncols), *(p.cols.shape[1] for p in parts)])
+        cols = np.zeros((sum(map(len, parts)), width), dtype=np.int64)
         vals = np.zeros_like(cols)
         lo = 0
-        for part, k in zip(parts, widths):
-            if isinstance(part, RowTable):
-                cols[lo : lo + len(part), :k], vals[lo : lo + len(part), :k] = part.cols, part.vals
-            else:
-                for i, r in enumerate(part, start=lo):
-                    try:
-                        cols[i, : len(r)], vals[i, : len(r)] = list(r), list(r.values())
-                    except OverflowError:
-                        raise ValueError(f"row {i} has a value past int64") from None
+        for part in parts:
+            k = part.cols.shape[1]
+            cols[lo : lo + len(part), :k], vals[lo : lo + len(part), :k] = part.cols, part.vals
             lo += len(part)
         return cls(cols, vals, ncols)
+
+
+def _packed(rows: list[dict], ncols: int) -> RowTable:
+    """Sparse dict rows as a RowTable of width ncols, padded with zero
+    entries to the longest row: the one packer of dict rows into int64
+    arrays, its columns and values each read by one ``fromiter`` and placed
+    by a mask.  A value past int64 is numpy's OverflowError."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    filled = np.arange(int(lens.max(initial=0))) < lens[:, None]
+    nnz = int(lens.sum())
+    cols = np.zeros(filled.shape, dtype=np.int64)
+    vals = np.zeros_like(cols)
+    cols[filled] = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=nnz)
+    vals[filled] = np.fromiter(itertools.chain.from_iterable(map(dict.values, rows)), dtype=np.int64, count=nnz)
+    return RowTable(cols, vals, ncols)
 
 
 def _summed(entries) -> dict:
@@ -1074,57 +1098,43 @@ class Quotient(NamedTuple):
         (first row, images) for blocks of _IMAGE_BLOCK rows; the images are
         indexed by generator.
 
-        A block goes through int64 arrays, one coordinate at a time, as the
-        rows' values times the images of their columns summed row by row,
-        and its images are an int64 array (rows x coordinates), when no
-        value, no modulus and no partial sum can reach 2^62: the largest
+        Dict rows are packed into a RowTable first (``_packed``).  A block
+        of the table goes through int64 arrays, one coordinate at a time, as
+        one gather of the images of its columns times its values, summed row
+        by row, and its images are an int64 array (rows x coordinates), when
+        no value, no modulus and no partial sum can reach 2^62: the largest
         value, the largest image entry (at least 1, so that the values are
         bounded even when there is no image, as for a trivial quotient) and
-        the longest row bound every sum.  A table is read as its 2-D arrays,
-        its slices unchecked and its bound taken once; dict rows are
-        flattened into such arrays, block by block.  Otherwise its images
-        are the lists ``image`` gives, computed exactly in Python ints.
-        Blocks keep the arrays small next to the rows themselves."""
+        the table's width bound every sum, taken once per table.  Otherwise,
+        and when a dict value is past int64, its images are the lists
+        ``image`` gives, in Python ints.  Blocks keep the arrays small next
+        to the rows themselves."""
         moduli, images = self
         big = 1 << 62
         amax = max((abs(a) for img in images for _, a in img), default=0)
         fits = max(moduli, default=0) < big and amax < big
-        table = np.zeros((len(moduli), len(images) if fits else 0), dtype=np.int64)
+        try:
+            table = rows if isinstance(rows, RowTable) else _packed(rows, len(images))
+        except OverflowError:
+            table, fits = None, False
+        if fits:
+            # the values once, an axis of stride 0 (broadcast signs) read at one index
+            vals = table.vals[tuple(slice(None if step else 1) for step in table.vals.strides)]
+            fits = vals.size > 0 and max(int(vals.max()), -int(vals.min())) * max(amax, 1) * table.cols.shape[1] < big
+        gather = np.zeros((len(moduli), len(images) if fits else 0), dtype=np.int64)
         for j, img in enumerate(images if fits else ()):
             for k, a in img:
-                table[k, j] = a
-        if isinstance(rows, RowTable):
-            # the values once, an axis of stride 0 (broadcast signs) read at one index
-            vals = rows.vals[tuple(slice(None if step else 1) for step in rows.vals.strides)]
-            vmax = max(int(vals.max()), -int(vals.min())) if vals.size else 0
-            fits = fits and vals.size > 0 and vmax * max(amax, 1) * rows.cols.shape[1] < big
-            for lo in range(0, len(rows), _IMAGE_BLOCK):
-                hi = min(lo + _IMAGE_BLOCK, len(rows))
-                if not fits:
-                    yield lo, [self.image(rows.entries(i)) for i in range(lo, hi)]
-                    continue
-                cols, vals = rows.cols[lo:hi], rows.vals[lo:hi]
-                w = np.empty((hi - lo, len(moduli)), dtype=np.int64)
-                for k, d in enumerate(moduli):
-                    w[:, k] = np.einsum("ij,ij->i", table[k][cols], vals)
-                    if d:
-                        w[:, k] %= d
-                yield lo, w
-            return
+                gather[k, j] = a
+        entries = rows.entries if isinstance(rows, RowTable) else (lambda i: rows[i].items())
         for lo in range(0, len(rows), _IMAGE_BLOCK):
-            block = rows[lo : lo + _IMAGE_BLOCK]
-            lens = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-            vals = list(itertools.chain.from_iterable(map(dict.values, block)))
-            if not (fits and vals and max(map(abs, vals)) * max(amax, 1) * int(lens.max()) < big):
-                yield lo, [self.image(r.items()) for r in block]
+            hi = min(lo + _IMAGE_BLOCK, len(rows))
+            if not fits:
+                yield lo, [self.image(entries(i)) for i in range(lo, hi)]
                 continue
-            cols = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64, count=len(vals))
-            vals = np.array(vals, dtype=np.int64)
-            filled = lens > 0
-            starts = (np.cumsum(lens) - lens)[filled]
-            w = np.zeros((len(block), len(moduli)), dtype=np.int64)
+            cols, vals = table.cols[lo:hi], table.vals[lo:hi]
+            w = np.empty((hi - lo, len(moduli)), dtype=np.int64)
             for k, d in enumerate(moduli):
-                w[filled, k] = np.add.reduceat(vals * table[k][cols], starts)
+                w[:, k] = np.einsum("ij,ij->i", gather[k][cols], vals)
                 if d:
                     w[:, k] %= d
             yield lo, w
@@ -1163,14 +1173,7 @@ class FpAb:
 
     def __init__(self, ngens: int, rels=None, basis: Optional[list[dict] | SparseEchelon] = None):
         self.ngens = int(ngens)
-        if callable(rels):
-            self._rels: Callable[[], list[dict] | RowTable] = rels
-        elif isinstance(rels, RowTable):
-            if rels.ncols != self.ngens:
-                raise ValueError(f"a row table of width {rels.ncols} does not match {self.ngens} generators")
-            self._rels = rels.copy
-        else:
-            self._rels = _sparse_rows(rels, self.ngens).copy
+        self._rels: Callable[[], list[dict] | RowTable] = rels if callable(rels) else _bulk_rows(rels, self.ngens).copy
         if isinstance(basis, SparseEchelon):
             if basis.ncols != self.ngens:
                 raise ValueError(f"an echelon of width {basis.ncols} does not match {self.ngens} generators")
@@ -1358,13 +1361,14 @@ def direct_sum(a: FpAb, b: FpAb) -> FpAb:
 
 def ab_quotient(g: FpAb, sub) -> FpAb:
     """g modulo the subgroup generated by the rows of ``sub``, given in any
-    row form: the one way to add relations to a group.  Its relations are
-    g's canonical basis and the new rows, and its basis is the kernel of
-    g's quotient map modulo the images of the new rows, with no Hermite
-    call."""
-    rows = _sparse_rows(sub, g.ngens)
-    proj = g._projection()
-    return FpAb(g.ngens, (g.echelon().basis + rows).copy, proj.kernel_echelon(proj.images(rows)))
+    row form or as a RowTable of width g.ngens: the one way to add
+    relations to a group.  Its relations, built on each read, are g's
+    canonical basis and the new rows, and its basis is the kernel of g's
+    quotient map modulo the images of the new rows, with no Hermite call."""
+    rows = _bulk_rows(sub, g.ngens)
+    proj, basis = g._projection(), g.echelon().basis
+    relations = (lambda: basis + rows.rows()) if isinstance(rows, RowTable) else (basis + rows).copy
+    return FpAb(g.ngens, relations, proj.kernel_echelon(proj.images(rows)))
 
 
 @dataclass
@@ -1412,13 +1416,7 @@ class AbMap:
         lattice: the one test that a map kills relation rows.  The target's
         quotient map is composed with the map rows once, and the rows go
         through it in blocks (``Quotient.unkilled``)."""
-        n = self.source.ngens
-        if isinstance(rows, RowTable):
-            if rows.ncols != n:
-                raise ValueError(f"a row table of width {rows.ncols} does not match {n} generators")
-        else:
-            rows = _sparse_rows(rows, n)
-        return self.target._projection().compose(self.rows).unkilled(rows)
+        return self.target._projection().compose(self.rows).unkilled(_bulk_rows(rows, self.source.ngens))
 
     @property
     def matrix(self) -> np.ndarray:

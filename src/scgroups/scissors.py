@@ -28,6 +28,7 @@ from .groupring import (
     scale,
     steinberg,
     steinberg_rows,
+    translates,
 )
 from .linalg import AbMap, FpAb, KeyedFpAb, RowTable, SubgroupPres, _dense, ab_quotient, direct_sum, iso_odd
 
@@ -336,15 +337,13 @@ class ScissorsContext:
         """Z-lattice of K = <{a} : a unit> inside P, as sparse P rows."""
         return [self.pb_row(self.brace(a)) for a in self.ring.units]
 
-    def k1_rows(self) -> list[dict]:
+    def k1_rows(self) -> RowTable:
         """Flattened lattice of the R-submodule K^(1) = <psi_1(a) : a unit>,
-        as sparse RP rows."""
-        rows = []
-        for a in self.ring.units:
-            x = self.psi1(a)
-            for g in range(self.G.order):
-                rows.append(self.rp_row(act({g: 1}, x)))
-        return rows
+        as a RowTable over RP's flat basis: the |G| translates of each
+        psi_1(a) in turn (``translates``)."""
+        n, order = len(self.W), self.G.order
+        rows = [self.rp_row(self.psi1(a)) for a in self.ring.units]
+        return translates(RowTable.stack(order * n, rows), n, order)
 
     def p_plus_ideal_rows(self) -> list[RElem]:
         """Z-lattice of p_{-1}^+ I_A inside Z[G]."""
@@ -494,23 +493,18 @@ class ScissorsContext:
             self._cache["U1 shifts"] = list(zip(u1, shifts))
         return self._cache["U1 shifts"]
 
-    def l_rows(self) -> list[dict]:
+    def l_rows(self) -> RowTable:
         """Flattened lattice of L_B = <[au]-[a], <<u>>C_B : a in W, u in U1>,
-        as sparse RP rows: for each one-unit u but 1, the rows [au] - [a]
-        over a in W, then <<u>>C_B, each in its |G| translates, built by
-        index arithmetic on ``_one_unit_shifts`` and on RP's
-        ``act_permutation``."""
+        as a RowTable over RP's flat basis: for each one-unit u but 1, the
+        rows [au] - [a] over a in W (read off ``_one_unit_shifts``), then
+        <<u>>C_B, each in its |G| translates (``translates``)."""
         n, order, one = len(self.W), self.G.order, self.ring.one
-        perms = [self.refined().act_permutation(g).tolist() for g in range(order)]
-        rows = []
+        parts = []
         for u, shift in self._one_unit_shifts():
-            if u == one:
-                continue
-            for i, j in enumerate(shift.tolist()):
-                rows += [{g * n + j: 1, g * n + i: -1} for g in range(order)]
-            c = self._dbl_c_row(u)
-            rows += [{perm[k]: v for k, v in c.items()} for perm in perms]
-        return rows
+            if u != one:
+                diffs = RowTable(np.stack([shift, np.arange(n)], axis=1), (1, -1), order * n)
+                parts += [diffs, [self._dbl_c_row(u)]]
+        return translates(RowTable.stack(order * n, *parts), n, order)
 
     def _dbl_c_row(self, u) -> dict:
         """<<u>>C_B as a sparse RP row."""
@@ -548,7 +542,7 @@ class ScissorsContext:
             and quotient.invariant_factors() == target.invariant_factors(),
         }
 
-    def _l_quotient(self, kctx: "ScissorsContext", lrows: list[dict]) -> FpAb:
+    def _l_quotient(self, kctx: "ScissorsContext", lrows: RowTable) -> FpAb:
         """RP~(B)/L_B on RP's flat generators, read through the module of
         one-unit cosets, with no reduction of RP~(B).
 

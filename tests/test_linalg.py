@@ -1824,6 +1824,45 @@ def test_stack_of_nothing_and_past_int64():
             linalg.RowTable.stack(3, linalg.RowTable(np.array([[0]]), 1, 3), rows)
 
 
+@st.composite
+def packed_cases(draw):
+    """(map, rows): a quotient map of up to 2 coordinates on 0 to 4
+    generators, and ragged dict rows over them with empty rows frequent,
+    their nonzero values at and past 2^62 and int64 now and then; a drawn
+    tiling makes some lists longer than _IMAGE_BLOCK."""
+    n, t = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    moduli = [draw(st.sampled_from([0, 2, 7, 2**62])) for _ in range(t)]
+    entry = st.integers(-9, 9)
+    images = [[(c, y) for c, d in enumerate(moduli) if (y := draw(entry) % d if d else draw(entry))] for _ in range(n)]
+    huge = st.sampled_from([2**62 - 1, 2**62, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70])
+    val = st.one_of(st.integers(-9, 9).filter(bool), huge) if draw(st.booleans()) else st.integers(-9, 9).filter(bool)
+    row = st.dictionaries(st.integers(0, n - 1), val, max_size=n) if n else st.just({})
+    rows = draw(st.lists(st.one_of(st.just({}), row), max_size=5))
+    reps = draw(st.sampled_from([1, linalg._IMAGE_BLOCK // max(len(rows), 1) + 1]))
+    return linalg.Quotient(moduli, images), rows * reps
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_cases())
+def test_packed_dict_rows_match_image_row_by_row(case):
+    proj, rows = case
+    n = len(proj.by_key)
+    want = [proj.image(r.items()) for r in rows]
+    assert proj.images(rows) == want
+    assert proj.unkilled(rows) == [i for i, w in enumerate(want) if any(w)]
+    if all(-(2**63) <= x < 2**63 for r in rows for x in r.values()):
+        packed = linalg._packed(rows, n)
+        assert packed.ncols == n and packed.cols.shape == (len(rows), max(map(len, rows), default=0))
+        assert packed.rows() == rows
+        stacked = linalg.RowTable.stack(n, rows)
+        assert [stacked.row(i) for i in range(len(rows))] == rows
+    else:
+        with pytest.raises(OverflowError):
+            linalg._packed(rows, n)
+        with pytest.raises(ValueError, match="past int64"):
+            linalg.RowTable.stack(n, rows)
+
+
 def test_table_images_take_the_exact_path_past_int64():
     # each value, image entry and modulus fits, but a row's sum passes 2^63
     d = 3**37

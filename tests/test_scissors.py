@@ -300,7 +300,7 @@ def test_ker_lambda1_on_k1_killed_by_4():
     from scgroups.linalg import AbMap, hnf_rows, lattice_intersect
 
     n = ctx.rp_flat().ngens
-    k1 = hnf_rows(ctx.k1_rows(), n)
+    k1 = hnf_rows(ctx.k1_rows().rows(), n)
     kerlat = ctx.lambda1_map().preimage_lattice()
     meet = lattice_intersect(k1, kerlat)
     denom = lattice_intersect(meet, ctx.rp_flat().rel_basis)
@@ -579,7 +579,7 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     lrows = ctx.l_rows()
     assert (len(rp_tilde), len(lrows)) == (197, 2000)
     monkeypatch.undo()
-    assert res["quotient"].echelon().basis == linalg._hnf_sparse(rp_tilde + lrows, 198)[0].basis
+    assert res["quotient"].echelon().basis == linalg._hnf_sparse(rp_tilde + lrows.rows(), 198)[0].basis
 
 
 L_B_RINGS = [
@@ -624,7 +624,40 @@ def _l_rows_reference(ctx):
 @pytest.mark.parametrize("label", ["z/7^2", "gf(2^2)[t]/t^2"])
 def test_l_rows_by_index_arithmetic_match_the_formula(label):
     ctx = ScissorsContext(parse_ring(label))
-    assert ctx.l_rows() == _l_rows_reference(ctx)
+    assert ctx.l_rows().rows() == _l_rows_reference(ctx)
+
+
+def _k1_rows_reference(ctx):
+    """K^(1)'s rows straight from the formula: each psi_1(a) in its |G|
+    translates, through act and rp_row."""
+    return [ctx.rp_row(rp_act({g: 1}, ctx.psi1(a))) for a in ctx.ring.units for g in range(ctx.G.order)]
+
+
+@pytest.mark.parametrize("label", ["z/7^2", "gf(25)", "gf(2^2)[t]/t^2"])
+def test_k1_and_l_b_tables_are_the_translates_of_the_formulas(label):
+    # relation-major, class inner, over RP's flat basis; gf(2^2)[t]/t^2
+    # has |G| = 4, and on the field gf(25) L_B has no rows
+    ctx = ScissorsContext(parse_ring(label))
+    k1, lrows = ctx.k1_rows(), ctx.l_rows()
+    assert k1.ncols == lrows.ncols == ctx.refined().flat_ngens
+    assert k1.rows() == _k1_rows_reference(ctx)
+    assert lrows.rows() == _l_rows_reference(ctx)
+
+
+def test_l_b_quotient_certificate_catches_a_changed_l_b_value(monkeypatch):
+    # the first L_B row, [8 * 2] - [2], with its 1 made 2: it is [16] plus
+    # that row, and [16] is not 0 in RP~(B)/L_B, so the quotient map does
+    # not kill it
+    ctx = ScissorsContext(parse_ring("z/7^2"))
+    good = ctx.l_rows()
+    vals = np.array(good.vals)
+    assert vals[0, 0] == 1
+    vals[0, 0] = 2
+    monkeypatch.setattr(ctx, "l_rows", lambda: linalg.RowTable(good.cols, vals, good.ncols))
+    with pytest.raises(AssertionError, match="L_B quotient"):
+        ctx.l_submodule()
+    monkeypatch.undo()
+    assert ctx.l_submodule()["match"]
 
 
 def _swap(f, x, y):
