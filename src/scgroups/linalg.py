@@ -40,16 +40,17 @@ Every map read off rows comes from one builder, ``_quotient_map``: one
 back-substitution over triangular rows, then ``_smith`` on the relation
 rows of their pivots > 1, with no rows det*e_k at full rank.
 ``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz
-reduction to triangular rows, whose map (modulo their determinant at full
-rank) has the Hermite basis as its kernel, and an FpAb's map is the
-builder's on that basis.  An input of more than
+reduction to triangular rows (gcd first where the least pivot exceeds 1),
+whose map (modulo their determinant at full rank) has the Hermite basis as
+its kernel.  That map is the lattice's one map: the certificate reads it,
+and an FpAb keeps it with the basis.  An input of more than
 WHOLE_PER_COLUMN (4) rows per column is not reduced whole: a seeded subset
-of n + 8 rows that touch each column twice is, and its basis is returned
-under a certificate checked at run time, its quotient map killing every
-input row (``Quotient.unkilled``) with equal rank and determinant; rows it
-does not kill join the subset for another round.  The basis comes as the
-SparseEchelon that its certificate read, with that map, and an FpAb keeps
-both instead of building them again.
+of n + 8 rows that touch each column twice is.  Every round, whole inputs
+included, is checked at run time: the map kills every basis row and every
+input row (``Quotient.unkilled``), and rank and determinant match; input
+rows it does not kill join the subset for another round.  Only a basis
+that comes without a map (a kernel, a direct sum) has its map built from
+its canonical rows (``_projection_table``).
 
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
@@ -301,7 +302,14 @@ def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
     A pass subtracts the pivot row from every other row of its column,
     which leaves each such entry in [0, pivot) and changes no row but its
     own, so the next pass's pivot is the least (value, length, row) key
-    that the pass itself saw.
+    that the pass itself saw.  A pivot p > 1 goes gcd first (Havas, Holt
+    and Rees 1993): the partner of least (gcd(p, x), length, row) over the
+    column's other rows, if that gcd is below p, runs floor-division steps
+    with the pivot row, the two rows only, until one of them vanishes at
+    the column, and the row left, whose entry is the gcd, clears the
+    column.  The column's other rows are then updated by the gcd once, not
+    by each pivot on the way down to it, which keeps entries small: the
+    first subset of P(GF(529)) reaches 224 bits, not 615.
     """
     live: dict[int, dict] = {}
     col_rows: dict[int, set] = {}
@@ -310,6 +318,23 @@ def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
             live[rid] = r
             for j in r:
                 col_rows.setdefault(j, set()).add(rid)
+
+    def add(rid: int, q: int, items) -> None:
+        # row rid += q * (the row of items): a sum can vanish only where
+        # the row had an entry, so one lookup decides the branch
+        r = live[rid]
+        for c, v in items:
+            x = r.get(c)
+            if x is None:
+                r[c] = q * v
+                col_rows[c].add(rid)
+            else:
+                x += q * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+                    col_rows[c].discard(rid)
 
     retired: list[tuple[int, dict]] = []
     heap = [(len(s), j) for j, s in col_rows.items()]
@@ -332,6 +357,18 @@ def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
                 for c, v in src.items():
                     src[c] = -v
                 piv = -piv
+            if piv > 1:
+                g, _, mate = min((math.gcd(piv, live[rid][j]), len(live[rid]), rid) for rid in s if rid != rid0)
+                if g < piv:
+                    # Euclid on the pivot row and its mate: each step leaves
+                    # the updated row's entry in [0, the other's)
+                    while True:
+                        add(mate, -(live[mate][j] // live[rid0][j]), live[rid0].items())
+                        if j not in live[mate]:
+                            break
+                        rid0, mate = mate, rid0
+                    src = live[rid0]
+                    piv = src[j]
             best = (piv, len(src), rid0)
             items = tuple(src.items())
             for rid in list(s):
@@ -340,20 +377,7 @@ def _sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
                 r = live[rid]
                 q = -(r[j] // piv)
                 if q:
-                    # r += q * src: a sum can vanish only where r had an
-                    # entry, so one lookup decides the branch
-                    for c, v in items:
-                        x = r.get(c)
-                        if x is None:
-                            r[c] = q * v
-                            col_rows[c].add(rid)
-                        else:
-                            x += q * v
-                            if x:
-                                r[c] = x
-                            else:
-                                del r[c]
-                                col_rows[c].discard(rid)
+                    add(rid, q, items)
                 x = r.get(j)
                 if x is not None and (x, len(r), rid) < best:
                     best = (x, len(r), rid)
@@ -467,12 +491,12 @@ def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
     return set(chosen + skipped[:pad] + list(itertools.islice(stream, max(0, pad - len(skipped)))))
 
 
-def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
+def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Quotient]:
     """The canonical HNF of the lattice of ``rows`` (sparse dicts as
     ``_sparse_rows`` gives them, or a RowTable of width n) as a
-    SparseEchelon, with the quotient map a certificate built for it, or
-    None.  The echelon is the one the certificate read, so a caller keeps
-    it and builds no second one.
+    SparseEchelon, with the quotient map of the same lattice that its
+    certificate read: one map per lattice, which a caller keeps and builds
+    no second time.
 
     The rows are read in place and may repeat; each row the path reduces
     is copied (or, from a table, built) once before the reduction modifies
@@ -482,15 +506,19 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     WHOLE_PER_COLUMN * n rows, else at least n + 8 rows of a seeded stream
     that touch each column twice where the stream does.  Each round
     reduces the subset to triangular rows, and ``_subset_hnf`` gives the
-    HNF B of their lattice L_S, the kernel of their quotient map, with the
-    index d_S of L_S projected onto B's pivot columns.  A subset that holds
-    every row returns B with no map: L_S is the input lattice.  Otherwise B
-    is accepted only if its own quotient map, the one builder's on its rows
-    (``_projection_table``), kills every input row, it has rank(L_S) rows
-    and its pivots multiply to d_S.  Then L_S lies in L(B) of the same rank,
-    so both span one space with one set of echelon pivot columns, onto
-    which the projection is injective, and equal indices there give L(B) =
-    L_S = lattice(rows).
+    HNF B of their lattice L_S, the index d_S of L_S projected onto B's
+    pivot columns, and the quotient map of L_S, which the one builder
+    (``_quotient_map``) reads off the triangular rows it was written for,
+    not off B.  The certificate, the same at every rank and for a whole
+    input too, trusts that builder and checks the rest in one place:
+
+    - B is a canonical HNF (``_check_canonical``);
+    - the map kills every basis row, B has rank(L_S) rows and its pivots
+      multiply to d_S: then L(B) lies in L_S with the same rank, both span
+      one space with one set of echelon pivot columns, onto which the
+      projection is injective, and equal indices there give L(B) = L_S;
+    - the map kills every input row, so L(rows) lies in L_S, which the
+      subset's rows span: L(rows) = L_S = L(B).
 
     Input rows that the map does not kill join the subset for the next
     round, a seeded sample of at most len(subset) of them, so the subset
@@ -498,10 +526,11 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     next round reduces them together with B, not with the triangular
     rows: the checks have just proved L(B) = L_S, so the new subset's
     lattice is the same, and B's entries lie below d_S while the
-    triangular rows' can be far larger (on P(GF(729)), 2 541 bits against
-    an index of 1 460).  Hermite insertion modulo the determinant does
-    the same (Domich-Kannan-Trotter 1987).  A prefix is no subset: the
-    first 476 rows of P(GF(121)) in pair order reach rank 108 of 119.
+    triangular rows' can be far larger (on P(GF(729)), whose index is 730,
+    317 bits, and 2 608 before the reduction went gcd first).  Hermite
+    insertion modulo the determinant does the same (Domich-Kannan-Trotter
+    1987).  A prefix is no subset: the first 476 rows of P(GF(121)) in
+    pair order reach rank 108 of 119.
     """
     build = _row_builder(rows)
     built: dict[int, dict] = {}
@@ -513,21 +542,17 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Optional[Quotient]]:
     work = [take(i) for i in sorted(chosen)]
     while True:
         retired = _sparse_reduce(work)
-        basis, det = _subset_hnf(retired, n)
-        ech = SparseEchelon._canonical(basis, n)
-        if len(chosen) == len(rows):
-            return ech, None
+        basis, index, proj = _subset_hnf(retired, n)
         _check_canonical(basis, n)
-        proj = _projection_table(ech)
-        missing = proj.unkilled(rows)
-        escaped = not chosen.isdisjoint(missing)
-        unequal = len(basis) != len(retired) or math.prod(r[min(r)] for r in basis) != det
-        if escaped and unequal:
-            raise AssertionError("certified HNF: the basis misses a subset row")
-        if escaped or unequal:
+        if proj.unkilled(basis):
             raise AssertionError("certified HNF: a basis row is not in the subset lattice")
+        if len(basis) != len(retired) or math.prod(r[min(r)] for r in basis) != index:
+            raise AssertionError("certified HNF: the basis and the subset lattice differ in rank or index")
+        missing = proj.unkilled(rows)
+        if not chosen.isdisjoint(missing):
+            raise AssertionError("certified HNF: the quotient map misses a subset row")
         if not missing:
-            return ech, proj
+            return SparseEchelon._canonical(basis, n), proj
         if len(missing) > len(chosen):
             missing = sorted(missing[i] for i in _seeded_stream(len(missing), len(chosen)))
         chosen.update(missing)
@@ -606,20 +631,24 @@ def _quotient_map(tri: list, n: int, det: int = 0) -> Quotient:
     return Quotient(moduli, images)
 
 
-def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
-    """Canonical HNF rows of the lattice L of the triangular rows
-    ``retired``, with the index of L projected onto its HNF pivot columns:
-    the kernel of their quotient map (``_quotient_map``), taken modulo the
-    determinant D, the product of the pivots, at full rank.
+def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int, Quotient]:
+    """(basis, index, map) of the lattice L of the triangular rows
+    ``retired``: the quotient map Z^n -> Z^n / L that the one builder
+    (``_quotient_map``) reads off those rows, modulo the determinant D,
+    the product of the pivots, at full rank; its kernel, the canonical HNF
+    rows of L; and the index of L projected onto their pivot columns.  The
+    map is the lattice's one map: ``_hnf_sparse`` certifies the basis
+    against it and hands it on with the basis.
 
     The index is D at full rank, else that of the rows re-reduced on the
     basis's pivot columns, onto which L must project injectively.  A basis
     whose pivots do not multiply to the index is refused: the map it was
     read from has the wrong order."""
     if not retired:
-        return [], 1
+        return [], 1, _quotient_map(retired, n)
     det = math.prod(abs(r[c]) for c, r in retired) if len(retired) == n else 0
-    basis = _quotient_map(retired, n, det).kernel()
+    proj = _quotient_map(retired, n, det)
+    basis = proj.kernel()
     index = det
     if not det:
         pos = {min(r): i for i, r in enumerate(basis)}
@@ -629,7 +658,7 @@ def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int]:
         index = math.prod(abs(r[c]) for c, r in sub)
     if math.prod(r[min(r)] for r in basis) != index:
         raise AssertionError("certified HNF: the quotient map has the wrong order")
-    return basis, index
+    return basis, index, proj
 
 
 def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
@@ -977,7 +1006,9 @@ def snf(mat) -> SmithData:
 def _projection_table(ech: SparseEchelon) -> Quotient:
     """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF):
     ``_quotient_map`` of its rows, whose relation rows are the rows with a
-    pivot > 1 as they stand, the HNF clearing entries above a unit pivot."""
+    pivot > 1 as they stand, the HNF clearing entries above a unit pivot.
+    Only a basis that comes without a map needs it: ``_hnf_sparse`` hands
+    on the map it certified."""
     return _quotient_map(list(zip(ech.pivot_row, ech.basis)), ech.ncols)
 
 
@@ -1195,19 +1226,12 @@ class FpAb:
 
     def echelon(self) -> SparseEchelon:
         """The cached sparse echelon form of the relation basis, as
-        ``_hnf_sparse`` built it.  A certified basis comes with the quotient
-        map its certificate built, which is checked and kept."""
+        ``_hnf_sparse`` built it, with the quotient map its certificate
+        checked, which the group keeps as its own: a group whose lattice
+        was reduced builds no map on its first query."""
         if self._ech is None:
-            self._ech, proj = _hnf_sparse(self._rels(), self.ngens)
-            if proj is not None:
-                self._proj = self._checked(proj)
+            self._ech, self._proj = _hnf_sparse(self._rels(), self.ngens)
         return self._ech
-
-    def _checked(self, proj: Quotient) -> Quotient:
-        """The quotient map, after checking that it kills every basis row."""
-        for i in proj.unkilled(self._ech.basis)[:1]:
-            raise AssertionError(f"quotient map does not kill relation {i}")
-        return proj
 
     @property
     def rank_of_relations(self) -> int:
@@ -1239,12 +1263,16 @@ class FpAb:
         return self.free_rank == 0 and not self.odd_invariants()
 
     def _projection(self) -> Quotient:
-        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k, checked on
-        the relation basis."""
+        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k: the one
+        ``_hnf_sparse`` certified, or, for a basis that came without one,
+        ``_projection_table``'s, checked to kill every basis row."""
         if self._proj is None:
             ech = self.echelon()
-            if self._proj is None:  # a certified basis brought its map
-                self._proj = self._checked(_projection_table(ech))
+            if self._proj is None:
+                proj = _projection_table(ech)
+                for i in proj.unkilled(ech.basis)[:1]:
+                    raise AssertionError(f"quotient map does not kill relation {i}")
+                self._proj = proj
         return self._proj
 
     def _image(self, v) -> list[int]:
@@ -1330,7 +1358,9 @@ class KeyedFpAb(FpAb):
 
     def __init__(self, group: FpAb, rows: dict, refusal: str):
         proj = group._projection().compose(rows)
-        super().__init__(len(proj.moduli), [{k: d} for k, d in enumerate(proj.moduli) if d])
+        # the rows d_k e_k are the target's canonical basis: no reduction
+        basis = [{k: d} for k, d in enumerate(proj.moduli) if d]
+        super().__init__(len(proj.moduli), basis.copy, SparseEchelon._canonical(basis, len(proj.moduli)))
         self._proj = proj
         self._refusal = refusal
 

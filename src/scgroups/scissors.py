@@ -617,31 +617,30 @@ def _five_term_table(ctx: ScissorsContext) -> RowTable:
 
     Y_{a,b} is row k, and X_{a,b} is row k with its columns taken mod |W|.
 
-    The table is built by index arithmetic on discrete logarithms.
+    The table is built by gathers from one W x W table of quotients.
 
     A unit is coded by the mixed-radix number of its exponents in the
     cyclic decomposition of the unit group (``ScissorsContext._unit_codes``),
-    so x / y is a difference of exponent vectors and every term of every
-    pair is a table lookup: a/b over the W x W grid picks the admissible
-    pairs, and b/a, (1 - a^{-1})/(1 - b^{-1}) and (1 - a)/(1 - b) follow
-    from the exponents of a and 1 - a, one ring operation per a: since
-    1 - a^{-1} = -(1 - a)/a, its exponents are e(-1) + e(1 - a) - e(a),
-    and <a^{-1} - 1> = <1 - a><a>.  Those three terms lie in W whenever a/b
-    does; a term outside W is an AssertionError."""
+    so x / y is a difference of exponent vectors, and ratio[x, y] is the W
+    index of W[x] / W[y] (-1 outside W).  a/b picks the admissible pairs,
+    and b/a, (1 - a^{-1})/(1 - b^{-1}) and (1 - a)/(1 - b) are gathers from
+    the same table, at the W indices of 1 - a and 1 - a^{-1}, read once per
+    a: both lie in W, since 1 minus either is a or a^{-1}, and since 1 -
+    a^{-1} = -(1 - a)/a, its exponents are e(-1) + e(1 - a) - e(a), one
+    ring operation per a; <a^{-1} - 1> = <1 - a><a>.  Those three terms lie
+    in W whenever a/b does; a term outside W is an AssertionError."""
     ring, G, W = ctx.ring, ctx.G, ctx.W
     order, stride, w_of = ctx._unit_codes()
     one_minus = [ring.sub(ring.one, a) for a in W]
-    # the exponents of a, 1 - a and 1 - a^{-1}
+    # the exponents of a and 1 - a, and the W indices of 1 - a and 1 - a^{-1}
     ea, e1 = ctx._exponents(W), ctx._exponents(one_minus)
-    e2 = (ctx._exponents([ring.neg_one()]) + e1 - ea) % order
-
-    def quotient(x, y):
-        # W indices of the units with exponents x / y (-1 outside W)
-        return w_of[((x - y) % order) @ stride]
-
-    ratio = quotient(ea[:, None, :], ea[None, :, :])
+    u1 = np.array([ctx.windex[x] for x in one_minus], dtype=np.int64)
+    u2 = w_of[((ctx._exponents([ring.neg_one()]) + e1 - ea) % order) @ stride]
+    if (u2 < 0).any():
+        raise AssertionError("1 - a^{-1} is not in W")
+    ratio = w_of[((ea[:, None, :] - ea[None, :, :]) % order) @ stride]
     ia, ib = np.nonzero(ratio >= 0)
-    gens = np.stack([ia, ib, ratio[ib, ia], quotient(e2[ia], e2[ib]), quotient(e1[ia], e1[ib])], axis=1)
+    gens = np.stack([ia, ib, ratio[ib, ia], ratio[u2[ia], u2[ib]], ratio[u1[ia], u1[ib]]], axis=1)
     if (gens < 0).any():
         raise AssertionError("a five-term element of an admissible pair is not in W")
     classes = [(G.class_of(a), G.class_of(b)) for a, b in zip(W, one_minus)]

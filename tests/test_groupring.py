@@ -231,9 +231,14 @@ BLOCK_GROUPS = [square_classes(parse_ring(r)) for r in ("gf(7)", "gf(2^2)[t]/t^2
 
 
 def _reference(m: RModPres):
-    """Canonical basis and quotient map of every flat row, reduced at once."""
+    """Canonical basis of every flat row, reduced at once, and the quotient
+    map that the block form's group, whose basis comes without a map, reads
+    off it; the reduction's own map has the same moduli and kills the
+    basis."""
     ech, proj = _hnf_sparse(m.flat_rows(), m.flat_ngens)
-    return ech.basis, proj or _projection_table(ech)
+    table = _projection_table(ech)
+    assert proj.moduli == table.moduli and proj.unkilled(ech.basis) == []
+    return ech.basis, table
 
 
 @st.composite

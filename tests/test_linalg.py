@@ -4,6 +4,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 import random
 import re
 from pathlib import Path
@@ -621,6 +622,7 @@ def test_projection_edge_cases():
 
 
 def test_corrupted_projection_trips_certificate(monkeypatch):
+    # a basis given without a map is the one that _projection_table maps
     build = linalg._projection_table
 
     def corrupted(ech):
@@ -629,10 +631,11 @@ def test_corrupted_projection_trips_certificate(monkeypatch):
         return linalg.Quotient(moduli, images)
 
     monkeypatch.setattr(linalg, "_projection_table", corrupted)
-    g = FpAb(2, [[1, 1], [0, 3]])
-    with pytest.raises(AssertionError):
+    g = FpAb(2, basis=[[1, 1], [0, 3]])
+    with pytest.raises(AssertionError, match="does not kill relation 0"):
         g.invariant_factors()
     monkeypatch.setattr(linalg, "_projection_table", build)
+    assert FpAb(2, basis=[[1, 1], [0, 3]]).invariant_factors() == (3,)
     assert FpAb(2, [[1, 1], [0, 3]]).invariant_factors() == (3,)
 
 
@@ -1191,7 +1194,7 @@ def test_certified_hnf_grows_a_subset_that_misses_a_rare_generator(monkeypatch, 
 
 @pytest.mark.parametrize(
     "fault, message",
-    [("entry", "not in the subset lattice"), ("pivot", "misses a subset row")],
+    [("entry", "not in the subset lattice"), ("pivot", "differ in rank or index")],
     ids=["entry", "pivot"],
 )
 def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
@@ -1203,12 +1206,12 @@ def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
     step = linalg._subset_hnf
 
     def corrupted(retired, n):
-        basis, det = step(retired, n)
+        basis, det, proj = step(retired, n)
         if fault == "entry":
             basis[0][2] = 2  # still reduced, no longer in the lattice
         else:
-            basis[2][2] = 6  # a sublattice: the input rows escape it
-        return basis, det
+            basis[2][2] = 6  # a sublattice, whose pivots multiply to 2 det
+        return basis, det, proj
 
     monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
     with pytest.raises(AssertionError, match=message):
@@ -1222,7 +1225,7 @@ def test_mod_det_superlattice_trips_the_determinant_certificate(monkeypatch):
     # only the determinant tells it from the subset's lattice
     rows = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
     step = linalg._subset_hnf
-    monkeypatch.setattr(linalg, "_subset_hnf", lambda retired, n: ([{j: 1} for j in range(n)], step(retired, n)[1]))
+    monkeypatch.setattr(linalg, "_subset_hnf", lambda retired, n: ([{j: 1} for j in range(n)], *step(retired, n)[1:]))
     with pytest.raises(AssertionError, match="not in the subset lattice"):
         hnf_rows(rows, 3)
 
@@ -1234,20 +1237,21 @@ def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, faul
     lifted = []
 
     def corrupted(retired, n):
-        basis, det = step(retired, n)
+        basis, det, proj = step(retired, n)
         assert len(retired) == n - 1
         if fault == "determinant":
-            return basis, 2 * det
+            return basis, 2 * det, proj
         # an entry off the pivot columns, which the projected index does not read
         pivots = {min(r) for r in basis}
         row = next(r for r in basis if any(j not in pivots for j in r))
         j = max(j for j in row if j not in pivots)
         row[j] += 1
         lifted.append(j)
-        return basis, det
+        return basis, det, proj
 
     monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
-    with pytest.raises(AssertionError, match="not in the subset lattice"):
+    message = "differ in rank or index" if fault == "determinant" else "not in the subset lattice"
+    with pytest.raises(AssertionError, match=message):
         hnf_rows(rows, n)
     assert bool(lifted) == (fault == "lifted-entry")
 
@@ -1264,14 +1268,14 @@ def test_check_canonical_refuses_a_basis_out_of_hermite_form(monkeypatch, fault,
     step = linalg._subset_hnf
 
     def corrupted(retired, n):
-        basis, det = step(retired, n)
+        basis, det, proj = step(retired, n)
         if fault == "order":
             basis.reverse()
         elif fault == "pivot":
             basis[2] = {j: -v for j, v in basis[2].items()}
         else:
             basis[0] = linalg._axpy(1, basis[0], 1, basis[1])
-        return basis, det
+        return basis, det, proj
 
     monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
     with pytest.raises(AssertionError, match=message):
@@ -1449,9 +1453,10 @@ def test_full_rank_smith_input_has_one_row_per_pivot(monkeypatch, label, pivots)
     assert seen[0] == [math.prod(pivots), pivots, (len(pivots), len(pivots))]
 
 
-def test_quotient_map_is_built_once_for_the_step_and_once_for_the_map(monkeypatch):
-    # a tall input: the Hermite step and the certificate, whose map FpAb
-    # keeps; a whole input: the step, then FpAb's map on its first query
+def test_quotient_map_is_built_once_per_round(monkeypatch):
+    # a tall input of one round, one of two rounds and a whole input: the
+    # certified step builds one map per round, and the group keeps the
+    # last, so that no query builds another
     build, calls = linalg._quotient_map, []
 
     def counted(tri, n, det=0):
@@ -1460,8 +1465,14 @@ def test_quotient_map_is_built_once_for_the_step_and_once_for_the_map(monkeypatc
 
     monkeypatch.setattr(linalg, "_quotient_map", counted)
     table = scissors.context("gf(97)").pre_bloch()._rels()
+    two_rounds, _, _ = _index_two_case()
     whole = [[2, 1, 1], [0, 3, 1], [0, 0, 5]]
-    for g, dets, factors in [(FpAb(table.ncols, table), [98, 0], (98,)), (FpAb(3, whole), [30], (30,))]:
+    cases = [
+        (FpAb(table.ncols, table), [98], (98,)),
+        (FpAb(3, _sparse(two_rounds)), [2, 1], ()),
+        (FpAb(3, whole), [30], (30,)),
+    ]
+    for g, dets, factors in cases:
         calls.clear()
         g.echelon()
         assert calls == dets
@@ -1470,7 +1481,7 @@ def test_quotient_map_is_built_once_for_the_step_and_once_for_the_map(monkeypatc
             k = g.element_order(v)
             assert g.echelon().solve({j: k * x for j, x in v.items()}) is not None
             assert all(g.echelon().solve({j: i * x for j, x in v.items()}) is None for i in range(1, k))
-        assert calls == [dets[0], 0]
+        assert calls == dets
 
 
 def _index_two_case(even_column_1=False):
@@ -1565,8 +1576,9 @@ def test_certified_hnf_second_round_starts_from_the_first_rounds_basis(monkeypat
     monkeypatch.setattr(linalg, "_subset_hnf", recording_step)
     ech, proj = linalg._hnf_sparse(_sparse(rows), 3)
     basis = ech.basis
-    assert len(rounds) == len(inputs) == 2 and proj is not None
-    (first, d_s), _ = rounds
+    assert len(rounds) == len(inputs) == 2
+    (first, d_s, _), (_, _, last) = rounds
+    assert proj is last
     assert first == [{0: 2}, {1: 1}, {2: 1}] and d_s == 2
     assert inputs[0] == _sparse([rows[i] for i in chosen])
     assert inputs[1][: len(first)] == first
@@ -1698,7 +1710,9 @@ def short_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(short_inputs())
-def test_short_input_is_one_round_with_no_certificate(case):
+def test_short_input_is_one_round_under_the_certificate(case):
+    # a whole input is one round, whose map the certificate checks on the
+    # basis rows and the input rows, and which it returns with the basis
     n, rows = case
     certified = []
     unkilled = linalg.Quotient.unkilled
@@ -1712,45 +1726,69 @@ def test_short_input_is_one_round_with_no_certificate(case):
         mp.setattr(linalg.Quotient, "unkilled", counted)
         ech, proj = linalg._hnf_sparse(_sparse(rows), n)
         basis = ech.basis
-    assert len(rounds) == 1 and certified == [] and proj is None
+    assert len(rounds) == 1 and certified == [len(basis), len(rows)]
+    assert proj.kernel() == basis
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
 
 
 def test_certified_basis_brings_its_quotient_map(monkeypatch):
+    # the last round's map is the group's, for tall and whole inputs: no
+    # table is built on the basis, whose own table has the same kernel and
+    # moduli; a basis that comes without a map gets the table's
     rows, n = certified_case("deficiency-1")
-    tables = []
-    build = linalg._projection_table
+    maps, tables = [], []
+    step, build = linalg._subset_hnf, linalg._projection_table
+
+    def recording(retired, n):
+        out = step(retired, n)
+        maps.append(out[2])
+        return out
 
     def counted(ech):
         tables.append(ech)
         return build(ech)
 
+    monkeypatch.setattr(linalg, "_subset_hnf", recording)
     monkeypatch.setattr(linalg, "_projection_table", counted)
-    g = FpAb(n, _sparse(rows))
-    g.rel_basis
-    built = len(tables)  # one per round of the certificate
-    assert built >= 1 and tables[-1].rows == g.echelon().rows
-    # the certificate's map is the group's: no second table on the same basis
-    g.invariant_factors()
-    assert len(tables) == built
-    assert g._projection() == build(g.echelon())
-    short = FpAb(n, _sparse(rows[: tall(n) - 1]))
-    short.invariant_factors()
-    assert len(tables) == built + 1
+    for given in (rows, rows[: tall(n) - 1]):
+        g = FpAb(n, _sparse(given))
+        g.rel_basis
+        rounds = len(maps)
+        assert rounds >= 1
+        g.invariant_factors()
+        assert g._projection() is maps[-1] and len(maps) == rounds and tables == []
+        own = build(g.echelon())
+        assert g._projection().kernel() == own.kernel() == g.echelon().basis
+        assert g._projection().moduli == own.moduli
+        maps.clear()
+    h = FpAb(n, basis=g.echelon().basis)
+    assert h.invariant_factors() == g.invariant_factors() and len(tables) == 1 and maps == []
 
 
 def test_corrupted_certified_map_trips_a_check(monkeypatch):
-    build = linalg._projection_table
+    # the map that a round returns loses one generator's image, after the
+    # basis was read off it: a basis row or a subset row is then not
+    # killed.  On a tall full-rank input and on P(GF(49))'s five-term
+    # table, for generators spread over those with a nonzero image
+    step, dropped = linalg._subset_hnf, []
+    full, n = certified_case("full-rank")
+    table = scissors.context("gf(49)").pre_bloch()._rels()
+    for rows, n in ((_sparse(full), n), (table, table.ncols)):
+        assert len(rows) > linalg.WHOLE_PER_COLUMN * n
+        for at in range(4):
 
-    def corrupted(ech):
-        moduli, images = build(ech)
-        images[0] = []
-        return linalg.Quotient(moduli, images)
+            def corrupted(retired, n):
+                basis, index, (moduli, images) = step(retired, n)
+                nonzero = [j for j, img in enumerate(images) if img]
+                j = nonzero[at * len(nonzero) // 4]
+                dropped.append(j)
+                return basis, index, linalg.Quotient(moduli, [[] if k == j else img for k, img in enumerate(images)])
 
-    rows, n = certified_case("full-rank")
-    monkeypatch.setattr(linalg, "_projection_table", corrupted)
-    with pytest.raises(AssertionError):
-        FpAb(n, _sparse(rows)).invariant_factors()
+            monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
+            dropped.clear()
+            with pytest.raises(AssertionError, match="certified HNF: (a basis row is not in|the quotient map misses)"):
+                FpAb(n, rows).invariant_factors()
+            assert len(dropped) == 1
 
 
 # -- relation rows as a RowTable ---------------------------------------------------
@@ -1953,7 +1991,8 @@ def test_corrupted_table_row_joins_the_subset(monkeypatch):
 
     def counted(proj, rows):
         out = unkilled(proj, rows)
-        missing.append(out)
+        if rows is corrupted:  # not the check on the basis rows
+            missing.append(out)
         return out
 
     monkeypatch.setattr(linalg.Quotient, "unkilled", counted)
@@ -2092,10 +2131,14 @@ def test_seeded_stream_draws_the_seeded_sample_one_index_at_a_time(m, monkeypatc
 # -- the sparse reduction against its reference -----------------------------------
 
 
-def _reference_sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
-    """The Markowitz reduction as it stood before its inner loop was
-    inlined: a pivot chosen by min over the column on every pass, a copy
-    of the pivot row, and one call per row update."""
+def _reference_sparse_reduce(rows: list[dict], euclid: list | None = None, drop_mate=False) -> list[tuple[int, dict]]:
+    """The Markowitz reduction with its gcd-first rule, as it stands
+    before its inner loop is inlined: a pivot chosen by min over the column
+    on every pass, a copy of the pivot row, and one call per row update.
+    A pivot p > 1 first runs Euclid with the partner of least (gcd(p, x),
+    length, row), if that gcd is below p, whose steps are appended to
+    ``euclid``; with ``drop_mate`` that partner is dropped instead, a
+    fault that loses its row from the lattice."""
     live: dict[int, dict] = {}
     col_rows: dict[int, set] = {}
     for rid, r in enumerate(rows):
@@ -2135,6 +2178,23 @@ def _reference_sparse_reduce(rows: list[dict]) -> list[tuple[int, dict]]:
             if live[rid0][j] < 0:
                 live[rid0] = {c: -v for c, v in live[rid0].items()}
             piv = live[rid0][j]
+            if piv > 1:
+                mate = min(s - {rid0}, key=lambda rid: (math.gcd(piv, live[rid][j]), len(live[rid]), rid))
+                if math.gcd(piv, live[mate][j]) < piv:
+                    if drop_mate:
+                        for c in live.pop(mate):
+                            col_rows[c].discard(mate)
+                        continue
+                    a, b = rid0, mate
+                    while True:
+                        row_addmul(b, -(live[b][j] // live[a][j]), dict(live[a]))
+                        if euclid is not None:
+                            euclid.append((j, a, b))
+                        if j not in live[b]:
+                            break
+                        a, b = b, a
+                    rid0 = a
+                    piv = live[rid0][j]
             src = dict(live[rid0])
             for rid in list(s):
                 if rid == rid0:
@@ -2205,6 +2265,46 @@ def test_sparse_reduce_matches_its_reference_on_drawn_rows(rows):
     retired = _same_retired(rows)
     n = 1 + max((j for r in rows for j in r), default=0)
     assert len(retired) == (Matrix(_ints(linalg._dense(rows, n))).rank() if rows else 0)
+
+
+@st.composite
+def rows_without_unit_entries(draw):
+    """(n, rows): up to 8 sparse rows of width up to 5 whose entries are
+    ±2 to ±15, so that a column's least pivot exceeds 1 and the reduction
+    goes gcd first, with coprime entries frequent."""
+    n = draw(st.integers(1, 5))
+    value = st.builds(operator.mul, st.sampled_from([2, 3, 4, 5, 6, 9, 10, 14, 15]), st.sampled_from([1, -1]))
+    row = st.dictionaries(st.integers(0, n - 1), value, min_size=1, max_size=n)
+    return n, draw(st.lists(row, min_size=2, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_without_unit_entries())
+def test_gcd_first_reduction_keeps_the_lattice(case):
+    n, rows = case
+    steps = []
+    _reference_sparse_reduce([dict(r) for r in rows], steps)
+    assume(steps)
+    retired = _same_retired(rows)
+    dense = _ints(linalg._dense(rows, n))
+    assert sympy_row_hnf(_ints(linalg._dense([r for _, r in retired], n))) == sympy_row_hnf(dense)
+    assert _ints(hnf_rows(rows, n)) == sympy_row_hnf(dense)
+
+
+def test_euclid_dropping_its_partner_fails_the_certificate(monkeypatch):
+    # column 0 goes first, its least pivot 4 runs Euclid with the 9 of the
+    # last row (gcd 1), and dropping that row leaves the lattice of index
+    # 2 that the first two rows span, not Z^2
+    rows = [{0: 6, 1: 1}, {0: 4, 1: 1}, {0: 9, 1: 1}]
+    steps = []
+    assert _reference_sparse_reduce([dict(r) for r in rows], steps) == _same_retired(rows)
+    assert [(a, b) for j, a, b in steps if j == 0] == [(1, 2), (2, 1)]
+    assert sympy_row_hnf(_ints(linalg._dense(rows[:2], 2))) == [[2, 0], [0, 1]]
+    monkeypatch.setattr(linalg, "_sparse_reduce", _reference_sparse_reduce)
+    assert linalg._hnf_sparse([dict(r) for r in rows], 2)[0].basis == [{0: 1}, {1: 1}]
+    monkeypatch.setattr(linalg, "_sparse_reduce", functools.partial(_reference_sparse_reduce, drop_mate=True))
+    with pytest.raises(AssertionError, match="certified HNF: the quotient map misses a subset row"):
+        linalg._hnf_sparse([dict(r) for r in rows], 2)
 
 
 # -- kernels and images against sympy --------------------------------------------
