@@ -21,11 +21,13 @@ membership question goes through it: ``FpAb.contains`` and
 that a map kills the basis rows, and the keyed reads of ``KeyedFpAb``,
 whose images ``compose`` reads through rows named by keys (RP by symbol,
 RP~ + RP~ by S_v case).  ``unkilled``, ``images`` and ``blocks`` take many
-rows at once as a ``RowTable`` (dicts are packed into one first), read as
-its 2-D arrays, one gather per coordinate, in blocks through int64 arrays
-when no sum can reach 2^62 and in Python ints otherwise.  ``AbMap.unkilled``,
-the one test that a map kills relation rows, composes the target's map
-with the map rows once.
+rows at once as a ``RowTable`` (dicts are packed into one first, unless
+they are few), read as its 2-D arrays, one gather per coordinate, in
+blocks through int64 arrays when no sum can reach 2^62 and in Python ints
+otherwise; a map builds its gather table once and keeps it.  An ``AbMap``
+composes the target's map with the map rows once, and ``unkilled``, the
+one test that a map kills relation rows, and its kernels and images read
+that composed map.
 
 Every derived lattice is one question, ``Quotient.kernel``: the canonical
 basis of {x : image(x) lies in the lattice of the moduli and some extra
@@ -68,6 +70,7 @@ it reduces, and the certificate projects the table's arrays directly.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -194,8 +197,8 @@ class RowTable:
         cols = np.asarray(self.cols, dtype=np.int64)
         if cols.ndim != 2:
             raise ValueError("a row table's columns must be a 2-D array")
-        if cols.size and not (0 <= int(cols.min()) and int(cols.max()) < self.ncols):
-            raise ValueError(f"a row table's column lies outside the generators range({self.ncols})")
+        if cols.size:
+            _check_columns(int(cols.min()), int(cols.max()), self.ncols)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", np.broadcast_to(np.asarray(self.vals, dtype=np.int64), cols.shape))
 
@@ -239,6 +242,13 @@ class RowTable:
             cols[lo : lo + len(part), :k], vals[lo : lo + len(part), :k] = part.cols, part.vals
             lo += len(part)
         return cls(cols, vals, ncols)
+
+
+def _check_columns(lo: int, hi: int, ncols: int) -> None:
+    """Refuse rows whose least and largest columns lo and hi do not lie in
+    range(ncols): the one check of bulk rows' columns."""
+    if not (0 <= lo and hi < ncols):
+        raise ValueError(f"a row table's column lies outside the generators range({ncols})")
 
 
 def _packed(rows: list[dict], ncols: int) -> RowTable:
@@ -1012,22 +1022,26 @@ def _projection_table(ech: SparseEchelon) -> Quotient:
     return _quotient_map(list(zip(ech.pivot_row, ech.basis)), ech.ncols)
 
 
-class Quotient(NamedTuple):
+class _QuotientData(NamedTuple):
+    moduli: list[int]
+    by_key: list | dict
+
+
+class Quotient(_QuotientData):
     """A quotient map Z^n -> Z^f + sum Z/d_k, read through the images of
     the generators (Cohen, A Course in Computational Algebraic Number
     Theory, §2.4): coordinate k of the target is Z/moduli[k] for a modulus
     > 1 and Z for a modulus 0, and by_key[key] lists the nonzero
-    (k, value) of the image of the generator named key, each value reduced
-    into [0, d).  by_key is a list, indexed by generator, or a dict whose
-    keys are any hashable names (``compose``).
+    (k, value) of the image of the generator named key, in increasing k,
+    each value reduced into [0, d).  by_key is a list, indexed by
+    generator, or a dict whose keys are any hashable names (``compose``).
 
     It is the one form of a quotient map: an FpAb keeps its own, the
     certificates ask it which rows it kills, a keyed read (``KeyedFpAb``)
     is one composed with named rows, and ``kernel`` reads every derived
-    lattice off one."""
-
-    moduli: list[int]
-    by_key: list | dict
+    lattice off one.  It is a pair (moduli, by_key), compared and unpacked
+    as one, and it keeps what its bulk reads set up on the first of them
+    (``_gather``), so a map is not modified once it is read."""
 
     def image(self, pairs) -> list[int]:
         """The image of sum x * e_key over the (key, x) pairs, each torsion
@@ -1054,10 +1068,21 @@ class Quotient(NamedTuple):
         image of rows[key], a sparse row {generator: value} of this map's
         source, so that sum c * e_key and sum c * rows[key] have one image.
         A dict of rows, under any hashable keys, gives a dict of images; a
-        sequence gives a list, indexed by position."""
-        keyed = rows.items() if isinstance(rows, dict) else enumerate(rows)
-        by_key = {key: [(k, a) for k, a in enumerate(self.image(r.items())) if a] for key, r in keyed}
-        return Quotient(self.moduli, by_key if isinstance(rows, dict) else list(by_key.values()))
+        sequence gives a list, indexed by position.  A one-entry row {j: c}
+        is c times generator j's image, read with no sum: generator j's own
+        list for c = 1, so that a permutation composes by gather."""
+        moduli, images = self
+        by_key = {}
+        for key, r in rows.items() if isinstance(rows, dict) else enumerate(rows):
+            if len(r) != 1:
+                by_key[key] = [(k, a) for k, a in enumerate(self.image(r.items())) if a]
+                continue
+            ((j, c),) = r.items()
+            if type(c) is not int:
+                c = int(c)
+            img = images[j]
+            by_key[key] = img if c == 1 else [(k, y) for k, a in img if (y := c * a % moduli[k] if moduli[k] else c * a)]
+        return Quotient(moduli, by_key if isinstance(rows, dict) else list(by_key.values()))
 
     def images(self, rows) -> list[list[int]]:
         """The image of each row (sparse dicts or a RowTable), as ``image``
@@ -1129,38 +1154,42 @@ class Quotient(NamedTuple):
         (first row, images) for blocks of _IMAGE_BLOCK rows; the images are
         indexed by generator.
 
-        Dict rows are packed into a RowTable first (``_packed``).  A block
-        of the table goes through int64 arrays, one coordinate at a time, as
-        one gather of the images of its columns times its values, summed row
-        by row, and its images are an int64 array (rows x coordinates), when
-        no value, no modulus and no partial sum can reach 2^62: the largest
-        value, the largest image entry (at least 1, so that the values are
-        bounded even when there is no image, as for a trivial quotient) and
-        the table's width bound every sum, taken once per table.  Otherwise,
-        and when a dict value is past int64, its images are the lists
-        ``image`` gives, in Python ints.  Blocks keep the arrays small next
+        Fewer than _DICT_ROWS dict rows, and dict rows with a value past
+        int64, go row by row through ``image``, in Python ints, each key
+        checked against range(n) as a table's columns are.  Other dict rows
+        are packed into a RowTable first (``_packed``).  A block of the
+        table goes through int64 arrays, one coordinate at a time, as one
+        gather of the images of its columns (``_gather``) times its values,
+        summed row by row, and its images are an int64 array (rows x
+        coordinates), when no value, no modulus and no partial sum can
+        reach 2^62: the largest value, the map's bound and the table's
+        width bound every sum, taken once per table.  Otherwise its images
+        are the lists ``image`` gives.  Blocks keep the arrays small next
         to the rows themselves."""
         moduli, images = self
-        big = 1 << 62
-        amax = max((abs(a) for img in images for _, a in img), default=0)
-        fits = max(moduli, default=0) < big and amax < big
-        try:
-            table = rows if isinstance(rows, RowTable) else _packed(rows, len(images))
-        except OverflowError:
-            table, fits = None, False
-        if fits:
+        table = rows if isinstance(rows, RowTable) else None
+        if table is None and len(rows) >= _DICT_ROWS:
+            try:
+                table = _packed(rows, len(images))
+            except OverflowError:
+                pass
+        if table is None:
+            for r in rows:
+                if r:
+                    _check_columns(min(r), max(r), len(images))
+            for lo in range(0, len(rows), _IMAGE_BLOCK):
+                yield lo, [self.image(r.items()) for r in rows[lo : lo + _IMAGE_BLOCK]]
+            return
+        bound, gather = self._gather
+        if gather is not None:
             # the values once, an axis of stride 0 (broadcast signs) read at one index
             vals = table.vals[tuple(slice(None if step else 1) for step in table.vals.strides)]
-            fits = vals.size > 0 and max(int(vals.max()), -int(vals.min())) * max(amax, 1) * table.cols.shape[1] < big
-        gather = np.zeros((len(moduli), len(images) if fits else 0), dtype=np.int64)
-        for j, img in enumerate(images if fits else ()):
-            for k, a in img:
-                gather[k, j] = a
-        entries = rows.entries if isinstance(rows, RowTable) else (lambda i: rows[i].items())
-        for lo in range(0, len(rows), _IMAGE_BLOCK):
-            hi = min(lo + _IMAGE_BLOCK, len(rows))
-            if not fits:
-                yield lo, [self.image(entries(i)) for i in range(lo, hi)]
+            if not (vals.size and max(int(vals.max()), -int(vals.min())) * bound * table.cols.shape[1] < 1 << 62):
+                gather = None
+        for lo in range(0, len(table), _IMAGE_BLOCK):
+            hi = min(lo + _IMAGE_BLOCK, len(table))
+            if gather is None:
+                yield lo, [self.image(table.entries(i)) for i in range(lo, hi)]
                 continue
             cols, vals = table.cols[lo:hi], table.vals[lo:hi]
             w = np.empty((hi - lo, len(moduli)), dtype=np.int64)
@@ -1170,9 +1199,36 @@ class Quotient(NamedTuple):
                     w[:, k] %= d
             yield lo, w
 
+    @functools.cached_property
+    def _gather(self) -> tuple[Optional[int], Optional[np.ndarray]]:
+        """The int64 read set-up, built on the first bulk read of a table
+        and kept: the bound of the image entries, at least 1 so that a
+        table's values are bounded even when there is no image, as for a
+        trivial quotient, and the gather table, the int64 array
+        (coordinates x generators) of the generator images; both are None
+        when an image entry or a modulus reaches 2^62."""
+        moduli, images = self
+        dense = [[0] * len(images) for _ in moduli]
+        for j, img in enumerate(images):
+            for k, a in img:
+                dense[k][j] = a
+        try:
+            gather = np.array(dense, dtype=np.int64).reshape(len(moduli), len(images))
+        except OverflowError:
+            return None, None
+        bound = max(1, int(gather.max(initial=0)), -int(gather.min(initial=0)))
+        if bound >= 1 << 62 or max(moduli, default=0) >= 1 << 62:
+            return None, None
+        return bound, gather
+
 
 # rows per block of Quotient.blocks
 _IMAGE_BLOCK = 2048
+# fewer dict rows than this are read row by row, with no table: the
+# crossover against packing them with the map's gather table kept, about
+# 0.7 us a row by ``image`` against 27 us + 0.27 us a row packed, on the
+# maps of P(GF(121)) and RP(GF(121))
+_DICT_ROWS = 64
 
 
 def odd_part(n: int) -> int:
@@ -1427,7 +1483,9 @@ class AbMap:
     generators map by x -> x @ matrix.  ``rows`` keeps it as one sparse
     row per source generator, and ``matrix`` reads it back as a dense view.
     Construction checks that the (reduced) source relations land in the
-    target relation lattice (``unkilled``).
+    target relation lattice (``unkilled``).  The target's quotient map is
+    composed with the map rows once, on the first read that needs it, and
+    every read goes through that composed map.
     """
 
     def __init__(self, source: FpAb, target: FpAb, matrix):
@@ -1440,13 +1498,17 @@ class AbMap:
         if relations and (bad := self.unkilled(relations)):
             raise ValueError(f"map does not respect relations (reduced relation {bad[0]})")
 
+    @functools.cached_property
+    def _composed(self) -> Quotient:
+        """The target's quotient map composed with the map rows."""
+        return self.target._projection().compose(self.rows)
+
     def unkilled(self, rows) -> list[int]:
         """Indices of the source rows (sparse dicts or a RowTable of width
         source.ngens) whose images do not lie in the target's relation
-        lattice: the one test that a map kills relation rows.  The target's
-        quotient map is composed with the map rows once, and the rows go
-        through it in blocks (``Quotient.unkilled``)."""
-        return self.target._projection().compose(self.rows).unkilled(_bulk_rows(rows, self.source.ngens))
+        lattice: the one test that a map kills relation rows, read in
+        blocks through the composed map (``Quotient.unkilled``)."""
+        return self._composed.unkilled(_bulk_rows(rows, self.source.ngens))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -1455,9 +1517,8 @@ class AbMap:
 
     def preimage_lattice(self) -> list[dict]:
         """Canonical basis rows of {x in Z^m : x @ matrix lies in the target
-        lattice}: the kernel of the target's quotient map composed with the
-        map rows."""
-        return self.target._projection().compose(self.rows).kernel()
+        lattice}: the kernel of the composed map."""
+        return self._composed.kernel()
 
     def kernel_subgroup(self) -> SubgroupPres:
         """The kernel on the preimage basis (``lift``).  Its relations are

@@ -1958,6 +1958,158 @@ def test_table_images_and_unkilled_match_image_row_by_row(case):
     assert proj.unkilled(table) == [i for i, w in enumerate(want) if any(w)]
 
 
+@st.composite
+def quotient_reads(draw):
+    """(map, rows): a quotient map of up to 3 coordinates on 1 to 5
+    generators, its moduli 0, small or past 2^62 and its image entries past
+    int64 where the modulus allows, and rows to read through it: dict rows
+    shorter or longer than _DICT_ROWS, some values past int64, or a
+    RowTable whose rows repeat columns, with its values a full array or
+    one row broadcast to every row."""
+    n, t = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    size = draw(st.sampled_from([9, 2**31 - 1, 1 << 70]))
+    moduli = [draw(st.sampled_from([0, 2, 7, size, (1 << 62) + 1])) for _ in range(t)]
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from([size, -size]), st.integers(-size, size))
+    images = [[(c, y) for c, d in enumerate(moduli) if (y := draw(entry) % d if d else draw(entry))] for _ in range(n)]
+    val = st.one_of(st.integers(-9, 9).filter(bool), st.sampled_from([2**31 - 1, -(2**40), 2**63]))
+    if draw(st.booleans()):
+        width, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        cols = np.array([[draw(st.integers(0, n - 1)) for _ in range(width)] for _ in range(k)])
+        cols[:, -1] = cols[:, 0]
+        fits = val.filter(lambda x: -(2**63) <= x < 2**63)
+        vals = np.array([draw(fits) for _ in range(width * (1 if draw(st.booleans()) else k))]).reshape(-1, width)
+        reps = draw(st.sampled_from([1, 40]))
+        rows = linalg.RowTable(np.tile(cols, (reps, 1)), vals if len(vals) == 1 else np.tile(vals, (reps, 1)), n)
+    else:
+        count = draw(st.sampled_from([0, 1, linalg._DICT_ROWS - 1, linalg._DICT_ROWS, 3 * linalg._DICT_ROWS]))
+        rows = [draw(st.dictionaries(st.integers(0, n - 1), val, max_size=n)) for _ in range(min(count, 6))]
+        rows = (rows * count)[:count] if rows else []
+    return linalg.Quotient(moduli, images), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_reads(), st.data())
+def test_bulk_reads_and_one_entry_composes_match_the_row_by_row_image(case, data):
+    # images and unkilled against Quotient.image row by row, on the map's
+    # first read and again on the set-up it kept
+    proj, rows = case
+    entries = rows.entries if isinstance(rows, linalg.RowTable) else lambda i: rows[i].items()
+    want = [proj.image(entries(i)) for i in range(len(rows))]
+    for _ in range(2):
+        assert proj.images(rows) == want
+        assert proj.unkilled(rows) == [i for i, w in enumerate(want) if any(w)]
+    # one-entry rows {j: c} compose as the general path does, listed or keyed
+    n, moduli = len(proj.by_key), proj.moduli
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9), st.sampled_from([1 << 65, -(1 << 70)]))
+    ones = data.draw(st.lists(st.builds(lambda j, c: {j: c}, st.integers(0, n - 1), coeff), max_size=6))
+    for rows in (ones, {("key", i): r for i, r in enumerate(ones)}):
+        keyed = rows.items() if isinstance(rows, dict) else enumerate(rows)
+        general = {key: [(k, a) for k, a in enumerate(proj.image(r.items())) if a] for key, r in keyed}
+        want = general if isinstance(rows, dict) else list(general.values())
+        assert proj.compose(rows) == (moduli, want)
+
+
+@pytest.mark.parametrize("key", [-1, -3, 5, 6])
+@pytest.mark.parametrize("big", [False, True])
+def test_a_key_outside_the_generators_is_one_refusal_on_both_sides_of_the_cut(key, big):
+    # short dict batches are read row by row, long ones packed (or, with a
+    # value past int64, row by row again): each refuses a key outside
+    # range(5), a negative one too, with the table's own ValueError
+    proj = FpAb(5, [[2, 0, 0, 0, 0]])._projection()
+    bad = {0: 1, key: 2**63 if big else 3}
+    messages = set()
+    for count in (1, linalg._DICT_ROWS - 1, linalg._DICT_ROWS, 2 * linalg._DICT_ROWS):
+        rows = [{1: 1}] * (count - 1) + [bad]
+        for read in (proj.images, proj.unkilled):
+            with pytest.raises(ValueError) as refused:
+                read(rows)
+            messages.add(str(refused.value))
+    with pytest.raises(ValueError) as refused:
+        linalg.RowTable(np.array([[0, key]]), 1, 5)
+    assert messages == {str(refused.value)} == {"a row table's column lies outside the generators range(5)"}
+
+
+def test_a_map_read_twice_builds_its_gather_table_once():
+    # the bound and gather table are built on the first bulk read of a
+    # table and kept; short dict batches build none
+    g = scissors.ScissorsContext(parse_ring("gf(13)")).pre_bloch()
+    # the group's map as a new map, with nothing kept
+    table, proj = g._rels(), linalg.Quotient(*g._projection())
+    assert proj.unkilled(g.echelon().basis) == [] and "_gather" not in vars(proj)
+    assert proj.unkilled(table) == []
+    kept = vars(proj)["_gather"]
+    assert kept[1].shape == (len(proj.moduli), g.ngens)
+    assert proj.unkilled(table) == [] and not any(map(any, proj.images(table[:100])))
+    assert proj.unkilled(table.rows()) == []
+    assert vars(proj)["_gather"] is kept
+
+
+def test_abmap_composes_the_target_map_once():
+    # the constructor's check, unkilled, preimage_lattice, kernel_subgroup
+    # and image all read one composed map; kernel_subgroup composes the
+    # source's map with the lift rows besides
+    source = FpAb(3, [[4, 0, 0], [0, 0, 6]])
+    target = FpAb(2, [[4, 0], [0, 6]])
+    calls = []
+    compose = linalg.Quotient.compose
+
+    def recording(q, rows):
+        calls.append((q, rows))
+        return compose(q, rows)
+
+    with mock.patch.object(linalg.Quotient, "compose", recording):
+        f = AbMap(source, target, [[1, 0], [0, 3], [0, 1]])
+        assert f.unkilled([{0: 4}, {1: 1}, {1: 2}]) == [1]
+        assert f.preimage_lattice() == [{0: 4}, {1: 1, 2: 3}, {2: 6}] == f.image().echelon().basis
+        kernel = f.kernel_subgroup()
+    assert kernel.group.describe() == "Z"
+    mine = [rows for q, rows in calls if q is target._projection()]
+    assert len(mine) == 1 and mine[0] is f.rows
+    assert [rows for q, rows in calls if q is not target._projection()] == [kernel.echelon.basis]
+
+
+def _corrupt_gather(proj, at, hit):
+    """Build proj's kept gather table and move one entry by 1, at a
+    generator spread over the map by at (0 to 3)."""
+    _, gather = proj._gather
+    j = at * gather.shape[1] // 4
+    gather[0, j] += 1
+    hit.append(j)
+
+
+@pytest.mark.parametrize("at", range(4))
+def test_corrupted_gather_table_trips_a_certificate(monkeypatch, at):
+    # one entry of a map's kept gather table moved by 1: the certified
+    # Hermite step's check on the input table refuses P(GF(49)), and the
+    # block form's check on the relation table, read through each class's
+    # permutation of the flat map, refuses RP(GF(13))
+    step, compose = linalg._subset_hnf, linalg.Quotient.compose
+    hit = []
+
+    def corrupted_step(retired, n):
+        basis, index, proj = step(retired, n)
+        _corrupt_gather(proj, at, hit)
+        return basis, index, proj
+
+    monkeypatch.setattr(linalg, "_subset_hnf", corrupted_step)
+    with pytest.raises(AssertionError, match="certified HNF: (a basis row is not in|the quotient map misses)"):
+        ScissorsContext(parse_ring("gf(49)")).pre_bloch().invariant_factors()
+    assert len(hit) == 1
+    monkeypatch.undo()
+    flat = ScissorsContext(parse_ring("gf(13)")).refined().flat_ngens
+
+    def corrupted_compose(q, rows):
+        out = compose(q, rows)
+        if all(len(r) == 1 for r in rows) and len(rows) == flat:
+            _corrupt_gather(out, at, hit)
+        return out
+
+    monkeypatch.setattr(linalg.Quotient, "compose", corrupted_compose)
+    with pytest.raises(AssertionError, match="block form: a relation row"):
+        ScissorsContext(parse_ring("gf(13)")).rp_flat()
+    assert len(hit) == 2
+
+
 def _moved_to_column_0(cols, vals, n, i):
     """The table of width n with row i's first column moved to 0."""
     cols = cols.copy()
