@@ -41,10 +41,10 @@ GROUP_BUILDERS = {
     "RP": lambda ctx: ctx.rp_flat(),
     "RP1": lambda ctx: ctx.rp1(),
     "RB": lambda ctx: ctx.rb(),
-    "Ptilde": lambda ctx: ctx.tilde().p_tilde,
-    "RPtilde": lambda ctx: ctx.tilde().rp_tilde,
-    "RP1tilde": lambda ctx: ctx.tilde().rp1_tilde.group,
-    "RBtilde": lambda ctx: ctx.tilde().rb_tilde.group,
+    "Ptilde": lambda ctx: ctx.p_tilde,
+    "RPtilde": lambda ctx: ctx.rp_tilde,
+    "RP1tilde": lambda ctx: ctx.rp1_tilde.group,
+    "RBtilde": lambda ctx: ctx.rb_tilde.group,
     "RPprime": lambda ctx: ctx.rp_prime().flatten(),
     "GW": lambda ctx: witt.gw(ctx.ring),
     "I": lambda ctx: witt.fundamental_ideal(ctx.ring),

@@ -86,15 +86,6 @@ def act(r: RElem, x: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def augment(x: RElem) -> int:
-    return sum(x.values())
-
-
-def bracket(G, a) -> RElem:
-    """The basis element <a> of Z[G]."""
-    return {G.class_of(a): 1}
-
-
 def dbl_bracket(G, a) -> RElem:
     """<<a>> = <a> - 1."""
     g = G.class_of(a)
@@ -138,9 +129,6 @@ class Character:
             if (g >> i) & 1 and v == -1:
                 out = -out
         return out
-
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values)
 
 
 def characters(G: SqClassGroup) -> list[Character]:
@@ -273,10 +261,6 @@ class RModPres:
     def minus_part(self, g: int) -> FpAb:
         """Image of multiplication by (g - 1); its odd part is e_-^g M."""
         return half_part(self.flatten(), self.act_permutation(g), -1)
-
-    def twist(self, chi: Character) -> "RModPres":
-        """The chi-twisted module: <a> acts as chi(a)<a>."""
-        return RModPres(self.G, self.ngens, RowTable(self.table.cols, self._chi_vals(chi), self.flat_ngens))
 
 
 def half_part(flat: FpAb, perm: np.ndarray, sign: int) -> FpAb:

@@ -89,7 +89,7 @@ def intmat(data) -> np.ndarray:
         out = np.empty((rows, cols), dtype=object)
         for i in range(rows):
             for j in range(cols):
-                out[i, j] = int(data[i, j])
+                out[i, j] = _entry(data[i, j])
         return out
     data = list(data)
     rows = len(data)
@@ -100,20 +100,23 @@ def intmat(data) -> np.ndarray:
         if len(row) != cols:
             raise ValueError("ragged matrix data")
         for j, x in enumerate(row):
-            out[i, j] = int(x)
+            out[i, j] = _entry(x)
     return out
+
+
+def _entry(x) -> int:
+    """An entry given at the API edge as a Python int: an int, a numpy
+    integer or a bool.  Anything else, a float or a Fraction even when it
+    is integral, is a ValueError that names it, never a truncation."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"entry {x!r} is not an integer") from None
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
     out = np.empty((rows, cols), dtype=object)
     out[...] = 0
-    return out
-
-
-def identity(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
     return out
 
 
@@ -148,13 +151,13 @@ def _sparse_row(v, n: int) -> dict:
             if not 0 <= j < n:
                 raise ValueError(f"index {j!r} outside the generators range({n})")
             if x:
-                out[operator.index(j)] = int(x)
+                out[operator.index(j)] = _entry(x)
         return out
     if isinstance(v, np.ndarray):
         v = v.tolist()
     if len(v) != n:
         raise ValueError(f"a dense row of length {len(v)} does not match {n} generators")
-    return {j: int(x) for j, x in enumerate(v) if x}
+    return {j: x if type(x) is int else _entry(x) for j, x in enumerate(v) if x}
 
 
 def _sparse_rows(rows, n: int) -> list[dict]:
@@ -194,13 +197,13 @@ class RowTable:
     ncols: int
 
     def __post_init__(self):
-        cols = np.asarray(self.cols, dtype=np.int64)
+        cols = _int64(self.cols)
         if cols.ndim != 2:
             raise ValueError("a row table's columns must be a 2-D array")
         if cols.size:
             _check_columns(int(cols.min()), int(cols.max()), self.ncols)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", np.broadcast_to(np.asarray(self.vals, dtype=np.int64), cols.shape))
+        object.__setattr__(self, "vals", np.broadcast_to(_int64(self.vals), cols.shape))
 
     def __len__(self) -> int:
         return self.cols.shape[0]
@@ -242,6 +245,17 @@ class RowTable:
             cols[lo : lo + len(part), :k], vals[lo : lo + len(part), :k] = part.cols, part.vals
             lo += len(part)
         return cls(cols, vals, ncols)
+
+
+def _int64(a) -> np.ndarray:
+    """A row table's columns or values as an int64 array.  An array of
+    another dtype than integers or bools is read entry by entry through
+    ``_entry``, so a float or a Fraction is a ValueError, not truncated."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iub":
+        for x in a.flat:
+            _entry(x)
+    return np.asarray(a, dtype=np.int64)
 
 
 def _check_columns(lo: int, hi: int, ncols: int) -> None:
@@ -1046,8 +1060,9 @@ class Quotient(_QuotientData):
     def image(self, pairs) -> list[int]:
         """The image of sum x * e_key over the (key, x) pairs, each torsion
         coordinate reduced into [0, d): the one loop that sums generator
-        images.  Each value is taken as a Python int, so that numpy
-        integers cannot overflow against large moduli.  Every key is looked
+        images.  Each value is taken as a Python int (``_entry``), so that
+        numpy integers cannot overflow against large moduli and a float or a
+        Fraction is a ValueError, not truncated.  Every key is looked
         up, zero values included; a key with no image is the container's
         KeyError or IndexError, and a list takes a negative index from its
         end, so callers refuse those first."""
@@ -1055,7 +1070,7 @@ class Quotient(_QuotientData):
         w = [0] * len(moduli)
         for key, x in pairs:
             if type(x) is not int:
-                x = int(x)
+                x = _entry(x)
             for k, a in images[key]:
                 w[k] += x * a
         for k, d in enumerate(moduli):
@@ -1079,7 +1094,7 @@ class Quotient(_QuotientData):
                 continue
             ((j, c),) = r.items()
             if type(c) is not int:
-                c = int(c)
+                c = _entry(c)
             img = images[j]
             by_key[key] = img if c == 1 else [(k, y) for k, a in img if (y := c * a % moduli[k] if moduli[k] else c * a)]
         return Quotient(moduli, by_key if isinstance(rows, dict) else list(by_key.values()))
@@ -1252,21 +1267,17 @@ class FpAb:
     Z^f + sum Z/d_k.
 
     A caller that knows the canonical basis of the relations' lattice
-    passes it as ``basis``, and it is the echelon with no reduction: rows,
-    which are checked, or the SparseEchelon of a quotient map's kernel
-    (``Quotient.kernel_echelon``), which is kept as it is.  ``rels`` may
-    then be a zero-argument callable that builds the relation rows on each
-    read, which are not kept."""
+    passes it as ``basis``, a SparseEchelon of width ngens (a quotient
+    map's kernel, ``Quotient.kernel_echelon``, say), and it is the echelon
+    with no reduction.  ``rels`` may then be a zero-argument callable that
+    builds the relation rows on each read, which are not kept."""
 
-    def __init__(self, ngens: int, rels=None, basis: Optional[list[dict] | SparseEchelon] = None):
+    def __init__(self, ngens: int, rels=None, basis: Optional[SparseEchelon] = None):
         self.ngens = int(ngens)
         self._rels: Callable[[], list[dict] | RowTable] = rels if callable(rels) else _bulk_rows(rels, self.ngens).copy
-        if isinstance(basis, SparseEchelon):
-            if basis.ncols != self.ngens:
-                raise ValueError(f"an echelon of width {basis.ncols} does not match {self.ngens} generators")
-            self._ech = basis
-        else:
-            self._ech = None if basis is None else SparseEchelon(basis, self.ngens)
+        if basis is not None and basis.ncols != self.ngens:
+            raise ValueError(f"an echelon of width {basis.ncols} does not match {self.ngens} generators")
+        self._ech = basis
         self._proj: Optional[Quotient] = None
 
     @property
@@ -1374,11 +1385,6 @@ class FpAb:
         """Canonical representative of v modulo the relation lattice, as a
         dense vector."""
         return _dense([self.echelon().reduce(v)], self.ngens)[0]
-
-    def element_odd_trivial(self, v) -> bool:
-        """True iff v dies in the group after inverting 2."""
-        n = self.element_order(v)
-        return n is not None and odd_part(n) == 1
 
     def describe(self) -> str:
         parts = []

@@ -170,18 +170,6 @@ class Ring:
     def neg_one(self):
         return self.neg(self.one)
 
-    def power(self, a, n: int):
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
     def size(self) -> int:
         return len(self.elements)
 
@@ -460,19 +448,6 @@ class TruncPoly(Ring):
         return a[0]
 
 
-def make_ring(kind: str, p: int, extra) -> Ring:
-    """Construct a ring: ('field', p, d), ('zmod', p, n), or
-    ('tpoly', p, (d, m)) for GF(p^d)[t]/(t^m)."""
-    if kind == "field":
-        return GF(p, int(extra))
-    if kind == "zmod":
-        return ZMod(p, int(extra))
-    if kind == "tpoly":
-        d, m = extra
-        return TruncPoly(GF(p, int(d)), int(m))
-    raise ValueError(f"unknown ring kind {kind!r}")
-
-
 _RING_RE = re.compile(
     r"""^\s*(?:
         gf\((?P<p1>\d+)(?:\^(?P<d1>\d+))?\)\s*\[t\]\s*/\s*t\^(?P<m>\d+)
@@ -567,9 +542,6 @@ class SqClassGroup:
 
     def mul(self, g: int, h: int) -> int:
         return g ^ h
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def rep(self, g: int):
         return self.reps[g]

@@ -86,9 +86,6 @@ class QSqClass:
         g = math.gcd(self.n, other.n)
         return _sqclass(self.sign * other.sign, (self.n // g) * (other.n // g))
 
-    def value(self) -> Fraction:
-        return Fraction(self.sign * self.n)
-
 
 @lru_cache(maxsize=4096)
 def _sqclass(sign: int, n: int) -> QSqClass:
@@ -236,13 +233,6 @@ def vp(a, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     a = _rational(a)
     return vp_int(a.numerator, a.denominator, p)
-
-
-def unit_part(a, p: int) -> Fraction:
-    """The p-adic unit u with a = u * p^v(a)."""
-    a = _rational(a)
-    _, num, den = _strip(a.numerator, a.denominator, p)
-    return Fraction(num, den)
 
 
 # SymRP: finite formal sum over (QSqClass, parameter) with parameter not 0, 1.
@@ -406,9 +396,8 @@ class SpecializationContext:
         self.p = p
         self.k: GF = GF(p)
         self.sc: ScissorsContext = scissors_context(self.k)
-        tb = self.sc.tilde()
-        self.rp_tilde: FpAb = tb.rp_tilde
-        self.p_tilde: FpAb = tb.p_tilde
+        self.rp_tilde: FpAb = self.sc.rp_tilde
+        self.p_tilde: FpAb = self.sc.p_tilde
         ck = self.sc.rp_row(self.sc.big_c())
         self._ck_entries = sorted((i, int(x)) for i, x in ck.items() if x)
         # square class in GF(p) and inverse mod p of each nonzero residue

@@ -305,7 +305,7 @@ def suite_idempotent(ring: Ring, **_) -> list[Check]:
     out.append(
         Check(
             f"{ring.label}: RP_1 -> RP~_1 is an odd-part isomorphism",
-            iso_odd(ctx.tilde().rp1_tilde.group, r1),
+            iso_odd(ctx.rp1_tilde.group, r1),
         )
     )
     sub = ctx.rb_subgroup()
@@ -529,7 +529,7 @@ def suite_specialize(
 
     # each witness <<p>>g(a) must map onto g(abar), and the images must
     # lie in RP_1~ and span its odd part
-    sub = ctx.sc.tilde().rp1_tilde
+    sub = ctx.sc.rp1_tilde
     coords = []
     ok = True
     for abar in ctx.sc.W:

@@ -33,12 +33,6 @@ class WittContext:
             self._cache["gw"] = FpAb(self.G.order, self.steinberg_rows())
         return self._cache["gw"]
 
-    def multiplication_table(self) -> dict:
-        """Products of the square-class generators of GW (xor on masks)."""
-        return {
-            (g, h): g ^ h for g in range(self.G.order) for h in range(self.G.order)
-        }
-
     def _ideal_group(self, gen_rows: list[RElem]) -> FpAb:
         """Subgroup of GW generated by the given elements of Z[G], presented
         as (generator lattice) / (generator lattice ∩ Steinberg lattice): the

@@ -12,8 +12,6 @@ from scgroups.groupring import (
     Character,
     RModPres,
     add,
-    augment,
-    bracket,
     characters,
     chi_ideal_rows,
     dbl_bracket,
@@ -41,7 +39,7 @@ G49 = square_classes(ZMod(7, 2))
 
 def test_augment_kills_dbl_bracket():
     for a in GF(7).units:
-        assert augment(dbl_bracket(G7, a)) == 0
+        assert sum(dbl_bracket(G7, a).values()) == 0
 
 
 def test_dbl_bracket_square():
@@ -53,7 +51,7 @@ def test_dbl_bracket_square():
 
 def test_p_plus_orthogonality():
     pp = p_plus(G7)
-    minus = add(bracket(G7, GF(7).neg_one()), {0: -1})
+    minus = add({G7.class_of(GF(7).neg_one()): 1}, {0: -1})
     assert r_mul(pp, minus) == {}
 
 
@@ -62,8 +60,8 @@ def test_augment_is_ring_map():
     for _ in range(20):
         x = {g: rng.randrange(-4, 5) for g in range(G49.order)}
         y = {g: rng.randrange(-4, 5) for g in range(G49.order)}
-        assert augment(r_mul(x, y)) == augment(x) * augment(y)
-        assert augment(add(x, y)) == augment(x) + augment(y)
+        assert sum(r_mul(x, y).values()) == sum(x.values()) * sum(y.values())
+        assert sum(add(x, y).values()) == sum(x.values()) + sum(y.values())
 
 
 def test_chi_localize_of_ring_is_z():
@@ -124,23 +122,6 @@ def test_minus_part_of_trivial_action_is_zero():
     minus = m.minus_part(g)
     # multiplication by (g-1) annihilates a trivial module up to 2-torsion
     assert minus.odd_order_trivial()
-
-
-def test_twist_involutive_and_by_chi0():
-    rels = [[{1: 2, 0: 1}], [{0: 3}]]
-    m = RModPres(G7, 1, rels)
-    chi0, chi1 = characters(G7)
-    assert m.twist(chi0).table.rows() == m.table.rows()
-    assert m.twist(chi1).twist(chi1).table.rows() == m.table.rows()
-
-
-def test_twist_of_trivial_module():
-    rels = [[{g: 1, 0: -1}] for g in range(1, G7.order)]
-    m = RModPres(G7, 1, rels)
-    chi1 = characters(G7)[1]
-    t = m.twist(chi1)
-    # g acts as chi(g) id: relation becomes chi(g)g - 1
-    assert t.table.row(0) == {1: -1, 0: -1}
 
 
 def test_chi_ideal_odd_properties():
@@ -218,7 +199,7 @@ def test_chi_localize_right_exact_euler():
 
 def test_character_values():
     chis = characters(G49)
-    assert chis[0].is_trivial()
+    assert all(v == 1 for v in chis[0].values)
     assert len(chis) == 2
     chi = chis[1]
     assert chi(0) == 1 and chi(1) == -1
@@ -484,7 +465,7 @@ def _composes(base, rows, data):
 @given(st.sampled_from(["gf(7)", "gf(13)", "z/5^2", "gf(2^2)[t]/t^2"]), st.booleans(), st.data())
 def test_compose_through_the_rp_symbol_table(label, tilde, data):
     ctx = context(label)
-    group = ctx.tilde().rp_tilde if tilde else ctx.rp_flat()
+    group = ctx.rp_tilde if tilde else ctx.rp_flat()
     _composes(group._projection(), ctx.symbol_rows(), data)
 
 

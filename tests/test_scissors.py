@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgroups import groupring, linalg, verify
-from scgroups.groupring import add, dbl_bracket, p_plus, r_mul, scale
-from scgroups.linalg import FpAb, intmat, iso_odd, odd_part, zeros
+from scgroups.groupring import act, add, dbl_bracket, p_plus, r_mul, scale
+from scgroups.linalg import FpAb, ab_quotient, intmat, iso_odd, odd_part, zeros
 from scgroups.orbitcomplex import build_row_complex
 from scgroups.rings import parse_ring
 from scgroups.scissors import ScissorsContext, _context_by_label, context, rp_act
@@ -256,8 +256,7 @@ def test_brace_homomorphism():
 @pytest.mark.parametrize("label", ["gf(7)", "gf(11)", "gf(13)"])
 def test_tilde_quotients(label):
     ctx = context(label)
-    tb = ctx.tilde()
-    assert iso_odd(tb.rp1_tilde.group, ctx.rp1())
+    assert iso_odd(ctx.rp1_tilde.group, ctx.rp1())
 
 
 @pytest.mark.parametrize("label", ["gf(7)", "gf(49)", "z/7^2", "gf(2^2)[t]/t^2"])
@@ -363,18 +362,62 @@ def test_rp_has_free_rank_one_when_minus_one_square():
     # cannot be finite; the tilde quotient kills that free line
     ctx = context("gf(13)")
     assert ctx.rp_flat().free_rank == 1
-    assert ctx.tilde().rp_tilde.free_rank == 0
+    assert ctx.rp_tilde.free_rank == 0
+
+
+def _g_images(ctx):
+    """The RP rows that [a]' -> g(a) sends the flat generators of RP' to:
+    <g>[a]' goes to <g> g(a), listed by flat index."""
+    rpp = ctx.rp_prime()
+    out = [{}] * rpp.flat_ngens
+    for i, a in enumerate(ctx.W):
+        for g in range(ctx.G.order):
+            out[rpp.flat_index(g, i)] = ctx.rp_row(act({g: 1}, ctx.g_gen(a)))
+    return out
+
+
+def _rp_prime_checks(ctx, images):
+    """Whether the map of the flat generators of RP' to the RP rows ``images``
+    realizes RP' ~ RP_1 on odd parts: every primed relation dies in RP
+    after inverting 2 (the images of all of them read in one bulk pass),
+    RP' and RP_1 agree on odd parts, and the images lie in RP_1 and span
+    its odd part."""
+    rpp, rp1 = ctx.rp_prime(), ctx.rp1_subgroup()
+    proj = ctx.rp_flat()._projection()
+    relations_die_odd = all(
+        all(odd_part(d // math.gcd(d, x)) == 1 if d else x == 0 for x, d in zip(w, proj.moduli))
+        for w in proj.compose(images).images(rpp.flat_table())
+    )
+    coords = [rp1.solve(v) for v in images]
+    spans_odd = None not in coords and ab_quotient(rp1.group, coords).odd_order_trivial()
+    return relations_die_odd, iso_odd(rpp.flatten(), rp1.group), spans_odd
 
 
 def test_rp_prime_examples():
     ctx = context("gf(11)")
     assert ctx.rp_prime().flatten().odd_invariants() == (3,)
-    w = ctx.rp_prime_witness()
-    assert w["relations_die_odd"] and w["iso_odd"] and w["spans_odd"]
+    assert _rp_prime_checks(ctx, _g_images(ctx)) == (True, True, True)
     ctx13 = context("gf(13)")
     assert ctx13.rp_prime().flatten().odd_invariants() == (7,)
-    w13 = ctx13.rp_prime_witness()
-    assert all(w13.values())
+    assert _rp_prime_checks(ctx13, _g_images(ctx13)) == (True, True, True)
+
+
+@pytest.mark.parametrize("label", ["gf(11)", "gf(13)", "z/7^2", "gf(5)[t]/t^2", "gf(9)"])
+def test_rp_prime_checks_fail_on_a_wrong_map(label):
+    # [a]' sent to [a] instead of g(a), or to 0: the checks are on odd
+    # parts, so they fail exactly when the wrong image differs from g(a)
+    # after inverting 2, and on every ring here some a does
+    ctx = context(label)
+    images, flat = _g_images(ctx), ctx.rp_flat()
+    assert _rp_prime_checks(ctx, images) == (True, True, True)
+    failed = 0
+    for i, a in enumerate(ctx.W):
+        for wrong in (ctx.rp_row({(0, a): 1}), {}):
+            n = flat.element_order(add(images[i], scale(-1, wrong)))
+            differs = n is None or odd_part(n) > 1
+            assert all(_rp_prime_checks(ctx, images[:i] + [wrong] + images[i + 1 :])) != differs, (a, wrong)
+            failed += differs
+    assert failed
 
 
 def test_l_submodule_z49():
@@ -574,8 +617,8 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     assert res["match"] and res["kernel_ok"]
     assert [p for p in passes if p[0] == 198] == [(198, 0)]
     assert 198 not in widths
-    assert "rp_tilde" not in vars(ctx.tilde())
-    rp_tilde = ctx.tilde().rp_tilde.echelon().basis
+    assert "rp_tilde" not in vars(ctx)
+    rp_tilde = ctx.rp_tilde.echelon().basis
     lrows = ctx.l_rows()
     assert (len(rp_tilde), len(lrows)) == (197, 2000)
     monkeypatch.undo()
@@ -601,7 +644,7 @@ def test_l_b_quotient_through_cosets_is_rp_tilde_mod_l_b(label):
     ctx = ScissorsContext(parse_ring(label))
     res = ctx.l_submodule()
     assert res["kernel_ok"] and res["match"]
-    want = linalg.ab_quotient(ctx.tilde().rp_tilde, ctx.l_rows())
+    want = linalg.ab_quotient(ctx.rp_tilde, ctx.l_rows())
     assert res["quotient"].echelon().basis == want.echelon().basis
     assert res["quotient"]._projection() == want._projection()
 
@@ -823,7 +866,7 @@ def test_rp_is_zero_matches_dense_contains(question):
 def test_rp_tilde_is_zero_matches_contains_of_the_flat_row(question):
     label, x = question
     ctx = context(label)
-    want = ctx.tilde().rp_tilde.contains(ctx.rp_row(x))
+    want = ctx.rp_tilde.contains(ctx.rp_row(x))
     assert ctx.rp_tilde_is_zero(x) == want
     # numpy values are taken as Python ints
     assert ctx.rp_tilde_is_zero({k: np.int64(c) for k, c in x.items()}) == want
@@ -867,10 +910,9 @@ def test_dropped_context_leaves_nothing_alive():
     ctx = ScissorsContext(ring)
     ctx.rp1()
     build_row_complex(ring).homology_at(3)
-    tb = ctx.tilde()
-    tilde = [tb.p_tilde, tb.rp_tilde, tb.rp1_tilde.group, tb.rb_tilde.group]
-    refs = [weakref.ref(x) for x in (ctx, ctx.rp_flat(), ctx.refined(), ctx.pre_bloch(), tb, *tilde)]
-    del tb, tilde
+    tilde = [ctx.p_tilde, ctx.rp_tilde, ctx.rp1_tilde.group, ctx.rb_tilde.group]
+    refs = [weakref.ref(x) for x in (ctx, ctx.rp_flat(), ctx.refined(), ctx.pre_bloch(), *tilde)]
+    del tilde
     del ctx
     gc.collect()
     assert all(r() is None for r in refs)
@@ -912,10 +954,9 @@ def test_rp_tilde_builds_no_kernel_and_shares_p_basis(monkeypatch, label):
     monkeypatch.setattr(linalg, "_hnf_sparse", counted)
     monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     ctx = ScissorsContext(parse_ring(label))
-    tb = ctx.tilde()
-    tb.rp_tilde.describe()
+    ctx.rp_tilde.describe()
     assert kernels == []
-    assert vars(tb).keys() == {"ctx", "rp_tilde"}
+    assert {"p_tilde", "rp_tilde", "rp1_tilde", "rb_tilde"} & vars(ctx).keys() == {"rp_tilde"}
     assert widths == [len(ctx.W), len(ctx.W)]
     assert ctx.pre_bloch()._ech is not None
     ctx.pre_bloch().describe()
@@ -927,12 +968,11 @@ def test_rp_tilde_builds_no_kernel_and_shares_p_basis(monkeypatch, label):
 def test_rp1_tilde_does_not_build_rb_tilde(monkeypatch):
     kernels = _count_kernels(monkeypatch)
     ctx = ScissorsContext(parse_ring("gf(13)"))
-    tb = ctx.tilde()
-    assert iso_odd(tb.rp1_tilde.group, ctx.rp1())
-    assert "rb_tilde" not in vars(tb) and "p_tilde" not in vars(tb)
+    assert iso_odd(ctx.rp1_tilde.group, ctx.rp1())
+    assert "rb_tilde" not in vars(ctx) and "p_tilde" not in vars(ctx)
     # one kernel for RP_1~ and one for RP_1, none for RB~
     assert [f.target.ngens for f in kernels] == [ctx.G.order, ctx.G.order]
-    assert ctx.tilde() is tb and tb.rp1_tilde is tb.rp1_tilde
+    assert ctx.tilde() is ctx and ctx.rp1_tilde is ctx.rp1_tilde
 
 
 def test_cache_clear_gives_a_new_context():

@@ -39,12 +39,6 @@ def test_gw_even_characteristic():
     assert g.free_rank in (0, 1)
 
 
-def test_multiplication_table():
-    w = WittContext(GF(7))
-    t = w.multiplication_table()
-    assert t[(1, 1)] == 0  # <a>^2 = 1
-
-
 def test_i_squared_odd_part_vanishes_all_fields_in_scope():
     for q, d in [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (3, 2)]:
         assert i_squared(GF(q, d)).odd_order_trivial()
