@@ -41,16 +41,20 @@ so, and hand them to ``FpAb`` as its echelon.
 Every map read off rows comes from one builder, ``_quotient_map``: one
 back-substitution over triangular rows, then ``_smith`` on the relation
 rows of their pivots > 1, with no rows det*e_k at full rank.
-``_hnf_sparse`` is the one exact Hermite path: a sparse Markowitz
+``_certified_map`` is the one exact Hermite path: a sparse Markowitz
 reduction to triangular rows (gcd first where the least pivot exceeds 1),
 whose map (modulo their determinant at full rank) has the Hermite basis as
-its kernel.  That map is the lattice's one map: the certificate reads it,
-and an FpAb keeps it with the basis.  An input of more than
-WHOLE_PER_COLUMN (4) rows per column is not reduced whole: a seeded subset
-of n + 8 rows that touch each column twice is.  Every round, whole inputs
-included, is checked at run time: the map kills every basis row and every
-input row (``Quotient.unkilled``), and rank and determinant match; input
-rows it does not kill join the subset for another round.  Only a basis
+its kernel.  That map is the lattice's one map, and at full rank it is
+what the certificate proves: its moduli multiply to the determinant, its
+images span its target, and it kills every input row.  An FpAb keeps it,
+and reads the basis off it (``Quotient.kernel``, checked by
+``_read_basis``) only when ``echelon`` is first called; below full rank the
+certificate reads the basis and checks it against the map, rank and index.
+An input of more than WHOLE_PER_COLUMN (4) rows per column is not reduced
+whole: a seeded subset of n + 8 rows that touch each column twice is.
+Every round, whole inputs included, is checked at run time, and input rows
+the map does not kill (``Quotient.unkilled``) join the subset for another
+round.  ``_hnf_sparse`` is that path with its basis read.  Only a basis
 that comes without a map (a kernel, a direct sum) has its map built from
 its canonical rows (``_projection_table``).
 
@@ -64,7 +68,7 @@ sends the generators to the rows of A in Z^n/B.
 Rows read in bulk have one form, a ``RowTable`` of int64 columns and
 values, one row per line (the five-term relations, K^(1), L_B and the half
 rows of a Z[G]-module's block form); ``_packed`` is the one packer of dict
-rows into it.  ``_hnf_sparse`` builds dicts only for the rows of a table
+rows into it.  ``_certified_map`` builds dicts only for the rows of a table
 it reduces, and the certificate projects the table's arrays directly.
 """
 
@@ -114,6 +118,19 @@ def _entry(x) -> int:
         raise ValueError(f"entry {x!r} is not an integer") from None
 
 
+def _key(j, n: int) -> int:
+    """A key of a sparse row given at the API edge as a Python int in
+    range(n): an int, a numpy integer or a bool.  Any other key, a float, a
+    Fraction or a string even when it equals an index, is the ValueError
+    that names it, as a key outside range(n) is."""
+    try:
+        if 0 <= (k := operator.index(j)) < n:
+            return k
+    except TypeError:
+        pass
+    raise ValueError(f"index {j!r} outside the generators range({n})")
+
+
 def zeros(rows: int, cols: int) -> np.ndarray:
     out = np.empty((rows, cols), dtype=object)
     out[...] = 0
@@ -136,10 +153,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _sparse_row(v, n: int) -> dict:
     """A row of width n as a sparse dict with Python-int keys in range(n)
     and nonzero Python-int values.  The row is a {column: value} dict, whose
-    every key must lie in range(n), or a dense sequence or numpy row of
-    length n; anything else is a ValueError.  A dict that is in that form
-    already is returned as it is, not copied: code that modifies rows
-    copies them first."""
+    every key must be an integer in range(n) (``_key``), or a dense
+    sequence or numpy row of length n; anything else is a ValueError.  A
+    dict that is in that form already is returned as it is, not copied:
+    code that modifies rows copies them first."""
     if isinstance(v, dict):
         for j, x in v.items():
             if not (type(j) is int and 0 <= j < n and type(x) is int and x):
@@ -148,10 +165,9 @@ def _sparse_row(v, n: int) -> dict:
             return v
         out = {}
         for j, x in v.items():
-            if not 0 <= j < n:
-                raise ValueError(f"index {j!r} outside the generators range({n})")
+            j = _key(j, n)
             if x:
-                out[operator.index(j)] = _entry(x)
+                out[j] = _entry(x)
         return out
     if isinstance(v, np.ndarray):
         v = v.tolist()
@@ -442,7 +458,7 @@ def hnf_rows(mat, ncols: Optional[int] = None) -> np.ndarray:
     return _dense(_hnf_sparse(rows, n)[0].basis, n)
 
 
-# the sizes and the seed of _hnf_sparse's first subset (_first_subset)
+# the sizes and the seed of _certified_map's first subset (_first_subset)
 WHOLE_PER_COLUMN = 4
 _STREAM_PER_COLUMN = 8
 _STREAM_EXTRA = 64
@@ -472,7 +488,7 @@ def _row_builder(rows):
 
 
 def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
-    """The indices of the rows ``_hnf_sparse`` reduces first: every row of
+    """The indices of the rows ``_certified_map`` reduces first: every row of
     an input of at most WHOLE_PER_COLUMN * n rows, else rows of a seeded
     stream of at most _STREAM_PER_COLUMN * n + _STREAM_EXTRA of them.  A
     stream row joins while its support touches a column that fewer than
@@ -516,11 +532,21 @@ def _first_subset(rows, n: int, built: Optional[dict] = None) -> set[int]:
 
 
 def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Quotient]:
-    """The canonical HNF of the lattice of ``rows`` (sparse dicts as
-    ``_sparse_rows`` gives them, or a RowTable of width n) as a
-    SparseEchelon, with the quotient map of the same lattice that its
-    certificate read: one map per lattice, which a caller keeps and builds
-    no second time.
+    """The canonical HNF of the lattice of ``rows`` as a SparseEchelon,
+    with the quotient map of the same lattice: ``_certified_map``, and at
+    full rank the basis read off its map (``_read_basis``), as
+    ``FpAb.echelon`` reads it."""
+    proj, basis = _certified_map(rows, n)
+    return SparseEchelon._canonical(_read_basis(proj) if basis is None else basis, n), proj
+
+
+def _certified_map(rows, n: int) -> tuple[Quotient, Optional[list[dict]]]:
+    """(map, basis): the certified quotient map of the lattice of ``rows``
+    (sparse dicts as ``_sparse_rows`` gives them, or a RowTable of width
+    n), one map per lattice, which a caller keeps and builds no second
+    time, and below full rank the canonical HNF that its certificate
+    read.  At full rank the map alone is proven and the basis is None: it
+    is read off the map when something asks for it (``_read_basis``).
 
     The rows are read in place and may repeat; each row the path reduces
     is copied (or, from a table, built) once before the reduction modifies
@@ -529,32 +555,39 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Quotient]:
     subset (``_first_subset``) is every row of an input of at most
     WHOLE_PER_COLUMN * n rows, else at least n + 8 rows of a seeded stream
     that touch each column twice where the stream does.  Each round
-    reduces the subset to triangular rows, and ``_subset_hnf`` gives the
-    HNF B of their lattice L_S, the index d_S of L_S projected onto B's
-    pivot columns, and the quotient map of L_S, which the one builder
-    (``_quotient_map``) reads off the triangular rows it was written for,
-    not off B.  The certificate, the same at every rank and for a whole
-    input too, trusts that builder and checks the rest in one place:
+    reduces the subset to triangular rows, whose lattice L_S has index d_S
+    on the pivot columns, and ``_subset_hnf`` gives the quotient map of
+    L_S, which the one builder (``_quotient_map``) reads off those rows.
+    The certificate is the same for a whole input too:
 
-    - B is a canonical HNF (``_check_canonical``);
-    - the map kills every basis row, B has rank(L_S) rows and its pivots
-      multiply to d_S: then L(B) lies in L_S with the same rank, both span
-      one space with one set of echelon pivot columns, onto which the
-      projection is injective, and equal indices there give L(B) = L_S;
-    - the map kills every input row, so L(rows) lies in L_S, which the
-      subset's rows span: L(rows) = L_S = L(B).
+    - at full rank, d_S is the product of the pivots, and the map is
+      checked alone (``_check_full_rank_map``): every modulus is nonzero,
+      the moduli multiply to d_S and the generator images span the
+      target, so its kernel has index d_S; the subset's rows are input
+      rows or a certified basis of part of L(rows), so a map that kills
+      every input row has L_S inside its kernel, and equal indices give
+      L_S = ker;
+    - below full rank, ``_subset_hnf`` reads the HNF B of L_S off the map,
+      which the builder is trusted to give, and ``_check_basis`` checks
+      that B is a canonical HNF, that the map kills every basis row, and
+      that B has rank(L_S) rows whose pivots multiply to d_S: then L(B)
+      lies in L_S with the same rank, both span one space with one set of
+      echelon pivot columns, onto which the projection is injective, and
+      equal indices there give L(B) = L_S;
+    - at every rank the map kills every input row, so L(rows) lies in
+      L_S, which the subset's rows span: L(rows) = L_S = ker.
 
     Input rows that the map does not kill join the subset for the next
     round, a seeded sample of at most len(subset) of them, so the subset
     at most doubles; a subset row that it does not kill is a fault.  The
-    next round reduces them together with B, not with the triangular
-    rows: the checks have just proved L(B) = L_S, so the new subset's
-    lattice is the same, and B's entries lie below d_S while the
-    triangular rows' can be far larger (on P(GF(729)), whose index is 730,
-    317 bits, and 2 608 before the reduction went gcd first).  Hermite
-    insertion modulo the determinant does the same (Domich-Kannan-Trotter
-    1987).  A prefix is no subset: the first 476 rows of P(GF(121)) in
-    pair order reach rank 108 of 119.
+    next round reduces them together with B (at full rank read off the
+    map and checked first), not with the triangular rows: the checks have
+    just proved L(B) = L_S, so the new subset's lattice is the same, and
+    B's entries lie below d_S while the triangular rows' can be far larger
+    (on P(GF(729)), whose index is 730, 317 bits, and 2 608 before the
+    reduction went gcd first).  Hermite insertion modulo the determinant
+    does the same (Domich-Kannan-Trotter 1987).  A prefix is no subset:
+    the first 476 rows of P(GF(121)) in pair order reach rank 108 of 119.
     """
     build = _row_builder(rows)
     built: dict[int, dict] = {}
@@ -567,20 +600,61 @@ def _hnf_sparse(rows, n: int) -> tuple[SparseEchelon, Quotient]:
     while True:
         retired = _sparse_reduce(work)
         basis, index, proj = _subset_hnf(retired, n)
-        _check_canonical(basis, n)
-        if proj.unkilled(basis):
-            raise AssertionError("certified HNF: a basis row is not in the subset lattice")
-        if len(basis) != len(retired) or math.prod(r[min(r)] for r in basis) != index:
-            raise AssertionError("certified HNF: the basis and the subset lattice differ in rank or index")
+        if basis is None:
+            _check_full_rank_map(proj, index)
+        else:
+            _check_basis(basis, proj, len(retired), index)
         missing = proj.unkilled(rows)
         if not chosen.isdisjoint(missing):
             raise AssertionError("certified HNF: the quotient map misses a subset row")
         if not missing:
-            return SparseEchelon._canonical(basis, n), proj
+            return proj, basis
         if len(missing) > len(chosen):
             missing = sorted(missing[i] for i in _seeded_stream(len(missing), len(chosen)))
         chosen.update(missing)
+        if basis is None:
+            basis = _read_basis(proj)
         work = [dict(r) for r in basis] + [take(i) for i in missing]
+
+
+def _check_full_rank_map(proj: Quotient, det: int) -> None:
+    """Raise AssertionError unless the map of a full-rank lattice of index
+    det has a kernel of index det: every modulus is nonzero, the moduli
+    multiply to det, and the generator images span the target.  The span
+    is read by inserting images into an ``_ImageLattice`` of the moduli,
+    which stops as soon as every pivot is 1.  A map that is not onto
+    passes the product while its kernel is larger than the lattice."""
+    moduli, images = proj
+    if 0 in moduli or math.prod(moduli) != det:
+        raise AssertionError("certified HNF: the quotient map's moduli do not multiply to the subset's index")
+    lat = _ImageLattice(moduli)
+    gens = iter(images)
+    while any(b[u] != 1 for u, (b, _) in lat.rows.items()):
+        img = next(gens, None)
+        if img is None:
+            raise AssertionError("certified HNF: the quotient map is not onto")
+        lat.insert(dict(img), {})
+
+
+def _check_basis(basis: list[dict], proj: Quotient, rank: int, index: int) -> None:
+    """Raise AssertionError unless ``basis`` is a canonical HNF
+    (``_check_canonical``) whose rows the map kills, with ``rank`` rows
+    whose pivots multiply to ``index``: the checks of a basis read off a
+    certified lattice's map."""
+    _check_canonical(basis, len(proj.by_key))
+    if proj.unkilled(basis):
+        raise AssertionError("certified HNF: a basis row is not in the subset lattice")
+    if len(basis) != rank or math.prod(r[min(r)] for r in basis) != index:
+        raise AssertionError("certified HNF: the basis and the subset lattice differ in rank or index")
+
+
+def _read_basis(proj: Quotient) -> list[dict]:
+    """The canonical HNF of a full-rank lattice read off its certified map
+    (``Quotient.kernel``) and checked (``_check_basis``): n rows whose
+    pivots multiply to the map's order, the product of its moduli."""
+    basis = proj.kernel()
+    _check_basis(basis, proj, len(proj.by_key), math.prod(proj.moduli))
+    return basis
 
 
 def _check_canonical(basis: list[dict], n: int) -> None:
@@ -655,34 +729,29 @@ def _quotient_map(tri: list, n: int, det: int = 0) -> Quotient:
     return Quotient(moduli, images)
 
 
-def _subset_hnf(retired: list, n: int) -> tuple[list[dict], int, Quotient]:
+def _subset_hnf(retired: list, n: int) -> tuple[Optional[list[dict]], int, Quotient]:
     """(basis, index, map) of the lattice L of the triangular rows
     ``retired``: the quotient map Z^n -> Z^n / L that the one builder
-    (``_quotient_map``) reads off those rows, modulo the determinant D,
-    the product of the pivots, at full rank; its kernel, the canonical HNF
-    rows of L; and the index of L projected onto their pivot columns.  The
-    map is the lattice's one map: ``_hnf_sparse`` certifies the basis
-    against it and hands it on with the basis.
+    (``_quotient_map``) reads off those rows, which is the lattice's one
+    map, and the index of L on the pivot columns.
 
-    The index is D at full rank, else that of the rows re-reduced on the
-    basis's pivot columns, onto which L must project injectively.  A basis
-    whose pivots do not multiply to the index is refused: the map it was
-    read from has the wrong order."""
+    At full rank the index is D, the product of the pivots, the map is
+    read modulo D, and no basis is read (None): ``_certified_map`` checks
+    the map alone.  Below it the basis is the map's kernel, the canonical
+    HNF rows of L, and the index is that of the rows re-reduced on the
+    basis's pivot columns, onto which L must project injectively."""
     if not retired:
         return [], 1, _quotient_map(retired, n)
-    det = math.prod(abs(r[c]) for c, r in retired) if len(retired) == n else 0
-    proj = _quotient_map(retired, n, det)
+    if len(retired) == n:
+        det = math.prod(abs(r[c]) for c, r in retired)
+        return None, det, _quotient_map(retired, n, det)
+    proj = _quotient_map(retired, n)
     basis = proj.kernel()
-    index = det
-    if not det:
-        pos = {min(r): i for i, r in enumerate(basis)}
-        sub = _sparse_reduce([{pos[j]: v for j, v in r.items() if j in pos} for _, r in retired])
-        if not len(sub) == len(pos) == len(retired):
-            raise AssertionError("certified HNF: the projection onto the pivot columns is not injective")
-        index = math.prod(abs(r[c]) for c, r in sub)
-    if math.prod(r[min(r)] for r in basis) != index:
-        raise AssertionError("certified HNF: the quotient map has the wrong order")
-    return basis, index, proj
+    pos = {min(r): i for i, r in enumerate(basis)}
+    sub = _sparse_reduce([{pos[j]: v for j, v in r.items() if j in pos} for _, r in retired])
+    if not len(sub) == len(pos) == len(retired):
+        raise AssertionError("certified HNF: the projection onto the pivot columns is not injective")
+    return basis, math.prod(abs(r[c]) for c, r in sub), proj
 
 
 def _axpy(a: int, x: dict, b: int, y: dict) -> dict:
@@ -788,7 +857,7 @@ class SparseEchelon:
 
     @classmethod
     def _canonical(cls, basis: list[dict], ncols: int) -> "SparseEchelon":
-        """The echelon of rows that ``_hnf_sparse`` built, which are in the
+        """The echelon of rows that the certified path built, which are in the
         exact core's form already: no pass through the normaliser."""
         ech = cls.__new__(cls)
         ech._index(basis, ncols)
@@ -1031,7 +1100,7 @@ def _projection_table(ech: SparseEchelon) -> Quotient:
     """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF):
     ``_quotient_map`` of its rows, whose relation rows are the rows with a
     pivot > 1 as they stand, the HNF clearing entries above a unit pivot.
-    Only a basis that comes without a map needs it: ``_hnf_sparse`` hands
+    Only a basis that comes without a map needs it: ``_certified_map`` hands
     on the map it certified."""
     return _quotient_map(list(zip(ech.pivot_row, ech.basis)), ech.ncols)
 
@@ -1261,10 +1330,11 @@ class FpAb:
     The relations may be given in any row form (a 2-D array, dense
     sequences, sparse {generator: coefficient} dicts, or a mix) and are
     kept as sparse rows, or as a RowTable of width ngens, which is kept as
-    it is.  The relation basis lives in a cached
-    SparseEchelon; element questions (contains, element_order) and the
-    invariant factors go through one cached quotient map onto
-    Z^f + sum Z/d_k.
+    it is.  Element questions (contains, element_order), the free rank and
+    the invariant factors go through one cached quotient map onto
+    Z^f + sum Z/d_k, the one the certified path proves; the relation
+    basis, a cached SparseEchelon, is built when ``echelon`` is first
+    called, at full rank off that map.
 
     A caller that knows the canonical basis of the relations' lattice
     passes it as ``basis``, a SparseEchelon of width ngens (a quotient
@@ -1291,18 +1361,33 @@ class FpAb:
         """The canonical relation basis, as a dense matrix built on each read."""
         return _dense(self.echelon().basis, self.ngens)
 
+    def _certify(self) -> None:
+        """Certify the relations' lattice (``_certified_map``) and keep its
+        map as the group's own, with the basis the certificate read below
+        full rank."""
+        self._proj, basis = _certified_map(self._rels(), self.ngens)
+        if basis is not None:
+            self._ech = SparseEchelon._canonical(basis, self.ngens)
+
     def echelon(self) -> SparseEchelon:
-        """The cached sparse echelon form of the relation basis, as
-        ``_hnf_sparse`` built it, with the quotient map its certificate
-        checked, which the group keeps as its own: a group whose lattice
-        was reduced builds no map on its first query."""
+        """The cached sparse echelon form of the relation basis: the one the
+        certificate read below full rank, else read off the certified map
+        on this first call (``_read_basis``), so that a group whose
+        questions go through its map builds no basis."""
         if self._ech is None:
-            self._ech, self._proj = _hnf_sparse(self._rels(), self.ngens)
+            if self._proj is None:
+                self._certify()
+            if self._ech is None:
+                self._ech = SparseEchelon._canonical(_read_basis(self._proj), self.ngens)
         return self._ech
 
     @property
     def rank_of_relations(self) -> int:
-        return len(self.echelon().rows)
+        """The basis's rank, or, for a group with no basis yet, the
+        generators less the map's free coordinates."""
+        if self._ech is not None:
+            return len(self._ech.rows)
+        return self.ngens - self._projection().moduli.count(0)
 
     @property
     def free_rank(self) -> int:
@@ -1331,23 +1416,24 @@ class FpAb:
 
     def _projection(self) -> Quotient:
         """The cached quotient map Z^ngens -> Z^f + sum Z/d_k: the one
-        ``_hnf_sparse`` certified, or, for a basis that came without one,
-        ``_projection_table``'s, checked to kill every basis row."""
+        ``_certified_map`` certified, or, for a basis that came without
+        one, ``_projection_table``'s, checked to kill every basis row."""
         if self._proj is None:
-            ech = self.echelon()
-            if self._proj is None:
-                proj = _projection_table(ech)
-                for i in proj.unkilled(ech.basis)[:1]:
+            if self._ech is None:
+                self._certify()
+            else:
+                proj = _projection_table(self._ech)
+                for i in proj.unkilled(self._ech.basis)[:1]:
                     raise AssertionError(f"quotient map does not kill relation {i}")
                 self._proj = proj
         return self._proj
 
     def _image(self, v) -> list[int]:
         """Image of v under the quotient map (``Quotient.image``).  A dict
-        is read as it is, with no normalised copy: every key must lie in
-        range(ngens), zero values included, a negative one too, which the
-        list of images would take from its end.  A dense row goes through
-        ``_sparse_row`` first."""
+        is read as it is, with no normalised copy: every key must be an
+        integer in range(ngens) (``_key``), zero values included, a negative
+        one too, which the list of images would take from its end.  A dense
+        row goes through ``_sparse_row`` first."""
         proj, n = self._projection(), self.ngens
         if not isinstance(v, dict):
             return proj.image(_sparse_row(v, n).items())
@@ -1357,8 +1443,7 @@ class FpAb:
         except (IndexError, TypeError):
             pass
         for j in v:
-            if not 0 <= j < n:
-                raise ValueError(f"index {j!r} outside the generators range({n})")
+            _key(j, n)
         # every key is in range, so the error was the values' own: raise it again
         return proj.image(v.items())
 

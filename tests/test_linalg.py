@@ -642,6 +642,25 @@ def test_a_non_integral_entry_is_refused_not_truncated(edge, value):
         INTEGER_EDGES[edge](value)
 
 
+KEY_EDGES = {
+    "relation row": lambda k: FpAb(3, [{k: 1}]).describe(),
+    "contains": lambda k: FpAb(3, [[2, 0, 0]]).contains({k: 1}),
+    "element_order": lambda k: FpAb(3, [[2, 0, 0]]).element_order({k: 1}),
+    "zero value": lambda k: FpAb(3, [[2, 0, 0]]).contains({2: 2, k: 0}),
+    "solve": lambda k: linalg.SparseEchelon([[2, 0, 0]]).solve({k: 2}),
+}
+
+
+@pytest.mark.parametrize("edge", list(KEY_EDGES))
+@pytest.mark.parametrize("key", [0.0, 0.5, "a", Fraction(1)], ids=["0.0", "0.5", "str", "Fraction"])
+def test_a_key_that_is_not_an_integer_is_the_keys_value_error(edge, key):
+    # a key equal to an index (0.0, Fraction(1)) is refused too, with the
+    # ValueError of a key outside the generators, which names it
+    with pytest.raises(ValueError, match=re.escape(f"index {key!r} outside the generators range(3)")):
+        KEY_EDGES[edge](key)
+    assert KEY_EDGES[edge](np.int64(0)) == KEY_EDGES[edge](0)
+
+
 @pytest.mark.parametrize("edge", list(INTEGER_EDGES))
 def test_numpy_integers_and_bools_are_entries(edge):
     read = INTEGER_EDGES[edge]
@@ -1220,40 +1239,58 @@ def test_certified_hnf_grows_a_subset_that_misses_a_rare_generator(monkeypatch, 
     assert got == sympy_row_hnf([list(r) for r in rows])
 
 
+def _corrupted_kernel(monkeypatch, corrupt):
+    """Patch Quotient.kernel so that the basis it reads is corrupted in
+    place by ``corrupt``: at full rank the certified path reads its basis
+    there, off the map, when the basis is first asked for."""
+    kernel = linalg.Quotient.kernel
+
+    def corrupted(q, extra=()):
+        basis = kernel(q, extra)
+        corrupt(basis)
+        return basis
+
+    monkeypatch.setattr(linalg.Quotient, "kernel", corrupted)
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [("entry", "not in the subset lattice"), ("pivot", "differ in rank or index")],
     ids=["entry", "pivot"],
 )
 def test_corrupted_mod_det_step_trips_certificate(monkeypatch, fault, message):
-    # lattice with HNF [[1, 0, 1], [0, 1, 1], [0, 0, 3]]
+    # lattice with HNF [[1, 0, 1], [0, 1, 1], [0, 0, 3]]: the full-rank
+    # basis is read off the certified map on the first echelon() read,
+    # which refuses the corrupted read; the map alone answers the group
     rng = random.Random(3)
     rows = lattice_rows(rng, [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
     want = [[1, 0, 1], [0, 1, 1], [0, 0, 3]]
     assert sympy_row_hnf(rows) == want
-    step = linalg._subset_hnf
 
-    def corrupted(retired, n):
-        basis, det, proj = step(retired, n)
+    def corrupt(basis):
         if fault == "entry":
             basis[0][2] = 2  # still reduced, no longer in the lattice
         else:
             basis[2][2] = 6  # a sublattice, whose pivots multiply to 2 det
-        return basis, det, proj
 
-    monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
+    _corrupted_kernel(monkeypatch, corrupt)
+    g = FpAb(3, _sparse(rows))
+    assert g.invariant_factors() == (3,) and g.free_rank == 0
+    with pytest.raises(AssertionError, match=message):
+        g.echelon()
     with pytest.raises(AssertionError, match=message):
         hnf_rows(rows, 3)
-    monkeypatch.setattr(linalg, "_subset_hnf", step)
+    monkeypatch.undo()
     assert [[int(x) for x in r] for r in hnf_rows(rows, 3)] == want
 
 
 def test_mod_det_superlattice_trips_the_determinant_certificate(monkeypatch):
-    # Z^3, the one lattice above the rows' index-3 lattice, kills every row:
-    # only the determinant tells it from the subset's lattice
+    # Z^3, the one lattice above the rows' index-3 lattice, read as the
+    # basis: it is refused at the first echelon() read
     rows = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
-    step = linalg._subset_hnf
-    monkeypatch.setattr(linalg, "_subset_hnf", lambda retired, n: ([{j: 1} for j in range(n)], *step(retired, n)[1:]))
+    _corrupted_kernel(monkeypatch, lambda basis: basis.__setitem__(slice(None), [{j: 1} for j in range(3)]))
+    with pytest.raises(AssertionError, match="not in the subset lattice"):
+        FpAb(3, _sparse(rows)).echelon()
     with pytest.raises(AssertionError, match="not in the subset lattice"):
         hnf_rows(rows, 3)
 
@@ -1290,29 +1327,30 @@ def test_corrupted_rank_deficient_subset_hnf_trips_certificate(monkeypatch, faul
     ids=["order", "pivot", "above"],
 )
 def test_check_canonical_refuses_a_basis_out_of_hermite_form(monkeypatch, fault, message):
-    # each fault keeps the lattice, so the certificate's map, rank and
-    # determinant still match it: only the canonical-form check sees it
+    # each fault keeps the lattice, so the map, rank and determinant still
+    # match it: only the canonical-form check of the first echelon() read
+    # sees it
     rows = lattice_rows(random.Random(3), [[1, 0, 1], [0, 1, 1], [0, 0, 3]], 40)
-    step = linalg._subset_hnf
 
-    def corrupted(retired, n):
-        basis, det, proj = step(retired, n)
+    def corrupt(basis):
         if fault == "order":
             basis.reverse()
         elif fault == "pivot":
             basis[2] = {j: -v for j, v in basis[2].items()}
         else:
             basis[0] = linalg._axpy(1, basis[0], 1, basis[1])
-        return basis, det, proj
 
-    monkeypatch.setattr(linalg, "_subset_hnf", corrupted)
+    _corrupted_kernel(monkeypatch, corrupt)
+    with pytest.raises(AssertionError, match=message):
+        FpAb(3, _sparse(rows)).echelon()
     with pytest.raises(AssertionError, match=message):
         hnf_rows(rows, 3)
 
 
 def test_mod_det_refuses_a_kernel_of_the_wrong_order(monkeypatch):
     # a kernel row doubled spans a sublattice of index 2 in L, whose pivots
-    # multiply to 2 D; a whole input has no certificate to catch it later
+    # multiply to 2 D, the map's order doubled: the basis read off the map
+    # of a whole full-rank input is refused
     rows = [[2, 1, 1], [0, 3, 1], [0, 0, 5]]
     kernel = linalg.Quotient.kernel
 
@@ -1322,7 +1360,7 @@ def test_mod_det_refuses_a_kernel_of_the_wrong_order(monkeypatch):
         return basis
 
     monkeypatch.setattr(linalg.Quotient, "kernel", doubled)
-    with pytest.raises(AssertionError, match="wrong order"):
+    with pytest.raises(AssertionError, match="differ in rank or index"):
         hnf_rows(rows, 3)
     monkeypatch.undo()
     assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows)
@@ -1341,7 +1379,7 @@ def test_subset_hnf_refuses_a_rank_deficient_kernel_of_the_wrong_order(monkeypat
         return basis
 
     monkeypatch.setattr(linalg.Quotient, "kernel", doubled)
-    with pytest.raises(AssertionError, match="wrong order"):
+    with pytest.raises(AssertionError, match="differ in rank or index"):
         hnf_rows(rows, 3)
     monkeypatch.undo()
     assert _ints(hnf_rows(rows, 3)) == sympy_row_hnf(rows)
@@ -1605,11 +1643,12 @@ def test_certified_hnf_second_round_starts_from_the_first_rounds_basis(monkeypat
     ech, proj = linalg._hnf_sparse(_sparse(rows), 3)
     basis = ech.basis
     assert len(rounds) == len(inputs) == 2
-    (first, d_s, _), (_, _, last) = rounds
+    (unread, d_s, _), (_, _, last) = rounds
     assert proj is last
-    assert first == [{0: 2}, {1: 1}, {2: 1}] and d_s == 2
+    # round 1 is full rank: its basis is read off its map only to seed round 2
+    first = inputs[1][:3]
+    assert unread is None and first == [{0: 2}, {1: 1}, {2: 1}] and d_s == 2
     assert inputs[0] == _sparse([rows[i] for i in chosen])
-    assert inputs[1][: len(first)] == first
     assert all(0 < v <= d_s for r in first for v in r.values())
     escaped = inputs[1][len(first) :]
     assert 0 < len(escaped) <= len(chosen) and all(r in _sparse([rows[i] for i in odd]) for r in escaped)
@@ -1740,7 +1779,8 @@ def short_inputs(draw):
 @given(short_inputs())
 def test_short_input_is_one_round_under_the_certificate(case):
     # a whole input is one round, whose map the certificate checks on the
-    # basis rows and the input rows, and which it returns with the basis
+    # input rows, and below full rank first on the basis rows; at full rank
+    # the basis rows are checked when the basis is read off the map
     n, rows = case
     certified = []
     unkilled = linalg.Quotient.unkilled
@@ -1754,7 +1794,8 @@ def test_short_input_is_one_round_under_the_certificate(case):
         mp.setattr(linalg.Quotient, "unkilled", counted)
         ech, proj = linalg._hnf_sparse(_sparse(rows), n)
         basis = ech.basis
-    assert len(rounds) == 1 and certified == [len(basis), len(rows)]
+    checks = [len(rows), len(basis)] if len(basis) == n else [len(basis), len(rows)]
+    assert len(rounds) == 1 and certified == checks
     assert proj.kernel() == basis
     assert _ints(linalg._dense(basis, n)) == sympy_row_hnf(rows)
 
@@ -1817,6 +1858,152 @@ def test_corrupted_certified_map_trips_a_check(monkeypatch):
             with pytest.raises(AssertionError, match="certified HNF: (a basis row is not in|the quotient map misses)"):
                 FpAb(n, rows).invariant_factors()
             assert len(dropped) == 1
+
+
+# -- map-first certified groups ------------------------------------------------------
+
+
+@st.composite
+def map_first_lattices(draw):
+    """(n, rows): sparse lattices of the shapes the certified path meets,
+    whole or taller than its first subset: full rank (the generators among
+    the rows), rank-deficient, unit-rich (entries ±1 and a rare ±2, as in
+    five-term rows) and graph edges (rows e_u - e_v)."""
+    kind = draw(st.sampled_from(["full-rank", "rank-deficient", "unit-rich", "graph-edges"]))
+    n = draw(st.integers(2 if kind == "graph-edges" else 1, 6))
+    count = draw(st.one_of(st.integers(0, linalg.WHOLE_PER_COLUMN * n), st.integers(tall(n), tall(n) + 12)))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "graph-edges":
+        rows = []
+        for _ in range(count):
+            u, v = rng.sample(range(n), 2)
+            rows.append({u: 1, v: -1})
+        return n, rows
+    if kind == "unit-rich":
+        value = [1, -1, 1, -1, 1, -1, 2, -2]
+        return n, [linalg._summed((rng.randrange(n), rng.choice(value)) for _ in range(rng.randint(1, 3))) for _ in range(count)]
+    rank = n if kind == "full-rank" else draw(st.integers(0, n - 1))
+    gens = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(rank)]
+    if kind == "full-rank":
+        assume(Matrix(gens).det() != 0)
+    rows = lattice_rows(rng, gens, count) if gens else [[0] * n for _ in range(count)]
+    for g in gens:
+        rows.insert(rng.randint(0, len(rows)), g)
+    return n, _sparse(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_first_lattices(), st.data())
+def test_map_first_groups_match_sympy_and_hnf_rows(lat, data):
+    # free rank, invariant factors and element orders come off the map,
+    # which builds no basis at full rank; the basis that the first
+    # echelon() reads equals sympy's HNF and hnf_rows'
+    n, rows = lat
+    dense = _ints(linalg._dense(rows, n))
+    want = sympy_row_hnf(dense) if rows else []
+    diag = [abs(int(d)) for d in sympy_invariant_factors(Matrix(dense), domain=ZZ)] if rows else []
+    factors = tuple(sorted(d for d in diag if d > 1))
+    ref = linalg.SparseEchelon(want, n) if want else None
+
+    def in_lattice(v):
+        return ref.solve(v) is not None if ref else not any(v)
+
+    g = FpAb(n, rows)
+    assert g.free_rank == n - len(want)
+    assert g.invariant_factors() == factors
+    exponent = max(factors, default=1)
+    for _ in range(3):
+        v = data.draw(vectors(n))
+        k = g.element_order(v)
+        if k is None:
+            assert g.free_rank > 0 and not in_lattice([exponent * x for x in v])
+        else:
+            assert in_lattice([k * x for x in v])
+            assert not any(in_lattice([k // ell * x for x in v]) for ell in primefactors(k))
+        assert g.contains(v) == in_lattice(v)
+    assert (g._ech is None) == (len(want) == n)
+    assert g.echelon().basis == _sparse(want) == _sparse(_ints(hnf_rows(rows, n)))
+
+
+@pytest.mark.parametrize("p", [11, 13, 47, 97])
+def test_full_rank_questions_build_no_basis(monkeypatch, p):
+    # P(GF(p)) = Z/(p + 1): free rank, invariant factors, contains and
+    # element_order read the certified map, with no Quotient.kernel call,
+    # and two echelon() reads build the basis once.  The block form glues
+    # RP from the maps of its halves: P = L+ builds no basis there, while
+    # L- loses the rank of RP's free part, so its certificate reads its
+    # basis, and RP's own is one kernel pass over the flat generators
+    passes = []
+    kernel = linalg.Quotient.kernel
+
+    def counted(q, extra=()):
+        passes.append(len(q.by_key))
+        return kernel(q, extra)
+
+    monkeypatch.setattr(linalg.Quotient, "kernel", counted)
+    ctx = ScissorsContext(parse_ring(f"gf({p})"))
+    g = ctx.pre_bloch()
+    assert g.free_rank == 0 and g.invariant_factors() == (p + 1,)
+    c = ctx.pb_vector(ctx.c_const())
+    k = g.element_order(c)
+    assert k == math.gcd(6, (p + 1) // 2)
+    assert g.contains([k * x for x in c])
+    orders = [g.element_order({j: 1}) for j in range(g.ngens)]
+    assert math.lcm(*orders) == p + 1
+    assert all(g.contains({j: o}) and g.contains({j: 1}) == (o == 1) for j, o in enumerate(orders))
+    assert passes == [] and g._ech is None
+    ech = g.echelon()
+    assert g.echelon() is ech and passes == [g.ngens]
+    assert len(ech.rows) == g.ngens and math.prod(p for _, p, _ in ech.rows) == p + 1
+    passes.clear()
+    fresh = ScissorsContext(parse_ring(f"gf({p})"))
+    rp = fresh.rp_flat()
+    assert rp.free_rank == 1 and fresh.pre_bloch()._ech is None
+    assert passes == [g.ngens, 2 * g.ngens]
+
+
+def _doubled_at(moduli, images, k):
+    # 2 pi at coordinate k: every row pi kills is killed, the moduli are
+    # the same, and the images span only 2 Z/d_k there
+    d = moduli[k]
+    return moduli, [[(j, 2 * a % d if j == k else a) for j, a in img if j != k or 2 * a % d] for img in images]
+
+
+def _halved_at(moduli, images, k):
+    # pi followed by Z/d_k -> Z/(d_k / 2): onto, and it kills every row pi
+    # kills, but its moduli multiply to d_S / 2
+    moduli[k] //= 2
+    d = moduli[k]
+    return moduli, [[(j, a % d if j == k else a) for j, a in img if j != k or a % d] for img in images]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(_doubled_at, "the quotient map is not onto"), (_halved_at, "moduli do not multiply to the subset's index")],
+    ids=["not-onto", "moduli-product"],
+)
+def test_full_rank_map_that_is_not_the_lattices_trips_the_certificate(monkeypatch, fault, message):
+    # the full-rank map a round returns, rebuilt at its first even modulus:
+    # it kills every input row and would answer the group questions, so
+    # only the map's own checks refuse it, before any query.  On P(GF(13))'s
+    # five-term table (Z/14, through a subset) and a whole input of Z/30
+    step = linalg._subset_hnf
+
+    def corrupted(retired, n):
+        basis, det, (moduli, images) = step(retired, n)
+        assert basis is None
+        k = next(k for k, d in enumerate(moduli) if d % 2 == 0)
+        return basis, det, linalg.Quotient(*fault(list(moduli), images, k))
+
+    table = scissors.context("gf(13)").pre_bloch()._rels()
+    for rows, n, order in ((table, table.ncols, 14), (_sparse([[2, 1, 1], [0, 3, 1], [0, 0, 5]]), 3, 30)):
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_subset_hnf", corrupted)
+            with pytest.raises(AssertionError, match=message):
+                FpAb(n, rows).invariant_factors()
+            with pytest.raises(AssertionError, match=message):
+                linalg._hnf_sparse(rows, n)
+        assert FpAb(n, rows).invariant_factors() == (order,)
 
 
 # -- relation rows as a RowTable ---------------------------------------------------
@@ -2408,8 +2595,8 @@ def _seeded_subsets() -> tuple:
     first table that RP(GF(121))'s block form reduces."""
     tables = [(f"P(GF({p}))", scissors.context(f"gf({p})").pre_bloch()._rels()) for p in range(11, 98) if is_prime(p)]
     seen = []
-    hnf = linalg._hnf_sparse
-    with mock.patch.object(linalg, "_hnf_sparse", lambda rows, n: seen.append(rows) or hnf(rows, n)):
+    certify = linalg._certified_map
+    with mock.patch.object(linalg, "_certified_map", lambda rows, n: seen.append(rows) or certify(rows, n)):
         ScissorsContext(parse_ring("gf(121)")).rp_flat().echelon()
     tables.append(("L-(GF(121))", seen[0]))
     return tuple((label, [t.row(i) for i in sorted(linalg._first_subset(t, t.ncols))]) for label, t in tables)

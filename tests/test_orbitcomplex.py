@@ -44,17 +44,17 @@ def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     assert c.ctx is ctx
     ctx.rp_flat()
     reduced, passes = [], []
-    hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
+    certify, kernel = linalg._certified_map, linalg.Quotient.kernel
 
-    def counted_hnf(rows, n):
+    def counted_certify(rows, n):
         reduced.extend([len(rows)] if len(rows) else [])  # lambda_1's free target has no rows
-        return hnf(rows, n)
+        return certify(rows, n)
 
     def counted_kernel(q, extra=()):
         passes.append(len(q.by_key))
         return kernel(q, extra)
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
+    monkeypatch.setattr(linalg, "_certified_map", counted_certify)
     monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     h3 = c.homology_at(3)
     assert passes == [238, 237] and reduced == []

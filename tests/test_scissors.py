@@ -568,20 +568,19 @@ def test_five_term_lattices_certify_in_one_round(monkeypatch):
     # cancelling repeat left column 52 of P(GF(121)) untouched, and the
     # first round reached rank 118 of 119
     calls, rounds = [], []
-    hnf, step = linalg._hnf_sparse, linalg._subset_hnf
+    certify, step = linalg._certified_map, linalg._subset_hnf
 
-    def counted_hnf(rows, n, *lead):
+    def counted_certify(rows, n):
         rounds.clear()
-        basis, proj = hnf(rows, n, *lead)
-        if proj is not None:
-            calls.append([n, len(rounds)])
-        return basis, proj
+        out = certify(rows, n)
+        calls.append([n, len(rounds)])
+        return out
 
     def counted_step(retired, n):
         rounds.append(len(retired))
         return step(retired, n)
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
+    monkeypatch.setattr(linalg, "_certified_map", counted_certify)
     monkeypatch.setattr(linalg, "_subset_hnf", counted_step)
     ctx = ScissorsContext(parse_ring("gf(121)"))
     ctx.pre_bloch().echelon()
@@ -599,18 +598,18 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     # with no extra rows.  No Hermite call reduces rows of width 198, and
     # l_submodule builds no RP~(Z/121)
     passes, widths = [], []
-    hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
+    certify, kernel = linalg._certified_map, linalg.Quotient.kernel
 
-    def counted_hnf(rows, n):
+    def counted_certify(rows, n):
         widths.extend([n] if len(rows) else [])
-        return hnf(rows, n)
+        return certify(rows, n)
 
     def counted_kernel(q, extra=()):
         extra = list(extra)
         passes.append((len(q.by_key), len(extra)))
         return kernel(q, extra)
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", counted_hnf)
+    monkeypatch.setattr(linalg, "_certified_map", counted_certify)
     monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     ctx = ScissorsContext(parse_ring("z/11^2"))
     res = ctx.l_submodule()
@@ -937,28 +936,29 @@ def test_rp_tilde_builds_no_kernel_and_shares_p_basis(monkeypatch, label):
     # l_submodule and the specialization read RP~ alone: reading it builds
     # neither the lambda_1 nor the lambda_2 kernel.  Its Hermite calls are
     # the block form's two halves, L- and L+ = P, both |W| wide, and P keeps
-    # its basis, so a later read of P reduces nothing.  Its flat-width
-    # reads are the block form and RP~ = RP/K^(1), one kernel pass each
+    # its certified map, so a later read of P reduces nothing.  Its
+    # flat-width reads are the block form and RP~ = RP/K^(1), one kernel
+    # pass each
     kernels = _count_kernels(monkeypatch)
     widths, passes = [], []
-    hnf, kernel = linalg._hnf_sparse, linalg.Quotient.kernel
+    certify, kernel = linalg._certified_map, linalg.Quotient.kernel
 
     def counted(rows, n):
         widths.append(n)
-        return hnf(rows, n)
+        return certify(rows, n)
 
     def counted_kernel(q, extra=()):
         passes.append(len(q.by_key))
         return kernel(q, extra)
 
-    monkeypatch.setattr(linalg, "_hnf_sparse", counted)
+    monkeypatch.setattr(linalg, "_certified_map", counted)
     monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     ctx = ScissorsContext(parse_ring(label))
     ctx.rp_tilde.describe()
     assert kernels == []
     assert {"p_tilde", "rp_tilde", "rp1_tilde", "rb_tilde"} & vars(ctx).keys() == {"rp_tilde"}
     assert widths == [len(ctx.W), len(ctx.W)]
-    assert ctx.pre_bloch()._ech is not None
+    assert ctx.pre_bloch()._proj is not None
     ctx.pre_bloch().describe()
     assert widths == [len(ctx.W), len(ctx.W)]
     flat = len(ctx.W) * ctx.G.order
