@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import odd_part
-from .rings import GF, is_prime, prime_power_decompose, sufficiently_large
+from .rings import is_prime, prime_power_decompose, sufficiently_large
 from .scissors import context
 
 
@@ -108,7 +108,7 @@ def pbar_cross_check(p: int, desc: GlobalFieldDesc = RATIONALS) -> bool:
     the distinguished element c inside it, and the quotient order must
     reproduce the report."""
     report = pbar_order(desc, p)
-    ctx = context(GF(p))
+    ctx = context(f"gf({p})")
     pgrp = ctx.pre_bloch()
     odd = pgrp.odd_invariants()
     if pgrp.free_rank != 0:

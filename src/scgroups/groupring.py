@@ -300,11 +300,12 @@ def _block_lattice(m: RModPres) -> FpAb:
     phi(x0, x1) = (x0 + x1, pi(x1)).
 
     L-, L+ and S are reduced by the certified Hermite path, N, N and N + t
-    columns wide, and one pass over the 2N composite images
-    (``Quotient.kernel``) gives L's canonical basis.  The certificate is
-    the one of every flat lattice: each relation row, in each of the |G|
-    translates, must map to 0 under the quotient map of that basis, else
-    AssertionError, which gives L within the kernel.  The reverse inclusion
+    columns wide, and L's quotient map is the composite read onto its
+    image (``Quotient.onto``), with no basis: the group reads its
+    canonical basis off that map when asked.  The certificate is the one
+    of every flat lattice: each relation row, in each of the |G|
+    translates, must map to 0 under that map, else AssertionError, which
+    gives L within the kernel.  The reverse inclusion
     rests on pi, q+ and q_S being the exact maps of their certified bases,
     the trust that every quotient map of this package carries, and for the
     L' glue on the 2-torsion guard (``_no_two_torsion``): without it the
@@ -338,7 +339,7 @@ def _block_lattice(m: RModPres) -> FpAb:
         phi += [{i: 1, **{N + k: a for k, a in enumerate(w) if a}} for i, w in enumerate(pi.images(phi))]
     # rels reads the relation table, not m: the group holds no cycle back
     # to m, so a dropped module is freed at once
-    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q.compose(phi).kernel_echelon())
+    out = FpAb(2 * N, functools.partial(translates, m.table, n, order), q.compose(phi).onto())
     # the certificate: every relation row, through the map read after each
     # translation
     proj = out._projection()

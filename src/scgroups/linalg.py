@@ -29,14 +29,20 @@ composes the target's map with the map rows once, and ``unkilled``, the
 one test that a map kills relation rows, and its kernels and images read
 that composed map.
 
-Every derived lattice is one question, ``Quotient.kernel``: the canonical
-basis of {x : image(x) lies in the lattice of the moduli and some extra
-rows}, read off the generator images in one right-to-left pass over a
-lattice of the few target coordinates.  Kernels and images of maps (the
+Every derived lattice is one question about a map: the lattice of
+{x : image(x) lies in the lattice of the moduli and some extra rows}.
+``Quotient.onto`` reads that lattice's quotient map, in the map's own few
+target coordinates: the images and extra rows go once each into one
+Hermite lattice of the target, and ``_smith`` on the moduli and extra rows
+written in its basis gives the map.  Kernels and images of maps (the
 target's map composed with the map rows), quotients (the images of the new
-rows as extra rows), the block form of a Z[G]-module, ``left_kernel``,
-``lattice_intersect`` and the certified Hermite step all read their bases
-so, and hand them to ``FpAb`` as its echelon.
+rows as extra rows), direct sums (two maps side by side), the block form
+of a Z[G]-module and the L_B quotient are built so, with their maps and no
+basis.  ``Quotient.kernel`` reads the lattice's canonical basis in one
+right-to-left pass over the generator images; ``FpAb.echelon`` reads it
+so on its first call (checked by ``_read_basis``), and ``left_kernel``,
+``lattice_intersect``, a kernel's preimage and the certified Hermite step
+read their bases so too.
 
 Every map read off rows comes from one builder, ``_quotient_map``: one
 back-substitution over triangular rows, then ``_smith`` on the relation
@@ -54,9 +60,8 @@ An input of more than WHOLE_PER_COLUMN (4) rows per column is not reduced
 whole: a seeded subset of n + 8 rows that touch each column twice is.
 Every round, whole inputs included, is checked at run time, and input rows
 the map does not kill (``Quotient.unkilled``) join the subset for another
-round.  ``_hnf_sparse`` is that path with its basis read.  Only a basis
-that comes without a map (a kernel, a direct sum) has its map built from
-its canonical rows (``_projection_table``).
+round.  ``_hnf_sparse`` is that path with its basis read.  No map is
+built from a basis: every FpAb's map comes from its construction.
 
 Coordinates, membership and canonical representatives in a
 ``SparseEchelon`` are one walk that takes the smallest column left in the
@@ -636,24 +641,26 @@ def _check_full_rank_map(proj: Quotient, det: int) -> None:
         lat.insert(dict(img), {})
 
 
-def _check_basis(basis: list[dict], proj: Quotient, rank: int, index: int) -> None:
+def _check_basis(basis: list[dict], proj: Quotient, rank: int, index: Optional[int]) -> None:
     """Raise AssertionError unless ``basis`` is a canonical HNF
     (``_check_canonical``) whose rows the map kills, with ``rank`` rows
-    whose pivots multiply to ``index``: the checks of a basis read off a
-    certified lattice's map."""
+    whose pivots multiply to ``index`` (unless that is None): the checks of
+    a basis read off a lattice's map."""
     _check_canonical(basis, len(proj.by_key))
     if proj.unkilled(basis):
         raise AssertionError("certified HNF: a basis row is not in the subset lattice")
-    if len(basis) != rank or math.prod(r[min(r)] for r in basis) != index:
+    if len(basis) != rank or index is not None and math.prod(r[min(r)] for r in basis) != index:
         raise AssertionError("certified HNF: the basis and the subset lattice differ in rank or index")
 
 
 def _read_basis(proj: Quotient) -> list[dict]:
-    """The canonical HNF of a full-rank lattice read off its certified map
-    (``Quotient.kernel``) and checked (``_check_basis``): n rows whose
-    pivots multiply to the map's order, the product of its moduli."""
+    """The canonical HNF of a lattice read off its quotient map
+    (``Quotient.kernel``), at any rank, and checked (``_check_basis``): n
+    less the map's free coordinates rows, and at full rank pivots that
+    multiply to the map's order, the product of its moduli."""
     basis = proj.kernel()
-    _check_basis(basis, proj, len(proj.by_key), math.prod(proj.moduli))
+    free = proj.moduli.count(0)
+    _check_basis(basis, proj, len(proj.by_key) - free, None if free else math.prod(proj.moduli))
     return basis
 
 
@@ -712,12 +719,24 @@ def _quotient_map(tri: list, n: int, det: int = 0) -> Quotient:
             cols.append(c)
     if not rels:
         return Quotient([0] * len(cols), [sorted(img.items()) for img in images])
-    touched = sorted({k for r in rels.values() for k in r}, key=cols.__getitem__)
-    s, _, v, _ = _smith([[r.get(k, 0) for k in touched] for _, r in sorted(rels.items())], len(touched))
+    return _smith_map([r for _, r in sorted(rels.items())], len(cols), images, cols.__getitem__)
+
+
+def _smith_map(rels: list[dict], t: int, images: list[dict], order=None) -> Quotient:
+    """The map that sends generator j to images[j], a sparse row over t
+    coordinates, on into Z^t / (lattice of the relation rows ``rels``), in
+    Smith form: the one Smith step of the map builders.  ``_smith`` reads
+    the relation rows over the coordinates they touch, ordered by
+    ``order``: the target is Z/d_k for each Smith modulus other than 1,
+    then the untouched coordinates, free, and a touched coordinate's image
+    is its row of the transform V.  The images list is rewritten in
+    place and becomes the map's."""
+    touched = sorted({k for r in rels for k in r}, key=order)
+    s, _, v, _ = _smith([[r.get(k, 0) for k in touched] for r in rels], len(touched))
     d = [s[i][i] for i in range(min(len(s), len(touched)))] + [0] * max(0, len(touched) - len(s))
     keep = [i for i, x in enumerate(d) if x != 1]
     new = {k: [(out, a) for out, i in enumerate(keep) if (a := v[pos][i])] for pos, k in enumerate(touched)}
-    free = [k for k in range(len(cols)) if k not in new]
+    free = [k for k in range(t) if k not in new]
     new.update((k, [(out, 1)]) for out, k in enumerate(free, start=len(keep)))
     moduli = [d[i] for i in keep] + [0] * len(free)
     for j, img in enumerate(images):
@@ -1096,15 +1115,6 @@ def snf(mat) -> SmithData:
     return SmithData(s=intmat(s) if m else zeros(0, n), u=intmat(u), v=intmat(v), rank=rank)
 
 
-def _projection_table(ech: SparseEchelon) -> Quotient:
-    """Quotient map of Z^n onto Z^n / (row lattice of a canonical HNF):
-    ``_quotient_map`` of its rows, whose relation rows are the rows with a
-    pivot > 1 as they stand, the HNF clearing entries above a unit pivot.
-    Only a basis that comes without a map needs it: ``_certified_map`` hands
-    on the map it certified."""
-    return _quotient_map(list(zip(ech.pivot_row, ech.basis)), ech.ncols)
-
-
 class _QuotientData(NamedTuple):
     moduli: list[int]
     by_key: list | dict
@@ -1227,11 +1237,65 @@ class Quotient(_QuotientData):
                 reduce(t)
         return [basis[i] for i in sorted(basis)]
 
-    def kernel_echelon(self, extra=()) -> "SparseEchelon":
-        """``kernel`` as the SparseEchelon of its rows, which are canonical
-        already, so that ``FpAb(..., basis=...)`` keeps them with no pass
-        through the normaliser."""
-        return SparseEchelon._canonical(self.kernel(extra), len(self.by_key))
+    def onto(self, extra=()) -> "Quotient":
+        """The quotient map of Z^n / L, where L = {x : image(x) lies in the
+        lattice M of the rows d_k e_k and the ``extra`` rows} is the
+        lattice whose basis ``kernel`` reads, read in this map's own target
+        Z^t with no basis of L: the map of every kernel, image, quotient
+        and direct sum group.
+
+        H = M + <images> + <extra> is built once in an ``_ImageLattice``,
+        each distinct image and extra row inserted once; x -> image(x) is
+        onto H / (M + <extra>), with that kernel.  Each distinct image, each
+        row d_k e_k and each extra row is written in H's Hermite basis by
+        exact division (an image that does not divide is an
+        AssertionError), and ``_smith_map`` puts the group H / (M +
+        <extra>), presented by the last two, in Smith form."""
+        moduli, images = self
+        t = len(moduli)
+        lat = _ImageLattice(moduli)
+        # the distinct images, each with its generators, and the distinct
+        # extra rows, dense ones compared before they are made sparse
+        seen: dict[tuple, list[int]] = {}
+        for j, img in enumerate(images):
+            seen.setdefault(tuple(img), []).append(j)
+        dense, sparse = set(), set()
+        for r in extra:
+            if isinstance(r, dict):
+                sparse.add(tuple(sorted(_sparse_row(r, t).items())))
+            else:
+                dense.add(tuple(r))
+        sparse.update(tuple(sorted(_sparse_row(r, t).items())) for r in dense)
+        rows = sorted(sparse - {()})
+        for v in itertools.chain(seen, rows):
+            if len(lat.rows) == t and all(b[u] == 1 for u, (b, _) in lat.rows.items()):
+                break  # H is Z^t already
+            if v:
+                lat.insert(dict(v), {})
+        pivots = sorted(lat.rows)
+        at = {u: i for i, u in enumerate(pivots)}
+
+        def coordinates(v) -> dict:
+            v, out = dict(v), {}
+            for u in pivots:
+                if x := v.get(u):
+                    b = lat.rows[u][0]
+                    q, r = divmod(x, b[u])
+                    if r:
+                        break
+                    out[at[u]] = q
+                    _sub_entries(v, q, b.items())
+            if v:
+                raise AssertionError("onto: an image does not lie in the lattice it spans")
+            return out
+
+        rels = [coordinates({k: d}) for k, d in enumerate(moduli) if d] + [coordinates(v) for v in rows]
+        quotient = _smith_map(rels, len(pivots), [coordinates(v) for v in seen])
+        by_key: list = [None] * len(images)
+        for img, gens in zip(quotient.by_key, seen.values()):
+            for j in gens:
+                by_key[j] = img
+        return Quotient(quotient.moduli, by_key)
 
     def blocks(self, rows):
         """The images of many rows (sparse dicts or a RowTable), yielded as
@@ -1334,21 +1398,23 @@ class FpAb:
     the invariant factors go through one cached quotient map onto
     Z^f + sum Z/d_k, the one the certified path proves; the relation
     basis, a cached SparseEchelon, is built when ``echelon`` is first
-    called, at full rank off that map.
+    called, off that map (below full rank the certificate reads it).
 
-    A caller that knows the canonical basis of the relations' lattice
-    passes it as ``basis``, a SparseEchelon of width ngens (a quotient
-    map's kernel, ``Quotient.kernel_echelon``, say), and it is the echelon
-    with no reduction.  ``rels`` may then be a zero-argument callable that
-    builds the relation rows on each read, which are not kept."""
+    A group derived from another (a kernel, an image, a quotient) is
+    built with its quotient map ``proj``, a Quotient indexed by the ngens
+    generators that its construction read off the parent's map
+    (``Quotient.onto``): no reduction runs, and the basis is read off that
+    map when ``echelon`` is first called, at any rank.  ``rels`` may then
+    be a zero-argument callable that builds the relation rows on each
+    read, which are not kept."""
 
-    def __init__(self, ngens: int, rels=None, basis: Optional[SparseEchelon] = None):
+    def __init__(self, ngens: int, rels=None, proj: Optional[Quotient] = None):
         self.ngens = int(ngens)
         self._rels: Callable[[], list[dict] | RowTable] = rels if callable(rels) else _bulk_rows(rels, self.ngens).copy
-        if basis is not None and basis.ncols != self.ngens:
-            raise ValueError(f"an echelon of width {basis.ncols} does not match {self.ngens} generators")
-        self._ech = basis
-        self._proj: Optional[Quotient] = None
+        if proj is not None and len(proj.by_key) != self.ngens:
+            raise ValueError(f"a map of {len(proj.by_key)} generators does not match {self.ngens} generators")
+        self._ech: Optional[SparseEchelon] = None
+        self._proj = proj
 
     @property
     def rels(self) -> np.ndarray:
@@ -1371,9 +1437,9 @@ class FpAb:
 
     def echelon(self) -> SparseEchelon:
         """The cached sparse echelon form of the relation basis: the one the
-        certificate read below full rank, else read off the certified map
-        on this first call (``_read_basis``), so that a group whose
-        questions go through its map builds no basis."""
+        certificate read below full rank, else read off the group's map on
+        this first call (``_read_basis``), so that a group whose questions
+        go through its map builds no basis."""
         if self._ech is None:
             if self._proj is None:
                 self._certify()
@@ -1415,17 +1481,10 @@ class FpAb:
         return self.free_rank == 0 and not self.odd_invariants()
 
     def _projection(self) -> Quotient:
-        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k: the one
-        ``_certified_map`` certified, or, for a basis that came without
-        one, ``_projection_table``'s, checked to kill every basis row."""
+        """The cached quotient map Z^ngens -> Z^f + sum Z/d_k: the one its
+        construction gave, else the one ``_certified_map`` certified."""
         if self._proj is None:
-            if self._ech is None:
-                self._certify()
-            else:
-                proj = _projection_table(self._ech)
-                for i in proj.unkilled(self._ech.basis)[:1]:
-                    raise AssertionError(f"quotient map does not kill relation {i}")
-                self._proj = proj
+            self._certify()
         return self._proj
 
     def _image(self, v) -> list[int]:
@@ -1507,7 +1566,8 @@ class KeyedFpAb(FpAb):
         proj = group._projection().compose(rows)
         # the rows d_k e_k are the target's canonical basis: no reduction
         basis = [{k: d} for k, d in enumerate(proj.moduli) if d]
-        super().__init__(len(proj.moduli), basis.copy, SparseEchelon._canonical(basis, len(proj.moduli)))
+        super().__init__(len(proj.moduli), basis.copy)
+        self._ech = SparseEchelon._canonical(basis, len(proj.moduli))
         self._proj = proj
         self._refusal = refusal
 
@@ -1529,23 +1589,34 @@ def cokernel(rels, ngens: int) -> FpAb:
 
 
 def direct_sum(a: FpAb, b: FpAb) -> FpAb:
-    """a + b: the two canonical bases side by side, b's past a's columns,
-    are the canonical basis of the sum, kept with no second reduction."""
-    n = a.ngens
-    basis = a.echelon().basis + [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
-    return FpAb(n + b.ngens, basis.copy, SparseEchelon._canonical(basis, n + b.ngens))
+    """a + b: the two maps side by side, b's images past a's coordinates,
+    put in Smith order by ``Quotient.onto``.  Its relations, built on each
+    read, are the two canonical bases side by side, b's past a's columns."""
+    (ma, ia), (mb, ib) = a._projection(), b._projection()
+    t = len(ma)
+    side = Quotient(ma + mb, list(ia) + [[(t + k, x) for k, x in img] for img in ib])
+
+    def relations() -> list[dict]:
+        n = a.ngens
+        return a.echelon().basis + [{n + j: v for j, v in r.items()} for r in b.echelon().basis]
+
+    return FpAb(a.ngens + b.ngens, relations, side.onto())
 
 
 def ab_quotient(g: FpAb, sub) -> FpAb:
     """g modulo the subgroup generated by the rows of ``sub``, given in any
     row form or as a RowTable of width g.ngens: the one way to add
-    relations to a group.  Its relations, built on each read, are g's
-    canonical basis and the new rows, and its basis is the kernel of g's
-    quotient map modulo the images of the new rows, with no Hermite call."""
+    relations to a group.  Its map is read off g's with the images of the
+    new rows as extra rows (``Quotient.onto``), with no Hermite call and no
+    basis; its relations, built on each read, are g's canonical basis and
+    the new rows."""
     rows = _bulk_rows(sub, g.ngens)
-    proj, basis = g._projection(), g.echelon().basis
-    relations = (lambda: basis + rows.rows()) if isinstance(rows, RowTable) else (basis + rows).copy
-    return FpAb(g.ngens, relations, proj.kernel_echelon(proj.images(rows)))
+    proj = g._projection()
+
+    def relations() -> list[dict]:
+        return g.echelon().basis + (rows.rows() if isinstance(rows, RowTable) else rows)
+
+    return FpAb(g.ngens, relations, proj.onto(proj.images(rows)))
 
 
 @dataclass
@@ -1614,17 +1685,19 @@ class AbMap:
     def kernel_subgroup(self) -> SubgroupPres:
         """The kernel on the preimage basis (``lift``).  Its relations are
         the coordinates of the source's basis rows, each checked to lie in
-        the preimage, and their canonical basis is the kernel of the
-        source's quotient map composed with the lift rows."""
+        the preimage, and its map is the source's quotient map composed
+        with the lift rows, onto its image (``Quotient.onto``)."""
         lift = SparseEchelon._canonical(self.preimage_lattice(), self.source.ngens)
         rels = _coordinates(lift, self.source.echelon().basis, "source relations must lie in the preimage")
-        basis = self.source._projection().compose(lift.basis).kernel_echelon()
-        return SubgroupPres(group=FpAb(len(lift.rows), rels.copy, basis), echelon=lift)
+        proj = self.source._projection().compose(lift.basis).onto()
+        return SubgroupPres(group=FpAb(len(lift.rows), rels.copy, proj), echelon=lift)
 
     def kernel(self) -> FpAb:
         return self.kernel_subgroup().group
 
     def image(self) -> FpAb:
-        basis = self.preimage_lattice()
-        return FpAb(self.source.ngens, basis.copy, SparseEchelon._canonical(basis, self.source.ngens))
+        """The image on the source's generators: the composed map onto its
+        image (``Quotient.onto``), whose relations are the preimage's
+        basis, read on each read."""
+        return FpAb(self.source.ngens, self.preimage_lattice, self._composed.onto())
 

@@ -278,13 +278,12 @@ class GF(Ring):
     def __init__(self, p: int, d: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if d < 1:
-            raise ValueError("degree must be >= 1")
+        _check_positive(d, "degree")
         self.p = p
         self.d = d
         self.q = p**d
         self.modulus = smallest_irreducible(p, d) if d > 1 else None
-        self.label = f"gf({p})" if d == 1 else f"gf({p}^{d})"
+        self.label = _gf_label(p, d)
         if d > 1:
             self._build_tables()
         super().__init__()
@@ -368,12 +367,11 @@ class ZMod(Ring):
     def __init__(self, p: int, n: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if n < 1:
-            raise ValueError("exponent must be >= 1")
+        _check_positive(n, "exponent")
         self.p = p
         self.n = n
         self.modulus = p**n
-        self.label = f"z/{p}" if n == 1 else f"z/{p}^{n}"
+        self.label = _z_label(p, n)
         self._res = GF(p, 1)
         super().__init__()
 
@@ -405,12 +403,11 @@ class TruncPoly(Ring):
     kind = "tpoly"
 
     def __init__(self, base: GF, m: int):
-        if m < 1:
-            raise ValueError("truncation order must be >= 1")
+        _check_positive(m, "truncation order")
         self.base = base
         self.m = m
         self.p = base.p
-        self.label = f"{base.label}[t]/t^{m}"
+        self.label = _tpoly_label(base.label, m)
         super().__init__()
 
     def _enumerate(self):
@@ -475,43 +472,83 @@ def descriptor_size(desc: str) -> tuple[int, int]:
 
 def parse_ring(desc: str) -> Ring:
     """Parse ring descriptors: gf(7), gf(3^2), z/7^2, gf(5)[t]/t^2."""
+    kind, p, e, m = _descriptor(desc)
+    if kind == "z":
+        return ZMod(p, e)
+    field = GF(p, e)
+    return field if kind == "gf" else TruncPoly(field, m)
+
+
+def ring_label(desc: str) -> str:
+    """The canonical label (``Ring.label``) of the ring a descriptor names,
+    read from the descriptor with the validation and the errors of
+    ``parse_ring``, and no ring built: gf(121) and gf(11^2) both read
+    gf(11^2)."""
+    kind, p, e, m = _descriptor(desc)
+    if kind == "z":
+        return _z_label(p, e)
+    return _gf_label(p, e) if kind == "gf" else _tpoly_label(_gf_label(p, e), m)
+
+
+def _descriptor(desc: str) -> tuple[str, int, int, Optional[int]]:
+    """(kind, p, exponent, truncation order) of a descriptor: ("gf", p, d,
+    None) for GF(p^d), ("z", p, n, None) for Z/p^n and ("tpoly", p, d, m)
+    for GF(p^d)[t]/(t^m), checked as the constructors check them, in their
+    order, so that ``parse_ring`` and ``ring_label`` refuse the same
+    descriptors with the same errors."""
     try:
-        return _parse_ring(desc)
+        m = _RING_RE.match(desc)
+        if not m:
+            raise ValueError("unrecognized grammar")
+        if m.group("p1"):
+            p, d = _gf_base(m.group("p1"), m.group("d1"))
+            return "tpoly", p, d, _check_positive(int(m.group("m")), "truncation order")
+        if m.group("p2"):
+            return ("gf", *_gf_base(m.group("p2"), m.group("d2")), None)
+        p = int(m.group("p3"))
+        n = int(m.group("n3") or 1)
+        if not is_prime(p):
+            pd = prime_power_decompose(p)
+            if pd is None:
+                raise ValueError(f"{p} is not a prime power")
+            if n != 1:
+                raise ValueError("use z/p^n with p prime")
+            p, n = pd
+        return "z", p, _check_positive(n, "exponent"), None
     except ValueError as exc:
         raise ValueError(f"bad ring descriptor {desc!r}: {exc}") from None
 
 
-def _gf_base(p: str, d: Optional[str]) -> GF:
-    """The field that gf(p) or gf(p^d) names, alone or as the base of a
-    truncated polynomial ring: p may be a prime power q when no exponent
-    follows, read as gf(q)."""
+def _gf_base(p: str, d: Optional[str]) -> tuple[int, int]:
+    """(p, d) of the field that gf(p) or gf(p^d) names, alone or as the
+    base of a truncated polynomial ring: p may be a prime power q when no
+    exponent follows, read as gf(q)."""
     p, d = int(p), int(d or 1)
     if not is_prime(p):
         pd = prime_power_decompose(p)
         if pd is None or d != 1:
             raise ValueError(f"{p} is not prime")
         p, d = pd
-    return GF(p, d)
+    return p, _check_positive(d, "degree")
 
 
-def _parse_ring(desc: str) -> Ring:
-    m = _RING_RE.match(desc)
-    if not m:
-        raise ValueError("unrecognized grammar")
-    if m.group("p1"):
-        return TruncPoly(_gf_base(m.group("p1"), m.group("d1")), int(m.group("m")))
-    if m.group("p2"):
-        return _gf_base(m.group("p2"), m.group("d2"))
-    p = int(m.group("p3"))
-    n = int(m.group("n3") or 1)
-    if not is_prime(p):
-        pd = prime_power_decompose(p)
-        if pd is None:
-            raise ValueError(f"{p} is not a prime power")
-        if n != 1:
-            raise ValueError("use z/p^n with p prime")
-        p, n = pd
-    return ZMod(p, n)
+def _check_positive(x: int, what: str) -> int:
+    """x, unless it is below 1: then the ValueError that names it as what."""
+    if x < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return x
+
+
+def _gf_label(p: int, d: int) -> str:
+    return f"gf({p})" if d == 1 else f"gf({p}^{d})"
+
+
+def _z_label(p: int, n: int) -> str:
+    return f"z/{p}" if n == 1 else f"z/{p}^{n}"
+
+
+def _tpoly_label(base: str, m: int) -> str:
+    return f"{base}[t]/t^{m}"
 
 
 @dataclass
@@ -590,15 +627,20 @@ def unit_group_basis(ring: Ring) -> tuple[list, list, dict]:
     units_in_order = sorted(ring.units, key=lambda u: ring.index[u])
     while len(span) < len(ring.units):
         # the first unit of largest order modulo the current span; that
-        # order divides |U| / |span|, so a unit reaching it ends the scan
+        # order divides |U| / |span|, so a unit reaching it ends the scan.
+        # A power of a unit scanned earlier in the round has an order
+        # dividing that unit's and comes later in canonical order, so it
+        # cannot be the first of largest order: it is skipped unscanned
         top = len(ring.units) // len(span)
         best = None
+        met: set = set()
         for u in units_in_order:
-            if u in span:
+            if u in span or u in met:
                 continue
             k = 1
             x = u
             while x not in span:
+                met.add(x)
                 x = ring.mul(x, u)
                 k += 1
             if best is None or k > best[0]:

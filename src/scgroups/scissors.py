@@ -34,7 +34,7 @@ from .linalg import AbMap, FpAb, KeyedFpAb, RowTable, SubgroupPres, _dense, ab_q
 # unused here: bench/test_checks.py checks that the benchmark's tracer
 # rebinds this alias of linalg.hnf_rows
 from .linalg import hnf_rows  # noqa: F401
-from .rings import Ring, parse_ring, square_classes
+from .rings import Ring, parse_ring, ring_label, square_classes
 
 # ---------------------------------------------------------------------------
 # symbolic elements
@@ -508,17 +508,16 @@ class ScissorsContext:
         quotient to the R-module on W(k) whose relations are the sigma
         images, class kept, of RP~(B)'s relations (``refined_tilde``) and
         the rows <<u>>C_B.  That small module is reduced by
-        its own certified ``flatten``, and the quotient's canonical basis
-        is the kernel of its quotient map read through sigma on the flat
-        index: one pass over RP's flat generators.
+        its own certified ``flatten``, and the quotient's map is its
+        quotient map read through sigma on the flat index, onto its image
+        (``Quotient.onto``), with no basis.
 
         The certificate is the block form's: every relation row of B, the
         |G| translates of the five-term table, ``k1_rows`` and ``l_rows``,
-        must map to 0 under the quotient map of that basis, else
-        AssertionError, which puts the lattice of B's relations within the
-        basis's, from rows built apart from the small module's.  The reverse
-        inclusion rests on the fibre check and on the small module's exact
-        quotient map."""
+        must map to 0 under that map, else AssertionError, which puts the
+        lattice of B's relations within the map's kernel, from rows built
+        apart from the small module's.  The reverse inclusion rests on the
+        fibre check and on the small module's exact quotient map."""
         ring, G, nk = self.ring, self.G, len(kctx.W)
         sigma = np.array([kctx.windex[ring.residue(a)] for a in self.W], dtype=np.int64)
         if np.bincount(sigma, minlength=nk).tolist() != [len(set(ring.u1))] * nk:
@@ -539,7 +538,7 @@ class ScissorsContext:
         out = FpAb(
             m.flat_ngens,
             lambda: RowTable.stack(m.flat_ngens, m.flat_table(), k1, lrows),
-            small.flatten()._projection().compose([{j: 1} for j in flat.tolist()]).kernel_echelon(),
+            small.flatten()._projection().compose([{j: 1} for j in flat.tolist()]).onto(),
         )
         proj = out._projection()
         if proj.unkilled(m.flat_table()) or proj.unkilled(k1) or proj.unkilled(lrows):
@@ -617,7 +616,9 @@ def _context_by_label(label: str) -> ScissorsContext:
 def context(ring_or_label) -> ScissorsContext:
     """The scissors context of a ring: the live context that owns the ring
     object, else the one cached for its canonical label.  A descriptor is
-    parsed first, so "gf(121)" and "gf(11^2)" share one context."""
-    ring = parse_ring(ring_or_label) if isinstance(ring_or_label, str) else ring_or_label
-    live = _live_context(ring)
-    return live if live is not None else _context_by_label(ring.label)
+    read for its label (``rings.ring_label``), so "gf(121)" and "gf(11^2)"
+    share one context, and only a context built afresh builds a ring."""
+    if isinstance(ring_or_label, str):
+        return _context_by_label(ring_label(ring_or_label))
+    live = _live_context(ring_or_label)
+    return live if live is not None else _context_by_label(ring_or_label.label)

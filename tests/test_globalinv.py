@@ -10,6 +10,7 @@ from scgroups.globalinv import (
     pbar_order,
     pbar_table,
 )
+from scgroups import rings, scissors
 from scgroups.linalg import odd_part
 from scgroups.rings import is_prime
 
@@ -65,6 +66,27 @@ def test_pbar_guards():
 @pytest.mark.parametrize("p", [11, 13, 17])
 def test_pbar_cross_check(p):
     assert pbar_cross_check(p)
+
+
+def test_a_sweep_prime_builds_one_ring(monkeypatch):
+    # P(GF(p)), the order of c in it and the cross-check, from a cold
+    # cache: the context is looked up by the label read from "gf(p)", and
+    # the cross-check finds it there, so GF(p) is built once
+    built = []
+    init = rings.Ring.__init__
+
+    def counted(ring):
+        built.append(ring.label)
+        init(ring)
+
+    scissors._context_by_label.cache_clear()
+    monkeypatch.setattr(rings.Ring, "__init__", counted)
+    ctx = scissors.context("gf(53)")
+    pgrp = ctx.pre_bloch()
+    assert pgrp.invariant_factors() == (54,)
+    assert pgrp.element_order(ctx.pb_vector(ctx.c_const())) == 3
+    assert pbar_cross_check(53)
+    assert built == ["gf(53)"]
 
 
 def test_custom_w2():

@@ -40,6 +40,17 @@ from scgroups.rings import is_prime, parse_ring
 from scgroups.scissors import ScissorsContext
 
 
+def assert_maps_of_one_lattice(got, want):
+    """Two quotient maps of one lattice, built two ways: equal moduli, one
+    canonical basis read off each (``Quotient.kernel``), and each map kills
+    the other's basis.  Two such maps may differ by an automorphism of the
+    target, so their images are not compared."""
+    assert got.moduli == want.moduli
+    basis = got.kernel()
+    assert want.kernel() == basis
+    assert got.unkilled(want.kernel()) == [] and want.unkilled(basis) == []
+
+
 def exact_det(m):
     n = m.shape[0]
     if n == 0:
@@ -353,11 +364,12 @@ def test_direct_sum_keeps_the_two_canonical_bases(a, b):
 
 
 def test_kernel_bases_reach_fpab_without_the_normaliser(monkeypatch):
-    # a kernel basis is handed to FpAb as the SparseEchelon of
-    # Quotient.kernel_echelon and kept, and the relation rows linalg built
-    # itself are kept as they are: of ab_quotient, AbMap.image and
-    # AbMap.kernel, only ab_quotient normalises rows, the ones it is given.
-    # An echelon of the wrong width is refused
+    # a derived group is handed its map, read off its parent's by
+    # Quotient.onto, and the relation rows linalg built itself are kept as
+    # they are: of ab_quotient, AbMap.image and AbMap.kernel, only
+    # ab_quotient normalises rows, the ones it is given.  The basis read
+    # off each map is the reduction's of its relations, and a map of the
+    # wrong width is refused
     g = FpAb(3, [{0: 2}, {1: 3}])
     f = AbMap(g, FpAb(2, [{0: 6}]), [{0: 3}, {0: 2}, {0: 1, 1: 1}])
     calls = []
@@ -374,8 +386,8 @@ def test_kernel_bases_reach_fpab_without_the_normaliser(monkeypatch):
     monkeypatch.undo()
     for h in (q, image, kernel):
         assert h.echelon().basis == linalg._hnf_sparse(h._rels(), h.ngens)[0].basis
-    with pytest.raises(ValueError, match="width"):
-        FpAb(4, None, q.echelon())
+    with pytest.raises(ValueError, match="does not match 4 generators"):
+        FpAb(4, None, q._projection())
 
 
 def _in_lattice(g, v):
@@ -668,22 +680,93 @@ def test_numpy_integers_and_bools_are_entries(edge):
     assert read(True) == read(1)
 
 
+# -- Quotient.onto, the map reader of derived groups ---------------------------
+
+
+@st.composite
+def target_maps(draw):
+    """(map, extra rows): a map of up to 6 generators into up to 3 target
+    coordinates, free or torsion, some moduli past int64, whose images
+    repeat (drawn from a pool) and may be zero, and up to 3 extra rows."""
+    t = draw(st.integers(0, 3))
+    moduli = draw(st.lists(st.sampled_from([0, 0, 2, 4, 6, 9, 12, 2**64 + 13, 3**41]), min_size=t, max_size=t))
+    entry = st.one_of(st.integers(-7, 7), st.sampled_from([2**63, -(3**40)]))
+
+    def row():
+        v = draw(st.lists(entry, min_size=t, max_size=t))
+        return [(k, x % d if d else x) for k, (x, d) in enumerate(zip(v, moduli))]
+
+    pool = [[(k, x) for k, x in row() if x] for _ in range(draw(st.integers(1, 3)))] + [[]]
+    images = draw(st.lists(st.sampled_from(pool), max_size=6))
+    extra = [dict(row()) for _ in range(draw(st.integers(0, 3)))]
+    return linalg.Quotient(moduli, images), extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(target_maps())
+def test_onto_is_the_map_of_the_kernel_lattice(case):
+    # the moduli are sympy's Smith invariants of Z^n / ker, where ker =
+    # {x : image(x) in M + <extra>} is Quotient.kernel's lattice, with a
+    # free coordinate for each rank the kernel lacks, and the kernel read
+    # off the new map is that lattice again
+    proj, extra = case
+    n = len(proj.by_key)
+    ker = proj.kernel(extra)
+    diag = [abs(int(d)) for d in sympy_invariant_factors(Matrix(linalg._dense(ker, n)), domain=ZZ)] if ker else []
+    got = proj.onto(extra)
+    assert got.moduli == sorted(d for d in diag if d > 1) + [0] * (n - len(ker))
+    assert got.kernel() == ker
+    assert len(got.by_key) == n
+    for img in got.by_key:
+        assert all(x and (not got.moduli[k] or 0 <= x < got.moduli[k]) for k, x in img)
+        assert [k for k, _ in img] == sorted({k for k, _ in img})
+
+
 def test_corrupted_projection_trips_certificate(monkeypatch):
-    # a basis given without a map is the one that _projection_table maps
-    build = linalg._projection_table
+    # a quotient's map is read off its parent's (ab_quotient): on Z^2 / <2
+    # e_0>, a lattice that loses the insertion of either generator's image
+    # is refused, and the group comes out intact once it does not
+    g = FpAb(2)
+    assert ab_quotient(g, [[2, 0]]).describe() == "Z + Z/2"
+    insert = linalg._ImageLattice.insert
+    for lost in range(2):
+        calls = []
 
-    def corrupted(ech):
-        moduli, images = build(ech)
-        images[0] = []  # generator 0 = -generator 1 in Z/3; drop its image
-        return linalg.Quotient(moduli, images)
+        def losing(lat, v, comb, lost=lost, calls=calls):
+            calls.append(v)
+            return None if len(calls) == lost + 1 else insert(lat, v, comb)
 
-    monkeypatch.setattr(linalg, "_projection_table", corrupted)
-    g = FpAb(2, basis=linalg.SparseEchelon([[1, 1], [0, 3]]))
-    with pytest.raises(AssertionError, match="does not kill relation 0"):
-        g.invariant_factors()
-    monkeypatch.setattr(linalg, "_projection_table", build)
-    assert FpAb(2, basis=linalg.SparseEchelon([[1, 1], [0, 3]])).invariant_factors() == (3,)
-    assert FpAb(2, [[1, 1], [0, 3]]).invariant_factors() == (3,)
+        monkeypatch.setattr(linalg._ImageLattice, "insert", losing)
+        with pytest.raises(AssertionError, match="does not lie in the lattice it spans"):
+            ab_quotient(g, [[2, 0]])
+        assert calls[lost] == {lost: 1}
+    monkeypatch.undo()
+    assert ab_quotient(g, [[2, 0]]).describe() == "Z + Z/2"
+
+
+def test_a_lazily_read_basis_with_a_row_dropped_is_refused(monkeypatch):
+    # RP(F_13) = Z + Z/7 on 22 flat generators is built with its map and no
+    # basis; its basis is read off the map on the first echelon() call.
+    # Without any one of its 21 rows the read has the wrong rank, whatever
+    # row it is, and is refused
+    ring = parse_ring("gf(13)")
+    flat = ScissorsContext(ring).rp_flat()
+    assert flat._ech is None
+    basis = flat._projection().kernel()
+    assert len(basis) == flat.ngens - 1 == 21
+    kernel = linalg.Quotient.kernel
+    for i in range(len(basis)):
+
+        def dropping(q, extra=(), i=i):
+            out = kernel(q, extra)
+            return out[:i] + out[i + 1 :] if len(q.by_key) == flat.ngens else out
+
+        monkeypatch.setattr(linalg.Quotient, "kernel", dropping)
+        fresh = ScissorsContext(ring).rp_flat()
+        with pytest.raises(AssertionError, match="differ in rank"):
+            fresh.echelon()
+    monkeypatch.undo()
+    assert ScissorsContext(ring).rp_flat().echelon().basis == basis
 
 
 # -- hnf_rows and snf against sympy ---------------------------------------------
@@ -1801,37 +1884,31 @@ def test_short_input_is_one_round_under_the_certificate(case):
 
 
 def test_certified_basis_brings_its_quotient_map(monkeypatch):
-    # the last round's map is the group's, for tall and whole inputs: no
-    # table is built on the basis, whose own table has the same kernel and
-    # moduli; a basis that comes without a map gets the table's
+    # the last round's map is the group's, for tall and whole inputs, and
+    # its kernel is the basis; a group derived from it (g modulo no rows)
+    # reads its map off g's, with no further round
     rows, n = certified_case("deficiency-1")
-    maps, tables = [], []
-    step, build = linalg._subset_hnf, linalg._projection_table
+    maps = []
+    step = linalg._subset_hnf
 
     def recording(retired, n):
         out = step(retired, n)
         maps.append(out[2])
         return out
 
-    def counted(ech):
-        tables.append(ech)
-        return build(ech)
-
     monkeypatch.setattr(linalg, "_subset_hnf", recording)
-    monkeypatch.setattr(linalg, "_projection_table", counted)
     for given in (rows, rows[: tall(n) - 1]):
         g = FpAb(n, _sparse(given))
         g.rel_basis
         rounds = len(maps)
         assert rounds >= 1
         g.invariant_factors()
-        assert g._projection() is maps[-1] and len(maps) == rounds and tables == []
-        own = build(g.echelon())
-        assert g._projection().kernel() == own.kernel() == g.echelon().basis
-        assert g._projection().moduli == own.moduli
+        assert g._projection() is maps[-1] and len(maps) == rounds
+        assert g._projection().kernel() == g.echelon().basis
         maps.clear()
-    h = FpAb(n, basis=linalg.SparseEchelon(g.echelon().basis, n))
-    assert h.invariant_factors() == g.invariant_factors() and len(tables) == 1 and maps == []
+    h = ab_quotient(g, [])
+    assert h.invariant_factors() == g.invariant_factors() and maps == []
+    assert h.echelon().basis == g.echelon().basis and maps == []
 
 
 def test_corrupted_certified_map_trips_a_check(monkeypatch):
@@ -1932,7 +2009,8 @@ def test_full_rank_questions_build_no_basis(monkeypatch, p):
     # and two echelon() reads build the basis once.  The block form glues
     # RP from the maps of its halves: P = L+ builds no basis there, while
     # L- loses the rank of RP's free part, so its certificate reads its
-    # basis, and RP's own is one kernel pass over the flat generators
+    # basis.  RP's own map is read off the glued map, and its basis is one
+    # kernel pass over the flat generators on its first echelon() read
     passes = []
     kernel = linalg.Quotient.kernel
 
@@ -1959,6 +2037,8 @@ def test_full_rank_questions_build_no_basis(monkeypatch, p):
     fresh = ScissorsContext(parse_ring(f"gf({p})"))
     rp = fresh.rp_flat()
     assert rp.free_rank == 1 and fresh.pre_bloch()._ech is None
+    assert passes == [g.ngens] and rp._ech is None
+    rp.echelon()
     assert passes == [g.ngens, 2 * g.ngens]
 
 

@@ -33,11 +33,13 @@ def test_chain_identities(label):
 
 def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     # at GF(121) ker d3 and RP's relation basis both have 237 rows; the
-    # kernel of lambda_1 reads the former off RP's quotient map in one pass
-    # over the 238 flat generators, and RP_1's relations in one pass over
-    # its 237, with no Hermite call, and neither is read again.  The ring's
-    # own context has built no RP_1 yet, whatever other tests built on the
-    # shared one.
+    # kernel of lambda_1 reads the former off the composed map in one pass
+    # over the 238 flat generators, and RP's basis, which the block form
+    # does not build, lazily off RP's map in another, with no Hermite call.
+    # RP_1's map is read off RP's, with no pass, and its basis only when
+    # asked: one pass over its 237 generators.  Nothing is read again.  The
+    # ring's own context has built no RP_1 yet, whatever other tests built
+    # on the shared one.
     ring = parse_ring("gf(121)")
     ctx = ScissorsContext(ring)
     c = build_row_complex(ring)
@@ -57,10 +59,12 @@ def test_homology_at_3_reduces_canonical_rows_once(monkeypatch):
     monkeypatch.setattr(linalg, "_certified_map", counted_certify)
     monkeypatch.setattr(linalg.Quotient, "kernel", counted_kernel)
     h3 = c.homology_at(3)
-    assert passes == [238, 237] and reduced == []
+    assert passes == [238, 238] and reduced == []
     assert c.homology_at(3) is h3 is ctx.rp1()
     assert h3.describe() == "Z/61"  # RP_1(F_121)
-    assert passes == [238, 237] and reduced == []
+    assert passes == [238, 238] and reduced == []
+    assert len(h3.echelon().basis) == len(h3.echelon().basis) == 237
+    assert passes == [238, 238, 237] and reduced == []
 
 
 def test_homology_position_1():

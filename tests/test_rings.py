@@ -16,6 +16,7 @@ from scgroups.rings import (
     is_prime,
     parse_ring,
     prime_power_decompose,
+    ring_label,
     smallest_irreducible,
     square_classes,
     sufficiently_large,
@@ -313,6 +314,64 @@ def test_unit_group_basis_golden(label):
     assert hashlib.sha256(text.encode()).hexdigest() == UNIT_BASIS_GOLDEN[label]
 
 
+def _scanning_every_unit(ring):
+    """The greedy decomposition as it was before powers were skipped: each
+    round computes the order modulo the span of every unit outside it, up
+    to the first of order |U| / |span|."""
+    gens, gen_orders, span = [], [], {ring.one: ()}
+    units_in_order = sorted(ring.units, key=lambda u: ring.index[u])
+    while len(span) < len(ring.units):
+        top = len(ring.units) // len(span)
+        best = None
+        for u in units_in_order:
+            if u in span:
+                continue
+            k, x = 1, u
+            while x not in span:
+                x = ring.mul(x, u)
+                k += 1
+            if best is None or k > best[0]:
+                best = (k, u)
+                if k == top:
+                    break
+        k, u = best
+        chosen = next(c for h in span if _order_of(ring, c := ring.mul(u, h)) == k)
+        gens.append(chosen)
+        gen_orders.append(k)
+        new_span = {}
+        for h, exps in span.items():
+            x = h
+            for e in range(k):
+                new_span[x] = exps + (e,)
+                x = ring.mul(x, chosen)
+        span = new_span
+    return gens, gen_orders, {u: span[u] for u in ring.units}
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "z/2^12",
+        "z/2^10",
+        "z/3^7",
+        "z/7^3",
+        "gf(3)[t]/t^6",
+        "gf(2)[t]/t^10",
+        "gf(2^2)[t]/t^4",
+        "gf(9)[t]/t^3",
+        "gf(5)[t]/t^3",
+        "gf(2^3)[t]/t^2",
+        "gf(121)",
+    ],
+)
+def test_skipping_powers_met_in_a_round_keeps_the_decomposition(label):
+    # a power of a unit scanned earlier in the round has an order dividing
+    # that unit's and comes later, so the scan that skips it picks the same
+    # generators, orders and exponents as the scan of every unit
+    ring = parse_ring(label)
+    assert unit_group_basis(ring) == _scanning_every_unit(ring)
+
+
 def test_unit_group_gf9_t2_not_cyclic():
     ring = TruncPoly(GF(3, 2), 2)
     gens, orders, dlog = unit_group_basis(ring)
@@ -339,6 +398,57 @@ def test_prime_power_base_reads_one_way():
         assert r.label == f"{label}[t]/t^2" and r.size() == int(q) ** 2
     with pytest.raises(ValueError, match="4 is not prime"):
         parse_ring("gf(4^2)[t]/t^2")
+
+
+# descriptors that parse_ring builds and ones it refuses, each at a
+# different check: grammar, a base that is no prime (power), a prime power
+# with an exponent, a zero degree, exponent or truncation order, and the
+# base's error before the truncation order's
+LABEL_DESCRIPTORS = [
+    "gf(7)",
+    "gf(49)",
+    "gf(7^2)",
+    "GF(11^2)",
+    " z/49 ",
+    "z/7^2",
+    "z/7",
+    "gf(5)[t]/t^2",
+    "gf(25)[t]/t^2",
+    "gf(4)[t]/t^3",
+    "gf(3^2)[t]/t^1",
+    "gf(7^0)",
+    "gf(6)",
+    "gf(1)",
+    "gf(0)",
+    "gf(4^2)",
+    "z/1",
+    "z/0",
+    "z/6",
+    "z/4^2",
+    "z/4^0",
+    "z/7^0",
+    "gf(7)[t]/t^0",
+    "gf(7^0)[t]/t^0",
+    "gf(6)[t]/t^0",
+    "gf(4^2)[t]/t^2",
+    "gf(7",
+    "q/7",
+    "",
+]
+
+
+@pytest.mark.parametrize("desc", LABEL_DESCRIPTORS)
+def test_ring_label_reads_what_parse_ring_builds(desc):
+    # the label read from the descriptor alone is the built ring's, and a
+    # descriptor parse_ring refuses is refused with the same error
+    try:
+        want = parse_ring(desc).label
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            ring_label(desc)
+        assert str(got.value) == str(e)
+    else:
+        assert ring_label(desc) == want
 
 
 def test_field_under_every_descriptor():

@@ -17,6 +17,7 @@ from scgroups.orbitcomplex import build_row_complex
 from scgroups.rings import parse_ring
 from scgroups.scissors import ScissorsContext, _context_by_label, context, rp_act
 from scgroups.witt import WittContext
+from test_linalg import assert_maps_of_one_lattice
 
 SMALL = ["gf(7)", "gf(11)", "gf(13)", "z/7^2", "gf(5)[t]/t^2"]
 
@@ -346,7 +347,7 @@ def test_e_plus_rp_tilde_reduces_no_second_flat_lattice(monkeypatch, label):
     monkeypatch.undo()
     want = ctx.refined_tilde().plus_part(ctx.G.neg_one())
     assert got.echelon().basis == want.echelon().basis
-    assert got._projection() == want._projection()
+    assert_maps_of_one_lattice(got._projection(), want._projection())
 
 
 def test_idempotent_theorem_literal_form_minus_one_nonsquare():
@@ -594,9 +595,10 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     # RP~(Z/121)/L_B is read through the module of one-unit cosets: the
     # rows [au] - [a] identify each generator with its coset, so the small
     # module on W(GF(11)) is reduced instead of RP~'s 198 columns, and the
-    # quotient's basis is one kernel pass over RP's 198 flat generators,
-    # with no extra rows.  No Hermite call reduces rows of width 198, and
-    # l_submodule builds no RP~(Z/121)
+    # quotient's map is the small module's read through sigma, with no
+    # kernel pass over RP's 198 flat generators; its basis, read only when
+    # asked, is one such pass, with no extra rows.  No Hermite call reduces
+    # rows of width 198, and l_submodule builds no RP~(Z/121)
     passes, widths = [], []
     certify, kernel = linalg._certified_map, linalg.Quotient.kernel
 
@@ -614,6 +616,8 @@ def test_l_b_quotient_certifies_in_one_round(monkeypatch):
     ctx = ScissorsContext(parse_ring("z/11^2"))
     res = ctx.l_submodule()
     assert res["match"] and res["kernel_ok"]
+    assert [p for p in passes if p[0] == 198] == [] and res["quotient"]._ech is None
+    res["quotient"].echelon()
     assert [p for p in passes if p[0] == 198] == [(198, 0)]
     assert 198 not in widths
     assert "rp_tilde" not in vars(ctx)
@@ -645,7 +649,7 @@ def test_l_b_quotient_through_cosets_is_rp_tilde_mod_l_b(label):
     assert res["kernel_ok"] and res["match"]
     want = linalg.ab_quotient(ctx.rp_tilde, ctx.l_rows())
     assert res["quotient"].echelon().basis == want.echelon().basis
-    assert res["quotient"]._projection() == want._projection()
+    assert_maps_of_one_lattice(res["quotient"]._projection(), want._projection())
 
 
 def _l_rows_reference(ctx):
@@ -936,9 +940,10 @@ def test_rp_tilde_builds_no_kernel_and_shares_p_basis(monkeypatch, label):
     # l_submodule and the specialization read RP~ alone: reading it builds
     # neither the lambda_1 nor the lambda_2 kernel.  Its Hermite calls are
     # the block form's two halves, L- and L+ = P, both |W| wide, and P keeps
-    # its certified map, so a later read of P reduces nothing.  Its
-    # flat-width reads are the block form and RP~ = RP/K^(1), one kernel
-    # pass each
+    # its certified map, so a later read of P reduces nothing.  The maps of
+    # the block form and of RP~ = RP/K^(1) are read off their parents'
+    # maps, with no flat-width kernel pass; the bases of RP and RP~ are one
+    # pass each, when read
     kernels = _count_kernels(monkeypatch)
     widths, passes = [], []
     certify, kernel = linalg._certified_map, linalg.Quotient.kernel
@@ -962,6 +967,9 @@ def test_rp_tilde_builds_no_kernel_and_shares_p_basis(monkeypatch, label):
     ctx.pre_bloch().describe()
     assert widths == [len(ctx.W), len(ctx.W)]
     flat = len(ctx.W) * ctx.G.order
+    assert passes.count(flat) == 0
+    ctx.rp_tilde.echelon()
+    ctx.rp_flat().echelon()
     assert passes.count(flat) == 2
 
 
